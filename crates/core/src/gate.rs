@@ -20,13 +20,51 @@
 //!   normal departures.
 //! * **RAII permits**: dropping a [`Permit`]/[`OwnedPermit`] releases the
 //!   slot, so a panicking worker cannot leak MPL capacity.
-//! * **Wait statistics** for the measurement pipeline.
+//! * **Wait statistics** for the measurement layer.
+//!
+//! # Fast path and slow path
+//!
+//! The load `n` and the threshold `n*` live in one atomic word
+//! (`in_use` in the low half, `limit` in the high half), so "accept iff
+//! `n < n*`" is a single compare-and-swap and a departure is a single
+//! `fetch_sub`. An arrival takes that **fast path** iff nobody is queued
+//! (`waiting == 0`); it touches no mutex, no condition variable and no
+//! clock.
+//!
+//! Otherwise it takes the **slow path**: the FCFS queue, a mutex-guarded
+//! ticket dispenser with a condition variable. A queued arrival first
+//! announces itself in `waiting`, then — holding the queue mutex, and
+//! only when its ticket is being served — retries the very same CAS, and
+//! sleeps if that fails. A departure or a limit change wakes the queue
+//! only if `waiting > 0`.
+//!
+//! **Why FCFS holds.** Tickets order the slow path among itself exactly
+//! as before. The fast path is open only while `waiting == 0`, i.e. while
+//! no ticket holder is queued, so an arrival that finds somebody queued
+//! always takes a ticket behind them. (An arrival that read `waiting ==
+//! 0` a moment before somebody queued arrived first, and may enter
+//! first.)
+//!
+//! **Why no wake-up is lost.** Every access to the word and to `waiting`
+//! is `SeqCst`, so they fall into one total order. The waiter does
+//! *increment `waiting`, then CAS the word*; the releaser (or
+//! `set_limit`) does *write the word, then load `waiting`*. In the total
+//! order either the waiter's CAS comes after the write and sees the
+//! freed slot, or the releaser's load comes after the increment and sees
+//! the waiter. In the second case the releaser takes the queue mutex
+//! before notifying: the waiter holds it from its failed CAS until it is
+//! parked on the condition variable, so the notification cannot fall
+//! into that gap.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
+use std::sync::atomic::{
+    AtomicU32, AtomicU64,
+    Ordering::{Relaxed, SeqCst},
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Snapshot of the gate's counters.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -45,21 +83,40 @@ pub struct GateStats {
     pub mean_wait_ms: f64,
 }
 
+/// The words every admission and departure writes, alone on their own
+/// 128-byte line (two 64-byte lines: adjacent-line prefetchers pair
+/// them) so that the queue's fields are never invalidated by the fast
+/// path.
 #[derive(Debug)]
-struct State {
-    limit: u32,
-    in_use: u32,
-    next_ticket: u64,
-    serving: u64,
-    abandoned: HashSet<u64>,
-    waiting: u32,
-    total_admitted: u64,
-    total_abandoned: u64,
-    wait_sum_ms: f64,
-    wait_count: u64,
+#[repr(align(128))]
+struct Hot {
+    /// `limit << 32 | in_use`.
+    word: AtomicU64,
+    /// Total admissions (a statistic: `Relaxed`).
+    admitted: AtomicU64,
 }
 
-impl State {
+fn pack(limit: u32, in_use: u32) -> u64 {
+    u64::from(limit) << 32 | u64::from(in_use)
+}
+
+/// `(limit, in_use)` of a packed word.
+fn unpack(word: u64) -> (u32, u32) {
+    ((word >> 32) as u32, word as u32)
+}
+
+/// The FCFS queue's bookkeeping, guarded by the queue mutex.
+#[derive(Debug)]
+struct Queue {
+    next_ticket: u64,
+    serving: u64,
+    /// Tickets whose owners timed out before being served.
+    abandoned: BTreeSet<u64>,
+    total_abandoned: u64,
+    wait_sum_ms: f64,
+}
+
+impl Queue {
     /// Skips over tickets whose owners gave up so the queue never stalls
     /// behind a ghost.
     fn advance_past_abandoned(&mut self) {
@@ -67,26 +124,17 @@ impl State {
             self.serving += 1;
         }
     }
-
-    fn head_can_enter(&self, ticket: u64) -> bool {
-        self.serving == ticket && self.in_use < self.limit
-    }
-
-    fn admit(&mut self, waited: Duration) {
-        self.serving += 1;
-        self.in_use += 1;
-        self.total_admitted += 1;
-        self.wait_sum_ms += waited.as_secs_f64() * 1000.0;
-        self.wait_count += 1;
-        self.advance_past_abandoned();
-    }
 }
 
 /// A thread-safe, FIFO-fair concurrency limiter with a live-updatable
 /// limit. See the module docs for the design rationale.
 #[derive(Debug)]
 pub struct AdaptiveGate {
-    state: Mutex<State>,
+    hot: Hot,
+    /// Arrivals inside the slow path; written only under the queue
+    /// mutex, read by the fast path and by departures.
+    waiting: AtomicU32,
+    queue: Mutex<Queue>,
     cond: Condvar,
 }
 
@@ -94,17 +142,17 @@ impl AdaptiveGate {
     /// Creates a gate admitting at most `limit` concurrent holders.
     pub fn new(limit: u32) -> Self {
         AdaptiveGate {
-            state: Mutex::new(State {
-                limit,
-                in_use: 0,
+            hot: Hot {
+                word: AtomicU64::new(pack(limit, 0)),
+                admitted: AtomicU64::new(0),
+            },
+            waiting: AtomicU32::new(0),
+            queue: Mutex::new(Queue {
                 next_ticket: 0,
                 serving: 0,
-                abandoned: HashSet::new(),
-                waiting: 0,
-                total_admitted: 0,
+                abandoned: BTreeSet::new(),
                 total_abandoned: 0,
                 wait_sum_ms: 0.0,
-                wait_count: 0,
             }),
             cond: Condvar::new(),
         }
@@ -112,24 +160,21 @@ impl AdaptiveGate {
 
     /// Blocks until admitted; returns a permit that releases on drop.
     pub fn acquire(&self) -> Permit<'_> {
-        self.acquire_inner(None)
-            .expect("acquire without deadline cannot time out");
-        Permit { gate: self }
+        self.permit(
+            self.enter(None)
+                .expect("acquire without deadline cannot time out"),
+        )
     }
 
     /// Blocks until admitted or until `timeout` elapses.
-    // The gate is the documented real-time component: wall-clock
-    // deadlines are its job, and the simulator never calls it.
-    #[allow(clippy::disallowed_methods)]
     pub fn acquire_timeout(&self, timeout: Duration) -> Option<Permit<'_>> {
-        self.acquire_inner(Some(Instant::now() + timeout))
-            .map(|()| Permit { gate: self })
+        self.enter(Some(timeout)).map(|n| self.permit(n))
     }
 
     /// Like [`AdaptiveGate::acquire`] but returns an `Arc`-owning permit
     /// that can move across threads and outlive the caller's borrow.
     pub fn acquire_owned(self: &Arc<Self>) -> OwnedPermit {
-        self.acquire_inner(None)
+        self.enter(None)
             .expect("acquire without deadline cannot time out");
         OwnedPermit {
             gate: Arc::clone(self),
@@ -139,107 +184,182 @@ impl AdaptiveGate {
     /// Admits immediately if the queue is empty and capacity is free;
     /// never blocks and never jumps the FCFS queue.
     pub fn try_acquire(&self) -> Option<Permit<'_>> {
-        let mut s = self.state.lock();
-        s.advance_past_abandoned();
-        if s.serving == s.next_ticket && s.in_use < s.limit {
-            s.next_ticket += 1;
-            s.admit(Duration::ZERO);
-            Some(Permit { gate: self })
+        let population = if self.waiting.load(SeqCst) == 0 {
+            self.try_enter()
         } else {
-            None
+            // Somebody is in the slow path: decide under its mutex
+            // whether a ticket is actually outstanding.
+            let mut q = self.queue.lock();
+            q.advance_past_abandoned();
+            if q.serving == q.next_ticket {
+                self.try_enter()
+            } else {
+                None
+            }
+        };
+        population.map(|n| self.permit(n))
+    }
+
+    fn permit(&self, population: u32) -> Permit<'_> {
+        Permit {
+            gate: self,
+            population,
         }
     }
 
-    #[allow(clippy::disallowed_methods)] // real-time wait timing, see acquire_timeout
-    fn acquire_inner(&self, deadline: Option<Instant>) -> Option<()> {
-        let start = Instant::now();
-        let mut s = self.state.lock();
-        let ticket = s.next_ticket;
-        s.next_ticket += 1;
-        s.advance_past_abandoned();
-        if s.head_can_enter(ticket) {
-            s.admit(Duration::ZERO);
-            return Some(());
-        }
-        s.waiting += 1;
+    /// The admission test itself, shared by both paths: `in_use <
+    /// limit` → `in_use + 1` in one CAS. Returns the population
+    /// including the new entrant.
+    fn try_enter(&self) -> Option<u32> {
+        let mut word = self.hot.word.load(SeqCst);
         loop {
-            match deadline {
-                None => self.cond.wait(&mut s),
-                Some(d) => {
-                    if self.cond.wait_until(&mut s, d).timed_out() {
-                        s.advance_past_abandoned();
-                        if s.head_can_enter(ticket) {
-                            // Won the race at the deadline: still admitted.
-                            s.waiting -= 1;
-                            s.admit(start.elapsed());
-                            drop(s);
-                            self.cond.notify_all();
-                            return Some(());
-                        }
-                        s.waiting -= 1;
-                        s.total_abandoned += 1;
-                        s.abandoned.insert(ticket);
-                        s.advance_past_abandoned();
-                        drop(s);
-                        self.cond.notify_all();
-                        return None;
+            let (limit, in_use) = unpack(word);
+            if in_use >= limit {
+                return None;
+            }
+            // `in_use < limit <= u32::MAX`: the increment cannot carry
+            // into the limit half.
+            match self
+                .hot
+                .word
+                .compare_exchange_weak(word, word + 1, SeqCst, SeqCst)
+            {
+                Ok(_) => {
+                    self.hot.admitted.fetch_add(1, Relaxed);
+                    return Some(in_use + 1);
+                }
+                Err(seen) => word = seen,
+            }
+        }
+    }
+
+    /// Fast path if nobody is queued, else the FCFS queue. `None` only
+    /// when `timeout` ran out.
+    fn enter(&self, timeout: Option<Duration>) -> Option<u32> {
+        if self.waiting.load(SeqCst) == 0 {
+            if let Some(population) = self.try_enter() {
+                return Some(population);
+            }
+        }
+        self.enter_queued(timeout)
+    }
+
+    // The gate is the documented real-time component: wall-clock
+    // deadlines and wait timing are its job, and the simulator never
+    // calls it.
+    #[allow(clippy::disallowed_methods)]
+    fn enter_queued(&self, timeout: Option<Duration>) -> Option<u32> {
+        let start = Instant::now();
+        // A patience too long to represent is no deadline at all.
+        let deadline = timeout.and_then(|t| start.checked_add(t));
+        let mut q = self.queue.lock();
+        let ticket = q.next_ticket;
+        q.next_ticket += 1;
+        // Announce first, test second (the module docs' no-lost-wake-up
+        // argument rests on this order).
+        self.waiting.fetch_add(1, SeqCst);
+        let (mut parked, mut timed_out) = (false, false);
+        loop {
+            q.advance_past_abandoned();
+            if q.serving == ticket {
+                if let Some(population) = self.try_enter() {
+                    q.serving += 1;
+                    q.advance_past_abandoned();
+                    if parked {
+                        q.wait_sum_ms += start.elapsed().as_secs_f64() * 1000.0;
                     }
+                    self.leave_queue(q);
+                    return Some(population);
                 }
             }
-            s.advance_past_abandoned();
-            if s.head_can_enter(ticket) {
-                s.waiting -= 1;
-                s.admit(start.elapsed());
-                drop(s);
-                // The next ticket holder may also fit (e.g. after a limit
-                // raise); cascade the wake-up.
-                self.cond.notify_all();
-                return Some(());
+            if timed_out {
+                // Lost even the race at the deadline: give the ticket up.
+                q.total_abandoned += 1;
+                q.abandoned.insert(ticket);
+                q.advance_past_abandoned();
+                self.leave_queue(q);
+                return None;
+            }
+            parked = true;
+            match deadline {
+                None => self.cond.wait(&mut q),
+                Some(d) => timed_out = self.cond.wait_until(&mut q, d).timed_out(),
             }
         }
     }
 
-    fn release(&self) {
-        let mut s = self.state.lock();
-        debug_assert!(s.in_use > 0, "release without a held permit");
-        s.in_use = s.in_use.saturating_sub(1);
-        drop(s);
-        self.cond.notify_all();
+    /// Ends a slow-path visit (admitted or abandoned). The ticket now
+    /// being served may fit too (e.g. after a limit raise), and every
+    /// waiter that woke before its turn has gone back to sleep: cascade
+    /// the wake-up.
+    fn leave_queue(&self, q: MutexGuard<'_, Queue>) {
+        let others = self.waiting.fetch_sub(1, SeqCst) > 1;
+        drop(q);
+        if others {
+            self.cond.notify_all();
+        }
+    }
+
+    /// Wakes the queue after the word changed, if anybody is in it. The
+    /// lock-unlock orders the notification after the waiter's parking
+    /// (see the module docs).
+    fn wake_queue(&self) {
+        if self.waiting.load(SeqCst) > 0 {
+            drop(self.queue.lock());
+            self.cond.notify_all();
+        }
+    }
+
+    /// Gives a slot back; returns the population left behind.
+    fn release(&self) -> u32 {
+        let (_, in_use) = unpack(self.hot.word.fetch_sub(1, SeqCst));
+        debug_assert!(in_use > 0, "release without a held permit");
+        self.wake_queue();
+        in_use - 1
     }
 
     /// Replaces the admission limit `n*`. Raising it wakes queued
     /// arrivals; lowering it only affects future admissions (no
     /// displacement — §4.3).
     pub fn set_limit(&self, limit: u32) {
-        let mut s = self.state.lock();
-        s.limit = limit;
-        drop(s);
-        self.cond.notify_all();
+        let mut word = self.hot.word.load(SeqCst);
+        while let Err(seen) =
+            self.hot
+                .word
+                .compare_exchange_weak(word, pack(limit, unpack(word).1), SeqCst, SeqCst)
+        {
+            word = seen;
+        }
+        self.wake_queue();
     }
 
     /// The current admission limit.
     pub fn limit(&self) -> u32 {
-        self.state.lock().limit
+        unpack(self.hot.word.load(SeqCst)).0
     }
 
     /// Permits currently held.
     pub fn in_use(&self) -> u32 {
-        self.state.lock().in_use
+        unpack(self.hot.word.load(SeqCst)).1
     }
 
-    /// A consistent snapshot of all counters.
+    /// A snapshot of all counters: `limit` and `in_use` are one atomic
+    /// read, the queue's counters are read under its mutex.
     pub fn stats(&self) -> GateStats {
-        let s = self.state.lock();
+        let q = self.queue.lock();
+        let (limit, in_use) = unpack(self.hot.word.load(SeqCst));
+        let total_admitted = self.hot.admitted.load(Relaxed);
         GateStats {
-            limit: s.limit,
-            in_use: s.in_use,
-            waiting: s.waiting,
-            total_admitted: s.total_admitted,
-            total_abandoned: s.total_abandoned,
-            mean_wait_ms: if s.wait_count == 0 {
+            limit,
+            in_use,
+            waiting: self.waiting.load(SeqCst),
+            total_admitted,
+            total_abandoned: q.total_abandoned,
+            // Fast-path admissions waited zero.
+            mean_wait_ms: if total_admitted == 0 {
                 0.0
             } else {
-                s.wait_sum_ms / s.wait_count as f64
+                q.wait_sum_ms / total_admitted as f64
             },
         }
     }
@@ -249,6 +369,24 @@ impl AdaptiveGate {
 #[derive(Debug)]
 pub struct Permit<'a> {
     gate: &'a AdaptiveGate,
+    population: u32,
+}
+
+impl Permit<'_> {
+    /// The in-system population this admission produced (this permit
+    /// included), exactly as the admitting CAS wrote it.
+    pub fn population(&self) -> u32 {
+        self.population
+    }
+
+    /// Releases the slot now, returning the population the departure
+    /// left behind — what a later [`AdaptiveGate::in_use`] could only
+    /// approximate.
+    pub fn release(self) -> u32 {
+        let population = self.gate.release();
+        std::mem::forget(self);
+        population
+    }
 }
 
 impl Drop for Permit<'_> {
@@ -291,6 +429,27 @@ mod tests {
         drop(p2);
         drop(p3);
         assert_eq!(gate.in_use(), 0);
+    }
+
+    #[test]
+    fn permits_report_the_population_they_produced() {
+        let gate = AdaptiveGate::new(3);
+        let p1 = gate.acquire();
+        let p2 = gate.try_acquire().expect("capacity free");
+        let p3 = gate.acquire_timeout(Duration::ZERO).expect("capacity free");
+        assert_eq!(
+            (p1.population(), p2.population(), p3.population()),
+            (1, 2, 3)
+        );
+        assert_eq!(p2.release(), 2);
+        assert_eq!(
+            gate.in_use(),
+            2,
+            "an explicit release frees exactly one slot"
+        );
+        drop(p1);
+        assert_eq!(p3.release(), 0);
+        assert_eq!(gate.stats().total_admitted, 3);
     }
 
     #[test]
@@ -432,9 +591,7 @@ mod tests {
         let gate = Arc::new(AdaptiveGate::new(1));
         let blocker = gate.acquire();
         // This waiter times out…
-        assert!(gate
-            .acquire_timeout(Duration::from_millis(30))
-            .is_none());
+        assert!(gate.acquire_timeout(Duration::from_millis(30)).is_none());
         assert_eq!(gate.stats().total_abandoned, 1);
         // …and must not wedge the queue for the next arrival.
         let gate2 = Arc::clone(&gate);

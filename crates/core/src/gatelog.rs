@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// the simulator, time since `Runtime` construction for the runtime) and
 /// round-trip exactly through the shim's shortest-representation f64
 /// formatting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum GateEvent {
     /// The in-system transaction population changed (admission,
     /// departure, displacement, or a bound change admitting waiters).
@@ -113,7 +113,7 @@ impl MemorySink {
 
 impl GateLogSink for MemorySink {
     fn record(&mut self, event: &GateEvent) {
-        self.events.push(event.clone());
+        self.events.push(*event);
     }
 }
 
@@ -162,7 +162,7 @@ mod tests {
         };
         sink.record(&a);
         sink.record(&b);
-        assert_eq!(sink.events(), &[a.clone(), b.clone()]);
+        assert_eq!(sink.events(), &[a, b]);
         assert_eq!(sink.into_events(), vec![a, b]);
     }
 

@@ -35,8 +35,9 @@
 //!   observes ([`gatelog::GateEvent`], [`gatelog::GateLogSink`]): the
 //!   shared vocabulary that lets `alc-runtime` replay simulator logs and
 //!   prove decision-sequence conformance.
-//! * [`pipeline`] — [`pipeline::ControlLoop`] wires gate + sampler +
-//!   controller together for runtime (non-simulated) use.
+//!
+//! The embeddable control loop that wires gate, sampler and controller
+//! together for a real (threaded) server is `alc_runtime::ControlLoop`.
 //!
 //! # Quick start
 //!
@@ -69,7 +70,6 @@ pub mod gate;
 pub mod gatelog;
 pub mod measure;
 pub mod meta;
-pub mod pipeline;
 pub mod sampler;
 
 pub use controller::{

@@ -6,7 +6,8 @@
 // real threads — sleeps and timeouts ARE the workload here.
 #![allow(clippy::disallowed_methods)]
 
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -184,5 +185,128 @@ fn raising_limit_mid_queue_admits_in_order() {
         h.join().unwrap();
     }
     let order = order.lock();
-    assert_eq!(*order, vec![0, 1, 2, 3, 4, 5], "FIFO violated across limit raises");
+    assert_eq!(
+        *order,
+        vec![0, 1, 2, 3, 4, 5],
+        "FIFO violated across limit raises"
+    );
+}
+
+/// Runs `f` on its own thread and fails the test if it has not returned
+/// after `secs`: a lost wake-up shows as a hang, not as a wrong answer.
+fn with_watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let body = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(v) => {
+            body.join().expect("body finished");
+            v
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("gate wedged for {secs} s: a wake-up was lost"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(body.join().expect_err("sender dropped without sending"))
+        }
+    }
+}
+
+const CALLERS: u64 = 8;
+const OPS: u64 = 20_000;
+
+/// `CALLERS` blocking callers each push `OPS` acquire/release cycles
+/// through `gate` while an observer tries to jump the queue; `flap`
+/// additionally cycles the limit through `0..=flap`. Returns the peak
+/// number of permits seen out at once.
+///
+/// The observer is the FCFS oracle. It reads `waiting = w` and
+/// `total_admitted = a` in one `stats()` call (under the queue mutex, so
+/// none of the `w` is admitted yet), then calls `try_acquire`. No caller
+/// ever abandons its ticket, so if the observer gets in, all `w` must
+/// have been admitted before it: `total_admitted >= a + w + 1`
+/// afterwards. A fast path that ignored the queue would get in while
+/// they still wait.
+fn hammer(gate: &Arc<AdaptiveGate>, flap: Option<u32>) -> u32 {
+    let out = AtomicU32::new(0);
+    let peak = AtomicU32::new(0);
+    let callers_left = AtomicU64::new(CALLERS);
+    let jumped_in = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..CALLERS {
+            s.spawn(|| {
+                for _ in 0..OPS {
+                    let permit = gate.acquire();
+                    peak.fetch_max(out.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                    out.fetch_sub(1, Ordering::SeqCst);
+                    drop(permit);
+                }
+                callers_left.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        s.spawn(|| {
+            while callers_left.load(Ordering::SeqCst) > 0 {
+                let before = gate.stats();
+                if before.waiting == 0 {
+                    std::thread::yield_now();
+                    continue;
+                }
+                if let Some(permit) = gate.try_acquire() {
+                    jumped_in.fetch_add(1, Ordering::SeqCst);
+                    let after = gate.stats().total_admitted;
+                    assert!(
+                        after > before.total_admitted + u64::from(before.waiting),
+                        "try_acquire overtook the queue: {} waiting at {} admitted, {after} after",
+                        before.waiting,
+                        before.total_admitted
+                    );
+                    drop(permit);
+                }
+            }
+        });
+        if let Some(top) = flap {
+            let callers_left = &callers_left;
+            s.spawn(move || {
+                let mut limit = 0;
+                while callers_left.load(Ordering::SeqCst) > 0 {
+                    gate.set_limit(limit);
+                    limit = (limit + 1) % (top + 1);
+                    std::thread::yield_now();
+                }
+                gate.set_limit(top);
+            });
+        }
+    });
+    let stats = gate.stats();
+    assert_eq!(
+        stats.total_admitted,
+        CALLERS * OPS + jumped_in.load(Ordering::SeqCst),
+        "every admission counted exactly once"
+    );
+    assert_eq!(
+        (stats.in_use, stats.waiting, stats.total_abandoned),
+        (0, 0, 0)
+    );
+    peak.load(Ordering::SeqCst)
+}
+
+/// Saturated hand-off at a fixed bound: every departure must wake the
+/// queue head (nothing else would), the population never passes the
+/// bound, and nobody overtakes a queued ticket.
+#[test]
+fn saturated_handoff_loses_no_wakeup_and_keeps_fcfs() {
+    for bound in [1, 2] {
+        let peak = with_watchdog(120, move || {
+            hammer(&Arc::new(AdaptiveGate::new(bound)), None)
+        });
+        assert!(peak <= bound, "peak {peak} above the bound {bound}");
+    }
+}
+
+/// The same hand-off while the limit cycles 0, 1, …, 4: admissions race
+/// `set_limit`'s rewrite of the other half of the gate's word, and
+/// callers parked at limit 0 depend on the raise to wake them.
+#[test]
+fn flapping_limit_loses_no_wakeup_and_keeps_fcfs() {
+    let peak = with_watchdog(120, || hammer(&Arc::new(AdaptiveGate::new(2)), Some(4)));
+    assert!(peak <= 4, "peak {peak} above every limit ever set");
 }

@@ -60,26 +60,14 @@ pub fn replay(
     indicator: PerfIndicator,
 ) -> Vec<GateEvent> {
     let mut core = LoopCore::new(law, indicator);
-    let mut decisions = Vec::new();
-    for event in events {
-        match *event {
-            GateEvent::Mpl { at_ms, in_system } => core.on_mpl(at_ms, in_system),
-            GateEvent::Commit {
-                at_ms,
-                response_ms,
-                conflicts,
-            } => core.on_commit(at_ms, response_ms, conflicts),
-            GateEvent::Abort { at_ms, conflicts } => core.on_abort(at_ms, conflicts),
-            GateEvent::Decision { at_ms, .. } => {
-                let d = core.harvest(at_ms, 0);
-                decisions.push(GateEvent::Decision {
-                    at_ms,
-                    bound: d.bound,
-                });
-            }
-        }
-    }
-    decisions
+    events
+        .iter()
+        .filter_map(|event| core.feed(event))
+        .map(|d| GateEvent::Decision {
+            at_ms: d.at_ms,
+            bound: d.bound,
+        })
+        .collect()
 }
 
 /// Replays the log and lines its decisions up against the recorded ones.
@@ -91,7 +79,7 @@ pub fn check_conformance(
     let recorded: Vec<GateEvent> = events
         .iter()
         .filter(|e| matches!(e, GateEvent::Decision { .. }))
-        .cloned()
+        .copied()
         .collect();
     let replayed = replay(events, law, indicator);
     let first_divergence = recorded

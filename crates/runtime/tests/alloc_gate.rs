@@ -3,22 +3,26 @@
 //!
 //! This test binary installs a counting global allocator and drives a
 //! warmed-up [`ControlLoop`] through admit → complete cycles with
-//! periodic ticks, exactly as an embedding server would. After warm-up,
+//! periodic ticks, exactly as an embedding server would — from two
+//! threads, which the loop deals onto two different stripes, each
+//! filling its stripe many times over between ticks. After warm-up,
 //! *no* operation may touch the allocator: the gate admits by counter
-//! arithmetic, telemetry accumulates into fixed-size P² marker arrays,
-//! and the AIMD law is pure arithmetic. (The JSONL gate-log sink is the
-//! documented exception — logging buys bytes with allocations — so the
-//! measured loop runs without one.)
+//! arithmetic, events are recorded into fixed arrays and merged in a
+//! buffer sized at construction, telemetry accumulates into fixed-size
+//! P² marker arrays, and the AIMD law is pure arithmetic. (The JSONL
+//! gate-log sink is the documented exception — logging buys bytes with
+//! allocations — so the measured loop runs without one.)
 //!
 //! Kept as its own integration-test binary so the global allocator
 //! cannot race with unrelated tests, and built with `harness = false`:
 //! libtest's runner thread lazily allocates its parking state the first
 //! time it blocks waiting on a test, which intermittently lands inside
-//! the measurement window. A plain `main` keeps the process truly
-//! single-threaded, so the counter sees only the workload.
+//! the measurement window. With a plain `main` the only threads are the
+//! two callers, so the counter sees only the workload.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 use alc_core::measure::PerfIndicator;
 use alc_runtime::{AdmissionPolicy, AimdLaw, AimdParams, ControlLoop, Outcome};
@@ -91,17 +95,35 @@ fn main() {
         AdmissionPolicy::Queue,
     );
 
-    churn(&rt, WARMUP_OPS, 97);
-
-    let before = allocations();
-    churn(&rt, MEASURED_OPS, 97);
-    let after = allocations();
+    // Main ticks every 97 ops; the second caller never does, so its
+    // stripe drains only by filling up (its own drains) and by main's.
+    // Spawning allocates, so the second caller exists before the window
+    // opens and waits at a barrier on either side of it.
+    let (opened, closed) = (Barrier::new(2), Barrier::new(2));
+    let measured = std::thread::scope(|s| {
+        s.spawn(|| {
+            churn(&rt, WARMUP_OPS, usize::MAX);
+            opened.wait();
+            churn(&rt, MEASURED_OPS, usize::MAX);
+            closed.wait();
+        });
+        churn(&rt, WARMUP_OPS, 97);
+        opened.wait();
+        let before = allocations();
+        churn(&rt, MEASURED_OPS, 97);
+        closed.wait();
+        allocations() - before
+    });
 
     assert_eq!(
-        after - before,
-        0,
-        "admit/complete/tick fast path allocated {} times over {MEASURED_OPS} steady-state ops",
-        after - before
+        measured, 0,
+        "admit/complete/tick fast path allocated {measured} times over 2 x {MEASURED_OPS} steady-state ops"
+    );
+    let m = rt.metrics();
+    assert_eq!(
+        m.commits + m.aborts,
+        2 * (WARMUP_OPS + MEASURED_OPS) as u64,
+        "both callers' completions reached the core"
     );
     println!("alloc_gate ok: admit/complete/tick fast path allocation-free");
 }

@@ -73,7 +73,7 @@ struct CaptureSink(Arc<Mutex<Vec<GateEvent>>>);
 impl GateLogSink for CaptureSink {
     fn record(&mut self, event: &GateEvent) {
         if let Ok(mut events) = self.0.lock() {
-            events.push(event.clone());
+            events.push(*event);
         }
     }
 }

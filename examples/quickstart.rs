@@ -1,10 +1,13 @@
 //! Quickstart: adaptive concurrency limiting for a real (threaded)
 //! workload.
 //!
-//! A pool of worker threads pushes jobs through an [`AdaptiveGate`] whose
-//! limit is steered by the Incremental Steps controller — the same
+//! A pool of worker threads pushes jobs through a
+//! [`ControlLoop`](adaptive_load_control::runtime::ControlLoop) whose
+//! gate limit is steered by the Incremental Steps controller — the same
 //! feedback loop the paper applies to transaction processing, applied to
-//! any server that degrades under excessive concurrency.
+//! any server that degrades under excessive concurrency. The measurement
+//! cadence adapts too: an [`AdaptiveInterval`] sizes each sleep so a
+//! window holds about 200 completions (§5).
 //!
 //! The simulated "work" here degrades when too many jobs run at once
 //! (think lock contention or cache thrash): each job takes
@@ -23,9 +26,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adaptive_load_control::core::controller::{IncrementalSteps, IsParams};
-use adaptive_load_control::core::pipeline::ControlLoop;
 use adaptive_load_control::core::sampler::AdaptiveInterval;
 use adaptive_load_control::core::PerfIndicator;
+use adaptive_load_control::runtime::{AdmissionPolicy, ControlLoop, Outcome, PaperLaw};
 
 fn main() {
     let controller = IncrementalSteps::new(IsParams {
@@ -38,10 +41,11 @@ fn main() {
         ..IsParams::default()
     });
     let control = Arc::new(ControlLoop::new(
-        controller,
+        Box::new(PaperLaw::new(Box::new(controller))),
         PerfIndicator::Throughput,
-        AdaptiveInterval::new(200, 100.0, 1000.0, 250.0),
+        AdmissionPolicy::Queue,
     ));
+    let mut interval = AdaptiveInterval::new(200, 100.0, 1000.0, 250.0);
     let running = Arc::new(AtomicBool::new(true));
     let in_flight = Arc::new(AtomicU32::new(0));
 
@@ -53,31 +57,40 @@ fn main() {
         let in_flight = Arc::clone(&in_flight);
         handles.push(std::thread::spawn(move || {
             while running.load(Ordering::Relaxed) {
-                let permit = control.admit();
+                let permit = control.admit().expect("Queue policy never sheds");
                 let n = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                 // Work that degrades superlinearly with concurrency.
                 let ms = 2.0 * (1.0 + (f64::from(n) / 12.0).powi(3));
                 let t0 = std::time::Instant::now();
                 std::thread::sleep(Duration::from_micros((ms * 1000.0) as u64));
                 in_flight.fetch_sub(1, Ordering::SeqCst);
-                control.complete(t0.elapsed().as_secs_f64() * 1000.0);
-                drop(permit);
+                control.complete(
+                    permit,
+                    Outcome::Commit {
+                        response_ms: t0.elapsed().as_secs_f64() * 1000.0,
+                        conflicts: 0,
+                    },
+                );
             }
         }));
     }
 
     println!("interval  limit  throughput/s  mean_resp_ms  queued");
+    let mut sleep_ms = interval.current_ms();
+    let mut converged = 0;
     for _ in 0..40 {
-        std::thread::sleep(Duration::from_millis(250));
-        let (m, bound, _next) = control.tick();
-        let stats = control.gate().stats();
+        std::thread::sleep(Duration::from_secs_f64(sleep_ms / 1000.0));
+        let decision = control.tick();
+        let m = &decision.window.measurement;
+        sleep_ms = interval.observe(m);
+        converged = decision.bound;
         println!(
             "{:>8.1}s {:>5}  {:>12.0}  {:>12.2}  {:>6}",
             m.at_ms / 1000.0,
-            bound,
+            decision.bound,
             m.performance,
             m.mean_response_ms,
-            stats.waiting,
+            decision.window.queue_depth,
         );
     }
     running.store(false, Ordering::Relaxed);
@@ -86,6 +99,5 @@ fn main() {
     for h in handles {
         h.join().expect("worker");
     }
-    let final_limit = control.gate().limit();
-    println!("\nconverged concurrency limit: {final_limit} (work degrades sharply past ~12)");
+    println!("\nconverged concurrency limit: {converged} (work degrades sharply past ~12)");
 }

@@ -12,31 +12,35 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adaptive_load_control::core::controller::{IncrementalSteps, IsParams};
-use adaptive_load_control::core::pipeline::ControlLoop;
 use adaptive_load_control::core::sampler::AdaptiveInterval;
 use adaptive_load_control::core::PerfIndicator;
+use adaptive_load_control::runtime::{AdmissionPolicy, ControlLoop, Outcome, PaperLaw};
+
+fn is_loop(params: IsParams) -> ControlLoop {
+    ControlLoop::new(
+        Box::new(PaperLaw::new(Box::new(IncrementalSteps::new(params)))),
+        PerfIndicator::Throughput,
+        AdmissionPolicy::Queue,
+    )
+}
 
 #[test]
 fn control_loop_limits_a_degrading_workload() {
-    let cl = Arc::new(ControlLoop::new(
-        IncrementalSteps::new(IsParams {
-            initial_bound: 2,
-            min_bound: 1,
-            max_bound: 32,
-            beta: 0.02,
-            min_step: 1.0,
-            max_step: 3.0,
-            // Only 16 workers exist, so any bound above ~16 sees a flat
-            // performance signal; δ/γ drift-correction (§4.1) must pull the
-            // bound back toward the achievable load instead of letting it
-            // random-walk in the flat region.
-            delta: 4.0,
-            gamma: 4.0,
-            ..IsParams::default()
-        }),
-        PerfIndicator::Throughput,
-        AdaptiveInterval::new(100, 20.0, 500.0, 60.0),
-    ));
+    let cl = Arc::new(is_loop(IsParams {
+        initial_bound: 2,
+        min_bound: 1,
+        max_bound: 32,
+        beta: 0.02,
+        min_step: 1.0,
+        max_step: 3.0,
+        // Only 16 workers exist, so any bound above ~16 sees a flat
+        // performance signal; δ/γ drift-correction (§4.1) must pull the
+        // bound back toward the achievable load instead of letting it
+        // random-walk in the flat region.
+        delta: 4.0,
+        gamma: 4.0,
+        ..IsParams::default()
+    }));
     let running = Arc::new(AtomicBool::new(true));
     let in_flight = Arc::new(AtomicU32::new(0));
 
@@ -47,15 +51,20 @@ fn control_loop_limits_a_degrading_workload() {
         let in_flight = Arc::clone(&in_flight);
         workers.push(std::thread::spawn(move || {
             while running.load(Ordering::Relaxed) {
-                let permit = cl.admit();
+                let permit = cl.admit().expect("Queue policy never sheds");
                 let n = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                 // Superlinear degradation past ~6 concurrent jobs.
                 let us = 300.0 * (1.0 + (f64::from(n) / 6.0).powi(3));
                 let t0 = std::time::Instant::now();
                 std::thread::sleep(Duration::from_micros(us as u64));
                 in_flight.fetch_sub(1, Ordering::SeqCst);
-                cl.complete(t0.elapsed().as_secs_f64() * 1000.0);
-                drop(permit);
+                cl.complete(
+                    permit,
+                    Outcome::Commit {
+                        response_ms: t0.elapsed().as_secs_f64() * 1000.0,
+                        conflicts: 0,
+                    },
+                );
             }
         }));
     }
@@ -64,9 +73,9 @@ fn control_loop_limits_a_degrading_workload() {
     let mut measured = Vec::new();
     for _ in 0..50 {
         std::thread::sleep(Duration::from_millis(60));
-        let (m, limit, _) = cl.tick();
-        limits.push(limit);
-        measured.push(m);
+        let decision = cl.tick();
+        limits.push(decision.bound);
+        measured.push(decision.window.measurement);
     }
     running.store(false, Ordering::Relaxed);
     cl.gate().set_limit(64); // drain queued workers
@@ -98,23 +107,59 @@ fn control_loop_limits_a_degrading_workload() {
 
 #[test]
 fn adaptive_interval_reacts_to_real_rates() {
-    let cl = ControlLoop::new(
-        IncrementalSteps::new(IsParams {
-            initial_bound: 8,
-            max_bound: 16,
-            ..IsParams::default()
-        }),
-        PerfIndicator::Throughput,
-        AdaptiveInterval::new(50, 10.0, 2_000.0, 100.0),
-    );
+    let cl = is_loop(IsParams {
+        initial_bound: 8,
+        max_bound: 16,
+        ..IsParams::default()
+    });
+    // The loop leaves the cadence to its caller: the interval policy
+    // watches each harvested measurement and sizes the next sleep.
+    let mut interval = AdaptiveInterval::new(50, 10.0, 2_000.0, 100.0);
     // Feed a burst of completions, then tick: the interval should shrink
     // toward target/rate (never below min).
     for _ in 0..500 {
-        let p = cl.admit();
-        cl.complete(0.1);
-        drop(p);
+        let p = cl.admit().expect("Queue policy never sheds");
+        cl.complete(
+            p,
+            Outcome::Commit {
+                response_ms: 0.1,
+                conflicts: 0,
+            },
+        );
     }
     std::thread::sleep(Duration::from_millis(20));
-    let (_, _, next) = cl.tick();
+    let decision = cl.tick();
+    assert_eq!(decision.window.measurement.departures, 500);
+    let next = interval.observe(&decision.window.measurement);
     assert!((10.0..=2_000.0).contains(&next));
+}
+
+/// The exact §5 interval policy plugs into the same seam: it sizes the
+/// caller's next sleep from the measurement each tick returns.
+#[test]
+fn ci_interval_policy_plugs_in() {
+    use adaptive_load_control::core::sampler::{CiInterval, IntervalPolicy};
+    use adaptive_load_control::des::stats::ConfidenceLevel;
+
+    let cl = is_loop(IsParams {
+        initial_bound: 4,
+        max_bound: 64,
+        ..IsParams::default()
+    });
+    let mut interval = CiInterval::new(0.1, ConfidenceLevel::P95, 10.0, 10_000.0, 100.0);
+    for _ in 0..20 {
+        let p = cl.admit().expect("Queue policy never sheds");
+        cl.complete(
+            p,
+            Outcome::Commit {
+                response_ms: 1.0,
+                conflicts: 0,
+            },
+        );
+    }
+    let decision = cl.tick();
+    assert_eq!(decision.window.measurement.departures, 20);
+    assert!(decision.bound >= 1);
+    let next = interval.observe(&decision.window.measurement);
+    assert!((10.0..=10_000.0).contains(&next));
 }
