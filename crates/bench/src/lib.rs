@@ -8,7 +8,6 @@
 //! paper-scale configuration (release-mode runs, seconds each) and a
 //! down-scaled smoke configuration used by benches and CI tests.
 
-pub mod baseline;
 pub mod figures;
 pub mod plot;
 pub mod report;

@@ -69,20 +69,6 @@ fn repro_quick_fig06_writes_csv() {
 }
 
 #[test]
-fn perfgate_help_exits_zero() {
-    let out = run(env!("CARGO_BIN_EXE_perfgate"), &["--help"]);
-    assert!(out.status.success(), "perfgate --help failed: {out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("usage: perfgate"), "unexpected help text: {text}");
-}
-
-#[test]
-fn perfgate_rejects_unknown_flag() {
-    let out = run(env!("CARGO_BIN_EXE_perfgate"), &["--frobnicate"]);
-    assert!(!out.status.success(), "unknown flag must fail");
-}
-
-#[test]
 fn sweep_help_exits_zero() {
     let out = run(env!("CARGO_BIN_EXE_sweep"), &["--help"]);
     assert!(out.status.success(), "sweep --help failed: {out:?}");

@@ -3,10 +3,10 @@
 //!
 //! This test binary installs a counting global allocator and drives a
 //! simulator-shaped schedule/cancel/pop workload through a warmed-up
-//! [`Calendar`]. After warm-up (slab and heap at working-set capacity),
-//! *no* operation may touch the allocator: scheduling reuses free-list
-//! slots, cancellation tombstones in place, and pops reap without any
-//! side-table traffic.
+//! [`Calendar`]. After warm-up (slab, far pool and current bucket at
+//! working-set capacity), *no* operation may touch the allocator:
+//! scheduling reuses free-list slots, cancellation tombstones in place,
+//! and pops reap without any side-table traffic.
 //!
 //! Kept as its own integration-test binary so the global allocator
 //! cannot race with unrelated tests, and built with `harness = false`:
@@ -68,8 +68,8 @@ fn churn(
     ring: &mut [EventToken],
     prev: &mut [EventToken],
     ops: usize,
+    delay: fn(usize) -> f64,
 ) {
-    let delay = |i: usize| 1.0 + (i * 37 % 97) as f64;
     for i in 0..ops {
         let (_, p) = cal.pop().expect("standing population never drains");
         let idx = p.txn;
@@ -99,7 +99,29 @@ fn churn(
     }
 }
 
+/// Delays spread evenly over 1..98 ms.
+fn uniform(i: usize) -> f64 {
+    1.0 + (i * 37 % 97) as f64
+}
+
+/// The engine's mix: service bursts around 4 ms, every fifth delay a
+/// think time around 1 s — most of the population waits in the far pool
+/// while a few events turn over quickly in the rung.
+fn bimodal(i: usize) -> f64 {
+    let u = 0.5 + (i * 37 % 97) as f64 / 97.0;
+    if i.is_multiple_of(5) {
+        1_000.0 * u
+    } else {
+        4.0 * u
+    }
+}
+
 fn main() {
+    gate("uniform", uniform);
+    gate("bimodal", bimodal);
+}
+
+fn gate(name: &str, delay: fn(usize) -> f64) {
     const WARMUP_OPS: usize = 20_000;
     const MEASURED_OPS: usize = 100_000;
 
@@ -129,17 +151,17 @@ fn main() {
     }
     let mut prev = vec![stale_seed; POPULATION];
 
-    churn(&mut cal, &mut ring, &mut prev, WARMUP_OPS);
+    churn(&mut cal, &mut ring, &mut prev, WARMUP_OPS, delay);
     let slots_after_warmup = cal.slot_capacity();
 
     let before = allocations();
-    churn(&mut cal, &mut ring, &mut prev, MEASURED_OPS);
+    churn(&mut cal, &mut ring, &mut prev, MEASURED_OPS, delay);
     let after = allocations();
 
     assert_eq!(
         after - before,
         0,
-        "calendar hot path allocated {} times over {MEASURED_OPS} steady-state ops",
+        "calendar hot path allocated {} times over {MEASURED_OPS} steady-state ops ({name} delays)",
         after - before
     );
     // The slab high-water may drift by a handful of slots as tombstone
@@ -151,5 +173,5 @@ fn main() {
         slots_after_warmup,
         cal.slot_capacity()
     );
-    println!("alloc_gate ok: calendar churn allocation-free");
+    println!("alloc_gate ok: calendar churn allocation-free ({name} delays)");
 }

@@ -57,83 +57,6 @@ proptest! {
         prop_assert_eq!(fired.len(), times.len() - cancelled.len());
     }
 
-    /// The slab-backed indexed heap agrees with a naive reference model
-    /// (linear scan over live `(time, seq)` pairs) on arbitrary
-    /// schedule/cancel/pop interleavings — including cancels of tokens
-    /// that already fired, which must be no-ops.
-    #[test]
-    fn calendar_matches_oracle_under_interleaving(
-        ops in prop::collection::vec((0u8..4, 0u32..50, 0usize..64), 1..300),
-    ) {
-        // Oracle: (time, seq, id, alive); pop = min (time, seq) among alive.
-        let mut oracle: Vec<(f64, u64, usize, bool)> = Vec::new();
-        let mut oracle_now = 0.0f64;
-        let mut seq = 0u64;
-
-        let mut cal = Calendar::new();
-        let mut tokens = Vec::new();
-        let mut next_id = 0usize;
-
-        for (kind, time, pick) in ops {
-            match kind {
-                // Schedule at `now + time`.
-                0 | 1 => {
-                    let at = oracle_now + f64::from(time);
-                    tokens.push(cal.schedule(SimTime::new(at), next_id));
-                    oracle.push((at, seq, next_id, true));
-                    seq += 1;
-                    next_id += 1;
-                }
-                // Cancel some previously issued token (may be stale).
-                2 => {
-                    if !tokens.is_empty() {
-                        let idx = pick % tokens.len();
-                        cal.cancel(tokens[idx]);
-                        // Oracle: kill entry idx iff it has not fired yet.
-                        if oracle[idx].3 {
-                            oracle[idx].3 = false;
-                        }
-                    }
-                }
-                // Pop.
-                _ => {
-                    let expect = oracle
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| e.3)
-                        .min_by(|(_, a), (_, b)| {
-                            (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap()
-                        })
-                        .map(|(i, e)| (i, e.0, e.2));
-                    let got = cal.pop();
-                    match (expect, got) {
-                        (None, None) => {}
-                        (Some((i, at, id)), Some((t, e))) => {
-                            prop_assert_eq!(t, SimTime::new(at));
-                            prop_assert_eq!(e, id);
-                            oracle[i].3 = false;
-                            oracle_now = at;
-                        }
-                        (exp, got) => panic!("oracle {exp:?} vs calendar {got:?}"),
-                    }
-                }
-            }
-        }
-        // Drain: the remainder must come out in exact oracle order.
-        let mut rest: Vec<(f64, u64, usize)> = oracle
-            .iter()
-            .filter(|e| e.3)
-            .map(|e| (e.0, e.1, e.2))
-            .collect();
-        rest.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap());
-        for (at, _, id) in rest {
-            let (t, e) = cal.pop().expect("calendar drained early");
-            prop_assert_eq!(t, SimTime::new(at));
-            prop_assert_eq!(e, id);
-        }
-        prop_assert!(cal.pop().is_none());
-    }
-
     /// Welford matches the two-pass formulas on arbitrary data.
     #[test]
     fn welford_matches_two_pass(xs in prop::collection::vec(-1e6f64..1e6, 2..200)) {
@@ -237,5 +160,98 @@ proptest! {
         let mut c = RngStream::from_seed(seed.wrapping_add(1));
         let distinct = (0..64).any(|_| a.next_u64() != c.next_u64());
         prop_assert!(distinct);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The calendar agrees with a naive reference model (linear scan over
+    /// live `(time, seq)` pairs) on arbitrary schedule/cancel/pop/peek
+    /// interleavings — including cancels of tokens that already fired,
+    /// which must be no-ops, and peeks that run ahead of the clock. The
+    /// delays mix the time scales a bucketed rung is sensitive to: ties
+    /// and zero delays, sub-millisecond to 4 ms service bursts, 1 s think
+    /// times and outliers 100× beyond those, so that windows are opened
+    /// with widths misjudged in both directions and buckets get split.
+    #[test]
+    fn calendar_matches_oracle_under_interleaving(
+        ops in prop::collection::vec((0u8..5, 0usize..6, 0u32..50, 0usize..64), 1..600),
+    ) {
+        const SCALES: [f64; 6] = [1.0, 0.0, 0.003, 0.08, 20.0, 2000.0];
+        // Oracle: (time, seq, id, alive); pop = min (time, seq) among alive.
+        let mut oracle: Vec<(f64, u64, usize, bool)> = Vec::new();
+        let mut oracle_now = 0.0f64;
+        let mut seq = 0u64;
+
+        let mut cal = Calendar::new();
+        let mut tokens = Vec::new();
+        let mut next_id = 0usize;
+
+        for (kind, scale, time, pick) in ops {
+            let next_live = |oracle: &[(f64, u64, usize, bool)]| {
+                oracle
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.3)
+                    .min_by(|(_, a), (_, b)| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap())
+                    .map(|(i, e)| (i, e.0, e.2))
+            };
+            match kind {
+                // Schedule at `now + time · scale`.
+                0 | 1 => {
+                    let at = oracle_now + f64::from(time) * SCALES[scale];
+                    tokens.push(cal.schedule(SimTime::new(at), next_id));
+                    oracle.push((at, seq, next_id, true));
+                    seq += 1;
+                    next_id += 1;
+                }
+                // Cancel some previously issued token (may be stale).
+                2 => {
+                    if !tokens.is_empty() {
+                        let idx = pick % tokens.len();
+                        cal.cancel(tokens[idx]);
+                        // Oracle: kill entry idx iff it has not fired yet.
+                        if oracle[idx].3 {
+                            oracle[idx].3 = false;
+                        }
+                    }
+                }
+                // Peek: the clock stays put.
+                3 => {
+                    let expect = next_live(&oracle).map(|(_, at, _)| SimTime::new(at));
+                    prop_assert_eq!(cal.peek_time(), expect);
+                    prop_assert_eq!(cal.now(), SimTime::new(oracle_now));
+                }
+                // Pop.
+                _ => {
+                    let expect = next_live(&oracle);
+                    let got = cal.pop();
+                    match (expect, got) {
+                        (None, None) => {}
+                        (Some((i, at, id)), Some((t, e))) => {
+                            prop_assert_eq!(t, SimTime::new(at));
+                            prop_assert_eq!(e, id);
+                            oracle[i].3 = false;
+                            oracle_now = at;
+                        }
+                        (exp, got) => panic!("oracle {exp:?} vs calendar {got:?}"),
+                    }
+                }
+            }
+        }
+        // Drain: the remainder must come out in exact oracle order.
+        let mut rest: Vec<(f64, u64, usize)> = oracle
+            .iter()
+            .filter(|e| e.3)
+            .map(|e| (e.0, e.1, e.2))
+            .collect();
+        rest.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap());
+        for (at, _, id) in rest {
+            let (t, e) = cal.pop().expect("calendar drained early");
+            prop_assert_eq!(t, SimTime::new(at));
+            prop_assert_eq!(e, id);
+        }
+        prop_assert!(cal.pop().is_none());
     }
 }

@@ -24,12 +24,44 @@
 //! two-element buffer ([`InlineVec`]) and wait queues retain their
 //! capacity across reuse. After warm-up the only per-operation map
 //! traffic is the `item → entry` index, which the `HashMap` serves from
-//! retained capacity — the allocator is out of the loop.
+//! retained capacity — the allocator is out of the loop. The index is
+//! probed once per request and once per released item, and hashes with
+//! one multiply ([`ItemHasher`]): five SipHash probes per item were half
+//! the cost of a conflict-free transaction.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque}; // alc-lint: allow(hash-container, reason="item->entry index is looked up per key, never iterated; order is unobservable")
+use std::hash::{BuildHasherDefault, Hasher};
 
 use super::inline_vec::InlineVec;
 use super::TxnId;
+
+/// Multiplicative hash for the item index: item ids are drawn by the
+/// simulator, never supplied from outside, so there are no crafted
+/// collisions for SipHash to defend against. The multiply mixes upward
+/// (the table's control bytes read the top bits); the fold brings the
+/// mixed half down to the bits that pick the bucket.
+#[derive(Default)]
+struct ItemHasher(u64);
+
+impl Hasher for ItemHasher {
+    /// Never called for a `u64` key; here because the trait demands it.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, item: u64) {
+        self.0 = (self.0 ^ item).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
 
 /// Lock mode.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +114,7 @@ pub(crate) struct LockTable {
     /// Locked item → arena entry. Entries leave the index the moment they
     /// empty, so `index.len()` is the number of currently locked items.
     // alc-lint: allow(hash-container, reason="lookup-only index; iteration order never observed")
-    index: HashMap<u64, u32>,
+    index: HashMap<u64, u32, BuildHasherDefault<ItemHasher>>,
     /// Entry arena; recycled through `free`, never shrunk.
     entries: Vec<LockEntry>,
     free: Vec<u32>,
@@ -96,7 +128,7 @@ impl LockTable {
     pub(crate) fn new(slots: usize) -> Self {
         LockTable {
             // alc-lint: allow(hash-container, reason="lookup-only index; iteration order never observed")
-            index: HashMap::new(),
+            index: HashMap::default(),
             entries: Vec::new(), // alc-lint: allow(hot-alloc, reason="construction-time arena; entries are recycled, never dropped")
             free: Vec::new(), // alc-lint: allow(hot-alloc, reason="construction-time free list")
             slots: vec![Slot::default(); slots], // alc-lint: allow(hot-alloc, reason="construction-time slot table")
@@ -146,26 +178,19 @@ impl LockTable {
     /// The arena entry for `item`, creating (or recycling) one if the
     /// item is currently unlocked.
     fn entry_for(&mut self, item: u64) -> u32 {
-        if let Some(&idx) = self.index.get(&item) {
-            return idx;
-        }
-        let idx = match self.free.pop() {
-            Some(idx) => idx,
-            None => {
-                self.entries.push(LockEntry::default());
-                (self.entries.len() - 1) as u32
+        match self.index.entry(item) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                let idx = match self.free.pop() {
+                    Some(idx) => idx,
+                    None => {
+                        self.entries.push(LockEntry::default());
+                        (self.entries.len() - 1) as u32
+                    }
+                };
+                debug_assert!(self.entries[idx as usize].is_unused());
+                *slot.insert(idx)
             }
-        };
-        debug_assert!(self.entries[idx as usize].is_unused());
-        self.index.insert(item, idx);
-        idx
-    }
-
-    /// Returns an emptied entry to the free list.
-    fn recycle_if_unused(&mut self, item: u64, idx: u32) {
-        if self.entries[idx as usize].is_unused() {
-            self.index.remove(&item);
-            self.free.push(idx);
         }
     }
 
@@ -213,13 +238,15 @@ impl LockTable {
         RequestOutcome::Queued
     }
 
-    /// Grants whatever the FIFO queue head(s) allow after a release or
-    /// abort, appending the granted transactions to `granted`.
-    fn grant_waiters(&mut self, item: u64, granted: &mut Vec<TxnId>) {
-        let Some(&idx) = self.index.get(&item) else {
-            return;
-        };
-        let entry = &mut self.entries[idx as usize];
+    /// Grants whatever the FIFO queue head(s) of `item`'s `entry` allow
+    /// after a release or abort, appending the granted transactions to
+    /// `granted`.
+    fn grant_waiters(
+        entry: &mut LockEntry,
+        slots: &mut [Slot],
+        item: u64,
+        granted: &mut Vec<TxnId>,
+    ) {
         while let Some(&(txn, mode)) = entry.queue.front() {
             if Self::compatible(&entry.holders, txn, mode) {
                 entry.queue.pop_front();
@@ -229,9 +256,9 @@ impl LockTable {
                     entry.holders.set(pos, (txn, mode));
                 } else {
                     entry.holders.push((txn, mode));
-                    self.slots[txn].held.push(item);
+                    slots[txn].held.push(item);
                 }
-                self.slots[txn].waiting_for_item = None;
+                slots[txn].waiting_for_item = None;
                 granted.push(txn);
                 if mode == Mode::Exclusive {
                     break;
@@ -240,7 +267,28 @@ impl LockTable {
                 break;
             }
         }
-        self.recycle_if_unused(item, idx);
+    }
+
+    /// One index probe per released item: lets `withdraw` take the
+    /// releasing transaction out of `item`'s entry, grants what that
+    /// frees, and returns the entry to the free list once it is empty.
+    fn release_item(
+        &mut self,
+        item: u64,
+        granted: &mut Vec<TxnId>,
+        withdraw: impl FnOnce(&mut LockEntry),
+    ) {
+        let Entry::Occupied(slot) = self.index.entry(item) else {
+            return;
+        };
+        let idx = *slot.get();
+        let entry = &mut self.entries[idx as usize];
+        withdraw(entry);
+        Self::grant_waiters(entry, &mut self.slots, item, granted);
+        if entry.is_unused() {
+            slot.remove();
+            self.free.push(idx);
+        }
     }
 
     /// Releases everything `txn` holds and cancels its pending request,
@@ -253,21 +301,15 @@ impl LockTable {
         debug_assert!(self.released_scratch.is_empty());
         std::mem::swap(&mut self.slots[txn].held, &mut self.released_scratch);
         if let Some(item) = self.slots[txn].waiting_for_item.take() {
-            if let Some(&idx) = self.index.get(&item) {
-                let entry = &mut self.entries[idx as usize];
+            self.release_item(item, unblocked, |entry| {
                 entry.queue.retain(|&(t, _)| t != txn);
-                // No-ops on an empty queue and recycles an emptied entry.
-                self.grant_waiters(item, unblocked);
-            }
+            });
         }
         for i in 0..self.released_scratch.len() {
             let item = self.released_scratch[i];
-            if let Some(&idx) = self.index.get(&item) {
-                self.entries[idx as usize]
-                    .holders
-                    .retain(|&(h, _)| h != txn);
-                self.grant_waiters(item, unblocked);
-            }
+            self.release_item(item, unblocked, |entry| {
+                entry.holders.retain(|&(h, _)| h != txn);
+            });
         }
         self.released_scratch.clear();
     }

@@ -226,8 +226,8 @@ pub struct Simulator {
     /// Open mode: transaction slots currently unused (LIFO for cache
     /// friendliness; slot identity carries no semantics in open mode).
     free_slots: Vec<usize>,
-    /// Events processed so far (perf accounting; `perfgate` divides by
-    /// wall time).
+    /// Events processed so far (perf accounting; the benchmark ledger
+    /// divides by wall time).
     events: u64,
     /// Reusable buffer for access-set draws (cleared per instance).
     access_scratch: Vec<u64>,
@@ -786,7 +786,8 @@ impl Simulator {
         &self.trajectories
     }
 
-    /// Events processed since construction — the `perfgate` numerator.
+    /// Events processed since construction — the numerator of every
+    /// events-per-second figure in the benchmark ledger.
     pub fn events_processed(&self) -> u64 {
         self.events
     }
@@ -802,11 +803,7 @@ impl Simulator {
             let samples = (horizon / self.control.sample_interval_ms) as usize + 2;
             self.trajectories.reserve(samples);
         }
-        while let Some(t) = self.cal.peek_time() {
-            if t > t_end {
-                break;
-            }
-            let (_, ev) = self.cal.pop().expect("peeked event must pop");
+        while let Some((_, ev)) = self.cal.pop_until(t_end) {
             self.events += 1;
             self.handle(ev);
             // Drain completion runs at the top level (never from inside a
