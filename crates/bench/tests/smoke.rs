@@ -1,6 +1,6 @@
-//! Smoke tests keeping the bench binaries wired into the workspace: the
-//! `repro` and `sweep` CLIs must stay buildable and their cheap code
-//! paths (help, catalog, a math-only figure) must exit 0.
+//! Smoke tests keeping the bench binary wired into the workspace: the
+//! `repro` CLI must stay buildable and its cheap code paths (help,
+//! catalog, a math-only figure) must exit 0.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -66,20 +66,6 @@ fn repro_quick_fig06_writes_csv() {
     )
     .expect("control parses");
     assert_eq!(control, alc_bench::figures::control(alc_bench::Scale::Quick));
-}
-
-#[test]
-fn sweep_help_exits_zero() {
-    let out = run(env!("CARGO_BIN_EXE_sweep"), &["--help"]);
-    assert!(out.status.success(), "sweep --help failed: {out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("usage: sweep"), "unexpected help text: {text}");
-}
-
-#[test]
-fn sweep_rejects_unknown_flag() {
-    let out = run(env!("CARGO_BIN_EXE_sweep"), &["--frobnicate"]);
-    assert!(!out.status.success(), "unknown flag must fail");
 }
 
 /// Experiment configs must survive a JSON round trip, so runs can be

@@ -19,9 +19,9 @@
 //!   bound" as shipped by commercial systems; "do nothing").
 //! * [`TayRule`] / [`IyerRule`] — §1's "theoretically derived rules of
 //!   thumb" (`k²n/D < 1.5`, conflicts/txn ≤ 0.75).
-//! * [`RetryBudget`] — token-bucket retry budgeting, mirroring the
-//!   runtime's `RetryBudgetLaw` decision-for-decision so retry-storm
-//!   gate logs replay through either side of the conformance pin.
+//! * [`RetryBudget`] — token-bucket retry budgeting; `alc-runtime`
+//!   re-exports it as its `RetryBudgetLaw`, so retry-storm gate logs
+//!   replay through the function that made them.
 
 mod fixed;
 mod hybrid;

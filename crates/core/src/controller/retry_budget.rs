@@ -1,19 +1,16 @@
 //! Retry-budget admission control as an MPL load controller.
 //!
-//! The arithmetic is the token bucket of the runtime's `RetryBudgetLaw`:
-//! every commit deposits `budget` retries of credit, every abort
-//! withdraws one, and the balance is capped at `burst`. Living in
-//! `alc-core` lets the simulator drive it directly, so a gate log
-//! captured from a simulated retry storm replays byte-identically
-//! through the runtime law — the two are the same decision function on
-//! either side of the conformance pin.
+//! A token bucket: every commit deposits `budget` retries of credit,
+//! every abort withdraws one, and the balance is capped at `burst`.
+//! Living in `alc-core` lets the simulator drive it directly, and
+//! `alc-runtime` re-exports this very type as its `RetryBudgetLaw`, so a
+//! gate log captured from a simulated retry storm replays through the
+//! same decision function that made it.
 
 use super::LoadController;
 use crate::measure::Measurement;
 
-/// Parameters of [`RetryBudget`]. Field-for-field identical to the
-/// runtime's `RetryBudgetParams`; keep the defaults in lock-step or the
-/// gate-log conformance pins snap.
+/// Parameters of [`RetryBudget`].
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RetryBudgetParams {
     /// Bound before the first decision.

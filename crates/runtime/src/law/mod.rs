@@ -19,18 +19,18 @@
 //!   congestion-avoidance shape used by self-* overload controllers.
 //! * [`RetryBudgetLaw`] — retry-budget admission: completions earn retry
 //!   credit, aborts spend it, and exhausting the budget triggers a
-//!   multiplicative backoff.
+//!   multiplicative backoff. It is `alc_core`'s `RetryBudget` itself,
+//!   a law by the same forwarding as [`PaperLaw`]'s.
 //!
 //! [`LoadController`]: alc_core::controller::LoadController
 //! [`Measurement`]: alc_core::measure::Measurement
 
 mod aimd;
 mod paper;
-mod retry;
 
 pub use aimd::{AimdLaw, AimdParams};
+pub use alc_core::controller::{RetryBudget as RetryBudgetLaw, RetryBudgetParams};
 pub use paper::PaperLaw;
-pub use retry::{RetryBudgetLaw, RetryBudgetParams};
 
 use alc_core::measure::Measurement;
 

@@ -1,6 +1,6 @@
 //! Adapter running the paper's controllers unchanged as a [`ControlLaw`].
 
-use alc_core::controller::LoadController;
+use alc_core::controller::{LoadController, RetryBudget};
 
 use super::{ControlLaw, WindowSnapshot};
 
@@ -42,6 +42,26 @@ impl ControlLaw for PaperLaw {
 
     fn reset(&mut self) {
         self.inner.reset();
+    }
+}
+
+/// The retry budget needs no box: it reads only the measurement, so
+/// the simulator's controller is the runtime's law as it stands.
+impl ControlLaw for RetryBudget {
+    fn name(&self) -> &'static str {
+        LoadController::name(self)
+    }
+
+    fn decide(&mut self, window: &WindowSnapshot) -> u32 {
+        self.update(&window.measurement)
+    }
+
+    fn current_bound(&self) -> u32 {
+        LoadController::current_bound(self)
+    }
+
+    fn reset(&mut self) {
+        LoadController::reset(self);
     }
 }
 

@@ -26,8 +26,9 @@
 //! divergence). `list` summarizes a directory of specs (default
 //! `scenarios/`).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use alc_scenario::compile::RunPlan;
 use alc_scenario::{parse_set_arg, spec::StatColumn, LoadedSpec, SpecError};
 use serde::Value;
 
@@ -86,59 +87,89 @@ fn fail(e: &SpecError) -> ! {
     std::process::exit(2);
 }
 
-fn cmd_run(args: &[String]) {
-    let mut quick = false;
-    let mut out_dir = PathBuf::from("results");
-    let mut gate_log_dir: Option<PathBuf> = None;
-    let mut sets: Vec<(String, Value)> = Vec::new();
-    let mut specs: Vec<PathBuf> = Vec::new();
+/// The flags `run`, `trace` and `report` share, and the spec list.
+struct CommonArgs {
+    quick: bool,
+    out_dir: PathBuf,
+    sets: Vec<(String, Value)>,
+    specs: Vec<PathBuf>,
+}
+
+impl CommonArgs {
+    /// Reads, overrides and compiles one of the selected specs.
+    fn plan(&self, path: &Path) -> RunPlan {
+        let mut loaded = LoadedSpec::read(path).unwrap_or_else(|e| fail(&e));
+        loaded.apply_sets(&self.sets).unwrap_or_else(|e| fail(&e));
+        loaded.compile(self.quick).unwrap_or_else(|e| fail(&e))
+    }
+}
+
+/// The parsed value of a flag, or exit 2 saying what `flag` needs.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    needs: &str,
+) -> T {
+    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("{flag} needs {needs}");
+        std::process::exit(2);
+    })
+}
+
+/// Parses the shared flags; a flag the subcommand adds is offered to
+/// `extra`, which answers whether it was one of its own.
+fn parse_args(
+    args: &[String],
+    mut extra: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> bool,
+) -> CommonArgs {
+    let mut common = CommonArgs {
+        quick: false,
+        out_dir: PathBuf::from("results"),
+        sets: Vec::new(),
+        specs: Vec::new(),
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out_dir = PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a directory");
-                    std::process::exit(2);
-                }));
-            }
-            "--gate-log" => {
-                gate_log_dir = Some(PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--gate-log needs a directory");
-                    std::process::exit(2);
-                })));
-            }
+            "--quick" => common.quick = true,
+            "--out" => common.out_dir = flag_value(&mut it, a, "a directory"),
             "--set" => {
-                let kv = it.next().unwrap_or_else(|| {
-                    eprintln!("--set needs path=value");
-                    std::process::exit(2);
-                });
-                sets.push(parse_set_arg(kv).unwrap_or_else(|e| fail(&e)));
+                let kv: String = flag_value(&mut it, a, "path=value");
+                common
+                    .sets
+                    .push(parse_set_arg(&kv).unwrap_or_else(|e| fail(&e)));
             }
             other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
+                if !extra(other, &mut it) {
+                    eprintln!("unknown flag {other}");
+                    std::process::exit(2);
+                }
             }
-            other => specs.push(PathBuf::from(other)),
+            other => common.specs.push(PathBuf::from(other)),
         }
     }
-    if specs.is_empty() {
+    if common.specs.is_empty() {
         usage();
         eprintln!("\nerror: no spec selected");
         std::process::exit(2);
     }
+    common
+}
+
+fn cmd_run(args: &[String]) {
+    let mut gate_log_dir: Option<PathBuf> = None;
+    let common = parse_args(args, |flag, it| {
+        if flag == "--gate-log" {
+            gate_log_dir = Some(flag_value(it, flag, "a directory"));
+        }
+        flag == "--gate-log"
+    });
+    let (quick, out_dir) = (common.quick, &common.out_dir);
 
     // Compile everything before any output lands on disk.
-    let plans: Vec<_> = specs
-        .iter()
-        .map(|path| {
-            let mut loaded = LoadedSpec::read(path).unwrap_or_else(|e| fail(&e));
-            loaded.apply_sets(&sets).unwrap_or_else(|e| fail(&e));
-            loaded.compile(quick).unwrap_or_else(|e| fail(&e))
-        })
-        .collect();
+    let plans: Vec<RunPlan> = common.specs.iter().map(|path| common.plan(path)).collect();
 
-    std::fs::create_dir_all(&out_dir).expect("create output dir");
+    std::fs::create_dir_all(out_dir).expect("create output dir");
     let gate_log = gate_log_dir.map(|dir| alc_scenario::runner::GateLogRequest { dir, quick });
     for plan in &plans {
         #[allow(clippy::disallowed_methods)] // CLI progress timing, not simulation time
@@ -146,10 +177,9 @@ fn cmd_run(args: &[String]) {
         let records = alc_scenario::runner::run_plan_logged(plan, gate_log.as_ref())
             .expect("write gate logs");
         let report = alc_scenario::runner::build_report(plan, &records);
-        let csv = report.write_csv(&out_dir).expect("write csv");
-        let trajectories =
-            alc_scenario::runner::write_trajectories(plan, &records, &out_dir)
-                .expect("write trajectories");
+        let csv = report.write_csv(out_dir).expect("write csv");
+        let trajectories = alc_scenario::runner::write_trajectories(plan, &records, out_dir)
+            .expect("write trajectories");
         println!("{}", report.render());
         print!(
             "  [{} in {:.1}s, table → {}",
@@ -168,65 +198,20 @@ fn cmd_run(args: &[String]) {
 }
 
 fn cmd_trace(args: &[String]) {
-    let mut quick = false;
-    let mut out_dir = PathBuf::from("results");
     let mut variant: Option<String> = None;
     let mut rep: usize = 0;
-    let mut sets: Vec<(String, Value)> = Vec::new();
-    let mut specs: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out_dir = PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a directory");
-                    std::process::exit(2);
-                }));
-            }
-            "--variant" => {
-                variant = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--variant needs a label");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--rep" => {
-                rep = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--rep needs a replication index");
-                        std::process::exit(2);
-                    });
-            }
-            "--set" => {
-                let kv = it.next().unwrap_or_else(|| {
-                    eprintln!("--set needs path=value");
-                    std::process::exit(2);
-                });
-                sets.push(parse_set_arg(kv).unwrap_or_else(|e| fail(&e)));
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-            other => specs.push(PathBuf::from(other)),
+    let common = parse_args(args, |flag, it| {
+        match flag {
+            "--variant" => variant = Some(flag_value(it, flag, "a label")),
+            "--rep" => rep = flag_value(it, flag, "a replication index"),
+            _ => return false,
         }
-    }
-    if specs.is_empty() {
-        usage();
-        eprintln!("\nerror: no spec selected");
-        std::process::exit(2);
-    }
+        true
+    });
+    let out_dir = &common.out_dir;
     let mut failed = false;
-    for path in &specs {
-        let mut loaded = LoadedSpec::read(path).unwrap_or_else(|e| fail(&e));
-        loaded.apply_sets(&sets).unwrap_or_else(|e| fail(&e));
-        let plan = loaded.compile(quick).unwrap_or_else(|e| fail(&e));
+    for path in &common.specs {
+        let plan = common.plan(path);
         let v = match &variant {
             Some(label) => plan
                 .variants
@@ -246,8 +231,7 @@ fn cmd_trace(args: &[String]) {
             );
             std::process::exit(2);
         }
-        let out = alc_scenario::trace::trace_cell(&plan, v, rep, &out_dir)
-            .expect("run traced cell");
+        let out = alc_scenario::trace::trace_cell(&plan, v, rep, out_dir).expect("run traced cell");
         let file = out_dir.join(&out.file_name);
         let parsed = alc_scenario::trace::validate_trace_file(&file);
         println!(
@@ -293,51 +277,17 @@ fn cmd_trace(args: &[String]) {
 }
 
 fn cmd_report(args: &[String]) {
-    let mut quick = false;
-    let mut out_dir = PathBuf::from("results");
     let mut html: Option<PathBuf> = None;
-    let mut sets: Vec<(String, Value)> = Vec::new();
-    let mut specs: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out_dir = PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a directory");
-                    std::process::exit(2);
-                }));
-            }
-            "--html" => {
-                html = Some(PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--html needs a file");
-                    std::process::exit(2);
-                })));
-            }
-            "--set" => {
-                let kv = it.next().unwrap_or_else(|| {
-                    eprintln!("--set needs path=value");
-                    std::process::exit(2);
-                });
-                sets.push(parse_set_arg(kv).unwrap_or_else(|e| fail(&e)));
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-            other => specs.push(PathBuf::from(other)),
+    let common = parse_args(args, |flag, it| {
+        if flag == "--html" {
+            html = Some(flag_value(it, flag, "a file"));
         }
-    }
-    if specs.is_empty() {
-        usage();
-        eprintln!("\nerror: no spec selected");
-        std::process::exit(2);
-    }
-    std::fs::create_dir_all(&out_dir).expect("create output dir");
-    for path in &specs {
-        let mut loaded = LoadedSpec::read(path).unwrap_or_else(|e| fail(&e));
-        loaded.apply_sets(&sets).unwrap_or_else(|e| fail(&e));
-        let mut plan = loaded.compile(quick).unwrap_or_else(|e| fail(&e));
+        flag == "--html"
+    });
+    let out_dir = &common.out_dir;
+    std::fs::create_dir_all(out_dir).expect("create output dir");
+    for path in &common.specs {
+        let mut plan = common.plan(path);
         // The dashboard needs every cell's trajectories, whether or not
         // the spec asked for CSVs; the CSV writers stay gated on the
         // spec's own `trajectories` flag, so run artifacts don't change.

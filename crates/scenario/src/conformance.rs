@@ -78,31 +78,13 @@ pub fn replay_log(spec: &LoadedSpec, log_path: &Path) -> Result<ReplayOutcome, S
         seed: header.seed,
         ..v.sys
     };
-    // A retry-budget variant replays through the runtime's *own*
-    // `RetryBudgetLaw`, not the simulator controller wrapped in
-    // `PaperLaw` — the byte pin then proves the two implementations are
-    // the same decision function, not merely that one replays itself.
-    let law: Box<dyn alc_runtime::ControlLaw> =
-        if let crate::spec::ControllerSpec::RetryBudget(p) = &v.controller {
-            Box::new(alc_runtime::RetryBudgetLaw::new(alc_runtime::RetryBudgetParams {
-                initial_bound: p.initial_bound,
-                min_bound: p.min_bound,
-                max_bound: p.max_bound,
-                budget: p.budget,
-                burst: p.burst,
-                increase: p.increase,
-                decrease: p.decrease,
-                headroom: p.headroom,
-            }))
-        } else {
-            let controller = v.controller.build(&sys, &v.workload).ok_or_else(|| {
-                SpecError::new(format!(
-                    "variant `{}` runs without a controller; there are no decisions to replay",
-                    header.variant
-                ))
-            })?;
-            Box::new(PaperLaw::new(controller))
-        };
+    let controller = v.controller.build(&sys, &v.workload).ok_or_else(|| {
+        SpecError::new(format!(
+            "variant `{}` runs without a controller; there are no decisions to replay",
+            header.variant
+        ))
+    })?;
+    let law = Box::new(PaperLaw::new(controller));
     let conformance = check_conformance(&events, law, v.control.indicator);
     Ok(ReplayOutcome {
         scenario: header.scenario,

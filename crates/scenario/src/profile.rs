@@ -32,6 +32,8 @@ use std::path::Path;
 use alc_analytic::surface::Schedule;
 use serde::Value;
 
+use crate::value_util::Node::{self, Scalar};
+use crate::value_util::{number, single_key, string, timed, unknown_key, At, Keys, Obj};
 use crate::SpecError;
 
 /// A declarative time-varying value (see the module docs for the JSON
@@ -302,93 +304,87 @@ impl<'de> serde::Deserialize<'de> for Profile {
     }
 }
 
-fn num_field(map: &Value, key: &str, ctx: &str) -> Result<f64, SpecError> {
-    map.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| SpecError::new(format!("`{ctx}` profile needs numeric `{key}`")))
-}
+const STEP: Keys = &[("at", Scalar), ("before", Scalar), ("after", Scalar)];
+const RAMP: Keys = &[
+    ("from", Scalar),
+    ("to", Scalar),
+    ("t_start", Scalar),
+    ("t_end", Scalar),
+];
+const SINUSOID: Keys = &[("mean", Scalar), ("amplitude", Scalar), ("period", Scalar)];
+const BURST: Keys = &[
+    ("base", Scalar),
+    ("peak", Scalar),
+    ("at", Scalar),
+    ("duration", Scalar),
+];
+/// The profile shapes written as single-key objects.
+pub(crate) const PROFILE: Keys = &[
+    ("constant", Scalar),
+    ("step", Node::Keys(STEP)),
+    ("ramp", Node::Keys(RAMP)),
+    ("sinusoid", Node::Keys(SINUSOID)),
+    ("burst", Node::Keys(BURST)),
+    ("piecewise", Node::Any),
+    ("trace", Scalar),
+    ("phases", Node::Any),
+];
 
 fn profile_from_value(value: &Value) -> Result<Profile, SpecError> {
     if let Some(v) = value.as_f64() {
         return Ok(Profile::Constant(v));
     }
-    let Some([(tag, payload)]) = value.as_map() else {
-        return Err(SpecError::new(
-            "profile must be a number or a single-key object (step/ramp/sinusoid/burst/piecewise/trace/phases)",
-        ));
-    };
-    Ok(match tag.as_str() {
-        "constant" => Profile::Constant(
-            payload
-                .as_f64()
-                .ok_or_else(|| SpecError::new("`constant` profile needs a number"))?,
-        ),
-        "step" => Profile::Step {
-            at: num_field(payload, "at", "step")?,
-            before: num_field(payload, "before", "step")?,
-            after: num_field(payload, "after", "step")?,
-        },
-        "ramp" => Profile::Ramp {
-            from: num_field(payload, "from", "ramp")?,
-            to: num_field(payload, "to", "ramp")?,
-            t_start: num_field(payload, "t_start", "ramp")?,
-            t_end: num_field(payload, "t_end", "ramp")?,
-        },
-        "sinusoid" => Profile::Sinusoid {
-            mean: num_field(payload, "mean", "sinusoid")?,
-            amplitude: num_field(payload, "amplitude", "sinusoid")?,
-            period: num_field(payload, "period", "sinusoid")?,
-        },
-        "burst" => Profile::Burst {
-            base: num_field(payload, "base", "burst")?,
-            peak: num_field(payload, "peak", "burst")?,
-            at: num_field(payload, "at", "burst")?,
-            duration: num_field(payload, "duration", "burst")?,
-        },
-        "piecewise" => {
-            let pts = payload
-                .as_seq()
-                .ok_or_else(|| SpecError::new("`piecewise` needs a [[t, v], …] list"))?;
-            let mut points = Vec::with_capacity(pts.len());
-            for p in pts {
-                let pair = p.as_seq().filter(|s| s.len() == 2).ok_or_else(|| {
-                    SpecError::new("`piecewise` entries must be [t, value] pairs")
-                })?;
-                let t = pair[0]
-                    .as_f64()
-                    .ok_or_else(|| SpecError::new("`piecewise` time must be numeric"))?;
-                let v = pair[1]
-                    .as_f64()
-                    .ok_or_else(|| SpecError::new("`piecewise` value must be numeric"))?;
-                points.push((t, v));
-            }
-            Profile::Piecewise(points)
+    let (tag, payload) = single_key(value, "profile", PROFILE)
+        .map_err(|e| e.context("a profile is a number, or"))?;
+    let at = At("profile", tag);
+    Ok(match tag {
+        "constant" => Profile::Constant(number(payload, at)?),
+        "step" => {
+            let mut o = Obj::open(payload, tag, STEP)?;
+            let p = Profile::Step {
+                at: o.req("at", number)?,
+                before: o.req("before", number)?,
+                after: o.req("after", number)?,
+            };
+            o.finish(p)?
         }
+        "ramp" => {
+            let mut o = Obj::open(payload, tag, RAMP)?;
+            let p = Profile::Ramp {
+                from: o.req("from", number)?,
+                to: o.req("to", number)?,
+                t_start: o.req("t_start", number)?,
+                t_end: o.req("t_end", number)?,
+            };
+            o.finish(p)?
+        }
+        "sinusoid" => {
+            let mut o = Obj::open(payload, tag, SINUSOID)?;
+            let p = Profile::Sinusoid {
+                mean: o.req("mean", number)?,
+                amplitude: o.req("amplitude", number)?,
+                period: o.req("period", number)?,
+            };
+            o.finish(p)?
+        }
+        "burst" => {
+            let mut o = Obj::open(payload, tag, BURST)?;
+            let p = Profile::Burst {
+                base: o.req("base", number)?,
+                peak: o.req("peak", number)?,
+                at: o.req("at", number)?,
+                duration: o.req("duration", number)?,
+            };
+            o.finish(p)?
+        }
+        "piecewise" => Profile::Piecewise(timed(payload, tag, |v| number(v, at))?),
         "trace" => Profile::Trace {
-            path: match payload {
-                Value::Str(s) => s.clone(),
-                _ => return Err(SpecError::new("`trace` needs a file path string")),
-            },
+            path: string(payload, at)?,
         },
-        "phases" => {
-            let seq = payload
-                .as_seq()
-                .ok_or_else(|| SpecError::new("`phases` needs a [[t, profile], …] list"))?;
-            let mut phases = Vec::with_capacity(seq.len());
-            for p in seq {
-                let pair = p.as_seq().filter(|s| s.len() == 2).ok_or_else(|| {
-                    SpecError::new("`phases` entries must be [start_ms, profile] pairs")
-                })?;
-                let t = pair[0]
-                    .as_f64()
-                    .ok_or_else(|| SpecError::new("`phases` start must be numeric"))?;
-                phases.push((t, profile_from_value(&pair[1])?));
-            }
-            Profile::Phases(phases)
-        }
-        other => {
-            return Err(SpecError::new(format!("unknown profile kind `{other}`")));
-        }
+        "phases" => Profile::Phases(timed(payload, tag, |inner| {
+            profile_from_value(inner).map_err(|e| e.context("in `phases`"))
+        })?),
+        other => return Err(unknown_key("profile", other, PROFILE)),
     })
 }
 

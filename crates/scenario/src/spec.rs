@@ -4,7 +4,9 @@
 //! configuration, a controller, and optionally a list of *variants* —
 //! named override sets run against the same base (ablation axes). Every
 //! unknown key is an error: a typo'd field must never silently keep its
-//! default.
+//! default. Each section parses through [`Obj`] against a `const` key
+//! table written next to its parser; the top-level table nests them
+//! all, and is what `validate` resolves override paths against.
 //!
 //! ```json
 //! {
@@ -34,8 +36,13 @@ use alc_tpsim::engine::{RunStats, Trajectories};
 use alc_tpsim::workload::WorkloadConfig;
 use serde::Value;
 
-use crate::profile::Profile;
-use crate::value_util::{normalize_arrival, normalize_dist, override_pairs};
+use crate::profile::{Profile, PROFILE};
+use crate::value_util::Node::{self, Any, Fields, Keys as Sub, Scalar as Leaf};
+use crate::value_util::{
+    at_least_one, below_one, boolean, fields, fraction, list, non_negative, nonempty,
+    normalize_arrival, normalize_dist, number, pairs, params, positive, positive_u32, single_key,
+    strict, string, timed, u32_from, u64_from, unknown_key, weight, At, Keys, Obj,
+};
 use crate::SpecError;
 
 /// One scenario: the declarative form the `scenario` binary runs.
@@ -375,9 +382,9 @@ pub enum ControllerSpec {
     Hybrid(HybridParams),
     /// Iyer's conflict-rate rule as a feedback baseline.
     Iyer(IyerRuleParams),
-    /// Token-bucket retry budgeting (mirrors the runtime's
-    /// `RetryBudgetLaw` decision-for-decision, so its gate logs replay
-    /// through the embeddable law).
+    /// Token-bucket retry budgeting (the runtime's `RetryBudgetLaw` is
+    /// this controller, so its gate logs replay through the embeddable
+    /// law).
     RetryBudget(RetryBudgetParams),
     /// Tay's static `k²n/D < 1.5` rule of thumb.
     Tay {
@@ -847,6 +854,21 @@ impl DerivedColumn {
     }
 }
 
+const SETTLING_TIME: Keys = &[("header", Leaf), ("after_frac", Leaf), ("band", Leaf)];
+const TIME_IN_PROTOCOL: Keys = &[("cc", Leaf), ("header", Leaf)];
+const POST_SWITCH_SETTLING: Keys = &[("header", Leaf), ("band", Leaf)];
+const TIME_TO_RECOVER: Keys = &[("header", Leaf), ("after_ms", Leaf), ("band", Leaf)];
+const LITERAL: Keys = &[("header", Leaf), ("value", Leaf)];
+/// The column kinds written as single-key objects.
+const COLUMN: Keys = &[
+    ("settling_time_s", Sub(SETTLING_TIME)),
+    ("time_in_protocol", Sub(TIME_IN_PROTOCOL)),
+    ("post_switch_settling_time_s", Sub(POST_SWITCH_SETTLING)),
+    ("time_to_recover_s", Sub(TIME_TO_RECOVER)),
+    ("input", Leaf),
+    ("literal", Sub(LITERAL)),
+];
+
 fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
     if let Value::Str(s) = v {
         return Ok(match s.as_str() {
@@ -855,11 +877,9 @@ fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
             }
             "conflict_ratio_at_peak" => ColumnSpec::Derived(DerivedColumn::ConflictRatioAtPeak),
             "switch_count" => ColumnSpec::Derived(DerivedColumn::SwitchCount),
+            // The bare name is the object form with every default.
             "post_switch_settling_time_s" => {
-                ColumnSpec::Derived(DerivedColumn::PostSwitchSettling {
-                    header: "post_switch_settling_time_s".to_string(),
-                    band: 0.25,
-                })
+                return column_from_value(&Value::Map(vec![(s.clone(), Value::Map(Vec::new()))]));
             }
             name => {
                 if let Ok(c) = StatColumn::parse(name) {
@@ -872,167 +892,53 @@ fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
             }
         });
     }
-    let Some([(tag, payload)]) = v.as_map() else {
-        return Err(SpecError::new(
-            "column must be a stat/derived/client name or a single-key object \
-             (settling_time_s/time_in_protocol/post_switch_settling_time_s/\
-             time_to_recover_s/input/literal)",
-        ));
-    };
-    Ok(match tag.as_str() {
+    let (tag, payload) = single_key(v, "columns[]", COLUMN)
+        .map_err(|e| e.context("a column is a stat/derived/client name, or"))?;
+    Ok(match tag {
         "settling_time_s" => {
-            let mut header = "settling_time_s".to_string();
-            let mut after_frac = None;
-            let mut band = 0.25;
-            for (k, val) in payload.as_map().unwrap_or(&[]) {
-                match k.as_str() {
-                    "header" => match val {
-                        Value::Str(s) => header = s.clone(),
-                        _ => {
-                            return Err(SpecError::new("`settling_time_s.header` must be a string"))
-                        }
-                    },
-                    "after_frac" => {
-                        after_frac = Some(val.as_f64().ok_or_else(|| {
-                            SpecError::new("`settling_time_s.after_frac` must be numeric")
-                        })?);
-                    }
-                    "band" => {
-                        band = val.as_f64().ok_or_else(|| {
-                            SpecError::new("`settling_time_s.band` must be numeric")
-                        })?;
-                    }
-                    other => {
-                        return Err(SpecError::new(format!(
-                            "unknown `settling_time_s` field `{other}`"
-                        )));
-                    }
-                }
-            }
-            let after_frac = after_frac
-                .ok_or_else(|| SpecError::new("`settling_time_s` needs `after_frac`"))?;
-            if !(0.0..1.0).contains(&after_frac) {
-                return Err(SpecError::new(
-                    "`settling_time_s.after_frac` must lie in [0, 1)",
-                ));
-            }
-            if band <= 0.0 {
-                return Err(SpecError::new("`settling_time_s.band` must be positive"));
-            }
-            ColumnSpec::Derived(DerivedColumn::SettlingTime {
-                header,
-                after_frac,
-                band,
-            })
+            let mut o = Obj::open(payload, tag, SETTLING_TIME)?;
+            let col = DerivedColumn::SettlingTime {
+                header: o.opt("header", string)?.unwrap_or_else(|| tag.to_string()),
+                after_frac: o.req("after_frac", below_one)?,
+                band: o.opt("band", positive)?.unwrap_or(0.25),
+            };
+            ColumnSpec::Derived(o.finish(col)?)
         }
         "time_in_protocol" => {
-            let mut cc = None;
-            let mut header = None;
-            for (k, val) in payload.as_map().unwrap_or(&[]) {
-                match k.as_str() {
-                    "cc" => cc = Some(cc_from_value(val)?),
-                    "header" => match val {
-                        Value::Str(s) if !s.is_empty() => header = Some(s.clone()),
-                        _ => {
-                            return Err(SpecError::new(
-                                "`time_in_protocol.header` must be a non-empty string",
-                            ));
-                        }
-                    },
-                    other => {
-                        return Err(SpecError::new(format!(
-                            "unknown `time_in_protocol` field `{other}`"
-                        )));
-                    }
-                }
-            }
-            ColumnSpec::Derived(DerivedColumn::TimeInProtocol {
-                cc: cc.ok_or_else(|| SpecError::new("`time_in_protocol` needs `cc`"))?,
-                header,
-            })
+            let mut o = Obj::open(payload, tag, TIME_IN_PROTOCOL)?;
+            let col = DerivedColumn::TimeInProtocol {
+                cc: o.req("cc", |v, _| cc_from_value(v))?,
+                header: o.opt("header", nonempty)?,
+            };
+            ColumnSpec::Derived(o.finish(col)?)
         }
         "post_switch_settling_time_s" => {
-            let mut header = "post_switch_settling_time_s".to_string();
-            let mut band = 0.25;
-            for (k, val) in payload.as_map().unwrap_or(&[]) {
-                match k.as_str() {
-                    "header" => match val {
-                        Value::Str(s) if !s.is_empty() => header = s.clone(),
-                        _ => {
-                            return Err(SpecError::new(
-                                "`post_switch_settling_time_s.header` must be a non-empty string",
-                            ));
-                        }
-                    },
-                    "band" => {
-                        band = positive_f64(val, "post_switch_settling_time_s.band")?;
-                    }
-                    other => {
-                        return Err(SpecError::new(format!(
-                            "unknown `post_switch_settling_time_s` field `{other}`"
-                        )));
-                    }
-                }
-            }
-            ColumnSpec::Derived(DerivedColumn::PostSwitchSettling { header, band })
+            let mut o = Obj::open(payload, tag, POST_SWITCH_SETTLING)?;
+            let col = DerivedColumn::PostSwitchSettling {
+                header: o.opt("header", nonempty)?.unwrap_or_else(|| tag.to_string()),
+                band: o.opt("band", positive)?.unwrap_or(0.25),
+            };
+            ColumnSpec::Derived(o.finish(col)?)
         }
         "time_to_recover_s" => {
-            let mut header = "time_to_recover_s".to_string();
-            let mut after_ms = None;
-            let mut band = 0.7;
-            for (k, val) in payload.as_map().unwrap_or(&[]) {
-                match k.as_str() {
-                    "header" => match val {
-                        Value::Str(s) if !s.is_empty() => header = s.clone(),
-                        _ => {
-                            return Err(SpecError::new(
-                                "`time_to_recover_s.header` must be a non-empty string",
-                            ));
-                        }
-                    },
-                    "after_ms" => {
-                        after_ms = Some(positive_f64(val, "time_to_recover_s.after_ms")?);
-                    }
-                    "band" => {
-                        band = positive_f64(val, "time_to_recover_s.band")?;
-                    }
-                    other => {
-                        return Err(SpecError::new(format!(
-                            "unknown `time_to_recover_s` field `{other}`"
-                        )));
-                    }
-                }
-            }
-            ColumnSpec::Derived(DerivedColumn::TimeToRecover {
-                header,
-                after_ms: after_ms
-                    .ok_or_else(|| SpecError::new("`time_to_recover_s` needs `after_ms`"))?,
-                band,
-            })
+            let mut o = Obj::open(payload, tag, TIME_TO_RECOVER)?;
+            let col = DerivedColumn::TimeToRecover {
+                header: o.opt("header", nonempty)?.unwrap_or_else(|| tag.to_string()),
+                after_ms: o.req("after_ms", positive)?,
+                band: o.opt("band", positive)?.unwrap_or(0.7),
+            };
+            ColumnSpec::Derived(o.finish(col)?)
         }
-        "input" => match payload {
-            Value::Str(s) if !s.is_empty() => ColumnSpec::Input(s.clone()),
-            _ => return Err(SpecError::new("`input` column needs a non-empty cell name")),
-        },
+        "input" => ColumnSpec::Input(nonempty(payload, At("columns[]", tag))?),
         "literal" => {
-            let header = match payload.get("header") {
-                Some(Value::Str(s)) => s.clone(),
-                _ => return Err(SpecError::new("`literal` column needs a string `header`")),
+            let mut o = Obj::open(payload, tag, LITERAL)?;
+            let col = ColumnSpec::Literal {
+                header: o.req("header", string)?,
+                value: o.req("value", string)?,
             };
-            let value = match payload.get("value") {
-                Some(Value::Str(s)) => s.clone(),
-                _ => return Err(SpecError::new("`literal` column needs a string `value`")),
-            };
-            for (k, _) in payload.as_map().unwrap_or(&[]) {
-                if k != "header" && k != "value" {
-                    return Err(SpecError::new(format!("unknown `literal` field `{k}`")));
-                }
-            }
-            ColumnSpec::Literal { header, value }
+            o.finish(col)?
         }
-        other => {
-            return Err(SpecError::new(format!("unknown column kind `{other}`")));
-        }
+        other => return Err(unknown_key("columns[]", other, COLUMN)),
     })
 }
 
@@ -1124,15 +1030,6 @@ fn default_columns() -> Vec<ColumnSpec> {
 // Parsing
 // ---------------------------------------------------------------------
 
-/// Parses a u32 field, rejecting non-integers and values that would
-/// truncate (a silent `as u32` wrap could turn a typo into bound 0).
-fn u32_from(v: &Value, what: &str) -> Result<u32, SpecError> {
-    v.as_u64()
-        .filter(|&x| x <= u64::from(u32::MAX))
-        .map(|x| x as u32)
-        .ok_or_else(|| SpecError::new(format!("`{what}` must be an integer ≤ u32::MAX")))
-}
-
 /// Parses a CC protocol: canonical variant names plus the CLI aliases.
 fn cc_from_value(v: &Value) -> Result<CcKind, SpecError> {
     if let Value::Str(s) = v {
@@ -1153,6 +1050,53 @@ fn cc_from_value(v: &Value) -> Result<CcKind, SpecError> {
         .map_err(|e| SpecError::new(format!("invalid `cc`: {e}")))
 }
 
+/// Parses a distribution (shorthands allowed) whose mean must be
+/// positive: an outage length, a client's patience.
+fn dist(v: &Value, at: At<'_>) -> Result<alc_des::dist::Dist, SpecError> {
+    use alc_des::dist::Sample as _;
+    let d: alc_des::dist::Dist = normalize_dist(v)
+        .and_then(|norm| strict(&norm, "distribution"))
+        .map_err(|e| e.context(at))?;
+    if d.mean().is_nan() || d.mean() <= 0.0 {
+        return Err(SpecError::new(format!(
+            "`{at}` needs a distribution with positive mean"
+        )));
+    }
+    Ok(d)
+}
+
+const FIXED: Keys = &[("bound", Leaf)];
+const FIXED_ANALYTIC_OPTIMUM: Keys = &[("at_ms", Leaf), ("n_max", Leaf)];
+const TAY: Keys = &[("k", Leaf), ("min_bound", Leaf), ("max_bound", Leaf)];
+const HYBRID: Keys = &[
+    ("is", Fields(fields::<IsParams>)),
+    ("pa", Fields(fields::<PaParams>)),
+    ("bootstrap_samples", Leaf),
+    ("revert_after", Leaf),
+    ("revert_window", Leaf),
+];
+const SELF_TUNING_IS: Keys = &[
+    ("is", Fields(fields::<IsParams>)),
+    ("outer", Fields(fields::<OuterParams>)),
+];
+const SELF_TUNING_PA: Keys = &[
+    ("pa", Fields(fields::<PaParams>)),
+    ("outer", Fields(fields::<PaOuterParams>)),
+];
+/// The controller kinds written as single-key objects.
+const CONTROLLER: Keys = &[
+    ("fixed", Sub(FIXED)),
+    ("fixed_analytic_optimum", Sub(FIXED_ANALYTIC_OPTIMUM)),
+    ("is", Fields(fields::<IsParams>)),
+    ("pa", Fields(fields::<PaParams>)),
+    ("iyer", Fields(fields::<IyerRuleParams>)),
+    ("retry_budget", Fields(fields::<RetryBudgetParams>)),
+    ("tay", Sub(TAY)),
+    ("hybrid", Sub(HYBRID)),
+    ("self_tuning_is", Sub(SELF_TUNING_IS)),
+    ("self_tuning_pa", Sub(SELF_TUNING_PA)),
+];
+
 fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecError> {
     if let Value::Str(s) = v {
         return match s.as_str() {
@@ -1163,86 +1107,31 @@ fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecError> {
             ))),
         };
     }
-    let Some([(tag, payload)]) = v.as_map() else {
-        return Err(SpecError::new(
-            "controller must be a string or a single-key object",
-        ));
-    };
-    let params = |what: &str| -> Result<Vec<(String, Value)>, SpecError> {
-        override_pairs(payload, what)
-    };
-    Ok(match tag.as_str() {
+    let (tag, payload) = single_key(v, "controller", CONTROLLER)?;
+    let at = At("controller", tag);
+    // The checks below mirror the constructors' invariants as spec
+    // errors so a bad spec fails at parse time, not as a runner panic.
+    Ok(match tag {
         "fixed" => {
-            let bound = payload
-                .get("bound")
-                .ok_or_else(|| SpecError::new("`fixed` controller needs `bound`"))?;
-            for (key, _) in payload.as_map().unwrap_or(&[]) {
-                if key != "bound" {
-                    return Err(SpecError::new(format!("unknown `fixed` field `{key}`")));
-                }
-            }
-            ControllerSpec::Fixed {
-                bound: u32_from(bound, "fixed.bound")?,
-            }
+            let mut o = Obj::open(payload, tag, FIXED)?;
+            let bound = o.req("bound", u32_from)?;
+            o.finish(ControllerSpec::Fixed { bound })?
         }
         "fixed_analytic_optimum" => {
-            // Present-but-mistyped optional fields must error, never
-            // silently fall back to the default.
-            let at_ms = match payload.get("at_ms") {
-                None => 0.0,
-                Some(v) => v.as_f64().ok_or_else(|| {
-                    SpecError::new("`fixed_analytic_optimum.at_ms` must be numeric")
-                })?,
+            let mut o = Obj::open(payload, tag, FIXED_ANALYTIC_OPTIMUM)?;
+            let c = ControllerSpec::FixedAnalyticOptimum {
+                at_ms: o.opt("at_ms", number)?.unwrap_or(0.0),
+                n_max: o.req("n_max", u32_from)?,
             };
-            let n_max = payload
-                .get("n_max")
-                .ok_or_else(|| SpecError::new("`fixed_analytic_optimum` needs `n_max`"))?;
-            for (k, _) in payload.as_map().unwrap_or(&[]) {
-                if k != "at_ms" && k != "n_max" {
-                    return Err(SpecError::new(format!(
-                        "unknown `fixed_analytic_optimum` field `{k}`"
-                    )));
-                }
-            }
-            ControllerSpec::FixedAnalyticOptimum {
-                at_ms,
-                n_max: u32_from(n_max, "fixed_analytic_optimum.n_max")?,
-            }
+            o.finish(c)?
         }
-        "is" => ControllerSpec::Is(crate::value_util::from_overrides(
-            &params("IS controller")?,
-            "IS controller",
-        )?),
-        "pa" => ControllerSpec::Pa(crate::value_util::from_overrides(
-            &params("PA controller")?,
-            "PA controller",
-        )?),
+        "is" => ControllerSpec::Is(params(payload, at)?),
+        "pa" => ControllerSpec::Pa(params(payload, at)?),
         "self_tuning_is" => {
-            let mut is = IsParams::default();
-            let mut outer = OuterParams::default();
-            for (k, val) in payload.as_map().unwrap_or(&[]) {
-                match k.as_str() {
-                    "is" => {
-                        is = crate::value_util::from_overrides(
-                            &override_pairs(val, "self_tuning_is.is")?,
-                            "self_tuning_is.is",
-                        )?;
-                    }
-                    "outer" => {
-                        outer = crate::value_util::from_overrides(
-                            &override_pairs(val, "self_tuning_is.outer")?,
-                            "self_tuning_is.outer",
-                        )?;
-                    }
-                    other => {
-                        return Err(SpecError::new(format!(
-                            "unknown `self_tuning_is` field `{other}`"
-                        )));
-                    }
-                }
-            }
-            // Mirror the constructor's invariants as spec errors so a bad
-            // spec fails at compile time, not as a runner panic.
+            let mut o = Obj::open(payload, tag, SELF_TUNING_IS)?;
+            let is = o.opt("is", params)?.unwrap_or_default();
+            let outer: OuterParams = o.opt("outer", params)?.unwrap_or_default();
+            o.finish(())?;
             if outer.window < 2
                 || outer.target_step_fraction <= 0.0
                 || outer.adjust_factor <= 1.0
@@ -1254,29 +1143,10 @@ fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecError> {
             ControllerSpec::SelfTuningIs { is, outer }
         }
         "self_tuning_pa" => {
-            let mut pa = PaParams::default();
-            let mut outer = PaOuterParams::default();
-            for (k, val) in payload.as_map().unwrap_or(&[]) {
-                match k.as_str() {
-                    "pa" => {
-                        pa = crate::value_util::from_overrides(
-                            &override_pairs(val, "self_tuning_pa.pa")?,
-                            "self_tuning_pa.pa",
-                        )?;
-                    }
-                    "outer" => {
-                        outer = crate::value_util::from_overrides(
-                            &override_pairs(val, "self_tuning_pa.outer")?,
-                            "self_tuning_pa.outer",
-                        )?;
-                    }
-                    other => {
-                        return Err(SpecError::new(format!(
-                            "unknown `self_tuning_pa` field `{other}`"
-                        )));
-                    }
-                }
-            }
+            let mut o = Obj::open(payload, tag, SELF_TUNING_PA)?;
+            let pa = o.opt("pa", params)?.unwrap_or_default();
+            let outer: PaOuterParams = o.opt("outer", params)?.unwrap_or_default();
+            o.finish(())?;
             if outer.window < 2
                 || outer.fast_weight <= outer.slow_weight
                 || outer.slow_weight <= 0.0
@@ -1295,37 +1165,18 @@ fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecError> {
             ControllerSpec::SelfTuningPa { pa, outer }
         }
         "hybrid" => {
-            let mut p = HybridParams::default();
-            for (k, val) in payload.as_map().unwrap_or(&[]) {
-                match k.as_str() {
-                    "is" => {
-                        p.is = crate::value_util::from_overrides(
-                            &override_pairs(val, "hybrid.is")?,
-                            "hybrid.is",
-                        )?;
-                    }
-                    "pa" => {
-                        p.pa = crate::value_util::from_overrides(
-                            &override_pairs(val, "hybrid.pa")?,
-                            "hybrid.pa",
-                        )?;
-                    }
-                    "bootstrap_samples" => {
-                        p.bootstrap_samples = val.as_u64().ok_or_else(|| {
-                            SpecError::new("`hybrid.bootstrap_samples` must be an integer")
-                        })?;
-                    }
-                    "revert_after" => {
-                        p.revert_after = u32_from(val, "hybrid.revert_after")?;
-                    }
-                    "revert_window" => {
-                        p.revert_window = u32_from(val, "hybrid.revert_window")?;
-                    }
-                    other => {
-                        return Err(SpecError::new(format!("unknown `hybrid` field `{other}`")));
-                    }
-                }
-            }
+            let mut o = Obj::open(payload, tag, HYBRID)?;
+            let d = HybridParams::default();
+            let p = HybridParams {
+                is: o.opt("is", params)?.unwrap_or(d.is),
+                pa: o.opt("pa", params)?.unwrap_or(d.pa),
+                bootstrap_samples: o
+                    .opt("bootstrap_samples", u64_from)?
+                    .unwrap_or(d.bootstrap_samples),
+                revert_after: o.opt("revert_after", u32_from)?.unwrap_or(d.revert_after),
+                revert_window: o.opt("revert_window", u32_from)?.unwrap_or(d.revert_window),
+            };
+            o.finish(())?;
             if (p.is.min_bound, p.is.max_bound) != (p.pa.min_bound, p.pa.max_bound) {
                 return Err(SpecError::new(
                     "`hybrid` needs matching IS/PA [min_bound, max_bound] ranges",
@@ -1339,17 +1190,9 @@ fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecError> {
             }
             ControllerSpec::Hybrid(p)
         }
-        "iyer" => ControllerSpec::Iyer(crate::value_util::from_overrides(
-            &params("Iyer controller")?,
-            "Iyer controller",
-        )?),
+        "iyer" => ControllerSpec::Iyer(params(payload, at)?),
         "retry_budget" => {
-            let p: RetryBudgetParams = crate::value_util::from_overrides(
-                &params("retry_budget controller")?,
-                "retry_budget controller",
-            )?;
-            // Mirror the constructor's invariants as spec errors so a bad
-            // spec fails at parse time, not as a runner panic.
+            let p: RetryBudgetParams = params(payload, at)?;
             if p.min_bound < 1
                 || p.min_bound > p.max_bound
                 || p.budget < 0.0
@@ -1362,170 +1205,96 @@ fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecError> {
             ControllerSpec::RetryBudget(p)
         }
         "tay" => {
-            let k = payload
-                .get("k")
-                .ok_or_else(|| SpecError::new("`tay` controller needs `k`"))?;
-            let min_bound = match payload.get("min_bound") {
-                None => 1,
-                Some(v) => u32_from(v, "tay.min_bound")?,
+            let mut o = Obj::open(payload, tag, TAY)?;
+            let c = ControllerSpec::Tay {
+                k: o.req("k", u32_from)?,
+                min_bound: o.opt("min_bound", u32_from)?.unwrap_or(1),
+                max_bound: o.req("max_bound", u32_from)?,
             };
-            let max_bound = payload
-                .get("max_bound")
-                .ok_or_else(|| SpecError::new("`tay` controller needs `max_bound`"))?;
-            for (key, _) in payload.as_map().unwrap_or(&[]) {
-                if !matches!(key.as_str(), "k" | "min_bound" | "max_bound") {
-                    return Err(SpecError::new(format!("unknown `tay` field `{key}`")));
-                }
-            }
-            ControllerSpec::Tay {
-                k: u32_from(k, "tay.k")?,
-                min_bound,
-                max_bound: u32_from(max_bound, "tay.max_bound")?,
-            }
+            o.finish(c)?
         }
-        other => {
-            return Err(SpecError::new(format!("unknown controller kind `{other}`")));
-        }
+        other => return Err(unknown_key("controller", other, CONTROLLER)),
     })
 }
 
-/// Parses a positive finite number field.
-fn positive_f64(v: &Value, what: &str) -> Result<f64, SpecError> {
-    v.as_f64()
-        .filter(|x| *x > 0.0 && x.is_finite())
-        .ok_or_else(|| SpecError::new(format!("`{what}` must be a positive number")))
-}
+const THRESHOLD_POLICY: Keys = &[("threshold", Leaf), ("ewma_weight", Leaf)];
+const SHADOW_SCORE: Keys = &[("ewma_weight", Leaf)];
+/// The adaptive-`cc` policies, each a single-key object.
+const POLICY: Keys = &[
+    ("conflict_threshold", Sub(THRESHOLD_POLICY)),
+    ("restart_rate", Sub(THRESHOLD_POLICY)),
+    ("shadow_score", Sub(SHADOW_SCORE)),
+];
+const ADAPTIVE: Keys = &[
+    ("candidates", Any),
+    ("policy", Sub(POLICY)),
+    ("min_dwell_s", Leaf),
+    ("cooldown_s", Leaf),
+    ("hysteresis", Leaf),
+];
+/// The two object forms of the `cc` field.
+const CC: Keys = &[("phases", Any), ("adaptive", Sub(ADAPTIVE))];
 
 /// Parses the policy object of an adaptive `cc` section.
 fn meta_policy_from_value(v: &Value) -> Result<MetaPolicySpec, SpecError> {
-    let Some([(tag, payload)]) = v.as_map() else {
-        return Err(SpecError::new(
-            "`cc.adaptive.policy` must be a single-key object \
-             (conflict_threshold/restart_rate/shadow_score)",
-        ));
-    };
-    let mut threshold = None;
-    let mut ewma_weight = 0.3;
-    for (k, val) in payload.as_map().unwrap_or(&[]) {
-        match k.as_str() {
-            "threshold" if tag != "shadow_score" => {
-                threshold = Some(positive_f64(val, &format!("{tag}.threshold"))?);
-            }
-            "ewma_weight" => {
-                ewma_weight = val
-                    .as_f64()
-                    .filter(|w| *w > 0.0 && *w <= 1.0)
-                    .ok_or_else(|| {
-                        SpecError::new(format!("`{tag}.ewma_weight` must lie in (0, 1]"))
-                    })?;
-            }
-            other => {
-                return Err(SpecError::new(format!("unknown `{tag}` field `{other}`")));
-            }
+    let (tag, payload) = single_key(v, "cc.adaptive.policy", POLICY)?;
+    let ewma = |o: &mut Obj<'_>| o.opt("ewma_weight", weight).map(|w| w.unwrap_or(0.3));
+    match tag {
+        "shadow_score" => {
+            let mut o = Obj::open(payload, tag, SHADOW_SCORE)?;
+            let ewma_weight = ewma(&mut o)?;
+            o.finish(MetaPolicySpec::ShadowScore { ewma_weight })
         }
-    }
-    Ok(match tag.as_str() {
-        "conflict_threshold" => MetaPolicySpec::ConflictThreshold {
-            threshold: threshold
-                .ok_or_else(|| SpecError::new("`conflict_threshold` needs `threshold`"))?,
-            ewma_weight,
-        },
-        "restart_rate" => {
-            let threshold =
-                threshold.ok_or_else(|| SpecError::new("`restart_rate` needs `threshold`"))?;
+        "conflict_threshold" | "restart_rate" => {
+            let mut o = Obj::open(payload, tag, THRESHOLD_POLICY)?;
+            let threshold = o.req("threshold", positive)?;
+            let ewma_weight = ewma(&mut o)?;
+            o.finish(())?;
+            if tag == "conflict_threshold" {
+                return Ok(MetaPolicySpec::ConflictThreshold {
+                    threshold,
+                    ewma_weight,
+                });
+            }
             if threshold >= 1.0 {
                 return Err(SpecError::new(
                     "`restart_rate.threshold` is an abort ratio and must be < 1",
                 ));
             }
-            MetaPolicySpec::RestartRate {
+            Ok(MetaPolicySpec::RestartRate {
                 threshold,
                 ewma_weight,
-            }
+            })
         }
-        "shadow_score" => MetaPolicySpec::ShadowScore { ewma_weight },
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown adaptive policy `{other}` \
-                 (want conflict_threshold/restart_rate/shadow_score)"
-            )));
-        }
-    })
+        other => Err(unknown_key("cc.adaptive.policy", other, POLICY)),
+    }
 }
 
 /// Parses the `{"adaptive": …}` payload of the `cc` field.
 fn adaptive_from_value(v: &Value) -> Result<AdaptiveCcSpec, SpecError> {
-    let entries = v
-        .as_map()
-        .ok_or_else(|| SpecError::new("`cc.adaptive` must be an object"))?;
-    let mut candidates = Vec::new();
-    let mut policy = None;
-    let mut min_dwell_s = None;
-    let mut cooldown_s = 0.0;
-    let mut hysteresis = 0.25;
-    for (k, val) in entries {
-        match k.as_str() {
-            "candidates" => {
-                let seq = val
-                    .as_seq()
-                    .ok_or_else(|| SpecError::new("`cc.adaptive.candidates` must be a list"))?;
-                candidates = seq
-                    .iter()
-                    .map(cc_from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "policy" => policy = Some(meta_policy_from_value(val)?),
-            "min_dwell_s" => {
-                min_dwell_s = Some(val.as_f64().filter(|x| *x >= 0.0 && x.is_finite()).ok_or_else(
-                    || SpecError::new("`cc.adaptive.min_dwell_s` must be a number ≥ 0"),
-                )?);
-            }
-            "cooldown_s" => {
-                cooldown_s = val
-                    .as_f64()
-                    .filter(|x| *x >= 0.0 && x.is_finite())
-                    .ok_or_else(|| {
-                        SpecError::new("`cc.adaptive.cooldown_s` must be a number ≥ 0")
-                    })?;
-            }
-            "hysteresis" => {
-                hysteresis = val
-                    .as_f64()
-                    .filter(|x| (0.0..1.0).contains(x))
-                    .ok_or_else(|| {
-                        SpecError::new("`cc.adaptive.hysteresis` must lie in [0, 1)")
-                    })?;
-            }
-            other => {
-                return Err(SpecError::new(format!(
-                    "unknown `cc.adaptive` field `{other}`"
-                )));
-            }
-        }
-    }
-    if candidates.len() < 2 {
+    let mut o = Obj::open(v, "cc.adaptive", ADAPTIVE)?;
+    let adaptive = AdaptiveCcSpec {
+        candidates: o.opt("candidates", list(cc_from_value))?.unwrap_or_default(),
+        policy: o.req("policy", |v, _| meta_policy_from_value(v))?,
+        min_dwell_s: o.req("min_dwell_s", non_negative)?,
+        cooldown_s: o.opt("cooldown_s", non_negative)?.unwrap_or(0.0),
+        hysteresis: o.opt("hysteresis", below_one)?.unwrap_or(0.25),
+    };
+    o.finish(())?;
+    if adaptive.candidates.len() < 2 {
         return Err(SpecError::new(
             "`cc.adaptive.candidates` needs at least two protocols",
         ));
     }
-    let mut seen = Vec::new();
-    for c in &candidates {
-        if seen.contains(c) {
+    for (i, c) in adaptive.candidates.iter().enumerate() {
+        if adaptive.candidates[..i].contains(c) {
             return Err(SpecError::new(format!(
                 "duplicate adaptive candidate `{}`",
                 cc_spec_name(*c)
             )));
         }
-        seen.push(*c);
     }
-    Ok(AdaptiveCcSpec {
-        candidates,
-        policy: policy.ok_or_else(|| SpecError::new("`cc.adaptive` needs a `policy`"))?,
-        min_dwell_s: min_dwell_s
-            .ok_or_else(|| SpecError::new("`cc.adaptive` needs `min_dwell_s`"))?,
-        cooldown_s,
-        hysteresis,
-    })
+    Ok(adaptive)
 }
 
 /// The parsed `cc` field: initial protocol, scheduled phase switches,
@@ -1544,19 +1313,7 @@ fn cc_field_from_value(v: &Value) -> Result<CcField, SpecError> {
             return Ok((adaptive.candidates[0], Vec::new(), Some(adaptive)));
         }
         if tag == "phases" {
-            let seq = payload
-                .as_seq()
-                .ok_or_else(|| SpecError::new("`cc.phases` needs a [[t_ms, cc], …] list"))?;
-            let mut phases = Vec::with_capacity(seq.len());
-            for p in seq {
-                let pair = p.as_seq().filter(|s| s.len() == 2).ok_or_else(|| {
-                    SpecError::new("`cc.phases` entries must be [t_ms, cc] pairs")
-                })?;
-                let t = pair[0]
-                    .as_f64()
-                    .ok_or_else(|| SpecError::new("`cc.phases` time must be numeric"))?;
-                phases.push((t, cc_from_value(&pair[1])?));
-            }
+            let mut phases = timed(payload, "cc.phases", cc_from_value)?;
             if phases.is_empty() {
                 return Err(SpecError::new("`cc.phases` must not be empty"));
             }
@@ -1575,263 +1332,124 @@ fn cc_field_from_value(v: &Value) -> Result<CcField, SpecError> {
     Ok((cc_from_value(v)?, Vec::new(), None))
 }
 
+const FAULT: Keys = &[
+    ("at", Leaf),
+    ("duration", Leaf),
+    ("repair", Any),
+    ("cpus_down", Leaf),
+];
+
 fn fault_from_value(v: &Value) -> Result<FaultSpec, SpecError> {
-    use alc_des::dist::Sample as _;
-    let entries = v
-        .as_map()
-        .ok_or_else(|| SpecError::new("fault must be an object"))?;
-    let mut at_ms = None;
-    let mut recovery = None;
-    let mut cpus_down = None;
-    for (k, val) in entries {
-        match k.as_str() {
-            "at" => {
-                at_ms = Some(
-                    val.as_f64()
-                        .filter(|&t| t >= 0.0)
-                        .ok_or_else(|| SpecError::new("fault `at` must be a time ≥ 0"))?,
-                );
-            }
-            "duration" => {
-                if recovery.is_some() {
-                    return Err(SpecError::new(
-                        "fault takes `duration` or `repair`, not both",
-                    ));
-                }
-                recovery = Some(FaultRecovery::Fixed(
-                    val.as_f64()
-                        .filter(|&d| d > 0.0)
-                        .ok_or_else(|| SpecError::new("fault `duration` must be positive"))?,
-                ));
-            }
-            "repair" => {
-                if recovery.is_some() {
-                    return Err(SpecError::new(
-                        "fault takes `duration` or `repair`, not both",
-                    ));
-                }
-                let norm = crate::value_util::normalize_dist(val)
-                    .map_err(|e| SpecError::new(format!("fault `repair`: {e}")))?;
-                let dist: alc_des::dist::Dist =
-                    <alc_des::dist::Dist as serde::Deserialize>::from_value(&norm)
-                        .map_err(|e| SpecError::new(format!("fault `repair`: {e}")))?;
-                if dist.mean().is_nan() || dist.mean() <= 0.0 {
-                    return Err(SpecError::new(
-                        "fault `repair` needs a distribution with positive mean",
-                    ));
-                }
-                recovery = Some(FaultRecovery::Repair(dist));
-            }
-            "cpus_down" => {
-                let n = u32_from(val, "fault cpus_down")?;
-                if n == 0 {
-                    return Err(SpecError::new("fault `cpus_down` must be ≥ 1"));
-                }
-                cpus_down = Some(n);
-            }
-            other => {
-                return Err(SpecError::new(format!("unknown fault field `{other}`")));
-            }
+    let mut o = Obj::open(v, "faults[]", FAULT)?;
+    let at_ms = o.req("at", non_negative)?;
+    let duration = o.opt("duration", positive)?;
+    let repair = o.opt("repair", dist)?;
+    let cpus_down = o.req("cpus_down", positive_u32)?;
+    o.finish(())?;
+    let recovery = match (duration, repair) {
+        (Some(d), None) => FaultRecovery::Fixed(d),
+        (None, Some(dist)) => FaultRecovery::Repair(dist),
+        (Some(_), Some(_)) => {
+            return Err(SpecError::new(
+                "`faults[]` takes `duration` or `repair`, not both",
+            ));
         }
-    }
+        (None, None) => {
+            return Err(SpecError::new("`faults[]` needs `duration` or `repair`"));
+        }
+    };
     Ok(FaultSpec {
-        at_ms: at_ms.ok_or_else(|| SpecError::new("fault needs `at`"))?,
-        recovery: recovery
-            .ok_or_else(|| SpecError::new("fault needs `duration` or `repair`"))?,
-        cpus_down: cpus_down.ok_or_else(|| SpecError::new("fault needs `cpus_down`"))?,
+        at_ms,
+        recovery,
+        cpus_down,
     })
 }
 
-/// Parses the retry policy of a `clients` section: a single-key object
-/// `{"backoff": …}` / `{"budget": …}` / `{"hedged": …}`.
+const BACKOFF: Keys = &[
+    ("base_ms", Leaf),
+    ("factor", Leaf),
+    ("max_ms", Leaf),
+    ("jitter", Leaf),
+];
+const BUDGET: Keys = &[("per_commit", Leaf), ("burst", Leaf), ("delay_ms", Leaf)];
+const HEDGED: Keys = &[("delay_ms", Leaf)];
+/// The retry policies, each a single-key object.
+const RETRY: Keys = &[
+    ("backoff", Sub(BACKOFF)),
+    ("budget", Sub(BUDGET)),
+    ("hedged", Sub(HEDGED)),
+];
+const FEEDBACK: Keys = &[("gain", Leaf), ("reference_ms", Leaf), ("weight", Leaf)];
+const CLIENTS: Keys = &[
+    ("population", Leaf),
+    ("timeout", Any),
+    ("max_retries", Leaf),
+    ("retry", Sub(RETRY)),
+    ("shed_retries", Leaf),
+    ("feedback", Sub(FEEDBACK)),
+];
+
+/// Parses the retry policy of a `clients` section; an empty `backoff`
+/// is [`RetryPolicy::default`].
 fn retry_policy_from_value(v: &Value) -> Result<RetryPolicy, SpecError> {
-    let Some([(tag, payload)]) = v.as_map() else {
-        return Err(SpecError::new(
-            "`clients.retry` must be a single-key object (backoff/budget/hedged)",
-        ));
-    };
-    Ok(match tag.as_str() {
+    let (tag, payload) = single_key(v, "clients.retry", RETRY)?;
+    match tag {
         "backoff" => {
-            // The default retry policy is backoff; the fallback arm only
-            // exists to keep this parser panic-free.
-            let (mut base_ms, mut factor, mut max_ms, mut jitter) = match RetryPolicy::default() {
-                RetryPolicy::Backoff {
-                    base_ms,
-                    factor,
-                    max_ms,
-                    jitter,
-                } => (base_ms, factor, max_ms, jitter),
-                _ => (100.0, 2.0, 5000.0, 0.5),
+            let mut o = Obj::open(payload, tag, BACKOFF)?;
+            let policy = RetryPolicy::Backoff {
+                base_ms: o.opt("base_ms", positive)?.unwrap_or(100.0),
+                factor: o.opt("factor", at_least_one)?.unwrap_or(2.0),
+                max_ms: o.opt("max_ms", positive)?.unwrap_or(5000.0),
+                jitter: o.opt("jitter", fraction)?.unwrap_or(0.5),
             };
-            for (k, val) in payload.as_map().unwrap_or(&[]) {
-                match k.as_str() {
-                    "base_ms" => base_ms = positive_f64(val, "backoff.base_ms")?,
-                    "factor" => {
-                        factor = val.as_f64().filter(|f| *f >= 1.0).ok_or_else(|| {
-                            SpecError::new("`backoff.factor` must be a number ≥ 1")
-                        })?;
-                    }
-                    "max_ms" => max_ms = positive_f64(val, "backoff.max_ms")?,
-                    "jitter" => {
-                        jitter = val
-                            .as_f64()
-                            .filter(|j| (0.0..=1.0).contains(j))
-                            .ok_or_else(|| {
-                                SpecError::new("`backoff.jitter` must lie in [0, 1]")
-                            })?;
-                    }
-                    other => {
-                        return Err(SpecError::new(format!(
-                            "unknown `backoff` field `{other}`"
-                        )));
-                    }
-                }
-            }
-            RetryPolicy::Backoff {
-                base_ms,
-                factor,
-                max_ms,
-                jitter,
-            }
+            o.finish(policy)
         }
         "budget" => {
-            let mut per_commit = 0.1;
-            let mut burst = 10.0;
-            let mut delay_ms = 100.0;
-            for (k, val) in payload.as_map().unwrap_or(&[]) {
-                match k.as_str() {
-                    "per_commit" => {
-                        per_commit = val
-                            .as_f64()
-                            .filter(|x| *x >= 0.0 && x.is_finite())
-                            .ok_or_else(|| {
-                                SpecError::new("`budget.per_commit` must be a number ≥ 0")
-                            })?;
-                    }
-                    "burst" => burst = positive_f64(val, "budget.burst")?,
-                    "delay_ms" => delay_ms = positive_f64(val, "budget.delay_ms")?,
-                    other => {
-                        return Err(SpecError::new(format!(
-                            "unknown `budget` field `{other}`"
-                        )));
-                    }
-                }
-            }
-            RetryPolicy::Budget {
-                per_commit,
-                burst,
-                delay_ms,
-            }
+            let mut o = Obj::open(payload, tag, BUDGET)?;
+            let policy = RetryPolicy::Budget {
+                per_commit: o.opt("per_commit", non_negative)?.unwrap_or(0.1),
+                burst: o.opt("burst", positive)?.unwrap_or(10.0),
+                delay_ms: o.opt("delay_ms", positive)?.unwrap_or(100.0),
+            };
+            o.finish(policy)
         }
         "hedged" => {
-            let mut delay_ms = None;
-            for (k, val) in payload.as_map().unwrap_or(&[]) {
-                match k.as_str() {
-                    "delay_ms" => delay_ms = Some(positive_f64(val, "hedged.delay_ms")?),
-                    other => {
-                        return Err(SpecError::new(format!(
-                            "unknown `hedged` field `{other}`"
-                        )));
-                    }
-                }
-            }
-            RetryPolicy::Hedged {
-                delay_ms: delay_ms
-                    .ok_or_else(|| SpecError::new("`hedged` retry needs `delay_ms`"))?,
-            }
+            let mut o = Obj::open(payload, tag, HEDGED)?;
+            let delay_ms = o.req("delay_ms", positive)?;
+            o.finish(RetryPolicy::Hedged { delay_ms })
         }
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown retry policy `{other}` (want backoff/budget/hedged)"
-            )));
-        }
-    })
+        other => Err(unknown_key("clients.retry", other, RETRY)),
+    }
 }
 
 /// Parses the latency→load feedback of a `clients` section.
 fn feedback_from_value(v: &Value) -> Result<LatencyFeedback, SpecError> {
-    let entries = v
-        .as_map()
-        .ok_or_else(|| SpecError::new("`clients.feedback` must be an object"))?;
-    let mut f = LatencyFeedback::default();
-    for (k, val) in entries {
-        match k.as_str() {
-            "gain" => {
-                f.gain = val
-                    .as_f64()
-                    .filter(|g| *g >= 0.0 && g.is_finite())
-                    .ok_or_else(|| SpecError::new("`feedback.gain` must be a number ≥ 0"))?;
-            }
-            "reference_ms" => f.reference_ms = positive_f64(val, "feedback.reference_ms")?,
-            "weight" => {
-                f.weight = val
-                    .as_f64()
-                    .filter(|w| *w > 0.0 && *w <= 1.0)
-                    .ok_or_else(|| SpecError::new("`feedback.weight` must lie in (0, 1]"))?;
-            }
-            other => {
-                return Err(SpecError::new(format!("unknown `feedback` field `{other}`")));
-            }
-        }
-    }
-    Ok(f)
+    let mut o = Obj::open(v, "clients.feedback", FEEDBACK)?;
+    let d = LatencyFeedback::default();
+    let feedback = LatencyFeedback {
+        gain: o.opt("gain", non_negative)?.unwrap_or(d.gain),
+        reference_ms: o.opt("reference_ms", positive)?.unwrap_or(d.reference_ms),
+        weight: o.opt("weight", weight)?.unwrap_or(d.weight),
+    };
+    o.finish(feedback)
 }
 
 /// Parses the `clients` section into the engine's [`ClientConfig`].
 fn clients_from_value(v: &Value) -> Result<ClientConfig, SpecError> {
-    use alc_des::dist::Sample as _;
-    let entries = v
-        .as_map()
-        .ok_or_else(|| SpecError::new("`clients` must be an object"))?;
-    let mut population = None;
-    let mut timeout = None;
-    let mut max_retries = 3u32;
-    let mut retry = RetryPolicy::default();
-    let mut shed_retries = false;
-    let mut feedback = LatencyFeedback::default();
-    for (k, val) in entries {
-        match k.as_str() {
-            "population" => {
-                let n = u32_from(val, "clients.population")?;
-                if n == 0 {
-                    return Err(SpecError::new("`clients.population` must be ≥ 1"));
-                }
-                population = Some(n);
-            }
-            "timeout" => {
-                let norm = crate::value_util::normalize_dist(val)
-                    .map_err(|e| SpecError::new(format!("clients `timeout`: {e}")))?;
-                let dist: alc_des::dist::Dist =
-                    <alc_des::dist::Dist as serde::Deserialize>::from_value(&norm)
-                        .map_err(|e| SpecError::new(format!("clients `timeout`: {e}")))?;
-                if dist.mean().is_nan() || dist.mean() <= 0.0 {
-                    return Err(SpecError::new(
-                        "clients `timeout` needs a distribution with positive mean",
-                    ));
-                }
-                timeout = Some(dist);
-            }
-            "max_retries" => max_retries = u32_from(val, "clients.max_retries")?,
-            "retry" => retry = retry_policy_from_value(val)?,
-            "shed_retries" => match val {
-                Value::Bool(b) => shed_retries = *b,
-                _ => return Err(SpecError::new("`clients.shed_retries` must be a bool")),
-            },
-            "feedback" => feedback = feedback_from_value(val)?,
-            other => {
-                return Err(SpecError::new(format!("unknown `clients` field `{other}`")));
-            }
-        }
-    }
-    Ok(ClientConfig {
-        population: population
-            .ok_or_else(|| SpecError::new("`clients` needs `population`"))?,
-        timeout: timeout.ok_or_else(|| SpecError::new("`clients` needs `timeout`"))?,
-        max_retries,
-        retry,
-        shed_retries,
-        feedback,
-    })
+    let mut o = Obj::open(v, "clients", CLIENTS)?;
+    let clients = ClientConfig {
+        population: o.req("population", positive_u32)?,
+        timeout: o.req("timeout", dist)?,
+        max_retries: o.opt("max_retries", u32_from)?.unwrap_or(3),
+        retry: o
+            .opt("retry", |v, _| retry_policy_from_value(v))?
+            .unwrap_or_default(),
+        shed_retries: o.opt("shed_retries", boolean)?.unwrap_or(false),
+        feedback: o
+            .opt("feedback", |v, _| feedback_from_value(v))?
+            .unwrap_or_default(),
+    };
+    o.finish(clients)
 }
 
 /// Serializes a [`ClientConfig`] back into the spec's `clients` form.
@@ -1892,57 +1510,34 @@ fn filename_safe(s: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
 }
 
+
+const AXIS: Keys = &[
+    ("header", Leaf),
+    ("path", Leaf),
+    ("values", Any),
+    ("labels", Any),
+];
+const PIVOT: Keys = &[("stat", Leaf), ("prefix", Leaf)];
+const SWEEP: Keys = &[("axes", Any), ("pivot", Sub(PIVOT))];
+
 fn sweep_axis_from_value(v: &Value) -> Result<SweepAxis, SpecError> {
-    let entries = v
-        .as_map()
-        .ok_or_else(|| SpecError::new("sweep axis must be an object"))?;
-    let mut header = None;
-    let mut path = None;
-    let mut values = None;
-    let mut labels = None;
-    for (k, val) in entries {
-        match k.as_str() {
-            "header" => match val {
-                Value::Str(s) if !s.is_empty() => header = Some(s.clone()),
-                _ => return Err(SpecError::new("axis `header` must be a non-empty string")),
-            },
-            "path" => match val {
-                Value::Str(s) if !s.is_empty() => path = Some(s.clone()),
-                _ => return Err(SpecError::new("axis `path` must be a non-empty string")),
-            },
-            "values" => {
-                let seq = val
-                    .as_seq()
-                    .ok_or_else(|| SpecError::new("axis `values` must be a list"))?;
-                if seq.is_empty() {
-                    return Err(SpecError::new("axis `values` must not be empty"));
-                }
-                values = Some(seq.to_vec());
-            }
-            "labels" => {
-                let seq = val
-                    .as_seq()
-                    .ok_or_else(|| SpecError::new("axis `labels` must be a list"))?;
-                let mut out = Vec::with_capacity(seq.len());
-                for l in seq {
-                    match l {
-                        Value::Str(s) => out.push(s.clone()),
-                        _ => return Err(SpecError::new("axis `labels` must be strings")),
-                    }
-                }
-                labels = Some(out);
-            }
-            other => {
-                return Err(SpecError::new(format!("unknown axis field `{other}`")));
-            }
-        }
-    }
+    let mut o = Obj::open(v, "sweep.axes[]", AXIS)?;
     let axis = SweepAxis {
-        header: header.ok_or_else(|| SpecError::new("sweep axis needs `header`"))?,
-        path: path.ok_or_else(|| SpecError::new("sweep axis needs `path`"))?,
-        values: values.ok_or_else(|| SpecError::new("sweep axis needs `values`"))?,
-        labels,
+        header: o.req("header", nonempty)?,
+        path: o.req("path", nonempty)?,
+        values: o.req("values", list(|v| Ok(v.clone())))?,
+        labels: o.opt(
+            "labels",
+            list(|l| match l {
+                Value::Str(s) => Ok(s.clone()),
+                _ => Err(SpecError::new("`sweep.axes[].labels` must be strings")),
+            }),
+        )?,
     };
+    o.finish(())?;
+    if axis.values.is_empty() {
+        return Err(SpecError::new("`sweep.axes[].values` must not be empty"));
+    }
     if let Some(labels) = &axis.labels {
         if labels.len() != axis.values.len() {
             return Err(SpecError::new(format!(
@@ -1976,136 +1571,109 @@ fn sweep_axis_from_value(v: &Value) -> Result<SweepAxis, SpecError> {
 }
 
 fn sweep_from_value(v: &Value) -> Result<SweepSpec, SpecError> {
-    let entries = v
-        .as_map()
-        .ok_or_else(|| SpecError::new("`sweep` must be an object"))?;
-    let mut axes = Vec::new();
-    let mut pivot = None;
-    for (k, val) in entries {
-        match k.as_str() {
-            "axes" => {
-                let seq = val
-                    .as_seq()
-                    .ok_or_else(|| SpecError::new("`sweep.axes` must be a list"))?;
-                axes = seq
-                    .iter()
-                    .map(sweep_axis_from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "pivot" => {
-                let stat = match val.get("stat") {
-                    Some(Value::Str(s)) => StatColumn::parse(s)?,
-                    _ => return Err(SpecError::new("`sweep.pivot` needs a `stat` column name")),
-                };
-                let prefix = match val.get("prefix") {
-                    None => String::new(),
-                    Some(Value::Str(s)) => s.clone(),
-                    Some(_) => {
-                        return Err(SpecError::new("`sweep.pivot.prefix` must be a string"))
-                    }
-                };
-                for (pk, _) in val.as_map().unwrap_or(&[]) {
-                    if pk != "stat" && pk != "prefix" {
-                        return Err(SpecError::new(format!("unknown pivot field `{pk}`")));
-                    }
-                }
-                pivot = Some(PivotSpec { stat, prefix });
-            }
-            other => {
-                return Err(SpecError::new(format!("unknown sweep field `{other}`")));
-            }
-        }
-    }
-    if axes.is_empty() {
+    let mut o = Obj::open(v, "sweep", SWEEP)?;
+    let sweep = SweepSpec {
+        axes: o
+            .opt("axes", list(sweep_axis_from_value))?
+            .unwrap_or_default(),
+        pivot: o.opt("pivot", |v, _| {
+            let mut o = Obj::open(v, "sweep.pivot", PIVOT)?;
+            let pivot = PivotSpec {
+                stat: o.req("stat", |v, at| StatColumn::parse(&string(v, at)?))?,
+                prefix: o.opt("prefix", string)?.unwrap_or_default(),
+            };
+            o.finish(pivot)
+        })?,
+    };
+    o.finish(())?;
+    if sweep.axes.is_empty() {
         return Err(SpecError::new("`sweep` needs at least one axis"));
     }
-    if pivot.is_some() && axes.len() < 2 {
+    if sweep.pivot.is_some() && sweep.axes.len() < 2 {
         return Err(SpecError::new(
             "a pivoted sweep needs ≥ 2 axes (rows + the pivoted columns)",
         ));
     }
     let mut headers = std::collections::BTreeSet::new();
-    for a in &axes {
+    for a in &sweep.axes {
         if !headers.insert(a.header.as_str()) {
             return Err(SpecError::new(format!("duplicate axis header `{}`", a.header)));
         }
     }
-    Ok(SweepSpec { axes, pivot })
+    Ok(sweep)
 }
 
-fn inputs_from_value(v: &Value) -> Result<VariantInputs, SpecError> {
-    let entries = v
-        .as_map()
-        .ok_or_else(|| SpecError::new("`inputs` must map variant name → cells"))?;
-    let mut out = Vec::with_capacity(entries.len());
-    for (variant, cells_v) in entries {
-        let cells = cells_v
-            .as_map()
-            .ok_or_else(|| SpecError::new(format!("inputs for `{variant}` must be an object")))?;
-        let mut row = Vec::with_capacity(cells.len());
-        for (col, val) in cells {
+/// Parses `inputs`: variant name → cell name → literal cell text.
+fn inputs_from_value(v: &Value, at: At<'_>) -> Result<VariantInputs, SpecError> {
+    let mut out = Vec::new();
+    for (variant, cells) in pairs(v, at)? {
+        let at = At("inputs", &variant);
+        let mut row = Vec::new();
+        for (col, val) in pairs(&cells, at)? {
             match val {
-                Value::Str(s) => row.push((col.clone(), s.clone())),
+                Value::Str(s) => row.push((col, s)),
                 _ => {
                     return Err(SpecError::new(format!(
-                        "input `{variant}.{col}` must be a string (the literal cell text)"
+                        "`{at}.{col}` must be a string (the literal cell text)"
                     )));
                 }
             }
         }
-        out.push((variant.clone(), row));
+        out.push((variant, row));
     }
     Ok(out)
 }
 
+const WORKLOAD: Keys = &[
+    ("k", Sub(PROFILE)),
+    ("query_frac", Sub(PROFILE)),
+    ("write_frac", Sub(PROFILE)),
+    ("access_skew", Sub(PROFILE)),
+    ("arrival_rate_factor", Sub(PROFILE)),
+    ("think_time_factor", Sub(PROFILE)),
+];
+
 fn workload_from_value(v: &Value) -> Result<WorkloadSpec, SpecError> {
-    let entries = v
-        .as_map()
-        .ok_or_else(|| SpecError::new("`workload` must be an object"))?;
-    let mut w = WorkloadSpec::default();
-    for (k, pv) in entries {
-        let p = <Profile as serde::Deserialize>::from_value(pv)
-            .map_err(|e| SpecError::new(format!("workload `{k}`: {e}")))?;
-        match k.as_str() {
-            "k" => w.k = p,
-            "query_frac" => w.query_frac = p,
-            "write_frac" => w.write_frac = p,
-            "access_skew" => w.access_skew = p,
-            "arrival_rate_factor" => w.arrival_rate_factor = p,
-            "think_time_factor" => w.think_time_factor = p,
-            other => {
-                return Err(SpecError::new(format!("unknown workload field `{other}`")));
-            }
-        }
-    }
-    Ok(w)
+    let profile = |v: &Value, at: At<'_>| {
+        <Profile as serde::Deserialize>::from_value(v)
+            .map_err(|e| SpecError::new(format!("`{at}`: {e}")))
+    };
+    let mut o = Obj::open(v, "workload", WORKLOAD)?;
+    let d = WorkloadSpec::default();
+    let workload = WorkloadSpec {
+        k: o.opt("k", profile)?.unwrap_or(d.k),
+        query_frac: o.opt("query_frac", profile)?.unwrap_or(d.query_frac),
+        write_frac: o.opt("write_frac", profile)?.unwrap_or(d.write_frac),
+        access_skew: o.opt("access_skew", profile)?.unwrap_or(d.access_skew),
+        arrival_rate_factor: o
+            .opt("arrival_rate_factor", profile)?
+            .unwrap_or(d.arrival_rate_factor),
+        think_time_factor: o
+            .opt("think_time_factor", profile)?
+            .unwrap_or(d.think_time_factor),
+    };
+    o.finish(workload)
 }
 
+const VARIANT: Keys = &[("name", Leaf), ("set", Any), ("quick", Any)];
+
 fn variant_from_value(v: &Value) -> Result<VariantSpec, SpecError> {
-    let entries = v
-        .as_map()
-        .ok_or_else(|| SpecError::new("variant must be an object"))?;
-    let mut name = None;
-    let mut set = Vec::new();
-    let mut quick = Vec::new();
-    for (k, val) in entries {
-        match k.as_str() {
-            "name" => match val {
-                Value::Str(s) => name = Some(s.clone()),
-                _ => return Err(SpecError::new("variant `name` must be a string")),
-            },
-            "set" => set = override_pairs(val, "variant set")?,
-            "quick" => quick = override_pairs(val, "variant quick")?,
-            other => {
-                return Err(SpecError::new(format!("unknown variant field `{other}`")));
-            }
-        }
-    }
-    Ok(VariantSpec {
-        name: name.ok_or_else(|| SpecError::new("variant needs a `name`"))?,
-        set,
-        quick,
-    })
+    let mut o = Obj::open(v, "variants[]", VARIANT)?;
+    let variant = VariantSpec {
+        name: o.req("name", string)?,
+        set: o.opt("set", pairs)?.unwrap_or_default(),
+        quick: o.opt("quick", pairs)?.unwrap_or_default(),
+    };
+    o.finish(variant)
+}
+
+/// The live `system` keys: [`SystemConfig`]'s own fields — bar `seed`,
+/// which the top-level field owns — and the derived load knob, a leaf.
+fn system_fields() -> Vec<(String, Node<'static>)> {
+    let mut ks = fields::<SystemConfig>();
+    ks.retain(|(k, _)| k != "seed");
+    ks.push(("offered_load_per_s".to_string(), Leaf));
+    ks
 }
 
 /// Normalizes the `system` override map: dist-valued fields accept the
@@ -2115,7 +1683,10 @@ fn variant_from_value(v: &Value) -> Result<VariantSpec, SpecError> {
 /// stream with interarrival mean `1000/λ` ms at parse time, so load
 /// grids (sweep axes, `--set`, quick overrides) read in the paper's
 /// tx/s units instead of interarrival means.
-fn system_overrides_from_value(v: &Value) -> Result<Vec<(String, Value)>, SpecError> {
+fn system_overrides_from_value(
+    v: &Value,
+    at: At<'_>,
+) -> Result<Vec<(String, Value)>, SpecError> {
     const DIST_FIELDS: [&str; 5] = [
         "cpu_phase",
         "disk_access",
@@ -2125,7 +1696,7 @@ fn system_overrides_from_value(v: &Value) -> Result<Vec<(String, Value)>, SpecEr
     ];
     let mut out: Vec<(String, Value)> = Vec::new();
     let mut arrival_sources = 0u32;
-    for (k, val) in override_pairs(v, "system")? {
+    for (k, val) in pairs(v, at)? {
         let (key, norm) = if DIST_FIELDS.contains(&k.as_str()) {
             let norm = normalize_dist(&val)
                 .map_err(|e| SpecError::new(format!("system `{k}`: {e}")))?;
@@ -2135,9 +1706,7 @@ fn system_overrides_from_value(v: &Value) -> Result<Vec<(String, Value)>, SpecEr
             (k, normalize_arrival(&val)?)
         } else if k == "offered_load_per_s" {
             arrival_sources += 1;
-            let rate = val.as_f64().filter(|&r| r > 0.0).ok_or_else(|| {
-                SpecError::new("`system.offered_load_per_s` must be a positive rate")
-            })?;
+            let rate = positive(&val, At("system", &k))?;
             let open = Value::Map(vec![("open_rate_per_s".into(), Value::Num(rate))]);
             ("arrival".to_string(), normalize_arrival(&open)?)
         } else if k == "seed" {
@@ -2157,150 +1726,80 @@ fn system_overrides_from_value(v: &Value) -> Result<Vec<(String, Value)>, SpecEr
     Ok(out)
 }
 
-impl ScenarioSpec {
-    /// Strictly parses a spec from its JSON tree. Unknown keys anywhere
-    /// are errors.
-    pub fn from_value(v: &Value) -> Result<Self, SpecError> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| SpecError::new("scenario spec must be a JSON object"))?;
-        let mut name = None;
-        let mut description = String::new();
-        let mut seed = SystemConfig::default().seed;
-        let mut replications = 1u32;
-        let mut horizon_ms = None;
-        let mut cc = CcKind::Certification;
-        let mut cc_phases = Vec::new();
-        let mut cc_adaptive = None;
-        let mut faults = Vec::new();
-        let mut clients = None;
-        let mut system = Vec::new();
-        let mut control = Vec::new();
-        let mut workload = WorkloadSpec::default();
-        let mut controller = ControllerSpec::None;
-        let mut record_optimum = false;
-        let mut trajectories = false;
-        let mut label_header = "variant".to_string();
-        let mut columns = default_columns();
-        let mut variants = Vec::new();
-        let mut sweep = None;
-        let mut inputs = Vec::new();
-        let mut label_from = None;
-        let mut quick = Vec::new();
+/// The top-level keys of a spec. `inputs` is keyed by the spec's own
+/// variant and cell names, which `validate` fills in.
+pub(crate) const SPEC: Keys = &[
+    ("name", Leaf),
+    ("description", Leaf),
+    ("seed", Leaf),
+    ("replications", Leaf),
+    ("horizon_ms", Leaf),
+    ("cc", Sub(CC)),
+    ("faults", Any),
+    ("clients", Sub(CLIENTS)),
+    ("system", Fields(system_fields)),
+    ("control", Fields(fields::<alc_tpsim::config::ControlConfig>)),
+    ("workload", Sub(WORKLOAD)),
+    ("controller", Sub(CONTROLLER)),
+    ("record_optimum", Leaf),
+    ("trajectories", Leaf),
+    ("label_header", Leaf),
+    ("columns", Any),
+    ("variants", Any),
+    ("sweep", Sub(SWEEP)),
+    ("inputs", Any),
+    ("label_from", Leaf),
+    ("quick", Any),
+];
 
-        for (k, val) in entries {
-            match k.as_str() {
-                "name" => match val {
-                    Value::Str(s) => name = Some(s.clone()),
-                    _ => return Err(SpecError::new("`name` must be a string")),
-                },
-                "description" => match val {
-                    Value::Str(s) => description = s.clone(),
-                    _ => return Err(SpecError::new("`description` must be a string")),
-                },
-                "seed" => {
-                    seed = val
-                        .as_u64()
-                        .ok_or_else(|| SpecError::new("`seed` must be a u64"))?;
-                }
-                "replications" => {
-                    replications = u32_from(val, "replications")?;
-                    if replications == 0 {
-                        return Err(SpecError::new("`replications` must be ≥ 1"));
-                    }
-                }
-                "horizon_ms" => {
-                    horizon_ms = Some(
-                        val.as_f64()
-                            .filter(|&h| h > 0.0)
-                            .ok_or_else(|| SpecError::new("`horizon_ms` must be positive"))?,
-                    );
-                }
-                "cc" => (cc, cc_phases, cc_adaptive) = cc_field_from_value(val)?,
-                "faults" => {
-                    let seq = val
-                        .as_seq()
-                        .ok_or_else(|| SpecError::new("`faults` must be a list"))?;
-                    faults = seq
-                        .iter()
-                        .map(fault_from_value)
-                        .collect::<Result<_, _>>()?;
-                }
-                "clients" => clients = Some(clients_from_value(val)?),
-                "system" => system = system_overrides_from_value(val)?,
-                "control" => control = override_pairs(val, "control")?,
-                "workload" => workload = workload_from_value(val)?,
-                "controller" => controller = controller_from_value(val)?,
-                "record_optimum" => match val {
-                    Value::Bool(b) => record_optimum = *b,
-                    _ => return Err(SpecError::new("`record_optimum` must be a bool")),
-                },
-                "trajectories" => match val {
-                    Value::Bool(b) => trajectories = *b,
-                    _ => return Err(SpecError::new("`trajectories` must be a bool")),
-                },
-                "label_header" => match val {
-                    Value::Str(s) => label_header = s.clone(),
-                    _ => return Err(SpecError::new("`label_header` must be a string")),
-                },
-                "columns" => {
-                    let seq = val
-                        .as_seq()
-                        .ok_or_else(|| SpecError::new("`columns` must be a list"))?;
-                    columns = seq
-                        .iter()
-                        .map(column_from_value)
-                        .collect::<Result<_, _>>()?;
-                }
-                "variants" => {
-                    let seq = val
-                        .as_seq()
-                        .ok_or_else(|| SpecError::new("`variants` must be a list"))?;
-                    variants = seq
-                        .iter()
-                        .map(variant_from_value)
-                        .collect::<Result<_, _>>()?;
-                }
-                "sweep" => sweep = Some(sweep_from_value(val)?),
-                "inputs" => inputs = inputs_from_value(val)?,
-                "label_from" => match val {
-                    Value::Str(s) if !s.is_empty() => label_from = Some(s.clone()),
-                    _ => {
-                        return Err(SpecError::new("`label_from` must be a non-empty string"));
-                    }
-                },
-                "quick" => quick = override_pairs(val, "quick")?,
-                other => {
-                    return Err(SpecError::new(format!("unknown spec field `{other}`")));
-                }
-            }
-        }
+impl ScenarioSpec {
+    /// Strictly parses a spec from its JSON tree. Unknown and repeated
+    /// keys anywhere are errors.
+    pub fn from_value(v: &Value) -> Result<Self, SpecError> {
+        let mut o = Obj::open(v, "spec", SPEC)?;
+        let (cc, cc_phases, cc_adaptive) = o
+            .opt("cc", |v, _| cc_field_from_value(v))?
+            .unwrap_or((CcKind::Certification, Vec::new(), None));
         let spec = ScenarioSpec {
-            name: name.ok_or_else(|| SpecError::new("spec needs a `name`"))?,
-            description,
-            seed,
-            replications,
-            horizon_ms: horizon_ms
-                .ok_or_else(|| SpecError::new("spec needs a positive `horizon_ms`"))?,
+            name: o.req("name", string)?,
+            description: o.opt("description", string)?.unwrap_or_default(),
+            seed: o
+                .opt("seed", u64_from)?
+                .unwrap_or(SystemConfig::default().seed),
+            replications: o.opt("replications", positive_u32)?.unwrap_or(1),
+            horizon_ms: o.req("horizon_ms", positive)?,
             cc,
             cc_phases,
             cc_adaptive,
-            faults,
-            clients,
-            system,
-            control,
-            workload,
-            controller,
-            record_optimum,
-            trajectories,
-            label_header,
-            columns,
-            variants,
-            sweep,
-            inputs,
-            label_from,
-            quick,
+            faults: o.opt("faults", list(fault_from_value))?.unwrap_or_default(),
+            clients: o.opt("clients", |v, _| clients_from_value(v))?,
+            system: o
+                .opt("system", system_overrides_from_value)?
+                .unwrap_or_default(),
+            control: o.opt("control", pairs)?.unwrap_or_default(),
+            workload: o
+                .opt("workload", |v, _| workload_from_value(v))?
+                .unwrap_or_default(),
+            controller: o
+                .opt("controller", |v, _| controller_from_value(v))?
+                .unwrap_or(ControllerSpec::None),
+            record_optimum: o.opt("record_optimum", boolean)?.unwrap_or(false),
+            trajectories: o.opt("trajectories", boolean)?.unwrap_or(false),
+            label_header: o
+                .opt("label_header", string)?
+                .unwrap_or_else(|| "variant".to_string()),
+            columns: o
+                .opt("columns", list(column_from_value))?
+                .unwrap_or_else(default_columns),
+            variants: o
+                .opt("variants", list(variant_from_value))?
+                .unwrap_or_default(),
+            sweep: o.opt("sweep", |v, _| sweep_from_value(v))?,
+            inputs: o.opt("inputs", inputs_from_value)?.unwrap_or_default(),
+            label_from: o.opt("label_from", nonempty)?,
+            quick: o.opt("quick", pairs)?.unwrap_or_default(),
         };
+        o.finish(())?;
         if spec.name.is_empty()
             || !spec
                 .name
@@ -2319,12 +1818,7 @@ impl ScenarioSpec {
             // Variant names land in trajectory file names, so they get
             // the same charset discipline as the spec name (plus `.`,
             // for labels like `iyer-0.75`).
-            if v.name.is_empty()
-                || !v
-                    .name
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
-            {
+            if !filename_safe(&v.name) {
                 return Err(SpecError::new(format!(
                     "variant name `{}` must be non-empty [A-Za-z0-9._-] (it names output files)",
                     v.name
@@ -2382,14 +1876,11 @@ impl ScenarioSpec {
                 ));
             }
             for v in &spec.variants {
-                let cells = spec
-                    .inputs
-                    .iter()
-                    .find(|(name, _)| name == &v.name)
-                    .map(|(_, cells)| cells.as_slice())
-                    .unwrap_or(&[]);
                 for needed in &needed_cells {
-                    if !cells.iter().any(|(col, _)| col == needed) {
+                    let has_cell = spec.inputs.iter().any(|(name, cells)| {
+                        name == &v.name && cells.iter().any(|(col, _)| col == needed)
+                    });
+                    if !has_cell {
                         return Err(SpecError::new(format!(
                             "variant `{}` is missing input cell `{needed}`",
                             v.name
@@ -2742,6 +2233,75 @@ mod tests {
             let r: Result<ScenarioSpec, _> = serde_json::from_str(bad);
             assert!(r.is_err(), "accepted bad spec {bad}");
         }
+    }
+
+    fn parse_err(body: &str) -> String {
+        let json = format!(r#"{{"name": "x", "horizon_ms": 1.0, {body}}}"#);
+        match serde_json::from_str::<ScenarioSpec>(&json) {
+            Ok(_) => panic!("accepted bad spec {json}"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn section_payloads_must_be_objects() {
+        // Each of these read as "all defaults" when a payload that is
+        // not an object was taken for an empty one.
+        for bad in [
+            r#""controller": {"hybrid": 7}"#,
+            r#""controller": {"self_tuning_pa": "auto"}"#,
+            r#""clients": {"population": 4, "timeout": 100, "retry": {"budget": 3}}"#,
+            r#""clients": {"population": 4, "timeout": 100, "retry": {"backoff": []}}"#,
+            r#""cc": {"adaptive": {"candidates": ["2pl", "mvto"], "min_dwell_s": 1.0,
+                                   "policy": {"shadow_score": "fast"}}}"#,
+            r#""columns": [{"settling_time_s": 5}]"#,
+            r#""columns": [{"post_switch_settling_time_s": 5}]"#,
+        ] {
+            let msg = parse_err(bad);
+            assert!(msg.contains("must be an object"), "{bad}: {msg}");
+        }
+    }
+
+    #[test]
+    fn repeated_keys_are_rejected() {
+        // The last one used to win silently.
+        for (bad, section) in [
+            (r#""horizon_ms": 2.0"#, "spec"),
+            (r#""clients": {"population": 4, "population": 8, "timeout": 100}"#, "clients"),
+            (r#""system": {"terminals": 5, "terminals": 50}"#, "system"),
+            (r#""quick": {"seed": 1, "seed": 2}"#, "quick"),
+            (r#""controller": {"pa": {"alpha": 0.5, "alpha": 0.9}}"#, "controller.pa"),
+            (r#""workload": {"k": {"step": {"at": 1, "at": 2, "before": 4, "after": 8}}}"#, "step"),
+            (
+                r#""faults": [{"at": 1.0, "cpus_down": 1, "repair":
+                               {"erlang": {"stages": 2, "mean": 5.0, "mean": 9.0}}}]"#,
+                "Erlang",
+            ),
+        ] {
+            let msg = parse_err(bad);
+            assert!(msg.contains("twice") && msg.contains(section), "{bad}: {msg}");
+        }
+    }
+
+    #[test]
+    fn unknown_key_errors_list_the_known_keys() {
+        let msg = parse_err(r#""clients": {"population": 4, "timeout": 100, "patience": 3}"#);
+        assert!(msg.contains("unknown `clients` key `patience`"), "{msg}");
+        assert!(msg.contains("known: population, timeout, max_retries"), "{msg}");
+        // Keys that only the derive shim read past: a profile field and
+        // a canonical distribution field.
+        let msg = parse_err(
+            r#""workload": {"k": {"step": {"at": 1, "before": 4, "after": 8, "aftr": 9}}}"#,
+        );
+        assert!(msg.contains("unknown `step` key `aftr`"), "{msg}");
+        let msg = parse_err(r#""system": {"think": {"ExpZig": {"mean": 300, "men": 3}}}"#);
+        assert!(msg.contains("`ExpZig` has no key `men`"), "{msg}");
+    }
+
+    #[test]
+    fn empty_retry_payloads_are_the_defaults() {
+        let v: Value = serde_json::from_str(r#"{"backoff": {}}"#).unwrap();
+        assert_eq!(retry_policy_from_value(&v).unwrap(), RetryPolicy::default());
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! before the typed reparse. The reparse rejects invented keys, but it
 //! checks one variant at a time, reports only the first failure, and —
 //! for `quick` paths — only fires under `--quick`. This pass resolves
-//! *every* path up front against a schema built from the typed spec
-//! (field lists come from the configs' own default serialization, so
-//! they cannot drift), and reports all dead paths at once with the
-//! valid candidates. `scenario validate` therefore catches a dead path
+//! *every* path up front against the key tables the parser itself
+//! reads with (`spec::SPEC` and the tables it nests; config field lists
+//! come from the configs' own default serialization, so neither can
+//! drift), and reports all dead paths at once with the valid
+//! candidates. `scenario validate` therefore catches a dead path
 //! without compiling — let alone running — anything.
 //!
 //! The check is deliberately a *superset* filter: a path it accepts may
@@ -16,218 +17,23 @@
 //! `controller.is.*` override on a spec whose controller is `pa`), but a
 //! path it rejects can never be applied meaningfully.
 
-use alc_core::controller::{
-    IsParams, IyerRuleParams, OuterParams, PaOuterParams, PaParams, RetryBudgetParams,
-};
-use alc_tpsim::config::{ControlConfig, SystemConfig};
-use serde::{Serialize, Value};
-
-use crate::spec::ScenarioSpec;
+use crate::spec::{ScenarioSpec, SPEC};
+use crate::value_util::Node;
 use crate::SpecError;
 
-/// One position in the path schema.
-enum Node {
-    /// Anything below here is structurally fine (left to the reparse).
-    Any,
-    /// A leaf: the path may end here but never descend further.
-    Scalar,
-    /// A map with a closed key set.
-    Keys(Vec<(String, Node)>),
-}
-
-/// The field names of `T::default()`'s serialized form.
-fn serialized_keys<T: Default + Serialize>() -> Vec<String> {
-    match T::default().to_value() {
-        Value::Map(entries) => entries.into_iter().map(|(k, _)| k).collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// A closed map whose keys are `T`'s serialized fields (values free —
-/// dist shorthands and enums are maps or strings as the spec pleases).
-fn param_map<T: Default + Serialize>() -> Node {
-    Node::Keys(
-        serialized_keys::<T>()
-            .into_iter()
-            .map(|k| (k, Node::Any))
-            .collect(),
-    )
-}
-
-fn keys(entries: Vec<(&str, Node)>) -> Node {
-    Node::Keys(entries.into_iter().map(|(k, n)| (k.to_string(), n)).collect())
-}
-
-/// Builds the path schema for `spec`. The `inputs` subtree is dynamic:
-/// its keys are the spec's own variant names and cell names.
-fn schema(spec: &ScenarioSpec) -> Node {
-    let system = {
-        let mut ks: Vec<(String, Node)> = serialized_keys::<SystemConfig>()
-            .into_iter()
-            // `system.seed` is rejected by the parser (the top-level
-            // `seed` field owns it), so it is not a live path either.
-            .filter(|k| k != "seed")
-            .map(|k| (k, Node::Any))
-            .collect();
-        // Derived load knob: lowers to an open arrival stream at parse
-        // time so grids read in the paper's tx/s units.
-        ks.push(("offered_load_per_s".to_string(), Node::Scalar));
-        Node::Keys(ks)
-    };
-    let controller = keys(vec![
-        ("fixed", keys(vec![("bound", Node::Scalar)])),
-        (
-            "fixed_analytic_optimum",
-            keys(vec![("at_ms", Node::Scalar), ("n_max", Node::Scalar)]),
-        ),
-        ("is", param_map::<IsParams>()),
-        ("pa", param_map::<PaParams>()),
-        ("iyer", param_map::<IyerRuleParams>()),
-        ("retry_budget", param_map::<RetryBudgetParams>()),
-        (
-            "tay",
-            keys(vec![
-                ("k", Node::Scalar),
-                ("min_bound", Node::Scalar),
-                ("max_bound", Node::Scalar),
-            ]),
-        ),
-        (
-            "hybrid",
-            keys(vec![
-                ("is", param_map::<IsParams>()),
-                ("pa", param_map::<PaParams>()),
-                ("bootstrap_samples", Node::Scalar),
-                ("revert_after", Node::Scalar),
-                ("revert_window", Node::Scalar),
-            ]),
-        ),
-        (
-            "self_tuning_is",
-            keys(vec![
-                ("is", param_map::<IsParams>()),
-                ("outer", param_map::<OuterParams>()),
-            ]),
-        ),
-        (
-            "self_tuning_pa",
-            keys(vec![
-                ("pa", param_map::<PaParams>()),
-                ("outer", param_map::<PaOuterParams>()),
-            ]),
-        ),
-    ]);
-    let cc = keys(vec![
-        ("phases", Node::Any),
-        (
-            "adaptive",
-            keys(vec![
-                ("candidates", Node::Any),
-                ("policy", Node::Any),
-                ("min_dwell_s", Node::Scalar),
-                ("cooldown_s", Node::Scalar),
-                ("hysteresis", Node::Scalar),
-            ]),
-        ),
-    ]);
-    let workload = keys(vec![
-        ("k", Node::Any),
-        ("query_frac", Node::Any),
-        ("write_frac", Node::Any),
-        ("access_skew", Node::Any),
-        ("arrival_rate_factor", Node::Any),
-        ("think_time_factor", Node::Any),
-    ]);
-    let inputs = Node::Keys(
-        spec.inputs
-            .iter()
-            .map(|(variant, cells)| {
-                (
-                    variant.clone(),
-                    Node::Keys(
-                        cells
-                            .iter()
-                            .map(|(cell, _)| (cell.clone(), Node::Scalar))
-                            .collect(),
-                    ),
-                )
-            })
-            .collect(),
-    );
-    let clients = keys(vec![
-        ("population", Node::Scalar),
-        ("timeout", Node::Any),
-        ("max_retries", Node::Scalar),
-        (
-            "retry",
-            keys(vec![
-                (
-                    "backoff",
-                    keys(vec![
-                        ("base_ms", Node::Scalar),
-                        ("factor", Node::Scalar),
-                        ("max_ms", Node::Scalar),
-                        ("jitter", Node::Scalar),
-                    ]),
-                ),
-                (
-                    "budget",
-                    keys(vec![
-                        ("per_commit", Node::Scalar),
-                        ("burst", Node::Scalar),
-                        ("delay_ms", Node::Scalar),
-                    ]),
-                ),
-                ("hedged", keys(vec![("delay_ms", Node::Scalar)])),
-            ]),
-        ),
-        ("shed_retries", Node::Scalar),
-        (
-            "feedback",
-            keys(vec![
-                ("gain", Node::Scalar),
-                ("reference_ms", Node::Scalar),
-                ("weight", Node::Scalar),
-            ]),
-        ),
-    ]);
-    keys(vec![
-        ("name", Node::Scalar),
-        ("description", Node::Scalar),
-        ("seed", Node::Scalar),
-        ("replications", Node::Scalar),
-        ("horizon_ms", Node::Scalar),
-        ("cc", cc),
-        ("faults", Node::Any),
-        ("clients", clients),
-        ("system", system),
-        ("control", param_map::<ControlConfig>()),
-        ("workload", workload),
-        ("controller", controller),
-        ("record_optimum", Node::Scalar),
-        ("trajectories", Node::Scalar),
-        ("label_header", Node::Scalar),
-        ("columns", Node::Any),
-        ("variants", Node::Any),
-        ("sweep", Node::Any),
-        ("inputs", inputs),
-        ("label_from", Node::Scalar),
-        ("quick", Node::Any),
-    ])
-}
-
-/// Resolves one dotted path against the schema.
-fn resolve(schema: &Node, path: &str) -> Result<(), String> {
+/// Resolves one dotted path against the schema whose top level is `top`.
+fn resolve(top: &[(&str, Node<'_>)], path: &str) -> Result<(), String> {
     if path.is_empty() {
         return Err("the path is empty".to_string());
     }
-    let mut node = schema;
+    let mut node = Node::Keys(top);
     let mut trail: Vec<&str> = Vec::new();
     for seg in path.split('.') {
         if seg.is_empty() {
             return Err("the path has an empty segment".to_string());
         }
-        match node {
+        let fields;
+        let children: Vec<(&str, Node<'_>)> = match node {
             Node::Any => return Ok(()),
             Node::Scalar => {
                 return Err(format!(
@@ -235,22 +41,27 @@ fn resolve(schema: &Node, path: &str) -> Result<(), String> {
                     trail.join(".")
                 ));
             }
-            Node::Keys(entries) => match entries.iter().find(|(k, _)| k == seg) {
-                Some((_, child)) => node = child,
-                None => {
-                    let ctx = if trail.is_empty() {
-                        "the spec".to_string()
-                    } else {
-                        format!("`{}`", trail.join("."))
-                    };
-                    let mut valid: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-                    valid.sort_unstable();
-                    return Err(format!(
-                        "no key `{seg}` under {ctx} (valid: {})",
-                        valid.join(", ")
-                    ));
-                }
-            },
+            Node::Keys(keys) => keys.to_vec(),
+            Node::Fields(of) => {
+                fields = of();
+                fields.iter().map(|(k, n)| (k.as_str(), *n)).collect()
+            }
+        };
+        match children.iter().find(|(k, _)| *k == seg) {
+            Some((_, child)) => node = *child,
+            None => {
+                let ctx = if trail.is_empty() {
+                    "the spec".to_string()
+                } else {
+                    format!("`{}`", trail.join("."))
+                };
+                let mut valid: Vec<&str> = children.iter().map(|(k, _)| *k).collect();
+                valid.sort_unstable();
+                return Err(format!(
+                    "no key `{seg}` under {ctx} (valid: {})",
+                    valid.join(", ")
+                ));
+            }
         }
         trail.push(seg);
     }
@@ -261,10 +72,26 @@ fn resolve(schema: &Node, path: &str) -> Result<(), String> {
 /// variant `set`/`quick`, sweep-axis `path` — against the schema,
 /// collecting *all* dead paths into one error.
 pub fn check_override_paths(spec: &ScenarioSpec) -> Result<(), SpecError> {
-    let schema = schema(spec);
+    // The one dynamic subtree: `inputs` is keyed by the spec's own
+    // variant names, then cell names.
+    let cells: Vec<Vec<(&str, Node<'_>)>> = spec
+        .inputs
+        .iter()
+        .map(|(_, cells)| cells.iter().map(|(c, _)| (c.as_str(), Node::Scalar)).collect())
+        .collect();
+    let variants: Vec<(&str, Node<'_>)> = spec
+        .inputs
+        .iter()
+        .zip(&cells)
+        .map(|((variant, _), cells)| (variant.as_str(), Node::Keys(cells)))
+        .collect();
+    let top: Vec<(&str, Node<'_>)> = SPEC
+        .iter()
+        .map(|&(k, node)| (k, if k == "inputs" { Node::Keys(&variants) } else { node }))
+        .collect();
     let mut dead = Vec::new();
     let mut check = |origin: String, path: &str| {
-        if let Err(why) = resolve(&schema, path) {
+        if let Err(why) = resolve(&top, path) {
             dead.push(format!("{origin}: `{path}`: {why}"));
         }
     };
@@ -298,6 +125,7 @@ pub fn check_override_paths(spec: &ScenarioSpec) -> Result<(), SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn parse(json: &str) -> Result<ScenarioSpec, SpecError> {
         let v: Value = serde_json::from_str(json).expect("test JSON parses");
@@ -404,14 +232,10 @@ mod tests {
         // The schema derives its field lists from the configs' own
         // serialization, so a renamed field cannot leave a stale schema:
         // this test pins the linkage on one representative per config.
-        for live in [
-            "system.db_size",
-            "control.victim_policy",
-            "controller.is.max_bound",
-            "controller.iyer.initial_bound",
-        ] {
-            let spec = parse(&base("")).expect("minimal spec");
-            resolve(&schema(&spec), live).expect(live);
-        }
+        parse(&base(
+            r#", "quick": {"system.db_size": 1, "control.victim_policy": 1,
+                           "controller.is.max_bound": 1, "controller.iyer.initial_bound": 1}"#,
+        ))
+        .expect("config fields are live paths");
     }
 }

@@ -6,6 +6,14 @@
 //! to the tree *before* the typed parse. The typed parse (strict —
 //! unknown keys are errors) then catches any path typo that invented a
 //! bogus key, so path application itself can be insert-friendly.
+//!
+//! The strictness lives here too, once: [`Obj`] reads every object
+//! section of the DSL against the section's [`Keys`] table, and the
+//! field parsers beside it ([`positive`], [`nonempty`], [`list`], …)
+//! type and range-check one value each, naming `<section>.<key>` when
+//! it fails.
+
+use std::fmt;
 
 use serde::Value;
 
@@ -69,6 +77,315 @@ pub fn set_path(root: &mut Value, path: &str, new: Value) -> Result<(), SpecErro
     unreachable!("split('.') yields at least one segment");
 }
 
+/// One position in the spec's path schema. Each object section of the
+/// DSL declares its keys once, as a [`Keys`] table: the reader names
+/// them in its errors and `validate` resolves override paths against
+/// them.
+#[derive(Clone, Copy)]
+pub enum Node<'a> {
+    /// Anything below here is structurally fine (left to the reparse).
+    Any,
+    /// A leaf: the path may end here but never descend further.
+    Scalar,
+    /// An object with a closed key set.
+    Keys(&'a [(&'a str, Node<'a>)]),
+    /// An object whose keys are the serialized fields of a config
+    /// struct, values free (dist shorthands and enums are maps or
+    /// strings as the spec pleases).
+    Fields(fn() -> Vec<(String, Node<'static>)>),
+}
+
+/// The key table of one object section.
+pub type Keys = &'static [(&'static str, Node<'static>)];
+
+/// The fields of `T::default()`'s serialized form, values free.
+pub fn fields<T: Default + serde::Serialize>() -> Vec<(String, Node<'static>)> {
+    match T::default().to_value() {
+        Value::Map(entries) => entries.into_iter().map(|(k, _)| (k, Node::Any)).collect(),
+        _ => Vec::new(),
+    }
+}
+
+fn unknown<'k>(section: &str, key: &str, known: impl Iterator<Item = &'k str>) -> SpecError {
+    SpecError::new(format!(
+        "unknown `{section}` key `{key}` (known: {})",
+        known.collect::<Vec<_>>().join(", ")
+    ))
+}
+
+/// The error for a key (or a tag) its section does not have.
+pub fn unknown_key(section: &str, key: &str, keys: Keys) -> SpecError {
+    unknown(section, key, keys.iter().map(|(k, _)| *k))
+}
+
+/// The entries of an object, none of whose keys is given twice.
+fn entries<'a>(v: &'a Value, section: &str) -> Result<&'a [(String, Value)], SpecError> {
+    let entries = v
+        .as_map()
+        .ok_or_else(|| SpecError::new(format!("`{section}` must be an object")))?;
+    for (i, (k, _)) in entries.iter().enumerate() {
+        if entries[..i].iter().any(|(seen, _)| seen == k) {
+            return Err(SpecError::new(format!("`{section}` gives `{k}` twice")));
+        }
+    }
+    Ok(entries)
+}
+
+/// Where a field sits, for error messages: `<section>.<key>`.
+#[derive(Clone, Copy)]
+pub struct At<'a>(pub &'a str, pub &'a str);
+
+impl fmt::Display for At<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{}", self.0, self.1)
+    }
+}
+
+/// The strict reader of one object section. It opens only on an object
+/// with no repeated key; [`Obj::opt`] and [`Obj::req`] hand each key's
+/// value to a parser that is told where the value sits; and
+/// [`Obj::finish`] rejects any key nobody took, so a section cannot
+/// accept a key it does not read.
+pub struct Obj<'a> {
+    section: &'a str,
+    keys: Keys,
+    entries: &'a [(String, Value)],
+    taken: Vec<bool>,
+}
+
+impl<'a> Obj<'a> {
+    /// Opens `v` as the section named `section`, whose keys are `keys`.
+    pub fn open(v: &'a Value, section: &'a str, keys: Keys) -> Result<Self, SpecError> {
+        let entries = entries(v, section)?;
+        Ok(Obj {
+            section,
+            keys,
+            entries,
+            taken: vec![false; entries.len()],
+        })
+    }
+
+    /// Takes `key` and parses its value, `None` when the key is absent.
+    pub fn opt<T>(
+        &mut self,
+        key: &str,
+        parse: impl FnOnce(&Value, At<'_>) -> Result<T, SpecError>,
+    ) -> Result<Option<T>, SpecError> {
+        debug_assert!(
+            self.keys.iter().any(|(k, _)| *k == key),
+            "`{key}` is missing from the key table of `{}`",
+            self.section
+        );
+        let Some(i) = self.entries.iter().position(|(k, _)| k == key) else {
+            return Ok(None);
+        };
+        self.taken[i] = true;
+        parse(&self.entries[i].1, At(self.section, key)).map(Some)
+    }
+
+    /// Takes `key`, which the section cannot do without.
+    pub fn req<T>(
+        &mut self,
+        key: &str,
+        parse: impl FnOnce(&Value, At<'_>) -> Result<T, SpecError>,
+    ) -> Result<T, SpecError> {
+        self.opt(key, parse)?
+            .ok_or_else(|| SpecError::new(format!("`{}` needs `{key}`", self.section)))
+    }
+
+    /// Closes the section around what it parsed to: a key nobody took
+    /// is unknown to it.
+    pub fn finish<T>(self, parsed: T) -> Result<T, SpecError> {
+        match self.taken.iter().position(|taken| !taken) {
+            None => Ok(parsed),
+            Some(i) => Err(unknown_key(self.section, &self.entries[i].0, self.keys)),
+        }
+    }
+}
+
+/// Splits a tagged union, written as a single-key object, into its tag
+/// and payload.
+pub fn single_key<'a>(
+    v: &'a Value,
+    section: &str,
+    tags: Keys,
+) -> Result<(&'a str, &'a Value), SpecError> {
+    match v.as_map() {
+        Some([(tag, payload)]) => Ok((tag, payload)),
+        _ => Err(SpecError::new(format!(
+            "`{section}` must be a single-key object ({})",
+            tags.iter().map(|(k, _)| *k).collect::<Vec<_>>().join("/")
+        ))),
+    }
+}
+
+fn typed<T>(v: Option<T>, at: At<'_>, want: &str) -> Result<T, SpecError> {
+    v.ok_or_else(|| SpecError::new(format!("`{at}` must be {want}")))
+}
+
+fn str_of(v: &Value) -> Option<&String> {
+    match v {
+        Value::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// Parses a string field.
+pub fn string(v: &Value, at: At<'_>) -> Result<String, SpecError> {
+    typed(str_of(v).cloned(), at, "a string")
+}
+
+/// Parses a string field that must not be empty.
+pub fn nonempty(v: &Value, at: At<'_>) -> Result<String, SpecError> {
+    typed(
+        str_of(v).filter(|s| !s.is_empty()).cloned(),
+        at,
+        "a non-empty string",
+    )
+}
+
+/// Parses a bool field.
+pub fn boolean(v: &Value, at: At<'_>) -> Result<bool, SpecError> {
+    let b = match v {
+        Value::Bool(b) => Some(*b),
+        _ => None,
+    };
+    typed(b, at, "a bool")
+}
+
+/// Parses a u64 field.
+pub fn u64_from(v: &Value, at: At<'_>) -> Result<u64, SpecError> {
+    typed(v.as_u64(), at, "a non-negative integer")
+}
+
+/// Parses a u32 field, rejecting non-integers and values that would
+/// truncate (a silent `as u32` wrap could turn a typo into bound 0).
+pub fn u32_from(v: &Value, at: At<'_>) -> Result<u32, SpecError> {
+    let x = v.as_u64().and_then(|x| u32::try_from(x).ok());
+    typed(x, at, "an integer ≤ u32::MAX")
+}
+
+/// Parses a u32 field that must be at least 1.
+pub fn positive_u32(v: &Value, at: At<'_>) -> Result<u32, SpecError> {
+    let x = v.as_u64().and_then(|x| u32::try_from(x).ok());
+    typed(x.filter(|&x| x >= 1), at, "an integer in [1, u32::MAX]")
+}
+
+fn num_where(
+    v: &Value,
+    at: At<'_>,
+    ok: impl Fn(f64) -> bool,
+    want: &str,
+) -> Result<f64, SpecError> {
+    typed(v.as_f64().filter(|&x| ok(x)), at, want)
+}
+
+/// Parses a number field.
+pub fn number(v: &Value, at: At<'_>) -> Result<f64, SpecError> {
+    num_where(v, at, |_| true, "numeric")
+}
+
+/// Parses a positive finite number field.
+pub fn positive(v: &Value, at: At<'_>) -> Result<f64, SpecError> {
+    num_where(v, at, |x| x > 0.0 && x.is_finite(), "a positive number")
+}
+
+/// Parses a finite number field that must not be negative.
+pub fn non_negative(v: &Value, at: At<'_>) -> Result<f64, SpecError> {
+    num_where(v, at, |x| x >= 0.0 && x.is_finite(), "a number ≥ 0")
+}
+
+/// Parses a number field that must be at least 1 (a growth factor).
+pub fn at_least_one(v: &Value, at: At<'_>) -> Result<f64, SpecError> {
+    num_where(v, at, |x| x >= 1.0 && x.is_finite(), "a number ≥ 1")
+}
+
+/// Parses a number field in `(0, 1]` (a weight).
+pub fn weight(v: &Value, at: At<'_>) -> Result<f64, SpecError> {
+    num_where(v, at, |x| x > 0.0 && x <= 1.0, "in (0, 1]")
+}
+
+/// Parses a number field in `[0, 1)` (a relative band or offset).
+pub fn below_one(v: &Value, at: At<'_>) -> Result<f64, SpecError> {
+    num_where(v, at, |x| (0.0..1.0).contains(&x), "in [0, 1)")
+}
+
+/// Parses a number field in `[0, 1]` (a fraction).
+pub fn fraction(v: &Value, at: At<'_>) -> Result<f64, SpecError> {
+    num_where(v, at, |x| (0.0..=1.0).contains(&x), "in [0, 1]")
+}
+
+/// Parses a list field, each entry through `each`.
+pub fn list<T>(
+    each: impl Fn(&Value) -> Result<T, SpecError>,
+) -> impl Fn(&Value, At<'_>) -> Result<Vec<T>, SpecError> {
+    move |v, at| typed(v.as_seq(), at, "a list")?.iter().map(&each).collect()
+}
+
+/// Parses a `[[t, x], …]` list — pairs led by a time — each `x`
+/// through `each`.
+pub fn timed<T>(
+    v: &Value,
+    what: &str,
+    each: impl Fn(&Value) -> Result<T, SpecError>,
+) -> Result<Vec<(f64, T)>, SpecError> {
+    let bad = || SpecError::new(format!("`{what}` must be a list of [t_ms, value] pairs"));
+    let pair = |p: &Value| match p.as_seq() {
+        Some([t, x]) => Ok((t.as_f64().ok_or_else(bad)?, each(x)?)),
+        _ => Err(bad()),
+    };
+    v.as_seq().ok_or_else(bad)?.iter().map(pair).collect()
+}
+
+/// Parses an open object field (path → value, or config field → value)
+/// into its ordered pairs.
+pub fn pairs(v: &Value, at: At<'_>) -> Result<Vec<(String, Value)>, SpecError> {
+    entries(v, &at.to_string()).map(<[_]>::to_vec)
+}
+
+/// Parses an object of overrides on `T::default()`.
+pub fn params<T>(v: &Value, at: At<'_>) -> Result<T, SpecError>
+where
+    T: Default + serde::Serialize + serde::de::DeserializeOwned,
+{
+    let what = at.to_string();
+    from_overrides(entries(v, &what)?, &what)
+}
+
+/// The first key of `given` that `canon` — what `given` parsed to,
+/// written back out — does not have exactly once in the same place.
+fn stray_key<'a>(given: &'a Value, canon: &Value, parent: &'a str) -> Option<(&'a str, &'a str)> {
+    match (given, canon) {
+        (Value::Map(g), Value::Map(c)) => g.iter().enumerate().find_map(|(i, (k, gv))| {
+            match c.iter().find(|(ck, _)| ck == k) {
+                Some((_, cv)) if g[..i].iter().all(|(seen, _)| seen != k) => stray_key(gv, cv, k),
+                _ => Some((parent, k.as_str())),
+            }
+        }),
+        (Value::Seq(g), Value::Seq(c)) => {
+            g.iter().zip(c).find_map(|(gv, cv)| stray_key(gv, cv, parent))
+        }
+        _ => None,
+    }
+}
+
+/// Deserializes through the derive shim and restores the strictness the
+/// shim lacks: it skips keys it does not know and reads the first of a
+/// repeated one, so the value written back out must have every key
+/// that was given.
+pub fn strict<T>(v: &Value, what: &str) -> Result<T, SpecError>
+where
+    T: serde::Serialize + serde::de::DeserializeOwned,
+{
+    let t = T::from_value(v).map_err(|e| SpecError::new(format!("invalid `{what}`: {e}")))?;
+    match stray_key(v, &t.to_value(), what) {
+        None => Ok(t),
+        Some((parent, key)) => Err(SpecError::new(format!(
+            "invalid `{what}`: `{parent}` has no key `{key}`, or has it twice"
+        ))),
+    }
+}
+
 /// Builds a `T` by overlaying `overrides` (key → value, shallow) on top
 /// of `T::default()`'s serialized form. Unknown keys are rejected with
 /// the `what` context, so config typos surface as errors instead of
@@ -85,12 +402,11 @@ where
         match entries.iter_mut().find(|(ek, _)| ek == k) {
             Some(e) => e.1 = v.clone(),
             None => {
-                return Err(SpecError::new(format!("unknown {what} field `{k}`")));
+                return Err(unknown(what, k, entries.iter().map(|(ek, _)| ek.as_str())));
             }
         }
     }
-    T::from_value(&Value::Map(entries))
-        .map_err(|e| SpecError::new(format!("invalid {what}: {e}")))
+    strict(&Value::Map(entries), what)
 }
 
 /// Normalizes the DSL's distribution shorthands into the canonical
@@ -112,42 +428,24 @@ pub fn normalize_dist(v: &Value) -> Result<Value, SpecError> {
             "distribution must be a number or a single-key object",
         ));
     };
-    let num = |what: &str| {
-        payload.as_f64().ok_or_else(|| {
-            SpecError::new(format!("`{what}` distribution needs a numeric value"))
-        })
-    };
+    let at = At("distribution", tag);
+    let mean = |m: f64| Value::Map(vec![("mean".into(), Value::Num(m))]);
     Ok(match tag.as_str() {
-        "constant" => tagged("Constant", Value::Seq(vec![Value::Num(num("constant")?)])),
+        "constant" => tagged("Constant", Value::Seq(vec![Value::Num(number(payload, at)?)])),
         // Both exponential shorthands lower to the ziggurat sampler —
         // the default since its promotion; spell the canonical
         // `{"Exponential": …}` tag to request inversion sampling.
-        "exponential" => tagged(
-            "ExpZig",
-            Value::Map(vec![("mean".into(), Value::Num(num("exponential")?))]),
-        ),
-        "exponential_fast" => tagged(
-            "ExpZig",
-            Value::Map(vec![("mean".into(), Value::Num(num("exponential_fast")?))]),
-        ),
-        "uniform" => {
-            let seq = payload.as_seq().filter(|s| s.len() == 2).ok_or_else(|| {
-                SpecError::new("`uniform` distribution needs a [lo, hi] pair")
-            })?;
-            let lo = seq[0]
-                .as_f64()
-                .ok_or_else(|| SpecError::new("`uniform` lo must be numeric"))?;
-            let hi = seq[1]
-                .as_f64()
-                .ok_or_else(|| SpecError::new("`uniform` hi must be numeric"))?;
-            tagged(
+        "exponential" | "exponential_fast" => tagged("ExpZig", mean(number(payload, at)?)),
+        "uniform" => match payload.as_seq() {
+            Some([lo, hi]) => tagged(
                 "Uniform",
                 Value::Map(vec![
-                    ("lo".into(), Value::Num(lo)),
-                    ("hi".into(), Value::Num(hi)),
+                    ("lo".into(), Value::Num(number(lo, at)?)),
+                    ("hi".into(), Value::Num(number(hi, at)?)),
                 ]),
-            )
-        }
+            ),
+            _ => return Err(SpecError::new("`uniform` distribution needs a [lo, hi] pair")),
+        },
         "erlang" => tagged("Erlang", payload.clone()),
         "hyperexp" => tagged("HyperExp", payload.clone()),
         // Canonical tags pass through.
@@ -175,35 +473,15 @@ pub fn normalize_arrival(v: &Value) -> Result<Value, SpecError> {
             let (tag, payload) = &entries[0];
             match tag.as_str() {
                 "open" | "Open" => {
-                    let dist = payload.get("interarrival").ok_or_else(|| {
-                        SpecError::new("`open` arrival needs an `interarrival` distribution")
-                    })?;
-                    for (k, _) in payload.as_map().unwrap_or(&[]) {
-                        if k != "interarrival" {
-                            return Err(SpecError::new(format!(
-                                "unknown `open` arrival field `{k}`"
-                            )));
-                        }
-                    }
-                    Ok(tagged(
-                        "Open",
-                        Value::Map(vec![("interarrival".into(), normalize_dist(dist)?)]),
-                    ))
+                    let mut o = Obj::open(payload, "open", OPEN)?;
+                    let dist = o.req("interarrival", |v, _| normalize_dist(v))?;
+                    o.finish(tagged("Open", Value::Map(vec![("interarrival".into(), dist)])))
                 }
                 "open_rate_per_s" => {
-                    let rate = payload.as_f64().filter(|&r| r > 0.0).ok_or_else(|| {
-                        SpecError::new("`open_rate_per_s` needs a positive rate")
-                    })?;
-                    Ok(tagged(
-                        "Open",
-                        Value::Map(vec![(
-                            "interarrival".into(),
-                            tagged(
-                                "ExpZig",
-                                Value::Map(vec![("mean".into(), Value::Num(1000.0 / rate))]),
-                            ),
-                        )]),
-                    ))
+                    let rate = positive(payload, At("arrival", tag))?;
+                    let mean = Value::Map(vec![("mean".into(), Value::Num(1000.0 / rate))]);
+                    let dist = tagged("ExpZig", mean);
+                    Ok(tagged("Open", Value::Map(vec![("interarrival".into(), dist)])))
                 }
                 other => Err(SpecError::new(format!(
                     "unknown arrival process `{other}` (want `closed`, `open`, or `open_rate_per_s`)"
@@ -216,15 +494,11 @@ pub fn normalize_arrival(v: &Value) -> Result<Value, SpecError> {
     }
 }
 
+/// The one key of an `open` arrival.
+const OPEN: Keys = &[("interarrival", Node::Any)];
+
 fn tagged(tag: &str, payload: Value) -> Value {
     Value::Map(vec![(tag.to_string(), payload)])
-}
-
-/// Extracts ordered `(path, value)` pairs from an override map value.
-pub fn override_pairs(v: &Value, what: &str) -> Result<Vec<(String, Value)>, SpecError> {
-    v.as_map()
-        .map(|m| m.to_vec())
-        .ok_or_else(|| SpecError::new(format!("`{what}` must be an object of path → value")))
 }
 
 #[cfg(test)]

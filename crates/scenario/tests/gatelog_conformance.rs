@@ -64,12 +64,11 @@ fn sinus_traces_replay_byte_identically_for_both_controllers() {
 }
 
 /// The retry-storm trace pins the retry-budget gate: its spec names the
-/// `retry_budget` controller, so `replay_log` rebuilds the decision
-/// function from the *runtime's* `RetryBudgetLaw` rather than the
-/// simulator's controller. A byte-identical replay therefore proves the
-/// two implementations are the same decision function — shed-retry
-/// admission refusals stay invisible to the sampler on both sides, and
-/// the storm's cut/rebuild arc reproduces exactly.
+/// `retry_budget` controller, which the runtime's `RetryBudgetLaw` *is*.
+/// A byte-identical replay proves the runtime's telemetry path feeds it
+/// what the simulator's sampler did — shed-retry admission refusals stay
+/// invisible to the sampler on both sides, and the storm's cut/rebuild
+/// arc reproduces exactly.
 #[test]
 fn retry_storm_trace_replays_byte_identically_through_the_runtime_law() {
     let root = repo_root();

@@ -1,0 +1,168 @@
+//! Deterministic mutation sweep over the checked-in specs: the spec
+//! front end must answer any tree with `Ok` or `Err`, never a panic,
+//! and must never read past a key it does not know.
+//!
+//! Every node of every `scenarios/*.json` tree is replaced in turn by
+//! `null`, `7`, `"x"`, `[]` and `{}`, and the mutant compiled at both
+//! scales. Every object is then given a stray key, and a repeat of its
+//! first key: both must be rejected with an error that names the
+//! section — the guard that no section of the parser forgets
+//! `Obj::finish`, and that no lenient path takes "the last one wins".
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
+
+use alc_scenario::LoadedSpec;
+use serde::Value;
+
+/// The checked-in specs, sorted.
+fn catalog() -> Vec<LoadedSpec> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("scenarios/ exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    paths.sort();
+    assert_eq!(paths.len(), 25, "the catalog moved; update this sweep");
+    paths
+        .iter()
+        .map(|p| LoadedSpec::read(p).expect("checked-in spec reads"))
+        .collect()
+}
+
+/// Child positions from the root: entry `i` of a map, item `i` of a list.
+type Path = Vec<usize>;
+
+fn collect(v: &Value, here: &mut Path, out: &mut Vec<Path>) {
+    out.push(here.clone());
+    let children: Vec<&Value> = match v {
+        Value::Map(entries) => entries.iter().map(|(_, c)| c).collect(),
+        Value::Seq(items) => items.iter().collect(),
+        _ => return,
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        here.push(i);
+        collect(child, here, out);
+        here.pop();
+    }
+}
+
+fn node<'a>(root: &'a Value, path: &[usize]) -> &'a Value {
+    path.iter().fold(root, |v, &i| match v {
+        Value::Map(entries) => &entries[i].1,
+        Value::Seq(items) => &items[i],
+        _ => unreachable!("paths come from `collect`"),
+    })
+}
+
+fn node_mut<'a>(root: &'a mut Value, path: &[usize]) -> &'a mut Value {
+    path.iter().fold(root, |v, &i| match v {
+        Value::Map(entries) => &mut entries[i].1,
+        Value::Seq(items) => &mut items[i],
+        _ => unreachable!("paths come from `collect`"),
+    })
+}
+
+/// The map keys on the way down to `path`.
+fn keys_along(root: &Value, path: &[usize]) -> Vec<String> {
+    (0..path.len())
+        .filter_map(|depth| match node(root, &path[..depth]) {
+            Value::Map(entries) => Some(entries[path[depth]].0.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Compiles `spec` at one scale; a panic is a test failure that says
+/// where.
+fn compile(spec: &LoadedSpec, quick: bool, what: &str) -> Result<(), String> {
+    match catch_unwind(AssertUnwindSafe(|| spec.compile(quick))) {
+        Ok(outcome) => outcome.map(|_| ()).map_err(|e| e.to_string()),
+        Err(_) => panic!(
+            "{}: {what}: compile(quick={quick}) panicked",
+            spec.path.display()
+        ),
+    }
+}
+
+#[test]
+fn replacing_any_node_never_panics() {
+    for spec in catalog() {
+        for quick in [false, true] {
+            compile(&spec, quick, "unmutated").expect("checked-in spec compiles");
+        }
+        let mut paths = Vec::new();
+        collect(&spec.value, &mut Vec::new(), &mut paths);
+        for path in &paths {
+            for replacement in [
+                Value::Null,
+                Value::U64(7),
+                Value::Str("x".into()),
+                Value::Seq(Vec::new()),
+                Value::Map(Vec::new()),
+            ] {
+                let mut mutant = spec.clone();
+                let what = format!("{:?} := {replacement:?}", keys_along(&spec.value, path));
+                *node_mut(&mut mutant.value, path) = replacement;
+                for quick in [false, true] {
+                    let _ = compile(&mutant, quick, &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn stray_and_repeated_keys_are_rejected_by_name() {
+    let mut objects = 0;
+    for spec in catalog() {
+        let mut paths = Vec::new();
+        collect(&spec.value, &mut Vec::new(), &mut paths);
+        for path in &paths {
+            let Value::Map(entries) = node(&spec.value, path) else {
+                continue;
+            };
+            objects += 1;
+            let keys = keys_along(&spec.value, path);
+            // The section is named after the key the object sits under
+            // (override maps key by dotted path: the last component).
+            let section = match keys.last() {
+                Some(key) => key.rsplit('.').next().unwrap_or(key).to_lowercase(),
+                None => "spec".to_string(),
+            };
+            // `quick` values are only read at quick scale.
+            let full_scale_reads_it = !keys.iter().any(|k| k == "quick");
+            let stray = ("__stray__".to_string(), Value::Null);
+            let mutations = [("stray key", stray)].into_iter().chain(
+                entries
+                    .first()
+                    .cloned()
+                    .map(|first| ("repeated key", first)),
+            );
+            for (what, extra) in mutations {
+                let what = format!("{what} in {keys:?}");
+                let mut mutant = spec.clone();
+                match node_mut(&mut mutant.value, path) {
+                    Value::Map(entries) => entries.push(extra),
+                    _ => unreachable!("just matched"),
+                }
+                for quick in [true, false] {
+                    match compile(&mutant, quick, &what) {
+                        Err(msg) => assert!(
+                            msg.to_lowercase().contains(&section),
+                            "{}: {what}: error does not name `{section}`: {msg}",
+                            spec.path.display()
+                        ),
+                        Ok(()) => assert!(
+                            !quick && !full_scale_reads_it,
+                            "{}: {what}: accepted at quick={quick}",
+                            spec.path.display()
+                        ),
+                    }
+                }
+            }
+        }
+    }
+    assert!(objects > 400, "the sweep lost its objects ({objects})");
+}

@@ -6,8 +6,7 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Sweeps and seed replications fan their independent runs out with
-//! `rayon`. Every run is fully determined by its own `(SystemConfig,
+//! Sweeps fan their independent runs out with `rayon`. Every run is fully determined by its own `(SystemConfig,
 //! WorkloadConfig, CcKind, ControlConfig)` — all RNG streams derive from
 //! `SystemConfig::seed`, nothing is shared between runs, and results are
 //! collected in input order — so parallel and serial execution produce
@@ -71,30 +70,6 @@ pub fn sweep_bounds(
         .map(|&b| SweepPoint {
             x: b,
             stats: stationary_run(sys, workload, cc, b, control, horizon_ms),
-        })
-        .collect()
-}
-
-/// Replicates one stationary configuration across independent master
-/// seeds, in parallel — the raw material for confidence intervals over
-/// whole runs (batch-of-runs replication, complementing the §5
-/// within-run interval theory).
-///
-/// Results are in `seeds` order; identical to running serially.
-pub fn replicate_seeds(
-    sys: &SystemConfig,
-    workload: &WorkloadConfig,
-    cc: CcKind,
-    bound: u32,
-    control: &ControlConfig,
-    horizon_ms: f64,
-    seeds: &[u64],
-) -> Vec<RunStats> {
-    seeds
-        .par_iter()
-        .map(|&seed| {
-            let sys_seeded = SystemConfig { seed, ..*sys };
-            stationary_run(&sys_seeded, workload, cc, bound, control, horizon_ms)
         })
         .collect()
 }
@@ -227,32 +202,6 @@ mod tests {
             })
             .collect();
         assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn replicate_seeds_is_deterministic_and_seed_sensitive() {
-        let seeds = [1u64, 2, 3, 4];
-        let run = || {
-            replicate_seeds(
-                &sys(),
-                &WorkloadConfig::default(),
-                CcKind::Certification,
-                8,
-                &quick_control(),
-                8_000.0,
-                &seeds,
-            )
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same seeds must reproduce identical statistics");
-        assert_eq!(a.len(), seeds.len());
-        assert!(a.iter().all(|s| s.commits > 0));
-        // Different seeds give different realizations.
-        assert!(
-            a.windows(2).any(|w| w[0] != w[1]),
-            "independent seeds produced identical runs"
-        );
     }
 
     #[test]

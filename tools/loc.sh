@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Non-test Rust lines per crate: for every src/**/*.rs, the lines before
+# the file's first `#[cfg(test)]`. "Net-negative line counts are a
+# success metric" (ROADMAP) is read off this table.
+#
+#   tools/loc.sh            # one row per crate, then the total
+#   tools/loc.sh FILE...    # one row per file, then the total
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+non_test() {
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
+}
+
+total=0
+row() {
+    printf '%-28s %6d\n' "$1" "$2"
+    total=$((total + $2))
+}
+
+if [ "$#" -gt 0 ]; then
+    for f in "$@"; do
+        row "$f" "$(non_test "$f")"
+    done
+else
+    for dir in crates/*/src src; do
+        n=0
+        while IFS= read -r f; do
+            n=$((n + $(non_test "$f")))
+        done < <(find "$dir" -name '*.rs' | sort)
+        row "${dir%/src}" "$n"
+    done
+fi
+printf '%-28s %6d\n' total "$total"
