@@ -1,4 +1,4 @@
-//! Ablation experiments for the design choices DESIGN.md calls out.
+//! Ablation experiments for the design choices the paper leaves open.
 //!
 //! Most of the ablation suite now lives as declarative scenario specs
 //! under `scenarios/` (`abl-dither`, `abl-alpha`, `abl-displacement`,

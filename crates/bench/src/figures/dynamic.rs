@@ -63,7 +63,7 @@ fn tail_tracking(traj: &Trajectories, from_frac: f64) -> (f64, f64, f64) {
     let mut bound_mean = 0.0;
     let mut opt_mean = 0.0;
     let mut n = 0.0;
-    for (i, &(t, b)) in pts.iter().enumerate().skip(start) {
+    for &(t, b) in pts.iter().skip(start) {
         let opt = traj
             .optimum
             .value_at(alc_des::SimTime::new(t))
@@ -74,7 +74,6 @@ fn tail_tracking(traj: &Trajectories, from_frac: f64) -> (f64, f64, f64) {
             opt_mean += opt;
             n += 1.0;
         }
-        let _ = i;
     }
     if n == 0.0 {
         (f64::NAN, f64::NAN, f64::NAN)

@@ -1,6 +1,6 @@
-//! One runner per paper artifact. See DESIGN.md §3 for the experiment
-//! index mapping each `figXX` id to the paper's figure and EXPERIMENTS.md
-//! for recorded paper-vs-measured outcomes.
+//! One runner per paper artifact. `repro list` (README, "Quick start")
+//! prints the index mapping each `figXX` id to the paper's figure; each
+//! report's notes carry the paper-vs-measured outcome.
 
 mod ablation;
 mod dynamic;
@@ -60,8 +60,8 @@ pub fn catalog() -> Vec<(&'static str, &'static str, Runner)> {
     ]
 }
 
-/// The paper-scale physical configuration (calibration documented in
-/// DESIGN.md: Yu-et-al. trace parameters are not public, so values are
+/// The paper-scale physical configuration (our calibration:
+/// Yu-et-al. trace parameters are not public, so values are
 /// chosen to land the optimum MPL in the low hundreds with a load axis to
 /// 800, matching the figures' axes).
 pub fn paper_system(terminals: u32, seed: u64) -> SystemConfig {

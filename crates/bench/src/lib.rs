@@ -1,12 +1,12 @@
 //! `alc-bench` — the experiment harness that regenerates every figure of
-//! Heiss & Wagner (VLDB 1991), plus shared helpers for the Criterion
-//! microbenchmarks.
+//! Heiss & Wagner (VLDB 1991), and the report/table/plot types the
+//! scenario runner shares with it.
 //!
 //! Each `figXX`/ablation experiment lives in [`figures`] as a pure
 //! function returning a [`report::Report`]; the `repro` binary prints it
 //! and writes `results/<id>.csv`. The [`Scale`] knob switches between the
 //! paper-scale configuration (release-mode runs, seconds each) and a
-//! down-scaled smoke configuration used by benches and CI tests.
+//! down-scaled smoke configuration used by CI and the golden tests.
 
 pub mod figures;
 pub mod plot;
@@ -16,9 +16,9 @@ pub mod table;
 /// Experiment size: paper-scale or CI-scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// The configuration whose outputs EXPERIMENTS.md records.
+    /// The paper-scale configuration (`repro` without `--quick`).
     Full,
-    /// A small configuration for smoke tests and Criterion benches.
+    /// A small configuration for smoke tests (`repro --quick`).
     Quick,
 }
 

@@ -24,8 +24,8 @@ pub struct Report {
     /// Preformatted charts rendered verbatim between table and notes
     /// (ASCII trajectory plots for the figure experiments).
     pub charts: Vec<String>,
-    /// Headline findings appended under the table — these are the
-    /// paper-vs-measured statements EXPERIMENTS.md quotes.
+    /// Headline findings appended under the table — the
+    /// paper-vs-measured statements.
     pub notes: Vec<String>,
 }
 

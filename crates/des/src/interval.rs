@@ -23,16 +23,11 @@
 //! ±10% accuracy this gives `λT ≥ (1.96/0.1)² ≈ 384` — the paper's
 //! "rather hundreds of departures than some tens" made precise.
 //!
-//! Two estimators feed the formula:
-//!
-//! * [`InterdepartureStats`] — event-level: absorbs departure instants and
-//!   estimates `λ` and `c²` from the interdeparture times (usable inside
-//!   the simulator).
-//! * [`DispersionEstimator`] — interval-level: absorbs only per-interval
-//!   `(count, length)` pairs, the data a runtime sampler already has, and
-//!   estimates `c²` as the index of dispersion `Var N / E N`.
+//! [`DispersionEstimator`] feeds the formula from per-interval
+//! `(count, length)` pairs alone, the data a runtime sampler already
+//! has, estimating `c²` as the index of dispersion `Var N / E N`.
 
-use crate::stats::{ConfidenceLevel, Welford};
+use crate::stats::ConfidenceLevel;
 
 /// The two-sided standard-normal quantile backing a confidence level.
 pub fn z_quantile(level: ConfidenceLevel) -> f64 {
@@ -69,68 +64,6 @@ pub fn required_duration_ms(
         return f64::INFINITY;
     }
     required_departures(scv, rel_accuracy, level) / rate_per_ms
-}
-
-/// Event-level estimator of the departure process: rate and squared
-/// coefficient of variation of interdeparture times.
-#[derive(Debug, Clone, Default)]
-pub struct InterdepartureStats {
-    gaps: Welford,
-    last_departure_ms: Option<f64>,
-}
-
-impl InterdepartureStats {
-    /// Creates an empty estimator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a departure at time `now_ms` (must be non-decreasing).
-    pub fn on_departure(&mut self, now_ms: f64) {
-        if let Some(last) = self.last_departure_ms {
-            debug_assert!(now_ms >= last, "departures must be time-ordered");
-            self.gaps.push(now_ms - last);
-        }
-        self.last_departure_ms = Some(now_ms);
-    }
-
-    /// Observed interdeparture gaps so far.
-    pub fn count(&self) -> u64 {
-        self.gaps.count()
-    }
-
-    /// Estimated departure rate (per ms); 0 until two departures arrived.
-    pub fn rate_per_ms(&self) -> f64 {
-        let m = self.gaps.mean();
-        if self.gaps.count() == 0 || m <= 0.0 {
-            0.0
-        } else {
-            1.0 / m
-        }
-    }
-
-    /// Estimated squared coefficient of variation of the interdeparture
-    /// times; 1 (the Poisson value) until enough data arrived.
-    pub fn scv(&self) -> f64 {
-        let m = self.gaps.mean();
-        if self.gaps.count() < 2 || m <= 0.0 {
-            1.0
-        } else {
-            self.gaps.variance() / (m * m)
-        }
-    }
-
-    /// The §5 interval length for this process at the given accuracy and
-    /// confidence.
-    pub fn required_interval_ms(&self, rel_accuracy: f64, level: ConfidenceLevel) -> f64 {
-        required_duration_ms(self.rate_per_ms(), self.scv(), rel_accuracy, level)
-    }
-
-    /// Forgets everything (e.g. after a workload shift).
-    pub fn reset(&mut self) {
-        self.gaps = Welford::new();
-        self.last_departure_ms = None;
-    }
 }
 
 /// Interval-level estimator of the departure process from per-interval
@@ -274,46 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn interdeparture_stats_on_deterministic_stream() {
-        let mut s = InterdepartureStats::new();
-        for i in 0..101 {
-            s.on_departure(f64::from(i) * 10.0);
-        }
-        assert_eq!(s.count(), 100);
-        assert!((s.rate_per_ms() - 0.1).abs() < 1e-12);
-        assert!(s.scv() < 1e-12, "deterministic stream has c² = 0");
-        // Zero variance → zero required duration: any interval suffices.
-        assert_eq!(s.required_interval_ms(0.1, ConfidenceLevel::P95), 0.0);
-    }
-
-    #[test]
-    fn interdeparture_stats_on_poisson_stream() {
-        let mut rng = RngStream::from_seed(42);
-        let mut s = InterdepartureStats::new();
-        let mut t = 0.0;
-        for _ in 0..20_000 {
-            t += -5.0 * (1.0 - rng.uniform01()).ln(); // Exp(mean 5ms)
-            s.on_departure(t);
-        }
-        assert!((s.rate_per_ms() - 0.2).abs() < 0.01, "{}", s.rate_per_ms());
-        assert!((s.scv() - 1.0).abs() < 0.05, "{}", s.scv());
-        let required = s.required_interval_ms(0.1, ConfidenceLevel::P95);
-        // ≈ 384 departures / 0.2 per ms ≈ 1920 ms.
-        assert!((required - 1920.0).abs() < 150.0, "{required}");
-    }
-
-    #[test]
-    fn interdeparture_defaults_before_data() {
-        let s = InterdepartureStats::new();
-        assert_eq!(s.rate_per_ms(), 0.0);
-        assert_eq!(s.scv(), 1.0);
-        assert_eq!(
-            s.required_interval_ms(0.1, ConfidenceLevel::P95),
-            f64::INFINITY
-        );
-    }
-
-    #[test]
     fn dispersion_estimator_on_poisson_counts() {
         // Poisson counts over equal intervals: dispersion index ≈ 1.
         let mut rng = RngStream::from_seed(7);
@@ -369,11 +262,6 @@ mod tests {
 
     #[test]
     fn reset_clears_both_estimators() {
-        let mut s = InterdepartureStats::new();
-        s.on_departure(0.0);
-        s.on_departure(5.0);
-        s.reset();
-        assert_eq!(s.count(), 0);
         let mut d = DispersionEstimator::new(8);
         d.observe(5, 100.0);
         d.reset();

@@ -206,61 +206,6 @@ impl TimeWeighted {
     }
 }
 
-/// Counts events within a measurement window and converts to a rate.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
-pub struct WindowCounter {
-    count: u64,
-    total: u64,
-}
-
-impl WindowCounter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one event.
-    #[inline]
-    pub fn record(&mut self) {
-        self.count += 1;
-        self.total += 1;
-    }
-
-    /// Records `n` events at once.
-    #[inline]
-    pub fn record_n(&mut self, n: u64) {
-        self.count += n;
-        self.total += n;
-    }
-
-    /// Events in the current window.
-    pub fn window_count(&self) -> u64 {
-        self.count
-    }
-
-    /// Events since creation, across all windows.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Ends the window: returns the rate (events per millisecond) over the
-    /// window of length `window_ms` and resets the window count.
-    pub fn harvest_rate(&mut self, window_ms: f64) -> f64 {
-        let rate = if window_ms > 0.0 {
-            self.count as f64 / window_ms
-        } else {
-            0.0
-        };
-        self.count = 0;
-        rate
-    }
-
-    /// Ends the window returning the raw count.
-    pub fn harvest_count(&mut self) -> u64 {
-        std::mem::take(&mut self.count)
-    }
-}
-
 /// Fixed-bin histogram over `[lo, hi)` with overflow/underflow buckets.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Histogram {
@@ -346,57 +291,6 @@ impl Histogram {
     /// Read access to bin counts (for table output).
     pub fn bins(&self) -> &[u64] {
         &self.bins
-    }
-}
-
-/// Batch-means estimator: feeds observations into fixed-size batches and
-/// treats batch averages as (approximately) independent samples — the
-/// standard way to get confidence intervals out of one long, autocorrelated
-/// simulation run.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct BatchMeans {
-    batch_size: u64,
-    in_batch: u64,
-    batch_sum: f64,
-    batches: Welford,
-}
-
-impl BatchMeans {
-    /// Creates an estimator with the given batch size.
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0);
-        BatchMeans {
-            batch_size,
-            in_batch: 0,
-            batch_sum: 0.0,
-            batches: Welford::new(),
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.batch_sum += x;
-        self.in_batch += 1;
-        if self.in_batch == self.batch_size {
-            self.batches.push(self.batch_sum / self.batch_size as f64);
-            self.batch_sum = 0.0;
-            self.in_batch = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn batches(&self) -> u64 {
-        self.batches.count()
-    }
-
-    /// Grand mean over completed batches.
-    pub fn mean(&self) -> f64 {
-        self.batches.mean()
-    }
-
-    /// CI half-width over batch means.
-    pub fn ci_half_width(&self, level: ConfidenceLevel) -> f64 {
-        self.batches.ci_half_width(level)
     }
 }
 
@@ -486,20 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn window_counter_rates() {
-        let mut c = WindowCounter::new();
-        c.record_n(50);
-        assert_eq!(c.window_count(), 50);
-        let rate = c.harvest_rate(100.0);
-        assert!((rate - 0.5).abs() < 1e-12);
-        assert_eq!(c.window_count(), 0);
-        assert_eq!(c.total(), 50);
-        c.record();
-        assert_eq!(c.harvest_count(), 1);
-        assert_eq!(c.total(), 51);
-    }
-
-    #[test]
     fn histogram_basics() {
         let mut h = Histogram::new(0.0, 10.0, 10);
         for i in 0..10 {
@@ -526,26 +406,5 @@ mod tests {
     fn histogram_empty_quantile_nan() {
         let h = Histogram::new(0.0, 1.0, 4);
         assert!(h.quantile(0.5).is_nan());
-    }
-
-    #[test]
-    fn batch_means_reduces_to_mean() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..100 {
-            bm.push(f64::from(i % 10));
-        }
-        assert_eq!(bm.batches(), 10);
-        assert!((bm.mean() - 4.5).abs() < 1e-12);
-        // All batches identical -> zero CI width.
-        assert!(bm.ci_half_width(ConfidenceLevel::P95) < 1e-9);
-    }
-
-    #[test]
-    fn batch_means_partial_batch_excluded() {
-        let mut bm = BatchMeans::new(10);
-        for _ in 0..25 {
-            bm.push(1.0);
-        }
-        assert_eq!(bm.batches(), 2);
     }
 }

@@ -13,6 +13,7 @@
 use std::path::Path;
 
 use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
+use alc_tpsim::engine::Simulator;
 use alc_tpsim::workload::WorkloadConfig;
 use serde::Value;
 
@@ -113,6 +114,52 @@ pub struct VariantPlan {
     /// Retain trajectories in the run records (set when the plan's
     /// columns derive from them, even without trajectory CSV output).
     pub keep_trajectories: bool,
+}
+
+impl VariantPlan {
+    /// The fault timeline replication `rep` runs under: its sampled
+    /// schedule when the plan carries per-replication ones, else the
+    /// shared one.
+    pub fn fault_timeline(&self, rep: usize) -> &[(f64, i32)] {
+        self.fault_schedules
+            .as_ref()
+            .map_or(&self.faults, |per_rep| &per_rep[rep])
+    }
+
+    /// The simulator of replication `rep`, fully assembled and not yet
+    /// run — the one place a plan becomes an engine, so runs, traces
+    /// and tests cannot disagree on a setter. Callers add only their
+    /// observers (gate log, trace sink).
+    pub fn simulator(&self, rep: usize) -> Simulator {
+        let sys = SystemConfig {
+            seed: self.seeds[rep],
+            ..self.sys
+        };
+        let controller = self.controller.build(&sys, &self.workload);
+        let mut sim = Simulator::new(
+            sys,
+            self.workload.clone(),
+            self.cc,
+            self.control,
+            controller,
+        );
+        sim.set_record_optimum(self.record_optimum);
+        if !self.cc_switches.is_empty() {
+            sim.set_cc_switches(&self.cc_switches);
+        }
+        if let Some(adaptive) = &self.adaptive_cc {
+            let (candidates, policy) = adaptive.build();
+            sim.set_adaptive_cc(candidates, policy);
+        }
+        let faults = self.fault_timeline(rep);
+        if !faults.is_empty() {
+            sim.set_faults(faults);
+        }
+        if let Some(clients) = &self.clients {
+            sim.set_clients(clients.clone());
+        }
+        sim
+    }
 }
 
 /// Derives the replication-`r` seed from the spec seed (replication 0 is

@@ -17,8 +17,7 @@ use alc_bench::report::Report;
 use alc_core::gatelog::{GateEvent, GateLogSink};
 use alc_des::series::write_aligned_csv;
 use alc_runtime::{write_gate_log, GateLogHeader};
-use alc_tpsim::config::SystemConfig;
-use alc_tpsim::engine::{RunStats, Simulator, Trajectories};
+use alc_tpsim::engine::{RunStats, Trajectories};
 use rayon::prelude::*;
 
 use crate::compile::{RunPlan, SweepPlan, VariantPlan};
@@ -86,27 +85,7 @@ fn run_one(
     gate_log: Option<&GateLogRequest>,
 ) -> std::io::Result<RunRecord> {
     let seed = v.seeds[rep];
-    let sys = SystemConfig { seed, ..v.sys };
-    let controller = v.controller.build(&sys, &v.workload);
-    let mut sim = Simulator::new(sys, v.workload.clone(), v.cc, v.control, controller);
-    sim.set_record_optimum(v.record_optimum);
-    if !v.cc_switches.is_empty() {
-        sim.set_cc_switches(&v.cc_switches);
-    }
-    if let Some(adaptive) = &v.adaptive_cc {
-        let (candidates, policy) = adaptive.build();
-        sim.set_adaptive_cc(candidates, policy);
-    }
-    let faults = v
-        .fault_schedules
-        .as_ref()
-        .map_or(&v.faults, |per_rep| &per_rep[rep]);
-    if !faults.is_empty() {
-        sim.set_faults(faults);
-    }
-    if let Some(clients) = &v.clients {
-        sim.set_clients(clients.clone());
-    }
+    let mut sim = v.simulator(rep);
     let captured = gate_log.map(|req| {
         let events = Arc::new(Mutex::new(Vec::new()));
         sim.set_gate_log(Box::new(CaptureSink(Arc::clone(&events))));

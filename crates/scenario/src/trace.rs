@@ -2,8 +2,8 @@
 //! Chrome-trace sink installed and reconcile the emitted events against
 //! the run's own report counters.
 //!
-//! The cell is constructed exactly like [`crate::runner`]'s, with a
-//! [`Tee`] of two sinks installed before the run: a streaming
+//! The cell is [`VariantPlan::simulator`], the engine [`crate::runner`]
+//! runs, with a [`Tee`] of two sinks installed before the run: a streaming
 //! [`ChromeWriter`] producing the Perfetto-loadable
 //! `<stem>_trace.json`, and a [`CountingSink`] whose tallies are
 //! checked against the run's [`RunStats`](alc_tpsim::engine::RunStats)
@@ -17,8 +17,8 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use alc_tpsim::config::SystemConfig;
-use alc_tpsim::engine::Simulator;
+use alc_tpsim::engine::RunStats;
+use alc_tpsim::ClientStats;
 use alc_trace::{
     name as tname, ChromeWriter, CountingSink, Phase, Tee, TraceEvent, TraceSink,
 };
@@ -82,6 +82,11 @@ pub struct TraceOutcome {
     pub unbalanced: Option<(u32, u32, &'static str, u64, u64)>,
     /// The reconciliation identities and their two sides.
     pub checks: Vec<TraceCheck>,
+    /// The run's own statistics — equal to the untraced run's, since
+    /// tracing draws no randomness and schedules no events.
+    pub stats: RunStats,
+    /// The run's client-pool counters (when the plan has `clients`).
+    pub clients: Option<ClientStats>,
 }
 
 impl TraceOutcome {
@@ -117,28 +122,7 @@ pub fn trace_cell(
 ) -> io::Result<TraceOutcome> {
     std::fs::create_dir_all(dir)?;
     let file_name = trace_file_name(plan, v, rep as u32);
-    let seed = v.seeds[rep];
-    let sys = SystemConfig { seed, ..v.sys };
-    let controller = v.controller.build(&sys, &v.workload);
-    let mut sim = Simulator::new(sys, v.workload.clone(), v.cc, v.control, controller);
-    sim.set_record_optimum(v.record_optimum);
-    if !v.cc_switches.is_empty() {
-        sim.set_cc_switches(&v.cc_switches);
-    }
-    if let Some(adaptive) = &v.adaptive_cc {
-        let (candidates, policy) = adaptive.build();
-        sim.set_adaptive_cc(candidates, policy);
-    }
-    let faults = v
-        .fault_schedules
-        .as_ref()
-        .map_or(&v.faults, |per_rep| &per_rep[rep]);
-    if !faults.is_empty() {
-        sim.set_faults(faults);
-    }
-    if let Some(clients) = &v.clients {
-        sim.set_clients(clients.clone());
-    }
+    let mut sim = v.simulator(rep);
 
     let writer = ChromeWriter::new(io::BufWriter::new(std::fs::File::create(
         dir.join(&file_name),
@@ -219,7 +203,11 @@ pub fn trace_cell(
                 + c.count(Phase::Mark, tname::CLIENT_HEDGE).after_floor,
         );
     }
-    let scheduled_faults = faults.iter().filter(|(at, _)| *at <= v.horizon_ms).count() as u64;
+    let scheduled_faults = v
+        .fault_timeline(rep)
+        .iter()
+        .filter(|(at, _)| *at <= v.horizon_ms)
+        .count() as u64;
     if scheduled_faults > 0 {
         check(
             "fault schedule == fault instants (whole run)",
@@ -235,6 +223,8 @@ pub fn trace_cell(
         span_ends: c.span_ends(),
         unbalanced: c.first_unbalanced(),
         checks,
+        stats,
+        clients,
     })
 }
 
@@ -295,16 +285,8 @@ mod tests {
         let traced = trace_cell(&plan, v, 0, &dir).expect("cell runs");
         // An untraced run of the same cell must see identical stats:
         // tracing draws no randomness and schedules no events.
-        let sys = SystemConfig { seed: v.seeds[0], ..v.sys };
-        let controller = v.controller.build(&sys, &v.workload);
-        let mut sim = Simulator::new(sys, v.workload.clone(), v.cc, v.control, controller);
-        let stats = sim.run(v.horizon_ms);
-        let committed = traced
-            .checks
-            .iter()
-            .find(|c| c.what.starts_with("commits"))
-            .expect("commit identity present");
-        assert_eq!(committed.report, stats.commits);
+        let stats = v.simulator(0).run(v.horizon_ms);
+        assert_eq!(traced.stats, stats);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

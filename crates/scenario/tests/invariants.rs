@@ -14,6 +14,7 @@ use std::path::PathBuf;
 
 use alc_scenario::compile::RunPlan;
 use alc_scenario::runner::{run_plan, RunRecord};
+use alc_scenario::trace::trace_cell;
 use alc_scenario::LoadedSpec;
 
 fn scenarios_dir() -> PathBuf {
@@ -198,4 +199,33 @@ fn sweep_grid_is_deterministic_across_thread_counts() {
     let parallel = run_plan(&plan);
     let serial = run_serial(&plan);
     assert_same_records(&parallel, &serial, "sweep parallel vs serial");
+}
+
+/// `scenario trace` and `scenario run` build their engine through the
+/// one `VariantPlan::simulator`, so a traced cell reports exactly what
+/// the runner reports for it — on the specs that use every setter:
+/// scheduled CC switches, sampled per-replication fault schedules and a
+/// closed-loop client pool.
+#[test]
+fn traced_cells_report_the_runner_stats() {
+    for name in ["cc-switch", "fault-repair", "retry-storm"] {
+        let plan = quick_plan(name);
+        let dir =
+            std::env::temp_dir().join(format!("alc_trace_seam_{}_{name}", std::process::id()));
+        let mut records = run_plan(&plan).into_iter();
+        for v in &plan.variants {
+            for rep in 0..v.seeds.len() {
+                let rec = records.next().expect("one record per cell");
+                let traced = trace_cell(&plan, v, rep, &dir).expect("traced cell runs");
+                assert!(traced.ok(), "{name}/{}/{rep}: {traced:?}", v.label);
+                assert_eq!(traced.stats, rec.stats, "{name}/{}/{rep}: stats", v.label);
+                assert_eq!(
+                    traced.clients, rec.clients,
+                    "{name}/{}/{rep}: clients",
+                    v.label
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! The physical-model parameters follow the paper's §7 description; the
 //! concrete values are our calibration (the original used customer-trace
-//! parameters from Yu et al. 1987 that are not public — see DESIGN.md).
+//! parameters from Yu et al. 1987 that are not public).
 //! Defaults are chosen so the stationary optimum MPL lands in the low
 //! hundreds and the load axis meaningfully extends to 800, matching the
 //! axes of Figures 12–14.

@@ -1369,7 +1369,6 @@ impl Simulator {
     }
 
     fn abort_run(&mut self, i: usize, mode: RestartMode) {
-        let now = self.now();
         let prior = self.txns[i].state;
         // Displacement may hit a transaction already out of the CC layer
         // (a `RestartWait` between abort and restart) — only runs that
@@ -1416,7 +1415,6 @@ impl Simulator {
                 self.gate.displace(i);
                 self.note_mpl();
                 self.tr_begin(tname::WAIT, i);
-                let _ = now;
             }
         }
         for &u in &unblocked {

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Non-test Rust lines per crate: for every src/**/*.rs, the lines before
 # the file's first `#[cfg(test)]`. "Net-negative line counts are a
-# success metric" (ROADMAP) is read off this table.
+# success metric" (ROADMAP) is read off this table. The vendored shims,
+# any `crates/*/benches` and `examples/` get rows too, so code leaving
+# (or entering) them shows.
 #
-#   tools/loc.sh            # one row per crate, then the total
+#   tools/loc.sh            # one row per crate, shim and examples/, then the total
 #   tools/loc.sh FILE...    # one row per file, then the total
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -23,7 +25,8 @@ if [ "$#" -gt 0 ]; then
         row "$f" "$(non_test "$f")"
     done
 else
-    for dir in crates/*/src src; do
+    shopt -s nullglob
+    for dir in crates/*/src src vendor/*/src crates/*/benches examples; do
         n=0
         while IFS= read -r f; do
             n=$((n + $(non_test "$f")))
