@@ -20,6 +20,7 @@
 use alc_des::interval::DispersionEstimator;
 use alc_des::stats::ConfidenceLevel;
 
+use crate::gatelog::GateEvent;
 use crate::measure::{Measurement, PerfIndicator};
 
 /// Accumulates one interval's raw events.
@@ -53,6 +54,28 @@ impl IntervalSampler {
         }
     }
 
+    /// Absorbs one gate event. The simulator engine, `alc-runtime`'s
+    /// telemetry window and log replay all feed through here, so a
+    /// recorded stream is by construction the stream the sampler
+    /// consumed. A commit counts its conflicts first, then the departure;
+    /// a `Decision` is the driver's cue to harvest and carries nothing.
+    #[inline]
+    pub fn feed(&mut self, event: &GateEvent) {
+        match *event {
+            GateEvent::Mpl { at_ms, in_system } => self.on_mpl_change(at_ms, in_system),
+            GateEvent::Commit {
+                response_ms,
+                conflicts,
+                ..
+            } => {
+                self.on_conflicts(conflicts);
+                self.on_commit(response_ms);
+            }
+            GateEvent::Abort { conflicts, .. } => self.on_abort(conflicts),
+            GateEvent::Decision { .. } => {}
+        }
+    }
+
     /// Records that the in-system transaction count changed.
     pub fn on_mpl_change(&mut self, now_ms: f64, mpl: u32) {
         self.mpl_area += f64::from(self.current_mpl) * (now_ms - self.last_mpl_change_ms);
@@ -69,13 +92,15 @@ impl IntervalSampler {
     /// Records an abort/restart caused by `conflicts` data conflicts.
     pub fn on_abort(&mut self, conflicts: u64) {
         self.aborts += 1;
-        self.conflicts += conflicts;
+        self.on_conflicts(conflicts);
     }
 
     /// Records conflicts detected at a successful commit (certification
     /// that passed but observed contention, or lock waits under 2PL).
+    /// The count comes off the wire (gate logs, `Outcome::Abort`), so it
+    /// saturates rather than overflows.
     pub fn on_conflicts(&mut self, conflicts: u64) {
-        self.conflicts += conflicts;
+        self.conflicts = self.conflicts.saturating_add(conflicts);
     }
 
     /// Departures accumulated so far in the open interval.

@@ -1,7 +1,8 @@
 //! Per-file analysis context: test regions and inline suppressions.
 //!
 //! * **Test regions** — line ranges covered by `#[cfg(test)]` or
-//!   `#[test]` items (brace-matched from the token stream). Most rules
+//!   `#[test]` items (brace-matched from the token stream), or the whole
+//!   file under an inner `#![cfg(test)]`. Most rules
 //!   skip them: a unit test seeding an RNG literal or unwrapping a
 //!   fixture is policy-clean.
 //! * **Suppressions** — `// alc-lint: allow(rule, reason="…")` comments.
@@ -92,6 +93,13 @@ fn find_test_regions(tokens: &[Token<'_>]) -> Vec<(u32, u32)> {
     let mut regions: Vec<(u32, u32)> = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
+        // An inner `#![cfg(test)]` covers the rest of its file (a
+        // `mod tests;` kept in a file of its own).
+        const INNER: [&str; 8] = ["#", "!", "[", "cfg", "(", "test", ")", "]"];
+        if tokens[i..].iter().map(|t| t.text).take(8).eq(INNER) {
+            regions.push((tokens[i].line, tokens[tokens.len() - 1].line));
+            break;
+        }
         // An outer attribute: `#` `[` … `]` (not `#!`).
         if !(tokens[i].text == "#" && tokens.get(i + 1).is_some_and(|t| t.text == "[")) {
             i += 1;
@@ -277,6 +285,17 @@ mod tests {
         let f = SourceFile::new("x.rs".into(), src);
         assert!(f.in_test_region(2));
         assert!(!f.in_test_region(3));
+    }
+
+    #[test]
+    fn inner_cfg_test_covers_the_rest_of_the_file() {
+        let src = "//! docs\n#![cfg(test)]\nuse x::Y;\nfn t() {}\n";
+        let f = SourceFile::new("x.rs".into(), src);
+        assert!(!f.in_test_region(1));
+        assert!(f.in_test_region(2));
+        assert!(f.in_test_region(4));
+        let other = SourceFile::new("x.rs".into(), "#![cfg_attr(test, allow(x))]\nfn real() {}\n");
+        assert!(!other.in_test_region(2));
     }
 
     #[test]

@@ -138,56 +138,45 @@ impl LoopCore {
 
     /// Records that the in-system population changed to `in_system`.
     pub fn on_mpl(&mut self, now_ms: f64, in_system: u32) {
-        self.telemetry.on_mpl_change(now_ms, in_system);
-        if let Some(log) = self.log.as_mut() {
-            log.record(&GateEvent::Mpl {
-                at_ms: now_ms,
-                in_system,
-            });
-        }
+        self.feed(&GateEvent::Mpl {
+            at_ms: now_ms,
+            in_system,
+        });
     }
 
     /// Records a commit.
     pub fn on_commit(&mut self, now_ms: f64, response_ms: f64, conflicts: u64) {
-        self.commits += 1;
-        self.telemetry.on_commit(response_ms, conflicts);
-        if let Some(log) = self.log.as_mut() {
-            log.record(&GateEvent::Commit {
-                at_ms: now_ms,
-                response_ms,
-                conflicts,
-            });
-        }
+        self.feed(&GateEvent::Commit {
+            at_ms: now_ms,
+            response_ms,
+            conflicts,
+        });
     }
 
     /// Records an abort.
     pub fn on_abort(&mut self, now_ms: f64, conflicts: u64) {
-        self.aborts += 1;
-        self.telemetry.on_abort(conflicts);
-        if let Some(log) = self.log.as_mut() {
-            log.record(&GateEvent::Abort {
-                at_ms: now_ms,
-                conflicts,
-            });
-        }
+        self.feed(&GateEvent::Abort {
+            at_ms: now_ms,
+            conflicts,
+        });
     }
 
     /// Feeds one gate-log event: a population change, commit or abort
-    /// goes to the matching `on_*` call; a recorded decision closes the
-    /// window at its timestamp (its bound is ignored — the law
-    /// re-derives it) and returns what the law chose. The one entry
-    /// point behind both [`crate::replay()`] and the live shell's
-    /// batches.
+    /// goes to the telemetry window and, as given, to the recorder; a
+    /// recorded decision closes the window at its timestamp (its bound
+    /// is ignored — the law re-derives it) and returns what the law
+    /// chose. The one entry point behind the `on_*` calls,
+    /// [`crate::replay()`] and the live shell's batches.
     pub fn feed(&mut self, event: &GateEvent) -> Option<Decision> {
         match *event {
-            GateEvent::Mpl { at_ms, in_system } => self.on_mpl(at_ms, in_system),
-            GateEvent::Commit {
-                at_ms,
-                response_ms,
-                conflicts,
-            } => self.on_commit(at_ms, response_ms, conflicts),
-            GateEvent::Abort { at_ms, conflicts } => self.on_abort(at_ms, conflicts),
             GateEvent::Decision { at_ms, .. } => return Some(self.harvest(at_ms, 0)),
+            GateEvent::Commit { .. } => self.commits += 1,
+            GateEvent::Abort { .. } => self.aborts += 1,
+            GateEvent::Mpl { .. } => {}
+        }
+        self.telemetry.feed(event);
+        if let Some(log) = self.log.as_mut() {
+            log.record(event);
         }
         None
     }

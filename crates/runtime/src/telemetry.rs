@@ -11,6 +11,7 @@
 //!
 //! [`Measurement`]: alc_core::measure::Measurement
 
+use alc_core::gatelog::GateEvent;
 use alc_core::measure::PerfIndicator;
 use alc_core::sampler::IntervalSampler;
 
@@ -165,24 +166,40 @@ impl TelemetryWindow {
         }
     }
 
-    /// Records that the in-system population changed.
-    pub fn on_mpl_change(&mut self, now_ms: f64, mpl: u32) {
-        self.sampler.on_mpl_change(now_ms, mpl);
+    /// Absorbs one gate event through the shared
+    /// [`IntervalSampler::feed`]; a commit also feeds the quantiles.
+    pub fn feed(&mut self, event: &GateEvent) {
+        self.sampler.feed(event);
+        if let GateEvent::Commit { response_ms, .. } = *event {
+            self.p50.observe(response_ms);
+            self.p95.observe(response_ms);
+            self.p99.observe(response_ms);
+        }
     }
 
-    /// Records a commit. Mirrors the simulator's sampler call order
-    /// (conflicts, then the commit) so replayed streams stay identical.
+    /// Records that the in-system population changed.
+    pub fn on_mpl_change(&mut self, now_ms: f64, mpl: u32) {
+        self.feed(&GateEvent::Mpl {
+            at_ms: now_ms,
+            in_system: mpl,
+        });
+    }
+
+    /// Records a commit (the window reads no commit's timestamp).
     pub fn on_commit(&mut self, response_ms: f64, conflicts: u64) {
-        self.sampler.on_conflicts(conflicts);
-        self.sampler.on_commit(response_ms);
-        self.p50.observe(response_ms);
-        self.p95.observe(response_ms);
-        self.p99.observe(response_ms);
+        self.feed(&GateEvent::Commit {
+            at_ms: 0.0,
+            response_ms,
+            conflicts,
+        });
     }
 
     /// Records an abort caused by `conflicts` conflicts.
     pub fn on_abort(&mut self, conflicts: u64) {
-        self.sampler.on_abort(conflicts);
+        self.feed(&GateEvent::Abort {
+            at_ms: 0.0,
+            conflicts,
+        });
     }
 
     /// Records an admission rejected without queueing.

@@ -8,6 +8,9 @@
 //! first key: both must be rejected with an error that names the
 //! section — the guard that no section of the parser forgets
 //! `Obj::finish`, and that no lenient path takes "the last one wins".
+//! Every integer leaf is finally set to `-1`, to itself plus a half and
+//! to `2^32 + 2`: integers are exact and in range, or an error that
+//! names the section.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -165,4 +168,61 @@ fn stray_and_repeated_keys_are_rejected_by_name() {
         }
     }
     assert!(objects > 400, "the sweep lost its objects ({objects})");
+}
+
+#[test]
+fn integer_leaves_are_exact_and_in_range_or_rejected_by_name() {
+    let mut leaves = 0;
+    for spec in catalog() {
+        let mut paths = Vec::new();
+        collect(&spec.value, &mut Vec::new(), &mut paths);
+        for path in &paths {
+            let Value::U64(x) = *node(&spec.value, path) else {
+                continue;
+            };
+            let keys = keys_along(&spec.value, path);
+            // Override maps key by dotted path: one vocabulary of parts.
+            let dotted = keys.join(".");
+            let parts: Vec<&str> = dotted.split('.').collect();
+            let leaf = parts[parts.len() - 1];
+            // Numbers that merely happen to be written without a
+            // fraction (sweep values take the type of their target).
+            if leaf == "offered_load_per_s" || leaf == "values" || dotted.ends_with("workload.k") {
+                continue;
+            }
+            leaves += 1;
+            // The section is the object the leaf sits in; a distribution
+            // is reported under the field it fills.
+            let section = parts[..parts.len() - 1]
+                .iter()
+                .rev()
+                .find(|part| **part != "erlang")
+                .map_or("spec".to_string(), |part| part.to_lowercase());
+            let is_64_bit = ["seed", "db_size", "warmup_samples"].contains(&leaf);
+            // `quick` values are only read at quick scale, where they
+            // may in turn override a full-scale leaf.
+            let quick = keys.iter().any(|k| k == "quick");
+            for bad in [
+                Value::Num(-1.0),
+                Value::Num(x as f64 + 0.5),
+                Value::U64((1 << 32) + 2),
+            ] {
+                if is_64_bit && matches!(bad, Value::U64(_)) {
+                    continue;
+                }
+                let what = format!("{dotted} := {bad:?}");
+                let mut mutant = spec.clone();
+                *node_mut(&mut mutant.value, path) = bad;
+                match compile(&mutant, quick, &what) {
+                    Err(msg) => assert!(
+                        msg.to_lowercase().contains(&section),
+                        "{}: {what}: error does not name `{section}`: {msg}",
+                        spec.path.display()
+                    ),
+                    Ok(()) => panic!("{}: {what}: accepted", spec.path.display()),
+                }
+            }
+        }
+    }
+    assert!(leaves > 250, "the sweep lost its integer leaves ({leaves})");
 }

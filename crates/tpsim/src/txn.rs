@@ -57,12 +57,8 @@ pub struct Txn {
     /// When the instance was submitted by the terminal (queue wait counts
     /// toward response time).
     pub submitted_at: SimTime,
-    /// When the current run began (for restart accounting).
-    pub run_started_at: SimTime,
     /// Timestamp (priority) of the current run; larger = younger.
     pub ts: u64,
-    /// Restarts of the current instance so far.
-    pub restarts: u64,
 }
 
 impl Txn {
@@ -74,9 +70,7 @@ impl Txn {
             items: Vec::new(),
             is_query: false,
             submitted_at: SimTime::ZERO,
-            run_started_at: SimTime::ZERO,
             ts: 0,
-            restarts: 0,
         }
     }
 

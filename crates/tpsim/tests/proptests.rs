@@ -441,16 +441,23 @@ proptest! {
 
 mod engine_props {
     use super::*;
+    use alc_core::controller::{IncrementalSteps, IsParams, LoadController};
+    use alc_des::dist::Dist;
     use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
     use alc_tpsim::engine::Simulator;
     use alc_tpsim::workload::WorkloadConfig;
+    use alc_tpsim::{ClientConfig, RetryPolicy};
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
+        #![proptest_config(ProptestConfig::with_cases(240))]
 
-        /// For arbitrary small configurations the engine terminates,
-        /// conserves transactions, respects the bound, and produces finite
-        /// statistics.
+        /// For arbitrary small configurations (a static bound or an IS
+        /// controller displacing down to its own; a scheduled CC switch;
+        /// a CPU kill/restore pair; patient terminals or an impatient
+        /// client pool, backing off or hedging) the engine terminates,
+        /// keeps its books at every step, respects a static bound, and
+        /// produces finite statistics. In debug builds the lifecycle
+        /// writer's legal-edge check runs under all of it.
         #[test]
         fn engine_invariants_hold(
             seed in any::<u64>(),
@@ -459,15 +466,19 @@ mod engine_props {
             k in 1.0f64..10.0,
             write_frac in 0.0f64..1.0,
             cc_pick in 0usize..CcKind::ALL.len(),
+            displacing in any::<bool>(),
+            switch in (1_000.0f64..7_000.0, 0usize..CcKind::ALL.len()),
+            outage in (1_000.0f64..6_000.0, 100.0f64..1_500.0, 1i32..3),
+            clients in 0usize..3,
         ) {
             let cc = CcKind::ALL[cc_pick];
             let sys = SystemConfig {
                 terminals,
                 cpus: 2,
                 db_size: 200,
-                think: alc_des::dist::Dist::exponential(100.0),
-                disk_access: alc_des::dist::Dist::constant(2.0),
-                disk_init_commit: alc_des::dist::Dist::constant(20.0),
+                think: Dist::exponential(100.0),
+                disk_access: Dist::constant(2.0),
+                disk_init_commit: Dist::constant(20.0),
                 seed,
                 ..SystemConfig::default()
             };
@@ -476,6 +487,13 @@ mod engine_props {
                 write_frac: alc_analytic::surface::Schedule::Constant(write_frac),
                 ..WorkloadConfig::default()
             };
+            let controller = displacing.then(|| {
+                Box::new(IncrementalSteps::new(IsParams {
+                    initial_bound: bound,
+                    max_bound: 50,
+                    ..IsParams::default()
+                })) as Box<dyn LoadController>
+            });
             let mut sim = Simulator::new(
                 sys,
                 workload,
@@ -484,24 +502,52 @@ mod engine_props {
                     initial_bound: bound,
                     sample_interval_ms: 500.0,
                     warmup_ms: 0.0,
+                    displacement: displacing,
                     ..ControlConfig::default()
                 },
-                None,
+                controller,
             );
             sim.set_record_optimum(false);
-            let stats = sim.run_until(8_000.0);
-            prop_assert!(sim.gate().in_system() <= bound);
-            prop_assert!(stats.mean_mpl <= f64::from(bound) + 1e-9);
+            sim.set_cc_switches(&[(switch.0, CcKind::ALL[switch.1])]);
+            let (down_at, down_for, servers) = outage;
+            sim.set_faults(&[(down_at, -servers), (down_at + down_for, servers)]);
+            // Hedged pools own two slots per client.
+            let pool = match clients {
+                1 => Some((terminals, RetryPolicy::default())),
+                2 => Some((terminals / 2, RetryPolicy::Hedged { delay_ms: 30.0 })),
+                _ => None,
+            };
+            if let Some((population, retry)) = pool {
+                sim.set_clients(ClientConfig {
+                    retry,
+                    ..ClientConfig::new(population, Dist::exponential(400.0))
+                });
+            }
+            let mut stats = sim.run_until(0.0);
+            for slice in 1..=136 {
+                stats = sim.run_until(60.0 * f64::from(slice));
+                let [thinking, queued, running, blocked, restart_wait] = sim.txn_state_census();
+                prop_assert_eq!(sim.cc_in_flight() as usize, running + blocked);
+                prop_assert_eq!(
+                    sim.gate().in_system() as usize,
+                    running + blocked + restart_wait
+                );
+                prop_assert_eq!(sim.gate().queue_len(), queued);
+                prop_assert_eq!(
+                    thinking + queued + running + blocked + restart_wait,
+                    terminals as usize
+                );
+                if !displacing {
+                    prop_assert!(sim.gate().in_system() <= bound);
+                }
+            }
+            if !displacing {
+                prop_assert!(stats.mean_mpl <= f64::from(bound) + 1e-9);
+            }
             prop_assert!(stats.throughput_per_sec.is_finite());
             prop_assert!(stats.mean_response_ms >= 0.0);
             prop_assert!(stats.abort_ratio >= 0.0 && stats.abort_ratio <= 1.0);
             prop_assert!(stats.cpu_utilization >= 0.0 && stats.cpu_utilization <= 1.0 + 1e-9);
-            // Transaction conservation: every terminal slot is in exactly
-            // one place (thinking/queued/in-system) — implied by in_system
-            // + queue being bounded by the population.
-            prop_assert!(
-                sim.gate().in_system() + sim.gate().queue_len() as u32 <= terminals
-            );
         }
     }
 }
