@@ -6,10 +6,11 @@
 //! monotonically increasing sequence number), which keeps simulation runs
 //! deterministic regardless of queue internals.
 //!
-//! # Design: slab + bucketed rung, zero steady-state allocation
+//! # Design: slab + bucketed rung + FIFO lanes, zero steady-state allocation
 //!
 //! Payloads live in a slab of reusable slots threaded on a free list. The
-//! priority queue over them has three tiers (a one-rung ladder queue):
+//! priority queue over them has three tiers (a one-rung ladder queue),
+//! and beside it sits a fourth for events that need no sorting at all:
 //!
 //! * `far` — an unsorted pool of `(time, slot)` pairs for everything at
 //!   or beyond the end of the open window. Scheduling there is a push.
@@ -20,6 +21,13 @@
 //!   bucket index and two stores, and no bucket ever owns memory.
 //! * `current` — the one bucket being drained, as a small vector sorted
 //!   **descending** by `(time, seq)`, so the next event is its tail.
+//! * *lanes* — one FIFO queue per constant delay the model declares
+//!   ([`Calendar::lane`]). An event that fires a fixed delay after it was
+//!   scheduled fires in the order it was scheduled, so
+//!   [`Calendar::schedule_lane`] appends `(now + delay, seq, payload)` and
+//!   that is all: no slab slot, no bucket, no sort. The paper's model
+//!   gives the disk constant service times, which puts about half of all
+//!   events here.
 //!
 //! `schedule` therefore never searches, except for the few events that
 //! land in the bucket being drained (or before it, after a `peek_time`
@@ -50,13 +58,42 @@
 //! order events come out in: the bucket index is monotone in time, so
 //! the tiers partition the `(time, seq)` order whatever the width is.
 //!
+//! **The merge with the lanes is exact.** A lane entry takes its `seq`
+//! from the counter `schedule` uses and its time from the same
+//! `now + delay` that `schedule_in` computes, so it carries the key it
+//! would have had in the rung. The clock never runs backwards and `seq`
+//! only grows, so each lane is sorted by that key as it stands, and the
+//! earliest event overall is the smaller of the rung's next entry and the
+//! earliest lane head. `pop` compares exactly those two, after refilling
+//! `current` if it is empty while entries are filed behind it (an empty
+//! `current` says nothing about where the rung's next entry is). The
+//! earliest lane head is cached and recomputed only when a lane is
+//! popped or an empty lane receives an entry, so the merge costs a pop
+//! one compare, against a sentinel when no lane holds anything. Events
+//! come out in the order `schedule_in(delay, ..)` would have produced,
+//! ties included, whatever mix of the two calls put them in. Lane traffic
+//! is kept out of the width rule above: that measures how fast *filed*
+//! entries are consumed, and counting lane entries in would halve the
+//! bucket width for nothing.
+//!
+//! **No tokens on a lane.** A lane entry has no slab slot, so there is
+//! nothing for an [`EventToken`] to name and no tombstone to leave:
+//! `schedule_lane` returns nothing and a lane event cannot be cancelled.
+//! That fits the one client there is: the engine never cancels, it skips
+//! a stale event by its generation when it fires (real cancellation lost
+//! to that at the engine's displacement rates, PR 5).
+//!
 //! Tried and dropped: a slab-backed 4-ary indexed heap only matched the
 //! seed's `BinaryHeap` (PR 2); the two-tier list that followed (sorted
 //! `near` + unsorted `far`, `select_nth_unstable` + sort per refill,
 //! binary search + `Vec::insert` per near-horizon schedule) spent 56 % of
 //! the full catalog's CPU in this module (PR 13 profile); a `Vec` per
 //! bucket was as fast as the threaded lists but allocated in steady
-//! state and raised the catalog's peak RSS by a third. Not built: a
+//! state and raised the catalog's peak RSS by a third; a merge that
+//! looked at every lane's `VecDeque::front` on every pop gave the lanes'
+//! whole gain back (PR 18's prototype: 11.9–13.0 M engine events/s
+//! against 12.5–13.1 M without lanes, 13.1–14.5 M once the head was
+//! cached). Not built: a
 //! bitmap of non-empty buckets — at four entries per bucket under 2 % of
 //! them are empty, so there is next to nothing for it to skip.
 //!
@@ -68,6 +105,8 @@
 //! stale cancels can never leak bookkeeping (the seed design parked them
 //! in a cancel-set forever) nor kill an event that happens to reuse the
 //! slot.
+
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -82,8 +121,16 @@ pub struct EventToken {
     gen: u32,
 }
 
+/// Identifies a FIFO lane opened by [`Calendar::lane`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneId(usize);
+
 /// List terminator (free list and bucket lists).
 const NIL: u32 = u32::MAX;
+
+/// `lane_head` while every lane is empty. No entry has this key (the time
+/// half is a NaN pattern), and every entry's key is below it.
+const NO_LANE_HEAD: (u64, u64) = (u64::MAX, u64::MAX);
 
 /// Time buckets per window.
 const BUCKETS: usize = 256;
@@ -114,15 +161,20 @@ struct Entry {
     slot: u32,
 }
 
+/// Total-order sort key. Times are finite and non-negative, so the
+/// IEEE-754 bit pattern orders exactly like the float — one integer
+/// compare instead of a NaN-aware float compare. `+ 0.0` normalizes
+/// a `-0.0` (which `SimTime::new` accepts) to `+0.0`: its sign-bit
+/// pattern would otherwise sort *after* every positive time.
+#[inline]
+fn key(at: SimTime, seq: u64) -> (u64, u64) {
+    ((at.millis() + 0.0).to_bits(), seq)
+}
+
 impl Entry {
-    /// Total-order sort key. Times are finite and non-negative, so the
-    /// IEEE-754 bit pattern orders exactly like the float — one integer
-    /// compare instead of a NaN-aware float compare. `+ 0.0` normalizes
-    /// a `-0.0` (which `SimTime::new` accepts) to `+0.0`: its sign-bit
-    /// pattern would otherwise sort *after* every positive time.
     #[inline]
     fn key(&self) -> (u64, u64) {
-        ((self.at.millis() + 0.0).to_bits(), self.seq)
+        key(self.at, self.seq)
     }
 }
 
@@ -146,6 +198,24 @@ struct Slot<E> {
     payload: Option<E>,
 }
 
+/// A lane entry. The payload rides inline: no slab slot, so no token and
+/// no tombstone.
+struct LaneEntry<E> {
+    at: SimTime,
+    seq: u64,
+    payload: E,
+}
+
+/// One constant delay and the events waiting it out, oldest first. The
+/// clock never runs backwards and `seq` only grows, so the queue is
+/// sorted by `(time, seq)` without ever being sorted.
+struct Lane<E> {
+    delay: f64,
+    /// Key of `queue`'s front, [`NO_LANE_HEAD`] while it is empty.
+    head: (u64, u64),
+    queue: VecDeque<LaneEntry<E>>,
+}
+
 /// The future event list: a priority queue of `(time, payload)` pairs with
 /// FIFO tie-breaking and O(1) generational cancellation.
 pub struct Calendar<E> {
@@ -162,15 +232,29 @@ pub struct Calendar<E> {
     /// or drained calendar): every bucket index is then out of range, so
     /// everything scheduled collects in `far`.
     inv_width: f64,
-    /// Entries consumed (popped or reaped) when the window opened.
+    /// Filed entries popped or reaped so far: the width rule's measure of
+    /// the rung's traffic. Lane entries are not in it.
+    consumed: u64,
+    /// `consumed` when the window opened.
     consumed_at_open: u64,
     /// Events at or beyond the end of the window, unsorted.
     far: Vec<FarEntry>,
     slots: Vec<Slot<E>>,
     free_head: u32,
+    /// Shared by `schedule` and `schedule_lane`: one FIFO tie-break
+    /// across all four tiers.
     next_seq: u64,
-    /// Entries held, tombstones included.
-    len: usize,
+    /// Filed entries held (`far`, rung and `current`), tombstones
+    /// included.
+    filed: usize,
+    lanes: Vec<Lane<E>>,
+    /// Key of the earliest lane head, [`NO_LANE_HEAD`] while every lane is
+    /// empty; `lane_first` is the lane it sits on. Recomputed only when a
+    /// lane is popped or an empty lane receives an entry.
+    lane_head: (u64, u64),
+    lane_first: usize,
+    /// Entries held across all lanes.
+    lane_len: usize,
     now: SimTime,
 }
 
@@ -186,21 +270,28 @@ impl<E> Calendar<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty calendar with room for `cap` concurrently
-    /// scheduled events before any allocation happens.
+    /// Creates an empty calendar with room for `cap` concurrently filed
+    /// events ([`Calendar::schedule`]) before any allocation happens.
+    /// Lanes find their own size on first use.
     pub fn with_capacity(cap: usize) -> Self {
         Calendar {
-            current: Vec::with_capacity(cap),
+            // One bucket, and a bucket past `SPLIT_AT` is split.
+            current: Vec::with_capacity(cap.min(SPLIT_AT + 1)),
             heads: [NIL; BUCKETS],
             next_bucket: 0,
             start: 0.0,
             inv_width: f64::INFINITY,
+            consumed: 0,
             consumed_at_open: 0,
             far: Vec::with_capacity(cap),
             slots: Vec::with_capacity(cap),
             free_head: NIL,
             next_seq: 0,
-            len: 0,
+            filed: 0,
+            lanes: Vec::new(), // alc-lint: allow(hot-alloc, reason="construction-time; only Calendar::lane grows it, before the run")
+            lane_head: NO_LANE_HEAD,
+            lane_first: 0,
+            lane_len: 0,
             now: SimTime::ZERO,
         }
     }
@@ -224,7 +315,7 @@ impl<E> Calendar<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
+        self.filed += 1;
         let slot = if self.free_head != NIL {
             let slot = self.free_head;
             let s = &mut self.slots[slot as usize];
@@ -275,6 +366,48 @@ impl<E> Calendar<E> {
         self.schedule(self.now + delay, payload)
     }
 
+    /// Opens a FIFO lane for events that fire a constant `delay_ms` after
+    /// they are scheduled. Lanes are for a model's few fixed delays: each
+    /// one adds a compare to refreshing the cached lane head, so open one
+    /// per delay, not one per event source.
+    pub fn lane(&mut self, delay_ms: f64) -> LaneId {
+        assert!(
+            delay_ms.is_finite() && delay_ms >= 0.0,
+            "lane delay must be finite and non-negative, got {delay_ms}"
+        );
+        self.lanes.push(Lane {
+            delay: delay_ms,
+            head: NO_LANE_HEAD,
+            queue: VecDeque::new(),
+        });
+        LaneId(self.lanes.len() - 1)
+    }
+
+    /// Schedules `payload` to fire the lane's delay from now. The event
+    /// gets the firing time and sequence number `schedule_in(delay, ..)`
+    /// would have given it and so fires exactly when that one would, ties
+    /// included; it only costs less, an append here and a `pop_front`
+    /// later. There is no token: a lane entry cannot be cancelled.
+    /// `lane` must come from this calendar's [`Calendar::lane`].
+    #[inline]
+    pub fn schedule_lane(&mut self, lane: LaneId, payload: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.lane_len += 1;
+        let l = &mut self.lanes[lane.0];
+        let at = self.now + l.delay;
+        // Appending changes a lane's head only if the lane was empty, and
+        // only then can it change which lane is first.
+        if l.queue.is_empty() {
+            l.head = key(at, seq);
+            if l.head < self.lane_head {
+                self.lane_head = l.head;
+                self.lane_first = lane.0;
+            }
+        }
+        l.queue.push_back(LaneEntry { at, seq, payload });
+    }
+
     /// Marks a previously scheduled event as cancelled. O(1): the payload
     /// is dropped in place and the entry is reaped lazily. Cancelling an
     /// event that already fired (or was already cancelled) is a no-op —
@@ -305,28 +438,32 @@ impl<E> Calendar<E> {
     /// Tombstoned entries at the front are reaped on the way.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
-            while let Some(&tail) = self.current.last() {
-                if self.slots[tail.slot as usize].payload.is_some() {
-                    return Some(tail.at);
+            match self.current.last().copied() {
+                Some(tail) if tail.key() < self.lane_head => {
+                    if self.slots[tail.slot as usize].payload.is_some() {
+                        return Some(tail.at);
+                    }
+                    self.current.pop();
+                    self.free_slot(tail.slot);
                 }
-                self.current.pop();
-                self.free_slot(tail.slot);
-            }
-            if !self.advance() {
-                return None;
+                None if self.advance() => {}
+                // With every lane empty `lane_first` is stale, but then
+                // the lane it names is as empty as the rest.
+                _ => return Some(self.lanes.get(self.lane_first)?.queue.front()?.at),
             }
         }
     }
 
-    /// Number of scheduled entries, including not-yet-reaped cancelled ones.
+    /// Number of scheduled entries, lanes included, and including
+    /// not-yet-reaped cancelled ones.
     pub fn len(&self) -> usize {
-        self.len
+        self.filed + self.lane_len
     }
 
     /// True if no entries are scheduled (cancelled-but-unreaped entries
     /// still count, matching [`Calendar::len`]).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Slab slots ever allocated. Steady-state workloads plateau here —
@@ -335,24 +472,57 @@ impl<E> Calendar<E> {
         self.slots.len()
     }
 
+    /// The merge of the filed tiers with the lanes. `current` is refilled
+    /// before a lane head may go (an empty `current` with entries filed
+    /// behind it says nothing about where the earliest filed entry is),
+    /// then its tail is held against the one cached lane key: with no
+    /// lane entry waiting, that is a sentinel every key is below.
     #[inline]
     fn pop_through(&mut self, limit: f64) -> Option<(SimTime, E)> {
         loop {
-            while let Some(&tail) = self.current.last() {
-                if tail.at.millis() > limit {
-                    return None;
+            match self.current.last().copied() {
+                Some(tail) if tail.key() < self.lane_head => {
+                    if tail.at.millis() > limit {
+                        return None;
+                    }
+                    self.current.pop();
+                    if let Some(payload) = self.free_slot(tail.slot) {
+                        debug_assert!(tail.at >= self.now, "calendar time went backwards");
+                        self.now = tail.at;
+                        return Some((tail.at, payload));
+                    }
                 }
-                self.current.pop();
-                if let Some(payload) = self.free_slot(tail.slot) {
-                    debug_assert!(tail.at >= self.now, "calendar time went backwards");
-                    self.now = tail.at;
-                    return Some((tail.at, payload));
-                }
-            }
-            if !self.advance() {
-                return None;
+                None if self.advance() => {}
+                _ => return self.pop_lane(limit),
             }
         }
+    }
+
+    /// Pops the earliest lane head, the caller having found no filed
+    /// entry ahead of it.
+    #[inline]
+    fn pop_lane(&mut self, limit: f64) -> Option<(SimTime, E)> {
+        // The cached key carries the head's firing time.
+        if self.lane_len == 0 || f64::from_bits(self.lane_head.0) > limit {
+            return None;
+        }
+        let lane = &mut self.lanes[self.lane_first];
+        let LaneEntry { at, payload, .. } = lane.queue.pop_front()?;
+        lane.head = lane
+            .queue
+            .front()
+            .map_or(NO_LANE_HEAD, |next| key(next.at, next.seq));
+        self.lane_len -= 1;
+        self.lane_head = NO_LANE_HEAD;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if lane.head < self.lane_head {
+                self.lane_head = lane.head;
+                self.lane_first = i;
+            }
+        }
+        debug_assert!(at >= self.now, "calendar time went backwards");
+        self.now = at;
+        Some((at, payload))
     }
 
     /// Takes the entry in `slot` out of the calendar: returns its payload
@@ -360,7 +530,8 @@ impl<E> Calendar<E> {
     /// invalidating outstanding tokens via the generation bump.
     #[inline]
     fn free_slot(&mut self, slot: u32) -> Option<E> {
-        self.len -= 1;
+        self.filed -= 1;
+        self.consumed += 1;
         let s = &mut self.slots[slot as usize];
         let payload = s.payload.take();
         s.gen = s.gen.wrapping_add(1);
@@ -383,9 +554,17 @@ impl<E> Calendar<E> {
 
     /// Refills the drained `current` from the next non-empty bucket,
     /// opening new windows as needed. Returns `false` when nothing is
-    /// scheduled any more.
+    /// filed any more, and closes the window: with lanes busy beside an
+    /// idle rung that happens on every pop, so it must not cost a walk
+    /// over the empty buckets.
     fn advance(&mut self) -> bool {
         debug_assert!(self.current.is_empty());
+        if self.filed == 0 {
+            self.next_bucket = 0;
+            self.start = 0.0;
+            self.inv_width = f64::INFINITY;
+            return false;
+        }
         loop {
             while self.next_bucket < BUCKETS {
                 let bucket = self.next_bucket;
@@ -394,12 +573,7 @@ impl<E> Calendar<E> {
                     return true;
                 }
             }
-            if self.far.is_empty() {
-                self.next_bucket = 0;
-                self.start = 0.0;
-                self.inv_width = f64::INFINITY;
-                return false;
-            }
+            // Something is filed and it is in no bucket: it is in `far`.
             self.open_window();
         }
     }
@@ -490,7 +664,7 @@ impl<E> Calendar<E> {
         // else (no window before this one) from the density of `far`,
         // else (all of it at one instant) anything finite.
         let usable = |inv: f64| inv.is_finite() && inv > 0.0;
-        let consumed = self.next_seq - self.len as u64 - self.consumed_at_open;
+        let consumed = self.consumed - self.consumed_at_open;
         let observed = consumed as f64 / (PER_BUCKET * (start - self.start));
         let density = self.far.len() as f64 / (PER_BUCKET * (end - start));
         let inv_width = if usable(self.inv_width) && usable(observed) {
@@ -510,7 +684,7 @@ impl<E> Calendar<E> {
     fn file_far(&mut self, start: f64, inv_width: f64) {
         self.start = start;
         self.inv_width = inv_width;
-        self.consumed_at_open = self.next_seq - self.len as u64;
+        self.consumed_at_open = self.consumed;
         self.next_bucket = 0;
         let mut kept = 0;
         for i in 0..self.far.len() {
@@ -952,5 +1126,204 @@ mod tests {
         assert_eq!(cal.pop_until(t(30.0)), Some((t(30.0), "c")));
         assert_eq!(cal.pop_until(t(1.0e9)), None);
         assert!(cal.is_empty());
+    }
+
+    // ---- lanes ---------------------------------------------------------
+
+    fn drain<E>(cal: &mut Calendar<E>) -> Vec<E> {
+        std::iter::from_fn(|| cal.pop()).map(|(_, e)| e).collect()
+    }
+
+    /// A lane entry and a filed entry at one instant fire in the order
+    /// they were scheduled, whichever of the two came first.
+    #[test]
+    fn lane_and_filed_ties_fire_in_seq_order() {
+        let mut cal = Calendar::new();
+        let lane = cal.lane(5.0);
+        cal.schedule_lane(lane, 0);
+        cal.schedule(t(5.0), 1);
+        cal.schedule_in(5.0, 2);
+        cal.schedule_lane(lane, 3);
+        cal.schedule(t(5.0), 4);
+        assert_eq!(drain(&mut cal), vec![0, 1, 2, 3, 4]);
+        assert_eq!(cal.now(), t(5.0));
+        // The same from a standing clock, the filed entry first, and with
+        // a second lane of the same delay in the tie.
+        let twin = cal.lane(5.0);
+        cal.schedule(t(10.0), 5);
+        cal.schedule_lane(lane, 6);
+        cal.schedule_lane(twin, 7);
+        cal.schedule_lane(lane, 8);
+        cal.schedule(t(10.0), 9);
+        cal.schedule_lane(twin, 10);
+        assert_eq!(drain(&mut cal), vec![5, 6, 7, 8, 9, 10]);
+    }
+
+    /// A limit between the lane head and the rung head, either way round:
+    /// the earlier one fires, the later one stays and so does the clock.
+    #[test]
+    fn pop_until_between_a_lane_head_and_the_rung_head() {
+        let mut cal = Calendar::new();
+        let lane = cal.lane(5.0);
+        cal.schedule_lane(lane, "lane");
+        cal.schedule(t(10.0), "filed");
+        assert_eq!(cal.pop_until(t(4.0)), None);
+        assert_eq!(cal.now(), SimTime::ZERO);
+        assert_eq!(cal.pop_until(t(7.0)), Some((t(5.0), "lane")));
+        assert_eq!(cal.pop_until(t(7.0)), None);
+        assert_eq!((cal.now(), cal.len()), (t(5.0), 1));
+        assert_eq!(cal.pop_until(t(10.0)), Some((t(10.0), "filed")));
+
+        cal.schedule_in(2.0, "filed");
+        cal.schedule_lane(lane, "lane");
+        assert_eq!(cal.pop_until(t(11.0)), None);
+        assert_eq!(cal.pop_until(t(13.0)), Some((t(12.0), "filed")));
+        assert_eq!(cal.pop_until(t(13.0)), None);
+        assert_eq!((cal.now(), cal.len()), (t(12.0), 1));
+        assert_eq!(cal.pop_until(t(15.0)), Some((t(15.0), "lane")));
+        assert!(cal.is_empty());
+    }
+
+    #[test]
+    fn peek_time_sees_lanes_and_rung() {
+        let mut cal = Calendar::new();
+        let slow = cal.lane(50.0);
+        let fast = cal.lane(5.0);
+        assert_eq!(cal.peek_time(), None);
+        // Lanes only: the earliest head, not the first lane's.
+        cal.schedule_lane(slow, 0);
+        assert_eq!(cal.peek_time(), Some(t(50.0)));
+        cal.schedule_lane(fast, 1);
+        assert_eq!(cal.peek_time(), Some(t(5.0)));
+        assert_eq!(drain(&mut cal), vec![1, 0]);
+        // Rung only.
+        cal.schedule(t(70.0), 2);
+        assert_eq!(cal.peek_time(), Some(t(70.0)));
+        // Both, the lane head behind the rung's, then ahead of it.
+        cal.schedule_lane(slow, 3);
+        assert_eq!(cal.peek_time(), Some(t(70.0)));
+        cal.schedule_lane(fast, 4);
+        assert_eq!(cal.peek_time(), Some(t(55.0)));
+        // Then an earlier schedule, and a tombstone in front of it all.
+        cal.schedule(t(52.0), 5);
+        assert_eq!(cal.peek_time(), Some(t(52.0)));
+        let dead = cal.schedule(t(51.0), -1);
+        cal.cancel(dead);
+        assert_eq!(cal.peek_time(), Some(t(52.0)));
+        assert_eq!(cal.now(), t(50.0), "peeking leaves the clock alone");
+        assert_eq!(drain(&mut cal), vec![5, 4, 2, 3]);
+    }
+
+    #[test]
+    fn lane_only_calendar_drains_and_reports_empty() {
+        let mut cal = Calendar::new();
+        let lanes = [cal.lane(3.0), cal.lane(1.0), cal.lane(2.0)];
+        assert!(cal.is_empty() && cal.pop().is_none());
+        for round in 0..4 {
+            for (i, &lane) in lanes.iter().enumerate() {
+                cal.schedule_lane(lane, 10 * round + i);
+            }
+            assert!(!cal.is_empty());
+            assert_eq!(cal.len(), 3);
+            assert_eq!(
+                drain(&mut cal),
+                vec![10 * round + 1, 10 * round + 2, 10 * round]
+            );
+            assert!(cal.is_empty() && cal.pop().is_none() && cal.peek_time().is_none());
+        }
+        assert_eq!(cal.slot_capacity(), 0, "lane entries take no slab slot");
+    }
+
+    /// A `-0.0` delay on a clock standing at `-0.0` gives a `-0.0` firing
+    /// time, which must tie with `0.0` (FIFO) and not sort behind every
+    /// positive time, as its bit pattern would.
+    #[test]
+    fn negative_zero_lane_delay() {
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime::new(-0.0), "start");
+        assert_eq!(cal.pop().unwrap().1, "start");
+        assert!(cal.now().millis().is_sign_negative());
+        let lane = cal.lane(-0.0);
+        cal.schedule(t(0.0), "filed a");
+        cal.schedule_lane(lane, "lane b");
+        cal.schedule(t(1.0), "later");
+        cal.schedule(SimTime::new(-0.0), "filed c");
+        assert_eq!(cal.peek_time(), Some(t(0.0)));
+        assert_eq!(cal.pop_until(t(0.0)).unwrap().1, "filed a");
+        assert_eq!(cal.pop_until(t(0.0)).unwrap().1, "lane b");
+        assert_eq!(drain(&mut cal), vec!["filed c", "later"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane delay must be finite and non-negative")]
+    fn rejects_a_negative_lane_delay() {
+        Calendar::<()>::new().lane(-1.0);
+    }
+
+    /// Tombstones are a matter of the filed tiers: cancelling around busy
+    /// lanes kills exactly the cancelled events, and `len` counts lane
+    /// entries, live filed entries and unreaped tombstones alike.
+    #[test]
+    fn cancelling_filed_entries_while_lanes_are_busy() {
+        let mut cal = Calendar::new();
+        let lane = cal.lane(0.5);
+        let tokens: Vec<_> = (0..30).map(|i| cal.schedule(t(f64::from(i)), i)).collect();
+        tokens.iter().step_by(3).for_each(|tok| cal.cancel(*tok));
+        assert_eq!(cal.len(), 30, "tombstones count until reaped");
+        // Every filed event puts two on the lane, half a millisecond out.
+        let mut fired = Vec::new();
+        while let Some((at, e)) = cal.pop() {
+            fired.push(e);
+            if e < 100 {
+                assert_eq!(at, t(f64::from(e)));
+                cal.schedule_lane(lane, 100 + e);
+                cal.schedule_lane(lane, 200 + e);
+            }
+            if e == 10 {
+                cal.cancel(tokens[20]);
+                cal.cancel(tokens[1]); // fired long ago: a no-op
+                assert_eq!(cal.len(), 19 + 2, "filed 11..30, two lane entries");
+            }
+        }
+        let expect: Vec<_> = (0..30)
+            .filter(|e| e % 3 != 0 && *e != 20)
+            .flat_map(|e| [e, 100 + e, 200 + e])
+            .collect();
+        assert_eq!(fired, expect);
+        assert!(cal.is_empty());
+    }
+
+    /// The width rule measures the rung's own traffic. The filed stream
+    /// of `warmed` with three lane events beside each filed one must
+    /// open the same windows with the same widths: counted in, the lane
+    /// traffic would quadruple the rate and quarter the bucket width.
+    #[test]
+    fn lane_traffic_stays_out_of_the_width_rule() {
+        let (plain, _) = warmed();
+        let mut cal = Calendar::new();
+        let lane = cal.lane(0.25);
+        cal.schedule(t(0.0), 0);
+        let mut lane_pops = 0;
+        loop {
+            let (_, e) = cal.pop().expect("one filed event is always pending");
+            if e < 0 {
+                lane_pops += 1;
+                continue;
+            }
+            if e == 5_000 {
+                break;
+            }
+            cal.schedule(t(f64::from(e + 1)), e + 1);
+            (0..3).for_each(|_| cal.schedule_lane(lane, -1));
+            if e == 4_999 {
+                // `warmed` stops here, its last event still pending.
+                assert_eq!(
+                    (cal.start, cal.inv_width, cal.next_bucket),
+                    (plain.start, plain.inv_width, plain.next_bucket)
+                );
+                assert_eq!(cal.inv_width, 1.0 / PER_BUCKET);
+            }
+        }
+        assert_eq!(lane_pops, 3 * 5_000);
     }
 }

@@ -275,6 +275,17 @@ impl Dist {
     pub fn exponential_fast(mean: f64) -> Self {
         Dist::ExpZig(ExpZig::with_mean(mean))
     }
+    /// The value every draw returns, if this is a [`Dist::Constant`]: a
+    /// delay that can ride a calendar lane
+    /// ([`Calendar::lane`](crate::Calendar::lane)). A degenerate
+    /// `Uniform { lo: d, hi: d }` is not one: it returns `d` too, but
+    /// consumes a draw each time.
+    pub fn as_constant(&self) -> Option<f64> {
+        match self {
+            Dist::Constant(Constant(v)) => Some(*v),
+            _ => None,
+        }
+    }
 }
 
 impl Sample for Dist {
@@ -371,6 +382,21 @@ mod tests {
             assert_eq!(d.sample(&mut rng), 25.0);
         }
         assert_eq!(d.mean(), 25.0);
+    }
+
+    /// Only a draw-free distribution may ride a calendar lane. The
+    /// degenerate uniform returns its one value exactly and still draws:
+    /// the engine's lane-against-rung test is built on that pair.
+    #[test]
+    fn as_constant_is_for_constants_only() {
+        assert_eq!(Dist::constant(4.0).as_constant(), Some(4.0));
+        assert_eq!(Dist::exponential(4.0).as_constant(), None);
+        let degenerate = Dist::Uniform(Uniform { lo: 4.0, hi: 4.0 });
+        assert_eq!(degenerate.as_constant(), None);
+        let (mut rng, mut untouched) = (RngStream::from_seed(1), RngStream::from_seed(1));
+        assert_eq!(degenerate.sample(&mut rng), 4.0);
+        assert_eq!(Dist::constant(4.0).sample(&mut untouched), 4.0);
+        assert_ne!(rng.next_u64(), untouched.next_u64(), "the uniform drew");
     }
 
     #[test]

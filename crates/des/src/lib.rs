@@ -36,5 +36,5 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use calendar::{Calendar, EventToken};
+pub use calendar::{Calendar, EventToken, LaneId};
 pub use time::SimTime;

@@ -6,7 +6,9 @@
 //! [`Calendar`]. After warm-up (slab, far pool and current bucket at
 //! working-set capacity), *no* operation may touch the allocator:
 //! scheduling reuses free-list slots, cancellation tombstones in place,
-//! and pops reap without any side-table traffic.
+//! and pops reap without any side-table traffic. A third stream sends
+//! half its events down two FIFO lanes, whose queues must likewise have
+//! found their size by then.
 //!
 //! Kept as its own integration-test binary so the global allocator
 //! cannot race with unrelated tests, and built with `harness = false`:
@@ -116,15 +118,65 @@ fn bimodal(i: usize) -> f64 {
     }
 }
 
+const WARMUP_OPS: usize = 20_000;
+const MEASURED_OPS: usize = 100_000;
+
 fn main() {
     gate("uniform", uniform);
     gate("bimodal", bimodal);
+    lanes_gate();
+}
+
+/// The engine's shape: every other successor rides a lane (one in ten of
+/// those the slow one) while the rest, bimodal, go through the rung.
+fn lanes_gate() {
+    let mut cal: Calendar<Payload> = Calendar::with_capacity(POPULATION);
+    let lanes = [cal.lane(4.0), cal.lane(150.0)];
+    for txn in 0..POPULATION {
+        let at = SimTime::new(1.0 + (txn % 97) as f64);
+        cal.schedule(
+            at,
+            Payload {
+                txn,
+                _generation: 0,
+            },
+        );
+    }
+    let mut churn = |ops: std::ops::Range<usize>| {
+        for i in ops {
+            let (_, p) = cal.pop().expect("standing population never drains");
+            let next = Payload {
+                txn: p.txn,
+                _generation: i as u64,
+            };
+            if i % 2 == 0 {
+                cal.schedule_lane(lanes[usize::from(i % 20 == 0)], next);
+            } else {
+                cal.schedule_in(bimodal(i), next);
+            }
+        }
+    };
+    churn(0..WARMUP_OPS);
+    let before = allocations();
+    churn(WARMUP_OPS..WARMUP_OPS + MEASURED_OPS);
+    let after = allocations();
+
+    assert_eq!(
+        after - before,
+        0,
+        "calendar hot path allocated {} times over {MEASURED_OPS} steady-state ops (two lanes)",
+        after - before
+    );
+    assert_eq!(cal.len(), POPULATION);
+    assert_eq!(
+        cal.slot_capacity(),
+        POPULATION,
+        "the slab outgrew the initial population: lane entries took slots"
+    );
+    println!("alloc_gate ok: calendar churn allocation-free (two lanes beside the rung)");
 }
 
 fn gate(name: &str, delay: fn(usize) -> f64) {
-    const WARMUP_OPS: usize = 20_000;
-    const MEASURED_OPS: usize = 100_000;
-
     // Generous capacity: the live population plus in-flight tombstones
     // stay far below this, so post-warm-up growth would be a real leak.
     let mut cal: Calendar<Payload> = Calendar::with_capacity(4 * POPULATION);

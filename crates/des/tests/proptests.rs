@@ -174,19 +174,23 @@ proptest! {
     /// and zero delays, sub-millisecond to 4 ms service bursts, 1 s think
     /// times and outliers 100× beyond those, so that windows are opened
     /// with widths misjudged in both directions and buckets get split.
+    /// Up to three FIFO lanes open along the way, with delays from the
+    /// same scales (two of them may share one); to the model an event
+    /// scheduled on a lane is one inserted at `now + delay` with the next
+    /// `seq`, like any other.
     #[test]
     fn calendar_matches_oracle_under_interleaving(
-        ops in prop::collection::vec((0u8..5, 0usize..6, 0u32..50, 0usize..64), 1..600),
+        ops in prop::collection::vec((0u8..8, 0usize..6, 0u32..50, 0usize..64), 1..600),
     ) {
         const SCALES: [f64; 6] = [1.0, 0.0, 0.003, 0.08, 20.0, 2000.0];
         // Oracle: (time, seq, id, alive); pop = min (time, seq) among alive.
         let mut oracle: Vec<(f64, u64, usize, bool)> = Vec::new();
         let mut oracle_now = 0.0f64;
-        let mut seq = 0u64;
 
         let mut cal = Calendar::new();
+        // Tokens of the filed events, each with its oracle entry.
         let mut tokens = Vec::new();
-        let mut next_id = 0usize;
+        let mut lanes = Vec::new();
 
         for (kind, scale, time, pick) in ops {
             let next_live = |oracle: &[(f64, u64, usize, bool)]| {
@@ -197,24 +201,23 @@ proptest! {
                     .min_by(|(_, a), (_, b)| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap())
                     .map(|(i, e)| (i, e.0, e.2))
             };
+            // Every event's id is its oracle index, which is its `seq`.
+            let id = oracle.len();
+            let span = f64::from(time) * SCALES[scale];
             match kind {
                 // Schedule at `now + time · scale`.
                 0 | 1 => {
-                    let at = oracle_now + f64::from(time) * SCALES[scale];
-                    tokens.push(cal.schedule(SimTime::new(at), next_id));
-                    oracle.push((at, seq, next_id, true));
-                    seq += 1;
-                    next_id += 1;
+                    let at = oracle_now + span;
+                    tokens.push((cal.schedule(SimTime::new(at), id), id));
+                    oracle.push((at, id as u64, id, true));
                 }
                 // Cancel some previously issued token (may be stale).
                 2 => {
                     if !tokens.is_empty() {
-                        let idx = pick % tokens.len();
-                        cal.cancel(tokens[idx]);
-                        // Oracle: kill entry idx iff it has not fired yet.
-                        if oracle[idx].3 {
-                            oracle[idx].3 = false;
-                        }
+                        let (token, idx) = tokens[pick % tokens.len()];
+                        cal.cancel(token);
+                        // Oracle: kill the entry iff it has not fired yet.
+                        oracle[idx].3 = false;
                     }
                 }
                 // Peek: the clock stays put.
@@ -223,10 +226,30 @@ proptest! {
                     prop_assert_eq!(cal.peek_time(), expect);
                     prop_assert_eq!(cal.now(), SimTime::new(oracle_now));
                 }
-                // Pop.
+                // Open a lane (every fourth with the delay of one that is
+                // open already); once three are open, schedule on one.
+                5 | 6 => {
+                    if kind == 5 && lanes.len() < 3 {
+                        let delay = match lanes.get(pick / 4 % 3) {
+                            Some(&(_, shared)) if pick % 4 == 0 => shared,
+                            _ => span,
+                        };
+                        lanes.push((cal.lane(delay), delay));
+                    } else if !lanes.is_empty() {
+                        let (lane, delay) = lanes[pick % lanes.len()];
+                        cal.schedule_lane(lane, id);
+                        oracle.push((oracle_now + delay, id as u64, id, true));
+                    }
+                }
+                // Pop (4), or pop up to `now + time · scale` (7).
                 _ => {
-                    let expect = next_live(&oracle);
-                    let got = cal.pop();
+                    let limit = if kind == 7 { oracle_now + span } else { f64::INFINITY };
+                    let expect = next_live(&oracle).filter(|&(_, at, _)| at <= limit);
+                    let got = if kind == 7 {
+                        cal.pop_until(SimTime::new(limit))
+                    } else {
+                        cal.pop()
+                    };
                     match (expect, got) {
                         (None, None) => {}
                         (Some((i, at, id)), Some((t, e))) => {
@@ -237,6 +260,7 @@ proptest! {
                         }
                         (exp, got) => panic!("oracle {exp:?} vs calendar {got:?}"),
                     }
+                    prop_assert_eq!(cal.now(), SimTime::new(oracle_now));
                 }
             }
         }
@@ -253,5 +277,6 @@ proptest! {
             prop_assert_eq!(e, id);
         }
         prop_assert!(cal.pop().is_none());
+        prop_assert!(cal.is_empty());
     }
 }

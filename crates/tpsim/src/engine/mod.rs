@@ -66,10 +66,10 @@ pub use switch::SwitchEvent;
 use alc_core::controller::LoadController;
 use alc_core::gatelog::{GateEvent, GateLogSink};
 use alc_core::sampler::IntervalSampler;
-use alc_des::dist::Sample as _;
+use alc_des::dist::{Dist, Sample as _};
 use alc_des::rng::RngStream;
 use alc_des::stats::TimeWeighted;
-use alc_des::{Calendar, SimTime};
+use alc_des::{Calendar, LaneId, SimTime};
 use alc_trace::{name as tname, TraceSink};
 
 use crate::cc::{AccessOutcome, ConcurrencyControl};
@@ -156,12 +156,43 @@ struct Streams {
     retry_jitter: RngStream,
 }
 
+/// The calendar lane of each model delay that the spec makes a constant
+/// (§7's disk has "constant service times and no contention"); `None`
+/// where it gives a distribution that draws.
+struct Lanes {
+    disk_access: Option<LaneId>,
+    disk_init_commit: Option<LaneId>,
+    restart: Option<LaneId>,
+}
+
+/// Schedules `ev` one draw of `dist` from now and returns the delay:
+/// through `lane` if the constructor opened one for this delay, through
+/// the rung otherwise. The firing order is the same either way.
+#[inline]
+fn schedule_after(
+    cal: &mut Calendar<Event>,
+    lane: Option<LaneId>,
+    dist: &Dist,
+    rng: &mut RngStream,
+    ev: Event,
+) -> f64 {
+    let delay = dist.sample(rng);
+    match lane {
+        Some(lane) => cal.schedule_lane(lane, ev),
+        None => {
+            cal.schedule_in(delay, ev);
+        }
+    }
+    delay
+}
+
 /// The §7 transaction processing system simulator.
 pub struct Simulator {
     sys: SystemConfig,
     workload: WorkloadConfig,
     control: ControlConfig,
     cal: Calendar<Event>,
+    lanes: Lanes,
     txns: Vec<Txn>,
     cc: Box<dyn ConcurrencyControl>,
     cpu: CpuStation,
@@ -556,13 +587,14 @@ impl Simulator {
                 stage: Stage::Disk,
             };
             let k = self.txns[i].k();
-            let d = if phase >= 1 && phase <= k {
-                self.sys.disk_access.sample(&mut self.rng.disk)
+            let (lane, dist) = if phase >= 1 && phase <= k {
+                (self.lanes.disk_access, &self.sys.disk_access)
             } else {
-                self.sys.disk_init_commit.sample(&mut self.rng.disk)
+                (self.lanes.disk_init_commit, &self.sys.disk_init_commit)
             };
+            let done = Event::DiskDone { txn: i, generation };
+            let d = schedule_after(&mut self.cal, lane, dist, &mut self.rng.disk, done);
             self.tr_burst(tname::DISK, i, d);
-            self.cal.schedule_in(d, Event::DiskDone { txn: i, generation });
         } else {
             debug_assert!(false, "CpuDone for a non-running transaction");
         }
@@ -701,10 +733,14 @@ impl Simulator {
         match mode {
             RestartMode::Delayed => {
                 self.set_state(i, TxnState::RestartWait, "abort");
-                let d = self.sys.restart_delay.sample(&mut self.rng.restart);
                 let generation = self.txns[i].generation;
-                self.cal
-                    .schedule_in(d, Event::RestartBegin { txn: i, generation });
+                schedule_after(
+                    &mut self.cal,
+                    self.lanes.restart,
+                    &self.sys.restart_delay,
+                    &mut self.rng.restart,
+                    Event::RestartBegin { txn: i, generation },
+                );
             }
             RestartMode::Displaced => {
                 self.window.displaced += 1;

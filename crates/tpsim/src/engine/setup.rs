@@ -5,14 +5,14 @@ use alc_core::controller::LoadController;
 use alc_core::gatelog::GateLogSink;
 use alc_core::meta::MetaPolicy;
 use alc_core::sampler::IntervalSampler;
-use alc_des::dist::Sample as _;
+use alc_des::dist::{Dist, Sample as _};
 use alc_des::rng::SeedFactory;
 use alc_des::stats::TimeWeighted;
 use alc_des::{Calendar, SimTime};
 
 use super::control::Window;
 use super::switch::MetaCc;
-use super::{station, Event, Simulator, Streams, Trajectories};
+use super::{station, Event, Lanes, Simulator, Streams, Trajectories};
 use crate::cc::make_cc;
 use crate::client::{ClientConfig, ClientPool, ClientStats, RetryPolicy};
 use crate::config::{ArrivalProcess, CcKind, ControlConfig, SystemConfig};
@@ -38,10 +38,25 @@ impl Simulator {
             .as_ref()
             .map_or(control.initial_bound, |c| c.current_bound());
         let slots = sys.terminals as usize;
+        // Room to file one event per slot beside a Sample and an Arrival.
+        // A slot has at most one live event in flight and the lanes take
+        // about half of those, which leaves the other half of the room to
+        // the stale events of aborted runs. A model that files more (no
+        // constant delays, a client pool's timers) finds its size during
+        // warm-up.
+        let mut cal = Calendar::with_capacity(slots + 8);
+        // A lane for each delay the spec makes a constant. Nothing else
+        // selects them, and both paths run in every simulation: CPU
+        // bursts and think times stay on the rung.
+        let mut lane = |delay: &Dist| delay.as_constant().map(|ms| cal.lane(ms));
+        let lanes = Lanes {
+            disk_access: lane(&sys.disk_access),
+            disk_init_commit: lane(&sys.disk_init_commit),
+            restart: lane(&sys.restart_delay),
+        };
         let mut sim = Simulator {
-            // Every slot has at most one in-flight event plus a Sample and
-            // an Arrival; capacity beyond that only ever holds tombstones.
-            cal: Calendar::with_capacity(2 * slots + 8),
+            cal,
+            lanes,
             txns: (0..sys.terminals).map(|_| Txn::new()).collect(), // alc-lint: allow(hot-alloc, reason="construction-time slot allocation")
             cc: make_cc(cc_kind, slots, sys.db_size as usize),
             cc_kind,

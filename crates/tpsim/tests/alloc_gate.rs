@@ -13,9 +13,10 @@
 //!   per-item `wts` table and the validate-time dedup set are
 //!   direct-indexed, db-sized arrays (no `HashMap`/`HashSet` on the
 //!   access or validation path).
-//! * [`Mvto`] — the version store is a direct-indexed, db-sized chain
-//!   table; retention-capped chains and recycled read/write buffers keep
-//!   the commit path off the allocator.
+//! * [`Mvto`] — the version store is a direct-indexed, db-sized header
+//!   table over one version arena; retention-capped chains keep their
+//!   blocks and recycled read/write buffers keep the commit path off the
+//!   allocator.
 //!
 //! Kept as its own integration-test binary so the global allocator
 //! cannot race with unrelated tests, and built with `harness = false`:
