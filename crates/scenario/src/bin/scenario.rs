@@ -7,6 +7,7 @@
 //! scenario validate <spec.json>...
 //! scenario replay <spec.json> <log.jsonl>...
 //! scenario list [DIR]
+//! scenario figure [--quick] [--out DIR] <all | list | fig01 fig12 ...>
 //! ```
 //!
 //! `run` prints each scenario's report table and writes `<name>.csv`
@@ -24,16 +25,20 @@
 //! `alc-runtime` control core and requires the re-derived decision
 //! sequence to match the recorded one byte-for-byte (exit 1 on
 //! divergence). `list` summarizes a directory of specs (default
-//! `scenarios/`).
+//! `scenarios/`). `figure` regenerates the paper's figures from the
+//! catalog in `alc_scenario::figures`: the engine figures run their spec
+//! under `scenarios/` and print the paper's table, chart and
+//! paper-vs-measured notes.
 
 use std::path::{Path, PathBuf};
 
 use alc_scenario::compile::RunPlan;
+use alc_scenario::figures::{self, CATALOG};
 use alc_scenario::{parse_set_arg, spec::StatColumn, LoadedSpec, SpecError};
 use serde::Value;
 
 fn usage() {
-    println!("usage: scenario <run | trace | report | validate | replay | list> ...");
+    println!("usage: scenario <run | trace | report | validate | replay | list | figure> ...");
     println!();
     println!("  run [--quick] [--out DIR] [--gate-log DIR] [--set path=value]... <spec.json>...");
     println!("      execute specs; tables to stdout, CSVs to --out (default results/)");
@@ -52,6 +57,9 @@ fn usage() {
     println!("      exit 1 unless every decision sequence matches byte-for-byte");
     println!("  list [DIR]");
     println!("      summarize the specs in DIR (default scenarios/)");
+    println!("  figure [--quick] [--out DIR] <all | list | fig01 fig12 ...>");
+    println!("      regenerate the paper's figures (`list` prints the catalog); the engine");
+    println!("      figures run scenarios/<id>.json, so run from the repository root");
     println!();
     println!("  --quick   apply each spec's `quick` overrides (CI scale)");
     println!("  --gate-log  also write one replayable gate log per run into DIR");
@@ -426,6 +434,59 @@ fn cmd_list(args: &[String]) {
     }
 }
 
+fn cmd_figure(args: &[String]) {
+    let mut quick = false;
+    let mut out_dir = PathBuf::from("results");
+    // Every id resolves here, before any output lands on disk.
+    let mut selected: Vec<&figures::Figure> = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--help" | "-h" => return usage(),
+            "--quick" => quick = true,
+            "--out" => out_dir = flag_value(&mut it, a, "a directory"),
+            "list" => {
+                for (id, title, _) in &CATALOG {
+                    println!("{id:<18} {title}");
+                }
+                return;
+            }
+            "all" => selected.extend(&CATALOG),
+            other if other.starts_with('-') => {
+                eprintln!("unknown flag {other}");
+                std::process::exit(2);
+            }
+            other => match CATALOG.iter().find(|(id, _, _)| *id == other) {
+                Some(fig) => selected.push(fig),
+                None => {
+                    eprintln!("unknown figure `{other}` — try `scenario figure list`");
+                    std::process::exit(2);
+                }
+            },
+        }
+    }
+    if selected.is_empty() {
+        usage();
+        eprintln!("\nerror: no figure selected");
+        std::process::exit(2);
+    }
+
+    for fig in selected {
+        #[allow(clippy::disallowed_methods)] // CLI progress timing, not simulation time
+        let start = std::time::Instant::now();
+        let report = figures::run(fig, Path::new("scenarios"), quick, Some(&out_dir))
+            .unwrap_or_else(|e| fail(&e));
+        let csv = report.write_csv(&out_dir).expect("write csv");
+        println!("{}", report.render());
+        println!(
+            "  [{} in {:.1}s, table → {}]\n",
+            fig.0,
+            start.elapsed().as_secs_f64(),
+            csv.display()
+        );
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -436,6 +497,7 @@ fn main() {
         Some("validate") => cmd_validate(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         Some("list") => cmd_list(&args[1..]),
+        Some("figure") => cmd_figure(&args[1..]),
         Some(other) => {
             usage();
             eprintln!("\nerror: unknown subcommand `{other}`");

@@ -1,75 +1,39 @@
 //! Ablation experiments for the design choices the paper leaves open.
 //!
-//! Most of the ablation suite now lives as declarative scenario specs
-//! under `scenarios/` (`abl-dither`, `abl-alpha`, `abl-displacement`,
-//! `abl-rules`, `abl-cc`, `abl-victim`, `abl-hybrid`), pinned
-//! byte-identical to the pre-port goldens by
-//! `crates/scenario/tests/golden_port.rs`. This module keeps only the
-//! experiments the DSL has no business expressing: the synthetic-surface
-//! IS failure study, the Monte-Carlo interval-sizing check, and the
-//! ablations over knobs without a spec-level axis.
+//! Seven ablations (`abl-dither`, `abl-alpha`, `abl-displacement`,
+//! `abl-rules`, `abl-cc`, `abl-victim`, `abl-hybrid`) are fully described
+//! by their specs under `scenarios/` and need nothing here. This module
+//! holds the ones whose table joins several cells or adds closed-form
+//! columns, and the two studies that never were engine runs: the
+//! synthetic-surface IS failure and the Monte-Carlo interval-sizing
+//! check.
 
-use alc_analytic::surface::{RidgeSurface, Schedule, Surface};
-use alc_core::controller::{IncrementalSteps, IsParams, LoadController as _, ParabolaApproximation};
+use std::path::Path;
+
+use alc_analytic::surface::{RidgeSurface, Schedule};
+use alc_core::controller::{IncrementalSteps, IsParams};
 use alc_core::measure::Measurement;
-use alc_tpsim::config::{ArrivalProcess, CcKind, SystemConfig};
-use alc_tpsim::experiment::run_trajectory;
-use alc_tpsim::workload::WorkloadConfig;
-use rayon::prelude::*;
 
+use crate::compile::RunPlan;
 use crate::report::Report;
+use crate::runner::{build_report, RunRecord};
 use crate::table::num;
-use crate::Scale;
 
-use super::{control, is_params, max_bound, pa_params, sweep_horizon, system};
+use super::axis_labels;
+use super::dynamic::drive_surface;
 
-/// Restart-policy ablation: resampled vs identical access sets.
-pub fn abl_restart(scale: Scale) -> Report {
-    let mut sys = system(scale, 400, 0xAB3);
-    // Crank contention up so restarts matter.
-    sys.db_size /= 4;
-    let workload = WorkloadConfig {
-        write_frac: Schedule::Constant(0.6),
-        query_frac: Schedule::Constant(0.0),
-        ..WorkloadConfig::default()
-    };
-    let ctl = control(scale);
-    let horizon = sweep_horizon(scale);
-    let bound = max_bound(scale) / 4;
-
-    let mut r = Report::new(
-        "abl-restart",
-        "Restart policy: fresh access set vs identical retry under high contention",
-        &["resample_on_restart", "throughput_per_s", "abort_ratio", "conflicts_per_commit"],
-    );
-    for resample in [true, false] {
-        let sys = SystemConfig {
-            resample_on_restart: resample,
-            ..sys
-        };
-        let stats = alc_tpsim::experiment::stationary_run(
-            &sys,
-            &workload,
-            CcKind::Certification,
-            bound,
-            &ctl,
-            horizon,
-        );
-        r.push_row(vec![
-            resample.to_string(),
-            num(stats.throughput_per_sec),
-            num(stats.abort_ratio),
-            num(stats.conflicts_per_commit),
-        ]);
-    }
+/// Restart-policy ablation: resampled vs identical access sets (one
+/// variant each; the default table is the figure's).
+pub fn abl_restart(plan: &RunPlan, records: &[RunRecord]) -> Report {
+    let mut r = build_report(plan, records);
     r.note("with uniform access and no hot spots the difference is modest (conflicts are not item-bound); the knob matters for skewed workloads and is exposed for them");
     r
 }
 
 /// The §5.1 IS failure mode: a growing optimum height in place lures IS
 /// away; static bounds rescue it.
-pub fn abl_is_failure(scale: Scale) -> Report {
-    let steps = scale.pick(500, 100) as usize;
+pub fn abl_is_failure(quick: bool, _out: Option<&Path>) -> Report {
+    let steps: usize = if quick { 100 } else { 500 };
     let surface = RidgeSurface {
         position: Schedule::Constant(100.0),
         height: Schedule::Ramp {
@@ -86,21 +50,21 @@ pub fn abl_is_failure(scale: Scale) -> Report {
         &["max_bound", "final_bound", "tail_mean_bound", "optimum", "worst_excursion"],
     );
     for max_b in [2_000u32, 400] {
+        // The paper-scale IS tuning (that of `scenarios/fig13.json`) with
+        // a gain large enough to follow the ramp.
         let mut is = IncrementalSteps::new(IsParams {
             initial_bound: 100,
+            min_bound: 1,
             max_bound: max_b,
             beta: 20.0,
-            ..is_params(Scale::Full)
+            gamma: 4.0,
+            delta: 16.0,
+            min_step: 2.0,
+            max_step: 48.0,
+            smoothing: 1.0,
         });
-        let mut bound = is.current_bound();
-        let mut series = Vec::with_capacity(steps);
-        for i in 0..steps {
-            let t = i as f64 * 2000.0;
-            let n = f64::from(bound);
-            let perf = surface.performance(n, t);
-            bound = is.update(&Measurement::basic(t, 2000.0, perf, n));
-            series.push(f64::from(bound));
-        }
+        let (bounds, _) = drive_surface(&mut is, &surface, steps, 2000.0);
+        let series: Vec<f64> = bounds.points().iter().map(|&(_, b)| b).collect();
         let tail = &series[series.len() * 3 / 4..];
         let tail_mean = tail.iter().sum::<f64>() / tail.len() as f64;
         let worst = series.iter().fold(0.0f64, |a, &b| a.max((b - 100.0).abs()));
@@ -119,16 +83,14 @@ pub fn abl_is_failure(scale: Scale) -> Report {
 /// Hot-spot extension: the paper's model excludes hot spots ("the data
 /// items are selected randomly, i.e. no hot spots"). With Zipf-skewed
 /// access the effective database shrinks, the optimum moves down and in —
-/// and the feedback controllers keep tracking it without re-tuning.
-pub fn abl_hotspot(scale: Scale) -> Report {
-    let sys = system(scale, 600, 0xAB8);
-    let ctl = control(scale);
-    let horizon = sweep_horizon(scale);
-    let nmax = max_bound(scale);
-
+/// and the feedback controllers keep tracking it without re-tuning. The
+/// spec sweeps skew × controller (fixed at the analytic optimum, then
+/// PA); each row joins the two cells of one skew with the closed-form
+/// effective database size and optimum.
+pub fn abl_hotspot(plan: &RunPlan, records: &[RunRecord]) -> Report {
     let mut r = Report::new(
-        "abl-hotspot",
-        "Zipf access skew: optimum shift and controller tracking (hot-spot extension)",
+        &plan.name,
+        &plan.description,
         &[
             "skew_theta",
             "effective_db",
@@ -138,38 +100,21 @@ pub fn abl_hotspot(scale: Scale) -> Report {
             "PA_mean_bound",
         ],
     );
-    for theta in [0.0, 0.5, 0.8, 1.1] {
-        let workload = WorkloadConfig {
-            access_skew: Schedule::Constant(theta),
-            ..WorkloadConfig::default()
-        };
-        let eff = alc_analytic::occ::effective_db_size(sys.db_size, theta);
-        let opt = workload.analytic_optimum(0.0, &sys, nmax);
-        let fixed_at_opt = alc_tpsim::experiment::stationary_run(
-            &sys,
-            &workload,
-            CcKind::Certification,
-            opt,
-            &ctl,
-            horizon,
-        );
-        let pa = ParabolaApproximation::new(pa_params(scale));
-        let (pa_stats, _) = run_trajectory(
-            &sys,
-            &workload,
-            CcKind::Certification,
-            &ctl,
-            Box::new(pa),
-            horizon,
-            false,
-        );
+    for (cells, recs) in plan.variants.chunks_exact(2).zip(records.chunks_exact(2)) {
+        let fixed = &cells[0];
+        let theta = fixed.workload.at(0.0).access_skew;
+        let opt = fixed
+            .controller
+            .build(&fixed.sys, &fixed.workload)
+            .expect("the first controller of each skew is the fixed analytic optimum")
+            .current_bound();
         r.push_row(vec![
             num(theta),
-            num(eff),
+            num(alc_analytic::occ::effective_db_size(fixed.sys.db_size, theta)),
             opt.to_string(),
-            num(fixed_at_opt.throughput_per_sec),
-            num(pa_stats.throughput_per_sec),
-            num(pa_stats.mean_bound),
+            num(recs[0].stats.throughput_per_sec),
+            num(recs[1].stats.throughput_per_sec),
+            num(recs[1].stats.mean_bound),
         ]);
     }
     r.note("skew shrinks the effective database (1/Σp²) by up to ~100×, collapsing the achievable peak; under self-limiting certification the optimum's *position* stays near the resource knee while its *height* falls");
@@ -179,28 +124,13 @@ pub fn abl_hotspot(scale: Scale) -> Report {
 
 /// Open-arrival extension: the paper's model is closed (terminals with
 /// think time bound the load by construction); real admission control
-/// faces an *open* stream whose offered rate answers to nobody. Sweep the
-/// offered load across the capacity and compare uncontrolled admission
-/// against the PA-adapted gate.
-pub fn abl_open(scale: Scale) -> Report {
-    let horizon = sweep_horizon(scale);
-    let slots = scale.pick(800, 80);
-    let sys_base = system(scale, slots, 0xABA);
-    let workload = WorkloadConfig {
-        write_frac: Schedule::Constant(0.5),
-        query_frac: Schedule::Constant(0.1),
-        ..WorkloadConfig::default()
-    };
-    let ctl = control(scale);
-    // Offered rates bracketing the (closed-model) peak throughput.
-    let rates_per_s: Vec<f64> = match scale {
-        Scale::Full => vec![50.0, 100.0, 150.0, 200.0, 300.0, 400.0],
-        Scale::Quick => vec![20.0, 40.0, 80.0, 160.0],
-    };
-
+/// faces an *open* stream whose offered rate answers to nobody. The spec
+/// sweeps the offered load across the capacity × controller (none, then
+/// PA); each row joins the two cells of one rate.
+pub fn abl_open(plan: &RunPlan, records: &[RunRecord]) -> Report {
     let mut r = Report::new(
-        "abl-open",
-        "Open arrivals (extension): goodput and loss vs offered load, with and without control",
+        &plan.name,
+        &plan.description,
         &[
             "offered_per_s",
             "T_uncontrolled",
@@ -211,40 +141,10 @@ pub fn abl_open(scale: Scale) -> Report {
             "lost_PA",
         ],
     );
-    // Each offered rate is a pair of independent runs — fan the rates out.
-    let results: Vec<_> = rates_per_s
-        .par_iter()
-        .map(|&rate| {
-            let sys = SystemConfig {
-                arrival: ArrivalProcess::Open {
-                    interarrival: alc_des::dist::Dist::exponential(1000.0 / rate),
-                },
-                ..sys_base
-            };
-            let uncontrolled = alc_tpsim::experiment::stationary_run(
-                &sys,
-                &workload,
-                CcKind::Certification,
-                u32::MAX,
-                &ctl,
-                horizon,
-            );
-            let pa = ParabolaApproximation::new(pa_params(scale));
-            let (with_pa, _) = run_trajectory(
-                &sys,
-                &workload,
-                CcKind::Certification,
-                &ctl,
-                Box::new(pa),
-                horizon,
-                false,
-            );
-            (rate, uncontrolled, with_pa)
-        })
-        .collect();
-    for (rate, uncontrolled, with_pa) in results {
+    for (rate, recs) in axis_labels(plan, 0).iter().zip(records.chunks_exact(2)) {
+        let (uncontrolled, with_pa) = (&recs[0].stats, &recs[1].stats);
         r.push_row(vec![
-            num(rate),
+            rate.clone(),
             num(uncontrolled.throughput_per_sec),
             num(with_pa.throughput_per_sec),
             num(uncontrolled.mean_response_ms),
@@ -260,14 +160,14 @@ pub fn abl_open(scale: Scale) -> Report {
 /// §5 measurement-interval sizing validated by Monte Carlo: size the
 /// interval from the measured departure process, then check the CI
 /// actually covers the true throughput at the promised rate.
-pub fn abl_interval(scale: Scale) -> Report {
+pub fn abl_interval(quick: bool, _out: Option<&Path>) -> Report {
     use alc_core::sampler::{CiInterval, IntervalPolicy};
     use alc_des::dist::{Dist, Erlang, HyperExp, Sample as _};
     use alc_des::interval::required_departures;
     use alc_des::rng::RngStream;
     use alc_des::stats::ConfidenceLevel;
 
-    let events = scale.pick(400_000, 40_000) as usize;
+    let events: usize = if quick { 40_000 } else { 400_000 };
     let accuracy = 0.1;
     // (name, interdeparture distribution with mean 5 ms, analytic c²)
     let processes: [(&str, Dist, f64); 3] = [

@@ -10,10 +10,10 @@
 
 use std::fmt::Write as _;
 
-use alc_bench::report::Report;
 use alc_des::series::TimeSeries;
 
 use crate::compile::{RunPlan, VariantPlan};
+use crate::report::Report;
 use crate::runner::RunRecord;
 
 /// Sparkline canvas width, px.

@@ -13,8 +13,11 @@
 //!   (CI-scale) overrides. Parsing is strict: unknown keys are errors;
 //! * [`compile`] — deterministic lowering into a [`compile::RunPlan`]
 //!   of concrete engine configurations with per-replication seeds;
-//! * [`runner`] — rayon-parallel execution emitting the existing
-//!   `Report`/CSV artifacts plus figure-compatible trajectory CSVs.
+//! * [`runner`] — rayon-parallel execution emitting [`report::Report`]
+//!   tables / CSVs plus trajectory CSVs;
+//! * [`figures`] — the paper's figure catalog: each engine figure's runs
+//!   are a spec, and a small presentation function lays the paper's
+//!   table, chart and paper-vs-measured notes over the records.
 //!
 //! The `scenario` binary drives it all:
 //!
@@ -23,19 +26,24 @@
 //! scenario validate scenarios/*.json
 //! scenario replay <spec.json> <log.jsonl>...
 //! scenario list [DIR]
+//! scenario figure [--quick] [--out DIR] <all | list | fig01 fig12 ...>
 //! ```
 //!
-//! The checked-in specs under `scenarios/` include ports of the bespoke
-//! dynamic/ablation figure generators; the golden tests pin those ports
-//! byte-identical to the pre-port outputs, proving the DSL subsumes the
-//! hand-written experiments.
+//! The checked-in specs under `scenarios/` include ports of every
+//! hand-written figure and ablation runner that ran the engine; the
+//! golden tests pin those ports byte-identical to the pre-port outputs,
+//! proving the DSL subsumes the hand-written experiments.
 
 pub mod compile;
 pub mod conformance;
+pub mod figures;
 pub mod html;
+pub mod plot;
 pub mod profile;
+pub mod report;
 pub mod runner;
 pub mod spec;
+pub mod table;
 pub mod trace;
 pub mod validate;
 pub mod value_util;

@@ -1,6 +1,6 @@
 //! Terminal rendering of trajectory charts — the paper's Figures 3 and
-//! 13/14 are exactly "bound and optimum over time" plots, so `repro`
-//! draws them next to the summary tables.
+//! 13/14 are exactly "bound and optimum over time" plots, so
+//! `scenario figure` draws them next to the summary tables.
 
 use alc_des::series::TimeSeries;
 use alc_des::SimTime;

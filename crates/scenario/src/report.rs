@@ -2,7 +2,7 @@
 //!
 //! Rendering goes through a single reused `String` per report (one
 //! allocation, one `write_all`) instead of per-cell `format!` calls into
-//! the writer — the sweep binaries emit thousands of rows, and the
+//! the writer — sweep specs emit thousands of rows, and the
 //! output stage should never pay a syscall or realloc per row.
 
 use std::fmt::Write as _;
@@ -57,12 +57,12 @@ impl Report {
         self.notes.push(s.into());
     }
 
-    /// Renders the report as text into `out` (appending), reusing the
-    /// caller's buffer across reports.
-    pub fn render_into(&self, out: &mut String) {
+    /// Renders the report as text: title, table, charts, notes.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
         let headers: Vec<&str> = self.headers.iter().map(|s| s.as_str()).collect();
         let _ = write!(out, "== {} — {}\n\n", self.id, self.title);
-        table::render_into(out, &headers, &self.rows);
+        table::render_into(&mut out, &headers, &self.rows);
         for c in &self.charts {
             out.push('\n');
             out.push_str(c);
@@ -73,27 +73,26 @@ impl Report {
                 let _ = writeln!(out, "  * {n}");
             }
         }
-    }
-
-    /// Renders the report as text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
         out
     }
 
-    /// Renders the table as CSV into `out` (appending).
+    /// Renders the table as CSV into `out` (appending). A cell holding a
+    /// comma, a quote or a line break is quoted per RFC 4180 (quotes
+    /// doubled); every other cell is written as is.
     pub fn render_csv_into(&self, out: &mut String) {
         out.reserve(self.rows.len() * 32 + 64);
-        let _ = writeln!(out, "{}", self.headers.join(","));
-        for row in &self.rows {
-            let mut first = true;
-            for cell in row {
-                if !first {
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
+            for (i, cell) in row.iter().enumerate() {
+                if i > 0 {
                     out.push(',');
                 }
-                out.push_str(cell);
-                first = false;
+                if cell.contains([',', '"', '\n', '\r']) {
+                    out.push('"');
+                    out.push_str(&cell.replace('"', "\"\""));
+                    out.push('"');
+                } else {
+                    out.push_str(cell);
+                }
             }
             out.push('\n');
         }
@@ -124,9 +123,22 @@ mod tests {
         assert!(text.contains("figX"));
         assert!(text.contains("note line"));
 
-        let dir = std::env::temp_dir().join("alc_bench_test_csv");
+        let dir = std::env::temp_dir().join("alc_scenario_report_test_csv");
         let path = r.write_csv(&dir).unwrap();
         let content = std::fs::read_to_string(path).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
+    }
+
+    #[test]
+    fn csv_quotes_only_the_cells_that_need_it() {
+        let mut r = Report::new("figQ", "demo", &["run,extra", "plain"]);
+        r.push_row(vec!["say \"hi\"".into(), "two\nlines".into()]);
+        r.push_row(vec!["1".into(), "2".into()]);
+        let mut csv = String::new();
+        r.render_csv_into(&mut csv);
+        assert_eq!(
+            csv,
+            "\"run,extra\",plain\n\"say \"\"hi\"\"\",\"two\nlines\"\n1,2\n"
+        );
     }
 }

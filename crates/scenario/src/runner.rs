@@ -13,7 +13,6 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use alc_bench::report::Report;
 use alc_core::gatelog::{GateEvent, GateLogSink};
 use alc_des::series::write_aligned_csv;
 use alc_runtime::{write_gate_log, GateLogHeader};
@@ -21,6 +20,7 @@ use alc_tpsim::engine::{RunStats, Trajectories};
 use rayon::prelude::*;
 
 use crate::compile::{RunPlan, SweepPlan, VariantPlan};
+use crate::report::Report;
 use crate::spec::ColumnSpec;
 
 /// The outcome of one `(variant, replication)` cell.

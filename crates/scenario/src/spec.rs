@@ -275,7 +275,7 @@ impl SweepAxis {
 fn render_axis_value(v: &Value) -> String {
     match v {
         Value::U64(x) => x.to_string(),
-        Value::Num(x) => alc_bench::table::num(*x),
+        Value::Num(x) => crate::table::num(*x),
         Value::Str(s) => s.clone(),
         Value::Bool(b) => b.to_string(),
         other => format!("{other:?}"),
@@ -508,7 +508,7 @@ impl StatColumn {
 
     /// Formats the column's value from run statistics.
     pub fn format(&self, stats: &RunStats) -> String {
-        use alc_bench::table::num;
+        use crate::table::num;
         match self {
             StatColumn::ThroughputPerS => num(stats.throughput_per_sec),
             StatColumn::AbortRatio => num(stats.abort_ratio),
@@ -585,7 +585,7 @@ impl ClientColumn {
     /// Formats the column from the run's client stats (`-` when the run
     /// had no client pool).
     pub fn format(&self, clients: Option<&ClientStats>, duration_ms: f64) -> String {
-        use alc_bench::table::num;
+        use crate::table::num;
         let Some(s) = clients else {
             return "-".to_string();
         };
@@ -732,7 +732,7 @@ impl DerivedColumn {
     /// `initial_cc` is the protocol in force at t = 0, which the switch
     /// trace alone cannot tell).
     pub fn format(&self, traj: &Trajectories, horizon_ms: f64, initial_cc: CcKind) -> String {
-        use alc_bench::table::num;
+        use crate::table::num;
         match self {
             DerivedColumn::PostJumpTrackingErr => {
                 // Same definition as the bespoke ablation harness: mean

@@ -44,13 +44,6 @@ pub fn render_into(out: &mut String, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Renders rows as an aligned text table with a header line.
-pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    render_into(&mut out, headers, rows);
-    out
-}
-
 /// Formats a float with a sensible number of digits for tables.
 pub fn num(v: f64) -> String {
     if !v.is_finite() {
@@ -76,7 +69,9 @@ mod tests {
 
     #[test]
     fn renders_aligned_table() {
-        let t = render(
+        let mut t = String::new();
+        render_into(
+            &mut t,
             &["name", "value"],
             &[
                 vec!["alpha".into(), "1.5".into()],

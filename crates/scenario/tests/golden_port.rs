@@ -1,173 +1,75 @@
-//! Golden-port pins: the checked-in scenario specs that port the bespoke
-//! dynamic/ablation figure generators must reproduce the **pre-port**
-//! golden outputs byte-identically at quick (CI) scale.
+//! Per-spec golden pins, one named test each: the checked-in specs that
+//! replaced hand-written ablation runners must keep reproducing those
+//! runners' **pre-port** tables byte-identically at quick (CI) scale,
+//! and the fault / overload catalog must keep its own.
 //!
-//! The golden files under `crates/bench/tests/golden/` were recorded
-//! from the hand-written figure generators before the scenario subsystem
-//! existed and are still pinned against those generators by
-//! `crates/bench/tests/golden.rs`. Matching them from the *declarative*
-//! specs proves the DSL subsumes the bespoke Rust: same seeds, same
-//! configuration lowering, same engine runs, same bytes.
+//! The pinned files live in `tests/golden/` with every other golden;
+//! `golden.rs` checks the directory as a whole (nothing produced that is
+//! not pinned, nothing pinned that is not produced). What this file adds
+//! is a failure that names the spec, and the whole-catalog smoke run.
 //!
-//! * `fig13` / `fig14` / `sinus` — trajectory CSVs (the run-level pin:
-//!   every sample of bound/MPL/throughput/optimum/k identical);
-//! * `abl-victim` / `abl-rules` — the report stats tables (per-variant
-//!   throughput, abort ratio, displacement counts… identical);
+//! * `abl-victim` / `abl-rules` — report stats tables (per-variant
+//!   throughput, abort ratio, displacement counts…);
 //! * `abl-dither` / `abl-alpha` / `abl-displacement` / `abl-hybrid` —
-//!   ablations whose tables mix raw stats with *derived* columns
-//!   (post-jump tracking error, settling time) and literal input cells;
+//!   tables mixing raw stats with *derived* columns (post-jump tracking
+//!   error, settling time) and literal input cells;
 //! * `abl-cc` — the six-protocol load–throughput grid, exercising the
-//!   sweep axes and the pivoted report layout.
+//!   sweep axes and the pivoted report layout;
+//! * `fault-repair`, `retry-storm`, `retry-shed`, `metastable-fault` —
+//!   sampled repair times, client-side counters, recovery verdicts.
 //!
-//! With these, every bespoke ablation that runs the simulator is a
-//! checked-in JSON spec; `crates/bench/src/figures/ablation.rs` keeps
-//! only the experiments that never were engine runs at heart
-//! (`abl-interval`, `abl-is-failure`) or have no spec-visible knob yet.
+//! Re-bless with `UPDATE_GOLDEN=1` (see `common::compare_or_bless`).
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::PathBuf;
 
 use alc_scenario::LoadedSpec;
 
-fn scenarios_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
-}
+use common::{compare_or_bless, run_quick, scenarios_dir, table_csv};
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../bench/tests/golden")
-}
-
-/// `UPDATE_GOLDEN=1` re-blesses every pinned CSV from the current run
-/// instead of comparing — only for *deliberate* realization changes
-/// (e.g. the ziggurat default-sampler promotion), never to paper over
-/// an unexplained divergence.
-fn blessing() -> bool {
-    std::env::var_os("UPDATE_GOLDEN").is_some()
-}
-
-fn compare_or_bless(golden_path: &Path, actual: &[u8], diverged_msg: &str) {
-    if blessing() {
-        std::fs::write(golden_path, actual).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read(golden_path)
-        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", golden_path.display()));
-    assert!(golden == actual, "{diverged_msg}");
-}
-
-/// Runs a checked-in spec at quick scale, returning (plan, records).
-fn run_quick(
-    spec_name: &str,
-) -> (
-    alc_scenario::compile::RunPlan,
-    Vec<alc_scenario::runner::RunRecord>,
-) {
-    let path = scenarios_dir().join(format!("{spec_name}.json"));
-    let loaded = LoadedSpec::read(&path).expect("read spec");
-    let plan = loaded.compile(true).expect("compile quick");
-    let records = alc_scenario::runner::run_plan(&plan);
-    (plan, records)
-}
-
-fn assert_trajectories_match(spec_name: &str, golden_names: &[&str], out_tag: &str) {
+/// Quick-scale default table of a checked-in spec vs `<spec>.csv`.
+fn assert_table_matches(spec_name: &str) {
     let (plan, records) = run_quick(spec_name);
-    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(out_tag);
-    let _ = std::fs::remove_dir_all(&out);
-    let written =
-        alc_scenario::runner::write_trajectories(&plan, &records, &out).expect("write csvs");
-    assert_eq!(
-        written,
-        golden_names
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-        "{spec_name}: unexpected trajectory file set"
-    );
-    for name in golden_names {
-        let actual = std::fs::read(out.join(name)).expect("read actual");
-        compare_or_bless(
-            &golden_dir().join(name),
-            &actual,
-            &format!(
-                "{name} diverged from the pre-port golden output — the scenario \
-                 port no longer reproduces the bespoke figure generator's run"
-            ),
-        );
-    }
-}
-
-fn assert_report_matches(spec_name: &str, golden_csv: &str, out_tag: &str) {
-    let (plan, records) = run_quick(spec_name);
-    let report = alc_scenario::runner::build_report(&plan, &records);
-    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(out_tag);
-    let _ = std::fs::remove_dir_all(&out);
-    let path = report.write_csv(Path::new(&out)).expect("write csv");
-    let actual = std::fs::read(&path).expect("read actual");
     compare_or_bless(
-        &golden_dir().join(golden_csv),
-        &actual,
-        &format!(
-            "{golden_csv} diverged from the pre-port golden output — the scenario \
-             port no longer reproduces the bespoke ablation's stats table"
-        ),
-    );
-}
-
-#[test]
-fn fig13_port_reproduces_golden_trajectory() {
-    assert_trajectories_match("fig13", &["fig13_trajectory.csv"], "port-fig13");
-}
-
-#[test]
-fn fig14_port_reproduces_golden_trajectory() {
-    assert_trajectories_match("fig14", &["fig14_trajectory.csv"], "port-fig14");
-}
-
-#[test]
-fn sinus_port_reproduces_both_golden_trajectories() {
-    assert_trajectories_match(
-        "sinus",
-        &["sinus_IS_trajectory.csv", "sinus_PA_trajectory.csv"],
-        "port-sinus",
+        &format!("{spec_name}.csv"),
+        table_csv(&plan, &records).as_bytes(),
     );
 }
 
 #[test]
 fn abl_victim_port_reproduces_golden_table() {
-    assert_report_matches("abl-victim", "abl-victim.csv", "port-abl-victim");
+    assert_table_matches("abl-victim");
 }
 
 #[test]
 fn abl_rules_port_reproduces_golden_table() {
-    assert_report_matches("abl-rules", "abl-rules.csv", "port-abl-rules");
+    assert_table_matches("abl-rules");
 }
 
 #[test]
 fn abl_dither_port_reproduces_golden_table() {
-    assert_report_matches("abl-dither", "abl-dither.csv", "port-abl-dither");
+    assert_table_matches("abl-dither");
 }
 
 #[test]
 fn abl_alpha_port_reproduces_golden_table() {
-    assert_report_matches("abl-alpha", "abl-alpha.csv", "port-abl-alpha");
+    assert_table_matches("abl-alpha");
 }
 
 #[test]
 fn abl_displacement_port_reproduces_golden_table() {
-    assert_report_matches(
-        "abl-displacement",
-        "abl-displacement.csv",
-        "port-abl-displacement",
-    );
+    assert_table_matches("abl-displacement");
 }
 
 #[test]
 fn abl_hybrid_port_reproduces_golden_table() {
-    assert_report_matches("abl-hybrid", "abl-hybrid.csv", "port-abl-hybrid");
+    assert_table_matches("abl-hybrid");
 }
 
 #[test]
 fn abl_cc_sweep_port_reproduces_golden_table() {
-    assert_report_matches("abl-cc", "abl-cc.csv", "port-abl-cc");
+    assert_table_matches("abl-cc");
 }
 
 /// The `repair` fault vocabulary is golden-pinned: sampled
@@ -185,36 +87,7 @@ fn fault_repair_spec_reproduces_its_golden_table() {
     // The two replications sample different outage lengths.
     let per_rep = vp.fault_schedules.as_ref().unwrap();
     assert_ne!(per_rep[0], per_rep[1], "replications shared repair draws");
-    let report = alc_scenario::runner::build_report(&plan, &records);
-    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fault-repair");
-    let _ = std::fs::remove_dir_all(&out);
-    let path = report.write_csv(Path::new(&out)).expect("write csv");
-    let actual = std::fs::read(&path).expect("read actual");
-    compare_or_bless(
-        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fault-repair.csv"),
-        &actual,
-        "fault-repair.csv diverged from its golden pin — the sampled \
-         repair times are no longer reproducible",
-    );
-}
-
-/// Quick-scale report of a checked-in spec vs its own-crate golden pin
-/// (`crates/scenario/tests/golden/`).
-fn assert_own_golden_matches(spec_name: &str) {
-    let (plan, records) = run_quick(spec_name);
-    let report = alc_scenario::runner::build_report(&plan, &records);
-    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("own-{spec_name}"));
-    let _ = std::fs::remove_dir_all(&out);
-    let path = report.write_csv(Path::new(&out)).expect("write csv");
-    let actual = std::fs::read(&path).expect("read actual");
-    compare_or_bless(
-        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{spec_name}.csv")),
-        &actual,
-        &format!(
-            "{spec_name}.csv diverged from its golden pin — the client-pool \
-             run is no longer byte-reproducible"
-        ),
-    );
+    compare_or_bless("fault-repair.csv", table_csv(&plan, &records).as_bytes());
 }
 
 /// The overload catalog is golden-pinned: client-side counters, retry
@@ -224,17 +97,17 @@ fn assert_own_golden_matches(spec_name: &str) {
 /// client-state-machine drift snaps one of them.
 #[test]
 fn retry_storm_spec_reproduces_its_golden_table() {
-    assert_own_golden_matches("retry-storm");
+    assert_table_matches("retry-storm");
 }
 
 #[test]
 fn retry_shed_spec_reproduces_its_golden_table() {
-    assert_own_golden_matches("retry-shed");
+    assert_table_matches("retry-shed");
 }
 
 #[test]
 fn metastable_fault_spec_reproduces_its_golden_table() {
-    assert_own_golden_matches("metastable-fault");
+    assert_table_matches("metastable-fault");
 }
 
 /// Every checked-in spec must compile (full + quick) and the whole
@@ -256,12 +129,12 @@ fn all_checked_in_specs_run_end_to_end_quick() {
     );
     for path in names {
         let loaded = LoadedSpec::read(&path).expect("read spec");
-        loaded.compile(false).unwrap_or_else(|e| {
-            panic!("{} does not compile at full scale: {e}", path.display())
-        });
-        let plan = loaded.compile(true).unwrap_or_else(|e| {
-            panic!("{} does not compile at quick scale: {e}", path.display())
-        });
+        loaded
+            .compile(false)
+            .unwrap_or_else(|e| panic!("{} does not compile at full scale: {e}", path.display()));
+        let plan = loaded
+            .compile(true)
+            .unwrap_or_else(|e| panic!("{} does not compile at quick scale: {e}", path.display()));
         let records = alc_scenario::runner::run_plan(&plan);
         assert!(!records.is_empty(), "{}: no runs", path.display());
         for r in &records {

@@ -1,0 +1,108 @@
+//! Smoke tests of the `scenario` binary's cheap paths: the `figure`
+//! subcommand (help, catalog, an unknown id, a closed-form figure end to
+//! end) and the CSV a `run` writes when a header needs quoting.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// Runs the binary from the repository root, where `figure` finds
+/// `scenarios/`.
+fn scenario(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_scenario"))
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("failed to launch scenario: {e}"))
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn figure_help_exits_zero() {
+    let out = scenario(&["figure", "--help"]);
+    assert!(out.status.success(), "figure --help failed: {out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("figure [--quick] [--out DIR]"),
+        "unexpected help text: {text}"
+    );
+}
+
+#[test]
+fn figure_list_prints_catalog() {
+    let out = scenario(&["figure", "list"]);
+    assert!(out.status.success(), "figure list failed: {out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    for id in ["fig01", "fig12", "fig13", "fig14", "abl-hotspot"] {
+        assert!(text.contains(id), "catalog is missing `{id}`: {text}");
+    }
+}
+
+#[test]
+fn figure_rejects_unknown_id_before_writing() {
+    let dir = fresh_dir("figure-unknown");
+    let out = scenario(&[
+        "figure",
+        "--quick",
+        "--out",
+        dir.to_str().unwrap(),
+        "fig06",
+        "no-such-figure",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "unknown id must exit 2: {out:?}"
+    );
+    assert!(!dir.exists(), "nothing may be written before ids resolve");
+}
+
+#[test]
+fn figure_without_an_id_exits_two() {
+    let out = scenario(&["figure", "--quick"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "no selection must exit 2: {out:?}"
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no figure selected"));
+}
+
+#[test]
+fn figure_quick_fig06_writes_csv() {
+    // fig06 is pure math (no simulation), so this exercises argument
+    // parsing → catalog → CSV and nothing slow.
+    let dir = fresh_dir("figure-smoke");
+    let out = scenario(&["figure", "--quick", "--out", dir.to_str().unwrap(), "fig06"]);
+    assert!(out.status.success(), "figure fig06 failed: {out:?}");
+    let body = std::fs::read_to_string(dir.join("fig06.csv")).expect("fig06.csv written");
+    assert!(body.lines().count() > 1, "csv has no data rows: {body}");
+}
+
+/// A header with a comma used to widen the header line to one field more
+/// than its rows; cells are quoted per RFC 4180 where they need it.
+#[test]
+fn run_quotes_a_header_that_contains_a_comma() {
+    let dir = fresh_dir("run-csv-quoting");
+    let out = scenario(&[
+        "run",
+        "--quick",
+        "--out",
+        dir.to_str().unwrap(),
+        "--set",
+        "label_header=\"run,extra\"",
+        "scenarios/fig13.json",
+    ]);
+    assert!(out.status.success(), "run failed: {out:?}");
+    let body = std::fs::read_to_string(dir.join("fig13.csv")).expect("fig13.csv written");
+    let mut lines = body.lines();
+    assert_eq!(
+        lines.next(),
+        Some("\"run,extra\",throughput_per_s,abort_ratio,mean_mpl,mean_bound")
+    );
+    assert_eq!(lines.next().map(|row| row.split(',').count()), Some(5));
+}

@@ -27,7 +27,7 @@ fn catalog() -> Vec<LoadedSpec> {
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     paths.sort();
-    assert_eq!(paths.len(), 25, "the catalog moved; update this sweep");
+    assert_eq!(paths.len(), 33, "the catalog moved; update this sweep");
     paths
         .iter()
         .map(|p| LoadedSpec::read(p).expect("checked-in spec reads"))
@@ -129,8 +129,17 @@ fn stray_and_repeated_keys_are_rejected_by_name() {
             objects += 1;
             let keys = keys_along(&spec.value, path);
             // The section is named after the key the object sits under
-            // (override maps key by dotted path: the last component).
-            let section = match keys.last() {
+            // (override maps key by dotted path: the last component); an
+            // object that is a sweep value is read as the field the
+            // axis's `path` names.
+            let swept = match (keys.last().map(String::as_str), path.len().checked_sub(2)) {
+                (Some("values"), Some(axis)) => match node(&spec.value, &path[..axis]).get("path") {
+                    Some(Value::Str(target)) => Some(target),
+                    _ => None,
+                },
+                _ => None,
+            };
+            let section = match swept.or(keys.last()) {
                 Some(key) => key.rsplit('.').next().unwrap_or(key).to_lowercase(),
                 None => "spec".to_string(),
             };

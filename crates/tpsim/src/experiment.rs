@@ -1,8 +1,10 @@
-//! Experiment runners shared by the figure harness, examples and tests.
+//! Small experiment runners for tests: one stationary run, a bound
+//! sweep, one controlled run with its trajectories.
 //!
 //! Each helper wraps [`Simulator`] with the warm-up / measurement-window
-//! discipline of §9's experiments and returns plain data (no printing —
-//! the `alc-bench` crate owns presentation).
+//! discipline of §9's experiments and returns plain data. The paper's
+//! figures do not come through here: their runs are specs under
+//! `scenarios/`, executed and presented by `alc-scenario`.
 //!
 //! # Parallelism and determinism
 //!
@@ -22,7 +24,7 @@ use crate::workload::WorkloadConfig;
 /// One point of a stationary sweep.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SweepPoint {
-    /// The swept value (MPL bound or terminal count, depending on sweep).
+    /// The swept MPL bound.
     pub x: u32,
     /// Steady-state statistics at that point.
     pub stats: RunStats,
@@ -70,41 +72,6 @@ pub fn sweep_bounds(
         .map(|&b| SweepPoint {
             x: b,
             stats: stationary_run(sys, workload, cc, b, control, horizon_ms),
-        })
-        .collect()
-}
-
-/// Sweeps the offered load (terminal count) with a controller factory —
-/// `None` builds the uncontrolled system. This is Figure 12's experiment:
-/// "for different levels of concurrency a stationary simulation run was
-/// conducted", with and without control.
-///
-/// Stays serial: the `FnMut` factory is stateful by contract (callers may
-/// count or vary the controllers they hand out), so invocation order is
-/// part of the public API.
-pub fn sweep_terminals(
-    sys: &SystemConfig,
-    workload: &WorkloadConfig,
-    cc: CcKind,
-    terminals: &[u32],
-    control: &ControlConfig,
-    mut controller: Option<&mut dyn FnMut() -> Box<dyn LoadController>>,
-    horizon_ms: f64,
-) -> Vec<SweepPoint> {
-    terminals
-        .iter()
-        .map(|&n| {
-            let sys_n = SystemConfig {
-                terminals: n,
-                ..*sys
-            };
-            let ctrl = controller.as_mut().map(|f| f());
-            let mut sim = Simulator::new(sys_n, workload.clone(), cc, *control, ctrl);
-            sim.set_record_optimum(false);
-            SweepPoint {
-                x: n,
-                stats: sim.run(horizon_ms),
-            }
         })
         .collect()
 }
@@ -202,42 +169,6 @@ mod tests {
             })
             .collect();
         assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn sweep_terminals_with_and_without_control() {
-        let terminals = [10, 30];
-        let uncontrolled = sweep_terminals(
-            &sys(),
-            &WorkloadConfig::default(),
-            CcKind::Certification,
-            &terminals,
-            &ControlConfig {
-                initial_bound: u32::MAX,
-                ..quick_control()
-            },
-            None,
-            10_000.0,
-        );
-        let mut build = || -> Box<dyn LoadController> {
-            Box::new(IncrementalSteps::new(IsParams {
-                initial_bound: 8,
-                max_bound: 64,
-                ..IsParams::default()
-            }))
-        };
-        let controlled = sweep_terminals(
-            &sys(),
-            &WorkloadConfig::default(),
-            CcKind::Certification,
-            &terminals,
-            &quick_control(),
-            Some(&mut build),
-            10_000.0,
-        );
-        assert_eq!(uncontrolled.len(), 2);
-        assert_eq!(controlled.len(), 2);
-        assert!(controlled.iter().all(|p| p.stats.commits > 0));
     }
 
     #[test]
