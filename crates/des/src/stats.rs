@@ -206,94 +206,6 @@ impl TimeWeighted {
     }
 }
 
-/// Fixed-bin histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo && bins > 0);
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Records an observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n_bins = self.bins.len();
-            let w = (self.hi - self.lo) / n_bins as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            self.bins[idx.min(n_bins - 1)] += 1;
-        }
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all observations (including out-of-range ones).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Approximate quantile via linear interpolation within the bin.
-    /// Returns `lo`/`hi` boundary values when the quantile falls in the
-    /// underflow/overflow mass.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let target = q * self.count as f64;
-        let mut acc = self.underflow as f64;
-        if target <= acc {
-            return self.lo;
-        }
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &b) in self.bins.iter().enumerate() {
-            let next = acc + b as f64;
-            if target <= next && b > 0 {
-                let frac = (target - acc) / b as f64;
-                return self.lo + w * (i as f64 + frac);
-            }
-            acc = next;
-        }
-        self.hi
-    }
-
-    /// Read access to bin counts (for table output).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,34 +289,5 @@ mod tests {
         // After reset only the value 5.0 over [10,20] counts.
         assert!((tw.average(t(20.0)) - 5.0).abs() < 1e-12);
         assert_eq!(tw.peak(), 5.0);
-    }
-
-    #[test]
-    fn histogram_basics() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        h.record(-1.0);
-        h.record(42.0);
-        assert_eq!(h.count(), 12);
-        assert_eq!(h.bins().iter().sum::<u64>(), 10);
-        assert!(h.quantile(0.5) > 3.0 && h.quantile(0.5) < 7.0);
-    }
-
-    #[test]
-    fn histogram_quantile_interpolates() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for _ in 0..1000 {
-            h.record(50.0);
-        }
-        let q = h.quantile(0.5);
-        assert!((q - 50.5).abs() < 1.0, "median {q}");
-    }
-
-    #[test]
-    fn histogram_empty_quantile_nan() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert!(h.quantile(0.5).is_nan());
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use alc_des::dist::{Dist, Sample};
 use alc_des::rng::RngStream;
-use alc_des::stats::{Histogram, Welford};
+use alc_des::stats::Welford;
 use alc_des::{Calendar, SimTime};
 
 proptest! {
@@ -128,23 +128,6 @@ proptest! {
                 (emp - mean).abs() < 0.15 * mean,
                 "empirical mean {emp} vs {mean}"
             );
-        }
-    }
-
-    /// Histogram quantiles are monotone in q and within range bounds.
-    #[test]
-    fn histogram_quantiles_monotone(xs in prop::collection::vec(0.0f64..100.0, 1..300)) {
-        let mut h = Histogram::new(0.0, 100.0, 20);
-        for &x in &xs {
-            h.record(x);
-        }
-        let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0];
-        let mut last = f64::NEG_INFINITY;
-        for &q in &qs {
-            let v = h.quantile(q);
-            prop_assert!(v >= last - 1e-9, "quantiles not monotone");
-            prop_assert!((0.0..=100.0).contains(&v));
-            last = v;
         }
     }
 

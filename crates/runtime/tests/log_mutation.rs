@@ -291,3 +291,36 @@ fn out_of_range_integers_are_line_numbered_errors() {
         }
     }
 }
+
+/// The derive shim used to read past a key the event does not have, so
+/// a log written by a newer (or a confused) writer replayed as if the
+/// field had never been there.
+#[test]
+fn an_unknown_event_key_is_a_line_numbered_error_naming_it() {
+    let log = "{\"Mpl\":{\"at_ms\":0,\"in_system\":1}}\n\
+               {\"Commit\":{\"at_ms\":1,\"response_ms\":2,\"conflicts\":0,\"extra\":1}}\n";
+    match read_gate_log(log.as_bytes()) {
+        Err(GateLogError::Parse(2, msg)) => {
+            assert!(
+                msg.contains("GateEvent::Commit") && msg.contains("`extra`"),
+                "{msg}"
+            );
+        }
+        other => panic!("stray `extra`: {other:?}"),
+    }
+}
+
+/// The first of a repeated key used to win silently.
+#[test]
+fn a_repeated_metrics_key_is_a_line_numbered_error_naming_it() {
+    let metrics = metrics_log().replacen("\"bound\":8", "\"bound\":8,\"bound\":9", 1);
+    match read_metrics_jsonl(metrics.as_bytes()) {
+        Err(MetricsError::Parse(1, msg)) => {
+            assert!(
+                msg.contains("MetricsSnapshot") && msg.contains("`bound` twice"),
+                "{msg}"
+            );
+        }
+        other => panic!("repeated `bound`: {other:?}"),
+    }
+}

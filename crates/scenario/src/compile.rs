@@ -12,6 +12,7 @@
 
 use std::path::Path;
 
+use alc_analytic::surface::Schedule;
 use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
 use alc_tpsim::engine::Simulator;
 use alc_tpsim::workload::WorkloadConfig;
@@ -356,6 +357,19 @@ fn lower_faults_for_seed(
     lower_fault_windows(&windows, sys)
 }
 
+/// The values a schedule can rest at or peak at (a phase cut short by
+/// the next one may never reach its own: the checks err on that side).
+fn levels(s: &Schedule) -> Vec<f64> {
+    match s {
+        Schedule::Constant(v) => vec![*v],
+        Schedule::Jump { before, after, .. } => vec![*before, *after],
+        Schedule::Sinusoid { mean, amplitude, .. } => vec![mean - amplitude, mean + amplitude],
+        Schedule::Ramp { from, to, .. } => vec![*from, *to],
+        Schedule::Piecewise(points) => points.iter().map(|&(_, v)| v).collect(),
+        Schedule::Profile(segments) => segments.iter().flat_map(|(_, s)| levels(s)).collect(),
+    }
+}
+
 fn build_variant(
     spec: &ScenarioSpec,
     label: &str,
@@ -363,14 +377,27 @@ fn build_variant(
 ) -> Result<VariantPlan, SpecError> {
     let mut sys: SystemConfig = from_overrides(&spec.system, "system")?;
     sys.seed = spec.seed;
-    if sys.terminals == 0 {
-        return Err(SpecError::new("system.terminals must be ≥ 1"));
-    }
+    sys.check().map_err(|e| SpecError::new(format!("system.{e}")))?;
     let control: ControlConfig = from_overrides(&spec.control, "control")?;
     if control.sample_interval_ms <= 0.0 {
         return Err(SpecError::new("control.sample_interval_ms must be positive"));
     }
     let workload = spec.workload.lower(base_dir)?;
+    // What the access-set sampler cannot draw: more distinct items than
+    // the database holds, or a Zipf skew of exactly 1.
+    let k_max = levels(&workload.k).into_iter().fold(1.0, f64::max).round();
+    if k_max > sys.db_size as f64 {
+        return Err(SpecError::new(format!(
+            "workload.k reaches {k_max} distinct items per transaction but \
+             system.db_size is {}",
+            sys.db_size
+        )));
+    }
+    if levels(&workload.access_skew).iter().any(|theta| (theta - 1.0).abs() <= 1e-9) {
+        return Err(SpecError::new(
+            "workload.access_skew must not rest at 1 (the Zipf sampler has no θ = 1 form)",
+        ));
+    }
     let seeds: Vec<u64> = (0..spec.replications)
         .map(|r| replication_seed(spec.seed, r))
         .collect();
@@ -485,6 +512,30 @@ mod tests {
         assert_eq!(vp.workload.at(3000.0).k, 8);
         // Untouched fields keep SystemConfig defaults.
         assert_eq!(vp.sys.cpus, SystemConfig::default().cpus);
+    }
+
+    #[test]
+    fn configs_the_engine_would_panic_on_are_spec_errors() {
+        // Each of these passed `scenario validate` and then panicked
+        // `scenario run` (a station, the RNG, the clock, a sampler, the
+        // calendar, the Zipf table, in this order).
+        for (path, value, names) in [
+            ("system.cpus", "0", "system.cpus"),
+            ("system.db_size", "0", "system.db_size"),
+            ("system.db_size", "3", "system.db_size"),
+            ("workload.k", "1000000", "workload.k"),
+            ("system.think", "-5", "system.think"),
+            ("system.think", r#"{"erlang": {"stages": 0, "mean": 5}}"#, "system.think"),
+            ("system.cpu_phase", "-1", "system.cpu_phase"),
+            ("workload.access_skew", "1", "workload.access_skew"),
+        ] {
+            let mut v = parse(r#"{"name": "bad", "horizon_ms": 5000.0}"#);
+            set_path(&mut v, path, parse(value)).unwrap();
+            let err = compile_value(&v, &PathBuf::from("."), false)
+                .expect_err(&format!("{path}={value} compiled"))
+                .to_string();
+            assert!(err.contains(names), "{path}={value}: {err}");
+        }
     }
 
     #[test]

@@ -195,7 +195,7 @@ impl Profile {
     }
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(serde::Deserialize)]
 struct TracePoint {
     t_ms: f64,
     value: f64,
@@ -215,87 +215,6 @@ fn ensure_ascending(
         last = t;
     }
     Ok(())
-}
-
-impl serde::Serialize for Profile {
-    fn to_value(&self) -> Value {
-        fn obj(tag: &str, fields: Vec<(&str, f64)>) -> Value {
-            Value::Map(vec![(
-                tag.to_string(),
-                Value::Map(
-                    fields
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), Value::Num(v)))
-                        .collect(),
-                ),
-            )])
-        }
-        match self {
-            Profile::Constant(v) => Value::Num(*v),
-            Profile::Step { at, before, after } => obj(
-                "step",
-                vec![("at", *at), ("before", *before), ("after", *after)],
-            ),
-            Profile::Ramp {
-                from,
-                to,
-                t_start,
-                t_end,
-            } => obj(
-                "ramp",
-                vec![
-                    ("from", *from),
-                    ("to", *to),
-                    ("t_start", *t_start),
-                    ("t_end", *t_end),
-                ],
-            ),
-            Profile::Sinusoid {
-                mean,
-                amplitude,
-                period,
-            } => obj(
-                "sinusoid",
-                vec![("mean", *mean), ("amplitude", *amplitude), ("period", *period)],
-            ),
-            Profile::Burst {
-                base,
-                peak,
-                at,
-                duration,
-            } => obj(
-                "burst",
-                vec![
-                    ("base", *base),
-                    ("peak", *peak),
-                    ("at", *at),
-                    ("duration", *duration),
-                ],
-            ),
-            Profile::Piecewise(points) => Value::Map(vec![(
-                "piecewise".to_string(),
-                Value::Seq(
-                    points
-                        .iter()
-                        .map(|&(t, v)| Value::Seq(vec![Value::Num(t), Value::Num(v)]))
-                        .collect(),
-                ),
-            )]),
-            Profile::Trace { path } => Value::Map(vec![(
-                "trace".to_string(),
-                Value::Str(path.clone()),
-            )]),
-            Profile::Phases(phases) => Value::Map(vec![(
-                "phases".to_string(),
-                Value::Seq(
-                    phases
-                        .iter()
-                        .map(|(t, p)| Value::Seq(vec![Value::Num(*t), p.to_value()]))
-                        .collect(),
-                ),
-            )]),
-        }
-    }
 }
 
 impl<'de> serde::Deserialize<'de> for Profile {
@@ -393,52 +312,70 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn roundtrip(p: &Profile) {
-        let json = serde_json::to_string(p).unwrap();
-        let back: Profile = serde_json::from_str(&json).unwrap();
-        assert_eq!(&back, p, "round-trip changed {json}");
-    }
-
+    /// One JSON literal per shape, as a user writes it, against the
+    /// value it must parse to; the tree survives its own text form.
     #[test]
     fn profiles_round_trip() {
-        roundtrip(&Profile::Constant(8.0));
-        roundtrip(&Profile::Step {
-            at: 1e6,
-            before: 8.0,
-            after: 16.0,
-        });
-        roundtrip(&Profile::Ramp {
-            from: 0.0,
-            to: 1.0,
-            t_start: 10.0,
-            t_end: 20.0,
-        });
-        roundtrip(&Profile::Sinusoid {
+        let sinusoid = Profile::Sinusoid {
             mean: 10.0,
             amplitude: 4.0,
             period: 1000.0,
-        });
-        roundtrip(&Profile::Burst {
-            base: 1.0,
-            peak: 4.0,
-            at: 100.0,
-            duration: 50.0,
-        });
-        roundtrip(&Profile::Piecewise(vec![(0.0, 6.0), (10.0, 18.0)]));
-        roundtrip(&Profile::Trace {
-            path: "traces/x.jsonl".into(),
-        });
-        roundtrip(&Profile::Phases(vec![
-            (0.0, Profile::Constant(8.0)),
+        };
+        for (json, want) in [
+            ("8.0", Profile::Constant(8.0)),
+            (r#"{"constant": 8}"#, Profile::Constant(8.0)),
             (
-                100.0,
-                Profile::Sinusoid {
-                    mean: 10.0,
-                    amplitude: 4.0,
-                    period: 1000.0,
+                r#"{"step": {"at": 1e6, "before": 8, "after": 16}}"#,
+                Profile::Step {
+                    at: 1e6,
+                    before: 8.0,
+                    after: 16.0,
                 },
             ),
-        ]));
+            (
+                r#"{"ramp": {"from": 0, "to": 1, "t_start": 10, "t_end": 20}}"#,
+                Profile::Ramp {
+                    from: 0.0,
+                    to: 1.0,
+                    t_start: 10.0,
+                    t_end: 20.0,
+                },
+            ),
+            (
+                r#"{"sinusoid": {"mean": 10, "amplitude": 4, "period": 1000}}"#,
+                sinusoid.clone(),
+            ),
+            (
+                r#"{"burst": {"base": 1, "peak": 4, "at": 100, "duration": 50}}"#,
+                Profile::Burst {
+                    base: 1.0,
+                    peak: 4.0,
+                    at: 100.0,
+                    duration: 50.0,
+                },
+            ),
+            (
+                r#"{"piecewise": [[0, 6], [10, 18.5]]}"#,
+                Profile::Piecewise(vec![(0.0, 6.0), (10.0, 18.5)]),
+            ),
+            (
+                r#"{"trace": "traces/x.jsonl"}"#,
+                Profile::Trace {
+                    path: "traces/x.jsonl".into(),
+                },
+            ),
+            (
+                r#"{"phases": [[0, 8], [100, {"sinusoid":
+                    {"mean": 10, "amplitude": 4, "period": 1000}}]]}"#,
+                Profile::Phases(vec![(0.0, Profile::Constant(8.0)), (100.0, sinusoid.clone())]),
+            ),
+        ] {
+            let tree: Value = serde_json::from_str(json).unwrap();
+            assert_eq!(profile_from_value(&tree).unwrap(), want, "{json}");
+            let text = serde_json::to_string(&tree).unwrap();
+            let back: Value = serde_json::from_str(&text).unwrap();
+            assert_eq!(back, tree, "round trip changed {json}");
+        }
     }
 
     #[test]

@@ -1,0 +1,534 @@
+//! The report-column vocabulary: raw-statistics, client-population and
+//! trajectory-derived columns, how each is named, parsed and formatted.
+
+use alc_tpsim::client::ClientStats;
+use alc_tpsim::config::CcKind;
+use alc_tpsim::engine::{RunStats, Trajectories};
+use serde::Value;
+
+use super::cc_spec_name;
+use super::sections::cc_from_value;
+use crate::value_util::Node::{Keys as Sub, Scalar as Leaf};
+use crate::value_util::{
+    below_one, nonempty, positive, single_key, string, unknown_key, At, Keys, Obj,
+};
+use crate::SpecError;
+
+/// A raw-statistics column of the report table. Integer counters format
+/// via `to_string`, continuous values via the shared `num` table format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatColumn {
+    /// Commits per second.
+    ThroughputPerS,
+    /// Aborted / finished runs.
+    AbortRatio,
+    /// Mean response time, ms.
+    MeanResponseMs,
+    /// Time-averaged observed MPL.
+    MeanMpl,
+    /// Time-averaged gate bound.
+    MeanBound,
+    /// Committed transactions.
+    Commits,
+    /// Aborted runs.
+    Aborts,
+    /// Displacement victims.
+    Displaced,
+    /// Open-mode lost arrivals.
+    Lost,
+    /// Data conflicts per commit.
+    ConflictsPerCommit,
+    /// Mean CPU utilization.
+    CpuUtilization,
+}
+
+impl StatColumn {
+    /// Every column, for `scenario --help` listings.
+    pub const ALL: [StatColumn; 11] = [
+        StatColumn::ThroughputPerS,
+        StatColumn::AbortRatio,
+        StatColumn::MeanResponseMs,
+        StatColumn::MeanMpl,
+        StatColumn::MeanBound,
+        StatColumn::Commits,
+        StatColumn::Aborts,
+        StatColumn::Displaced,
+        StatColumn::Lost,
+        StatColumn::ConflictsPerCommit,
+        StatColumn::CpuUtilization,
+    ];
+
+    /// The column's spec/CSV name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            StatColumn::ThroughputPerS => "throughput_per_s",
+            StatColumn::AbortRatio => "abort_ratio",
+            StatColumn::MeanResponseMs => "mean_response_ms",
+            StatColumn::MeanMpl => "mean_mpl",
+            StatColumn::MeanBound => "mean_bound",
+            StatColumn::Commits => "commits",
+            StatColumn::Aborts => "aborts",
+            StatColumn::Displaced => "displaced",
+            StatColumn::Lost => "lost",
+            StatColumn::ConflictsPerCommit => "conflicts_per_commit",
+            StatColumn::CpuUtilization => "cpu_utilization",
+        }
+    }
+
+    /// Parses a spec/CSV name.
+    pub fn parse(s: &str) -> Result<Self, SpecError> {
+        StatColumn::ALL
+            .into_iter()
+            .find(|c| c.name() == s)
+            .ok_or_else(|| SpecError::new(format!("unknown stat column `{s}`")))
+    }
+
+    /// Formats the column's value from run statistics.
+    pub fn format(&self, stats: &RunStats) -> String {
+        use crate::table::num;
+        match self {
+            StatColumn::ThroughputPerS => num(stats.throughput_per_sec),
+            StatColumn::AbortRatio => num(stats.abort_ratio),
+            StatColumn::MeanResponseMs => num(stats.mean_response_ms),
+            StatColumn::MeanMpl => num(stats.mean_mpl),
+            StatColumn::MeanBound => num(stats.mean_bound),
+            StatColumn::Commits => stats.commits.to_string(),
+            StatColumn::Aborts => stats.aborts.to_string(),
+            StatColumn::Displaced => stats.displaced.to_string(),
+            StatColumn::Lost => stats.lost.to_string(),
+            StatColumn::ConflictsPerCommit => num(stats.conflicts_per_commit),
+            StatColumn::CpuUtilization => num(stats.cpu_utilization),
+        }
+    }
+}
+
+/// A client-population column of the report table, rendered from the
+/// run's [`ClientStats`] (`-` for runs without a `clients` section).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClientColumn {
+    /// Requests issued by the pool.
+    Issued,
+    /// Total attempts (first attempts + retries + hedges).
+    Attempts,
+    /// Retry attempts (including hedge duplicates).
+    Retries,
+    /// Requests abandoned after exhausting patience or budget.
+    Abandoned,
+    /// Attempt timeouts observed.
+    Timeouts,
+    /// Retry attempts bounced at the gate by retry shedding.
+    ShedRetries,
+    /// Committed requests per second — throughput net of wasted retries.
+    GoodputPerS,
+    /// Attempts per issued request (`1.0` = no retry traffic at all).
+    RetryAmplification,
+}
+
+impl ClientColumn {
+    /// Every column, for `scenario --help` listings.
+    pub const ALL: [ClientColumn; 8] = [
+        ClientColumn::Issued,
+        ClientColumn::Attempts,
+        ClientColumn::Retries,
+        ClientColumn::Abandoned,
+        ClientColumn::Timeouts,
+        ClientColumn::ShedRetries,
+        ClientColumn::GoodputPerS,
+        ClientColumn::RetryAmplification,
+    ];
+
+    /// The column's spec/CSV name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ClientColumn::Issued => "issued",
+            ClientColumn::Attempts => "attempts",
+            ClientColumn::Retries => "retries",
+            ClientColumn::Abandoned => "abandoned",
+            ClientColumn::Timeouts => "timeouts",
+            ClientColumn::ShedRetries => "shed_retries",
+            ClientColumn::GoodputPerS => "goodput_per_s",
+            ClientColumn::RetryAmplification => "retry_amplification",
+        }
+    }
+
+    /// Parses a spec/CSV name.
+    pub fn parse(s: &str) -> Result<Self, SpecError> {
+        ClientColumn::ALL
+            .into_iter()
+            .find(|c| c.name() == s)
+            .ok_or_else(|| SpecError::new(format!("unknown client column `{s}`")))
+    }
+
+    /// Formats the column from the run's client stats (`-` when the run
+    /// had no client pool).
+    pub fn format(&self, clients: Option<&ClientStats>, duration_ms: f64) -> String {
+        use crate::table::num;
+        let Some(s) = clients else {
+            return "-".to_string();
+        };
+        match self {
+            ClientColumn::Issued => s.issued.to_string(),
+            ClientColumn::Attempts => s.attempts.to_string(),
+            ClientColumn::Retries => s.retries.to_string(),
+            ClientColumn::Abandoned => s.abandoned.to_string(),
+            ClientColumn::Timeouts => s.timeouts.to_string(),
+            ClientColumn::ShedRetries => s.shed.to_string(),
+            ClientColumn::GoodputPerS => num(s.goodput_per_sec(duration_ms)),
+            ClientColumn::RetryAmplification => num(s.retry_amplification()),
+        }
+    }
+}
+
+/// One report column: a raw stat, a trajectory-derived quantity, a
+/// per-variant input cell, or a literal.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ColumnSpec {
+    /// A raw-statistics column.
+    Stat(StatColumn),
+    /// A client-population column (needs a `clients` section).
+    Client(ClientColumn),
+    /// A column computed from the run's [`Trajectories`].
+    Derived(DerivedColumn),
+    /// The variant's literal cell from the spec's `inputs` map.
+    Input(String),
+    /// The same literal in every row (placeholder columns).
+    Literal {
+        /// Column header.
+        header: String,
+        /// Cell text.
+        value: String,
+    },
+}
+
+/// A column computed from the recorded trajectories after the run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DerivedColumn {
+    /// Mean |bound − n_opt| over the last quarter of the samples — the
+    /// post-jump tracking error of the ablation tables (requires
+    /// `record_optimum`).
+    PostJumpTrackingErr,
+    /// Settling time: seconds from `after_frac · horizon` until the
+    /// bound first enters the ±`band` relative band around the final
+    /// optimum; renders `never` when it doesn't (requires
+    /// `record_optimum`).
+    SettlingTime {
+        /// Column header (e.g. `response_s`).
+        header: String,
+        /// Fraction of the horizon the clock starts at (the jump time).
+        after_frac: f64,
+        /// Relative band around the final optimum.
+        band: f64,
+    },
+    /// The per-interval conflicts-per-commit value at the sample where
+    /// the interval throughput peaked — where on the conflict curve the
+    /// run's best operating point sat.
+    ConflictRatioAtPeak,
+    /// Completed CC-protocol switches in the run (scheduled or
+    /// policy-driven), from the switch-event trace.
+    SwitchCount,
+    /// Seconds the given protocol was in force over `[0, horizon]`,
+    /// from the switch-event trace (drains count toward the *outgoing*
+    /// protocol — it stays in force until the swap completes).
+    TimeInProtocol {
+        /// The protocol whose residence time is reported.
+        cc: CcKind,
+        /// Column header (default `time_in_protocol:<name>`).
+        header: Option<String>,
+    },
+    /// Seconds from the last switch's completion until the interval
+    /// throughput first enters the ±`band` relative band around its
+    /// settled post-switch level (the mean of the final quarter of the
+    /// post-switch samples); `never` when it doesn't, `-` for runs
+    /// without a switch.
+    PostSwitchSettling {
+        /// Column header (e.g. `post_switch_settling_time_s`).
+        header: String,
+        /// Relative band around the settled level.
+        band: f64,
+    },
+    /// Seconds from `after_ms` (a fault-repair time) until interval
+    /// throughput *permanently* re-enters `band × baseline`, where the
+    /// baseline is the mean throughput before `after_ms`. A metastable
+    /// run — retry traffic holding the system down after repair —
+    /// renders `never`.
+    TimeToRecover {
+        /// Column header (default `time_to_recover_s`).
+        header: String,
+        /// The recovery clock's start (the repair completion), ms.
+        after_ms: f64,
+        /// Fraction of the pre-fault baseline that counts as recovered.
+        band: f64,
+    },
+}
+
+impl ColumnSpec {
+    /// The column's header text.
+    pub fn header(&self) -> String {
+        match self {
+            ColumnSpec::Stat(c) => c.name().to_string(),
+            ColumnSpec::Derived(DerivedColumn::PostJumpTrackingErr) => {
+                "post_jump_tracking_err".to_string()
+            }
+            ColumnSpec::Derived(DerivedColumn::SettlingTime { header, .. }) => header.clone(),
+            ColumnSpec::Derived(DerivedColumn::ConflictRatioAtPeak) => {
+                "conflict_ratio_at_peak".to_string()
+            }
+            ColumnSpec::Derived(DerivedColumn::SwitchCount) => "switch_count".to_string(),
+            ColumnSpec::Derived(DerivedColumn::TimeInProtocol { cc, header }) => header
+                .clone()
+                .unwrap_or_else(|| format!("time_in_protocol:{}", cc_spec_name(*cc))),
+            ColumnSpec::Derived(DerivedColumn::PostSwitchSettling { header, .. }) => {
+                header.clone()
+            }
+            ColumnSpec::Derived(DerivedColumn::TimeToRecover { header, .. }) => header.clone(),
+            ColumnSpec::Client(c) => c.name().to_string(),
+            ColumnSpec::Input(name) => name.clone(),
+            ColumnSpec::Literal { header, .. } => header.clone(),
+        }
+    }
+
+    /// Whether the runner must retain trajectories to render the column.
+    pub fn needs_trajectories(&self) -> bool {
+        matches!(self, ColumnSpec::Derived(_))
+    }
+
+    /// Whether the column needs the analytic-optimum trajectory.
+    pub fn needs_optimum(&self) -> bool {
+        matches!(
+            self,
+            ColumnSpec::Derived(
+                DerivedColumn::PostJumpTrackingErr | DerivedColumn::SettlingTime { .. }
+            )
+        )
+    }
+}
+
+impl DerivedColumn {
+    /// Formats the column from a run's trajectories (`horizon_ms` anchors
+    /// the settling clock and closes the last protocol-residence segment;
+    /// `initial_cc` is the protocol in force at t = 0, which the switch
+    /// trace alone cannot tell).
+    pub fn format(&self, traj: &Trajectories, horizon_ms: f64, initial_cc: CcKind) -> String {
+        use crate::table::num;
+        match self {
+            DerivedColumn::PostJumpTrackingErr => {
+                // Same definition as the bespoke ablation harness: mean
+                // absolute bound error vs the final optimum over the last
+                // quarter of the samples.
+                let pts = traj.bound.points();
+                let start = pts.len() * 3 / 4;
+                let opt = traj.optimum.last_value().unwrap_or(f64::NAN);
+                let tail = &pts[start..];
+                num(tail.iter().map(|&(_, b)| (b - opt).abs()).sum::<f64>()
+                    / tail.len().max(1) as f64)
+            }
+            DerivedColumn::SettlingTime {
+                after_frac, band, ..
+            } => {
+                let opt_after = traj.optimum.last_value().unwrap_or(f64::NAN);
+                let after_ms = after_frac * horizon_ms;
+                traj.bound
+                    .points()
+                    .iter()
+                    .filter(|&&(t, _)| t >= after_ms)
+                    .find(|&&(_, b)| (b - opt_after).abs() <= band * opt_after)
+                    .map(|&(t, _)| (t - after_ms) / 1000.0)
+                    .map_or("never".into(), num)
+            }
+            DerivedColumn::ConflictRatioAtPeak => {
+                let tp = traj.throughput.points();
+                let mut peak: Option<usize> = None;
+                for (i, &(_, x)) in tp.iter().enumerate() {
+                    if peak.is_none_or(|p| x > tp[p].1) {
+                        peak = Some(i);
+                    }
+                }
+                peak.and_then(|i| traj.conflict_ratio.points().get(i))
+                    .map_or("-".into(), |&(_, v)| num(v))
+            }
+            DerivedColumn::SwitchCount => traj.switches.len().to_string(),
+            DerivedColumn::TimeInProtocol { cc, .. } => {
+                // Walk the residence segments: a protocol stays in force
+                // until the swap that replaces it *completes*.
+                let mut total = 0.0;
+                let mut seg_start = 0.0;
+                let mut current = initial_cc;
+                for e in &traj.switches {
+                    if current == *cc {
+                        total += e.completed_at_ms - seg_start;
+                    }
+                    seg_start = e.completed_at_ms;
+                    current = e.to;
+                }
+                if current == *cc {
+                    total += horizon_ms - seg_start;
+                }
+                num(total / 1000.0)
+            }
+            DerivedColumn::PostSwitchSettling { band, .. } => {
+                let Some(last) = traj.switches.last() else {
+                    return "-".into();
+                };
+                let t0 = last.completed_at_ms;
+                let pts: Vec<(f64, f64)> = traj
+                    .throughput
+                    .points()
+                    .iter()
+                    .copied()
+                    .filter(|&(t, _)| t >= t0)
+                    .collect();
+                if pts.is_empty() {
+                    return "never".into();
+                }
+                // The settled level: mean of the final quarter of the
+                // post-switch samples.
+                let tail = &pts[pts.len() * 3 / 4..];
+                let settled =
+                    tail.iter().map(|&(_, x)| x).sum::<f64>() / tail.len().max(1) as f64;
+                pts.iter()
+                    .find(|&&(_, x)| (x - settled).abs() <= band * settled.abs())
+                    .map(|&(t, _)| (t - t0) / 1000.0)
+                    .map_or("never".into(), num)
+            }
+            DerivedColumn::TimeToRecover { after_ms, band, .. } => {
+                let pts = traj.throughput.points();
+                let before: Vec<f64> = pts
+                    .iter()
+                    .filter(|&&(t, _)| t <= *after_ms)
+                    .map(|&(_, x)| x)
+                    .collect();
+                if before.is_empty() {
+                    return "-".into();
+                }
+                let baseline = before.iter().sum::<f64>() / before.len() as f64;
+                let floor = band * baseline;
+                // Recovery must be *permanent*: the first post-repair
+                // sample from which every later sample stays above the
+                // floor. A dip back below (hysteresis) resets the clock,
+                // so a metastable run that oscillates renders `never`.
+                // The comparison uses a trailing 4-sample mean so a
+                // single sparse interval of a healthy closed population
+                // does not read as a relapse.
+                let mut recovered_at = None;
+                let mut window = std::collections::VecDeque::with_capacity(4);
+                for &(t, x) in pts.iter().filter(|&&(t, _)| t >= *after_ms) {
+                    if window.len() == 4 {
+                        window.pop_front();
+                    }
+                    window.push_back(x);
+                    let smoothed = window.iter().sum::<f64>() / window.len() as f64;
+                    if smoothed >= floor {
+                        recovered_at.get_or_insert(t);
+                    } else {
+                        recovered_at = None;
+                    }
+                }
+                recovered_at
+                    .map(|t| (t - after_ms) / 1000.0)
+                    .map_or("never".into(), num)
+            }
+        }
+    }
+}
+
+const SETTLING_TIME: Keys = &[("header", Leaf), ("after_frac", Leaf), ("band", Leaf)];
+const TIME_IN_PROTOCOL: Keys = &[("cc", Leaf), ("header", Leaf)];
+const POST_SWITCH_SETTLING: Keys = &[("header", Leaf), ("band", Leaf)];
+const TIME_TO_RECOVER: Keys = &[("header", Leaf), ("after_ms", Leaf), ("band", Leaf)];
+const LITERAL: Keys = &[("header", Leaf), ("value", Leaf)];
+/// The column kinds written as single-key objects.
+const COLUMN: Keys = &[
+    ("settling_time_s", Sub(SETTLING_TIME)),
+    ("time_in_protocol", Sub(TIME_IN_PROTOCOL)),
+    ("post_switch_settling_time_s", Sub(POST_SWITCH_SETTLING)),
+    ("time_to_recover_s", Sub(TIME_TO_RECOVER)),
+    ("input", Leaf),
+    ("literal", Sub(LITERAL)),
+];
+
+pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
+    if let Value::Str(s) = v {
+        return Ok(match s.as_str() {
+            "post_jump_tracking_err" => {
+                ColumnSpec::Derived(DerivedColumn::PostJumpTrackingErr)
+            }
+            "conflict_ratio_at_peak" => ColumnSpec::Derived(DerivedColumn::ConflictRatioAtPeak),
+            "switch_count" => ColumnSpec::Derived(DerivedColumn::SwitchCount),
+            // The bare name is the object form with every default.
+            "post_switch_settling_time_s" => {
+                return column_from_value(&Value::Map(vec![(s.clone(), Value::Map(Vec::new()))]));
+            }
+            name => {
+                if let Ok(c) = StatColumn::parse(name) {
+                    ColumnSpec::Stat(c)
+                } else if let Ok(c) = ClientColumn::parse(name) {
+                    ColumnSpec::Client(c)
+                } else {
+                    return Err(SpecError::new(format!("unknown column `{name}`")));
+                }
+            }
+        });
+    }
+    let (tag, payload) = single_key(v, "columns[]", COLUMN)
+        .map_err(|e| e.context("a column is a stat/derived/client name, or"))?;
+    Ok(match tag {
+        "settling_time_s" => {
+            let mut o = Obj::open(payload, tag, SETTLING_TIME)?;
+            let col = DerivedColumn::SettlingTime {
+                header: o.opt("header", string)?.unwrap_or_else(|| tag.to_string()),
+                after_frac: o.req("after_frac", below_one)?,
+                band: o.opt("band", positive)?.unwrap_or(0.25),
+            };
+            ColumnSpec::Derived(o.finish(col)?)
+        }
+        "time_in_protocol" => {
+            let mut o = Obj::open(payload, tag, TIME_IN_PROTOCOL)?;
+            let col = DerivedColumn::TimeInProtocol {
+                cc: o.req("cc", |v, _| cc_from_value(v))?,
+                header: o.opt("header", nonempty)?,
+            };
+            ColumnSpec::Derived(o.finish(col)?)
+        }
+        "post_switch_settling_time_s" => {
+            let mut o = Obj::open(payload, tag, POST_SWITCH_SETTLING)?;
+            let col = DerivedColumn::PostSwitchSettling {
+                header: o.opt("header", nonempty)?.unwrap_or_else(|| tag.to_string()),
+                band: o.opt("band", positive)?.unwrap_or(0.25),
+            };
+            ColumnSpec::Derived(o.finish(col)?)
+        }
+        "time_to_recover_s" => {
+            let mut o = Obj::open(payload, tag, TIME_TO_RECOVER)?;
+            let col = DerivedColumn::TimeToRecover {
+                header: o.opt("header", nonempty)?.unwrap_or_else(|| tag.to_string()),
+                after_ms: o.req("after_ms", positive)?,
+                band: o.opt("band", positive)?.unwrap_or(0.7),
+            };
+            ColumnSpec::Derived(o.finish(col)?)
+        }
+        "input" => ColumnSpec::Input(nonempty(payload, At("columns[]", tag))?),
+        "literal" => {
+            let mut o = Obj::open(payload, tag, LITERAL)?;
+            let col = ColumnSpec::Literal {
+                header: o.req("header", string)?,
+                value: o.req("value", string)?,
+            };
+            o.finish(col)?
+        }
+        other => return Err(unknown_key("columns[]", other, COLUMN)),
+    })
+}
+
+/// Default report columns.
+pub(super) fn default_columns() -> Vec<ColumnSpec> {
+    [
+        StatColumn::ThroughputPerS,
+        StatColumn::AbortRatio,
+        StatColumn::MeanResponseMs,
+        StatColumn::MeanMpl,
+        StatColumn::MeanBound,
+    ]
+    .into_iter()
+    .map(ColumnSpec::Stat)
+    .collect()
+}

@@ -352,38 +352,11 @@ where
     from_overrides(entries(v, &what)?, &what)
 }
 
-/// The first key of `given` that `canon` — what `given` parsed to,
-/// written back out — does not have exactly once in the same place.
-fn stray_key<'a>(given: &'a Value, canon: &Value, parent: &'a str) -> Option<(&'a str, &'a str)> {
-    match (given, canon) {
-        (Value::Map(g), Value::Map(c)) => g.iter().enumerate().find_map(|(i, (k, gv))| {
-            match c.iter().find(|(ck, _)| ck == k) {
-                Some((_, cv)) if g[..i].iter().all(|(seen, _)| seen != k) => stray_key(gv, cv, k),
-                _ => Some((parent, k.as_str())),
-            }
-        }),
-        (Value::Seq(g), Value::Seq(c)) => {
-            g.iter().zip(c).find_map(|(gv, cv)| stray_key(gv, cv, parent))
-        }
-        _ => None,
-    }
-}
-
-/// Deserializes through the derive shim and restores the strictness the
-/// shim lacks: it skips keys it does not know and reads the first of a
-/// repeated one, so the value written back out must have every key
-/// that was given.
-pub fn strict<T>(v: &Value, what: &str) -> Result<T, SpecError>
-where
-    T: serde::Serialize + serde::de::DeserializeOwned,
-{
-    let t = T::from_value(v).map_err(|e| SpecError::new(format!("invalid `{what}`: {e}")))?;
-    match stray_key(v, &t.to_value(), what) {
-        None => Ok(t),
-        Some((parent, key)) => Err(SpecError::new(format!(
-            "invalid `{what}`: `{parent}` has no key `{key}`, or has it twice"
-        ))),
-    }
+/// Deserializes through the derive shim, which is strict itself: a key
+/// the type does not have, or has twice, is its error, named here as
+/// part of `what`.
+pub fn strict<T: serde::de::DeserializeOwned>(v: &Value, what: &str) -> Result<T, SpecError> {
+    T::from_value(v).map_err(|e| SpecError::new(format!("invalid `{what}`: {e}")))
 }
 
 /// Builds a `T` by overlaying `overrides` (key → value, shallow) on top

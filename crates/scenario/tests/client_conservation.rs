@@ -15,148 +15,128 @@
 
 use alc_scenario::compile::RunPlan;
 use alc_scenario::runner::{run_plan, RunRecord};
-use alc_scenario::spec::{ColumnSpec, ControllerSpec, ScenarioSpec, StatColumn, WorkloadSpec};
-use alc_tpsim::config::CcKind;
-use alc_tpsim::{ClientConfig, LatencyFeedback, RetryPolicy};
 use proptest::prelude::*;
-use serde::{Serialize as _, Value};
+use serde::Value;
 
-fn arb_retry() -> impl Strategy<Value = RetryPolicy> {
+mod common;
+use common::{compile, exponential, nums, obj, s, tag};
+
+fn arb_retry() -> impl Strategy<Value = Value> {
     prop_oneof![
         (5.0..400.0f64, 1.0..3.0f64, 100.0..2_000.0f64, 0.0..1.0f64).prop_map(
-            |(base_ms, factor, max_ms, jitter)| RetryPolicy::Backoff {
-                base_ms,
-                factor,
-                max_ms,
-                jitter,
-            }
+            |(base_ms, factor, max_ms, jitter)| tag(
+                "backoff",
+                nums([
+                    ("base_ms", base_ms),
+                    ("factor", factor),
+                    ("max_ms", max_ms),
+                    ("jitter", jitter)
+                ])
+            )
         ),
-        (0.0..2.0f64, 1.0..16.0f64, 10.0..500.0f64).prop_map(|(per_commit, burst, delay_ms)| {
-            RetryPolicy::Budget {
-                per_commit,
-                burst,
-                delay_ms,
-            }
-        }),
-        (10.0..800.0f64).prop_map(|delay_ms| RetryPolicy::Hedged { delay_ms }),
+        (0.0..2.0f64, 1.0..16.0f64, 10.0..500.0f64).prop_map(|(per_commit, burst, delay_ms)| tag(
+            "budget",
+            nums([
+                ("per_commit", per_commit),
+                ("burst", burst),
+                ("delay_ms", delay_ms)
+            ])
+        )),
+        (10.0..800.0f64).prop_map(|delay_ms| tag("hedged", nums([("delay_ms", delay_ms)]))),
     ]
 }
 
 /// Pools tuned so the 5-second horizon actually exercises the edge
 /// paths: timeouts short enough to fire against the service times,
-/// populations small enough that debug-mode runs stay cheap.
-fn arb_clients() -> impl Strategy<Value = ClientConfig> {
+/// populations small enough that debug-mode runs stay cheap. Returns the
+/// section and the `shed_retries` it drew.
+fn arb_clients() -> impl Strategy<Value = (Value, bool)> {
     (
-        (2u32..24, 80.0..1_500.0f64, 0u32..6),
+        (2u64..24, 80.0..1_500.0f64, any::<bool>(), 0u64..6),
         (arb_retry(), any::<bool>(), 0.0..2.0f64, 0.05..1.0f64),
     )
         .prop_map(
-            |((population, timeout_ms, max_retries), (retry, shed_retries, gain, weight))| {
-                ClientConfig {
-                    population,
-                    timeout: alc_des::dist::Dist::constant(timeout_ms),
-                    max_retries,
-                    retry,
-                    shed_retries,
-                    feedback: LatencyFeedback {
-                        gain,
-                        reference_ms: 500.0,
-                        weight,
-                    },
-                }
+            |((population, timeout_ms, bare, max_retries), (retry, shed_retries, gain, weight))| {
+                // A constant timeout, as the bare number or spelt out.
+                let timeout = if bare {
+                    Value::Num(timeout_ms)
+                } else {
+                    tag("constant", Value::Num(timeout_ms))
+                };
+                let clients = obj([
+                    ("population", Value::U64(population)),
+                    ("timeout", timeout),
+                    ("max_retries", Value::U64(max_retries)),
+                    ("retry", retry),
+                    ("shed_retries", Value::Bool(shed_retries)),
+                    (
+                        "feedback",
+                        nums([("gain", gain), ("reference_ms", 500.0), ("weight", weight)]),
+                    ),
+                ]);
+                (clients, shed_retries)
             },
         )
 }
 
-fn arb_controller() -> impl Strategy<Value = ControllerSpec> {
-    use alc_core::controller::RetryBudgetParams;
+fn arb_controller() -> impl Strategy<Value = Value> {
     prop_oneof![
-        Just(ControllerSpec::Unlimited),
-        (2u32..32).prop_map(|bound| ControllerSpec::Fixed { bound }),
-        (2u32..16, 16u32..64, 0.1..2.0f64).prop_map(|(lo, hi, budget)| {
-            ControllerSpec::RetryBudget(RetryBudgetParams {
-                initial_bound: lo,
-                min_bound: 1,
-                max_bound: hi,
-                budget,
-                ..RetryBudgetParams::default()
-            })
-        }),
+        Just(s("unlimited")),
+        (2u64..32).prop_map(|bound| tag("fixed", obj([("bound", Value::U64(bound))]))),
+        (2u64..16, 16u64..64, 0.1..2.0f64).prop_map(|(lo, hi, budget)| tag(
+            "retry_budget",
+            obj([
+                ("initial_bound", Value::U64(lo)),
+                ("min_bound", Value::U64(1)),
+                ("max_bound", Value::U64(hi)),
+                ("budget", Value::Num(budget)),
+            ])
+        )),
     ]
 }
 
-/// A complete runnable spec: small contended system, a client pool, and
-/// a shed-flipped variant so the plan has two cells (the serial-vs-
-/// parallel comparison needs more than one).
-fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
+/// A complete runnable spec tree: small contended system, a client
+/// pool, and a shed-flipped variant so the plan has two cells (the
+/// serial-vs-parallel comparison needs more than one).
+fn arb_spec() -> impl Strategy<Value = Value> {
     (
         any::<u64>(),
         (2u64..5, 60u64..300),
         arb_clients(),
         arb_controller(),
-        50.0..400.0f64,
+        (50.0..400.0f64, any::<bool>()),
     )
-        .prop_map(|(seed, (cpus, db_size), clients, controller, think_ms)| {
-            let shed_flipped = !clients.shed_retries;
-            ScenarioSpec {
-                name: "conservation".to_string(),
-                description: "generated client-pool spec".to_string(),
-                seed,
-                replications: 1,
-                horizon_ms: 5_000.0,
-                cc: CcKind::Certification,
-                cc_phases: Vec::new(),
-                cc_adaptive: None,
-                faults: Vec::new(),
-                clients: Some(clients),
-                system: vec![
-                    ("cpus".to_string(), Value::U64(cpus)),
-                    ("db_size".to_string(), Value::U64(db_size)),
+        .prop_map(
+            |(seed, (cpus, db_size), (clients, shed_retries), controller, (think_ms, short))| {
+                let shed_flipped = obj([("clients.shed_retries", Value::Bool(!shed_retries))]);
+                obj([
+                    ("name", s("conservation")),
+                    ("description", s("generated client-pool spec")),
+                    ("seed", Value::U64(seed)),
+                    ("horizon_ms", Value::Num(5_000.0)),
+                    ("clients", clients),
                     (
-                        "think".to_string(),
-                        Value::Map(vec![(
-                            "Exponential".to_string(),
-                            Value::Map(vec![("mean".to_string(), Value::Num(think_ms))]),
-                        )]),
+                        "system",
+                        obj([
+                            ("cpus", Value::U64(cpus)),
+                            ("db_size", Value::U64(db_size)),
+                            ("think", exponential(think_ms, short)),
+                        ]),
                     ),
-                ],
-                control: vec![("sample_interval_ms".to_string(), Value::Num(500.0))],
-                workload: WorkloadSpec {
-                    k: alc_scenario::profile::Profile::Constant(6.0),
-                    ..WorkloadSpec::default()
-                },
-                controller,
-                record_optimum: false,
-                trajectories: false,
-                label_header: "variant".to_string(),
-                columns: vec![ColumnSpec::Stat(StatColumn::ThroughputPerS)],
-                variants: vec![
-                    alc_scenario::spec::VariantSpec {
-                        name: "base".to_string(),
-                        set: Vec::new(),
-                        quick: Vec::new(),
-                    },
-                    alc_scenario::spec::VariantSpec {
-                        name: "shed-flipped".to_string(),
-                        set: vec![(
-                            "clients.shed_retries".to_string(),
-                            Value::Bool(shed_flipped),
-                        )],
-                        quick: Vec::new(),
-                    },
-                ],
-                sweep: None,
-                inputs: Vec::new(),
-                label_from: None,
-                quick: Vec::new(),
-            }
-        })
-}
-
-fn compile(spec: &ScenarioSpec) -> RunPlan {
-    let tree = spec.to_value();
-    alc_scenario::compile::compile_value(&tree, std::path::Path::new("."), false)
-        .expect("generated spec compiles")
+                    ("control", nums([("sample_interval_ms", 500.0)])),
+                    ("workload", obj([("k", Value::U64(6))])),
+                    ("controller", controller),
+                    ("columns", Value::Seq(vec![s("throughput_per_s")])),
+                    (
+                        "variants",
+                        Value::Seq(vec![
+                            obj([("name", s("base"))]),
+                            obj([("name", s("shed-flipped")), ("set", shed_flipped)]),
+                        ]),
+                    ),
+                ])
+            },
+        )
 }
 
 /// One cell per `run_plan` call: with a single job the rayon shim stays
@@ -206,7 +186,11 @@ fn assert_same(a: &[RunRecord], b: &[RunRecord], what: &str) {
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.label, y.label, "{what}: order");
         assert_eq!(x.stats, y.stats, "{what}: stats of `{}`", x.label);
-        assert_eq!(x.clients, y.clients, "{what}: client stats of `{}`", x.label);
+        assert_eq!(
+            x.clients, y.clients,
+            "{what}: client stats of `{}`",
+            x.label
+        );
     }
 }
 
@@ -218,8 +202,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn client_accounting_conserves_requests_and_attempts(spec in arb_spec()) {
-        let plan = compile(&spec);
+    fn client_accounting_conserves_requests_and_attempts(tree in arb_spec()) {
+        let plan = compile(&tree);
         let a = run_plan(&plan);
         for rec in &a {
             assert_conserved(rec);

@@ -1,6 +1,8 @@
 //! Helpers shared by the golden tests (`golden.rs`, `golden_port.rs`):
 //! where the specs and the pinned files live, how a quick-scale table is
-//! produced, and the compare-or-rebless step.
+//! produced, and the compare-or-rebless step. And by the property tests
+//! (`roundtrip.rs`, `client_conservation.rs`, `trace_conservation.rs`):
+//! the few constructors their generators write spec trees with.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -9,6 +11,7 @@ use std::path::PathBuf;
 use alc_scenario::compile::RunPlan;
 use alc_scenario::runner::{self, RunRecord};
 use alc_scenario::LoadedSpec;
+use serde::Value;
 
 pub fn scenarios_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -55,4 +58,46 @@ pub fn table_csv(plan: &RunPlan, records: &[RunRecord]) -> String {
     let mut csv = String::new();
     runner::build_report(plan, records).render_csv_into(&mut csv);
     csv
+}
+
+/// A JSON object with literal keys, in the order given.
+pub fn obj<'a>(entries: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Map(
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// An object of number fields.
+pub fn nums<const N: usize>(fields: [(&str, f64); N]) -> Value {
+    obj(fields.map(|(k, x)| (k, Value::Num(x))))
+}
+
+/// A single-key object: the DSL's form for a tagged union.
+pub fn tag(tag: &str, payload: Value) -> Value {
+    obj([(tag, payload)])
+}
+
+/// A JSON string.
+pub fn s(text: &str) -> Value {
+    Value::Str(text.to_string())
+}
+
+/// An exponential distribution as a user may write it: the
+/// `{"exponential": mean}` shorthand or the canonical derive form.
+pub fn exponential(mean: f64, shorthand: bool) -> Value {
+    if shorthand {
+        tag("exponential", Value::Num(mean))
+    } else {
+        tag("Exponential", obj([("mean", Value::Num(mean))]))
+    }
+}
+
+/// Compiles a generated spec tree at full scale; the generators only
+/// emit valid, trace-free specs.
+pub fn compile(tree: &Value) -> RunPlan {
+    alc_scenario::compile::compile_value(tree, std::path::Path::new("."), false)
+        .expect("generated spec compiles")
 }

@@ -11,115 +11,95 @@
 //! byte-identical across reruns — tracing must never perturb or be
 //! perturbed by anything nondeterministic.
 
-use alc_scenario::compile::RunPlan;
-use alc_scenario::spec::{ColumnSpec, ControllerSpec, ScenarioSpec, StatColumn, WorkloadSpec};
 use alc_scenario::trace::{trace_cell, trace_file_name, validate_trace_file};
-use alc_tpsim::config::CcKind;
-use alc_tpsim::{ClientConfig, LatencyFeedback, RetryPolicy};
 use proptest::prelude::*;
-use serde::{Serialize as _, Value};
+use serde::Value;
 
-fn arb_clients() -> impl Strategy<Value = ClientConfig> {
+mod common;
+use common::{compile, exponential, nums, obj, s, tag};
+
+fn arb_clients() -> impl Strategy<Value = Value> {
     (
-        2u32..16,
+        2u64..16,
         80.0..1_200.0f64,
-        0u32..5,
+        0u64..5,
         any::<bool>(),
         prop_oneof![
-            (5.0..300.0f64).prop_map(|base_ms| RetryPolicy::Backoff {
-                base_ms,
-                factor: 2.0,
-                max_ms: 2_000.0,
-                jitter: 0.5,
-            }),
-            (10.0..600.0f64).prop_map(|delay_ms| RetryPolicy::Hedged { delay_ms }),
+            (5.0..300.0f64).prop_map(|base_ms| tag(
+                "backoff",
+                nums([("base_ms", base_ms), ("max_ms", 2_000.0)])
+            )),
+            (10.0..600.0f64).prop_map(|delay_ms| tag("hedged", nums([("delay_ms", delay_ms)]))),
         ],
     )
-        .prop_map(|(population, timeout_ms, max_retries, shed_retries, retry)| ClientConfig {
-            population,
-            timeout: alc_des::dist::Dist::constant(timeout_ms),
-            max_retries,
-            retry,
-            shed_retries,
-            feedback: LatencyFeedback::default(),
-        })
+        .prop_map(
+            |(population, timeout_ms, max_retries, shed_retries, retry)| {
+                obj([
+                    ("population", Value::U64(population)),
+                    ("timeout", Value::Num(timeout_ms)),
+                    ("max_retries", Value::U64(max_retries)),
+                    ("retry", retry),
+                    ("shed_retries", Value::Bool(shed_retries)),
+                ])
+            },
+        )
 }
 
-fn arb_controller() -> impl Strategy<Value = ControllerSpec> {
+fn arb_controller() -> impl Strategy<Value = Value> {
     prop_oneof![
-        Just(ControllerSpec::Unlimited),
-        (2u32..24).prop_map(|bound| ControllerSpec::Fixed { bound }),
+        Just(s("unlimited")),
+        (2u64..24).prop_map(|bound| tag("fixed", obj([("bound", Value::U64(bound))]))),
     ]
 }
 
-fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
+fn arb_spec() -> impl Strategy<Value = Value> {
     (
         any::<u64>(),
-        (2u64..5, 60u64..300, 50.0..400.0f64),
+        (2u64..5, 60u64..300, 50.0..400.0f64, any::<bool>()),
         prop_oneof![Just(None), arb_clients().prop_map(Some)],
         arb_controller(),
         any::<bool>(),
         0.0..2_000.0f64,
     )
         .prop_map(
-            |(seed, (cpus, db_size, think_ms), clients, controller, fault, warmup_ms)| {
-                ScenarioSpec {
-                    name: "trace-conservation".to_string(),
-                    description: "generated trace-conservation spec".to_string(),
-                    seed,
-                    replications: 1,
-                    horizon_ms: 5_000.0,
-                    cc: CcKind::Certification,
-                    cc_phases: Vec::new(),
-                    cc_adaptive: None,
-                    faults: if fault {
-                        vec![alc_scenario::spec::FaultSpec {
-                            at_ms: 1_500.0,
-                            recovery: alc_scenario::spec::FaultRecovery::Fixed(2_000.0),
-                            cpus_down: 1,
-                        }]
-                    } else {
-                        Vec::new()
-                    },
-                    clients,
-                    system: vec![
-                        ("cpus".to_string(), Value::U64(cpus)),
-                        ("db_size".to_string(), Value::U64(db_size)),
-                        (
-                            "think".to_string(),
-                            Value::Map(vec![(
-                                "Exponential".to_string(),
-                                Value::Map(vec![("mean".to_string(), Value::Num(think_ms))]),
-                            )]),
-                        ),
-                    ],
-                    control: vec![
-                        ("sample_interval_ms".to_string(), Value::Num(500.0)),
-                        ("warmup_ms".to_string(), Value::Num(warmup_ms)),
-                    ],
-                    workload: WorkloadSpec {
-                        k: alc_scenario::profile::Profile::Constant(6.0),
-                        ..WorkloadSpec::default()
-                    },
-                    controller,
-                    record_optimum: false,
-                    trajectories: false,
-                    label_header: "variant".to_string(),
-                    columns: vec![ColumnSpec::Stat(StatColumn::ThroughputPerS)],
-                    variants: Vec::new(),
-                    sweep: None,
-                    inputs: Vec::new(),
-                    label_from: None,
-                    quick: Vec::new(),
+            |(seed, (cpus, db_size, think_ms, short), clients, controller, fault, warmup_ms)| {
+                let mut m = vec![
+                    ("name", s("trace-conservation")),
+                    ("description", s("generated trace-conservation spec")),
+                    ("seed", Value::U64(seed)),
+                    ("horizon_ms", Value::Num(5_000.0)),
+                    (
+                        "system",
+                        obj([
+                            ("cpus", Value::U64(cpus)),
+                            ("db_size", Value::U64(db_size)),
+                            ("think", exponential(think_ms, short)),
+                        ]),
+                    ),
+                    (
+                        "control",
+                        nums([("sample_interval_ms", 500.0), ("warmup_ms", warmup_ms)]),
+                    ),
+                    ("workload", obj([("k", Value::U64(6))])),
+                    ("controller", controller),
+                    ("columns", Value::Seq(vec![s("throughput_per_s")])),
+                ];
+                if fault {
+                    m.push((
+                        "faults",
+                        Value::Seq(vec![obj([
+                            ("at", Value::Num(1_500.0)),
+                            ("duration", Value::Num(2_000.0)),
+                            ("cpus_down", Value::U64(1)),
+                        ])]),
+                    ));
                 }
+                if let Some(c) = clients {
+                    m.push(("clients", c));
+                }
+                obj(m)
             },
         )
-}
-
-fn compile(spec: &ScenarioSpec) -> RunPlan {
-    let tree = spec.to_value();
-    alc_scenario::compile::compile_value(&tree, std::path::Path::new("."), false)
-        .expect("generated spec compiles")
 }
 
 fn case_dir(tag: &str) -> std::path::PathBuf {
@@ -133,8 +113,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn every_trace_balances_reconciles_and_reruns_identically(spec in arb_spec()) {
-        let plan = compile(&spec);
+    fn every_trace_balances_reconciles_and_reruns_identically(tree in arb_spec()) {
+        let plan = compile(&tree);
         let v = &plan.variants[0];
         let (dir_a, dir_b) = (case_dir("a"), case_dir("b"));
         let a = trace_cell(&plan, v, 0, &dir_a).expect("traced run");

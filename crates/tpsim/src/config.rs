@@ -99,6 +99,51 @@ impl SystemConfig {
         use alc_des::dist::Sample;
         2.0 * self.disk_init_commit.mean() + f64::from(k) * self.disk_access.mean()
     }
+
+    /// The first field the engine cannot run with, as `<field> must …`:
+    /// each of these otherwise panics a station, the calendar or a
+    /// sampler mid-run, long after the config was accepted.
+    pub fn check(&self) -> Result<(), String> {
+        for (field, count) in [
+            ("terminals", u64::from(self.terminals)),
+            ("cpus", u64::from(self.cpus)),
+            ("db_size", self.db_size),
+        ] {
+            if count == 0 {
+                return Err(format!("{field} must be ≥ 1"));
+            }
+        }
+        let open = match &self.arrival {
+            ArrivalProcess::Open { interarrival } => Some(("arrival.interarrival", interarrival)),
+            ArrivalProcess::Closed => None,
+        };
+        let delays = [
+            ("cpu_phase", &self.cpu_phase),
+            ("disk_access", &self.disk_access),
+            ("disk_init_commit", &self.disk_init_commit),
+            ("think", &self.think),
+            ("restart_delay", &self.restart_delay),
+        ];
+        match delays.into_iter().chain(open).find(|(_, d)| !is_delay(d)) {
+            Some((field, _)) => Err(format!(
+                "{field} must draw finite delays ≥ 0 only (an Erlang from ≥ 1 stage)"
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Whether every draw of `d` is a finite time ≥ 0.
+fn is_delay(d: &Dist) -> bool {
+    let time = |x: f64| x.is_finite() && x >= 0.0;
+    match d {
+        Dist::Constant(c) => time(c.0),
+        Dist::Uniform(u) => time(u.lo) && time(u.hi) && u.lo <= u.hi,
+        Dist::Exponential(e) => time(e.mean),
+        Dist::ExpZig(e) => time(e.mean),
+        Dist::Erlang(e) => e.stages >= 1 && time(e.mean),
+        Dist::HyperExp(h) => (0.0..=1.0).contains(&h.p) && time(h.mean_a) && time(h.mean_b),
+    }
 }
 
 /// Which concurrency-control protocol the run uses.

@@ -24,3 +24,17 @@ fn system_config_round_trips_through_json() {
         serde_json::from_str(&serde_json::to_string(&ctl).expect("serialize")).expect("parse");
     assert_eq!(back, ctl);
 }
+
+/// A misspelt field used to leave a `missing field` error at best; next
+/// to a full config it was skipped and the run kept the spelt one.
+#[test]
+fn a_misspelt_system_config_field_is_an_error_naming_it() {
+    let json = serde_json::to_string(&SystemConfig::default()).expect("serialize");
+    let bad = json.replacen("{", "{\"terminal\":40,", 1);
+    let err = serde_json::from_str::<SystemConfig>(&bad).expect_err("stray `terminal`");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("SystemConfig") && msg.contains("`terminal`"),
+        "{msg}"
+    );
+}
