@@ -24,7 +24,7 @@
 //! poor steady-state accuracy — an ablation the benches quantify
 //! (`abl-hybrid`).
 
-use super::{IncrementalSteps, IsParams, LoadController, PaParams, ParabolaApproximation};
+use super::{require, IncrementalSteps, IsParams, LoadController, PaParams, ParabolaApproximation};
 use crate::estimator::quadratic::FitShape;
 use crate::measure::Measurement;
 
@@ -57,6 +57,27 @@ impl Default for HybridParams {
             revert_after: 4,
             revert_window: 8,
         }
+    }
+}
+
+impl HybridParams {
+    /// The first field [`Hybrid::new`] cannot run with, as `<field> must …`
+    /// (an inner phase's field as `is.<field>` / `pa.<field>`).
+    pub fn check(&self) -> Result<(), String> {
+        self.is.check().map_err(|e| format!("is.{e}"))?;
+        self.pa.check().map_err(|e| format!("pa.{e}"))?;
+        // The phases hand the bound over, so they must share one range.
+        require(self.pa.min_bound == self.is.min_bound, "pa.min_bound must share is.min_bound")?;
+        require(self.pa.max_bound == self.is.max_bound, "pa.max_bound must share is.max_bound")?;
+        require(
+            self.bootstrap_samples >= 3,
+            "bootstrap_samples must be ≥ 3 (the 3-parameter fit needs them)",
+        )?;
+        require(self.revert_after >= 1, "revert_after must be ≥ 1")?;
+        require(
+            (self.revert_after..=64).contains(&self.revert_window),
+            "revert_window must lie in [revert_after, 64]",
+        )
     }
 }
 
@@ -93,20 +114,10 @@ pub struct Hybrid {
 }
 
 impl Hybrid {
-    /// Creates the controller; panics if the IS and PA bound ranges
-    /// disagree (the phases must be interchangeable).
+    /// Creates the controller; panics exactly when [`HybridParams::check`]
+    /// errs.
     pub fn new(params: HybridParams) -> Self {
-        assert_eq!(
-            (params.is.min_bound, params.is.max_bound),
-            (params.pa.min_bound, params.pa.max_bound),
-            "IS and PA must share the same [min_bound, max_bound] range"
-        );
-        assert!(params.bootstrap_samples >= 3, "the 3-parameter fit needs ≥ 3 samples");
-        assert!(params.revert_after >= 1);
-        assert!(
-            (params.revert_after..=64).contains(&params.revert_window),
-            "revert_window must lie in [revert_after, 64]"
-        );
+        params.check().expect("invalid hybrid parameters");
         Hybrid {
             is: IncrementalSteps::new(params.is),
             pa: ParabolaApproximation::new(params.pa),

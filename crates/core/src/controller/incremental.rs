@@ -22,7 +22,7 @@
 //! astray". The mandated counter-measure is a static lower and upper bound
 //! on `n*`, which [`IsParams::min_bound`]/[`IsParams::max_bound`] provide.
 
-use super::{clamp_bound, LoadController};
+use super::{check_bounds, clamp_bound, require, LoadController};
 use crate::estimator::Ewma;
 use crate::measure::Measurement;
 
@@ -68,6 +68,20 @@ impl Default for IsParams {
     }
 }
 
+impl IsParams {
+    /// The first field [`IncrementalSteps::new`] cannot run with, as
+    /// `<field> must …` (the smoother's weight included).
+    pub fn check(&self) -> Result<(), String> {
+        check_bounds(self.min_bound, self.max_bound, Some(self.initial_bound))?;
+        require(self.beta >= 0.0, "beta must be ≥ 0")?;
+        require(self.gamma >= 0.0, "gamma must be ≥ 0")?;
+        require(self.delta >= 0.0, "delta must be ≥ 0")?;
+        require(self.min_step > 0.0, "min_step must be > 0")?;
+        require(self.max_step >= self.min_step, "max_step must be ≥ min_step")?;
+        require(self.smoothing > 0.0 && self.smoothing <= 1.0, "smoothing must lie in (0, 1]")
+    }
+}
+
 /// The Incremental Steps (IS) controller of §4.1.
 #[derive(Debug, Clone)]
 pub struct IncrementalSteps {
@@ -79,16 +93,10 @@ pub struct IncrementalSteps {
 }
 
 impl IncrementalSteps {
-    /// Creates the controller; panics on inconsistent parameters.
+    /// Creates the controller; panics exactly when [`IsParams::check`]
+    /// errs.
     pub fn new(params: IsParams) -> Self {
-        assert!(params.min_bound >= 1, "min_bound must be at least 1");
-        assert!(params.min_bound <= params.max_bound);
-        assert!(
-            (params.min_bound..=params.max_bound).contains(&params.initial_bound),
-            "initial_bound must lie within [min_bound, max_bound]"
-        );
-        assert!(params.beta >= 0.0 && params.gamma >= 0.0 && params.delta >= 0.0);
-        assert!(params.min_step > 0.0 && params.max_step >= params.min_step);
+        params.check().expect("invalid IS parameters");
         IncrementalSteps {
             params,
             bound: f64::from(params.initial_bound),

@@ -61,6 +61,33 @@ pub trait LoadController: Send {
     fn reset(&mut self);
 }
 
+/// One rule of a parameter check: `Ok` when `ok` holds, else the rule
+/// itself (`<field> must …`) as the error. Every comparison is written
+/// the way round that a NaN fails it.
+pub(crate) fn require(ok: bool, rule: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(rule.to_string())
+    }
+}
+
+/// The bound-range rules the bounded controllers share: a floor of at
+/// least 1 under the ceiling, and the initial bound (where the
+/// controller starts from one rather than clamping it) inside.
+pub(crate) fn check_bounds(
+    min_bound: u32,
+    max_bound: u32,
+    initial_bound: Option<u32>,
+) -> Result<(), String> {
+    require(min_bound >= 1, "min_bound must be ≥ 1")?;
+    require(min_bound <= max_bound, "max_bound must be ≥ min_bound")?;
+    require(
+        initial_bound.is_none_or(|b| (min_bound..=max_bound).contains(&b)),
+        "initial_bound must lie within [min_bound, max_bound]",
+    )
+}
+
 /// Clamps a real-valued bound into the controller's `[min, max]` integer
 /// range. Shared by all implementations.
 pub(crate) fn clamp_bound(raw: f64, min_bound: u32, max_bound: u32) -> u32 {

@@ -21,7 +21,7 @@
 //!   memory (α toward its maximum). This automates the Δt/α trade-off of
 //!   Figure 6 that §5.2 leaves to manual tuning.
 
-use super::{IncrementalSteps, IsParams, LoadController, PaParams, ParabolaApproximation};
+use super::{require, IncrementalSteps, IsParams, LoadController, PaParams, ParabolaApproximation};
 use crate::estimator::Ewma;
 use crate::measure::Measurement;
 
@@ -53,6 +53,18 @@ impl Default for OuterParams {
     }
 }
 
+impl OuterParams {
+    /// The first field [`SelfTuningIs::new`] cannot run with, as
+    /// `<field> must …`.
+    pub fn check(&self) -> Result<(), String> {
+        require(self.window >= 2, "window must be ≥ 2")?;
+        require(self.target_step_fraction > 0.0, "target_step_fraction must be > 0")?;
+        require(self.adjust_factor > 1.0, "adjust_factor must be > 1")?;
+        require(self.beta_min > 0.0, "beta_min must be > 0")?;
+        require(self.beta_min <= self.beta_max, "beta_max must be ≥ beta_min")
+    }
+}
+
 /// Incremental Steps with the §5 outer loop auto-tuning its gain β.
 #[derive(Debug, Clone)]
 pub struct SelfTuningIs {
@@ -66,12 +78,10 @@ pub struct SelfTuningIs {
 }
 
 impl SelfTuningIs {
-    /// Wraps IS with the given inner and outer parameters.
+    /// Wraps IS with the given inner and outer parameters; panics exactly
+    /// when [`IsParams::check`] or [`OuterParams::check`] errs.
     pub fn new(inner_params: IsParams, outer: OuterParams) -> Self {
-        assert!(outer.window >= 2);
-        assert!(outer.target_step_fraction > 0.0);
-        assert!(outer.adjust_factor > 1.0);
-        assert!(outer.beta_min > 0.0 && outer.beta_min <= outer.beta_max);
+        outer.check().expect("invalid outer-loop parameters");
         let inner = IncrementalSteps::new(inner_params);
         SelfTuningIs {
             last_bound: inner.current_bound(),
@@ -187,6 +197,27 @@ impl Default for PaOuterParams {
     }
 }
 
+impl PaOuterParams {
+    /// The first field [`SelfTuningPa::new`] cannot run with, as
+    /// `<field> must …` (the two innovation trackers' weights included).
+    pub fn check(&self) -> Result<(), String> {
+        require(self.window >= 2, "window must be ≥ 2")?;
+        require(self.slow_weight > 0.0, "slow_weight must be > 0")?;
+        require(self.fast_weight > self.slow_weight, "fast_weight must be > slow_weight")?;
+        require(self.fast_weight <= 1.0, "fast_weight must be ≤ 1")?;
+        require(self.shock_factor > 1.0, "shock_factor must be > 1")?;
+        require(self.shock_confirm >= 1, "shock_confirm must be ≥ 1")?;
+        require(
+            self.lengthen_below > 0.0 && self.lengthen_below < 1.0,
+            "lengthen_below must lie in (0, 1)",
+        )?;
+        require(self.adjust_factor > 1.0, "adjust_factor must be > 1")?;
+        require(self.alpha_min > 0.0, "alpha_min must be > 0")?;
+        require(self.alpha_min <= self.alpha_max, "alpha_max must be ≥ alpha_min")?;
+        require(self.alpha_max < 1.0, "alpha_max must be < 1")
+    }
+}
+
 /// Parabola Approximation with the §5 outer loop auto-tuning its
 /// forgetting factor α from innovation statistics.
 #[derive(Debug, Clone)]
@@ -201,16 +232,11 @@ pub struct SelfTuningPa {
 }
 
 impl SelfTuningPa {
-    /// Wraps PA with the given inner and outer parameters. The inner α is
-    /// clamped into `[alpha_min, alpha_max]` immediately.
+    /// Wraps PA with the given inner and outer parameters; panics exactly
+    /// when [`PaParams::check`] or [`PaOuterParams::check`] errs. The
+    /// inner α is clamped into `[alpha_min, alpha_max]` immediately.
     pub fn new(inner_params: PaParams, outer: PaOuterParams) -> Self {
-        assert!(outer.window >= 2);
-        assert!(outer.fast_weight > outer.slow_weight && outer.slow_weight > 0.0);
-        assert!(outer.fast_weight <= 1.0);
-        assert!(outer.shock_factor > 1.0 && outer.shock_confirm >= 1);
-        assert!(outer.lengthen_below > 0.0 && outer.lengthen_below < 1.0);
-        assert!(outer.adjust_factor > 1.0);
-        assert!(outer.alpha_min > 0.0 && outer.alpha_min <= outer.alpha_max && outer.alpha_max < 1.0);
+        outer.check().expect("invalid outer-loop parameters");
         let mut inner = ParabolaApproximation::new(inner_params);
         let initial_alpha = inner.alpha().clamp(outer.alpha_min, outer.alpha_max);
         inner.set_alpha(initial_alpha);

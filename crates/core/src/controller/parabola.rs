@@ -26,7 +26,7 @@
 //!   §5.2 countermeasures: hold, gradient probing, covariance reset, or a
 //!   clamp to a safe bound.
 
-use super::{clamp_bound, LoadController};
+use super::{check_bounds, clamp_bound, require, LoadController};
 use crate::estimator::quadratic::{FitShape, Quadratic};
 use crate::estimator::Rls;
 use crate::measure::Measurement;
@@ -106,6 +106,19 @@ impl Default for PaParams {
     }
 }
 
+impl PaParams {
+    /// The first field [`ParabolaApproximation::new`] cannot run with, as
+    /// `<field> must …` (the RLS estimator's `alpha` and
+    /// `initial_covariance` included).
+    pub fn check(&self) -> Result<(), String> {
+        check_bounds(self.min_bound, self.max_bound, Some(self.initial_bound))?;
+        require(self.alpha > 0.0 && self.alpha <= 1.0, "alpha must lie in (0, 1]")?;
+        require(self.initial_covariance > 0.0, "initial_covariance must be > 0")?;
+        require(self.dither_amplitude >= 0.0, "dither_amplitude must be ≥ 0")?;
+        require(self.max_step > 0.0, "max_step must be > 0")
+    }
+}
+
 /// Diagnostic counters exposed for experiments and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PaDiagnostics {
@@ -134,14 +147,10 @@ pub struct ParabolaApproximation {
 }
 
 impl ParabolaApproximation {
-    /// Creates the controller; panics on inconsistent parameters.
+    /// Creates the controller; panics exactly when [`PaParams::check`]
+    /// errs.
     pub fn new(params: PaParams) -> Self {
-        assert!(params.min_bound >= 1);
-        assert!(params.min_bound <= params.max_bound);
-        assert!((params.min_bound..=params.max_bound).contains(&params.initial_bound));
-        assert!(params.alpha > 0.0 && params.alpha <= 1.0);
-        assert!(params.dither_amplitude >= 0.0);
-        assert!(params.max_step > 0.0);
+        params.check().expect("invalid PA parameters");
         ParabolaApproximation {
             params,
             rls: Rls::new(params.alpha, params.initial_covariance),

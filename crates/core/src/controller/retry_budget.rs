@@ -7,7 +7,7 @@
 //! gate log captured from a simulated retry storm replays through the
 //! same decision function that made it.
 
-use super::LoadController;
+use super::{check_bounds, require, LoadController};
 use crate::measure::Measurement;
 
 /// Parameters of [`RetryBudget`].
@@ -50,6 +50,18 @@ impl Default for RetryBudgetParams {
     }
 }
 
+impl RetryBudgetParams {
+    /// The first field [`RetryBudget::new`] cannot run with, as
+    /// `<field> must …` (`initial_bound` is clamped, never refused).
+    pub fn check(&self) -> Result<(), String> {
+        check_bounds(self.min_bound, self.max_bound, None)?;
+        require(self.budget >= 0.0, "budget must be ≥ 0")?;
+        require(self.burst >= 0.0, "burst must be ≥ 0")?;
+        require(self.decrease > 0.0 && self.decrease < 1.0, "decrease must lie in (0, 1)")?;
+        require((0.0..=1.0).contains(&self.headroom), "headroom must lie in [0, 1]")
+    }
+}
+
 /// Token-bucket retry budgeting over interval measurements: a window
 /// that drains the bucket below zero is an overload — the bound is cut
 /// multiplicatively and the bucket resets to empty. A window that spends
@@ -68,23 +80,10 @@ pub struct RetryBudget {
 }
 
 impl RetryBudget {
-    /// Creates the controller at its initial bound with an empty bucket.
+    /// Creates the controller at its initial bound with an empty bucket;
+    /// panics exactly when [`RetryBudgetParams::check`] errs.
     pub fn new(params: RetryBudgetParams) -> Self {
-        assert!(params.min_bound >= 1, "min_bound must be at least 1");
-        assert!(
-            params.min_bound <= params.max_bound,
-            "min_bound must not exceed max_bound"
-        );
-        assert!(params.budget >= 0.0, "budget must be non-negative");
-        assert!(params.burst >= 0.0, "burst must be non-negative");
-        assert!(
-            params.decrease > 0.0 && params.decrease < 1.0,
-            "decrease must be in (0, 1)"
-        );
-        assert!(
-            (0.0..=1.0).contains(&params.headroom),
-            "headroom must be in [0, 1]"
-        );
+        params.check().expect("invalid retry-budget parameters");
         let bound = params.initial_bound.clamp(params.min_bound, params.max_bound);
         RetryBudget {
             params,

@@ -17,7 +17,7 @@
 //!   target, with an additive-increase exploration term when conflicts sit
 //!   below target.
 
-use super::{clamp_bound, LoadController};
+use super::{check_bounds, clamp_bound, require, LoadController};
 use crate::measure::Measurement;
 
 /// Tay's `k²n/D < 1.5` rule as an (open-loop) controller.
@@ -32,13 +32,33 @@ pub struct TayRule {
 }
 
 impl TayRule {
+    /// Tay et al.'s canonical bound on `k²n/D`.
+    pub const THRESHOLD: f64 = 1.5;
+
     /// Creates the rule for a workload with `k` accesses per transaction
-    /// on a database of `db_size` items, with the canonical 1.5 threshold.
+    /// on a database of `db_size` items, with the canonical
+    /// [`TayRule::THRESHOLD`].
     pub fn new(k: u32, db_size: u64, min_bound: u32, max_bound: u32) -> Self {
-        Self::with_threshold(k, db_size, 1.5, min_bound, max_bound)
+        Self::with_threshold(k, db_size, Self::THRESHOLD, min_bound, max_bound)
     }
 
-    /// Creates the rule with a custom threshold on `k²n/D`.
+    /// The first argument [`TayRule::with_threshold`] cannot run with, as
+    /// `<argument> must …`.
+    pub fn check(
+        k: u32,
+        db_size: u64,
+        threshold: f64,
+        min_bound: u32,
+        max_bound: u32,
+    ) -> Result<(), String> {
+        require(k >= 1, "k must be ≥ 1")?;
+        require(db_size >= 1, "db_size must be ≥ 1")?;
+        require(threshold > 0.0, "threshold must be > 0")?;
+        check_bounds(min_bound, max_bound, None)
+    }
+
+    /// Creates the rule with a custom threshold on `k²n/D`; panics exactly
+    /// when [`TayRule::check`] errs.
     pub fn with_threshold(
         k: u32,
         db_size: u64,
@@ -46,8 +66,8 @@ impl TayRule {
         min_bound: u32,
         max_bound: u32,
     ) -> Self {
-        assert!(k > 0 && db_size > 0 && threshold > 0.0);
-        assert!(min_bound >= 1 && min_bound <= max_bound);
+        Self::check(k, db_size, threshold, min_bound, max_bound)
+            .expect("invalid Tay-rule arguments");
         let mut rule = TayRule {
             k: f64::from(k),
             db_size: db_size as f64,
@@ -121,6 +141,15 @@ impl Default for IyerRuleParams {
     }
 }
 
+impl IyerRuleParams {
+    /// The first field [`IyerRule::new`] cannot run with, as
+    /// `<field> must …`.
+    pub fn check(&self) -> Result<(), String> {
+        require(self.target > 0.0, "target must be > 0")?;
+        check_bounds(self.min_bound, self.max_bound, Some(self.initial_bound))
+    }
+}
+
 /// Iyer's conflicts-per-transaction rule as a feedback controller:
 /// multiplicative decrease when over target, additive increase when under.
 #[derive(Debug, Clone)]
@@ -130,11 +159,10 @@ pub struct IyerRule {
 }
 
 impl IyerRule {
-    /// Creates the controller.
+    /// Creates the controller; panics exactly when
+    /// [`IyerRuleParams::check`] errs.
     pub fn new(params: IyerRuleParams) -> Self {
-        assert!(params.target > 0.0);
-        assert!(params.min_bound >= 1 && params.min_bound <= params.max_bound);
-        assert!((params.min_bound..=params.max_bound).contains(&params.initial_bound));
+        params.check().expect("invalid Iyer-rule parameters");
         IyerRule {
             params,
             bound: f64::from(params.initial_bound),

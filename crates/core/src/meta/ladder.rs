@@ -12,8 +12,9 @@
 //! own convention).
 
 use crate::estimator::Ewma;
+use crate::measure::Measurement;
 
-use super::{GuardParams, MetaObservation, MetaPolicy, SwitchGuard};
+use super::{GuardParams, MetaPolicy, SwitchGuard};
 
 /// Which contention signal a ladder policy watches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,20 +58,20 @@ impl Ladder {
         }
     }
 
-    fn decide(&mut self, active: usize, obs: &MetaObservation) -> Option<usize> {
+    fn decide(&mut self, active: usize, m: &Measurement) -> Option<usize> {
         debug_assert!(active < self.candidates);
         // Cooldown: the interval straddles the swap (drain dip, cold
         // protocol state) — discard it entirely instead of smoothing the
         // transient into the signal.
-        if self.guard.settling(obs.at_ms) {
+        if self.guard.settling(m.at_ms) {
             return None;
         }
         let raw = match self.signal {
-            LadderSignal::ConflictsPerTxn => obs.conflicts_per_txn,
-            LadderSignal::AbortRatio => obs.abort_ratio,
+            LadderSignal::ConflictsPerTxn => m.conflicts_per_txn,
+            LadderSignal::AbortRatio => m.abort_ratio(),
         };
         let v = self.ewma.update(raw);
-        if !self.guard.may_switch(obs.at_ms) {
+        if !self.guard.may_switch(m.at_ms) {
             return None;
         }
         let h = self.guard.params().hysteresis;
@@ -81,7 +82,7 @@ impl Ladder {
         } else {
             return None;
         };
-        self.guard.note_switch(obs.at_ms);
+        self.guard.note_switch(m.at_ms);
         // The new protocol reports the signal under its own convention;
         // forget the old protocol's history rather than blending the two.
         self.ewma.reset();
@@ -128,8 +129,8 @@ impl MetaPolicy for ConflictThreshold {
         self.ladder.candidates
     }
 
-    fn decide(&mut self, active: usize, obs: &MetaObservation) -> Option<usize> {
-        self.ladder.decide(active, obs)
+    fn decide(&mut self, active: usize, m: &Measurement) -> Option<usize> {
+        self.ladder.decide(active, m)
     }
 
     fn note_swap_complete(&mut self, completed_at_ms: f64) {
@@ -176,8 +177,8 @@ impl MetaPolicy for RestartRate {
         self.ladder.candidates
     }
 
-    fn decide(&mut self, active: usize, obs: &MetaObservation) -> Option<usize> {
-        self.ladder.decide(active, obs)
+    fn decide(&mut self, active: usize, m: &Measurement) -> Option<usize> {
+        self.ladder.decide(active, m)
     }
 
     fn note_swap_complete(&mut self, completed_at_ms: f64) {
@@ -315,10 +316,10 @@ mod tests {
     fn restart_rate_watches_abort_ratio() {
         let mut p = RestartRate::new(2, 0.3, 1.0, guard(0.0, 0.0, 0.0));
         let mut calm = obs_at(1_000.0, 0.0);
-        calm.abort_ratio = 0.05;
+        (calm.departures, calm.aborts) = (95, 5);
         assert_eq!(p.decide(0, &calm), None);
         let mut hot = obs_at(2_000.0, 0.0);
-        hot.abort_ratio = 0.6;
+        (hot.departures, hot.aborts) = (40, 60);
         assert_eq!(p.decide(0, &hot), Some(1));
     }
 

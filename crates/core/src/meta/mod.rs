@@ -19,10 +19,9 @@
 //!
 //! # The pieces
 //!
-//! * [`MetaObservation`] — one measurement interval's conflict state:
-//!   conflicts per commit, abort ratio, throughput, gate queue depth.
-//! * [`MetaPolicy`] — the decision trait: one call per interval, returns
-//!   `Some(target)` to request a protocol switch.
+//! * [`MetaPolicy`] — the decision trait: one call per interval with the
+//!   same [`Measurement`] the MPL controller sees, returns `Some(target)`
+//!   to request a protocol switch.
 //! * [`SwitchGuard`] / [`GuardParams`] — the shared anti-oscillation
 //!   guards (minimum dwell time between switches, post-switch cooldown
 //!   during which observations are discarded, relative hysteresis band).
@@ -44,29 +43,7 @@ mod shadow;
 pub use ladder::{ConflictThreshold, RestartRate};
 pub use shadow::ShadowScore;
 
-/// One measurement interval's worth of conflict state — everything a
-/// protocol-selection policy may consume. Built by the engine from the
-/// same [`crate::measure::Measurement`] the MPL controller sees, plus
-/// the gate queue depth.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetaObservation {
-    /// End of the measurement interval, ms of system time.
-    pub at_ms: f64,
-    /// Interval length, ms.
-    pub interval_ms: f64,
-    /// Mean data conflicts per committed transaction in the interval —
-    /// the primary signal (what Iyer's rule bounds, what the paper's
-    /// Figure 7 sweeps).
-    pub conflicts_per_txn: f64,
-    /// Aborted runs / finished runs in the interval (the restart rate).
-    pub abort_ratio: f64,
-    /// Committed transactions per second in the interval.
-    pub throughput_per_s: f64,
-    /// Transactions queued at the admission gate at harvest time.
-    pub gate_queue: usize,
-    /// Time-averaged observed MPL over the interval.
-    pub observed_mpl: f64,
-}
+use crate::measure::Measurement;
 
 /// The shared anti-oscillation guard parameters. The switch itself
 /// perturbs the measured signal (drain dip, fresh protocol state, a
@@ -176,9 +153,9 @@ pub trait MetaPolicy: Send {
     /// Number of candidates the policy selects among.
     fn candidate_count(&self) -> usize;
 
-    /// Consumes one interval observation with `active` currently in
+    /// Consumes one interval's measurement with `active` currently in
     /// force; returns the candidate to switch to, if any.
-    fn decide(&mut self, active: usize, obs: &MetaObservation) -> Option<usize>;
+    fn decide(&mut self, active: usize, m: &Measurement) -> Option<usize>;
 
     /// Notifies the policy that the requested swap *completed* at
     /// `completed_at_ms` (the end of the drain). A decision only starts
@@ -195,16 +172,14 @@ pub trait MetaPolicy: Send {
     fn reset(&mut self);
 }
 
+/// A one-second interval ending at `at_ms`: 100 commits, no aborts,
+/// `conflicts` conflicts per commit.
 #[cfg(test)]
-pub(crate) fn obs_at(at_ms: f64, conflicts: f64) -> MetaObservation {
-    MetaObservation {
-        at_ms,
-        interval_ms: 1000.0,
+pub(crate) fn obs_at(at_ms: f64, conflicts: f64) -> Measurement {
+    Measurement {
+        departures: 100,
         conflicts_per_txn: conflicts,
-        abort_ratio: (conflicts / (1.0 + conflicts)).min(1.0),
-        throughput_per_s: 100.0 / (1.0 + conflicts),
-        gate_queue: 0,
-        observed_mpl: 10.0,
+        ..Measurement::basic(at_ms, 1000.0, 0.0, 10.0)
     }
 }
 

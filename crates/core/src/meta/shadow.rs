@@ -17,8 +17,9 @@
 //! probing is the natural next step (see ROADMAP).
 
 use crate::estimator::Ewma;
+use crate::measure::Measurement;
 
-use super::{GuardParams, MetaObservation, MetaPolicy, SwitchGuard};
+use super::{GuardParams, MetaPolicy, SwitchGuard};
 
 /// The shadow-scoring policy.
 #[derive(Debug, Clone)]
@@ -53,13 +54,13 @@ impl MetaPolicy for ShadowScore {
         self.scores.len()
     }
 
-    fn decide(&mut self, active: usize, obs: &MetaObservation) -> Option<usize> {
+    fn decide(&mut self, active: usize, m: &Measurement) -> Option<usize> {
         debug_assert!(active < self.scores.len());
-        if self.guard.settling(obs.at_ms) {
+        if self.guard.settling(m.at_ms) {
             return None;
         }
-        let mine = self.scores[active].update(obs.throughput_per_s);
-        if !self.guard.may_switch(obs.at_ms) {
+        let mine = self.scores[active].update(m.throughput_per_sec());
+        if !self.guard.may_switch(m.at_ms) {
             return None;
         }
         // Pick the challenger: the first untried candidate in index
@@ -90,7 +91,7 @@ impl MetaPolicy for ShadowScore {
         if !wins {
             return None;
         }
-        self.guard.note_switch(obs.at_ms);
+        self.guard.note_switch(m.at_ms);
         Some(challenger)
     }
 
@@ -119,9 +120,10 @@ mod tests {
         }
     }
 
-    fn obs_tp(at_ms: f64, throughput: f64) -> MetaObservation {
-        MetaObservation {
-            throughput_per_s: throughput,
+    /// A one-second interval committing `throughput` (a whole number).
+    fn obs_tp(at_ms: f64, throughput: f64) -> Measurement {
+        Measurement {
+            departures: throughput as u64,
             ..obs_at(at_ms, 0.5)
         }
     }

@@ -237,32 +237,24 @@ proptest! {
 // Meta-policy properties (closed-loop CC selection)
 // ---------------------------------------------------------------------
 
-use alc_core::meta::{
-    ConflictThreshold, GuardParams, MetaObservation, MetaPolicy, RestartRate, ShadowScore,
-};
+use alc_core::meta::{ConflictThreshold, GuardParams, MetaPolicy, RestartRate, ShadowScore};
 
-fn meta_obs(at_ms: f64, conflicts: f64, aborts: f64, throughput: f64) -> MetaObservation {
-    MetaObservation {
-        at_ms,
-        interval_ms: 500.0,
-        conflicts_per_txn: conflicts,
-        abort_ratio: aborts.clamp(0.0, 1.0),
-        throughput_per_s: throughput,
-        gate_queue: 0,
-        observed_mpl: 10.0,
-    }
-}
-
-/// Replays an observation sequence through a policy, returning the
-/// decision trace (decision time, target) and asserting legality of
-/// every target index.
-fn replay(policy: &mut dyn MetaPolicy, obs: &[(f64, f64, f64)]) -> Vec<(f64, usize)> {
+/// Replays a sequence of `(conflicts per commit, commits, aborts)`
+/// intervals through a policy, returning the decision trace (decision
+/// time, target) and asserting legality of every target index.
+fn replay(policy: &mut dyn MetaPolicy, obs: &[(f64, u64, u64)]) -> Vec<(f64, usize)> {
     let n = policy.candidate_count();
     let mut active = 0usize;
     let mut trace = Vec::new();
-    for (i, &(conflicts, aborts, throughput)) in obs.iter().enumerate() {
+    for (i, &(conflicts, departures, aborts)) in obs.iter().enumerate() {
         let t = 500.0 * (i + 1) as f64;
-        if let Some(next) = policy.decide(active, &meta_obs(t, conflicts, aborts, throughput)) {
+        let m = Measurement {
+            departures,
+            aborts,
+            conflicts_per_txn: conflicts,
+            ..Measurement::basic(t, 500.0, 0.0, 10.0)
+        };
+        if let Some(next) = policy.decide(active, &m) {
             assert!(next < n, "policy picked candidate {next} of {n}");
             assert_ne!(next, active, "policy re-picked the active candidate");
             trace.push((t, next));
@@ -283,7 +275,7 @@ proptest! {
     #[test]
     fn meta_policies_are_deterministic_and_reset_clean(
         obs in proptest::collection::vec(
-            (0.0f64..6.0, 0.0f64..1.0, 0.0f64..200.0), 10..120),
+            (0.0f64..6.0, 0u64..100, 0u64..100), 10..120),
         threshold in 0.2f64..4.0,
         weight in 0.1f64..1.0,
         dwell_s in 0.0f64..20.0,
@@ -323,5 +315,187 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Parameter checks: each `check()` says `Ok` exactly when its
+// constructor runs, so a rule a nested part asserts (the IS smoother's
+// weight, the PA estimator's prior) cannot be missing from it.
+// ---------------------------------------------------------------------
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use alc_core::controller::{RetryBudget, RetryBudgetParams, TayRule};
+
+/// Per field: keep the default two times in three, else an arbitrary
+/// number with the edge cases (0, negatives, NaN, ±∞) weighted in.
+fn overrides(fields: usize) -> impl Strategy<Value = Vec<Option<f64>>> {
+    let edge = prop_oneof![
+        Just(0.0),
+        Just(-1.0),
+        Just(1.0),
+        Just(2.0),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        -2.0f64..2.0,
+        0.0f64..2000.0,
+        any::<f64>(),
+    ];
+    let field = prop_oneof![2 => Just(None), 1 => edge.prop_map(Some)];
+    prop::collection::vec(field, fields..fields + 1)
+}
+
+/// Field `i` of `f` as a number, or `default`.
+fn real(f: &[Option<f64>], i: usize, default: f64) -> f64 {
+    f[i].unwrap_or(default)
+}
+
+/// Field `i` of `f` as a count (saturating, NaN to 0), or `default`.
+fn count(f: &[Option<f64>], i: usize, default: u32) -> u32 {
+    f[i].map_or(default, |x| x as u32)
+}
+
+fn is_params(f: &[Option<f64>]) -> IsParams {
+    let d = IsParams::default();
+    IsParams {
+        initial_bound: count(f, 0, d.initial_bound),
+        min_bound: count(f, 1, d.min_bound),
+        max_bound: count(f, 2, d.max_bound),
+        beta: real(f, 3, d.beta),
+        gamma: real(f, 4, d.gamma),
+        delta: real(f, 5, d.delta),
+        min_step: real(f, 6, d.min_step),
+        max_step: real(f, 7, d.max_step),
+        smoothing: real(f, 8, d.smoothing),
+    }
+}
+
+fn pa_params(f: &[Option<f64>]) -> PaParams {
+    let d = PaParams::default();
+    PaParams {
+        initial_bound: count(f, 0, d.initial_bound),
+        min_bound: count(f, 1, d.min_bound),
+        max_bound: count(f, 2, d.max_bound),
+        alpha: real(f, 3, d.alpha),
+        initial_covariance: real(f, 4, d.initial_covariance),
+        min_curvature: real(f, 5, d.min_curvature),
+        warmup_samples: u64::from(count(f, 6, 8)),
+        warmup_step: real(f, 7, d.warmup_step),
+        dither_amplitude: real(f, 8, d.dither_amplitude),
+        max_step: real(f, 9, d.max_step),
+        reset_after_convex: count(f, 10, d.reset_after_convex),
+        ..d
+    }
+}
+
+/// `check` is `Ok` exactly when `build` runs without a panic.
+fn agrees<T>(what: &dyn std::fmt::Debug, check: Result<(), String>, build: impl FnOnce() -> T) {
+    let built = catch_unwind(AssertUnwindSafe(build)).is_ok();
+    assert_eq!(check.is_ok(), built, "{what:?}: check says {check:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn is_check_agrees_with_its_constructor(f in overrides(9)) {
+        let p = is_params(&f);
+        agrees(&p, p.check(), || IncrementalSteps::new(p));
+    }
+
+    #[test]
+    fn pa_check_agrees_with_its_constructor(f in overrides(11)) {
+        let p = pa_params(&f);
+        agrees(&p, p.check(), || ParabolaApproximation::new(p));
+    }
+
+    #[test]
+    fn outer_check_agrees_with_its_constructor(f in overrides(5)) {
+        let d = OuterParams::default();
+        let p = OuterParams {
+            window: count(&f, 0, d.window),
+            target_step_fraction: real(&f, 1, d.target_step_fraction),
+            adjust_factor: real(&f, 2, d.adjust_factor),
+            beta_min: real(&f, 3, d.beta_min),
+            beta_max: real(&f, 4, d.beta_max),
+        };
+        agrees(&p, p.check(), || SelfTuningIs::new(IsParams::default(), p));
+    }
+
+    #[test]
+    fn pa_outer_check_agrees_with_its_constructor(f in overrides(9)) {
+        let d = PaOuterParams::default();
+        let p = PaOuterParams {
+            window: count(&f, 0, d.window),
+            fast_weight: real(&f, 1, d.fast_weight),
+            slow_weight: real(&f, 2, d.slow_weight),
+            shock_factor: real(&f, 3, d.shock_factor),
+            shock_confirm: count(&f, 4, d.shock_confirm),
+            lengthen_below: real(&f, 5, d.lengthen_below),
+            adjust_factor: real(&f, 6, d.adjust_factor),
+            alpha_min: real(&f, 7, d.alpha_min),
+            alpha_max: real(&f, 8, d.alpha_max),
+        };
+        agrees(&p, p.check(), || SelfTuningPa::new(PaParams::default(), p));
+    }
+
+    #[test]
+    fn hybrid_check_agrees_with_its_constructor(
+        is in overrides(9),
+        pa in overrides(11),
+        f in overrides(3),
+    ) {
+        let d = HybridParams::default();
+        let p = HybridParams {
+            is: is_params(&is),
+            pa: pa_params(&pa),
+            bootstrap_samples: u64::from(count(&f, 0, 12)),
+            revert_after: count(&f, 1, d.revert_after),
+            revert_window: count(&f, 2, d.revert_window),
+        };
+        agrees(&p, p.check(), || Hybrid::new(p));
+    }
+
+    #[test]
+    fn retry_budget_check_agrees_with_its_constructor(f in overrides(8)) {
+        let d = RetryBudgetParams::default();
+        let p = RetryBudgetParams {
+            initial_bound: count(&f, 0, d.initial_bound),
+            min_bound: count(&f, 1, d.min_bound),
+            max_bound: count(&f, 2, d.max_bound),
+            budget: real(&f, 3, d.budget),
+            burst: real(&f, 4, d.burst),
+            increase: count(&f, 5, d.increase),
+            decrease: real(&f, 6, d.decrease),
+            headroom: real(&f, 7, d.headroom),
+        };
+        agrees(&p, p.check(), || RetryBudget::new(p));
+    }
+
+    #[test]
+    fn iyer_check_agrees_with_its_constructor(f in overrides(5)) {
+        let d = IyerRuleParams::default();
+        let p = IyerRuleParams {
+            target: real(&f, 0, d.target),
+            increase: real(&f, 1, d.increase),
+            initial_bound: count(&f, 2, d.initial_bound),
+            min_bound: count(&f, 3, d.min_bound),
+            max_bound: count(&f, 4, d.max_bound),
+        };
+        agrees(&p, p.check(), || IyerRule::new(p));
+    }
+
+    #[test]
+    fn tay_check_agrees_with_its_constructor(f in overrides(5)) {
+        let (k, db) = (count(&f, 0, 8), u64::from(count(&f, 1, 2000)));
+        let threshold = real(&f, 2, TayRule::THRESHOLD);
+        let (lo, hi) = (count(&f, 3, 1), count(&f, 4, 1000));
+        agrees(
+            &(k, db, threshold, lo, hi),
+            TayRule::check(k, db, threshold, lo, hi),
+            || TayRule::with_threshold(k, db, threshold, lo, hi),
+        );
     }
 }

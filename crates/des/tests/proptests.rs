@@ -57,45 +57,16 @@ proptest! {
         prop_assert_eq!(fired.len(), times.len() - cancelled.len());
     }
 
-    /// Welford matches the two-pass formulas on arbitrary data.
+    /// Welford's running mean matches the two-pass mean on arbitrary data.
     #[test]
     fn welford_matches_two_pass(xs in prop::collection::vec(-1e6f64..1e6, 2..200)) {
-        let mut w = Welford::new();
+        let mut w = Welford::default();
         for &x in &xs {
             w.push(x);
         }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let scale = mean.abs().max(1.0);
         prop_assert!((w.mean() - mean).abs() <= 1e-8 * scale);
-        prop_assert!((w.variance() - var).abs() <= 1e-6 * var.max(1.0));
-    }
-
-    /// Merging two Welford accumulators equals accumulating everything in
-    /// one, regardless of the split point.
-    #[test]
-    fn welford_merge_associative(
-        xs in prop::collection::vec(-1e3f64..1e3, 2..100),
-        split in 0usize..100,
-    ) {
-        let split = split % xs.len();
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..split] {
-            a.push(x);
-        }
-        for &x in &xs[split..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-6);
     }
 
     /// Distinct sampling returns exactly `count` distinct in-range values.

@@ -89,7 +89,7 @@ pub const RULES: &[Rule] = &[
         name: "purity-time",
         family: "purity",
         summary: "controllers/estimators/meta policies read no clocks (Duration values are fine)",
-        help: "time arrives inside Measurement/MetaObservation, never from a clock",
+        help: "time arrives inside a Measurement, never from a clock",
     },
     Rule {
         name: "purity-io",

@@ -19,7 +19,8 @@
 //!   `IntervalSampler` plus allocation-free P² latency quantiles and
 //!   shed counting.
 //! * [`log`] — the JSONL gate-log format ([`JsonlSink`] writer,
-//!   [`read_gate_log`] reader) over `alc_core::gatelog::GateEvent`.
+//!   [`read_gate_log`] reader) over `alc_core::gatelog::GateEvent`, and
+//!   [`read_jsonl`], the line reader every JSONL input goes through.
 //! * [`metrics`] — [`MetricsSnapshot`]: the loop's live state (gate
 //!   occupancy, cumulative counters, last window with P² quantiles)
 //!   flattened for export, with a byte-round-tripping JSONL form.
@@ -52,9 +53,9 @@ pub use control::{AdmissionPolicy, AdmittedPermit, ControlLoop, Decision, LoopCo
 pub use law::{
     AimdLaw, AimdParams, ControlLaw, PaperLaw, RetryBudgetLaw, RetryBudgetParams, WindowSnapshot,
 };
-pub use log::{event_line, read_gate_log, write_gate_log, GateLogError, GateLogHeader, JsonlSink};
-pub use metrics::{
-    metrics_line, read_metrics_jsonl, write_metrics_jsonl, MetricsError, MetricsSnapshot,
+pub use log::{
+    event_line, read_gate_log, read_jsonl, write_gate_log, GateLogHeader, JsonlError, JsonlSink,
 };
+pub use metrics::{metrics_line, read_metrics_jsonl, write_metrics_jsonl, MetricsSnapshot};
 pub use replay::{check_conformance, replay, Conformance};
 pub use telemetry::{Outcome, TelemetryWindow};

@@ -29,31 +29,46 @@ pub struct GateLogHeader {
     pub quick: bool,
 }
 
-/// A problem reading a gate log.
+/// A problem reading a JSONL stream: a gate log, a metrics series, a
+/// workload trace.
 #[derive(Debug)]
-pub enum GateLogError {
-    /// Underlying I/O failure.
+pub enum JsonlError {
+    /// Underlying I/O failure (input that is not UTF-8 included).
     Io(io::Error),
-    /// A line that is not valid JSON or not a known event (1-based line
-    /// number and message).
+    /// A line that is not valid JSON or not the record the stream holds
+    /// (1-based line number and message).
     Parse(usize, String),
 }
 
-impl std::fmt::Display for GateLogError {
+impl std::fmt::Display for JsonlError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GateLogError::Io(e) => write!(f, "gate log I/O error: {e}"),
-            GateLogError::Parse(line, msg) => write!(f, "gate log line {line}: {msg}"),
+            JsonlError::Io(e) => write!(f, "I/O error: {e}"),
+            JsonlError::Parse(line, msg) => write!(f, "line {line}: {msg}"),
         }
     }
 }
 
-impl std::error::Error for GateLogError {}
+impl std::error::Error for JsonlError {}
 
-impl From<io::Error> for GateLogError {
-    fn from(e: io::Error) -> Self {
-        GateLogError::Io(e)
+/// Reads a JSONL stream: every non-blank line is parsed as JSON and handed,
+/// with its 1-based number, to `each`, in order; the first line that does
+/// not parse, or that `each` refuses, is the error, under its number.
+pub fn read_jsonl<R: BufRead>(
+    r: R,
+    mut each: impl FnMut(usize, &Value) -> Result<(), serde::Error>,
+) -> Result<(), JsonlError> {
+    for (idx, line) in r.lines().enumerate() {
+        let line = line.map_err(JsonlError::Io)?;
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        serde_json::from_str(trimmed)
+            .and_then(|value: Value| each(idx + 1, &value))
+            .map_err(|e| JsonlError::Parse(idx + 1, e.to_string()))?;
     }
+    Ok(())
 }
 
 /// Renders one event as its JSONL line (without the newline). This is
@@ -84,31 +99,16 @@ pub fn write_gate_log<W: Write>(
 /// event, in order.
 pub fn read_gate_log<R: BufRead>(
     r: R,
-) -> Result<(Option<GateLogHeader>, Vec<GateEvent>), GateLogError> {
+) -> Result<(Option<GateLogHeader>, Vec<GateEvent>), JsonlError> {
     let mut header = None;
     let mut events = Vec::new();
-    for (idx, line) in r.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+    read_jsonl(r, |line, value| {
+        match value.get("Header") {
+            Some(h) if line == 1 => header = Some(GateLogHeader::from_value(h)?),
+            _ => events.push(GateEvent::from_value(value)?),
         }
-        let value: Value = serde_json::from_str(trimmed)
-            .map_err(|e| GateLogError::Parse(idx + 1, e.to_string()))?;
-        if idx == 0 {
-            if let Some(h) = value.get("Header") {
-                header = Some(
-                    GateLogHeader::from_value(h)
-                        .map_err(|e| GateLogError::Parse(idx + 1, e.to_string()))?,
-                );
-                continue;
-            }
-        }
-        events.push(
-            GateEvent::from_value(&value)
-                .map_err(|e| GateLogError::Parse(idx + 1, e.to_string()))?,
-        );
-    }
+        Ok(())
+    })?;
     Ok((header, events))
 }
 
@@ -237,7 +237,7 @@ mod tests {
         let text = "{\"Mpl\": {\"at_ms\": 1.0, \"in_system\": 2}}\nnot json\n";
         let err = read_gate_log(io::BufReader::new(text.as_bytes())).unwrap_err();
         match err {
-            GateLogError::Parse(line, _) => assert_eq!(line, 2),
+            JsonlError::Parse(line, _) => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
         }
     }

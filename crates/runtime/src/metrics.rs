@@ -13,6 +13,8 @@ use std::io::{self, BufRead, Write};
 
 use serde::{Deserialize, Serialize};
 
+use crate::log::{read_jsonl, JsonlError};
+
 /// One flattened observation of a running [`ControlLoop`].
 ///
 /// Cumulative counters (`commits`, `aborts`, `sheds`, `decisions`)
@@ -58,33 +60,6 @@ pub struct MetricsSnapshot {
     pub queue_depth: u32,
 }
 
-/// A problem reading a metrics JSONL stream.
-#[derive(Debug)]
-pub enum MetricsError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// A line that is not a valid snapshot (1-based line number and
-    /// message).
-    Parse(usize, String),
-}
-
-impl std::fmt::Display for MetricsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MetricsError::Io(e) => write!(f, "metrics I/O error: {e}"),
-            MetricsError::Parse(line, msg) => write!(f, "metrics line {line}: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for MetricsError {}
-
-impl From<io::Error> for MetricsError {
-    fn from(e: io::Error) -> Self {
-        MetricsError::Io(e)
-    }
-}
-
 /// Renders one snapshot as its JSONL line (without the newline).
 pub fn metrics_line(snapshot: &MetricsSnapshot) -> String {
     serde_json::to_string(snapshot).unwrap_or_else(|_| String::from("null"))
@@ -102,21 +77,12 @@ pub fn write_metrics_jsonl<W: Write>(
 }
 
 /// Reads a snapshot series back, in order. Blank lines are skipped.
-pub fn read_metrics_jsonl<R: BufRead>(r: R) -> Result<Vec<MetricsSnapshot>, MetricsError> {
+pub fn read_metrics_jsonl<R: BufRead>(r: R) -> Result<Vec<MetricsSnapshot>, JsonlError> {
     let mut out = Vec::new();
-    for (idx, line) in r.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let value: serde::Value = serde_json::from_str(trimmed)
-            .map_err(|e| MetricsError::Parse(idx + 1, e.to_string()))?;
-        out.push(
-            MetricsSnapshot::from_value(&value)
-                .map_err(|e| MetricsError::Parse(idx + 1, e.to_string()))?,
-        );
-    }
+    read_jsonl(r, |_, value| {
+        out.push(MetricsSnapshot::from_value(value)?);
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -184,7 +150,7 @@ mod tests {
         let text = "\nnot json\n";
         let err = read_metrics_jsonl(io::BufReader::new(text.as_bytes())).unwrap_err();
         match err {
-            MetricsError::Parse(line, _) => assert_eq!(line, 2),
+            JsonlError::Parse(line, _) => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
         }
     }

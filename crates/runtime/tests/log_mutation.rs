@@ -21,7 +21,7 @@ use alc_core::gatelog::GateEvent;
 use alc_core::measure::PerfIndicator;
 use alc_runtime::{
     read_gate_log, read_metrics_jsonl, replay, write_metrics_jsonl, AimdLaw, AimdParams,
-    ControlLaw, GateLogError, MetricsError, MetricsSnapshot, PaperLaw, RetryBudgetLaw,
+    ControlLaw, JsonlError, MetricsSnapshot, PaperLaw, RetryBudgetLaw,
     RetryBudgetParams,
 };
 
@@ -215,16 +215,16 @@ fn check_error(bytes: &[u8], what: &str, line: Option<usize>) {
 fn check_gate_log(bytes: &[u8], what: &str) {
     match no_panic(what, || read_gate_log(bytes)) {
         Ok((_, events)) => replay_through_every_law(&events, what),
-        Err(GateLogError::Parse(line, _)) => check_error(bytes, what, Some(line)),
-        Err(GateLogError::Io(_)) => check_error(bytes, what, None),
+        Err(JsonlError::Parse(line, _)) => check_error(bytes, what, Some(line)),
+        Err(JsonlError::Io(_)) => check_error(bytes, what, None),
     }
 }
 
 fn check_metrics(bytes: &[u8], what: &str) {
     match no_panic(what, || read_metrics_jsonl(bytes)) {
         Ok(_) => {}
-        Err(MetricsError::Parse(line, _)) => check_error(bytes, what, Some(line)),
-        Err(MetricsError::Io(_)) => check_error(bytes, what, None),
+        Err(JsonlError::Parse(line, _)) => check_error(bytes, what, Some(line)),
+        Err(JsonlError::Io(_)) => check_error(bytes, what, None),
     }
 }
 
@@ -281,12 +281,12 @@ fn out_of_range_integers_are_line_numbered_errors() {
             "{{\"Mpl\":{{\"at_ms\":0,\"in_system\":1}}}}\n{{\"Mpl\":{{\"at_ms\":1,\"in_system\":{bad}}}}}\n"
         );
         match read_gate_log(log.as_bytes()) {
-            Err(GateLogError::Parse(2, _)) => {}
+            Err(JsonlError::Parse(2, _)) => {}
             other => panic!("in_system {bad}: {other:?}"),
         }
         let metrics = metrics_log().replacen("\"bound\":8", &format!("\"bound\":{bad}"), 1);
         match read_metrics_jsonl(metrics.as_bytes()) {
-            Err(MetricsError::Parse(1, _)) => {}
+            Err(JsonlError::Parse(1, _)) => {}
             other => panic!("bound {bad}: {other:?}"),
         }
     }
@@ -300,7 +300,7 @@ fn an_unknown_event_key_is_a_line_numbered_error_naming_it() {
     let log = "{\"Mpl\":{\"at_ms\":0,\"in_system\":1}}\n\
                {\"Commit\":{\"at_ms\":1,\"response_ms\":2,\"conflicts\":0,\"extra\":1}}\n";
     match read_gate_log(log.as_bytes()) {
-        Err(GateLogError::Parse(2, msg)) => {
+        Err(JsonlError::Parse(2, msg)) => {
             assert!(
                 msg.contains("GateEvent::Commit") && msg.contains("`extra`"),
                 "{msg}"
@@ -315,7 +315,7 @@ fn an_unknown_event_key_is_a_line_numbered_error_naming_it() {
 fn a_repeated_metrics_key_is_a_line_numbered_error_naming_it() {
     let metrics = metrics_log().replacen("\"bound\":8", "\"bound\":8,\"bound\":9", 1);
     match read_metrics_jsonl(metrics.as_bytes()) {
-        Err(MetricsError::Parse(1, msg)) => {
+        Err(JsonlError::Parse(1, msg)) => {
             assert!(
                 msg.contains("MetricsSnapshot") && msg.contains("`bound` twice"),
                 "{msg}"

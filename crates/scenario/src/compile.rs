@@ -13,6 +13,7 @@
 use std::path::Path;
 
 use alc_analytic::surface::Schedule;
+use alc_core::controller::TayRule;
 use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
 use alc_tpsim::engine::Simulator;
 use alc_tpsim::workload::WorkloadConfig;
@@ -379,8 +380,13 @@ fn build_variant(
     sys.seed = spec.seed;
     sys.check().map_err(|e| SpecError::new(format!("system.{e}")))?;
     let control: ControlConfig = from_overrides(&spec.control, "control")?;
-    if control.sample_interval_ms <= 0.0 {
-        return Err(SpecError::new("control.sample_interval_ms must be positive"));
+    control.check().map_err(|e| SpecError::new(format!("control.{e}")))?;
+    if let Some(clients) = &spec.clients {
+        clients.check(&sys).map_err(|e| SpecError::new(format!("clients.{e}")))?;
+    }
+    if let ControllerSpec::Tay { k, min_bound, max_bound } = spec.controller {
+        TayRule::check(k, sys.db_size, TayRule::THRESHOLD, min_bound, max_bound)
+            .map_err(|e| SpecError::new(format!("controller.tay.{e}")))?;
     }
     let workload = spec.workload.lower(base_dir)?;
     // What the access-set sampler cannot draw: more distinct items than
@@ -416,35 +422,6 @@ fn build_variant(
         // timeline.
         (lower_faults_for_seed(&spec.faults, &sys, spec.seed)?, None)
     };
-    if let Some(clients) = &spec.clients {
-        if !matches!(
-            sys.arrival,
-            alc_tpsim::config::ArrivalProcess::Closed
-        ) {
-            return Err(SpecError::new(
-                "`clients` needs the closed arrival model (clients *are* the \
-                 arrival process; drop `arrival`/`offered_load_per_s`)",
-            ));
-        }
-        // Hedged pools need a second transaction slot per client for the
-        // duplicate attempt.
-        let per_client = if matches!(
-            clients.retry,
-            alc_tpsim::client::RetryPolicy::Hedged { .. }
-        ) {
-            2u64
-        } else {
-            1u64
-        };
-        if u64::from(clients.population) * per_client > u64::from(sys.terminals) {
-            return Err(SpecError::new(format!(
-                "`clients.population` needs {} terminal slot(s) but \
-                 `system.terminals` is {}",
-                u64::from(clients.population) * per_client,
-                sys.terminals
-            )));
-        }
-    }
     let cells = spec
         .inputs
         .iter()
@@ -518,7 +495,9 @@ mod tests {
     fn configs_the_engine_would_panic_on_are_spec_errors() {
         // Each of these passed `scenario validate` and then panicked
         // `scenario run` (a station, the RNG, the clock, a sampler, the
-        // calendar, the Zipf table, in this order).
+        // calendar, the Zipf table; then a controller constructor, the
+        // estimator inside one, the analytic optimum scan, the sample
+        // tick, the client pool).
         for (path, value, names) in [
             ("system.cpus", "0", "system.cpus"),
             ("system.db_size", "0", "system.db_size"),
@@ -528,6 +507,47 @@ mod tests {
             ("system.think", r#"{"erlang": {"stages": 0, "mean": 5}}"#, "system.think"),
             ("system.cpu_phase", "-1", "system.cpu_phase"),
             ("workload.access_skew", "1", "workload.access_skew"),
+            ("controller", r#"{"fixed": {"bound": 0}}"#, "controller.fixed.bound"),
+            (
+                "controller",
+                r#"{"is": {"min_bound": 10, "max_bound": 5}}"#,
+                "controller.is.max_bound",
+            ),
+            ("controller", r#"{"is": {"beta": -1}}"#, "controller.is.beta"),
+            ("controller", r#"{"is": {"min_step": 0}}"#, "controller.is.min_step"),
+            ("controller", r#"{"is": {"smoothing": 7}}"#, "controller.is.smoothing"),
+            ("controller", r#"{"pa": {"initial_bound": 0}}"#, "controller.pa.initial_bound"),
+            ("controller", r#"{"pa": {"alpha": 7}}"#, "controller.pa.alpha"),
+            ("controller", r#"{"pa": {"max_step": 0}}"#, "controller.pa.max_step"),
+            (
+                "controller",
+                r#"{"pa": {"initial_covariance": 0}}"#,
+                "controller.pa.initial_covariance",
+            ),
+            ("controller", r#"{"iyer": {"target": 0}}"#, "controller.iyer.target"),
+            ("controller", r#"{"tay": {"k": 0, "max_bound": 10}}"#, "controller.tay.k"),
+            (
+                "controller",
+                r#"{"tay": {"k": 4, "min_bound": 9, "max_bound": 3}}"#,
+                "controller.tay.max_bound",
+            ),
+            (
+                "controller",
+                r#"{"hybrid": {"is": {"max_bound": 50}, "pa": {"max_bound": 50, "alpha": 0}}}"#,
+                "controller.hybrid.pa.alpha",
+            ),
+            (
+                "controller",
+                r#"{"self_tuning_pa": {"pa": {"alpha": 2}}}"#,
+                "controller.self_tuning_pa.pa.alpha",
+            ),
+            (
+                "controller",
+                r#"{"fixed_analytic_optimum": {"n_max": 0}}"#,
+                "controller.fixed_analytic_optimum.n_max",
+            ),
+            ("control.sample_interval_ms", "1e400", "control.sample_interval_ms"),
+            ("clients", r#"{"population": 401, "timeout": 100}"#, "clients.population"),
         ] {
             let mut v = parse(r#"{"name": "bad", "horizon_ms": 5000.0}"#);
             set_path(&mut v, path, parse(value)).unwrap();

@@ -30,7 +30,8 @@
 use std::path::Path;
 
 use alc_analytic::surface::Schedule;
-use serde::Value;
+use alc_runtime::{read_jsonl, JsonlError};
+use serde::{Deserialize as _, Value};
 
 use crate::value_util::Node::{self, Scalar};
 use crate::value_util::{number, single_key, string, timed, unknown_key, At, Keys, Obj};
@@ -157,23 +158,22 @@ impl Profile {
             }
             Profile::Trace { path } => {
                 let full = base_dir.join(path);
-                let text = std::fs::read_to_string(&full).map_err(|e| {
+                let cannot_read = |e: std::io::Error| {
                     SpecError::new(format!("cannot read trace `{}`: {e}", full.display()))
-                })?;
+                };
+                let file = std::fs::File::open(&full).map_err(cannot_read)?;
                 let mut points = Vec::new();
-                for (lineno, line) in text.lines().enumerate() {
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let p: TracePoint = serde_json::from_str(line).map_err(|e| {
-                        SpecError::new(format!(
-                            "trace `{path}` line {}: {e}",
-                            lineno + 1
-                        ))
-                    })?;
+                read_jsonl(std::io::BufReader::new(file), |_, v| {
+                    let p = TracePoint::from_value(v)?;
                     points.push((p.t_ms, p.value));
-                }
+                    Ok(())
+                })
+                .map_err(|e| match e {
+                    JsonlError::Io(e) => cannot_read(e),
+                    JsonlError::Parse(line, e) => {
+                        SpecError::new(format!("trace `{path}` line {line}: {e}"))
+                    }
+                })?;
                 if points.is_empty() {
                     return Err(SpecError::new(format!("trace `{path}` is empty")));
                 }

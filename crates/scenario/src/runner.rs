@@ -50,19 +50,14 @@ pub struct GateLogRequest {
     pub quick: bool,
 }
 
-/// The gate-log file name of one `(variant, replication)` cell:
-/// `<name>[_<variant>][_rep<r>]_gatelog.jsonl` — same stem convention
-/// as the trajectory CSVs.
-pub fn gate_log_file_name(plan: &RunPlan, v: &VariantPlan, rep: u32) -> String {
-    let mut stem = plan.name.clone();
-    if !v.label.is_empty() {
-        stem.push('_');
-        stem.push_str(&v.label);
-    }
-    if v.seeds.len() > 1 {
-        stem.push_str(&format!("_rep{rep}"));
-    }
-    format!("{stem}_gatelog.jsonl")
+/// The name of one `(variant, replication)` cell's `kind` of file:
+/// `<name>[_<variant>][_rep<r>]_<kind>`, `_rep<r>` only when the variant
+/// replicates. Every per-cell file is named here: `trajectory.csv`,
+/// `switches.csv`, `clients.csv`, `gatelog.jsonl` and `trace.json`.
+pub fn cell_file_name(plan: &RunPlan, v: &VariantPlan, rep: u32, kind: &str) -> String {
+    let variant = if v.label.is_empty() { String::new() } else { format!("_{}", v.label) };
+    let rep = if v.seeds.len() > 1 { format!("_rep{rep}") } else { String::new() };
+    format!("{}{variant}{rep}_{kind}", plan.name)
 }
 
 /// A [`GateLogSink`] buffering events behind a shared handle, so the
@@ -101,7 +96,7 @@ fn run_one(
             quick: req.quick,
         };
         let events = events.lock().map_or_else(|e| e.into_inner().clone(), |g| g.clone());
-        let path = req.dir.join(gate_log_file_name(plan, v, rep as u32));
+        let path = req.dir.join(cell_file_name(plan, v, rep as u32, "gatelog.jsonl"));
         let f = std::fs::File::create(path)?;
         write_gate_log(std::io::BufWriter::new(f), &header, &events)?;
     }
@@ -144,21 +139,6 @@ pub fn run_plan_logged(
         .collect()
 }
 
-/// The stem of a record's trajectory CSV (without the `_trajectory.csv`
-/// suffix): `<name>`, `<name>_<variant>`, plus `_rep<r>` when the plan
-/// replicates.
-fn trajectory_stem(plan: &RunPlan, rec: &RunRecord, replications: usize) -> String {
-    let mut stem = plan.name.clone();
-    if !rec.label.is_empty() {
-        stem.push('_');
-        stem.push_str(&rec.label);
-    }
-    if replications > 1 {
-        stem.push_str(&format!("_rep{}", rec.replication));
-    }
-    stem
-}
-
 /// Writes the trajectory CSVs of `records` into `dir` (same format as
 /// the figure generators) and returns the file names written.
 pub fn write_trajectories(
@@ -175,11 +155,10 @@ pub fn write_trajectories(
         // Records may retain trajectories solely for derived columns;
         // only variants that asked for trajectory output get files.
         let variant = plan.variants.iter().find(|v| v.label == rec.label);
-        if !variant.is_some_and(|v| v.trajectories) {
+        let Some(v) = variant.filter(|v| v.trajectories) else {
             continue;
-        }
-        let reps = variant.map_or(1, |v| v.seeds.len());
-        let name = format!("{}_trajectory.csv", trajectory_stem(plan, rec, reps));
+        };
+        let name = cell_file_name(plan, v, rec.replication, "trajectory.csv");
         let f = std::fs::File::create(dir.join(&name))?;
         write_aligned_csv(
             std::io::BufWriter::new(f),
@@ -196,7 +175,7 @@ pub fn write_trajectories(
         // switched protocols (scheduled phases or adaptive selection);
         // single-protocol runs keep their exact pre-meta file set.
         if !traj.switches.is_empty() {
-            let name = format!("{}_switches.csv", trajectory_stem(plan, rec, reps));
+            let name = cell_file_name(plan, v, rec.replication, "switches.csv");
             let mut out = String::from("decided_at_ms,completed_at_ms,from,to\n");
             for e in &traj.switches {
                 use std::fmt::Write as _;
@@ -216,7 +195,7 @@ pub fn write_trajectories(
         // retry / abandonment deltas. Clientless runs keep their exact
         // pre-client file set.
         if !traj.attempts.is_empty() {
-            let name = format!("{}_clients.csv", trajectory_stem(plan, rec, reps));
+            let name = cell_file_name(plan, v, rec.replication, "clients.csv");
             let f = std::fs::File::create(dir.join(&name))?;
             write_aligned_csv(
                 std::io::BufWriter::new(f),

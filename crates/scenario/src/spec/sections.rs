@@ -89,6 +89,14 @@ pub(super) const CONTROLLER: Keys = &[
     ("self_tuning_pa", Sub(SELF_TUNING_PA)),
 ];
 
+/// `p` if it keeps the rules its own type states (`check`), else the
+/// first one it breaks, named `<at>.<field>`: a spec fails here, by
+/// field, instead of panicking the constructor in `run`.
+fn checked<T>(p: T, at: At<'_>, check: fn(&T) -> Result<(), String>) -> Result<T, SpecError> {
+    check(&p).map_err(|e| SpecError::new(format!("{at}.{e}")))?;
+    Ok(p)
+}
+
 pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecError> {
     if let Value::Str(s) = v {
         return match s.as_str() {
@@ -101,63 +109,45 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
     }
     let (tag, payload) = single_key(v, "controller", CONTROLLER)?;
     let at = At("controller", tag);
-    // The checks below mirror the constructors' invariants as spec
-    // errors so a bad spec fails at parse time, not as a runner panic.
+    let section = at.to_string();
     Ok(match tag {
         "fixed" => {
-            let mut o = Obj::open(payload, tag, FIXED)?;
-            let bound = o.req("bound", u32_from)?;
+            let mut o = Obj::open(payload, &section, FIXED)?;
+            let bound = o.req("bound", positive_u32)?;
             o.finish(ControllerSpec::Fixed { bound })?
         }
         "fixed_analytic_optimum" => {
-            let mut o = Obj::open(payload, tag, FIXED_ANALYTIC_OPTIMUM)?;
+            let mut o = Obj::open(payload, &section, FIXED_ANALYTIC_OPTIMUM)?;
             let c = ControllerSpec::FixedAnalyticOptimum {
                 at_ms: o.opt("at_ms", number)?.unwrap_or(0.0),
-                n_max: o.req("n_max", u32_from)?,
+                n_max: o.req("n_max", positive_u32)?,
             };
             o.finish(c)?
         }
-        "is" => ControllerSpec::Is(params(payload, at)?),
-        "pa" => ControllerSpec::Pa(params(payload, at)?),
+        "is" => ControllerSpec::Is(checked(params(payload, at)?, at, IsParams::check)?),
+        "pa" => ControllerSpec::Pa(checked(params(payload, at)?, at, PaParams::check)?),
         "self_tuning_is" => {
-            let mut o = Obj::open(payload, tag, SELF_TUNING_IS)?;
+            let mut o = Obj::open(payload, &section, SELF_TUNING_IS)?;
             let is = o.opt("is", params)?.unwrap_or_default();
-            let outer: OuterParams = o.opt("outer", params)?.unwrap_or_default();
+            let outer = o.opt("outer", params)?.unwrap_or_default();
             o.finish(())?;
-            if outer.window < 2
-                || outer.target_step_fraction <= 0.0
-                || outer.adjust_factor <= 1.0
-                || outer.beta_min <= 0.0
-                || outer.beta_min > outer.beta_max
-            {
-                return Err(SpecError::new("invalid `self_tuning_is.outer` parameters"));
+            ControllerSpec::SelfTuningIs {
+                is: checked(is, At(&section, "is"), IsParams::check)?,
+                outer: checked(outer, At(&section, "outer"), OuterParams::check)?,
             }
-            ControllerSpec::SelfTuningIs { is, outer }
         }
         "self_tuning_pa" => {
-            let mut o = Obj::open(payload, tag, SELF_TUNING_PA)?;
+            let mut o = Obj::open(payload, &section, SELF_TUNING_PA)?;
             let pa = o.opt("pa", params)?.unwrap_or_default();
-            let outer: PaOuterParams = o.opt("outer", params)?.unwrap_or_default();
+            let outer = o.opt("outer", params)?.unwrap_or_default();
             o.finish(())?;
-            if outer.window < 2
-                || outer.fast_weight <= outer.slow_weight
-                || outer.slow_weight <= 0.0
-                || outer.fast_weight > 1.0
-                || outer.shock_factor <= 1.0
-                || outer.shock_confirm < 1
-                || outer.lengthen_below <= 0.0
-                || outer.lengthen_below >= 1.0
-                || outer.adjust_factor <= 1.0
-                || outer.alpha_min <= 0.0
-                || outer.alpha_min > outer.alpha_max
-                || outer.alpha_max >= 1.0
-            {
-                return Err(SpecError::new("invalid `self_tuning_pa.outer` parameters"));
+            ControllerSpec::SelfTuningPa {
+                pa: checked(pa, At(&section, "pa"), PaParams::check)?,
+                outer: checked(outer, At(&section, "outer"), PaOuterParams::check)?,
             }
-            ControllerSpec::SelfTuningPa { pa, outer }
         }
         "hybrid" => {
-            let mut o = Obj::open(payload, tag, HYBRID)?;
+            let mut o = Obj::open(payload, &section, HYBRID)?;
             let d = HybridParams::default();
             let p = HybridParams {
                 is: o.opt("is", params)?.unwrap_or(d.is),
@@ -169,37 +159,19 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
                 revert_window: o.opt("revert_window", u32_from)?.unwrap_or(d.revert_window),
             };
             o.finish(())?;
-            if (p.is.min_bound, p.is.max_bound) != (p.pa.min_bound, p.pa.max_bound) {
-                return Err(SpecError::new(
-                    "`hybrid` needs matching IS/PA [min_bound, max_bound] ranges",
-                ));
-            }
-            if p.bootstrap_samples < 3
-                || p.revert_after < 1
-                || !(p.revert_after..=64).contains(&p.revert_window)
-            {
-                return Err(SpecError::new("invalid `hybrid` phase parameters"));
-            }
-            ControllerSpec::Hybrid(p)
+            ControllerSpec::Hybrid(checked(p, at, HybridParams::check)?)
         }
-        "iyer" => ControllerSpec::Iyer(params(payload, at)?),
+        "iyer" => ControllerSpec::Iyer(checked(params(payload, at)?, at, IyerRuleParams::check)?),
         "retry_budget" => {
-            let p: RetryBudgetParams = params(payload, at)?;
-            if p.min_bound < 1
-                || p.min_bound > p.max_bound
-                || p.budget < 0.0
-                || p.burst < 0.0
-                || !(p.decrease > 0.0 && p.decrease < 1.0)
-                || !(0.0..=1.0).contains(&p.headroom)
-            {
-                return Err(SpecError::new("invalid `retry_budget` parameters"));
-            }
-            ControllerSpec::RetryBudget(p)
+            let p = params(payload, at)?;
+            ControllerSpec::RetryBudget(checked(p, at, RetryBudgetParams::check)?)
         }
+        // Tay's rule also reads `system.db_size`: `build_variant` asks
+        // `TayRule::check` once the system is known.
         "tay" => {
-            let mut o = Obj::open(payload, tag, TAY)?;
+            let mut o = Obj::open(payload, &section, TAY)?;
             let c = ControllerSpec::Tay {
-                k: o.req("k", u32_from)?,
+                k: o.req("k", positive_u32)?,
                 min_bound: o.opt("min_bound", u32_from)?.unwrap_or(1),
                 max_bound: o.req("max_bound", u32_from)?,
             };

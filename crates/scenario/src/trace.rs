@@ -24,6 +24,7 @@ use alc_trace::{
 };
 
 use crate::compile::{RunPlan, VariantPlan};
+use crate::runner::cell_file_name;
 
 /// A [`TraceSink`] behind a shared handle, so the caller can recover
 /// the inner sink after the simulator consumes the boxed tee.
@@ -96,21 +97,6 @@ impl TraceOutcome {
     }
 }
 
-/// The trace file name of one cell:
-/// `<name>[_<variant>][_rep<r>]_trace.json` — same stem convention as
-/// the trajectory CSVs and gate logs.
-pub fn trace_file_name(plan: &RunPlan, v: &VariantPlan, rep: u32) -> String {
-    let mut stem = plan.name.clone();
-    if !v.label.is_empty() {
-        stem.push('_');
-        stem.push_str(&v.label);
-    }
-    if v.seeds.len() > 1 {
-        stem.push_str(&format!("_rep{rep}"));
-    }
-    format!("{stem}_trace.json")
-}
-
 /// Runs one `(variant, replication)` cell with tracing on, writes its
 /// Chrome-trace JSON into `dir`, and reconciles the counting sink
 /// against the run's report counters.
@@ -121,7 +107,7 @@ pub fn trace_cell(
     dir: &Path,
 ) -> io::Result<TraceOutcome> {
     std::fs::create_dir_all(dir)?;
-    let file_name = trace_file_name(plan, v, rep as u32);
+    let file_name = cell_file_name(plan, v, rep as u32, "trace.json");
     let mut sim = v.simulator(rep);
 
     let writer = ChromeWriter::new(io::BufWriter::new(std::fs::File::create(

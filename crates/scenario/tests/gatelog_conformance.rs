@@ -17,7 +17,7 @@
 use std::path::{Path, PathBuf};
 
 use alc_scenario::conformance::replay_log;
-use alc_scenario::runner::{gate_log_file_name, run_plan_logged, GateLogRequest};
+use alc_scenario::runner::{cell_file_name, run_plan_logged, GateLogRequest};
 use alc_scenario::LoadedSpec;
 
 fn repo_root() -> PathBuf {
@@ -91,6 +91,6 @@ fn freshly_captured_logs_replay_byte_identically() {
         quick: true,
     };
     run_plan_logged(&plan, Some(&req)).expect("run with capture");
-    let log = dir.join(gate_log_file_name(&plan, &plan.variants[0], 0));
+    let log = dir.join(cell_file_name(&plan, &plan.variants[0], 0, "gatelog.jsonl"));
     assert_replays(&spec_path, &log);
 }

@@ -186,7 +186,8 @@ fn arb_controller() -> Union<Value> {
             "fixed_analytic_optimum",
             obj([("at_ms", Value::Num(at_ms)), ("n_max", Value::U64(n_max))])
         )),
-        (1u64..64, 64u64..900, 0.1..8.0, 0.1..64.0).prop_map(|(lo, hi, beta, max_step)| tag(
+        // `max_step` at least the default `min_step` of 1.
+        (1u64..64, 64u64..900, 0.1..8.0, 1.0..64.0).prop_map(|(lo, hi, beta, max_step)| tag(
             "is",
             params(lo, hi, true, [("beta", beta), ("max_step", max_step)])
         )),

@@ -4,8 +4,11 @@
 //!
 //! Every node of every `scenarios/*.json` tree is replaced in turn by
 //! `null`, `7`, `"x"`, `[]` and `{}`, and the mutant compiled at both
-//! scales. Every object is then given a stray key, and a repeat of its
-//! first key: both must be rejected with an error that names the
+//! scales; every variant of a mutant that compiles is then assembled
+//! into the engine `run` would build, which must not panic either (a
+//! spec `validate` accepts is one `run` can start). Every object is
+//! then given a stray key, and a repeat of its first key: both must be
+//! rejected with an error that names the
 //! section — the guard that no section of the parser forgets
 //! `Obj::finish`, and that no lenient path takes "the last one wins".
 //! Every integer leaf is finally set to `-1`, to itself plus a half and
@@ -15,6 +18,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
+use alc_scenario::compile::RunPlan;
 use alc_scenario::LoadedSpec;
 use serde::Value;
 
@@ -79,9 +83,9 @@ fn keys_along(root: &Value, path: &[usize]) -> Vec<String> {
 
 /// Compiles `spec` at one scale; a panic is a test failure that says
 /// where.
-fn compile(spec: &LoadedSpec, quick: bool, what: &str) -> Result<(), String> {
+fn compile(spec: &LoadedSpec, quick: bool, what: &str) -> Result<RunPlan, String> {
     match catch_unwind(AssertUnwindSafe(|| spec.compile(quick))) {
-        Ok(outcome) => outcome.map(|_| ()).map_err(|e| e.to_string()),
+        Ok(outcome) => outcome.map_err(|e| e.to_string()),
         Err(_) => panic!(
             "{}: {what}: compile(quick={quick}) panicked",
             spec.path.display()
@@ -89,12 +93,33 @@ fn compile(spec: &LoadedSpec, quick: bool, what: &str) -> Result<(), String> {
     }
 }
 
+/// Assembles the engine of every variant of `plan` (controller, adaptive
+/// policy, clients, faults) that differs from the same cell of `base`,
+/// the unmutated plan already assembled; a panic is a test failure that
+/// says where.
+fn assemble(spec: &LoadedSpec, plan: &RunPlan, base: Option<&RunPlan>, what: &str) {
+    for (i, v) in plan.variants.iter().enumerate() {
+        if base.is_some_and(|b| b.variants.get(i) == Some(v)) {
+            continue;
+        }
+        if catch_unwind(AssertUnwindSafe(|| v.simulator(0))).is_err() {
+            panic!(
+                "{}: {what}: variant `{}` compiled and panicked its assembly",
+                spec.path.display(),
+                v.label
+            );
+        }
+    }
+}
+
 #[test]
 fn replacing_any_node_never_panics() {
     for spec in catalog() {
-        for quick in [false, true] {
-            compile(&spec, quick, "unmutated").expect("checked-in spec compiles");
-        }
+        let base = [false, true].map(|quick| {
+            let plan = compile(&spec, quick, "unmutated").expect("checked-in spec compiles");
+            assemble(&spec, &plan, None, "unmutated");
+            plan
+        });
         let mut paths = Vec::new();
         collect(&spec.value, &mut Vec::new(), &mut paths);
         for path in &paths {
@@ -108,8 +133,10 @@ fn replacing_any_node_never_panics() {
                 let mut mutant = spec.clone();
                 let what = format!("{:?} := {replacement:?}", keys_along(&spec.value, path));
                 *node_mut(&mut mutant.value, path) = replacement;
-                for quick in [false, true] {
-                    let _ = compile(&mutant, quick, &what);
+                for (quick, base) in [false, true].into_iter().zip(&base) {
+                    if let Ok(plan) = compile(&mutant, quick, &what) {
+                        assemble(&mutant, &plan, Some(base), &what);
+                    }
                 }
             }
         }
@@ -160,7 +187,7 @@ fn stray_and_repeated_keys_are_rejected_by_name() {
                     _ => unreachable!("just matched"),
                 }
                 for quick in [true, false] {
-                    match compile(&mutant, quick, &what) {
+                    match compile(&mutant, quick, &what).map(|_| ()) {
                         Err(msg) => assert!(
                             msg.to_lowercase().contains(&section),
                             "{}: {what}: error does not name `{section}`: {msg}",
@@ -222,7 +249,7 @@ fn integer_leaves_are_exact_and_in_range_or_rejected_by_name() {
                 let what = format!("{dotted} := {bad:?}");
                 let mut mutant = spec.clone();
                 *node_mut(&mut mutant.value, path) = bad;
-                match compile(&mutant, quick, &what) {
+                match compile(&mutant, quick, &what).map(|_| ()) {
                     Err(msg) => assert!(
                         msg.to_lowercase().contains(&section),
                         "{}: {what}: error does not name `{section}`: {msg}",

@@ -11,7 +11,8 @@
 //! byte-identical across reruns — tracing must never perturb or be
 //! perturbed by anything nondeterministic.
 
-use alc_scenario::trace::{trace_cell, trace_file_name, validate_trace_file};
+use alc_scenario::runner::cell_file_name;
+use alc_scenario::trace::{trace_cell, validate_trace_file};
 use proptest::prelude::*;
 use serde::Value;
 
@@ -127,14 +128,14 @@ proptest! {
                 check.what, check.report, check.trace
             );
         }
-        let file_a = dir_a.join(trace_file_name(&plan, v, 0));
+        let file_a = dir_a.join(cell_file_name(&plan, v, 0, "trace.json"));
         let parsed = validate_trace_file(&file_a).expect("trace file parses");
         prop_assert_eq!(parsed, a.events, "file event count vs counting sink");
 
         let b = trace_cell(&plan, v, 0, &dir_b).expect("traced rerun");
         let bytes_a = std::fs::read(&file_a).expect("read first trace");
         let bytes_b =
-            std::fs::read(dir_b.join(trace_file_name(&plan, v, 0))).expect("read second trace");
+            std::fs::read(dir_b.join(cell_file_name(&plan, v, 0, "trace.json"))).expect("read second trace");
         prop_assert_eq!(a.events, b.events, "rerun event count");
         prop_assert!(bytes_a == bytes_b, "rerun is not byte-identical");
         std::fs::remove_dir_all(&dir_a).ok();

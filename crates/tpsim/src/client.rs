@@ -19,6 +19,8 @@
 
 use alc_des::dist::Dist;
 
+use crate::config::{ArrivalProcess, SystemConfig};
+
 /// How a client reacts to a timed-out attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RetryPolicy {
@@ -124,6 +126,26 @@ impl ClientConfig {
             shed_retries: false,
             feedback: LatencyFeedback::default(),
         }
+    }
+
+    /// The first field a pool cannot run with on `sys`, as
+    /// `<field> must …`.
+    pub fn check(&self, sys: &SystemConfig) -> Result<(), String> {
+        // A hedged client holds a second slot for its duplicate attempt.
+        let slots = match self.retry {
+            RetryPolicy::Hedged { .. } => 2 * u64::from(self.population),
+            _ => u64::from(self.population),
+        };
+        let rule = if !matches!(sys.arrival, ArrivalProcess::Closed) {
+            "population must run under closed arrivals (clients are the arrival process)"
+        } else if self.population == 0 {
+            "population must be ≥ 1"
+        } else if slots > u64::from(sys.terminals) {
+            "population must fit system.terminals (a hedged client takes two slots)"
+        } else {
+            return Ok(());
+        };
+        Err(rule.into())
     }
 }
 

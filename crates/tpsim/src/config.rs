@@ -252,6 +252,19 @@ impl Default for ControlConfig {
     }
 }
 
+impl ControlConfig {
+    /// The first field the engine cannot run with, as `<field> must …`:
+    /// the sample tick is scheduled on the calendar, which takes finite
+    /// times only.
+    pub fn check(&self) -> Result<(), String> {
+        if self.sample_interval_ms > 0.0 && self.sample_interval_ms.is_finite() {
+            Ok(())
+        } else {
+            Err("sample_interval_ms must be finite and > 0".into())
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,7 @@ use super::control::Window;
 use super::switch::MetaCc;
 use super::{station, Event, Lanes, Simulator, Streams, Trajectories};
 use crate::cc::make_cc;
-use crate::client::{ClientConfig, ClientPool, ClientStats, RetryPolicy};
+use crate::client::{ClientConfig, ClientPool, ClientStats};
 use crate::config::{ArrivalProcess, CcKind, ControlConfig, SystemConfig};
 use crate::gate::SimGate;
 use crate::station::CpuStation;
@@ -23,7 +23,9 @@ use crate::workload::WorkloadConfig;
 
 impl Simulator {
     /// Builds a simulator. `controller = None` runs with the static
-    /// `control.initial_bound` (use `u32::MAX` for "no control").
+    /// `control.initial_bound` (use `u32::MAX` for "no control"). Panics
+    /// exactly when [`SystemConfig::check`] or [`ControlConfig::check`]
+    /// errs.
     pub fn new(
         sys: SystemConfig,
         workload: WorkloadConfig,
@@ -31,7 +33,8 @@ impl Simulator {
         control: ControlConfig,
         controller: Option<Box<dyn LoadController>>,
     ) -> Self {
-        assert!(sys.terminals > 0, "a closed model needs terminals");
+        sys.check().expect("invalid system configuration");
+        control.check().expect("invalid control configuration");
         let seeds = SeedFactory::new(sys.seed);
         let t0 = SimTime::ZERO;
         let initial_bound = controller
@@ -156,22 +159,10 @@ impl Simulator {
     /// attempt and consults its retry policy. Timeouts and shed retries
     /// feed the sampler (and the gate log) as aborts, so retry-aware
     /// control laws observe the storm they must clamp. Call once, before
-    /// the run, in closed mode only.
+    /// the run; panics when [`ClientConfig::check`] errs.
     pub fn set_clients(&mut self, cfg: ClientConfig) {
-        assert!(
-            matches!(self.sys.arrival, ArrivalProcess::Closed),
-            "client pools model closed-loop terminals; open mode has no clients"
-        );
-        assert!(cfg.population >= 1, "a client pool needs at least one client");
+        cfg.check(&self.sys).expect("invalid client pool");
         assert!(self.clients.is_none(), "set_clients may only be called once");
-        let slots_needed = match cfg.retry {
-            RetryPolicy::Hedged { .. } => 2 * cfg.population as usize,
-            _ => cfg.population as usize,
-        };
-        assert!(
-            slots_needed <= self.txns.len(),
-            "client population (with hedge duplicates) must fit the terminal count"
-        );
         // The constructor's per-terminal Submit events are inert in
         // client mode (see `on_submit`); each client draws its own first
         // think delay instead.
@@ -235,8 +226,8 @@ impl Simulator {
     }
 
     /// Enables closed-loop protocol selection: at every measurement
-    /// interval the policy sees the interval's conflict state (conflict
-    /// ratio, restart rate, gate queue depth) and may pick another
+    /// interval the policy sees the interval's measurement (conflict
+    /// ratio, restart rate, throughput) and may pick another
     /// candidate; the engine then performs the same drain-and-swap a
     /// scheduled `set_cc_switches` entry would, so a policy decision is
     /// exactly as safe as a scheduled phase switch. `candidates[0]` must

@@ -2,7 +2,7 @@
 //! switching (scheduled or decided by the meta policy) and station faults.
 
 use alc_core::measure::Measurement;
-use alc_core::meta::{MetaObservation, MetaPolicy};
+use alc_core::meta::MetaPolicy;
 use alc_trace::{cat as tcat, name as tname, Args as TraceArgs};
 
 use super::Simulator;
@@ -52,16 +52,7 @@ impl Simulator {
         let Some(meta) = self.meta.as_mut() else {
             return;
         };
-        let obs = MetaObservation {
-            at_ms: m.at_ms,
-            interval_ms: m.interval_ms,
-            conflicts_per_txn: m.conflicts_per_txn,
-            abort_ratio: m.abort_ratio(),
-            throughput_per_s: m.throughput_per_sec(),
-            gate_queue: self.gate.queue_len(),
-            observed_mpl: m.observed_mpl,
-        };
-        if let Some(next) = meta.policy.decide(meta.active, &obs) {
+        if let Some(next) = meta.policy.decide(meta.active, m) {
             if next != meta.active {
                 debug_assert!(next < meta.candidates.len());
                 meta.active = next;

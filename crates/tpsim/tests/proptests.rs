@@ -549,5 +549,48 @@ mod engine_props {
             prop_assert!(stats.abort_ratio >= 0.0 && stats.abort_ratio <= 1.0);
             prop_assert!(stats.cpu_utilization >= 0.0 && stats.cpu_utilization <= 1.0 + 1e-9);
         }
+
+        /// `ControlConfig::check` and `ClientConfig::check` say `Ok`
+        /// exactly when `Simulator::new` and `set_clients` take the
+        /// configuration: the sample interval at its edges (0, negative,
+        /// NaN, ∞), pools of 0 to twice the terminals, hedged or not,
+        /// under closed or open arrivals.
+        #[test]
+        fn control_and_client_checks_agree_with_the_engine(
+            interval in prop_oneof![
+                Just(0.0), Just(-1.0), Just(f64::NAN), Just(f64::INFINITY), 0.0f64..5_000.0
+            ],
+            terminals in 1u32..8,
+            population in 0u32..16,
+            hedged in any::<bool>(),
+            open in any::<bool>(),
+        ) {
+            use std::panic::{catch_unwind, AssertUnwindSafe};
+            use alc_tpsim::config::ArrivalProcess;
+            let arrival = if open {
+                ArrivalProcess::Open { interarrival: Dist::exponential(10.0) }
+            } else {
+                ArrivalProcess::Closed
+            };
+            let sys = SystemConfig { terminals, arrival, ..SystemConfig::default() };
+            let control =
+                ControlConfig { sample_interval_ms: interval, ..ControlConfig::default() };
+            let retry = if hedged {
+                RetryPolicy::Hedged { delay_ms: 30.0 }
+            } else {
+                RetryPolicy::default()
+            };
+            let pool =
+                ClientConfig { retry, ..ClientConfig::new(population, Dist::constant(500.0)) };
+            let workload = WorkloadConfig::default;
+            let new = || Simulator::new(sys, workload(), CcKind::Certification, control, None);
+            let built = catch_unwind(AssertUnwindSafe(new)).is_ok();
+            prop_assert_eq!(control.check().is_ok(), built, "{:?}", control);
+            if built {
+                let join = || new().set_clients(pool.clone());
+                let joined = catch_unwind(AssertUnwindSafe(join)).is_ok();
+                prop_assert_eq!(pool.check(&sys).is_ok(), joined, "{:?} on {:?}", pool, sys);
+            }
+        }
     }
 }
