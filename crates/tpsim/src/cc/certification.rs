@@ -12,20 +12,25 @@
 //! commit-sequence number per item — `wts[item]` = sequence number of the
 //! last committed writer — plus the global commit counter.
 //!
-//! Both per-item tables (`wts` and the validate-time dedup marks) are
-//! direct-indexed, db-sized vectors rather than hash maps: item ids are
-//! dense `0..db_size`, so the arena move that already de-allocated the
-//! lock table applies here too — no hashing on the access path and no
-//! allocation per validate (the dedup set is an epoch-stamped array).
+//! `wts` lives in an [`ItemTable`], which holds only the items a live run
+//! can still see as a conflict. A run conflicts on an item iff
+//! `wts > start_seq`, every live run started at or after the *horizon*
+//! (the smallest `start_seq` of a live run), and every future run starts
+//! at the commit counter or later. So an entry with `wts ≤ horizon` is
+//! dead: it reads exactly like an item nobody ever wrote, and a sweep
+//! drops it. Validation counts each conflicting item once, at its first
+//! access (the engine's access sets are distinct anyway), so it needs no
+//! per-item marks of its own.
 
+use super::item_table::ItemTable;
 use super::{AccessOutcome, ConcurrencyControl, TxnId, ValidateOutcome};
 
-/// Cap on the eagerly preallocated per-item table length; items beyond it
-/// (pathological `db_size` settings) grow the tables on demand.
-const PREALLOC_CAP: usize = 1 << 22;
+/// `start_seq` of a slot with no live run: it bounds no horizon.
+const IDLE: u64 = u64::MAX;
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 struct TxnState {
+    /// The commit counter at `begin`; [`IDLE`] between runs.
     start_seq: u64,
     /// (item, wrote) — insertion-ordered access list; duplicates are fine
     /// (re-reading an item cannot add conflicts, dedup at validate).
@@ -35,33 +40,34 @@ struct TxnState {
 /// The certification protocol.
 pub struct Certification {
     commit_seq: u64,
-    /// Last committed writer per item, direct-indexed. Items never
-    /// written hold 0 ("before every start").
-    wts: Vec<u64>,
-    /// Validate-time dedup marks: `seen[item] == epoch` means the item
-    /// was already counted in the current validation.
-    seen: Vec<u64>,
-    epoch: u64,
+    /// Last committed writer per item. Absent items read 0 ("before
+    /// every start").
+    wts: ItemTable<u64>,
     txns: Vec<TxnState>,
 }
 
 impl Certification {
-    /// Creates the protocol for `slots` transaction slots; the item
-    /// tables grow on first touch.
+    /// Creates the protocol for `slots` transaction slots.
     pub fn new(slots: usize) -> Self {
-        Self::with_db_size(slots, 0)
+        Self::with_table(slots, ItemTable::new())
     }
 
-    /// Creates the protocol with the item tables preallocated for
-    /// `db_size` items, so steady state never touches the allocator.
-    pub fn with_db_size(slots: usize, db_size: usize) -> Self {
-        let prealloc = db_size.min(PREALLOC_CAP);
+    /// The protocol over a `wts` table of `capacity` slots, so tests can
+    /// make it sweep every few commits.
+    #[cfg(test)]
+    fn with_capacity(slots: usize, capacity: usize) -> Self {
+        Self::with_table(slots, ItemTable::with_capacity(capacity))
+    }
+
+    fn with_table(slots: usize, wts: ItemTable<u64>) -> Self {
+        let idle = TxnState {
+            start_seq: IDLE,
+            accesses: Vec::new(), // alc-lint: allow(hot-alloc, reason="construction-time slot template; empty Vec::new is allocation-free")
+        };
         Certification {
             commit_seq: 0,
-            wts: vec![0; prealloc], // alc-lint: allow(hot-alloc, reason="construction-time preallocation of the per-item table")
-            seen: vec![0; prealloc], // alc-lint: allow(hot-alloc, reason="construction-time preallocation of the per-item table")
-            epoch: 0,
-            txns: vec![TxnState::default(); slots], // alc-lint: allow(hot-alloc, reason="construction-time slot-table allocation")
+            wts,
+            txns: vec![idle; slots], // alc-lint: allow(hot-alloc, reason="construction-time slot-table allocation")
         }
     }
 
@@ -70,27 +76,14 @@ impl Certification {
         self.commit_seq
     }
 
-    fn conflicts_of(&mut self, txn: TxnId) -> u64 {
-        self.epoch += 1;
-        let Certification {
-            txns,
-            seen,
-            wts,
-            epoch,
-            ..
-        } = self;
-        let st = &txns[txn];
+    /// Conflicting items among `txn`'s accesses, each counted once.
+    fn conflicts_of(&self, txn: TxnId) -> u64 {
+        let st = &self.txns[txn];
         let mut conflicts = 0;
-        for &(item, _) in &st.accesses {
-            let i = item as usize;
-            if i >= seen.len() {
-                seen.resize(i + 1, 0);
-            }
-            if seen[i] == *epoch {
-                continue;
-            }
-            seen[i] = *epoch;
-            if wts.get(i).copied().unwrap_or(0) > st.start_seq {
+        for (i, &(item, _)) in st.accesses.iter().enumerate() {
+            if self.wts.get(item) > st.start_seq
+                && !st.accesses[..i].iter().any(|&(earlier, _)| earlier == item)
+            {
                 conflicts += 1;
             }
         }
@@ -124,31 +117,36 @@ impl ConcurrencyControl for Certification {
 
     fn commit(&mut self, txn: TxnId) -> Vec<TxnId> {
         self.commit_seq += 1;
-        let seq = self.commit_seq;
-        // Move the access list out to satisfy the borrow checker, then
-        // restore the (cleared) buffer to keep its allocation.
-        let mut accesses = std::mem::take(&mut self.txns[txn].accesses);
-        for &(item, wrote) in &accesses {
+        let Certification {
+            commit_seq,
+            wts,
+            txns,
+        } = self;
+        // Future runs start at the counter; live ones at their start.
+        let horizon = || txns.iter().map(|t| t.start_seq).fold(*commit_seq, u64::min);
+        for &(item, wrote) in &txns[txn].accesses {
             if wrote {
-                let i = item as usize;
-                if i >= self.wts.len() {
-                    self.wts.resize(i + 1, 0);
-                }
-                self.wts[i] = seq;
+                *wts.entry(item, horizon, |&w, h| w <= h) = *commit_seq;
             }
         }
-        accesses.clear();
-        self.txns[txn].accesses = accesses;
-        Vec::new() // alc-lint: allow(hot-alloc, reason="empty Vec::new is allocation-free; certification never wakes blocked txns")
+        // The run is over: the rest is an abort's bookkeeping.
+        self.abort(txn)
     }
 
     fn abort(&mut self, txn: TxnId) -> Vec<TxnId> {
-        self.txns[txn].accesses.clear();
+        let st = &mut self.txns[txn];
+        st.start_seq = IDLE;
+        st.accesses.clear();
         Vec::new() // alc-lint: allow(hot-alloc, reason="empty Vec::new is allocation-free; certification never wakes blocked txns")
     }
 
     fn deadlock_victim(&mut self, _requester: TxnId) -> Option<TxnId> {
         None // optimistic execution never blocks
+    }
+
+    #[cfg(test)]
+    fn item_capacity(&self) -> usize {
+        self.wts.capacity()
     }
 }
 
@@ -301,5 +299,136 @@ mod tests {
         cc.commit(0);
         let second = cc.validate(1);
         assert!(!second.ok, "lost update must be prevented");
+    }
+
+    /// The direct-indexed table this protocol replaced, kept as the
+    /// reference model of the differential test below: one `wts` slot per
+    /// item ever touched, dedup by epoch-stamped marks.
+    mod reference {
+        use crate::cc::{AccessOutcome, ConcurrencyControl, TxnId, ValidateOutcome};
+
+        #[derive(Debug, Default, Clone)]
+        struct TxnState {
+            start_seq: u64,
+            accesses: Vec<(u64, bool)>,
+        }
+
+        pub(super) struct Certification {
+            commit_seq: u64,
+            wts: Vec<u64>,
+            seen: Vec<u64>,
+            epoch: u64,
+            txns: Vec<TxnState>,
+        }
+
+        impl Certification {
+            pub(super) fn new(slots: usize) -> Self {
+                Certification {
+                    commit_seq: 0,
+                    wts: Vec::new(),
+                    seen: Vec::new(),
+                    epoch: 0,
+                    txns: vec![TxnState::default(); slots],
+                }
+            }
+
+            fn conflicts_of(&mut self, txn: TxnId) -> u64 {
+                self.epoch += 1;
+                let Certification {
+                    txns,
+                    seen,
+                    wts,
+                    epoch,
+                    ..
+                } = self;
+                let st = &txns[txn];
+                let mut conflicts = 0;
+                for &(item, _) in &st.accesses {
+                    let i = item as usize;
+                    if i >= seen.len() {
+                        seen.resize(i + 1, 0);
+                    }
+                    if seen[i] == *epoch {
+                        continue;
+                    }
+                    seen[i] = *epoch;
+                    if wts.get(i).copied().unwrap_or(0) > st.start_seq {
+                        conflicts += 1;
+                    }
+                }
+                conflicts
+            }
+        }
+
+        impl ConcurrencyControl for Certification {
+            fn name(&self) -> &'static str {
+                "certification"
+            }
+
+            fn begin(&mut self, txn: TxnId, _ts: u64) {
+                let st = &mut self.txns[txn];
+                st.start_seq = self.commit_seq;
+                st.accesses.clear();
+            }
+
+            fn access(&mut self, txn: TxnId, item: u64, write: bool) -> AccessOutcome {
+                self.txns[txn].accesses.push((item, write));
+                AccessOutcome::Granted
+            }
+
+            fn validate(&mut self, txn: TxnId) -> ValidateOutcome {
+                let conflicts = self.conflicts_of(txn);
+                ValidateOutcome {
+                    ok: conflicts == 0,
+                    conflicts,
+                }
+            }
+
+            fn commit(&mut self, txn: TxnId) -> Vec<TxnId> {
+                self.commit_seq += 1;
+                let seq = self.commit_seq;
+                let mut accesses = std::mem::take(&mut self.txns[txn].accesses);
+                for &(item, wrote) in &accesses {
+                    if wrote {
+                        let i = item as usize;
+                        if i >= self.wts.len() {
+                            self.wts.resize(i + 1, 0);
+                        }
+                        self.wts[i] = seq;
+                    }
+                }
+                accesses.clear();
+                self.txns[txn].accesses = accesses;
+                Vec::new()
+            }
+
+            fn abort(&mut self, txn: TxnId) -> Vec<TxnId> {
+                self.txns[txn].accesses.clear();
+                Vec::new()
+            }
+
+            fn deadlock_victim(&mut self, _requester: TxnId) -> Option<TxnId> {
+                None
+            }
+        }
+    }
+
+    /// Against the direct table it replaced, on random streams through an
+    /// 8-slot table that sweeps every few commits: every outcome equal.
+    #[test]
+    fn swept_table_matches_the_direct_table() {
+        for seed in 1..=8 {
+            let mut cc = Certification::with_capacity(5, 8);
+            let mut reference = reference::Certification::new(5);
+            crate::cc::differential::assert_same_outcomes(
+                &mut cc,
+                &mut reference,
+                5,
+                seed,
+                |_, _, _| {},
+            );
+            let slots = cc.wts.capacity();
+            assert!(slots < 1 << 12, "{slots} slots");
+        }
     }
 }

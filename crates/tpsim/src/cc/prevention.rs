@@ -165,6 +165,11 @@ impl ConcurrencyControl for Prevention {
         self.targets_scratch = targets;
         victim
     }
+
+    #[cfg(test)]
+    fn item_capacity(&self) -> usize {
+        self.table.index_capacity()
+    }
 }
 
 #[cfg(test)]

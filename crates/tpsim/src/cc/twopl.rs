@@ -161,6 +161,11 @@ impl ConcurrencyControl for TwoPhaseLocking {
         self.succ_scratch = succs;
         victim
     }
+
+    #[cfg(test)]
+    fn item_capacity(&self) -> usize {
+        self.table.index_capacity()
+    }
 }
 
 #[cfg(test)]

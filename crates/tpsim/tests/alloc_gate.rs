@@ -9,14 +9,13 @@
 //!   (`deadlock_victim`), aborts the victim and drains the survivors.
 //!   After warm-up (lock-table arena, queues, DFS buffers at working-set
 //!   capacity) *no* operation may touch the allocator.
-//! * [`Certification`] — begin/access/validate/commit/abort churn: the
-//!   per-item `wts` table and the validate-time dedup set are
-//!   direct-indexed, db-sized arrays (no `HashMap`/`HashSet` on the
-//!   access or validation path).
-//! * [`Mvto`] — the version store is a direct-indexed, db-sized header
-//!   table over one version arena; retention-capped chains keep their
-//!   blocks and recycled read/write buffers keep the commit path off the
-//!   allocator.
+//! * [`Certification`], [`TimestampOrdering`] and [`Mvto`] —
+//!   begin/access/validate/commit/abort churn over item windows that
+//!   slide through a key space far larger than their item tables, so the
+//!   tables sweep dead entries throughout the measured rounds. Once the
+//!   tables have found their capacity, sweeps rebuild them in place; MVTO's
+//!   swept and retention-capped chains hand their blocks on, and recycled
+//!   read/write buffers keep the commit path off the allocator.
 //!
 //! Kept as its own integration-test binary so the global allocator
 //! cannot race with unrelated tests, and built with `harness = false`:
@@ -28,7 +27,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use alc_tpsim::cc::{AccessOutcome, Certification, ConcurrencyControl, Mvto, TwoPhaseLocking};
+use alc_tpsim::cc::{
+    AccessOutcome, Certification, ConcurrencyControl, Mvto, TimestampOrdering, TwoPhaseLocking,
+};
 
 struct CountingAlloc;
 
@@ -125,13 +126,14 @@ fn steady_state_2pl_deadlock_churn_is_allocation_free() {
     );
 }
 
-const DB: usize = 512;
+/// The key space the item windows slide through: far more items than a
+/// table holds, so the streams keep touching items no table has seen.
+const DB: usize = 1 << 40;
 
 /// One certification round: `SLOTS` concurrent transactions access
 /// overlapping windows of the database (reads and writes), then validate
 /// in order — early committers pass, later ones with stale reads fail
-/// and abort. Item windows slide every round so the whole table is
-/// touched over time.
+/// and abort. Item windows slide every round.
 fn certification_round(cc: &mut Certification, round: usize) {
     for txn in 0..SLOTS {
         cc.begin(txn, (round * SLOTS + txn) as u64);
@@ -155,7 +157,7 @@ fn steady_state_certification_churn_is_allocation_free() {
     const WARMUP_ROUNDS: usize = 200;
     const MEASURED_ROUNDS: usize = 4_000;
 
-    let mut cc = Certification::with_db_size(SLOTS, DB);
+    let mut cc = Certification::new(SLOTS);
     for round in 0..WARMUP_ROUNDS {
         certification_round(&mut cc, round);
     }
@@ -171,7 +173,61 @@ fn steady_state_certification_churn_is_allocation_free() {
         after - before,
         0,
         "certification hot path allocated {} times over {MEASURED_ROUNDS} rounds \
-         (per-item tables must stay direct-indexed, dedup must stay epoch-stamped)",
+         (item-table sweeps must rebuild in place, validation must not allocate)",
+        after - before
+    );
+}
+
+/// One T/O round: every transaction begins, then they take turns over
+/// sliding item windows, oldest first; a late access aborts its run.
+fn timestamp_round(cc: &mut TimestampOrdering, ts: &mut u64, round: usize) {
+    for txn in 0..SLOTS {
+        *ts += 1;
+        cc.begin(txn, *ts);
+    }
+    let mut aborted = [false; SLOTS];
+    for j in 0..8usize {
+        for (txn, txn_aborted) in aborted.iter_mut().enumerate() {
+            if *txn_aborted {
+                continue;
+            }
+            let item = ((round * 17 + txn * 3 + j * 5) % DB) as u64;
+            let write = (txn + j) % 3 == 0;
+            if cc.access(txn, item, write) == AccessOutcome::Abort {
+                cc.abort(txn);
+                *txn_aborted = true;
+            }
+        }
+    }
+    for (txn, txn_aborted) in aborted.iter().enumerate() {
+        if !*txn_aborted {
+            assert!(cc.validate(txn).ok);
+            cc.commit(txn);
+        }
+    }
+}
+
+fn steady_state_timestamp_churn_is_allocation_free() {
+    const WARMUP_ROUNDS: usize = 400;
+    const MEASURED_ROUNDS: usize = 4_000;
+
+    let mut cc = TimestampOrdering::new(SLOTS);
+    let mut ts = 0u64;
+    for round in 0..WARMUP_ROUNDS {
+        timestamp_round(&mut cc, &mut ts, round);
+    }
+
+    let before = allocations();
+    for round in 0..MEASURED_ROUNDS {
+        timestamp_round(&mut cc, &mut ts, WARMUP_ROUNDS + round);
+    }
+    let after = allocations();
+
+    assert_eq!(
+        after - before,
+        0,
+        "T/O hot path allocated {} times over {MEASURED_ROUNDS} rounds \
+         (item-table sweeps must rebuild in place)",
         after - before
     );
 }
@@ -215,7 +271,7 @@ fn steady_state_mvto_churn_is_allocation_free() {
     const WARMUP_ROUNDS: usize = 400;
     const MEASURED_ROUNDS: usize = 4_000;
 
-    let mut cc = Mvto::with_db_size(SLOTS, DB);
+    let mut cc = Mvto::new(SLOTS);
     let mut ts = 0u64;
     for round in 0..WARMUP_ROUNDS {
         mvto_round(&mut cc, &mut ts, round);
@@ -231,7 +287,7 @@ fn steady_state_mvto_churn_is_allocation_free() {
         after - before,
         0,
         "MVTO hot path allocated {} times over {MEASURED_ROUNDS} rounds \
-         (version store must stay direct-indexed, buffers must recycle)",
+         (sweeps must rebuild in place and recycle blocks, buffers must recycle)",
         after - before
     );
 }
@@ -239,6 +295,7 @@ fn steady_state_mvto_churn_is_allocation_free() {
 fn main() {
     steady_state_2pl_deadlock_churn_is_allocation_free();
     steady_state_certification_churn_is_allocation_free();
+    steady_state_timestamp_churn_is_allocation_free();
     steady_state_mvto_churn_is_allocation_free();
-    println!("alloc_gate ok: 2PL, certification and MVTO churn allocation-free");
+    println!("alloc_gate ok: 2PL, certification, T/O and MVTO churn allocation-free");
 }
