@@ -11,10 +11,11 @@
 //! protocol swap itself causes (each protocol counts conflicts under its
 //! own convention).
 
+use crate::controller::require;
 use crate::estimator::Ewma;
 use crate::measure::Measurement;
 
-use super::{GuardParams, MetaPolicy, SwitchGuard};
+use super::{check_common, GuardParams, MetaPolicy, SwitchGuard};
 
 /// Which contention signal a ladder policy watches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +38,7 @@ struct Ladder {
 }
 
 impl Ladder {
+    /// Assembles the ladder; the public constructors check first.
     fn new(
         signal: LadderSignal,
         candidates: usize,
@@ -44,11 +46,6 @@ impl Ladder {
         ewma_weight: f64,
         guard: GuardParams,
     ) -> Self {
-        assert!(candidates >= 2, "a ladder needs at least two candidates");
-        assert!(
-            threshold > 0.0 && threshold.is_finite(),
-            "threshold must be positive"
-        );
         Ladder {
             signal,
             candidates,
@@ -104,10 +101,28 @@ pub struct ConflictThreshold {
 }
 
 impl ConflictThreshold {
+    /// The first argument [`ConflictThreshold::new`] cannot run with, as
+    /// `<argument> must …` (every ladder's rules).
+    pub fn check(
+        candidates: usize,
+        threshold: f64,
+        ewma_weight: f64,
+        guard: &GuardParams,
+    ) -> Result<(), String> {
+        check_common(candidates, ewma_weight, guard)?;
+        require(
+            threshold > 0.0 && threshold.is_finite(),
+            "threshold must be positive and finite",
+        )
+    }
+
     /// Creates the policy over `candidates` ordered rungs. `threshold`
     /// is the centre of the conflict-ratio band, `ewma_weight ∈ (0, 1]`
-    /// the smoothing weight on new observations.
+    /// the smoothing weight on new observations. Panics exactly when
+    /// [`ConflictThreshold::check`] errs.
     pub fn new(candidates: usize, threshold: f64, ewma_weight: f64, guard: GuardParams) -> Self {
+        Self::check(candidates, threshold, ewma_weight, &guard)
+            .expect("invalid conflict-threshold arguments");
         ConflictThreshold {
             ladder: Ladder::new(
                 LadderSignal::ConflictsPerTxn,
@@ -152,10 +167,25 @@ pub struct RestartRate {
 }
 
 impl RestartRate {
+    /// The first argument [`RestartRate::new`] cannot run with, as
+    /// `<argument> must …`: every ladder's rules, and a threshold below 1
+    /// (it is an abort ratio).
+    pub fn check(
+        candidates: usize,
+        threshold: f64,
+        ewma_weight: f64,
+        guard: &GuardParams,
+    ) -> Result<(), String> {
+        ConflictThreshold::check(candidates, threshold, ewma_weight, guard)?;
+        require(threshold < 1.0, "threshold must be < 1")
+    }
+
     /// Creates the policy; `threshold ∈ (0, 1)` is the centre of the
-    /// abort-ratio band.
+    /// abort-ratio band. Panics exactly when [`RestartRate::check`]
+    /// errs.
     pub fn new(candidates: usize, threshold: f64, ewma_weight: f64, guard: GuardParams) -> Self {
-        assert!(threshold < 1.0, "an abort-ratio threshold must be < 1");
+        Self::check(candidates, threshold, ewma_weight, &guard)
+            .expect("invalid restart-rate arguments");
         RestartRate {
             ladder: Ladder::new(
                 LadderSignal::AbortRatio,

@@ -43,6 +43,7 @@ mod shadow;
 pub use ladder::{ConflictThreshold, RestartRate};
 pub use shadow::ShadowScore;
 
+use crate::controller::require;
 use crate::measure::Measurement;
 
 /// The shared anti-oscillation guard parameters. The switch itself
@@ -66,20 +67,22 @@ pub struct GuardParams {
 }
 
 impl GuardParams {
-    /// Validates the parameter ranges (dwell/cooldown non-negative,
-    /// hysteresis in `[0, 1)`).
-    pub fn validate(&self) -> Result<(), &'static str> {
-        if self.min_dwell_ms.is_nan() || self.min_dwell_ms < 0.0 {
-            return Err("min_dwell_ms must be >= 0");
-        }
-        if self.cooldown_ms.is_nan() || self.cooldown_ms < 0.0 {
-            return Err("cooldown_ms must be >= 0");
-        }
-        if !(0.0..1.0).contains(&self.hysteresis) {
-            return Err("hysteresis must lie in [0, 1)");
-        }
-        Ok(())
+    /// The first field [`SwitchGuard::new`] cannot run with, as
+    /// `<field> must …`.
+    pub fn check(&self) -> Result<(), String> {
+        require(self.min_dwell_ms >= 0.0, "min_dwell_ms must be ≥ 0")?;
+        require(self.cooldown_ms >= 0.0, "cooldown_ms must be ≥ 0")?;
+        require((0.0..1.0).contains(&self.hysteresis), "hysteresis must lie in [0, 1)")
     }
+}
+
+/// The rules every policy shares, as `<argument> must …`: a choice
+/// among at least two candidates, an EWMA weight in `(0, 1]`, and a
+/// valid guard.
+fn check_common(candidates: usize, ewma_weight: f64, guard: &GuardParams) -> Result<(), String> {
+    require(candidates >= 2, "candidates must number at least 2")?;
+    require(ewma_weight > 0.0 && ewma_weight <= 1.0, "ewma_weight must lie in (0, 1]")?;
+    guard.check()
 }
 
 /// Tracks the time of the last switch and enforces the dwell/cooldown
@@ -93,10 +96,9 @@ pub struct SwitchGuard {
 }
 
 impl SwitchGuard {
-    /// Creates a guard; panics on invalid parameters (the spec layer
-    /// validates first and reports a proper error).
+    /// Creates a guard; panics exactly when [`GuardParams::check`] errs.
     pub fn new(params: GuardParams) -> Self {
-        params.validate().expect("invalid guard parameters");
+        params.check().expect("invalid guard parameters");
         SwitchGuard {
             params,
             last_switch_ms: 0.0,
@@ -226,14 +228,14 @@ mod tests {
                 hysteresis: 1.0,
             },
         ] {
-            assert!(bad.validate().is_err(), "{bad:?} accepted");
+            assert!(bad.check().is_err(), "{bad:?} accepted");
         }
         assert!(GuardParams {
             min_dwell_ms: 0.0,
             cooldown_ms: 0.0,
             hysteresis: 0.0,
         }
-        .validate()
+        .check()
         .is_ok());
     }
 }

@@ -19,7 +19,7 @@
 use crate::estimator::Ewma;
 use crate::measure::Measurement;
 
-use super::{GuardParams, MetaPolicy, SwitchGuard};
+use super::{check_common, GuardParams, MetaPolicy, SwitchGuard};
 
 /// The shadow-scoring policy.
 #[derive(Debug, Clone)]
@@ -29,10 +29,17 @@ pub struct ShadowScore {
 }
 
 impl ShadowScore {
+    /// The first argument [`ShadowScore::new`] cannot run with, as
+    /// `<argument> must …`.
+    pub fn check(candidates: usize, ewma_weight: f64, guard: &GuardParams) -> Result<(), String> {
+        check_common(candidates, ewma_weight, guard)
+    }
+
     /// Creates the policy over `candidates` protocols with smoothing
     /// weight `ewma_weight ∈ (0, 1]` on each interval's throughput.
+    /// Panics exactly when [`ShadowScore::check`] errs.
     pub fn new(candidates: usize, ewma_weight: f64, guard: GuardParams) -> Self {
-        assert!(candidates >= 2, "shadow scoring needs at least two candidates");
+        Self::check(candidates, ewma_weight, &guard).expect("invalid shadow-score arguments");
         ShadowScore {
             scores: (0..candidates).map(|_| Ewma::new(ewma_weight)).collect(),
             guard: SwitchGuard::new(guard),

@@ -390,6 +390,19 @@ fn pa_params(f: &[Option<f64>]) -> PaParams {
     }
 }
 
+/// The positional arguments of a meta policy: candidate count (capped,
+/// as a policy allocates per candidate and no rule bounds it above),
+/// EWMA weight, guard, and (for the ladders) the threshold.
+fn meta_args(f: &[Option<f64>]) -> (usize, f64, GuardParams, f64) {
+    let guard = GuardParams {
+        min_dwell_ms: real(f, 2, 0.0),
+        cooldown_ms: real(f, 3, 0.0),
+        hysteresis: real(f, 4, 0.25),
+    };
+    let candidates = count(f, 0, 3).min(16) as usize;
+    (candidates, real(f, 1, 0.3), guard, real(f, 5, 0.5))
+}
+
 /// `check` is `Ok` exactly when `build` runs without a panic.
 fn agrees<T>(what: &dyn std::fmt::Debug, check: Result<(), String>, build: impl FnOnce() -> T) {
     let built = catch_unwind(AssertUnwindSafe(build)).is_ok();
@@ -485,6 +498,32 @@ proptest! {
             max_bound: count(&f, 4, d.max_bound),
         };
         agrees(&p, p.check(), || IyerRule::new(p));
+    }
+
+    #[test]
+    fn conflict_threshold_check_agrees_with_its_constructor(f in overrides(6)) {
+        let (n, w, guard, threshold) = meta_args(&f);
+        agrees(
+            &(n, threshold, w, guard),
+            ConflictThreshold::check(n, threshold, w, &guard),
+            || ConflictThreshold::new(n, threshold, w, guard),
+        );
+    }
+
+    #[test]
+    fn restart_rate_check_agrees_with_its_constructor(f in overrides(6)) {
+        let (n, w, guard, threshold) = meta_args(&f);
+        agrees(
+            &(n, threshold, w, guard),
+            RestartRate::check(n, threshold, w, &guard),
+            || RestartRate::new(n, threshold, w, guard),
+        );
+    }
+
+    #[test]
+    fn shadow_score_check_agrees_with_its_constructor(f in overrides(6)) {
+        let (n, w, guard, _) = meta_args(&f);
+        agrees(&(n, w, guard), ShadowScore::check(n, w, &guard), || ShadowScore::new(n, w, guard));
     }
 
     #[test]

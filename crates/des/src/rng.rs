@@ -8,9 +8,9 @@
 //! 2. adding a component (or drawing more numbers in one) never changes the
 //!    sequence another component sees — common-random-numbers variance
 //!    reduction across experiment variants comes for free.
-
-use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+//!
+//! The generator is xoshiro256++ (Blackman & Vigna), its state filled by
+//! the same SplitMix64 that derives the substream seeds.
 
 /// Derives independent RNG substreams from one master seed.
 #[derive(Debug, Clone, Copy)]
@@ -27,7 +27,7 @@ impl SeedFactory {
     /// Returns the stream for a component label. The same `(seed, label)`
     /// pair always yields the same stream.
     pub fn stream(&self, label: &str) -> RngStream {
-        let mut h = self.master ^ 0x9E37_79B9_7F4A_7C15;
+        let mut h = self.master ^ GOLDEN_GAMMA;
         for b in label.as_bytes() {
             h = splitmix64(h ^ u64::from(*b));
         }
@@ -42,29 +42,33 @@ impl SeedFactory {
     }
 }
 
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 #[inline]
 fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = z.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// A single deterministic random stream. Wraps `SmallRng` and remembers its
-/// seed so streams can be re-derived and debugged.
+/// A single deterministic random stream: a xoshiro256++ state that
+/// remembers its seed so streams can be re-derived and debugged.
 #[derive(Debug, Clone)]
 pub struct RngStream {
     seed: u64,
-    rng: SmallRng,
+    state: [u64; 4],
 }
 
 impl RngStream {
     /// Creates a stream directly from a seed.
     pub fn from_seed(seed: u64) -> Self {
-        RngStream {
-            seed,
-            rng: SmallRng::seed_from_u64(seed),
-        }
+        // Four consecutive SplitMix64 outputs: a bijection, so at most one
+        // word is zero and the state is never the all-zero fixed point.
+        let state = std::array::from_fn(|i| {
+            splitmix64(seed.wrapping_add((i as u64).wrapping_mul(GOLDEN_GAMMA)))
+        });
+        RngStream { seed, state }
     }
 
     /// The seed this stream was created from.
@@ -76,7 +80,7 @@ impl RngStream {
     #[inline]
     pub fn uniform01(&mut self) -> f64 {
         // 53 random mantissa bits, the standard open-interval construction.
-        (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform draw in `[lo, hi)`.
@@ -91,13 +95,13 @@ impl RngStream {
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is meaningless");
         // Widening-multiply rejection sampling: unbiased and branch-light.
-        let mut x = self.rng.next_u64();
+        let mut x = self.next_u64();
         let mut m = (x as u128) * (n as u128);
         let mut low = m as u64;
         if low < n {
             let threshold = n.wrapping_neg() % n;
             while low < threshold {
-                x = self.rng.next_u64();
+                x = self.next_u64();
                 m = (x as u128) * (n as u128);
                 low = m as u64;
             }
@@ -145,10 +149,20 @@ impl RngStream {
         }
     }
 
-    /// Raw 64 random bits (exposed for the distributions module).
+    /// Raw 64 random bits (exposed for the distributions module): one
+    /// xoshiro256++ step.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.rng.next_u64()
+        let s = &mut self.state;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 }
 

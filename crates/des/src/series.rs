@@ -2,8 +2,8 @@
 //!
 //! Every figure in the paper is either a curve (performance vs load) or a
 //! trajectory (load bound vs time). [`TimeSeries`] accumulates `(t, value)`
-//! points during a run; the experiment harness turns them into aligned
-//! tables and CSV files.
+//! points during a run; the scenario runner and the figure catalog turn
+//! them into aligned tables and CSV files.
 
 use crate::time::SimTime;
 

@@ -27,8 +27,9 @@
 //! divergence). `list` summarizes a directory of specs (default
 //! `scenarios/`). `figure` regenerates the paper's figures from the
 //! catalog in `alc_scenario::figures`: the engine figures run their spec
-//! under `scenarios/` and print the paper's table, chart and
-//! paper-vs-measured notes.
+//! under `scenarios/` and print the paper's table, chart,
+//! paper-vs-measured notes and claims; after writing everything it exits
+//! 1, naming them, if any claim's measured value lies outside its band.
 
 use std::path::{Path, PathBuf};
 
@@ -59,7 +60,8 @@ fn usage() {
     println!("      summarize the specs in DIR (default scenarios/)");
     println!("  figure [--quick] [--out DIR] <all | list | fig01 fig12 ...>");
     println!("      regenerate the paper's figures (`list` prints the catalog); the engine");
-    println!("      figures run scenarios/<id>.json, so run from the repository root");
+    println!("      figures run scenarios/<id>.json, so run from the repository root;");
+    println!("      exit 1 if any figure's claim falls outside its band");
     println!();
     println!("  --quick   apply each spec's `quick` overrides (CI scale)");
     println!("  --gate-log  also write one replayable gate log per run into DIR");
@@ -471,6 +473,7 @@ fn cmd_figure(args: &[String]) {
         std::process::exit(2);
     }
 
+    let (mut claims, mut failed) = (0, Vec::new());
     for fig in selected {
         #[allow(clippy::disallowed_methods)] // CLI progress timing, not simulation time
         let start = std::time::Instant::now();
@@ -484,6 +487,13 @@ fn cmd_figure(args: &[String]) {
             start.elapsed().as_secs_f64(),
             csv.display()
         );
+        claims += report.claims.len();
+        failed.extend(report.failed_claims().map(|text| format!("{}: {text}", fig.0)));
+    }
+    println!("claims: {} hold, {} fail", claims - failed.len(), failed.len());
+    if !failed.is_empty() {
+        eprintln!("error: {} claim(s) outside their band:\n  {}", failed.len(), failed.join("\n  "));
+        std::process::exit(1);
     }
 }
 

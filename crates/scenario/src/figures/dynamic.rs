@@ -9,7 +9,6 @@ use alc_core::measure::Measurement;
 use alc_des::series::{write_aligned_csv, TimeSeries};
 use alc_des::SimTime;
 use alc_tpsim::engine::Trajectories;
-use rayon::prelude::*;
 
 use crate::compile::RunPlan;
 use crate::plot;
@@ -17,7 +16,7 @@ use crate::report::Report;
 use crate::runner::RunRecord;
 use crate::table::num;
 
-use super::paper_pa;
+use super::{paper_pa, pct};
 
 /// The trajectories a figure's spec records (`"trajectories": true`).
 fn trajectories(rec: &RunRecord) -> &Trajectories {
@@ -48,6 +47,25 @@ fn tail_tracking(traj: &Trajectories, from_frac: f64) -> (f64, f64, f64) {
     (err / n, bound_sum / n, opt_sum / n)
 }
 
+/// How often a bound series reverses direction: `(reversals, steps)`.
+fn direction_changes(pts: &[(f64, f64)]) -> (usize, usize) {
+    let dirs: Vec<i8> = pts
+        .windows(2)
+        .map(|w| (w[1].1 - w[0].1).signum() as i8)
+        .filter(|&d| d != 0)
+        .collect();
+    let flips = dirs.windows(2).filter(|d| d[0] != d[1]).count();
+    (flips, pts.len().saturating_sub(1))
+}
+
+/// The claim that a bound series hunts: it reverses direction on at
+/// least a quarter of its steps.
+fn hunts(r: &mut Report, what: &str, pts: &[(f64, f64)]) {
+    let (flips, steps) = direction_changes(pts);
+    let share = pct(flips as f64, steps as f64);
+    r.claim(share >= 25.0, format!("{what}: the bound reverses direction on {flips} of {steps} steps, {}% (band: ≥ 25 %)", num(share)));
+}
+
 /// Figure 3: the Incremental Steps zig-zag around a stationary optimum.
 pub fn fig03(plan: &RunPlan, records: &[RunRecord]) -> Report {
     let (stats, traj) = (&records[0].stats, trajectories(&records[0]));
@@ -55,17 +73,7 @@ pub fn fig03(plan: &RunPlan, records: &[RunRecord]) -> Report {
     // Zig-zag: count direction changes over the second half.
     let pts = traj.bound.points();
     let half = &pts[pts.len() / 2..];
-    let mut flips = 0;
-    let mut last_dir = 0i8;
-    for w in half.windows(2) {
-        let d = (w[1].1 - w[0].1).signum() as i8;
-        if d != 0 && last_dir != 0 && d != last_dir {
-            flips += 1;
-        }
-        if d != 0 {
-            last_dir = d;
-        }
-    }
+    let (flips, _) = direction_changes(half);
     let (err, bound_mean, opt_mean) = tail_tracking(traj, 0.5);
 
     let mut r = Report::new(&plan.name, &plan.description, &["metric", "value"]);
@@ -76,7 +84,12 @@ pub fn fig03(plan: &RunPlan, records: &[RunRecord]) -> Report {
     r.push_row(vec!["tail_mean_abs_error".into(), num(err)]);
     r.push_row(vec!["throughput_per_s".into(), num(stats.throughput_per_sec)]);
     r.chart(bound_chart(&traj.bound, &traj.optimum, 16));
-    r.note("the bound oscillates around the optimum in zig-zag fashion — each worsening measurement flips the direction (paper Fig. 3)");
+    hunts(&mut r, "zig-zag over the second half (paper Fig. 3: each worsening measurement flips the direction)", half);
+    let above = half
+        .iter()
+        .filter(|&&(t, b)| traj.optimum.value_at(SimTime::new(t)).is_some_and(|o| b > o))
+        .count();
+    r.claim(above > 0 && above < half.len(), format!("the bound oscillates around the optimum: {above} of the second half's {} samples lie above it, the rest at or below (band: both sides visited)", half.len()));
     r
 }
 
@@ -122,7 +135,7 @@ pub fn fig07(quick: bool, out_dir: Option<&Path>) -> Report {
         width: 120.0,
     };
     let steps: usize = if quick { 80 } else { 400 };
-    let policies: Vec<(&str, FallbackPolicy)> = vec![
+    let policies = [
         ("hold-last", FallbackPolicy::HoldLast),
         ("gradient-probe", FallbackPolicy::GradientProbe { step: 8.0 }),
         ("clamp-to-safe", FallbackPolicy::ClampToSafe { bound: 150 }),
@@ -139,38 +152,35 @@ pub fn fig07(quick: bool, out_dir: Option<&Path>) -> Report {
             "tail_perf_%_of_peak",
         ],
     );
-    // The three fallback-policy drives are independent and noise-free —
-    // run them concurrently, then do file I/O and row assembly in order.
-    let results: Vec<_> = policies
-        .par_iter()
-        .map(|&(name, policy)| {
-            let mut pa = ParabolaApproximation::new(PaParams {
-                initial_bound: 40,
-                max_bound: 500,
-                fallback: policy,
-                ..paper_pa()
-            });
-            let (bounds, _) = drive_surface(&mut pa, &surface, steps, 2000.0);
-            (name, bounds, pa.diagnostics())
-        })
-        .collect();
-    for (name, bounds, d) in results {
+    // (convex-fit %, tail performance % of peak) per policy, in order.
+    let outcomes = policies.map(|(name, policy)| {
+        let mut pa = ParabolaApproximation::new(PaParams {
+            initial_bound: 40,
+            max_bound: 500,
+            fallback: policy,
+            ..paper_pa()
+        });
+        let (bounds, _) = drive_surface(&mut pa, &surface, steps, 2000.0);
+        let d = pa.diagnostics();
         if name == "gradient-probe" {
             write_series(out_dir, "fig07_trajectory.csv", &[&bounds]);
         }
         let total = d.convex_fits + d.vertex_updates;
+        let convex = pct(d.convex_fits as f64, total.max(1) as f64);
         let tail = bounds.tail_mean(0.25);
         let perf_pct = 100.0 * surface.performance(tail, 0.0) / 120.0;
         r.push_row(vec![
             name.to_string(),
-            num(100.0 * d.convex_fits as f64 / total.max(1) as f64),
+            num(convex),
             d.covariance_resets.to_string(),
             num(tail),
             num(perf_pct),
         ]);
-    }
-    r.note("a broad flat hump yields upward-opening fits essentially permanently (paper Fig. 7); a naive vertex-chaser would fling the bound toward ±∞");
-    r.note("gradient-probe and clamp-to-safe finish on the plateau top (≈100% of peak); hold-last merely freezes wherever the pathology began (≈64% here) — why GradientProbe is the default fallback");
+        (convex, perf_pct)
+    });
+    let [(hold_convex, hold), (probe_convex, probe), (_, clamp)] = outcomes;
+    r.claim(hold_convex >= 90.0 && probe_convex >= 90.0, format!("a broad flat hump yields upward-opening fits essentially permanently (paper Fig. 7): {}% / {}% of the fits under hold-last / gradient-probe (band: ≥ 90 %)", num(hold_convex), num(probe_convex)));
+    r.claim(probe >= 95.0 && clamp >= 95.0 && hold < 95.0, format!("gradient-probe and clamp-to-safe finish on the plateau top, at {}% / {}% of peak, while hold-last freezes where the pathology began, at {}% (band: ≥ 95 % for the first two, below for hold-last) — why GradientProbe is the default fallback", num(probe), num(clamp), num(hold)));
     r
 }
 
@@ -205,6 +215,8 @@ pub fn fig08(quick: bool, out_dir: Option<&Path>) -> Report {
             "cov_resets",
         ],
     );
+    // Per setting: "label: recovery intervals", tail mean bound.
+    let (mut recoveries, mut tails) = (Vec::new(), Vec::new());
     for reset_after in [0u32, 3, 6] {
         let mut pa = ParabolaApproximation::new(PaParams {
             initial_bound: 50,
@@ -236,25 +248,33 @@ pub fn fig08(quick: bool, out_dir: Option<&Path>) -> Report {
             }
         }
         let d = pa.diagnostics();
-        r.push_row(vec![
+        let tail = bounds.tail_mean(0.2);
+        let row = vec![
             if reset_after == 0 {
                 "off".to_string()
             } else {
                 reset_after.to_string()
             },
             recovery.map_or("never".to_string(), |x| x.to_string()),
-            num(bounds.tail_mean(0.2)),
+            num(tail),
             "80".to_string(),
             d.covariance_resets.to_string(),
-        ]);
+        ];
+        recoveries.push(format!("{}: {}", row[0], row[1]));
+        tails.push(tail);
+        r.push_row(row);
     }
-    r.note("with covariance reset the estimator discards the obsolete shape and re-locks onto the new optimum (paper Fig. 8 / §5.2); without it, stale history keeps the fit convex far longer");
+    let miss = |tail: &f64| (tail - 80.0).abs();
+    r.claim(tails[1..].iter().all(|t| miss(t) < miss(&tails[0])), format!("with covariance reset the estimator discards the obsolete shape and re-locks onto the new optimum (paper Fig. 8 / §5.2): the tail bound ends at {} under reset off / 3 / 6, against the optimum 80 (band: every reset setting nearer 80 than off)", tails.iter().map(|t| num(*t)).collect::<Vec<_>>().join(" / ")));
+    r.note(format!("paper: without reset, stale history keeps the fit convex far longer; measured: intervals until the bound holds within 25 % of the new optimum — {}", recoveries.join(", ")));
     r
 }
 
 /// The Figure 13/14 table: the bound against the analytic optimum before
-/// and after the jump at half the horizon.
-fn jump_report(plan: &RunPlan, records: &[RunRecord], title: &str) -> Report {
+/// and after the jump at half the horizon; the note sets the controller's
+/// response and tracking error against the `paper`'s words. Also returns
+/// the pre- and post-jump mean bound and the new optimum.
+fn jump_report(plan: &RunPlan, records: &[RunRecord], title: &str, paper: &str) -> (Report, [f64; 3]) {
     let (stats, traj) = (&records[0].stats, trajectories(&records[0]));
     let horizon = plan.variants[0].horizon_ms;
     let pts = traj.bound.points();
@@ -280,48 +300,47 @@ fn jump_report(plan: &RunPlan, records: &[RunRecord], title: &str) -> Report {
     // the new optimum after the jump.
     let response = pts[jump_idx..]
         .iter()
-        .position(|&(_, b)| (b - opt_post).abs() <= 0.25 * opt_post);
+        .position(|&(_, b)| (b - opt_post).abs() <= 0.25 * opt_post)
+        .map_or("never".into(), |x| x.to_string());
 
     // Post-jump tracking error (mean |n* - n_opt| over the last quarter).
-    let post_err = mean(post, &|b| (b - opt_post).abs());
+    let post_err = num(mean(post, &|b| (b - opt_post).abs()));
 
     let mut r = Report::new(&plan.name, title, &["metric", "value"]);
     r.push_row(vec!["samples".into(), pts.len().to_string()]);
     r.push_row(vec!["optimum_before".into(), num(opt_pre)]);
     r.push_row(vec!["optimum_after".into(), num(opt_post)]);
-    r.push_row(vec!["pre_jump_mean_bound".into(), num(mean(pre, &|b| b))]);
-    r.push_row(vec!["post_jump_mean_bound".into(), num(mean(post, &|b| b))]);
-    r.push_row(vec![
-        "response_intervals_to_25%".into(),
-        response.map_or("never".into(), |x| x.to_string()),
-    ]);
-    r.push_row(vec!["post_tracking_error".into(), num(post_err)]);
+    let (pre_mean, post_mean) = (mean(pre, &|b| b), mean(post, &|b| b));
+    r.push_row(vec!["pre_jump_mean_bound".into(), num(pre_mean)]);
+    r.push_row(vec!["post_jump_mean_bound".into(), num(post_mean)]);
+    r.push_row(vec!["response_intervals_to_25%".into(), response.clone()]);
+    r.push_row(vec!["post_tracking_error".into(), post_err.clone()]);
     r.push_row(vec!["throughput_per_s".into(), num(stats.throughput_per_sec)]);
     r.push_row(vec!["abort_ratio".into(), num(stats.abort_ratio)]);
     r.chart(bound_chart(&traj.bound, &traj.optimum, 16));
-    r
+    r.note(format!("paper: {paper}; measured: the bound first comes within 25 % of the new optimum after {response} interval(s), post-jump tracking error {post_err} (fig13 is IS, fig14 PA)"));
+    (r, [pre_mean, post_mean, opt_post])
 }
 
 /// Figure 13: IS trajectory when the optimum's position jumps abruptly.
 pub fn fig13(plan: &RunPlan, records: &[RunRecord]) -> Report {
-    let mut r = jump_report(
-        plan,
-        records,
-        "Incremental Steps under an abrupt jump of the optimum (k: 8→16)",
-    );
-    r.note("IS reacts quickly to the jump but hunts around the new optimum (paper: 'reacts very quickly ... but has serious problems to adjust correctly to the new load situation')");
+    let title = "Incremental Steps under an abrupt jump of the optimum (k: 8→16)";
+    let paper = "IS 'reacts very quickly ... but has serious problems to adjust correctly to the new load situation'";
+    let (mut r, _) = jump_report(plan, records, title, paper);
+    let pts = trajectories(&records[0]).bound.points();
+    let after = &pts[pts.len() / 2..];
+    hunts(&mut r, "IS hunts around the new optimum over the second half, after the jump", after);
     r
 }
 
 /// Figure 14: PA trajectory on the same jump (same seed as `fig13`:
 /// identical workload realization).
 pub fn fig14(plan: &RunPlan, records: &[RunRecord]) -> Report {
-    let mut r = jump_report(
-        plan,
-        records,
-        "Parabola Approximation under the same abrupt jump (k: 8→16)",
-    );
-    r.note("PA needs more time to respond but tracks the new optimum more accurately and reliably; the residual oscillation is the §4.2 excitation dither (paper Fig. 14)");
+    let title = "Parabola Approximation under the same abrupt jump (k: 8→16)";
+    let paper = "PA 'needs more time to respond but tracks the new optimum more accurately and reliably', its residual oscillation the §4.2 excitation dither";
+    let (mut r, [pre, post, opt]) = jump_report(plan, records, title, paper);
+    let off = pct((post - opt).abs(), opt);
+    r.claim(post < pre && off <= 50.0, format!("PA follows the jump downward: its post-jump mean bound {} lies below the pre-jump {} and {}% from the new optimum {} (band: below, within 50 %)", num(post), num(pre), num(off), num(opt)));
     r
 }
 
@@ -339,18 +358,25 @@ pub fn sinus(plan: &RunPlan, records: &[RunRecord]) -> Report {
             "abort_ratio",
         ],
     );
+    let (mut errors, mut pa) = (Vec::new(), f64::NAN);
     for rec in records {
         let (name, traj) = (&rec.label, trajectories(rec));
         let (err, _, opt_mean) = tail_tracking(traj, 0.33);
+        let err_pct = pct(err, opt_mean);
         r.push_row(vec![
             name.clone(),
             num(err),
-            num(100.0 * err / opt_mean),
+            num(err_pct),
             num(rec.stats.throughput_per_sec),
             num(rec.stats.abort_ratio),
         ]);
         r.chart(format!("{name}:\n{}", bound_chart(&traj.bound, &traj.optimum, 12)));
+        errors.push(format!("{name} {}%", num(err_pct)));
+        if name == "PA" {
+            pa = err_pct;
+        }
     }
-    r.note("'While both algorithms were able to follow gradual changes…' — tracking errors stay a modest fraction of the optimum for IS and PA alike");
+    r.note(format!("paper: 'both algorithms were able to follow gradual changes'; measured tracking errors, as a share of the optimum: {}", errors.join(", ")));
+    r.claim(pa < 50.0, format!("PA follows the gradual change: its tracking error is {}% of the mean optimum (band: < 50 %)", num(pa)));
     r
 }

@@ -7,12 +7,18 @@
 //! `--set`-overridden. What stays Rust is the
 //! *presentation*: a function over the plan and its records that lays
 //! out the paper's table, draws the ASCII chart and states the
-//! paper-vs-measured outcome in the notes — analyses (argmax, joins of
-//! several cells into one row, trajectory statistics) that a column
-//! vocabulary has no business growing for. The six studies that never
-//! touch the engine (controllers driven against synthetic surfaces,
-//! closed-form estimator weights, a Monte-Carlo interval check) are plain
-//! functions of the scale.
+//! paper-vs-measured outcome — analyses (argmax, joins of several cells
+//! into one row, trajectory statistics) that a column vocabulary has no
+//! business growing for. The six studies that never touch the engine
+//! (controllers driven against synthetic surfaces, closed-form estimator
+//! weights, a Monte-Carlo interval check) are plain functions of the
+//! scale.
+//!
+//! A paper result a figure shows is a *claim* ([`Report::claim`]): its
+//! number, computed once, printed with a band that holds at both scales
+//! (the golden test checks quick scale, `scenario figure` exits 1 on a
+//! failure at either). A contradicted outcome is a note saying which way
+//! the measurement went.
 
 mod ablation;
 mod dynamic;
@@ -111,6 +117,11 @@ fn peak<'a, X>(points: impl Iterator<Item = (X, &'a RunStats)>) -> (X, &'a RunSt
         .expect("non-empty sweep")
 }
 
+/// `part` as a percentage of `whole`.
+fn pct(part: f64, whole: f64) -> f64 {
+    100.0 * part / whole
+}
+
 /// Display labels of sweep axis `axis` of a figure's plan.
 fn axis_labels(plan: &RunPlan, axis: usize) -> &[String] {
     let sweep = plan.sweep.as_ref().expect("the figure's spec is a sweep");
@@ -149,6 +160,28 @@ mod tests {
         assert!(err.to_string().contains("fig01.json"), "{err}");
         let report = run(find("fig06"), nowhere, true, None).expect("closed form");
         assert_eq!(report.id, "fig06");
+    }
+
+    /// A claim fails when its measurement leaves the band, and the report
+    /// says which: fig01 swept only up to a bound below the knee peaks at
+    /// its last bound, so nothing thrashes.
+    #[test]
+    fn a_sweep_that_stops_before_the_knee_fails_the_thrashing_claim() {
+        let scenarios = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let spec = std::fs::read_to_string(scenarios.join("fig01.json")).expect("fig01 spec");
+        let quick_grid = r#""sweep.axes.0.values": [2, 5, 10, 20, 40]"#;
+        assert!(spec.contains(quick_grid), "fig01's quick grid moved");
+        let dir = std::env::temp_dir().join("alc_scenario_figures_before_the_knee");
+        std::fs::create_dir_all(&dir).expect("temp specs dir");
+        let short = spec.replace(quick_grid, r#""sweep.axes.0.values": [2, 5, 10]"#);
+        std::fs::write(dir.join("fig01.json"), short).expect("write spec");
+
+        let fig01 = CATALOG.iter().find(|(id, _, _)| *id == "fig01").expect("in catalog");
+        let report = run(fig01, &dir, true, None).expect("runs");
+        let failed: Vec<&str> = report.failed_claims().collect();
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].starts_with("thrashing"), "{}", failed[0]);
+        assert!(report.render().contains("[claim FAILS] thrashing"));
     }
 
     /// The catalog and the specs it names cannot drift apart: ids are

@@ -18,7 +18,7 @@ use crate::report::Report;
 use crate::runner::{build_report, RunRecord};
 use crate::table::num;
 
-use super::{axis_labels, bound_sweep, paper_pa, peak};
+use super::{axis_labels, bound_sweep, paper_pa, pct, peak};
 
 /// Figure 1: the load–throughput function with its three phases
 /// (underload, saturation, overload/thrashing), from the sweep of a
@@ -57,12 +57,9 @@ pub fn fig01(plan: &RunPlan, records: &[RunRecord]) -> Report {
         num(peak.throughput_per_sec),
         peak_x
     ));
-    r.note(format!(
-        "thrashing: at bound {} throughput falls to {} tx/s ({}% of peak) — the paper's phase III drop",
-        last_x,
-        num(last.throughput_per_sec),
-        num(100.0 * last.throughput_per_sec / peak.throughput_per_sec)
-    ));
+    let drop = pct(last.throughput_per_sec, peak.throughput_per_sec);
+    let interior = peak_x != pts[0].0 && peak_x != *last_x;
+    r.claim(interior && drop < 100.0, format!("thrashing (the paper's phase III): at bound {last_x} throughput falls to {}% of the peak at bound {peak_x} (band: peak strictly inside the swept bounds, last bound < 100 % of it)", num(drop)));
     r
 }
 
@@ -73,16 +70,18 @@ pub fn fig01(plan: &RunPlan, records: &[RunRecord]) -> Report {
 pub fn fig02(plan: &RunPlan, records: &[RunRecord]) -> Report {
     let mut r = build_report(plan, records);
     let (cells, slices) = (bound_sweep(plan, records), axis_labels(plan, 1));
-    let ridge: Vec<String> = slices
-        .iter()
-        .enumerate()
-        .map(|(c, slice)| {
-            let (n_opt, _) = peak(cells.iter().copied().skip(c).step_by(slices.len()));
-            format!("t={slice}→n_opt≈{n_opt}")
-        })
+    let ridge: Vec<u32> = (0..slices.len())
+        .map(|c| peak(cells.iter().copied().skip(c).step_by(slices.len())).0)
         .collect();
-    r.note(format!("ridge trajectory: {}", ridge.join(", ")));
-    r.note("the optimum position moves with k(t): the 'mountain ridge' the controller must track (paper Fig. 2)");
+    let trajectory: Vec<String> = slices
+        .iter()
+        .zip(&ridge)
+        .map(|(slice, n_opt)| format!("t={slice}→n_opt≈{n_opt}"))
+        .collect();
+    r.note(format!("measured ridge trajectory: {} (paper Fig. 2: the optimum position moves with k(t), the 'mountain ridge' the controller must track)", trajectory.join(", ")));
+    let (first, last) = (cells[0].0, cells[cells.len() - 1].0);
+    let interior = ridge.iter().all(|&n| n > first && n < last);
+    r.claim(interior, format!("a ridge at every time: each slice's throughput peaks strictly inside the swept bounds {first}–{last}, at n_opt {ridge:?} (band: no slice peaks at either end)"));
     r
 }
 
@@ -152,22 +151,26 @@ pub fn fig04(quick: bool, _out: Option<&Path>) -> Report {
         ]);
     }
     r.note(format!(
-        "fitted coefficients: a0={}, a1={}, a2={} (a2 < 0: opens downward)",
+        "fitted coefficients: a0={}, a1={}, a2={}",
         num(fit.a0),
         num(fit.a1),
         num(fit.a2),
     ));
-    let vertex = fit.vertex().unwrap_or(f64::NAN);
-    r.note(format!(
-        "vertex -a1/(2a2) = {} vs true optimum {} (controller settled at {})",
-        num(vertex),
-        true_opt,
-        num(pa.base_bound())
-    ));
-    r.note(format!(
-        "fit is local around the operating point: trustworthy near n*={}, extrapolation degrades far away (why §4.2 re-fits every interval)",
-        num(pa.base_bound())
-    ));
+    let (vertex, opt) = (fit.vertex().unwrap_or(f64::NAN), f64::from(true_opt));
+    let off = pct((vertex - opt).abs(), opt);
+    r.claim(fit.a2 < 0.0 && off <= 10.0, format!("the fit finds the optimum (paper Fig. 4): it opens downward and its vertex -a1/(2a2) = {} lies {}% from the true optimum {true_opt} (band: a2 < 0, within 10 %)", num(vertex), num(off)));
+    // The fit's error at the grid points nearest to and farthest from
+    // where the controller settled.
+    let settled = pa.base_bound();
+    let miss = |n: u32| {
+        let truth = curve.throughput(f64::from(n)) * 1000.0;
+        pct((fit.eval(f64::from(n)) - truth).abs(), truth)
+    };
+    let distance = |n: &u32| (f64::from(*n) - settled).abs();
+    let by_distance = |a: &u32, b: &u32| distance(a).total_cmp(&distance(b));
+    let near = grid.iter().copied().min_by(by_distance).expect("a grid");
+    let far = grid.iter().copied().max_by(by_distance).expect("a grid");
+    r.claim(miss(near) <= 5.0 && miss(far) > 25.0, format!("the fit is local around the operating point n*={} (why §4.2 re-fits every interval): {}% off the true curve at n={near}, {}% at n={far} (band: ≤ 5 % nearest n*, > 25 % farthest)", num(settled), num(miss(near)), num(miss(far))));
     r
 }
 
@@ -185,10 +188,8 @@ pub fn fig06(_quick: bool, _out: Option<&Path>) -> Report {
         let w_rect = if age < 5 { 1.0 } else { 0.0 };
         r.push_row(vec![age.to_string(), num(w_fading), num(w_rect)]);
     }
-    r.note(format!(
-        "area under α=0.8 profile = {} ≈ rectangle window of 5 intervals: same amount of information",
-        num(memory_area(0.8, 1000))
-    ));
+    let area = memory_area(0.8, 1000);
+    r.claim((area - 5.0).abs() <= 0.05, format!("same amount of information: the area under the α=0.8 profile is {} (band: the 5-interval rectangle's 5, within 1 %)", num(area)));
     r.note("the paper's conclusion (§5.2): prefer small Δt with large α — newest data dominates, yet history still stabilizes the fit");
     r
 }
@@ -245,22 +246,15 @@ pub fn fig12(plan: &RunPlan, records: &[RunRecord]) -> Report {
         .expect("non-empty")
         .map(|s| s.throughput_per_sec);
     r.note(format!(
-        "without control: peaks at {} tx/s, then thrashes to {} tx/s at the highest load ({}% of peak)",
+        "without control: peaks at {} tx/s and ends at {} tx/s at the highest load ({}% of peak; the paper's uncontrolled curve thrashes past its peak)",
         num(unc_max),
         num(unc_last),
-        num(100.0 * unc_last / unc_max)
+        num(pct(unc_last, unc_max))
     ));
-    r.note(format!(
-        "with control: PA holds {} tx/s and IS {} tx/s at the highest load ({}% / {}% of the uncontrolled peak) — 'both algorithms had the desired property to keep the load at the point of optimum throughput'",
-        num(pa_last),
-        num(is_last),
-        num(100.0 * pa_last / unc_max),
-        num(100.0 * is_last / unc_max)
-    ));
-    r.note(format!(
-        "PA vs IS difference at the highest load: {}% — 'the difference between PA and IS was insignificant in this case'",
-        num(100.0 * (pa_last - is_last).abs() / pa_last.max(is_last))
-    ));
+    let (pa_pct, is_pct) = (pct(pa_last, unc_max), pct(is_last, unc_max));
+    r.claim(pa_pct >= 95.0 && is_pct >= 95.0, format!("with control, 'both algorithms had the desired property to keep the load at the point of optimum throughput': at the highest load PA holds {}% and IS {}% of the uncontrolled peak (band: ≥ 95 % each)", num(pa_pct), num(is_pct)));
+    let gap = pct((pa_last - is_last).abs(), pa_last.max(is_last));
+    r.claim(gap < 5.0, format!("'the difference between PA and IS was insignificant in this case': {}% at the highest load (band: < 5 %)", num(gap)));
     r
 }
 
@@ -271,7 +265,7 @@ pub fn sec6(plan: &RunPlan, records: &[RunRecord]) -> Report {
     let pts = bound_sweep(plan, records);
 
     // Indicator curves over the sweep (all "larger is better").
-    let curves: Vec<(&str, Vec<f64>)> = vec![
+    let curves: [(&str, Vec<f64>); 4] = [
         (
             "throughput",
             pts.iter().map(|(_, s)| s.throughput_per_sec).collect(),
@@ -305,7 +299,8 @@ pub fn sec6(plan: &RunPlan, records: &[RunRecord]) -> Report {
         &plan.description,
         &["indicator", "argmax_bound", "left_prominence_%", "right_prominence_%"],
     );
-    for (name, ys) in &curves {
+    // Per indicator: (argmax bound, left prominence %, right prominence %).
+    let extrema = curves.map(|(name, ys)| {
         let (imax, &ymax) = ys
             .iter()
             .enumerate()
@@ -316,13 +311,18 @@ pub fn sec6(plan: &RunPlan, records: &[RunRecord]) -> Report {
         // on BOTH sides; a monotone one has ~0 prominence on one side.
         let span = ymax - ys.iter().fold(f64::MAX, |a, &b| a.min(b));
         let drop_to = |end: f64| if span > 0.0 { 100.0 * (ymax - end) / span } else { 0.0 };
+        let extremum = (pts[imax].0, drop_to(ys[0]), drop_to(ys[ys.len() - 1]));
         r.push_row(vec![
             name.to_string(),
-            pts[imax].0.to_string(),
-            num(drop_to(ys[0])),
-            num(drop_to(ys[ys.len() - 1])),
+            extremum.0.to_string(),
+            num(extremum.1),
+            num(extremum.2),
         ]);
-    }
-    r.note("throughput shows high prominence on BOTH flanks (a distinct interior maximum); inverse response time is monotone (left prominence ≈ 0) and negated conflict rate peaks at minimal load — matching the paper's §6 choice: 'the throughput T turned out to be the most significant indicator'");
+        extremum
+    });
+    let [(t_at, t_left, t_right), (r_at, r_left, r_right), _, (c_at, ..)] = extrema;
+    r.claim(t_left > 0.0 && t_right > 0.0, format!("throughput has a distinct interior maximum, the paper's §6 choice ('the throughput T turned out to be the most significant indicator'): prominence {}% left and {}% right of bound {t_at} (band: > 0 on both flanks)", num(t_left), num(t_right)));
+    r.claim(c_at == pts[0].0, format!("negated conflict rate peaks at minimal load: at bound {c_at} (band: the smallest bound, {})", pts[0].0));
+    r.note(format!("paper §6: inverse response time is monotone; measured: it peaks at bound {r_at} like throughput, prominence {}% left and {}% right", num(r_left), num(r_right)));
     r
 }

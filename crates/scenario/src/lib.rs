@@ -17,7 +17,8 @@
 //!   tables / CSVs plus trajectory CSVs;
 //! * [`figures`] — the paper's figure catalog: each engine figure's runs
 //!   are a spec, and a small presentation function lays the paper's
-//!   table, chart and paper-vs-measured notes over the records.
+//!   table, chart, paper-vs-measured notes and checked claims over the
+//!   records.
 //!
 //! The `scenario` binary drives it all:
 //!

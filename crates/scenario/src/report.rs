@@ -1,4 +1,5 @@
-//! Experiment reports: a table, free-form notes, and optional CSV output.
+//! Experiment reports: a table, free-form notes, the claims a figure
+//! checks, and optional CSV output.
 //!
 //! Rendering goes through a single reused `String` per report (one
 //! allocation, one `write_all`) instead of per-cell `format!` calls into
@@ -27,6 +28,9 @@ pub struct Report {
     /// Headline findings appended under the table — the
     /// paper-vs-measured statements.
     pub notes: Vec<String>,
+    /// The paper's results this report checks, rendered after the notes:
+    /// `(holds, text)`, the text naming the measured value and the band.
+    pub claims: Vec<(bool, String)>,
 }
 
 impl Report {
@@ -39,6 +43,7 @@ impl Report {
             rows: Vec::new(),
             charts: Vec::new(),
             notes: Vec::new(),
+            claims: Vec::new(),
         }
     }
 
@@ -57,7 +62,19 @@ impl Report {
         self.notes.push(s.into());
     }
 
-    /// Renders the report as text: title, table, charts, notes.
+    /// Appends a claim: a paper result whose `text` names the measured
+    /// value and the band, and whether the value lies inside it.
+    pub fn claim(&mut self, holds: bool, text: impl Into<String>) {
+        self.claims.push((holds, text.into()));
+    }
+
+    /// The texts of the claims whose measured value lies outside their
+    /// band.
+    pub fn failed_claims(&self) -> impl Iterator<Item = &str> {
+        self.claims.iter().filter(|c| !c.0).map(|c| c.1.as_str())
+    }
+
+    /// Renders the report as text: title, table, charts, notes, claims.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let headers: Vec<&str> = self.headers.iter().map(|s| s.as_str()).collect();
@@ -67,11 +84,15 @@ impl Report {
             out.push('\n');
             out.push_str(c);
         }
-        if !self.notes.is_empty() {
+        if !self.notes.is_empty() || !self.claims.is_empty() {
             out.push('\n');
-            for n in &self.notes {
-                let _ = writeln!(out, "  * {n}");
-            }
+        }
+        for n in &self.notes {
+            let _ = writeln!(out, "  * {n}");
+        }
+        for (holds, text) in &self.claims {
+            let verdict = if *holds { "holds" } else { "FAILS" };
+            let _ = writeln!(out, "  [claim {verdict}] {text}");
         }
         out
     }
@@ -119,9 +140,14 @@ mod tests {
         let mut r = Report::new("figX", "demo", &["a", "b"]);
         r.push_row(vec!["1".into(), "2".into()]);
         r.note("note line");
+        r.claim(true, "inside its band");
+        r.claim(false, "outside its band");
         let text = r.render();
         assert!(text.contains("figX"));
         assert!(text.contains("note line"));
+        assert!(text.contains("  [claim holds] inside its band\n"));
+        assert!(text.contains("  [claim FAILS] outside its band\n"));
+        assert_eq!(r.failed_claims().collect::<Vec<_>>(), ["outside its band"]);
 
         let dir = std::env::temp_dir().join("alc_scenario_report_test_csv");
         let path = r.write_csv(&dir).unwrap();

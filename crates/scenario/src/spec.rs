@@ -222,14 +222,29 @@ pub enum MetaPolicySpec {
 }
 
 impl AdaptiveCcSpec {
-    /// Instantiates the candidate list and the boxed policy for one run.
-    pub fn build(&self) -> (Vec<CcKind>, Box<dyn MetaPolicy>) {
-        let guard = GuardParams {
+    /// The guard parameters, in the milliseconds the policies count.
+    fn guard(&self) -> GuardParams {
+        GuardParams {
             min_dwell_ms: self.min_dwell_s * 1000.0,
             cooldown_ms: self.cooldown_s * 1000.0,
             hysteresis: self.hysteresis,
-        };
-        let n = self.candidates.len();
+        }
+    }
+
+    /// The first rule the policy's constructor would panic on, as
+    /// `<argument> must …` (the policy's own `check`).
+    pub fn check(&self) -> Result<(), String> {
+        let (n, guard) = (self.candidates.len(), self.guard());
+        match self.policy {
+            MetaPolicySpec::ConflictThreshold { threshold, ewma_weight: w } => ConflictThreshold::check(n, threshold, w, &guard),
+            MetaPolicySpec::RestartRate { threshold, ewma_weight: w } => RestartRate::check(n, threshold, w, &guard),
+            MetaPolicySpec::ShadowScore { ewma_weight: w } => ShadowScore::check(n, w, &guard),
+        }
+    }
+
+    /// Instantiates the candidate list and the boxed policy for one run.
+    pub fn build(&self) -> (Vec<CcKind>, Box<dyn MetaPolicy>) {
+        let (n, guard) = (self.candidates.len(), self.guard());
         let policy: Box<dyn MetaPolicy> = match &self.policy {
             MetaPolicySpec::ConflictThreshold {
                 threshold,

@@ -16,7 +16,7 @@ use super::{
 use crate::profile::{Profile, PROFILE};
 use crate::value_util::Node::{self, Any, Fields, Keys as Sub, Scalar as Leaf};
 use crate::value_util::{
-    at_least_one, below_one, boolean, fields, fraction, list, non_negative, nonempty,
+    at_least_one, boolean, fields, fraction, list, non_negative, nonempty,
     normalize_arrival, normalize_dist, number, pairs, params, positive, positive_u32, single_key,
     strict, string, timed, u32_from, u64_from, unknown_key, weight, At, Keys, Obj,
 };
@@ -199,10 +199,11 @@ const ADAPTIVE: Keys = &[
 /// The two object forms of the `cc` field.
 pub(super) const CC: Keys = &[("phases", Any), ("adaptive", Sub(ADAPTIVE))];
 
-/// Parses the policy object of an adaptive `cc` section.
+/// Parses the policy object of an adaptive `cc` section (its ranges are
+/// the policy's own `check`, asked once the whole section is read).
 fn meta_policy_from_value(v: &Value) -> Result<MetaPolicySpec, SpecError> {
     let (tag, payload) = single_key(v, "cc.adaptive.policy", POLICY)?;
-    let ewma = |o: &mut Obj<'_>| o.opt("ewma_weight", weight).map(|w| w.unwrap_or(0.3));
+    let ewma = |o: &mut Obj<'_>| o.opt("ewma_weight", number).map(|w| w.unwrap_or(0.3));
     match tag {
         "shadow_score" => {
             let mut o = Obj::open(payload, tag, SHADOW_SCORE)?;
@@ -211,30 +212,27 @@ fn meta_policy_from_value(v: &Value) -> Result<MetaPolicySpec, SpecError> {
         }
         "conflict_threshold" | "restart_rate" => {
             let mut o = Obj::open(payload, tag, THRESHOLD_POLICY)?;
-            let threshold = o.req("threshold", positive)?;
+            let threshold = o.req("threshold", number)?;
             let ewma_weight = ewma(&mut o)?;
-            o.finish(())?;
-            if tag == "conflict_threshold" {
-                return Ok(MetaPolicySpec::ConflictThreshold {
+            o.finish(if tag == "conflict_threshold" {
+                MetaPolicySpec::ConflictThreshold {
                     threshold,
                     ewma_weight,
-                });
-            }
-            if threshold >= 1.0 {
-                return Err(SpecError::new(
-                    "`restart_rate.threshold` is an abort ratio and must be < 1",
-                ));
-            }
-            Ok(MetaPolicySpec::RestartRate {
-                threshold,
-                ewma_weight,
+                }
+            } else {
+                MetaPolicySpec::RestartRate {
+                    threshold,
+                    ewma_weight,
+                }
             })
         }
         other => Err(unknown_key("cc.adaptive.policy", other, POLICY)),
     }
 }
 
-/// Parses the `{"adaptive": …}` payload of the `cc` field.
+/// Parses the `{"adaptive": …}` payload of the `cc` field. The policy's
+/// own `check` is reported under `cc.adaptive.`; the reader adds only
+/// the seconds-valued guards and that no candidate repeats.
 fn adaptive_from_value(v: &Value) -> Result<AdaptiveCcSpec, SpecError> {
     let mut o = Obj::open(v, "cc.adaptive", ADAPTIVE)?;
     let adaptive = AdaptiveCcSpec {
@@ -242,14 +240,12 @@ fn adaptive_from_value(v: &Value) -> Result<AdaptiveCcSpec, SpecError> {
         policy: o.req("policy", |v, _| meta_policy_from_value(v))?,
         min_dwell_s: o.req("min_dwell_s", non_negative)?,
         cooldown_s: o.opt("cooldown_s", non_negative)?.unwrap_or(0.0),
-        hysteresis: o.opt("hysteresis", below_one)?.unwrap_or(0.25),
+        hysteresis: o.opt("hysteresis", number)?.unwrap_or(0.25),
     };
     o.finish(())?;
-    if adaptive.candidates.len() < 2 {
-        return Err(SpecError::new(
-            "`cc.adaptive.candidates` needs at least two protocols",
-        ));
-    }
+    adaptive
+        .check()
+        .map_err(|e| SpecError::new(format!("cc.adaptive.{e}")))?;
     for (i, c) in adaptive.candidates.iter().enumerate() {
         if adaptive.candidates[..i].contains(c) {
             return Err(SpecError::new(format!(

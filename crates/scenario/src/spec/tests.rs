@@ -324,51 +324,54 @@ fn adaptive_cc_parses_and_pins_initial_protocol() {
 #[test]
 fn adaptive_cc_rejects_malformed_sections() {
     let with_cc = |cc: &str| format!(r#"{{"name": "a", "horizon_ms": 1.0, "cc": {cc}}}"#);
-    for (bad, why) in [
+    // Each case names the rule it breaks: the policy's own `check` under
+    // `cc.adaptive.`, or the reader's key and duplicate rules.
+    for (bad, names) in [
         (
             r#"{"adaptive": {"candidates": ["2pl"],
                 "policy": {"shadow_score": {}}, "min_dwell_s": 1.0}}"#,
-            "single candidate",
+            "cc.adaptive.candidates must number at least 2",
         ),
         (
             r#"{"adaptive": {"candidates": ["2pl", "2pl"],
                 "policy": {"shadow_score": {}}, "min_dwell_s": 1.0}}"#,
-            "duplicate candidates",
+            "duplicate adaptive candidate `2pl`",
         ),
         (
             r#"{"adaptive": {"candidates": ["2pl", "mvto"], "min_dwell_s": 1.0}}"#,
-            "missing policy",
+            "policy",
         ),
         (
             r#"{"adaptive": {"candidates": ["2pl", "mvto"],
                 "policy": {"shadow_score": {}}}}"#,
-            "missing min_dwell_s",
+            "min_dwell_s",
         ),
         (
             r#"{"adaptive": {"candidates": ["2pl", "mvto"],
                 "policy": {"shadow_score": {"threshold": 1.0}}, "min_dwell_s": 1.0}}"#,
-            "shadow_score takes no threshold",
+            "threshold",
         ),
         (
             r#"{"adaptive": {"candidates": ["2pl", "mvto"],
                 "policy": {"restart_rate": {"threshold": 1.5}}, "min_dwell_s": 1.0}}"#,
-            "abort-ratio threshold >= 1",
+            "cc.adaptive.threshold must be < 1",
         ),
         (
             r#"{"adaptive": {"candidates": ["2pl", "mvto"],
                 "policy": {"conflict_threshold": {"threshold": 0.5}},
                 "min_dwell_s": 1.0, "hysteresis": 1.0}}"#,
-            "hysteresis out of range",
+            "cc.adaptive.hysteresis must lie in [0, 1)",
         ),
         (
             r#"{"adaptive": {"candidates": ["2pl", "mvto"],
                 "policy": {"conflict_threshold": {"threshold": 0.5}},
                 "min_dwell_s": 1.0, "dwell": 2.0}}"#,
-            "unknown field",
+            "dwell",
         ),
     ] {
         let r: Result<ScenarioSpec, _> = serde_json::from_str(&with_cc(bad));
-        assert!(r.is_err(), "accepted bad adaptive section ({why}): {bad}");
+        let err = r.expect_err(bad).to_string();
+        assert!(err.contains(names), "{bad}: `{err}` does not name `{names}`");
     }
 }
 

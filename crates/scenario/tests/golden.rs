@@ -93,6 +93,20 @@ fn quick_catalog_outputs_are_byte_identical() {
     );
 }
 
+/// Every claim of the quick catalog holds: each figure's paper result,
+/// measured on this run, lies inside its stated band.
+#[test]
+fn quick_catalog_claims_hold() {
+    let mut failed = Vec::new();
+    for fig in &CATALOG {
+        let report = figures::run(fig, &scenarios_dir(), true, None)
+            .unwrap_or_else(|e| panic!("{}: {e}", fig.0));
+        assert!(!report.claims.is_empty(), "{} checks no claim", fig.0);
+        failed.extend(report.failed_claims().map(|text| format!("{}: {text}", fig.0)));
+    }
+    assert!(failed.is_empty(), "claims outside their band:\n{}", failed.join("\n"));
+}
+
 /// Direct engine runs (stats + controller trajectories) per CC protocol
 /// must match the seed bytes: this pins the event order, the RNG draw
 /// sequence and the lock-table grant order all at once.

@@ -1,6 +1,7 @@
 //! Smoke tests of the `scenario` binary's cheap paths: the `figure`
 //! subcommand (help, catalog, an unknown id, a closed-form figure end to
-//! end) and the CSV a `run` writes when a header needs quoting.
+//! end, the quick catalog's claim verdicts) and the CSV a `run` writes
+//! when a header needs quoting.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -81,6 +82,28 @@ fn figure_quick_fig06_writes_csv() {
     assert!(out.status.success(), "figure fig06 failed: {out:?}");
     let body = std::fs::read_to_string(dir.join("fig06.csv")).expect("fig06.csv written");
     assert!(body.lines().count() > 1, "csv has no data rows: {body}");
+}
+
+/// The whole quick catalog holds its claims: exit 0, every figure prints
+/// at least one verdict, none of them a failure, and the tally closes
+/// the output.
+#[test]
+fn figure_quick_all_prints_every_claim_verdict() {
+    let dir = fresh_dir("figure-claims");
+    let out = scenario(&["figure", "--quick", "--out", dir.to_str().unwrap(), "all"]);
+    assert!(out.status.success(), "figure --quick all failed: {out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let sections: Vec<&str> = text.split("\n== ").collect();
+    assert_eq!(sections.len(), 17, "{text}");
+    for section in &sections {
+        assert!(section.contains("  [claim holds] "), "no claim in: {section}");
+    }
+    assert!(!text.contains("[claim FAILS]"), "{text}");
+    let holds = text.matches("  [claim holds] ").count();
+    assert!(
+        text.trim_end().ends_with(&format!("claims: {holds} hold, 0 fail")),
+        "{text}"
+    );
 }
 
 /// A header with a comma used to widen the header line to one field more

@@ -31,7 +31,7 @@ fn catalog() -> Vec<LoadedSpec> {
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     paths.sort();
-    assert_eq!(paths.len(), 33, "the catalog moved; update this sweep");
+    assert_eq!(paths.len(), 36, "the catalog moved; update this sweep");
     paths
         .iter()
         .map(|p| LoadedSpec::read(p).expect("checked-in spec reads"))

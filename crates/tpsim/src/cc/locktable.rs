@@ -158,8 +158,8 @@ impl LockTable {
     /// Clears all lock state, retaining every capacity (arena entries,
     /// spill buffers, queues, the item index), so a caller re-driving
     /// one protocol instance across runs pays no re-allocation. (The
-    /// stock experiment layer builds a fresh `Simulator` per replicate
-    /// and does not use this yet; see ROADMAP.)
+    /// scenario runner builds a fresh `Simulator` per cell and does not
+    /// use this.)
     pub(crate) fn reset(&mut self) {
         self.index.clear();
         self.free.clear();

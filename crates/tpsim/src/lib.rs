@@ -35,7 +35,6 @@ pub mod cc;
 pub mod client;
 pub mod config;
 pub mod engine;
-pub mod experiment;
 pub mod gate;
 pub mod station;
 pub mod txn;

@@ -1,15 +1,12 @@
-//! Scenario-level integration tests of the simulator: controller-in-the-
-//! loop behaviours beyond single-module unit tests, at CI scale.
+//! Engine mechanics under time-varying workloads: schedules that move
+//! the optimum or drive the simulator, and the gate queue's share of the
+//! response time. (The controller-in-the-loop results run the checked-in
+//! specs; they are the facade's `tests/`.)
 
-use alc_core::controller::{
-    IyerRule, IyerRuleParams, LoadController, OuterParams, PaParams, ParabolaApproximation,
-    SelfTuningIs, TayRule,
-};
-use alc_core::controller::IsParams;
-use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
-use alc_tpsim::experiment::{run_trajectory, sweep_bounds};
-use alc_tpsim::workload::WorkloadConfig;
 use alc_analytic::surface::Schedule;
+use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
+use alc_tpsim::engine::{RunStats, Simulator};
+use alc_tpsim::workload::WorkloadConfig;
 
 fn sys(seed: u64) -> SystemConfig {
     SystemConfig {
@@ -24,189 +21,17 @@ fn sys(seed: u64) -> SystemConfig {
     }
 }
 
-fn control() -> ControlConfig {
-    ControlConfig {
+/// One certification run at a static MPL bound, no controller.
+fn static_run(seed: u64, workload: WorkloadConfig, bound: u32, horizon_ms: f64) -> RunStats {
+    let control = ControlConfig {
         sample_interval_ms: 1000.0,
         warmup_ms: 0.0,
+        initial_bound: bound,
         ..ControlConfig::default()
-    }
-}
-
-#[test]
-fn sinusoidal_tracking_stays_bounded() {
-    let horizon = 180_000.0;
-    let workload = WorkloadConfig::k_sinusoid(8.0, 4.0, horizon / 2.0);
-    let pa = Box::new(ParabolaApproximation::new(PaParams {
-        initial_bound: 10,
-        max_bound: 120,
-        dither_amplitude: 3.0,
-        alpha: 0.9,
-        ..PaParams::default()
-    }));
-    let (stats, traj) = run_trajectory(
-        &sys(31),
-        &workload,
-        CcKind::Certification,
-        &control(),
-        pa,
-        horizon,
-        true,
-    );
-    assert!(stats.commits > 1000);
-    // Tracking error over the second half stays below half the mean optimum.
-    let pts = traj.bound.points();
-    let mut err = 0.0;
-    let mut opt_sum = 0.0;
-    let tail = &pts[pts.len() / 2..];
-    for &(t, b) in tail {
-        let opt = traj
-            .optimum
-            .value_at(alc_des::SimTime::new(t))
-            .expect("optimum recorded");
-        err += (b - opt).abs();
-        opt_sum += opt;
-    }
-    let mean_err = err / tail.len() as f64;
-    let mean_opt = opt_sum / tail.len() as f64;
-    assert!(
-        mean_err < 0.5 * mean_opt,
-        "tracking error {mean_err} vs mean optimum {mean_opt}"
-    );
-}
-
-#[test]
-fn self_tuning_is_works_in_the_loop() {
-    // A deliberately mis-tuned gain; the §5 outer loop must still deliver
-    // decent throughput. The workload writes heavily so the uncontrolled
-    // system genuinely thrashes and there is something to win.
-    let workload = WorkloadConfig {
-        write_frac: Schedule::Constant(0.6),
-        query_frac: Schedule::Constant(0.1),
-        ..WorkloadConfig::default()
     };
-    let tuned = Box::new(SelfTuningIs::new(
-        IsParams {
-            initial_bound: 10,
-            max_bound: 120,
-            beta: 100.0, // absurd for ~tx/s-scale performance signals
-            ..IsParams::default()
-        },
-        OuterParams {
-            window: 10,
-            ..OuterParams::default()
-        },
-    ));
-    let (stats_tuned, _) = run_trajectory(
-        &sys(32),
-        &workload,
-        CcKind::Certification,
-        &control(),
-        tuned,
-        180_000.0,
-        false,
-    );
-    let uncontrolled = alc_tpsim::experiment::stationary_run(
-        &sys(32),
-        &workload,
-        CcKind::Certification,
-        u32::MAX,
-        &control(),
-        180_000.0,
-    );
-    assert!(
-        stats_tuned.throughput_per_sec > uncontrolled.throughput_per_sec,
-        "self-tuned IS {} did not beat uncontrolled {}",
-        stats_tuned.throughput_per_sec,
-        uncontrolled.throughput_per_sec
-    );
-}
-
-#[test]
-fn iyer_rule_keeps_conflicts_near_target() {
-    let iyer = Box::new(IyerRule::new(IyerRuleParams {
-        initial_bound: 10,
-        max_bound: 120,
-        target: 0.75,
-        ..IyerRuleParams::default()
-    }));
-    let (stats, _) = run_trajectory(
-        &sys(33),
-        &WorkloadConfig {
-            write_frac: Schedule::Constant(0.5),
-            ..WorkloadConfig::default()
-        },
-        CcKind::Certification,
-        &control(),
-        iyer,
-        120_000.0,
-        false,
-    );
-    // The closed loop holds the conflict rate within a factor ~2.5 of the
-    // 0.75 target (per-commit conflicts measured only on commits, so the
-    // steady state sits somewhat above).
-    assert!(
-        stats.conflicts_per_commit < 2.0,
-        "conflicts/commit {} far above Iyer target",
-        stats.conflicts_per_commit
-    );
-    assert!(stats.commits > 500);
-}
-
-#[test]
-fn tay_rule_is_protocol_blind() {
-    // Tay's rule picks the same MPL for 2PL and certification — and the
-    // measured best bounds differ. This is the quantified §1 caution.
-    let tay = TayRule::new(8, 400, 1, 200);
-    let rule_bound = tay.current_bound();
-    let grid = [2u32, 5, 10, 20, 40, 80];
-    let best = |cc: CcKind, seed: u64| -> u32 {
-        sweep_bounds(&sys(seed), &WorkloadConfig::default(), cc, &grid, &control(), 45_000.0)
-            .into_iter()
-            .max_by(|a, b| a.stats.throughput_per_sec.total_cmp(&b.stats.throughput_per_sec))
-            .map(|p| p.x)
-            .expect("non-empty")
-    };
-    let best_cert = best(CcKind::Certification, 34);
-    // The certification optimum is far above Tay's blocking-derived value.
-    assert!(
-        f64::from(best_cert) > 2.0 * f64::from(rule_bound),
-        "certification best {best_cert} vs Tay rule {rule_bound}"
-    );
-}
-
-#[test]
-fn two_pl_thrashes_harder_than_certification() {
-    // Blocking thrash (deadlock victims + convoys) collapses past the
-    // optimum much more sharply than certification's waste-driven decay.
-    let grid = [2u32, 5, 10, 20, 40, 80];
-    let curve = |cc: CcKind| -> Vec<f64> {
-        sweep_bounds(
-            &sys(35),
-            &WorkloadConfig {
-                write_frac: Schedule::Constant(0.5),
-                ..WorkloadConfig::default()
-            },
-            cc,
-            &grid,
-            &control(),
-            45_000.0,
-        )
-        .into_iter()
-        .map(|p| p.stats.throughput_per_sec)
-        .collect()
-    };
-    let cert = curve(CcKind::Certification);
-    let twopl = curve(CcKind::TwoPhaseLocking);
-    let drop = |c: &[f64]| {
-        let peak = c.iter().cloned().fold(f64::MIN, f64::max);
-        c.last().unwrap() / peak
-    };
-    assert!(
-        drop(&twopl) < drop(&cert),
-        "2PL tail {:.2} should fall below certification tail {:.2}",
-        drop(&twopl),
-        drop(&cert)
-    );
+    let mut sim = Simulator::new(sys(seed), workload, CcKind::Certification, control, None);
+    sim.set_record_optimum(false);
+    sim.run(horizon_ms)
 }
 
 #[test]
@@ -233,71 +58,16 @@ fn piecewise_schedule_drives_the_simulator() {
         k: Schedule::Piecewise(vec![(0.0, 4.0), (20_000.0, 8.0), (40_000.0, 6.0)]),
         ..WorkloadConfig::default()
     };
-    let stats = alc_tpsim::experiment::stationary_run(
-        &sys(37),
-        &workload,
-        CcKind::Certification,
-        40,
-        &control(),
-        60_000.0,
-    );
+    let stats = static_run(37, workload, 40, 60_000.0);
     assert!(stats.commits > 500);
-}
-
-#[test]
-fn effective_throughput_indicator_also_controls() {
-    // §6: other indicators are usable; effective throughput (abort-
-    // discounted) must also prevent thrashing.
-    let ctl = ControlConfig {
-        indicator: alc_core::measure::PerfIndicator::EffectiveThroughput,
-        ..control()
-    };
-    let pa = Box::new(ParabolaApproximation::new(PaParams {
-        initial_bound: 10,
-        max_bound: 120,
-        dither_amplitude: 3.0,
-        ..PaParams::default()
-    }));
-    let (stats, _) = run_trajectory(
-        &sys(38),
-        &WorkloadConfig::default(),
-        CcKind::Certification,
-        &ctl,
-        pa,
-        120_000.0,
-        false,
-    );
-    let uncontrolled = alc_tpsim::experiment::stationary_run(
-        &sys(38),
-        &WorkloadConfig::default(),
-        CcKind::Certification,
-        u32::MAX,
-        &control(),
-        120_000.0,
-    );
-    assert!(stats.throughput_per_sec > uncontrolled.throughput_per_sec);
 }
 
 #[test]
 fn queue_wait_counts_toward_response_time() {
     // With a tight bound, the gate queue grows and user-visible response
     // time must include the wait (Little's law over the whole station).
-    let tight = alc_tpsim::experiment::stationary_run(
-        &sys(39),
-        &WorkloadConfig::default(),
-        CcKind::Certification,
-        3,
-        &control(),
-        60_000.0,
-    );
-    let loose = alc_tpsim::experiment::stationary_run(
-        &sys(39),
-        &WorkloadConfig::default(),
-        CcKind::Certification,
-        60,
-        &control(),
-        60_000.0,
-    );
+    let tight = static_run(39, WorkloadConfig::default(), 3, 60_000.0);
+    let loose = static_run(39, WorkloadConfig::default(), 60, 60_000.0);
     assert!(
         tight.mean_response_ms > 2.0 * loose.mean_response_ms,
         "queue wait missing from response: tight {} vs loose {}",

@@ -1,141 +1,68 @@
 //! Integration tests of the extension features: the CC protocols beyond
 //! the paper's three, the hybrid and self-tuning controllers, and victim
-//! policies — all exercised through the public facade on the full
-//! simulator stack.
+//! policies — all run from the checked-in specs at quick scale.
+
+mod common;
 
 use std::sync::{Arc, Mutex};
 
-use adaptive_load_control::core::controller::{
-    Hybrid, HybridParams, IncrementalSteps, IsParams, LoadController, PaOuterParams, PaParams,
-    ParabolaApproximation, SelfTuningPa,
-};
+use adaptive_load_control::analytic::surface::Schedule;
+use adaptive_load_control::core::controller::{LoadController, PaParams, SelfTuningPa};
 use adaptive_load_control::core::measure::Measurement;
-use adaptive_load_control::tpsim::config::{CcKind, ControlConfig, SystemConfig, VictimPolicy};
-use adaptive_load_control::tpsim::experiment::{run_trajectory, sweep_bounds};
-use adaptive_load_control::tpsim::WorkloadConfig;
+use adaptive_load_control::scenario::runner::{self, RunRecord};
+use adaptive_load_control::scenario::spec::ControllerSpec;
+use adaptive_load_control::tpsim::config::CcKind;
+use adaptive_load_control::tpsim::Simulator;
 
-fn ci_system(seed: u64) -> SystemConfig {
-    SystemConfig {
-        terminals: 120,
-        cpus: 8,
-        db_size: 400,
-        think: alc_des::dist::Dist::exponential(400.0),
-        disk_access: alc_des::dist::Dist::constant(2.0),
-        disk_init_commit: alc_des::dist::Dist::constant(60.0),
-        seed,
-        ..SystemConfig::default()
-    }
-}
-
-fn ci_control() -> ControlConfig {
-    ControlConfig {
-        sample_interval_ms: 1000.0,
-        warmup_ms: 5_000.0,
-        ..ControlConfig::default()
-    }
-}
-
-fn is_params() -> IsParams {
-    IsParams {
-        initial_bound: 10,
-        max_bound: 120,
-        beta: 2.0,
-        ..IsParams::default()
-    }
-}
-
-fn pa_params() -> PaParams {
-    PaParams {
-        initial_bound: 10,
-        max_bound: 120,
-        dither_amplitude: 3.0,
-        alpha: 0.9,
-        ..PaParams::default()
-    }
-}
+use common::{quick_plan, run_quick, stats};
 
 /// Adaptive control keeps every *new* protocol near its own swept peak —
 /// the paper's protocol-independence claim extended to wound-wait,
-/// wait-die and MVTO.
+/// wait-die and MVTO (`protocol-thrashing`: a static-bound row per bound
+/// and a PA row, one column per protocol).
 #[test]
 fn pa_prevents_thrashing_on_the_new_protocols() {
-    let workload = WorkloadConfig {
-        write_frac: alc_analytic::surface::Schedule::Constant(0.5),
-        ..WorkloadConfig::default()
-    };
-    for (cc, seed) in [
-        (CcKind::WoundWait, 201),
-        (CcKind::WaitDie, 202),
-        (CcKind::Multiversion, 203),
-    ] {
-        let sys = ci_system(seed);
-        let pts = sweep_bounds(
-            &sys,
-            &workload,
-            cc,
-            &[5, 10, 20, 30, 45, 60, 90, 120],
-            &ci_control(),
-            60_000.0,
-        );
-        let peak = pts
+    let (_, records) = run_quick("protocol-thrashing");
+    for cc in ["wound-wait", "wait-die", "mvto"] {
+        let peak = ["2", "5", "10", "20", "40", "80"]
             .iter()
-            .map(|p| p.stats.throughput_per_sec)
+            .map(|b| stats(&records, &format!("{b}_{cc}")).throughput_per_sec)
             .fold(f64::MIN, f64::max);
-        let pa = ParabolaApproximation::new(pa_params());
-        let (stats, _) = run_trajectory(
-            &sys,
-            &workload,
-            cc,
-            &ci_control(),
-            Box::new(pa),
-            90_000.0,
-            false,
-        );
+        let pa = stats(&records, &format!("PA_{cc}")).throughput_per_sec;
         assert!(
-            stats.throughput_per_sec > 0.85 * peak,
-            "{cc:?}: PA reached {} vs swept peak {peak}",
-            stats.throughput_per_sec
+            pa > 0.85 * peak,
+            "{cc}: PA reached {pa} vs swept peak {peak}"
         );
     }
+}
+
+/// Mean |bound − final optimum| over the last quarter of a run.
+fn post_jump_err(rec: &RunRecord) -> f64 {
+    let traj = rec
+        .trajectories
+        .as_ref()
+        .expect("abl-hybrid keeps trajectories");
+    let pts = traj.bound.points();
+    let tail = &pts[pts.len() * 3 / 4..];
+    let opt = traj.optimum.last_value().expect("optimum recorded");
+    tail.iter().map(|&(_, b)| (b - opt).abs()).sum::<f64>() / tail.len() as f64
 }
 
 /// The hybrid settles at least as tightly as plain IS after a jump of the
 /// optimum, end to end.
 #[test]
 fn hybrid_tracks_jump_no_worse_than_is() {
-    let workload = WorkloadConfig::k_jump(4.0, 14.0, 90_000.0);
-    let post_jump_err = |ctrl: Box<dyn LoadController>, seed: u64| -> f64 {
-        let (_, traj) = run_trajectory(
-            &ci_system(seed),
-            &workload,
-            CcKind::Certification,
-            &ci_control(),
-            ctrl,
-            180_000.0,
-            true,
-        );
-        let pts = traj.bound.points();
-        let tail = &pts[pts.len() * 3 / 4..];
-        let opt = traj.optimum.last_value().expect("optimum recorded");
-        tail.iter().map(|&(_, b)| (b - opt).abs()).sum::<f64>() / tail.len() as f64
-    };
-    let is_err = post_jump_err(Box::new(IncrementalSteps::new(is_params())), 210);
-    let hybrid_err = post_jump_err(
-        Box::new(Hybrid::new(HybridParams {
-            is: is_params(),
-            pa: pa_params(),
-            ..HybridParams::default()
-        })),
-        210,
-    );
+    let (_, records) = run_quick("abl-hybrid");
+    let err = |label: &str| post_jump_err(records.iter().find(|r| r.label == label).expect(label));
+    let (is_err, hybrid_err) = (err("IS"), err("hybrid-IS-PA"));
     assert!(
         hybrid_err <= is_err * 1.1,
         "hybrid settled worse than IS: {hybrid_err} vs {is_err}"
     );
 }
 
-/// The α outer loop reacts inside the full simulator loop: a workload
-/// jump shortens the PA memory at some point after it.
+/// The α outer loop reacts inside the full simulator loop: the k-jump of
+/// `self-tuning-pa-jump` shortens the PA memory at some point after it.
 #[test]
 fn self_tuning_pa_shortens_memory_on_workload_jump() {
     /// Wraps SelfTuningPa and records α after every update.
@@ -149,7 +76,10 @@ fn self_tuning_pa_shortens_memory_on_workload_jump() {
         }
         fn update(&mut self, m: &Measurement) -> u32 {
             let b = self.inner.update(m);
-            self.log.lock().expect("probe lock").push(self.inner.alpha());
+            self.log
+                .lock()
+                .expect("probe lock")
+                .push(self.inner.alpha());
             b
         }
         fn current_bound(&self) -> u32 {
@@ -160,37 +90,41 @@ fn self_tuning_pa_shortens_memory_on_workload_jump() {
         }
     }
 
+    let plan = quick_plan("self-tuning-pa-jump");
+    let v = plan
+        .variants
+        .iter()
+        .find(|v| v.label == "self-tuning-PA")
+        .expect("self-tuning-PA variant");
+    let ControllerSpec::SelfTuningPa { pa, outer } = v.controller else {
+        panic!("self-tuning-PA runs {:?}", v.controller);
+    };
     let log = Arc::new(Mutex::new(Vec::new()));
     let probe = AlphaProbe {
-        inner: SelfTuningPa::new(
-            PaParams {
-                alpha: 0.95,
-                ..pa_params()
-            },
-            PaOuterParams::default(),
-        ),
+        inner: SelfTuningPa::new(pa, outer),
         log: Arc::clone(&log),
     };
-    let jump_at = 90_000.0;
-    let workload = WorkloadConfig::k_jump(4.0, 16.0, jump_at);
-    let control = ControlConfig {
-        warmup_ms: 0.0,
-        ..ci_control()
-    };
-    run_trajectory(
-        &ci_system(211),
-        &workload,
-        CcKind::Certification,
-        &control,
-        Box::new(probe),
-        180_000.0,
-        false,
+    // Replication 0: `v.sys` carries the spec seed.
+    let mut sim = Simulator::new(
+        v.sys,
+        v.workload.clone(),
+        v.cc,
+        v.control,
+        Some(Box::new(probe)),
     );
+    sim.run(v.horizon_ms);
+
     let alphas = log.lock().expect("probe lock").clone();
-    assert!(alphas.len() > 150, "only {} control ticks", alphas.len());
-    let jump_idx = (jump_at / control.sample_interval_ms) as usize;
+    let Schedule::Jump { at: jump_at, .. } = v.workload.k else {
+        panic!("the spec's k is a step, got {:?}", v.workload.k);
+    };
+    assert_eq!(
+        alphas.len(),
+        (v.horizon_ms / v.control.sample_interval_ms) as usize
+    );
+    let jump_idx = (jump_at / v.control.sample_interval_ms) as usize;
     let alpha_at_jump = alphas[jump_idx - 1];
-    let min_after: f64 = alphas[jump_idx..jump_idx + 40]
+    let min_after = alphas[jump_idx..jump_idx + 40]
         .iter()
         .copied()
         .fold(f64::INFINITY, f64::min);
@@ -200,54 +134,44 @@ fn self_tuning_pa_shortens_memory_on_workload_jump() {
     );
 }
 
-/// Same seed, same statistics — also for the new protocols and victim
-/// policies (regression guard for determinism).
+/// Same seed, same statistics — also for a new protocol under every
+/// victim policy (`abl-victim`'s displacement runs, under wound-wait).
 #[test]
-fn new_features_are_deterministic()
-{
-    let run = || {
-        let workload = WorkloadConfig::k_jump(4.0, 12.0, 20_000.0);
-        let ctl = ControlConfig {
-            displacement: true,
-            victim_policy: VictimPolicy::LeastProgress,
-            sample_interval_ms: 500.0,
-            warmup_ms: 2_000.0,
-            ..ControlConfig::default()
-        };
-        let pa = ParabolaApproximation::new(pa_params());
-        let (stats, _) = run_trajectory(
-            &ci_system(212),
-            &workload,
-            CcKind::WoundWait,
-            &ctl,
-            Box::new(pa),
-            40_000.0,
-            false,
-        );
-        stats
-    };
-    assert_eq!(run(), run());
+fn new_features_are_deterministic() {
+    let mut plan = quick_plan("abl-victim");
+    for v in &mut plan.variants {
+        v.cc = CcKind::WoundWait;
+    }
+    let stats = |records: Vec<RunRecord>| records.into_iter().map(|r| r.stats).collect::<Vec<_>>();
+    assert_eq!(
+        stats(runner::run_plan(&plan)),
+        stats(runner::run_plan(&plan))
+    );
 }
 
 /// Degenerate controller configurations must stay finite and bounded in
-/// the full loop (failure injection: zero dither, bound range of one).
+/// the full loop (failure injection: fig14's PA with zero dither and a
+/// bound range of one).
 #[test]
 fn degenerate_controller_configs_stay_sane() {
-    let pa = ParabolaApproximation::new(PaParams {
+    let mut plan = quick_plan("fig14");
+    let ControllerSpec::Pa(pa) = plan.variants[0].controller else {
+        panic!("fig14 runs PA");
+    };
+    plan.variants[0].controller = ControllerSpec::Pa(PaParams {
         initial_bound: 3,
         min_bound: 3,
         max_bound: 3,
         dither_amplitude: 0.0,
-        ..PaParams::default()
+        ..pa
     });
-    let (stats, traj) = run_trajectory(
-        &ci_system(213),
-        &WorkloadConfig::default(),
-        CcKind::Certification,
-        &ci_control(),
-        Box::new(pa),
-        30_000.0,
-        false,
+    let records = runner::run_plan(&plan);
+    let (stats, traj) = (
+        &records[0].stats,
+        records[0]
+            .trajectories
+            .as_ref()
+            .expect("fig14 records trajectories"),
     );
     assert!(stats.throughput_per_sec.is_finite());
     assert!(stats.commits > 0);
