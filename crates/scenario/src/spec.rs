@@ -231,15 +231,20 @@ impl AdaptiveCcSpec {
         }
     }
 
-    /// The first rule the policy's constructor would panic on, as
-    /// `<argument> must …` (the policy's own `check`).
+    /// The first rule the policy's constructor would panic on (its own
+    /// `check`), as `<key> must …` with the key's path under `cc.adaptive`
+    /// (the policy's own arguments sit in `policy.<tag>`).
     pub fn check(&self) -> Result<(), String> {
         let (n, guard) = (self.candidates.len(), self.guard());
-        match self.policy {
-            MetaPolicySpec::ConflictThreshold { threshold, ewma_weight: w } => ConflictThreshold::check(n, threshold, w, &guard),
-            MetaPolicySpec::RestartRate { threshold, ewma_weight: w } => RestartRate::check(n, threshold, w, &guard),
-            MetaPolicySpec::ShadowScore { ewma_weight: w } => ShadowScore::check(n, w, &guard),
-        }
+        let (tag, checked) = match self.policy {
+            MetaPolicySpec::ConflictThreshold { threshold: t, ewma_weight: w } => ("conflict_threshold", ConflictThreshold::check(n, t, w, &guard)),
+            MetaPolicySpec::RestartRate { threshold: t, ewma_weight: w } => ("restart_rate", RestartRate::check(n, t, w, &guard)),
+            MetaPolicySpec::ShadowScore { ewma_weight: w } => ("shadow_score", ShadowScore::check(n, w, &guard)),
+        };
+        checked.map_err(|e| match e.split(' ').next() {
+            Some("threshold" | "ewma_weight") => format!("policy.{tag}.{e}"),
+            _ => e,
+        })
     }
 
     /// Instantiates the candidate list and the boxed policy for one run.

@@ -325,7 +325,7 @@ fn adaptive_cc_parses_and_pins_initial_protocol() {
 fn adaptive_cc_rejects_malformed_sections() {
     let with_cc = |cc: &str| format!(r#"{{"name": "a", "horizon_ms": 1.0, "cc": {cc}}}"#);
     // Each case names the rule it breaks: the policy's own `check` under
-    // `cc.adaptive.`, or the reader's key and duplicate rules.
+    // the full path of its key, or the reader's key and duplicate rules.
     for (bad, names) in [
         (
             r#"{"adaptive": {"candidates": ["2pl"],
@@ -354,7 +354,17 @@ fn adaptive_cc_rejects_malformed_sections() {
         (
             r#"{"adaptive": {"candidates": ["2pl", "mvto"],
                 "policy": {"restart_rate": {"threshold": 1.5}}, "min_dwell_s": 1.0}}"#,
-            "cc.adaptive.threshold must be < 1",
+            "cc.adaptive.policy.restart_rate.threshold must be < 1",
+        ),
+        (
+            r#"{"adaptive": {"candidates": ["2pl", "mvto"],
+                "policy": {"conflict_threshold": {"threshold": 0.0}}, "min_dwell_s": 1.0}}"#,
+            "cc.adaptive.policy.conflict_threshold.threshold must be positive and finite",
+        ),
+        (
+            r#"{"adaptive": {"candidates": ["2pl", "mvto"],
+                "policy": {"shadow_score": {"ewma_weight": 0.0}}, "min_dwell_s": 1.0}}"#,
+            "cc.adaptive.policy.shadow_score.ewma_weight must lie in (0, 1]",
         ),
         (
             r#"{"adaptive": {"candidates": ["2pl", "mvto"],

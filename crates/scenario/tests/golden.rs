@@ -65,16 +65,21 @@ fn sorted_file_names(dir: &Path) -> Vec<String> {
 
 /// Every CSV `scenario figure --quick all` writes and every pinned spec
 /// table must match the golden bytes, and together with the direct
-/// simulator runs they must be exactly the golden directory.
+/// simulator runs they must be exactly the golden directory. Every claim
+/// of the quick catalog holds: each figure's paper result, measured on
+/// this run, lies inside its stated band.
 #[test]
 fn quick_catalog_outputs_are_byte_identical() {
     let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden-actual");
     let _ = fs::remove_dir_all(&out);
     fs::create_dir_all(&out).expect("create output dir");
+    let mut failed_claims = Vec::new();
     for fig in &CATALOG {
         let report = figures::run(fig, &scenarios_dir(), true, Some(&out))
             .unwrap_or_else(|e| panic!("{}: {e}", fig.0));
         report.write_csv(&out).expect("write csv");
+        assert!(!report.claims.is_empty(), "{} checks no claim", fig.0);
+        failed_claims.extend(report.failed_claims().map(|text| format!("{}: {text}", fig.0)));
     }
     for spec in SPEC_TABLES {
         let (plan, records) = run_quick(spec);
@@ -91,20 +96,11 @@ fn quick_catalog_outputs_are_byte_identical() {
         sorted_file_names(&golden_dir()),
         "the files produced here and tests/golden/ must be the same set"
     );
-}
-
-/// Every claim of the quick catalog holds: each figure's paper result,
-/// measured on this run, lies inside its stated band.
-#[test]
-fn quick_catalog_claims_hold() {
-    let mut failed = Vec::new();
-    for fig in &CATALOG {
-        let report = figures::run(fig, &scenarios_dir(), true, None)
-            .unwrap_or_else(|e| panic!("{}: {e}", fig.0));
-        assert!(!report.claims.is_empty(), "{} checks no claim", fig.0);
-        failed.extend(report.failed_claims().map(|text| format!("{}: {text}", fig.0)));
-    }
-    assert!(failed.is_empty(), "claims outside their band:\n{}", failed.join("\n"));
+    assert!(
+        failed_claims.is_empty(),
+        "claims outside their band:\n{}",
+        failed_claims.join("\n")
+    );
 }
 
 /// Direct engine runs (stats + controller trajectories) per CC protocol

@@ -3,7 +3,9 @@
 
 #![allow(dead_code)] // each test binary uses its own subset
 
+use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::{Mutex, OnceLock};
 
 use adaptive_load_control::scenario::compile::RunPlan;
 use adaptive_load_control::scenario::runner::{self, RunRecord};
@@ -20,12 +22,27 @@ pub fn quick_plan(name: &str) -> RunPlan {
         .unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
-/// `scenarios/<name>.json` run at quick scale: the plan and one record
-/// per cell, in plan order.
-pub fn run_quick(name: &str) -> (RunPlan, Vec<RunRecord>) {
-    let plan = quick_plan(name);
-    let records = runner::run_plan(&plan);
-    (plan, records)
+/// A spec's quick run: the plan and one record per cell, in plan order.
+type QuickRun = (RunPlan, Vec<RunRecord>);
+
+/// `scenarios/<name>.json` run at quick scale, once per test binary: the
+/// tests reading the same spec share its run (the runs are deterministic,
+/// so a second one would only repeat the first).
+pub fn run_quick(name: &str) -> &'static QuickRun {
+    static RUNS: OnceLock<Mutex<HashMap<String, &'static OnceLock<QuickRun>>>> = OnceLock::new();
+    // The map lock is held only to find the spec's cell, so different
+    // specs run concurrently and a second reader of one spec waits.
+    let cell: &'static OnceLock<QuickRun> = RUNS
+        .get_or_init(Default::default)
+        .lock()
+        .expect("run cache lock")
+        .entry(name.to_string())
+        .or_insert_with(|| Box::leak(Box::default()));
+    cell.get_or_init(|| {
+        let plan = quick_plan(name);
+        let records = runner::run_plan(&plan);
+        (plan, records)
+    })
 }
 
 /// The statistics of the cell labelled `label` (a sweep cell's label

@@ -7,6 +7,7 @@
 
 mod common;
 
+use adaptive_load_control::scenario::runner;
 use adaptive_load_control::tpsim::config::{ControlConfig, SystemConfig};
 use adaptive_load_control::tpsim::WorkloadConfig;
 
@@ -26,12 +27,12 @@ fn thrashing_exists_and_admission_control_prevents_it() {
         .map(|b| {
             (
                 *b,
-                stats(&records, &format!("bound-{b}")).throughput_per_sec,
+                stats(records, &format!("bound-{b}")).throughput_per_sec,
             )
         })
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("bounds");
-    let unlimited = stats(&records, "unlimited").throughput_per_sec;
+    let unlimited = stats(records, "unlimited").throughput_per_sec;
     assert!(
         unlimited < 0.85 * peak,
         "no thrashing: peak {peak} at {peak_bound}, unlimited {unlimited}"
@@ -47,9 +48,9 @@ fn thrashing_exists_and_admission_control_prevents_it() {
 #[test]
 fn controllers_prevent_thrashing_end_to_end() {
     let (_, records) = run_quick("control-prevents-thrashing");
-    let uncontrolled = stats(&records, "unlimited").throughput_per_sec;
+    let uncontrolled = stats(records, "unlimited").throughput_per_sec;
     for name in ["IS", "PA"] {
-        let controlled = stats(&records, name).throughput_per_sec;
+        let controlled = stats(records, name).throughput_per_sec;
         assert!(
             controlled > 1.1 * uncontrolled,
             "{name}: controlled {controlled} not better than uncontrolled {uncontrolled}"
@@ -57,11 +58,12 @@ fn controllers_prevent_thrashing_end_to_end() {
     }
 }
 
-/// Same seed ⇒ bit-identical trajectories across the whole stack.
+/// Same seed ⇒ bit-identical trajectories across the whole stack (two
+/// fresh runs, not `run_quick`'s shared one).
 #[test]
 fn full_stack_determinism() {
-    let (_, a) = run_quick("fig14");
-    let (_, b) = run_quick("fig14");
+    let plan = quick_plan("fig14");
+    let (a, b) = (runner::run_plan(&plan), runner::run_plan(&plan));
     assert_eq!(a[0].stats, b[0].stats);
     let (ta, tb) = (a[0].trajectories.as_ref(), b[0].trajectories.as_ref());
     let (ta, tb) = (
@@ -85,7 +87,7 @@ fn simulator_matches_analytic_model() {
             .find(|v| v.label == label)
             .expect("variant");
         let curve = v.workload.occ_model_at(0.0, &v.sys).curve(v.sys.terminals);
-        let sim = stats(&records, &label).throughput_per_sec;
+        let sim = stats(records, &label).throughput_per_sec;
         let model = curve.throughput(f64::from(b)) * 1000.0;
         let rel = (sim - model).abs() / model;
         assert!(

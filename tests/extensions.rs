@@ -26,9 +26,9 @@ fn pa_prevents_thrashing_on_the_new_protocols() {
     for cc in ["wound-wait", "wait-die", "mvto"] {
         let peak = ["2", "5", "10", "20", "40", "80"]
             .iter()
-            .map(|b| stats(&records, &format!("{b}_{cc}")).throughput_per_sec)
+            .map(|b| stats(records, &format!("{b}_{cc}")).throughput_per_sec)
             .fold(f64::MIN, f64::max);
-        let pa = stats(&records, &format!("PA_{cc}")).throughput_per_sec;
+        let pa = stats(records, &format!("PA_{cc}")).throughput_per_sec;
         assert!(
             pa > 0.85 * peak,
             "{cc}: PA reached {pa} vs swept peak {peak}"

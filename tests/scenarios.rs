@@ -17,8 +17,8 @@ const BOUNDS: [u32; 6] = [2, 5, 10, 20, 40, 80];
 #[test]
 fn self_tuning_is_works_in_the_loop() {
     let (_, records) = run_quick("control-prevents-thrashing");
-    let tuned = stats(&records, "self-tuning-IS-mistuned").throughput_per_sec;
-    let uncontrolled = stats(&records, "unlimited").throughput_per_sec;
+    let tuned = stats(records, "self-tuning-IS-mistuned").throughput_per_sec;
+    let uncontrolled = stats(records, "unlimited").throughput_per_sec;
     assert!(
         tuned > uncontrolled,
         "self-tuned IS {tuned} did not beat uncontrolled {uncontrolled}"
@@ -27,14 +27,16 @@ fn self_tuning_is_works_in_the_loop() {
 
 /// The closed loop holds the conflict rate within a factor ~2.5 of the
 /// 0.75 target (per-commit conflicts measured only on commits, so the
-/// steady state sits somewhat above): `abl-rules`' Iyer run.
+/// steady state sits somewhat above), on `control-prevents-thrashing`,
+/// where the uncontrolled system's rate is many times the target.
 #[test]
 fn iyer_rule_keeps_conflicts_near_target() {
-    let (_, records) = run_quick("abl-rules");
-    let iyer = stats(&records, "iyer-0.75");
+    let (_, records) = run_quick("control-prevents-thrashing");
+    let iyer = stats(records, "iyer-0.75");
+    let uncontrolled = stats(records, "unlimited").conflicts_per_commit;
     assert!(
-        iyer.conflicts_per_commit < 2.0,
-        "conflicts/commit {} far above Iyer target",
+        iyer.conflicts_per_commit < 2.0 && iyer.conflicts_per_commit < 0.5 * uncontrolled,
+        "conflicts/commit {} far above Iyer target (uncontrolled {uncontrolled})",
         iyer.conflicts_per_commit
     );
     assert!(iyer.commits > 500);
@@ -62,8 +64,8 @@ fn tay_rule_is_protocol_blind() {
     let k = v.workload.at(0.0).k;
     let rule_bound = TayRule::new(k, v.sys.db_size, 1, BOUNDS[BOUNDS.len() - 1]).current_bound();
     let (best_cert, best_2pl) = (
-        best_bound(&records, "certification"),
-        best_bound(&records, "2pl"),
+        best_bound(records, "certification"),
+        best_bound(records, "2pl"),
     );
     assert_ne!(best_cert, best_2pl, "one best bound for both protocols");
     assert!(
@@ -82,7 +84,7 @@ fn two_pl_thrashes_harder_than_certification() {
     let curve = |cc: &str| -> Vec<f64> {
         BOUNDS
             .iter()
-            .map(|b| stats(&records, &format!("{b}_{cc}")).throughput_per_sec)
+            .map(|b| stats(records, &format!("{b}_{cc}")).throughput_per_sec)
             .collect()
     };
     let (cert, twopl) = (curve("certification"), curve("2pl"));
@@ -106,8 +108,8 @@ fn two_pl_thrashes_harder_than_certification() {
 #[test]
 fn effective_throughput_indicator_also_controls() {
     let (_, records) = run_quick("control-prevents-thrashing");
-    let controlled = stats(&records, "PA-effective-throughput").throughput_per_sec;
-    let uncontrolled = stats(&records, "unlimited").throughput_per_sec;
+    let controlled = stats(records, "PA-effective-throughput").throughput_per_sec;
+    let uncontrolled = stats(records, "unlimited").throughput_per_sec;
     assert!(
         controlled > uncontrolled,
         "PA on effective throughput {controlled} vs uncontrolled {uncontrolled}"
