@@ -106,7 +106,7 @@ impl ClosedNetwork {
     }
 
     /// The asymptotic throughput bound `m / cpu_demand`.
-    pub fn saturation_throughput(&self) -> f64 {
+    fn saturation_throughput(&self) -> f64 {
         f64::from(self.cpus) / self.cpu_demand
     }
 }

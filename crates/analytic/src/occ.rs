@@ -81,14 +81,14 @@ impl OccModel {
 
     /// The conflict pressure `c = k²·w·(1−q)/D`: raw invalidations per
     /// (run, committing-writer) pair.
-    pub fn conflict_pressure(&self) -> f64 {
+    fn conflict_pressure(&self) -> f64 {
         let k = f64::from(self.k);
         k * k * self.write_frac * (1.0 - self.query_frac) / self.db_size as f64
     }
 
     /// Expected certification conflicts per run at MPL `n`, from the
     /// self-limiting fixed point `λ = c·(n−1)·e^{−λ}`.
-    pub fn conflicts_per_run(&self, n: f64) -> f64 {
+    fn conflicts_per_run(&self, n: f64) -> f64 {
         if n <= 1.0 {
             return 0.0;
         }
@@ -96,17 +96,12 @@ impl OccModel {
     }
 
     /// Probability a run survives certification, `σ(n) = exp(−λ(n))`.
-    pub fn commit_probability(&self, n: f64) -> f64 {
+    fn commit_probability(&self, n: f64) -> f64 {
         (-self.conflicts_per_run(n)).exp()
     }
 
-    /// Mean runs needed per commit, `1/σ(n)`.
-    pub fn runs_per_commit(&self, n: f64) -> f64 {
-        1.0 / self.commit_probability(n)
-    }
-
     /// The underlying closed resource network (CPU station + disk delay).
-    pub fn network(&self) -> ClosedNetwork {
+    fn network(&self) -> ClosedNetwork {
         ClosedNetwork::new(self.cpu_per_run, self.cpus, self.io_per_run)
     }
 
@@ -119,18 +114,6 @@ impl OccModel {
             mva: self.network().solve(n_max),
             n_max,
         }
-    }
-
-    /// The largest MPL obeying Iyer's rule of thumb: "mean number of
-    /// conflicts per transaction should not exceed `limit`" (0.75 in IBM
-    /// RJ6584, 1988). Inverts the fixed point: `λ ≤ L ⇔ c·(n−1) ≤ L·e^L`.
-    pub fn iyer_rule_mpl(&self, limit: f64) -> u32 {
-        let c = self.conflict_pressure();
-        if c <= 0.0 {
-            return u32::MAX; // read-only workload never conflicts
-        }
-        let n = 1.0 + limit * limit.exp() / c;
-        n.floor().max(1.0).min(f64::from(u32::MAX)) as u32
     }
 }
 
@@ -174,7 +157,7 @@ impl OccCurve {
     }
 
     /// Run-completion throughput (runs per ms, committing or not).
-    pub fn run_throughput(&self, n: f64) -> f64 {
+    fn run_throughput(&self, n: f64) -> f64 {
         self.mva.throughput_at(n)
     }
 
@@ -183,19 +166,9 @@ impl OccCurve {
         self.run_throughput(n) * self.model.commit_probability(n)
     }
 
-    /// Fraction of completed runs that abort (wasted resource share).
-    pub fn wasted_fraction(&self, n: f64) -> f64 {
-        1.0 - self.model.commit_probability(n)
-    }
-
     /// The integer MPL maximizing goodput over `[1, n_max]`.
     pub fn optimal_mpl(&self) -> u32 {
         crate::optimum::grid_max_u32(|n| self.throughput(f64::from(n)), 1, self.n_max).0
-    }
-
-    /// Peak goodput value.
-    pub fn peak_throughput(&self) -> f64 {
-        self.throughput(f64::from(self.optimal_mpl()))
     }
 }
 
@@ -214,6 +187,11 @@ mod tests {
 
     fn base() -> OccModel {
         model_for_k(8, 0.25)
+    }
+
+    /// Goodput at the curve's optimal MPL.
+    fn peak_goodput(curve: &OccCurve) -> f64 {
+        curve.throughput(f64::from(curve.optimal_mpl()))
     }
 
     #[test]
@@ -251,7 +229,6 @@ mod tests {
     fn read_only_workload_never_aborts() {
         let m = OccModel::new(8, 2000, 1.0, 0.4, 40.0, 300.0, 16);
         assert_eq!(m.commit_probability(500.0), 1.0);
-        assert_eq!(m.iyer_rule_mpl(0.75), u32::MAX);
     }
 
     #[test]
@@ -263,20 +240,12 @@ mod tests {
         let ratio = curve.throughput(20.0) / curve.throughput(10.0);
         assert!((ratio - 2.0).abs() < 0.3, "underload ratio {ratio}");
         // Overload: clear drop at the end of the load axis.
-        let at_peak = curve.peak_throughput();
+        let at_peak = peak_goodput(&curve);
         let at_end = curve.throughput(800.0);
         assert!(
             at_end < 0.75 * at_peak,
             "no thrashing drop: peak {at_peak}, end {at_end}"
         );
-    }
-
-    #[test]
-    fn iyer_rule_inverts_conflict_formula() {
-        let m = base();
-        let n = m.iyer_rule_mpl(0.75);
-        assert!(m.conflicts_per_run(f64::from(n)) <= 0.75 + 1e-9);
-        assert!(m.conflicts_per_run(f64::from(n + 1)) > 0.75);
     }
 
     #[test]
@@ -294,37 +263,31 @@ mod tests {
         );
         // Height drops too ("significant impact on both height and
         // position", §8).
-        assert!(large.peak_throughput() < small.peak_throughput());
+        assert!(peak_goodput(&large) < peak_goodput(&small));
     }
 
     #[test]
     fn heavier_writes_lower_peak_height() {
         let light = model_for_k(8, 0.10).curve(800);
         let heavy = model_for_k(8, 0.90).curve(800);
-        assert!(heavy.peak_throughput() < light.peak_throughput());
+        assert!(peak_goodput(&heavy) < peak_goodput(&light));
         assert!(heavy.optimal_mpl() <= light.optimal_mpl());
         // And the thrashing flank is steeper under heavy writes.
-        let rel_light = light.throughput(800.0) / light.peak_throughput();
-        let rel_heavy = heavy.throughput(800.0) / heavy.peak_throughput();
+        let rel_light = light.throughput(800.0) / peak_goodput(&light);
+        let rel_heavy = heavy.throughput(800.0) / peak_goodput(&heavy);
         assert!(rel_heavy < rel_light);
     }
 
     #[test]
     fn wasted_fraction_monotone() {
-        let curve = base().curve(800);
+        // The share of runs that abort, 1 − σ(n), grows with the MPL.
+        let m = base();
         let w: Vec<f64> = [1.0, 50.0, 200.0, 800.0]
             .iter()
-            .map(|&n| curve.wasted_fraction(n))
+            .map(|&n| 1.0 - m.commit_probability(n))
             .collect();
         assert!(w.windows(2).all(|p| p[0] <= p[1]));
         assert_eq!(w[0], 0.0);
-    }
-
-    #[test]
-    fn runs_per_commit_inverse_of_sigma() {
-        let m = base();
-        let n = 100.0;
-        assert!((m.runs_per_commit(n) * m.commit_probability(n) - 1.0).abs() < 1e-12);
     }
 
     #[test]

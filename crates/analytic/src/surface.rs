@@ -199,15 +199,6 @@ impl Surface for FlatHumpSurface {
     }
 }
 
-/// Adds zero-mean uniform relative noise to a surface — the measurement
-/// noise the controller's stability tuning (§5) is about. Noise is produced
-/// by a caller-supplied uniform sample in `[0,1)` to keep this crate free
-/// of RNG dependencies.
-pub fn noisy_observation(clean: f64, relative_amplitude: f64, u01: f64) -> f64 {
-    let eps = (2.0 * u01 - 1.0) * relative_amplitude;
-    (clean * (1.0 + eps)).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,14 +376,5 @@ mod tests {
         assert!(p_off > 0.93 * p_center, "hump not flat: {p_off} vs {p_center}");
         // But far out it drops hard.
         assert!(f.performance(500.0, 0.0) < 0.1 * p_center);
-    }
-
-    #[test]
-    fn noisy_observation_properties() {
-        assert_eq!(noisy_observation(10.0, 0.1, 0.5), 10.0);
-        assert!((noisy_observation(10.0, 0.1, 1.0) - 11.0).abs() < 1e-9);
-        assert!((noisy_observation(10.0, 0.1, 0.0) - 9.0).abs() < 1e-9);
-        // Never negative even with huge noise.
-        assert_eq!(noisy_observation(1.0, 10.0, 0.0), 0.0);
     }
 }

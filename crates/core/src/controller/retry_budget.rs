@@ -91,11 +91,6 @@ impl RetryBudget {
             credit: 0.0,
         }
     }
-
-    /// The banked retry credit (for tests and introspection).
-    pub fn credit(&self) -> f64 {
-        self.credit
-    }
 }
 
 impl LoadController for RetryBudget {
@@ -161,7 +156,7 @@ mod tests {
             ..RetryBudgetParams::default()
         });
         assert_eq!(c.update(&window(100, 0)), 11); // earns 10, capped at 5
-        assert!((c.credit() - 5.0).abs() < 1e-12);
+        assert!((c.credit - 5.0).abs() < 1e-12);
         assert_eq!(c.update(&window(100, 2)), 12); // 2 ≤ 0.5 × 10
     }
 
@@ -180,7 +175,7 @@ mod tests {
         // against 20 banked + 10 earned — inside budget, bound holds.
         let before = c.current_bound();
         assert_eq!(c.update(&window(100, 25)), before);
-        assert!(c.credit() < 20.0);
+        assert!(c.credit < 20.0);
     }
 
     #[test]
@@ -194,7 +189,7 @@ mod tests {
         });
         // 30 aborts per 100 departures spends 30 against ≤ 20 available.
         assert_eq!(c.update(&window(100, 30)), 20);
-        assert_eq!(c.credit(), 0.0);
+        assert_eq!(c.credit, 0.0);
         assert_eq!(c.update(&window(100, 30)), 10);
     }
 
@@ -208,6 +203,6 @@ mod tests {
         c.update(&window(100, 0));
         c.reset();
         assert_eq!(c.current_bound(), 7);
-        assert_eq!(c.credit(), 0.0);
+        assert_eq!(c.credit, 0.0);
     }
 }

@@ -9,9 +9,7 @@
 //! ablation experiments race them against the feedback controllers.
 //!
 //! * [`TayRule`] needs to *know* the workload (`k`, `D`): it is an open-
-//!   loop rule. When the workload shifts, somebody must tell it (in the
-//!   experiments the harness does, simulating a perfectly informed
-//!   operator — the strongest possible version of the rule).
+//!   loop rule, a bound fixed when it is built.
 //! * [`IyerRule`] is closed-loop: it watches the measured conflicts per
 //!   transaction and steers the bound multiplicatively toward the 0.75
 //!   target, with an additive-increase exploration term when conflicts sit
@@ -23,75 +21,31 @@ use crate::measure::Measurement;
 /// Tay's `k²n/D < 1.5` rule as an (open-loop) controller.
 #[derive(Debug, Clone)]
 pub struct TayRule {
-    k: f64,
-    db_size: f64,
-    threshold: f64,
-    min_bound: u32,
-    max_bound: u32,
     bound: u32,
 }
 
 impl TayRule {
     /// Tay et al.'s canonical bound on `k²n/D`.
-    pub const THRESHOLD: f64 = 1.5;
+    const THRESHOLD: f64 = 1.5;
 
-    /// Creates the rule for a workload with `k` accesses per transaction
-    /// on a database of `db_size` items, with the canonical
-    /// [`TayRule::THRESHOLD`].
-    pub fn new(k: u32, db_size: u64, min_bound: u32, max_bound: u32) -> Self {
-        Self::with_threshold(k, db_size, Self::THRESHOLD, min_bound, max_bound)
-    }
-
-    /// The first argument [`TayRule::with_threshold`] cannot run with, as
+    /// The first argument [`TayRule::new`] cannot run with, as
     /// `<argument> must …`.
-    pub fn check(
-        k: u32,
-        db_size: u64,
-        threshold: f64,
-        min_bound: u32,
-        max_bound: u32,
-    ) -> Result<(), String> {
+    pub fn check(k: u32, db_size: u64, min_bound: u32, max_bound: u32) -> Result<(), String> {
         require(k >= 1, "k must be ≥ 1")?;
         require(db_size >= 1, "db_size must be ≥ 1")?;
-        require(threshold > 0.0, "threshold must be > 0")?;
         check_bounds(min_bound, max_bound, None)
     }
 
-    /// Creates the rule with a custom threshold on `k²n/D`; panics exactly
-    /// when [`TayRule::check`] errs.
-    pub fn with_threshold(
-        k: u32,
-        db_size: u64,
-        threshold: f64,
-        min_bound: u32,
-        max_bound: u32,
-    ) -> Self {
-        Self::check(k, db_size, threshold, min_bound, max_bound)
-            .expect("invalid Tay-rule arguments");
-        let mut rule = TayRule {
-            k: f64::from(k),
-            db_size: db_size as f64,
-            threshold,
-            min_bound,
-            max_bound,
-            bound: min_bound,
-        };
-        rule.recompute();
-        rule
-    }
-
-    /// Informs the rule that the workload changed (the open-loop part:
-    /// in reality an operator or catalog statistics would supply this).
-    pub fn set_workload(&mut self, k: u32, db_size: u64) {
-        assert!(k > 0 && db_size > 0);
-        self.k = f64::from(k);
-        self.db_size = db_size as f64;
-        self.recompute();
-    }
-
-    fn recompute(&mut self) {
-        let n = self.threshold * self.db_size / (self.k * self.k);
-        self.bound = clamp_bound(n.floor(), self.min_bound, self.max_bound);
+    /// Creates the rule for a workload with `k` accesses per transaction
+    /// on a database of `db_size` items: the largest `n` with
+    /// `k²n/D ≤ 1.5`. Panics exactly when [`TayRule::check`] errs.
+    pub fn new(k: u32, db_size: u64, min_bound: u32, max_bound: u32) -> Self {
+        Self::check(k, db_size, min_bound, max_bound).expect("invalid Tay-rule arguments");
+        let k = f64::from(k);
+        let n = Self::THRESHOLD * db_size as f64 / (k * k);
+        TayRule {
+            bound: clamp_bound(n.floor(), min_bound, max_bound),
+        }
     }
 }
 
@@ -108,9 +62,7 @@ impl LoadController for TayRule {
         self.bound
     }
 
-    fn reset(&mut self) {
-        self.recompute();
-    }
+    fn reset(&mut self) {}
 }
 
 /// Parameters of the Iyer-rule feedback controller.
@@ -218,9 +170,14 @@ mod tests {
 
     #[test]
     fn tay_rule_tracks_workload_updates() {
+        // The open-loop rule follows a workload shift by being rebuilt for
+        // the new workload: doubling k on the same database quarters n.
         let mut rule = TayRule::new(8, 4000, 1, 1000);
-        rule.set_workload(16, 4000);
+        assert_eq!(rule.current_bound(), 93);
+        rule = TayRule::new(16, 4000, 1, 1000);
         // 1.5 * 4000 / 256 = 23.4 -> 23
+        assert_eq!(rule.current_bound(), 23);
+        rule.reset();
         assert_eq!(rule.current_bound(), 23);
     }
 

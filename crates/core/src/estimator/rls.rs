@@ -151,15 +151,6 @@ impl<const D: usize> Rls<D> {
         err
     }
 
-    /// Predicted output for a regressor.
-    pub fn predict(&self, phi: &[f64; D]) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..D {
-            acc += phi[i] * self.theta[i];
-        }
-        acc
-    }
-
     /// Resets the covariance to `initial_covariance · I`, keeping θ.
     ///
     /// This is the §5.2 recovery countermeasure: after an abrupt workload
@@ -178,12 +169,6 @@ impl<const D: usize> Rls<D> {
         self.reset_covariance();
         self.theta = [0.0; D];
         self.samples = 0;
-    }
-
-    /// Trace of the covariance matrix — a cheap scalar summary of how
-    /// uncertain the estimate is (grows again after `reset_covariance`).
-    pub fn covariance_trace(&self) -> f64 {
-        (0..D).map(|i| self.p[i][i]).sum()
     }
 }
 
@@ -208,6 +193,11 @@ pub fn memory_area(alpha: f64, window: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Trace of the covariance matrix: how uncertain the estimate is.
+    fn covariance_trace<const D: usize>(rls: &Rls<D>) -> f64 {
+        (0..D).map(|i| rls.p[i][i]).sum()
+    }
 
     /// Batch (ordinary) least squares on [1, x, x²] for reference.
     fn batch_quadratic_fit(data: &[(f64, f64)]) -> [f64; 3] {
@@ -340,9 +330,9 @@ mod tests {
             let x = (i % 10) as f64;
             rls.update(&[1.0, x], 2.0 * x);
         }
-        let trace_converged = rls.covariance_trace();
+        let trace_converged = covariance_trace(&rls);
         rls.reset_covariance();
-        assert!(rls.covariance_trace() > trace_converged * 10.0);
+        assert!(covariance_trace(&rls) > trace_converged * 10.0);
         // After reset, a few samples of the new regime dominate.
         for i in 0..20 {
             let x = (i % 10) as f64;
@@ -362,17 +352,7 @@ mod tests {
         rls.reset();
         assert_eq!(rls.theta(), &[0.0, 0.0]);
         assert_eq!(rls.samples(), 0);
-        assert_eq!(rls.covariance_trace(), 200.0);
-    }
-
-    #[test]
-    fn predict_uses_current_theta() {
-        let mut rls = Rls::<2>::new(1.0, 1e6);
-        for i in 0..50 {
-            let x = i as f64;
-            rls.update(&[1.0, x], 3.0 + 2.0 * x);
-        }
-        assert!((rls.predict(&[1.0, 10.0]) - 23.0).abs() < 1e-6);
+        assert_eq!(covariance_trace(&rls), 200.0);
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl MemorySink {
     pub fn events(&self) -> &[GateEvent] {
         &self.events
     }
-
-    /// Consumes the sink, yielding its events.
-    pub fn into_events(self) -> Vec<GateEvent> {
-        self.events
-    }
 }
 
 impl GateLogSink for MemorySink {
@@ -163,7 +158,6 @@ mod tests {
         sink.record(&a);
         sink.record(&b);
         assert_eq!(sink.events(), &[a, b]);
-        assert_eq!(sink.into_events(), vec![a, b]);
     }
 
     #[test]

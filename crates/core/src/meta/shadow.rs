@@ -45,11 +45,6 @@ impl ShadowScore {
             guard: SwitchGuard::new(guard),
         }
     }
-
-    /// The current score estimate of each candidate (`None` = untried).
-    pub fn scores(&self) -> Vec<Option<f64>> {
-        self.scores.iter().map(Ewma::value).collect()
-    }
 }
 
 impl MetaPolicy for ShadowScore {
@@ -127,6 +122,11 @@ mod tests {
         }
     }
 
+    /// The current score estimate of each candidate (`None` = untried).
+    fn scores(p: &ShadowScore) -> Vec<Option<f64>> {
+        p.scores.iter().map(Ewma::value).collect()
+    }
+
     /// A one-second interval committing `throughput` (a whole number).
     fn obs_tp(at_ms: f64, throughput: f64) -> Measurement {
         Measurement {
@@ -142,7 +142,7 @@ mod tests {
         assert_eq!(p.decide(1, &obs_tp(2_000.0, 50.0)), Some(2));
         // All tried now: candidate 0 scored best, so return to it.
         assert_eq!(p.decide(2, &obs_tp(3_000.0, 10.0)), Some(0));
-        assert_eq!(p.scores(), vec![Some(100.0), Some(50.0), Some(10.0)]);
+        assert_eq!(scores(&p), vec![Some(100.0), Some(50.0), Some(10.0)]);
     }
 
     #[test]
@@ -184,12 +184,12 @@ mod tests {
         let mut p = ShadowScore::new(2, 1.0, guard(0.0, 2_000.0, 0.0));
         // Inside the initial cooldown: nothing is scored.
         assert_eq!(p.decide(0, &obs_tp(1_000.0, 5.0)), None);
-        assert_eq!(p.scores(), vec![None, None]);
+        assert_eq!(scores(&p), vec![None, None]);
         // Past it, the first scored interval triggers exploration.
         assert_eq!(p.decide(0, &obs_tp(2_500.0, 100.0)), Some(1));
         // The drain dip right after the swap is discarded, not scored.
         assert_eq!(p.decide(1, &obs_tp(3_000.0, 1.0)), None);
-        assert_eq!(p.scores()[1], None);
+        assert_eq!(scores(&p)[1], None);
     }
 
     #[test]

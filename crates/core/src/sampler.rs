@@ -7,8 +7,9 @@
 //! comprise rather hundreds of departures than some tens."
 //!
 //! [`IntervalSampler`] accumulates departures/aborts/response times and is
-//! harvested once per interval. Two [`IntervalPolicy`] implementations
-//! resize the interval between harvests:
+//! harvested once per interval. Two policies resize the interval between
+//! harvests, each with `observe` (absorb the latest harvest, return the
+//! next interval) and `current_ms`:
 //!
 //! * [`AdaptiveInterval`] — the pragmatic rule: aim for a target number of
 //!   departures per interval.
@@ -99,13 +100,8 @@ impl IntervalSampler {
     /// that passed but observed contention, or lock waits under 2PL).
     /// The count comes off the wire (gate logs, `Outcome::Abort`), so it
     /// saturates rather than overflows.
-    pub fn on_conflicts(&mut self, conflicts: u64) {
+    fn on_conflicts(&mut self, conflicts: u64) {
         self.conflicts = self.conflicts.saturating_add(conflicts);
-    }
-
-    /// Departures accumulated so far in the open interval.
-    pub fn pending_departures(&self) -> u64 {
-        self.departures
     }
 
     /// Closes the interval at `now_ms`, producing the controller's
@@ -142,19 +138,6 @@ impl IntervalSampler {
         self.mpl_area = 0.0;
         m
     }
-}
-
-/// A policy deciding how long the next measurement interval should be
-/// from the intervals already harvested — the §5 balance between
-/// stability (enough departures to filter noise) and responsiveness
-/// (not longer than that).
-pub trait IntervalPolicy {
-    /// Absorbs the latest harvest and returns the interval to use next,
-    /// in ms.
-    fn observe(&mut self, m: &Measurement) -> f64;
-
-    /// The interval currently in force, in ms.
-    fn current_ms(&self) -> f64;
 }
 
 /// Adapts the measurement interval so each one contains about
@@ -203,16 +186,6 @@ impl AdaptiveInterval {
         let step_limited = ideal.clamp(self.current_ms * 0.5, self.current_ms * 2.0);
         self.current_ms = step_limited.clamp(self.min_ms, self.max_ms);
         self.current_ms
-    }
-}
-
-impl IntervalPolicy for AdaptiveInterval {
-    fn observe(&mut self, m: &Measurement) -> f64 {
-        AdaptiveInterval::observe(self, m)
-    }
-
-    fn current_ms(&self) -> f64 {
-        AdaptiveInterval::current_ms(self)
     }
 }
 
@@ -265,15 +238,13 @@ impl CiInterval {
         &self.estimator
     }
 
-    /// Forgets the gathered statistics (e.g. after a known workload
-    /// shift) while keeping the current interval.
-    pub fn reset_statistics(&mut self) {
-        self.estimator.reset();
+    /// The interval to use next.
+    pub fn current_ms(&self) -> f64 {
+        self.current_ms
     }
-}
 
-impl IntervalPolicy for CiInterval {
-    fn observe(&mut self, m: &Measurement) -> f64 {
+    /// Absorbs the latest harvest and returns the interval to use next.
+    pub fn observe(&mut self, m: &Measurement) -> f64 {
         self.estimator.observe(m.departures, m.interval_ms);
         let required = self
             .estimator
@@ -287,10 +258,6 @@ impl IntervalPolicy for CiInterval {
         };
         let step_limited = ideal.clamp(self.current_ms * 0.5, self.current_ms * 2.0);
         self.current_ms = step_limited.clamp(self.min_ms, self.max_ms);
-        self.current_ms
-    }
-
-    fn current_ms(&self) -> f64 {
         self.current_ms
     }
 }
@@ -400,7 +367,7 @@ mod tests {
         // Poisson-like counts (c² ≈ 1) at 0.2/ms: the §5 formula says
         // T = (1.96/0.1)²·1 / 0.2 ≈ 1921 ms.
         let mut ci = CiInterval::new(0.1, ConfidenceLevel::P95, 100.0, 60_000.0, 1000.0);
-        let mut interval = IntervalPolicy::current_ms(&ci);
+        let mut interval = ci.current_ms();
         let mut state = 9u64;
         let mut noise = move || {
             state = state
@@ -417,7 +384,7 @@ mod tests {
                 departures: count,
                 ..Measurement::basic(f64::from(i), interval, 0.0, 0.0)
             };
-            interval = IntervalPolicy::observe(&mut ci, &m);
+            interval = ci.observe(&m);
         }
         assert!(
             (1200.0..=3000.0).contains(&interval),
@@ -430,7 +397,7 @@ mod tests {
         // Feast/famine counts are overdispersed: the required interval
         // must grow far beyond the Poisson value.
         let mut ci = CiInterval::new(0.1, ConfidenceLevel::P95, 100.0, 600_000.0, 1000.0);
-        let mut interval = IntervalPolicy::current_ms(&ci);
+        let mut interval = ci.current_ms();
         for i in 0..60 {
             let count = if i % 2 == 0 {
                 (0.4 * interval) as u64
@@ -441,7 +408,7 @@ mod tests {
                 departures: count,
                 ..Measurement::basic(f64::from(i), interval, 0.0, 0.0)
             };
-            interval = IntervalPolicy::observe(&mut ci, &m);
+            interval = ci.observe(&m);
         }
         assert!(interval > 10_000.0, "bursty stream got only {interval}");
     }
@@ -454,9 +421,9 @@ mod tests {
             ..Measurement::basic(0.0, 1000.0, 0.0, 0.0)
         };
         for _ in 0..10 {
-            IntervalPolicy::observe(&mut ci, &dead);
+            ci.observe(&dead);
         }
-        assert_eq!(IntervalPolicy::current_ms(&ci), 4000.0);
+        assert_eq!(ci.current_ms(), 4000.0);
     }
 
     #[test]
@@ -464,29 +431,15 @@ mod tests {
         // Identical counts every interval → c² ≈ 0 → required length 0;
         // the policy must hold min_ms, not collapse.
         let mut ci = CiInterval::new(0.1, ConfidenceLevel::P95, 200.0, 60_000.0, 1000.0);
-        let mut interval = IntervalPolicy::current_ms(&ci);
+        let mut interval = ci.current_ms();
         for i in 0..30 {
             let m = Measurement {
                 departures: (0.2 * interval) as u64,
                 ..Measurement::basic(f64::from(i), interval, 0.0, 0.0)
             };
-            interval = IntervalPolicy::observe(&mut ci, &m);
+            interval = ci.observe(&m);
         }
         assert_eq!(interval, 200.0);
-    }
-
-    #[test]
-    fn ci_interval_reset_statistics_keeps_interval() {
-        let mut ci = CiInterval::new(0.1, ConfidenceLevel::P95, 100.0, 10_000.0, 1000.0);
-        let m = Measurement {
-            departures: 100,
-            ..Measurement::basic(0.0, 1000.0, 0.0, 0.0)
-        };
-        IntervalPolicy::observe(&mut ci, &m);
-        let before = IntervalPolicy::current_ms(&ci);
-        ci.reset_statistics();
-        assert!(ci.estimator().is_empty());
-        assert_eq!(IntervalPolicy::current_ms(&ci), before);
     }
 
     #[test]

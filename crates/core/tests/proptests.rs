@@ -527,14 +527,9 @@ proptest! {
     }
 
     #[test]
-    fn tay_check_agrees_with_its_constructor(f in overrides(5)) {
+    fn tay_check_agrees_with_its_constructor(f in overrides(4)) {
         let (k, db) = (count(&f, 0, 8), u64::from(count(&f, 1, 2000)));
-        let threshold = real(&f, 2, TayRule::THRESHOLD);
-        let (lo, hi) = (count(&f, 3, 1), count(&f, 4, 1000));
-        agrees(
-            &(k, db, threshold, lo, hi),
-            TayRule::check(k, db, threshold, lo, hi),
-            || TayRule::with_threshold(k, db, threshold, lo, hi),
-        );
+        let (lo, hi) = (count(&f, 2, 1), count(&f, 3, 1000));
+        agrees(&(k, db, lo, hi), TayRule::check(k, db, lo, hi), || TayRule::new(k, db, lo, hi));
     }
 }

@@ -61,7 +61,7 @@ pub struct Exponential {
 
 impl Exponential {
     /// Constructs from a mean. Panics if the mean is not positive.
-    pub fn with_mean(mean: f64) -> Self {
+    fn with_mean(mean: f64) -> Self {
         assert!(mean > 0.0, "exponential mean must be positive");
         Exponential { mean }
     }
@@ -158,7 +158,7 @@ pub struct ExpZig {
 
 impl ExpZig {
     /// Constructs from a mean. Panics if the mean is not positive.
-    pub fn with_mean(mean: f64) -> Self {
+    fn with_mean(mean: f64) -> Self {
         assert!(mean > 0.0, "exponential mean must be positive");
         ExpZig { mean }
     }
@@ -269,11 +269,6 @@ impl Dist {
     /// Shorthand for the inversion-sampled (`-mean·ln(u)`) exponential.
     pub fn exponential_inverse(mean: f64) -> Self {
         Dist::Exponential(Exponential::with_mean(mean))
-    }
-    /// Alias of [`Dist::exponential`], kept for spec compatibility
-    /// (`{"exponential_fast": m}` predates the ziggurat promotion).
-    pub fn exponential_fast(mean: f64) -> Self {
-        Dist::ExpZig(ExpZig::with_mean(mean))
     }
     /// The value every draw returns, if this is a [`Dist::Constant`]: a
     /// delay that can ride a calendar lane
@@ -508,7 +503,7 @@ mod tests {
 
     #[test]
     fn expzig_is_deterministic_per_seed() {
-        let d = Dist::exponential_fast(5.0);
+        let d = Dist::exponential(5.0);
         let draw = |seed| {
             let mut rng = RngStream::from_seed(seed);
             (0..100).map(|_| d.sample(&mut rng)).collect::<Vec<_>>()

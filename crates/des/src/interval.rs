@@ -30,7 +30,7 @@
 use crate::stats::ConfidenceLevel;
 
 /// The two-sided standard-normal quantile backing a confidence level.
-pub fn z_quantile(level: ConfidenceLevel) -> f64 {
+fn z_quantile(level: ConfidenceLevel) -> f64 {
     match level {
         ConfidenceLevel::P90 => 1.645,
         ConfidenceLevel::P95 => 1.960,
@@ -53,7 +53,7 @@ pub fn required_departures(scv: f64, rel_accuracy: f64, level: ConfidenceLevel) 
 
 /// Interval length (ms) implied by [`required_departures`] at departure
 /// rate `rate_per_ms`. Infinite when the rate is zero.
-pub fn required_duration_ms(
+fn required_duration_ms(
     rate_per_ms: f64,
     scv: f64,
     rel_accuracy: f64,
@@ -125,7 +125,7 @@ impl DispersionEstimator {
     }
 
     /// Estimated departure rate (per ms) over the retained window.
-    pub fn rate_per_ms(&self) -> f64 {
+    fn rate_per_ms(&self) -> f64 {
         if self.total_ms <= 0.0 {
             0.0
         } else {

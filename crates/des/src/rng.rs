@@ -33,13 +33,6 @@ impl SeedFactory {
         }
         RngStream::from_seed(splitmix64(h))
     }
-
-    /// Returns a numbered stream, for per-entity substreams such as one per
-    /// terminal.
-    pub fn numbered_stream(&self, label: &str, index: u64) -> RngStream {
-        let base = self.stream(label);
-        RngStream::from_seed(splitmix64(base.seed ^ splitmix64(index.wrapping_add(1))))
-    }
 }
 
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -187,14 +180,6 @@ mod tests {
         let mut b = f.stream("disk");
         let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 3, "streams should be effectively independent");
-    }
-
-    #[test]
-    fn numbered_streams_are_distinct() {
-        let f = SeedFactory::new(7);
-        let mut s0 = f.numbered_stream("terminal", 0);
-        let mut s1 = f.numbered_stream("terminal", 1);
-        assert_ne!(s0.next_u64(), s1.next_u64());
     }
 
     #[test]

@@ -95,26 +95,6 @@ impl TimeSeries {
         }
     }
 
-    /// Mean absolute difference to a reference series, comparing this
-    /// series' value (sample-and-hold) at each reference time. This is the
-    /// tracking-error metric used to compare controllers against the true
-    /// optimum trajectory.
-    pub fn tracking_error(&self, reference: &TimeSeries) -> f64 {
-        let mut total = 0.0;
-        let mut n = 0u32;
-        for &(t, ref_v) in reference.points() {
-            if let Some(v) = self.value_at(SimTime::new(t)) {
-                total += (v - ref_v).abs();
-                n += 1;
-            }
-        }
-        if n == 0 {
-            f64::NAN
-        } else {
-            total / f64::from(n)
-        }
-    }
-
     /// Renders `t,value` CSV lines (with a header) into a string buffer.
     /// The buffer is *appended to*, so callers looping over many series
     /// can reuse one allocation across calls.
@@ -140,7 +120,7 @@ impl TimeSeries {
 /// Renders several series sharing a time axis as one CSV table, appended
 /// to `out`. Series are aligned on the time points of the first series
 /// using sample-and-hold.
-pub fn render_aligned_csv_into(out: &mut String, series: &[&TimeSeries]) {
+fn render_aligned_csv_into(out: &mut String, series: &[&TimeSeries]) {
     use std::fmt::Write as _;
     let Some(first) = series.first() else {
         return;
@@ -223,21 +203,6 @@ mod tests {
     fn tail_mean_empty_is_nan() {
         let s = TimeSeries::new("e");
         assert!(s.tail_mean(0.5).is_nan());
-    }
-
-    #[test]
-    fn tracking_error_against_reference() {
-        let reference = series("opt", &[(0.0, 100.0), (10.0, 100.0), (20.0, 200.0)]);
-        let ctrl = series("n*", &[(0.0, 90.0), (10.0, 110.0), (20.0, 150.0)]);
-        // |90-100| + |110-100| + |150-200| = 70 over 3 points
-        let err = ctrl.tracking_error(&reference);
-        assert!((err - 70.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tracking_error_perfect_match_is_zero() {
-        let a = series("a", &[(0.0, 5.0), (10.0, 6.0)]);
-        assert_eq!(a.tracking_error(&a), 0.0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl SimTime {
     /// Elapsed time since `earlier`. Panics if `earlier` is in the future —
     /// the simulator never asks for negative spans.
     #[inline]
-    pub fn since(self, earlier: SimTime) -> f64 {
+    fn since(self, earlier: SimTime) -> f64 {
         debug_assert!(
             self.0 >= earlier.0,
             "since() called with a later time: {} < {}",

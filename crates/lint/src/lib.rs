@@ -29,7 +29,7 @@ pub mod source;
 use std::path::{Path, PathBuf};
 
 use config::Config;
-use rules::Finding;
+use rules::{Callers, Finding};
 use source::SourceFile;
 
 /// The outcome of a lint run.
@@ -61,6 +61,23 @@ pub fn load_config(root: &Path) -> Result<Config, String> {
 /// Lints the whole workspace under `root` per the config's roots and
 /// excludes. File order (and so finding order) is deterministic.
 pub fn run_workspace(root: &Path, cfg: &Config) -> Result<RunResult, String> {
+    let files = walk(root, cfg)?;
+    lint_files(&files, &files, cfg)
+}
+
+/// Lints an explicit file list (paths relative to `root`); `dead-pub`
+/// still counts callers over the whole walk.
+pub fn run_files(root: &Path, cfg: &Config, paths: &[String]) -> Result<RunResult, String> {
+    let rel: Vec<(String, PathBuf)> = paths
+        .iter()
+        .map(|p| (p.replace('\\', "/"), root.join(p)))
+        .collect();
+    lint_files(&rel, &walk(root, cfg)?, cfg)
+}
+
+/// The config's roots minus its excludes, as sorted (relative, absolute)
+/// path pairs.
+fn walk(root: &Path, cfg: &Config) -> Result<Vec<(String, PathBuf)>, String> {
     let mut files = Vec::new();
     for r in &cfg.roots {
         let dir = root.join(r);
@@ -78,25 +95,27 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> Result<RunResult, String> {
         .collect();
     rel.sort();
     rel.dedup();
-    lint_files(&rel, cfg)
+    Ok(rel)
 }
 
-/// Lints an explicit file list (paths relative to `root`).
-pub fn run_files(root: &Path, cfg: &Config, paths: &[String]) -> Result<RunResult, String> {
-    let rel: Vec<(String, PathBuf)> = paths
-        .iter()
-        .map(|p| (p.replace('\\', "/"), root.join(p)))
-        .collect();
-    lint_files(&rel, cfg)
-}
-
-fn lint_files(rel: &[(String, PathBuf)], cfg: &Config) -> Result<RunResult, String> {
+/// Lints `rel`, with the callers `dead-pub` reads indexed over `walk`.
+fn lint_files(
+    rel: &[(String, PathBuf)],
+    walk: &[(String, PathBuf)],
+    cfg: &Config,
+) -> Result<RunResult, String> {
+    let read = |abs: &PathBuf| {
+        std::fs::read_to_string(abs).map_err(|e| format!("cannot read {}: {e}", abs.display()))
+    };
+    let mut callers = Callers::default();
+    for (rel_path, abs) in walk {
+        callers.add(&SourceFile::new(rel_path.clone(), &read(abs)?));
+    }
     let mut findings = Vec::new();
     for (rel_path, abs) in rel {
-        let text = std::fs::read_to_string(abs)
-            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
+        let text = read(abs)?;
         let file = SourceFile::new(rel_path.clone(), &text);
-        findings.extend(rules::lint_file(&file, cfg, None));
+        findings.extend(rules::lint_file(&file, cfg, &callers, None));
     }
     findings.sort_by(|a, b| {
         (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule))
@@ -163,6 +182,10 @@ exclude = ["src/skip"]
 include = ["src"]
 [scopes.none]
 include = []
+[scopes.crate-src]
+include = ["crates/a/src"]
+[rules.dead-pub]
+scope = "crate-src"
 [rules.hash-container]
 scope = "all"
 [rules.wall-clock]
@@ -224,6 +247,42 @@ scope = "all"
         let res = run_workspace(&root, &cfg).unwrap();
         assert_eq!(res.findings.len(), 1);
         assert_eq!(res.unsuppressed().count(), 0);
+    }
+
+    #[test]
+    fn dead_pub_callers_are_other_files_and_integration_tests() {
+        let root = scratch("dead-pub");
+        for (path, text) in [
+            (
+                "crates/a/src/lib.rs",
+                "pub fn unit_only() {}\npub fn reexported() {}\npub fn from_test() {}\n\
+                 pub fn from_example() {}\npub fn from_bench() {}\npub(crate) fn crate_only() {}\n\
+                 #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::unit_only(); }\n}\n",
+            ),
+            ("crates/a/tests/t.rs", "#[test]\nfn t() { a::from_test(); }\n"),
+            ("examples/e.rs", "pub use a::reexported;\nfn main() { a::from_example(); }\n"),
+            ("benchmark/src/b.rs", "fn run() { a::from_bench(); }\n"),
+        ] {
+            let file = root.join(path);
+            std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+            std::fs::write(file, text).unwrap();
+        }
+        let toml = CFG.replace(
+            "roots = [\"src\"]",
+            "roots = [\"crates\", \"examples\", \"benchmark/src\"]",
+        );
+        std::fs::write(root.join("lint.toml"), toml).unwrap();
+        let cfg = load_config(&root).unwrap();
+        let fired = |res: RunResult| -> Vec<String> {
+            res.unsuppressed().map(|f| f.message.clone()).collect()
+        };
+        let want = [
+            "`pub fn unit_only` has no caller outside its own file",
+            "`pub fn reexported` has no caller outside its own file",
+        ];
+        assert_eq!(fired(run_workspace(&root, &cfg).unwrap()), want);
+        let one = ["crates/a/src/lib.rs".to_string()];
+        assert_eq!(fired(run_files(&root, &cfg, &one).unwrap()), want);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::process::ExitCode;
 use alc_lint::{load_config, report, rules, run_files, run_workspace, RunResult};
 
 fn usage() {
-    println!("alc-lint — repo-specific static analysis (determinism, RNG, hot-path allocs, purity)");
+    println!("alc-lint — repo-specific static analysis (determinism, RNG, hot-path allocs, purity, dead pub items)");
     println!();
     println!("usage: alc-lint --workspace [--root DIR] [--json PATH] [--quiet]");
     println!("       alc-lint [--root DIR] [--json PATH] FILE.rs...");

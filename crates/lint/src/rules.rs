@@ -16,7 +16,10 @@
 //!   extraction;
 //!
 //! plus **hygiene**: `unwrap`/`panic!` policy in library code, and the
-//! suppression system policing itself.
+//! suppression system policing itself; and **minimal**: a plain-`pub`
+//! item needs a caller outside its own file ([`Callers`]).
+
+use std::collections::BTreeMap;
 
 use crate::config::Config;
 use crate::lexer::{TokKind, Token};
@@ -121,6 +124,12 @@ pub const RULES: &[Rule] = &[
         summary: "allow() directives need a reason, a known rule, and a finding to suppress",
         help: "fix the directive or delete it",
     },
+    Rule {
+        name: "dead-pub",
+        family: "minimal",
+        summary: "a plain-pub fn/const/static in crate sources is named by another file's non-test code or an integration test",
+        help: "delete it if only its unit tests call it; drop `pub` if its own file does",
+    },
 ];
 
 /// Looks up a rule by name.
@@ -165,9 +174,63 @@ pub struct Finding {
     pub suppressed: Option<String>,
 }
 
+/// Which files name which identifiers, over the whole walk: what
+/// `dead-pub` counts as a caller. A file contributes its non-test code;
+/// an integration-test file (`tests/`, `crates/*/tests/`) all of it.
+/// `use` statements, comments and string literals name nothing.
+#[derive(Debug, Default)]
+pub struct Callers {
+    /// Identifier → the first two distinct files naming it: enough to
+    /// tell whether any file other than a given one does.
+    names: BTreeMap<String, Vec<String>>,
+}
+
+impl Callers {
+    /// Records the identifiers `file` names.
+    pub fn add(&mut self, file: &SourceFile<'_>) {
+        let whole = file.path.starts_with("tests/")
+            || file
+                .path
+                .strip_prefix("crates/")
+                .and_then(|p| p.split('/').nth(1))
+                == Some("tests");
+        let mut in_use = false;
+        for t in &file.lexed.tokens {
+            if in_use {
+                in_use = t.text != ";";
+                continue;
+            }
+            if t.kind != TokKind::Ident || (!whole && file.in_test_region(t.line)) {
+                continue;
+            }
+            if t.text == "use" {
+                in_use = true;
+                continue;
+            }
+            let files = self.names.entry(t.text.to_string()).or_default();
+            if files.len() < 2 && !files.contains(&file.path) {
+                files.push(file.path.clone());
+            }
+        }
+    }
+
+    /// Whether a file other than `path` names `name`.
+    fn outside(&self, name: &str, path: &str) -> bool {
+        self.names
+            .get(name)
+            .is_some_and(|files| files.iter().any(|f| f != path))
+    }
+}
+
 /// Runs every enabled rule over one file. `only` restricts to a single
-/// rule (fixture tests); `None` runs all.
-pub fn lint_file(file: &SourceFile<'_>, cfg: &Config, only: Option<&str>) -> Vec<Finding> {
+/// rule (fixture tests); `None` runs all. `callers` is the index of the
+/// whole walk, which `dead-pub` reads.
+pub fn lint_file(
+    file: &SourceFile<'_>,
+    cfg: &Config,
+    callers: &Callers,
+    only: Option<&str>,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
     let enabled = |name: &str| only.is_none_or(|o| o == name);
 
@@ -187,7 +250,7 @@ pub fn lint_file(file: &SourceFile<'_>, cfg: &Config, only: Option<&str>) -> Vec
             .iter()
             .filter(|t| rc.include_tests || !file.in_test_region(t.line))
             .collect();
-        scan_rule(r.name, &toks, &file.path, &mut findings);
+        scan_rule(r.name, &toks, &file.path, callers, &mut findings);
     }
 
     apply_suppressions(file, cfg, enabled("suppression-hygiene"), &mut findings);
@@ -272,7 +335,13 @@ fn apply_suppressions(
 }
 
 /// Dispatches one rule's token scan.
-fn scan_rule(name: &'static str, toks: &[&Token<'_>], path: &str, out: &mut Vec<Finding>) {
+fn scan_rule(
+    name: &'static str,
+    toks: &[&Token<'_>],
+    path: &str,
+    callers: &Callers,
+    out: &mut Vec<Finding>,
+) {
     let mut push = |t: &Token<'_>, message: String| {
         out.push(Finding {
             rule: name,
@@ -452,12 +521,49 @@ fn scan_rule(name: &'static str, toks: &[&Token<'_>], path: &str, out: &mut Vec<
                 => {
                     push(t, format!("`{}!` in library code", t.text));
                 }
+            "dead-pub" if is_ident && t.text == "pub" && !punct(i + 1, "(") => {
+                if let Some((kind, item)) = pub_item(&toks[i + 1..]) {
+                    if !callers.outside(item.text, path) {
+                        push(
+                            item,
+                            format!("`pub {kind} {}` has no caller outside its own file", item.text),
+                        );
+                    }
+                }
+            }
             // Rule names come from RULES, so this arm is never taken; a
             // silent no-op keeps the dispatcher panic-free (the linter
             // holds itself to `panic-in-lib`).
             _ => {}
         }
     }
+}
+
+/// The `fn` / `const` / `static` that follows a `pub`, with its name
+/// token, past `const fn`, `unsafe`, `async`, `extern "C"` and
+/// `static mut`; `None` for every other item (types, modules, fields).
+fn pub_item<'a, 't>(toks: &[&'a Token<'t>]) -> Option<(&'static str, &'a Token<'t>)> {
+    let qualifier = |t: Option<&&Token<'_>>| {
+        t.is_some_and(|t| matches!(t.text, "fn" | "unsafe" | "async" | "extern"))
+    };
+    let mut j = 0;
+    let kind = loop {
+        let t = toks.get(j)?;
+        j += 1;
+        match t.text {
+            "fn" => break "fn",
+            "static" => break "static",
+            "const" if !qualifier(toks.get(j)) => break "const",
+            "const" | "unsafe" | "async" | "extern" => {}
+            _ if t.kind == TokKind::Str => {}
+            _ => return None,
+        }
+    };
+    if kind == "static" && toks.get(j).is_some_and(|t| t.text == "mut") {
+        j += 1;
+    }
+    let name = toks.get(j).filter(|t| t.kind == TokKind::Ident && t.text != "_")?;
+    Some((kind, *name))
 }
 
 #[cfg(test)]
@@ -478,7 +584,7 @@ mod tests {
 
     fn findings(src: &str, only: &str) -> Vec<Finding> {
         let f = SourceFile::new("x.rs".into(), src);
-        lint_file(&f, &test_config(), Some(only))
+        lint_file(&f, &test_config(), &Callers::default(), Some(only))
     }
 
     #[test]
@@ -556,7 +662,7 @@ mod tests {
     fn suppression_marks_findings_and_unused_allows_fire() {
         let src = "use std::collections::HashMap; // alc-lint: allow(hash-container, reason=\"lookup only\")\n";
         let f = SourceFile::new("x.rs".into(), src);
-        let all = lint_file(&f, &test_config(), None);
+        let all = lint_file(&f, &test_config(), &Callers::default(), None);
         let hc: Vec<_> = all.iter().filter(|x| x.rule == "hash-container").collect();
         assert_eq!(hc.len(), 1);
         assert_eq!(hc[0].suppressed.as_deref(), Some("lookup only"));
@@ -564,9 +670,30 @@ mod tests {
 
         let unused = "let x = 1; // alc-lint: allow(hash-container, reason=\"nothing here\")\n";
         let f = SourceFile::new("x.rs".into(), unused);
-        let all = lint_file(&f, &test_config(), None);
+        let all = lint_file(&f, &test_config(), &Callers::default(), None);
         assert!(all.iter().any(|x| x.rule == "suppression-hygiene"
             && x.message.contains("unused")));
+    }
+
+    #[test]
+    fn dead_pub_reads_fn_const_and_static_items_only() {
+        let src = "pub fn a() {}\npub const fn b() {}\npub const C: u8 = 0;\n\
+                   pub static mut D: u8 = 0;\npub unsafe extern \"C\" fn e() {}\n\
+                   pub(crate) fn f() {}\npub struct G { pub h: u8 }\npub const _: () = ();\n";
+        let names: Vec<String> = findings(src, "dead-pub")
+            .iter()
+            .map(|f| f.message.clone())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "`pub fn a` has no caller outside its own file",
+                "`pub fn b` has no caller outside its own file",
+                "`pub const C` has no caller outside its own file",
+                "`pub static D` has no caller outside its own file",
+                "`pub fn e` has no caller outside its own file",
+            ]
+        );
     }
 
     #[test]

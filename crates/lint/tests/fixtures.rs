@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use alc_lint::config::Config;
 use alc_lint::report::render_text;
-use alc_lint::rules::{lint_file, Finding, RULES};
+use alc_lint::rules::{lint_file, Callers, Finding, RULES};
 use alc_lint::source::SourceFile;
 
 /// A config that puts the fixture tree in every rule's scope.
@@ -34,7 +34,8 @@ fn lint_fixture(rule: &str, which: &str) -> (Vec<Finding>, String) {
         .unwrap_or_else(|e| panic!("missing fixture {}: {e}", abs.display()));
     let rel = format!("fixtures/{rule}/{which}");
     let file = SourceFile::new(rel, &text);
-    let findings = lint_file(&file, &fixture_config(), Some(rule));
+    // No other file names anything, so every `dead-pub` item fires.
+    let findings = lint_file(&file, &fixture_config(), &Callers::default(), Some(rule));
     let mut rendered = String::new();
     for f in &findings {
         rendered.push_str(&render_text(f, file.line_text(f.line)));
@@ -135,4 +136,5 @@ fixture_tests! {
     unwrap_in_lib => "unwrap-in-lib";
     panic_in_lib => "panic-in-lib";
     suppression_hygiene => "suppression-hygiene";
+    dead_pub => "dead-pub";
 }

@@ -131,11 +131,6 @@ impl LoopCore {
         self.log.take()
     }
 
-    /// Read access to the law.
-    pub fn law(&self) -> &dyn ControlLaw {
-        self.law.as_ref()
-    }
-
     /// Records that the in-system population changed to `in_system`.
     pub fn on_mpl(&mut self, now_ms: f64, in_system: u32) {
         self.feed(&GateEvent::Mpl {
@@ -214,7 +209,7 @@ impl LoopCore {
     }
 
     /// The last harvested decision, if any window has closed yet.
-    pub fn last_decision(&self) -> Option<&Decision> {
+    fn last_decision(&self) -> Option<&Decision> {
         self.last.as_ref()
     }
 }
@@ -320,13 +315,6 @@ pub struct AdmittedPermit<'a> {
     inner: Permit<'a>,
     admitted_at_ms: f64,
     seq: u64,
-}
-
-impl AdmittedPermit<'_> {
-    /// When this permit was granted, ms since the loop's epoch.
-    pub fn admitted_at_ms(&self) -> f64 {
-        self.admitted_at_ms
-    }
 }
 
 /// How many worker lanes attempt spans are spread over in traces: the
@@ -682,11 +670,6 @@ impl ControlLoop {
             queue_depth,
         }
     }
-
-    /// Read access to the law under the loop's lock.
-    pub fn with_law<R>(&self, f: impl FnOnce(&dyn ControlLaw) -> R) -> R {
-        f(self.shell.lock().core.law())
-    }
 }
 
 impl Drop for ControlLoop {
@@ -735,11 +718,12 @@ mod tests {
     }
 
     #[test]
-    fn gate_starts_at_the_laws_bound_and_with_law_reads_it() {
+    fn gate_starts_at_the_laws_bound() {
         let rt = aimd_loop(AdmissionPolicy::Queue, 4);
         assert_eq!(rt.gate().limit(), 4);
-        assert_eq!(rt.with_law(|law| law.current_bound()), 4);
-        assert_eq!(rt.with_law(|law| law.name()), "aimd");
+        let shell = rt.shell.lock();
+        assert_eq!(shell.core.law.current_bound(), 4);
+        assert_eq!(shell.core.law.name(), "aimd");
     }
 
     #[test]
@@ -850,7 +834,7 @@ mod tests {
         let buffer = Arc::new(Mutex::new(Vec::new()));
         rt.set_trace_sink(Box::new(SharedTrace(Arc::clone(&buffer))));
         let held = rt.admit().expect("capacity free");
-        assert!(held.admitted_at_ms() >= 0.0);
+        assert!(held.admitted_at_ms >= 0.0);
         assert!(rt.admit().is_none(), "full gate must shed");
         rt.complete(
             held,

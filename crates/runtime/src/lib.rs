@@ -56,6 +56,6 @@ pub use law::{
 pub use log::{
     event_line, read_gate_log, read_jsonl, write_gate_log, GateLogHeader, JsonlError, JsonlSink,
 };
-pub use metrics::{metrics_line, read_metrics_jsonl, write_metrics_jsonl, MetricsSnapshot};
+pub use metrics::{read_metrics_jsonl, write_metrics_jsonl, MetricsSnapshot};
 pub use replay::{check_conformance, replay, Conformance};
 pub use telemetry::{Outcome, TelemetryWindow};

@@ -61,7 +61,7 @@ pub struct MetricsSnapshot {
 }
 
 /// Renders one snapshot as its JSONL line (without the newline).
-pub fn metrics_line(snapshot: &MetricsSnapshot) -> String {
+fn metrics_line(snapshot: &MetricsSnapshot) -> String {
     serde_json::to_string(snapshot).unwrap_or_else(|_| String::from("null"))
 }
 

@@ -127,13 +127,13 @@ mod tests {
                 t += 3.0;
                 let response = 40.0 + f64::from(k) * 1.75;
                 let conflicts = u64::from(k % 3 == 0);
-                sampler.on_conflicts(conflicts);
-                sampler.on_commit(response);
-                events.push(GateEvent::Commit {
+                let commit = GateEvent::Commit {
                     at_ms: t,
                     response_ms: response,
                     conflicts,
-                });
+                };
+                sampler.feed(&commit);
+                events.push(commit);
             }
             if step % 7 == 3 {
                 t += 1.0;

@@ -264,8 +264,11 @@ mod tests {
         w.on_mpl_change(10.0, 4);
         raw.on_mpl_change(10.0, 4);
         w.on_commit(25.0, 2);
-        raw.on_conflicts(2);
-        raw.on_commit(25.0);
+        raw.feed(&GateEvent::Commit {
+            at_ms: 10.0,
+            response_ms: 25.0,
+            conflicts: 2,
+        });
         w.on_abort(3);
         raw.on_abort(3);
         w.on_shed();

@@ -167,7 +167,7 @@ impl VariantPlan {
 /// Derives the replication-`r` seed from the spec seed (replication 0 is
 /// the spec seed itself, so single-replication scenarios reproduce the
 /// bespoke figure runs exactly).
-pub fn replication_seed(seed: u64, r: u32) -> u64 {
+fn replication_seed(seed: u64, r: u32) -> u64 {
     seed.wrapping_add(u64::from(r).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
@@ -385,7 +385,7 @@ fn build_variant(
         clients.check(&sys).map_err(|e| SpecError::new(format!("clients.{e}")))?;
     }
     if let ControllerSpec::Tay { k, min_bound, max_bound } = spec.controller {
-        TayRule::check(k, sys.db_size, TayRule::THRESHOLD, min_bound, max_bound)
+        TayRule::check(k, sys.db_size, min_bound, max_bound)
             .map_err(|e| SpecError::new(format!("controller.tay.{e}")))?;
     }
     let workload = spec.workload.lower(base_dir)?;

@@ -189,7 +189,7 @@ pub fn abl_open(plan: &RunPlan, records: &[RunRecord]) -> Report {
 /// interval from the measured departure process, then check the CI
 /// actually covers the true throughput at the promised rate.
 pub fn abl_interval(quick: bool, _out: Option<&Path>) -> Report {
-    use alc_core::sampler::{CiInterval, IntervalPolicy};
+    use alc_core::sampler::CiInterval;
     use alc_des::dist::{Dist, Erlang, HyperExp, Sample as _};
     use alc_des::interval::required_departures;
     use alc_des::rng::RngStream;
@@ -238,7 +238,7 @@ pub fn abl_interval(quick: bool, _out: Option<&Path>) -> Report {
         let mut ci = CiInterval::new(accuracy, ConfidenceLevel::P95, 50.0, 1e7, 1000.0);
         let true_rate = 0.2; // mean 5 ms
         let mut t = 0.0f64;
-        let mut interval_end = IntervalPolicy::current_ms(&ci);
+        let mut interval_end = ci.current_ms();
         let mut interval_start = 0.0f64;
         let mut count = 0u64;
         let mut estimates: Vec<f64> = Vec::new();
@@ -251,7 +251,7 @@ pub fn abl_interval(quick: bool, _out: Option<&Path>) -> Report {
                     ..Measurement::basic(interval_end, len, 0.0, 0.0)
                 };
                 estimates.push(count as f64 / len);
-                let next = IntervalPolicy::observe(&mut ci, &m);
+                let next = ci.observe(&m);
                 interval_start = interval_end;
                 interval_end += next;
                 count = 0;
@@ -271,7 +271,7 @@ pub fn abl_interval(quick: bool, _out: Option<&Path>) -> Report {
             num(scv_true),
             num(ci.estimator().scv()),
             num(departures),
-            num(IntervalPolicy::current_ms(&ci)),
+            num(ci.current_ms()),
             num(coverage),
         ]);
         required.push(departures);

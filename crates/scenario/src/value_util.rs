@@ -537,7 +537,7 @@ mod tests {
         )]))
         .unwrap();
         let d: alc_des::dist::Dist = serde::Deserialize::from_value(&z).unwrap();
-        assert_eq!(d, alc_des::dist::Dist::exponential_fast(5.0));
+        assert_eq!(d, alc_des::dist::Dist::exponential(5.0));
 
         assert!(normalize_dist(&Value::Str("nope".into())).is_err());
     }

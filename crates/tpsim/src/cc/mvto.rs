@@ -17,7 +17,7 @@
 //! write check runs twice — optimistically at access time (early abort)
 //! and authoritatively at validation.
 //!
-//! Version histories are pruned to the newest [`Mvto::max_versions`] per
+//! Version histories are pruned to the newest `max_versions` per
 //! item; a reader whose snapshot predates the oldest retained version
 //! aborts with a "snapshot too old" outcome, exactly like the error
 //! real multiversion systems raise.
@@ -179,7 +179,7 @@ pub struct Mvto {
 
 impl Mvto {
     /// Default bound on retained versions per item.
-    pub const DEFAULT_MAX_VERSIONS: usize = 16;
+    const DEFAULT_MAX_VERSIONS: usize = 16;
 
     /// Creates the protocol for `slots` transaction slots with the
     /// default version-retention bound.
@@ -218,17 +218,6 @@ impl Mvto {
             slots: vec![idle; slots], // alc-lint: allow(hot-alloc, reason="construction-time slot-table allocation")
             max_versions,
         }
-    }
-
-    /// The version-retention bound per item.
-    pub fn max_versions(&self) -> usize {
-        self.max_versions
-    }
-
-    /// Committed versions currently retained for `item` (1 if untouched:
-    /// the implicit initial version).
-    pub fn version_count(&self, item: u64) -> usize {
-        self.committed(item).len()
     }
 
     /// The reads `txn` has performed in its current run, as
@@ -539,7 +528,7 @@ mod tests {
         cc.commit(1);
         assert!(cc.validate(0).ok, "blind write behind a blind write is fine");
         cc.commit(0);
-        assert_eq!(cc.version_count(7), 3); // v0, v10, v20
+        assert_eq!(cc.committed(7).len(), 3); // v0, v10, v20
     }
 
     #[test]
@@ -559,7 +548,7 @@ mod tests {
         cc.begin(0, 10);
         cc.access(0, 7, true);
         cc.abort(0);
-        assert_eq!(cc.version_count(7), 1, "nothing installed");
+        assert_eq!(cc.committed(7).len(), 1, "nothing installed");
         cc.begin(1, 20);
         cc.access(1, 7, false);
         assert_eq!(cc.reads_of(1), &[(7, 0)]);
@@ -574,7 +563,7 @@ mod tests {
             assert!(cc.validate(0).ok);
             cc.commit(0);
         }
-        assert_eq!(cc.version_count(7), 4);
+        assert_eq!(cc.committed(7).len(), 4);
     }
 
     #[test]
@@ -635,7 +624,7 @@ mod tests {
             write(&mut cc, 0, ts);
         }
         // Item 0 went through blocks of 1, 2 and 4 versions.
-        assert_eq!((cc.version_count(0), cc.blocks.arena.len()), (4, 7));
+        assert_eq!((cc.committed(0).len(), cc.blocks.arena.len()), (4, 7));
         // Item 1 takes the freed block of 1, then trades it for the freed
         // block of 2; item 2 picks the block of 1 up again.
         cc.begin(0, 40);

@@ -67,12 +67,6 @@ impl Prevention {
         }
     }
 
-    /// The effective (priority) timestamp of `txn` — differs from the
-    /// engine's run timestamp while an instance is being retried.
-    pub fn effective_ts(&self, txn: TxnId) -> u64 {
-        self.slots[txn].eff_ts
-    }
-
     /// Clears all lock state, retaining arena/queue capacity, for
     /// callers re-driving one protocol instance across runs.
     pub fn reset(&mut self) {
@@ -294,11 +288,11 @@ mod tests {
         // The engine restarts 1 with a fresh (larger) timestamp, but its
         // priority must stay 20 so it does not age backwards.
         cc.begin(1, 99);
-        assert_eq!(cc.effective_ts(1), 20);
+        assert_eq!(cc.slots[1].eff_ts, 20);
         // After a commit the next begin adopts the fresh timestamp again.
         cc.commit(1);
         cc.begin(1, 100);
-        assert_eq!(cc.effective_ts(1), 100);
+        assert_eq!(cc.slots[1].eff_ts, 100);
     }
 
     #[test]
@@ -378,7 +372,7 @@ mod tests {
         cc.abort(0); // would normally preserve priority across the rerun
         cc.reset();
         cc.begin(0, 99);
-        assert_eq!(cc.effective_ts(0), 99, "reset must clear restart_pending");
+        assert_eq!(cc.slots[0].eff_ts, 99, "reset must clear restart_pending");
         assert_eq!(cc.access(0, 5, true), AccessOutcome::Granted);
     }
 

@@ -260,7 +260,8 @@ impl Simulator {
     }
 
     /// The CC protocol currently in force.
-    pub fn current_cc(&self) -> CcKind {
+    #[cfg(test)]
+    pub(crate) fn current_cc(&self) -> CcKind {
         self.cc_kind
     }
 
@@ -276,7 +277,8 @@ impl Simulator {
     }
 
     /// CPU servers currently installed (varies under fault events).
-    pub fn cpu_servers(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn cpu_servers(&self) -> u32 {
         self.cpu.servers()
     }
 

@@ -450,7 +450,14 @@ fn victim_policies_enforce_bound_and_differ() {
 
 #[test]
 fn workload_jump_shifts_abort_rate() {
-    let workload = WorkloadConfig::k_jump(4.0, 16.0, 15_000.0);
+    let workload = WorkloadConfig {
+        k: alc_analytic::surface::Schedule::Jump {
+            at: 15_000.0,
+            before: 4.0,
+            after: 16.0,
+        },
+        ..WorkloadConfig::default()
+    };
     let mut sys = small_sys(25, 11);
     sys.db_size = 400;
     let mut sim = Simulator::new(

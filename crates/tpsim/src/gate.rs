@@ -15,8 +15,6 @@ pub struct SimGate {
     bound: u32,
     in_system: u32,
     queue: VecDeque<usize>,
-    total_admitted: u64,
-    total_displaced: u64,
     /// Admission hold: while set, every arrival queues and departures
     /// admit nobody — the engine uses this to drain the system before a
     /// CC-protocol switch. The bound and queue order are untouched.
@@ -38,8 +36,6 @@ impl SimGate {
             bound,
             in_system: 0,
             queue: VecDeque::with_capacity(cap),
-            total_admitted: 0,
-            total_displaced: 0,
             hold: false,
         }
     }
@@ -57,16 +53,6 @@ impl SimGate {
     /// Waiting transactions.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Total admissions so far.
-    pub fn total_admitted(&self) -> u64 {
-        self.total_admitted
-    }
-
-    /// Total displacement victims so far.
-    pub fn total_displaced(&self) -> u64 {
-        self.total_displaced
     }
 
     /// Whether an admission hold is in force.
@@ -92,7 +78,6 @@ impl SimGate {
     pub fn arrive(&mut self, txn: usize) -> bool {
         if !self.hold && self.in_system < self.bound {
             self.in_system += 1;
-            self.total_admitted += 1;
             true
         } else {
             self.queue.push_back(txn);
@@ -101,14 +86,7 @@ impl SimGate {
     }
 
     /// A departure (commit or displacement-to-terminal): frees a slot and
-    /// returns the transactions admitted from the queue as a result.
-    pub fn depart(&mut self) -> Vec<usize> {
-        let mut admitted = Vec::new();
-        self.depart_into(&mut admitted);
-        admitted
-    }
-
-    /// Allocation-free [`SimGate::depart`]: appends the admitted slots to
+    /// appends the transactions admitted from the queue as a result to
     /// `admitted` (the engine passes a pooled buffer).
     pub fn depart_into(&mut self, admitted: &mut Vec<usize>) {
         debug_assert!(self.in_system > 0, "departure from an empty system");
@@ -116,19 +94,11 @@ impl SimGate {
         self.drain_queue_into(admitted);
     }
 
-    /// Applies a new bound. Returns the slots admitted from the queue if
-    /// the bound rose. (Shrinking below the current load is handled by the
-    /// engine via [`SimGate::excess`] + [`SimGate::displace`] when
-    /// displacement is on, otherwise the population drains by normal
-    /// departures.)
-    pub fn set_bound(&mut self, bound: u32) -> Vec<usize> {
-        let mut admitted = Vec::new();
-        self.set_bound_into(bound, &mut admitted);
-        admitted
-    }
-
-    /// Allocation-free [`SimGate::set_bound`]: appends the admitted slots
-    /// to `admitted`.
+    /// Applies a new bound, appending the slots admitted from the queue
+    /// if the bound rose to `admitted`. (Shrinking below the current load
+    /// is handled by the engine via [`SimGate::excess`] +
+    /// [`SimGate::displace`] when displacement is on, otherwise the
+    /// population drains by normal departures.)
     pub fn set_bound_into(&mut self, bound: u32, admitted: &mut Vec<usize>) {
         self.bound = bound;
         self.drain_queue_into(admitted);
@@ -144,7 +114,6 @@ impl SimGate {
     pub fn displace(&mut self, txn: usize) {
         debug_assert!(self.in_system > 0);
         self.in_system -= 1;
-        self.total_displaced += 1;
         self.queue.push_front(txn);
     }
 
@@ -167,7 +136,6 @@ impl SimGate {
             match self.queue.pop_front() {
                 Some(txn) => {
                     self.in_system += 1;
-                    self.total_admitted += 1;
                     admitted.push(txn);
                 }
                 None => break,
@@ -179,6 +147,13 @@ impl SimGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What one pooled-buffer call admits.
+    fn admitted(call: impl FnOnce(&mut Vec<usize>)) -> Vec<usize> {
+        let mut out = Vec::new();
+        call(&mut out);
+        out
+    }
 
     #[test]
     fn admits_below_bound_queues_above() {
@@ -196,9 +171,9 @@ mod tests {
         g.arrive(0);
         g.arrive(1);
         g.arrive(2);
-        assert_eq!(g.depart(), vec![1]);
-        assert_eq!(g.depart(), vec![2]);
-        assert_eq!(g.depart(), Vec::<usize>::new());
+        assert_eq!(admitted(|a| g.depart_into(a)), vec![1]);
+        assert_eq!(admitted(|a| g.depart_into(a)), vec![2]);
+        assert_eq!(admitted(|a| g.depart_into(a)), Vec::<usize>::new());
         assert_eq!(g.in_system(), 0);
     }
 
@@ -208,8 +183,7 @@ mod tests {
         g.arrive(0);
         g.arrive(1);
         g.arrive(2);
-        let admitted = g.set_bound(2);
-        assert_eq!(admitted, vec![0, 1]);
+        assert_eq!(admitted(|a| g.set_bound_into(2, a)), vec![0, 1]);
         assert_eq!(g.queue_len(), 1);
     }
 
@@ -219,7 +193,7 @@ mod tests {
         for i in 0..5 {
             g.arrive(i);
         }
-        assert!(g.set_bound(2).is_empty());
+        assert!(admitted(|a| g.set_bound_into(2, a)).is_empty());
         assert_eq!(g.excess(), 3);
         assert_eq!(g.in_system(), 5, "no implicit displacement");
     }
@@ -231,16 +205,14 @@ mod tests {
         g.arrive(1);
         g.arrive(2);
         g.arrive(3); // queued
-        g.set_bound(1);
+        admitted(|a| g.set_bound_into(1, a));
         g.displace(2);
         g.displace(1);
         assert_eq!(g.in_system(), 1);
         assert_eq!(g.excess(), 0);
         // Front of queue: most recently displaced first, then 2, then the
         // original waiter 3.
-        let admitted = g.set_bound(4);
-        assert_eq!(admitted, vec![1, 2, 3]);
-        assert_eq!(g.total_displaced(), 2);
+        assert_eq!(admitted(|a| g.set_bound_into(4, a)), vec![1, 2, 3]);
     }
 
     #[test]
@@ -253,13 +225,11 @@ mod tests {
         // Below the bound, but the hold queues the arrival anyway.
         assert!(!g.arrive(2));
         // Departures and bound raises admit nobody while held.
-        assert_eq!(g.depart(), Vec::<usize>::new());
-        assert_eq!(g.set_bound(10), Vec::<usize>::new());
+        assert_eq!(admitted(|a| g.depart_into(a)), Vec::<usize>::new());
+        assert_eq!(admitted(|a| g.set_bound_into(10, a)), Vec::<usize>::new());
         assert_eq!(g.in_system(), 1);
         assert_eq!(g.queue_len(), 1);
-        let mut admitted = Vec::new();
-        g.release_hold_into(&mut admitted);
-        assert_eq!(admitted, vec![2]);
+        assert_eq!(admitted(|a| g.release_hold_into(a)), vec![2]);
         assert!(!g.held());
         assert_eq!(g.in_system(), 2);
     }
@@ -274,15 +244,6 @@ mod tests {
         assert!(!g.remove(1), "already gone");
         assert_eq!(g.in_system(), 1);
         // Slot 1 no longer exists in the queue; the departure admits 2.
-        assert_eq!(g.depart(), vec![2]);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut g = SimGate::new(10);
-        for i in 0..7 {
-            g.arrive(i);
-        }
-        assert_eq!(g.total_admitted(), 7);
+        assert_eq!(admitted(|a| g.depart_into(a)), vec![2]);
     }
 }

@@ -117,37 +117,20 @@ impl WorkloadConfig {
     pub fn analytic_optimum(&self, t_ms: f64, sys: &SystemConfig, n_max: u32) -> u32 {
         self.occ_model_at(t_ms, sys).curve(n_max).optimal_mpl()
     }
-
-    /// A jump workload for the Figure 13/14 scenario: `k` steps from
-    /// `k_before` to `k_after` at `t_ms`.
-    pub fn k_jump(k_before: f64, k_after: f64, at_ms: f64) -> Self {
-        WorkloadConfig {
-            k: Schedule::Jump {
-                at: at_ms,
-                before: k_before,
-                after: k_after,
-            },
-            ..WorkloadConfig::default()
-        }
-    }
-
-    /// A sinusoidal workload (§9's gradual variation): `k` oscillates
-    /// around `mean` with the given amplitude and period.
-    pub fn k_sinusoid(mean: f64, amplitude: f64, period_ms: f64) -> Self {
-        WorkloadConfig {
-            k: Schedule::Sinusoid {
-                mean,
-                amplitude,
-                period: period_ms,
-            },
-            ..WorkloadConfig::default()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The default workload with `k` stepping from `before` to `after`
+    /// at `at` ms.
+    fn k_jump(before: f64, after: f64, at: f64) -> WorkloadConfig {
+        WorkloadConfig {
+            k: Schedule::Jump { at, before, after },
+            ..WorkloadConfig::default()
+        }
+    }
 
     #[test]
     fn default_is_stationary() {
@@ -160,14 +143,21 @@ mod tests {
 
     #[test]
     fn k_jump_switches_at_time() {
-        let w = WorkloadConfig::k_jump(8.0, 14.0, 500_000.0);
+        let w = k_jump(8.0, 14.0, 500_000.0);
         assert_eq!(w.at(499_999.0).k, 8);
         assert_eq!(w.at(500_000.0).k, 14);
     }
 
     #[test]
     fn k_sinusoid_oscillates() {
-        let w = WorkloadConfig::k_sinusoid(10.0, 4.0, 100_000.0);
+        let w = WorkloadConfig {
+            k: Schedule::Sinusoid {
+                mean: 10.0,
+                amplitude: 4.0,
+                period: 100_000.0,
+            },
+            ..WorkloadConfig::default()
+        };
         assert_eq!(w.at(0.0).k, 10);
         assert_eq!(w.at(25_000.0).k, 14);
         assert_eq!(w.at(75_000.0).k, 6);
@@ -231,7 +221,7 @@ mod tests {
     #[test]
     fn analytic_optimum_moves_with_k() {
         let sys = SystemConfig::default();
-        let w = WorkloadConfig::k_jump(8.0, 14.0, 1000.0);
+        let w = k_jump(8.0, 14.0, 1000.0);
         let before = w.analytic_optimum(0.0, &sys, 800);
         let after = w.analytic_optimum(2000.0, &sys, 800);
         assert!(

@@ -138,7 +138,7 @@ fn adaptive_interval_reacts_to_real_rates() {
 /// caller's next sleep from the measurement each tick returns.
 #[test]
 fn ci_interval_policy_plugs_in() {
-    use adaptive_load_control::core::sampler::{CiInterval, IntervalPolicy};
+    use adaptive_load_control::core::sampler::CiInterval;
     use adaptive_load_control::des::stats::ConfidenceLevel;
 
     let cl = is_loop(IsParams {
