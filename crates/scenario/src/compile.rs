@@ -8,7 +8,9 @@
 //! Variants compile by cloning the spec's JSON tree, applying the
 //! variant's `set` overrides (then the quick overrides under `--quick`)
 //! and re-parsing — so a variant can change *anything* a spec can say,
-//! from one control flag to the whole controller object.
+//! from one control flag to the whole controller object. The re-parse
+//! is the only check an override path gets; when a cell does not read,
+//! `validate::land` names every override to blame.
 
 use std::path::Path;
 
@@ -22,7 +24,8 @@ use serde::Value;
 use crate::spec::{
     AdaptiveCcSpec, ColumnSpec, ControllerSpec, FaultSpec, ScenarioSpec, StatColumn, VariantSpec,
 };
-use crate::value_util::{from_overrides, set_path};
+use crate::validate::{dead_paths, land};
+use crate::value_util::from_overrides;
 use crate::SpecError;
 
 /// A fully lowered scenario: everything the runner needs, nothing left
@@ -176,7 +179,7 @@ fn replication_seed(seed: u64, r: u32) -> u64 {
 pub fn compile_value(base: &Value, base_dir: &Path, quick: bool) -> Result<RunPlan, SpecError> {
     let spec = ScenarioSpec::from_value(base)?;
     if spec.sweep.is_some() {
-        return compile_sweep(base, base_dir, quick);
+        return compile_sweep(base, spec, base_dir, quick);
     }
     let implicit;
     let variant_specs: &[VariantSpec] = if spec.variants.is_empty() {
@@ -191,25 +194,20 @@ pub fn compile_value(base: &Value, base_dir: &Path, quick: bool) -> Result<RunPl
     };
 
     let mut variants = Vec::with_capacity(variant_specs.len());
+    let mut dead = Vec::new();
     for vs in variant_specs {
-        let mut tree = base.clone();
-        for (path, val) in &vs.set {
-            set_path(&mut tree, path, val.clone())
-                .map_err(|e| e.context(format!("variant `{}`", vs.name)))?;
-        }
+        let mut layers = vec![(format!("variant `{}` `set`", vs.name), vs.set.clone())];
         if quick {
-            for (path, val) in &spec.quick {
-                set_path(&mut tree, path, val.clone())
-                    .map_err(|e| e.context("quick overrides"))?;
-            }
-            for (path, val) in &vs.quick {
-                set_path(&mut tree, path, val.clone())
-                    .map_err(|e| e.context(format!("variant `{}` quick", vs.name)))?;
-            }
+            layers.push(("`quick`".to_string(), spec.quick.clone()));
+            layers.push((format!("variant `{}` `quick`", vs.name), vs.quick.clone()));
         }
-        let vspec = ScenarioSpec::from_value(&tree)
-            .map_err(|e| e.context(format!("variant `{}`", vs.name)))?;
-        variants.push(build_variant(&vspec, &vs.name, base_dir)?);
+        match land(base, &layers) {
+            Ok((_, vspec)) => variants.push(build_variant(&vspec, &vs.name, base_dir)?),
+            Err(lines) => dead.extend(lines),
+        }
+    }
+    if !dead.is_empty() {
+        return Err(dead_paths(dead));
     }
 
     finish_plan(spec, None, variants)
@@ -220,15 +218,17 @@ pub fn compile_value(base: &Value, base_dir: &Path, quick: bool) -> Result<RunPl
 /// cell per combination, each cell a plain single-run spec with the axis
 /// values applied. Expansion is deterministic: row-major order, last
 /// axis fastest.
-fn compile_sweep(base: &Value, base_dir: &Path, quick: bool) -> Result<RunPlan, SpecError> {
-    let mut tree = base.clone();
-    if quick {
-        let spec0 = ScenarioSpec::from_value(base)?;
-        for (path, val) in &spec0.quick {
-            set_path(&mut tree, path, val.clone()).map_err(|e| e.context("quick overrides"))?;
-        }
-    }
-    let spec = ScenarioSpec::from_value(&tree).map_err(|e| e.context("quick overrides"))?;
+fn compile_sweep(
+    base: &Value,
+    spec: ScenarioSpec,
+    base_dir: &Path,
+    quick: bool,
+) -> Result<RunPlan, SpecError> {
+    let (tree, spec) = if quick {
+        land(base, &[("`quick`".to_string(), spec.quick.clone())]).map_err(dead_paths)?
+    } else {
+        (base.clone(), spec)
+    };
     let sweep = spec.sweep.clone().expect("compile_sweep needs a sweep section");
 
     // Each cell re-parses as a plain spec: strip the sweep section.
@@ -259,19 +259,23 @@ fn compile_sweep(base: &Value, base_dir: &Path, quick: bool) -> Result<RunPlan, 
     };
 
     let mut variants = Vec::with_capacity(total);
+    let mut dead = Vec::new();
     for idx in 0..total {
         let coords = sweep_plan.coords(idx);
-        let mut cell_tree = cell_base.clone();
-        let mut label_parts = Vec::with_capacity(coords.len());
-        for (axis, &c) in sweep.axes.iter().zip(&coords) {
-            set_path(&mut cell_tree, &axis.path, axis.values[c].clone())
-                .map_err(|e| e.context(format!("sweep axis `{}`", axis.header)))?;
-            label_parts.push(axis.label(c));
+        let mut layers = Vec::with_capacity(coords.len());
+        let mut label = Vec::with_capacity(coords.len());
+        for (i, (axis, &c)) in sweep.axes.iter().zip(&coords).enumerate() {
+            let set = vec![(axis.path.clone(), axis.values[c].clone())];
+            layers.push((format!("sweep axis {i} (`{}`)", axis.header), set));
+            label.push(axis.label(c));
         }
-        let label = label_parts.join("_");
-        let vspec = ScenarioSpec::from_value(&cell_tree)
-            .map_err(|e| e.context(format!("sweep cell `{label}`")))?;
-        variants.push(build_variant(&vspec, &label, base_dir)?);
+        match land(&cell_base, &layers) {
+            Ok((_, vspec)) => variants.push(build_variant(&vspec, &label.join("_"), base_dir)?),
+            Err(lines) => dead.extend(lines),
+        }
+    }
+    if !dead.is_empty() {
+        return Err(dead_paths(dead));
     }
 
     finish_plan(spec, Some(sweep_plan), variants)
@@ -461,6 +465,7 @@ fn build_variant(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value_util::set_path;
     use std::path::PathBuf;
 
     fn parse(json: &str) -> Value {

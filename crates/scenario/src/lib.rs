@@ -46,7 +46,7 @@ pub mod runner;
 pub mod spec;
 pub mod table;
 pub mod trace;
-pub mod validate;
+mod validate;
 pub mod value_util;
 
 use std::path::{Path, PathBuf};

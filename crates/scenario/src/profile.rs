@@ -33,7 +33,6 @@ use alc_analytic::surface::Schedule;
 use alc_runtime::{read_jsonl, JsonlError};
 use serde::{Deserialize as _, Value};
 
-use crate::value_util::Node::{self, Scalar};
 use crate::value_util::{number, single_key, string, timed, unknown_key, At, Keys, Obj};
 use crate::SpecError;
 
@@ -223,30 +222,16 @@ impl<'de> serde::Deserialize<'de> for Profile {
     }
 }
 
-const STEP: Keys = &[("at", Scalar), ("before", Scalar), ("after", Scalar)];
-const RAMP: Keys = &[
-    ("from", Scalar),
-    ("to", Scalar),
-    ("t_start", Scalar),
-    ("t_end", Scalar),
-];
-const SINUSOID: Keys = &[("mean", Scalar), ("amplitude", Scalar), ("period", Scalar)];
-const BURST: Keys = &[
-    ("base", Scalar),
-    ("peak", Scalar),
-    ("at", Scalar),
-    ("duration", Scalar),
-];
 /// The profile shapes written as single-key objects.
-pub(crate) const PROFILE: Keys = &[
-    ("constant", Scalar),
-    ("step", Node::Keys(STEP)),
-    ("ramp", Node::Keys(RAMP)),
-    ("sinusoid", Node::Keys(SINUSOID)),
-    ("burst", Node::Keys(BURST)),
-    ("piecewise", Node::Any),
-    ("trace", Scalar),
-    ("phases", Node::Any),
+const PROFILE: Keys = &[
+    "constant",
+    "step",
+    "ramp",
+    "sinusoid",
+    "burst",
+    "piecewise",
+    "trace",
+    "phases",
 ];
 
 fn profile_from_value(value: &Value) -> Result<Profile, SpecError> {
@@ -259,7 +244,7 @@ fn profile_from_value(value: &Value) -> Result<Profile, SpecError> {
     Ok(match tag {
         "constant" => Profile::Constant(number(payload, at)?),
         "step" => {
-            let mut o = Obj::open(payload, tag, STEP)?;
+            let mut o = Obj::open(payload, tag)?;
             let p = Profile::Step {
                 at: o.req("at", number)?,
                 before: o.req("before", number)?,
@@ -268,7 +253,7 @@ fn profile_from_value(value: &Value) -> Result<Profile, SpecError> {
             o.finish(p)?
         }
         "ramp" => {
-            let mut o = Obj::open(payload, tag, RAMP)?;
+            let mut o = Obj::open(payload, tag)?;
             let p = Profile::Ramp {
                 from: o.req("from", number)?,
                 to: o.req("to", number)?,
@@ -278,7 +263,7 @@ fn profile_from_value(value: &Value) -> Result<Profile, SpecError> {
             o.finish(p)?
         }
         "sinusoid" => {
-            let mut o = Obj::open(payload, tag, SINUSOID)?;
+            let mut o = Obj::open(payload, tag)?;
             let p = Profile::Sinusoid {
                 mean: o.req("mean", number)?,
                 amplitude: o.req("amplitude", number)?,
@@ -287,7 +272,7 @@ fn profile_from_value(value: &Value) -> Result<Profile, SpecError> {
             o.finish(p)?
         }
         "burst" => {
-            let mut o = Obj::open(payload, tag, BURST)?;
+            let mut o = Obj::open(payload, tag)?;
             let p = Profile::Burst {
                 base: o.req("base", number)?,
                 peak: o.req("peak", number)?,

@@ -4,9 +4,10 @@
 //! configuration, a controller, and optionally a list of *variants* —
 //! named override sets run against the same base (ablation axes). Every
 //! unknown key is an error: a typo'd field must never silently keep its
-//! default. Each section parses through [`Obj`] against a `const` key
-//! table written next to its parser; the top-level table nests them
-//! all, and is what `validate` resolves override paths against.
+//! default. Each section parses through [`Obj`], whose known keys are
+//! the ones its parser asks for. The reader is the spec's only schema:
+//! an override path is checked by applying it and reading the tree it
+//! lands on (`validate::land`).
 //!
 //! The front end only reads. A spec file becomes a [`Value`] tree; every
 //! override (`--set`, `quick`, a variant's `set`, a sweep axis) is
@@ -18,7 +19,7 @@
 //!
 //! This file holds the typed model and the top-level
 //! [`ScenarioSpec::from_value`]; `spec/columns.rs` is the report-column
-//! vocabulary, `spec/sections.rs` the per-section parsers and key tables.
+//! vocabulary, `spec/sections.rs` the per-section parsers.
 //!
 //! ```json
 //! {
@@ -55,14 +56,12 @@ pub use self::columns::{ClientColumn, ColumnSpec, DerivedColumn, StatColumn};
 use self::columns::{column_from_value, default_columns};
 use self::sections::{
     cc_field_from_value, clients_from_value, controller_from_value, fault_from_value,
-    filename_safe, inputs_from_value, sweep_from_value, system_fields,
-    system_overrides_from_value, variant_from_value, workload_from_value, CC, CLIENTS,
-    CONTROLLER, SWEEP, WORKLOAD,
+    filename_safe, inputs_from_value, sweep_from_value, system_overrides_from_value,
+    variant_from_value, workload_from_value,
 };
 use crate::profile::Profile;
-use crate::value_util::Node::{Any, Fields, Keys as Sub, Scalar as Leaf};
 use crate::value_util::{
-    boolean, fields, list, nonempty, pairs, positive, positive_u32, string, u64_from, Keys, Obj,
+    boolean, list, nonempty, pairs, positive, positive_u32, string, u64_from, Obj,
 };
 use crate::SpecError;
 
@@ -478,37 +477,11 @@ impl ControllerSpec {
     }
 }
 
-/// The top-level keys of a spec. `inputs` is keyed by the spec's own
-/// variant and cell names, which `validate` fills in.
-pub(crate) const SPEC: Keys = &[
-    ("name", Leaf),
-    ("description", Leaf),
-    ("seed", Leaf),
-    ("replications", Leaf),
-    ("horizon_ms", Leaf),
-    ("cc", Sub(CC)),
-    ("faults", Any),
-    ("clients", Sub(CLIENTS)),
-    ("system", Fields(system_fields)),
-    ("control", Fields(fields::<alc_tpsim::config::ControlConfig>)),
-    ("workload", Sub(WORKLOAD)),
-    ("controller", Sub(CONTROLLER)),
-    ("record_optimum", Leaf),
-    ("trajectories", Leaf),
-    ("label_header", Leaf),
-    ("columns", Any),
-    ("variants", Any),
-    ("sweep", Sub(SWEEP)),
-    ("inputs", Any),
-    ("label_from", Leaf),
-    ("quick", Any),
-];
-
 impl ScenarioSpec {
     /// Strictly parses a spec from its JSON tree. Unknown and repeated
     /// keys anywhere are errors.
     pub fn from_value(v: &Value) -> Result<Self, SpecError> {
-        let mut o = Obj::open(v, "spec", SPEC)?;
+        let mut o = Obj::open(v, "spec")?;
         let (cc, cc_phases, cc_adaptive) = o
             .opt("cc", |v, _| cc_field_from_value(v))?
             .unwrap_or((CcKind::Certification, Vec::new(), None));
@@ -617,6 +590,16 @@ impl ScenarioSpec {
         if let Some(lf) = &spec.label_from {
             needed_cells.push(lf.as_str());
         }
+        // A cell nothing reads is a typo of one that is read, or dead
+        // text; either way an override path to it lands on nothing.
+        for (variant, cells) in &spec.inputs {
+            let unread = cells.iter().find(|(c, _)| !needed_cells.contains(&c.as_str()));
+            if let Some((cell, _)) = unread {
+                return Err(SpecError::new(format!(
+                    "`inputs.{variant}.{cell}` is read by no `input` column or `label_from`"
+                )));
+            }
+        }
         if !needed_cells.is_empty() {
             // `input` columns and `label_from` read per-variant cells;
             // without variants they could never be satisfied and would
@@ -663,11 +646,6 @@ impl ScenarioSpec {
         let _: SystemConfig = crate::value_util::from_overrides(&spec.system, "system")?;
         let _: alc_tpsim::config::ControlConfig =
             crate::value_util::from_overrides(&spec.control, "control")?;
-        // Statically resolve every stored override path (variant
-        // set/quick, spec quick, sweep axes) against the schema, so a
-        // dead path dies at `scenario validate` time — even the quick
-        // paths a full-scale compile would never apply.
-        crate::validate::check_override_paths(&spec)?;
         Ok(spec)
     }
 }

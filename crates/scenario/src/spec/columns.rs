@@ -8,7 +8,6 @@ use serde::Value;
 
 use super::cc_spec_name;
 use super::sections::cc_from_value;
-use crate::value_util::Node::{Keys as Sub, Scalar as Leaf};
 use crate::value_util::{
     below_one, nonempty, positive, single_key, string, unknown_key, At, Keys, Obj,
 };
@@ -431,19 +430,14 @@ impl DerivedColumn {
     }
 }
 
-const SETTLING_TIME: Keys = &[("header", Leaf), ("after_frac", Leaf), ("band", Leaf)];
-const TIME_IN_PROTOCOL: Keys = &[("cc", Leaf), ("header", Leaf)];
-const POST_SWITCH_SETTLING: Keys = &[("header", Leaf), ("band", Leaf)];
-const TIME_TO_RECOVER: Keys = &[("header", Leaf), ("after_ms", Leaf), ("band", Leaf)];
-const LITERAL: Keys = &[("header", Leaf), ("value", Leaf)];
 /// The column kinds written as single-key objects.
 const COLUMN: Keys = &[
-    ("settling_time_s", Sub(SETTLING_TIME)),
-    ("time_in_protocol", Sub(TIME_IN_PROTOCOL)),
-    ("post_switch_settling_time_s", Sub(POST_SWITCH_SETTLING)),
-    ("time_to_recover_s", Sub(TIME_TO_RECOVER)),
-    ("input", Leaf),
-    ("literal", Sub(LITERAL)),
+    "settling_time_s",
+    "time_in_protocol",
+    "post_switch_settling_time_s",
+    "time_to_recover_s",
+    "input",
+    "literal",
 ];
 
 pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
@@ -473,7 +467,7 @@ pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
         .map_err(|e| e.context("a column is a stat/derived/client name, or"))?;
     Ok(match tag {
         "settling_time_s" => {
-            let mut o = Obj::open(payload, tag, SETTLING_TIME)?;
+            let mut o = Obj::open(payload, tag)?;
             let col = DerivedColumn::SettlingTime {
                 header: o.opt("header", string)?.unwrap_or_else(|| tag.to_string()),
                 after_frac: o.req("after_frac", below_one)?,
@@ -482,7 +476,7 @@ pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
             ColumnSpec::Derived(o.finish(col)?)
         }
         "time_in_protocol" => {
-            let mut o = Obj::open(payload, tag, TIME_IN_PROTOCOL)?;
+            let mut o = Obj::open(payload, tag)?;
             let col = DerivedColumn::TimeInProtocol {
                 cc: o.req("cc", |v, _| cc_from_value(v))?,
                 header: o.opt("header", nonempty)?,
@@ -490,7 +484,7 @@ pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
             ColumnSpec::Derived(o.finish(col)?)
         }
         "post_switch_settling_time_s" => {
-            let mut o = Obj::open(payload, tag, POST_SWITCH_SETTLING)?;
+            let mut o = Obj::open(payload, tag)?;
             let col = DerivedColumn::PostSwitchSettling {
                 header: o.opt("header", nonempty)?.unwrap_or_else(|| tag.to_string()),
                 band: o.opt("band", positive)?.unwrap_or(0.25),
@@ -498,7 +492,7 @@ pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
             ColumnSpec::Derived(o.finish(col)?)
         }
         "time_to_recover_s" => {
-            let mut o = Obj::open(payload, tag, TIME_TO_RECOVER)?;
+            let mut o = Obj::open(payload, tag)?;
             let col = DerivedColumn::TimeToRecover {
                 header: o.opt("header", nonempty)?.unwrap_or_else(|| tag.to_string()),
                 after_ms: o.req("after_ms", positive)?,
@@ -508,7 +502,7 @@ pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
         }
         "input" => ColumnSpec::Input(nonempty(payload, At("columns[]", tag))?),
         "literal" => {
-            let mut o = Obj::open(payload, tag, LITERAL)?;
+            let mut o = Obj::open(payload, tag)?;
             let col = ColumnSpec::Literal {
                 header: o.req("header", string)?,
                 value: o.req("value", string)?,

@@ -1,5 +1,4 @@
-//! The per-section parsers of a spec and the key table of each, nested
-//! by `SPEC` in the parent module.
+//! The per-section parsers of a spec.
 
 use alc_core::controller::{
     HybridParams, IsParams, IyerRuleParams, OuterParams, PaOuterParams, PaParams,
@@ -13,12 +12,11 @@ use super::{
     cc_spec_name, AdaptiveCcSpec, ControllerSpec, FaultRecovery, FaultSpec, MetaPolicySpec,
     PivotSpec, StatColumn, SweepAxis, SweepSpec, VariantInputs, VariantSpec, WorkloadSpec,
 };
-use crate::profile::{Profile, PROFILE};
-use crate::value_util::Node::{self, Any, Fields, Keys as Sub, Scalar as Leaf};
+use crate::profile::Profile;
 use crate::value_util::{
-    at_least_one, boolean, fields, fraction, list, non_negative, nonempty,
-    normalize_arrival, normalize_dist, number, pairs, params, positive, positive_u32, single_key,
-    strict, string, timed, u32_from, u64_from, unknown_key, weight, At, Keys, Obj,
+    at_least_one, boolean, fraction, list, non_negative, nonempty, normalize_arrival,
+    normalize_dist, number, pairs, params, positive, positive_u32, single_key, strict, string,
+    timed, u32_from, u64_from, unknown_key, weight, At, Keys, Obj,
 };
 use crate::SpecError;
 
@@ -57,36 +55,18 @@ fn dist(v: &Value, at: At<'_>) -> Result<alc_des::dist::Dist, SpecError> {
     Ok(d)
 }
 
-const FIXED: Keys = &[("bound", Leaf)];
-const FIXED_ANALYTIC_OPTIMUM: Keys = &[("at_ms", Leaf), ("n_max", Leaf)];
-const TAY: Keys = &[("k", Leaf), ("min_bound", Leaf), ("max_bound", Leaf)];
-const HYBRID: Keys = &[
-    ("is", Fields(fields::<IsParams>)),
-    ("pa", Fields(fields::<PaParams>)),
-    ("bootstrap_samples", Leaf),
-    ("revert_after", Leaf),
-    ("revert_window", Leaf),
-];
-const SELF_TUNING_IS: Keys = &[
-    ("is", Fields(fields::<IsParams>)),
-    ("outer", Fields(fields::<OuterParams>)),
-];
-const SELF_TUNING_PA: Keys = &[
-    ("pa", Fields(fields::<PaParams>)),
-    ("outer", Fields(fields::<PaOuterParams>)),
-];
 /// The controller kinds written as single-key objects.
-pub(super) const CONTROLLER: Keys = &[
-    ("fixed", Sub(FIXED)),
-    ("fixed_analytic_optimum", Sub(FIXED_ANALYTIC_OPTIMUM)),
-    ("is", Fields(fields::<IsParams>)),
-    ("pa", Fields(fields::<PaParams>)),
-    ("iyer", Fields(fields::<IyerRuleParams>)),
-    ("retry_budget", Fields(fields::<RetryBudgetParams>)),
-    ("tay", Sub(TAY)),
-    ("hybrid", Sub(HYBRID)),
-    ("self_tuning_is", Sub(SELF_TUNING_IS)),
-    ("self_tuning_pa", Sub(SELF_TUNING_PA)),
+const CONTROLLER: Keys = &[
+    "fixed",
+    "fixed_analytic_optimum",
+    "is",
+    "pa",
+    "iyer",
+    "retry_budget",
+    "tay",
+    "hybrid",
+    "self_tuning_is",
+    "self_tuning_pa",
 ];
 
 /// `p` if it keeps the rules its own type states (`check`), else the
@@ -112,12 +92,12 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
     let section = at.to_string();
     Ok(match tag {
         "fixed" => {
-            let mut o = Obj::open(payload, &section, FIXED)?;
+            let mut o = Obj::open(payload, &section)?;
             let bound = o.req("bound", positive_u32)?;
             o.finish(ControllerSpec::Fixed { bound })?
         }
         "fixed_analytic_optimum" => {
-            let mut o = Obj::open(payload, &section, FIXED_ANALYTIC_OPTIMUM)?;
+            let mut o = Obj::open(payload, &section)?;
             let c = ControllerSpec::FixedAnalyticOptimum {
                 at_ms: o.opt("at_ms", number)?.unwrap_or(0.0),
                 n_max: o.req("n_max", positive_u32)?,
@@ -127,7 +107,7 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
         "is" => ControllerSpec::Is(checked(params(payload, at)?, at, IsParams::check)?),
         "pa" => ControllerSpec::Pa(checked(params(payload, at)?, at, PaParams::check)?),
         "self_tuning_is" => {
-            let mut o = Obj::open(payload, &section, SELF_TUNING_IS)?;
+            let mut o = Obj::open(payload, &section)?;
             let is = o.opt("is", params)?.unwrap_or_default();
             let outer = o.opt("outer", params)?.unwrap_or_default();
             o.finish(())?;
@@ -137,7 +117,7 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
             }
         }
         "self_tuning_pa" => {
-            let mut o = Obj::open(payload, &section, SELF_TUNING_PA)?;
+            let mut o = Obj::open(payload, &section)?;
             let pa = o.opt("pa", params)?.unwrap_or_default();
             let outer = o.opt("outer", params)?.unwrap_or_default();
             o.finish(())?;
@@ -147,7 +127,7 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
             }
         }
         "hybrid" => {
-            let mut o = Obj::open(payload, &section, HYBRID)?;
+            let mut o = Obj::open(payload, &section)?;
             let d = HybridParams::default();
             let p = HybridParams {
                 is: o.opt("is", params)?.unwrap_or(d.is),
@@ -169,7 +149,7 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
         // Tay's rule also reads `system.db_size`: `build_variant` asks
         // `TayRule::check` once the system is known.
         "tay" => {
-            let mut o = Obj::open(payload, &section, TAY)?;
+            let mut o = Obj::open(payload, &section)?;
             let c = ControllerSpec::Tay {
                 k: o.req("k", positive_u32)?,
                 min_bound: o.opt("min_bound", u32_from)?.unwrap_or(1),
@@ -181,23 +161,8 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
     })
 }
 
-const THRESHOLD_POLICY: Keys = &[("threshold", Leaf), ("ewma_weight", Leaf)];
-const SHADOW_SCORE: Keys = &[("ewma_weight", Leaf)];
 /// The adaptive-`cc` policies, each a single-key object.
-const POLICY: Keys = &[
-    ("conflict_threshold", Sub(THRESHOLD_POLICY)),
-    ("restart_rate", Sub(THRESHOLD_POLICY)),
-    ("shadow_score", Sub(SHADOW_SCORE)),
-];
-const ADAPTIVE: Keys = &[
-    ("candidates", Any),
-    ("policy", Sub(POLICY)),
-    ("min_dwell_s", Leaf),
-    ("cooldown_s", Leaf),
-    ("hysteresis", Leaf),
-];
-/// The two object forms of the `cc` field.
-pub(super) const CC: Keys = &[("phases", Any), ("adaptive", Sub(ADAPTIVE))];
+const POLICY: Keys = &["conflict_threshold", "restart_rate", "shadow_score"];
 
 /// Parses the policy object of an adaptive `cc` section (its ranges are
 /// the policy's own `check`, asked once the whole section is read).
@@ -206,12 +171,12 @@ fn meta_policy_from_value(v: &Value) -> Result<MetaPolicySpec, SpecError> {
     let ewma = |o: &mut Obj<'_>| o.opt("ewma_weight", number).map(|w| w.unwrap_or(0.3));
     match tag {
         "shadow_score" => {
-            let mut o = Obj::open(payload, tag, SHADOW_SCORE)?;
+            let mut o = Obj::open(payload, tag)?;
             let ewma_weight = ewma(&mut o)?;
             o.finish(MetaPolicySpec::ShadowScore { ewma_weight })
         }
         "conflict_threshold" | "restart_rate" => {
-            let mut o = Obj::open(payload, tag, THRESHOLD_POLICY)?;
+            let mut o = Obj::open(payload, tag)?;
             let threshold = o.req("threshold", number)?;
             let ewma_weight = ewma(&mut o)?;
             o.finish(if tag == "conflict_threshold" {
@@ -234,7 +199,7 @@ fn meta_policy_from_value(v: &Value) -> Result<MetaPolicySpec, SpecError> {
 /// own `check` is reported under `cc.adaptive.`; the reader adds only
 /// the seconds-valued guards and that no candidate repeats.
 fn adaptive_from_value(v: &Value) -> Result<AdaptiveCcSpec, SpecError> {
-    let mut o = Obj::open(v, "cc.adaptive", ADAPTIVE)?;
+    let mut o = Obj::open(v, "cc.adaptive")?;
     let adaptive = AdaptiveCcSpec {
         candidates: o.opt("candidates", list(cc_from_value))?.unwrap_or_default(),
         policy: o.req("policy", |v, _| meta_policy_from_value(v))?,
@@ -292,15 +257,8 @@ pub(super) fn cc_field_from_value(v: &Value) -> Result<CcField, SpecError> {
     Ok((cc_from_value(v)?, Vec::new(), None))
 }
 
-const FAULT: Keys = &[
-    ("at", Leaf),
-    ("duration", Leaf),
-    ("repair", Any),
-    ("cpus_down", Leaf),
-];
-
 pub(super) fn fault_from_value(v: &Value) -> Result<FaultSpec, SpecError> {
-    let mut o = Obj::open(v, "faults[]", FAULT)?;
+    let mut o = Obj::open(v, "faults[]")?;
     let at_ms = o.req("at", non_negative)?;
     let duration = o.opt("duration", positive)?;
     let repair = o.opt("repair", dist)?;
@@ -325,29 +283,8 @@ pub(super) fn fault_from_value(v: &Value) -> Result<FaultSpec, SpecError> {
     })
 }
 
-const BACKOFF: Keys = &[
-    ("base_ms", Leaf),
-    ("factor", Leaf),
-    ("max_ms", Leaf),
-    ("jitter", Leaf),
-];
-const BUDGET: Keys = &[("per_commit", Leaf), ("burst", Leaf), ("delay_ms", Leaf)];
-const HEDGED: Keys = &[("delay_ms", Leaf)];
 /// The retry policies, each a single-key object.
-const RETRY: Keys = &[
-    ("backoff", Sub(BACKOFF)),
-    ("budget", Sub(BUDGET)),
-    ("hedged", Sub(HEDGED)),
-];
-const FEEDBACK: Keys = &[("gain", Leaf), ("reference_ms", Leaf), ("weight", Leaf)];
-pub(super) const CLIENTS: Keys = &[
-    ("population", Leaf),
-    ("timeout", Any),
-    ("max_retries", Leaf),
-    ("retry", Sub(RETRY)),
-    ("shed_retries", Leaf),
-    ("feedback", Sub(FEEDBACK)),
-];
+const RETRY: Keys = &["backoff", "budget", "hedged"];
 
 /// Parses the retry policy of a `clients` section; an empty `backoff`
 /// is [`RetryPolicy::default`].
@@ -355,7 +292,7 @@ pub(super) fn retry_policy_from_value(v: &Value) -> Result<RetryPolicy, SpecErro
     let (tag, payload) = single_key(v, "clients.retry", RETRY)?;
     match tag {
         "backoff" => {
-            let mut o = Obj::open(payload, tag, BACKOFF)?;
+            let mut o = Obj::open(payload, tag)?;
             let policy = RetryPolicy::Backoff {
                 base_ms: o.opt("base_ms", positive)?.unwrap_or(100.0),
                 factor: o.opt("factor", at_least_one)?.unwrap_or(2.0),
@@ -365,7 +302,7 @@ pub(super) fn retry_policy_from_value(v: &Value) -> Result<RetryPolicy, SpecErro
             o.finish(policy)
         }
         "budget" => {
-            let mut o = Obj::open(payload, tag, BUDGET)?;
+            let mut o = Obj::open(payload, tag)?;
             let policy = RetryPolicy::Budget {
                 per_commit: o.opt("per_commit", non_negative)?.unwrap_or(0.1),
                 burst: o.opt("burst", positive)?.unwrap_or(10.0),
@@ -374,7 +311,7 @@ pub(super) fn retry_policy_from_value(v: &Value) -> Result<RetryPolicy, SpecErro
             o.finish(policy)
         }
         "hedged" => {
-            let mut o = Obj::open(payload, tag, HEDGED)?;
+            let mut o = Obj::open(payload, tag)?;
             let delay_ms = o.req("delay_ms", positive)?;
             o.finish(RetryPolicy::Hedged { delay_ms })
         }
@@ -384,7 +321,7 @@ pub(super) fn retry_policy_from_value(v: &Value) -> Result<RetryPolicy, SpecErro
 
 /// Parses the latency→load feedback of a `clients` section.
 fn feedback_from_value(v: &Value) -> Result<LatencyFeedback, SpecError> {
-    let mut o = Obj::open(v, "clients.feedback", FEEDBACK)?;
+    let mut o = Obj::open(v, "clients.feedback")?;
     let d = LatencyFeedback::default();
     let feedback = LatencyFeedback {
         gain: o.opt("gain", non_negative)?.unwrap_or(d.gain),
@@ -396,7 +333,7 @@ fn feedback_from_value(v: &Value) -> Result<LatencyFeedback, SpecError> {
 
 /// Parses the `clients` section into the engine's [`ClientConfig`].
 pub(super) fn clients_from_value(v: &Value) -> Result<ClientConfig, SpecError> {
-    let mut o = Obj::open(v, "clients", CLIENTS)?;
+    let mut o = Obj::open(v, "clients")?;
     let clients = ClientConfig {
         population: o.req("population", positive_u32)?,
         timeout: o.req("timeout", dist)?,
@@ -419,18 +356,8 @@ pub(super) fn filename_safe(s: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
 }
 
-
-const AXIS: Keys = &[
-    ("header", Leaf),
-    ("path", Leaf),
-    ("values", Any),
-    ("labels", Any),
-];
-const PIVOT: Keys = &[("stat", Leaf), ("prefix", Leaf)];
-pub(super) const SWEEP: Keys = &[("axes", Any), ("pivot", Sub(PIVOT))];
-
 fn sweep_axis_from_value(v: &Value) -> Result<SweepAxis, SpecError> {
-    let mut o = Obj::open(v, "sweep.axes[]", AXIS)?;
+    let mut o = Obj::open(v, "sweep.axes[]")?;
     let axis = SweepAxis {
         header: o.req("header", nonempty)?,
         path: o.req("path", nonempty)?,
@@ -480,13 +407,13 @@ fn sweep_axis_from_value(v: &Value) -> Result<SweepAxis, SpecError> {
 }
 
 pub(super) fn sweep_from_value(v: &Value) -> Result<SweepSpec, SpecError> {
-    let mut o = Obj::open(v, "sweep", SWEEP)?;
+    let mut o = Obj::open(v, "sweep")?;
     let sweep = SweepSpec {
         axes: o
             .opt("axes", list(sweep_axis_from_value))?
             .unwrap_or_default(),
         pivot: o.opt("pivot", |v, _| {
-            let mut o = Obj::open(v, "sweep.pivot", PIVOT)?;
+            let mut o = Obj::open(v, "sweep.pivot")?;
             let pivot = PivotSpec {
                 stat: o.req("stat", |v, at| StatColumn::parse(&string(v, at)?))?,
                 prefix: o.opt("prefix", string)?.unwrap_or_default(),
@@ -533,21 +460,12 @@ pub(super) fn inputs_from_value(v: &Value, at: At<'_>) -> Result<VariantInputs, 
     Ok(out)
 }
 
-pub(super) const WORKLOAD: Keys = &[
-    ("k", Sub(PROFILE)),
-    ("query_frac", Sub(PROFILE)),
-    ("write_frac", Sub(PROFILE)),
-    ("access_skew", Sub(PROFILE)),
-    ("arrival_rate_factor", Sub(PROFILE)),
-    ("think_time_factor", Sub(PROFILE)),
-];
-
 pub(super) fn workload_from_value(v: &Value) -> Result<WorkloadSpec, SpecError> {
     let profile = |v: &Value, at: At<'_>| {
         <Profile as serde::Deserialize>::from_value(v)
             .map_err(|e| SpecError::new(format!("`{at}`: {e}")))
     };
-    let mut o = Obj::open(v, "workload", WORKLOAD)?;
+    let mut o = Obj::open(v, "workload")?;
     let d = WorkloadSpec::default();
     let workload = WorkloadSpec {
         k: o.opt("k", profile)?.unwrap_or(d.k),
@@ -564,10 +482,8 @@ pub(super) fn workload_from_value(v: &Value) -> Result<WorkloadSpec, SpecError> 
     o.finish(workload)
 }
 
-const VARIANT: Keys = &[("name", Leaf), ("set", Any), ("quick", Any)];
-
 pub(super) fn variant_from_value(v: &Value) -> Result<VariantSpec, SpecError> {
-    let mut o = Obj::open(v, "variants[]", VARIANT)?;
+    let mut o = Obj::open(v, "variants[]")?;
     let variant = VariantSpec {
         name: o.req("name", string)?,
         set: o.opt("set", pairs)?.unwrap_or_default(),
@@ -576,22 +492,14 @@ pub(super) fn variant_from_value(v: &Value) -> Result<VariantSpec, SpecError> {
     o.finish(variant)
 }
 
-/// The live `system` keys: [`SystemConfig`]'s own fields — bar `seed`,
-/// which the top-level field owns — and the derived load knob, a leaf.
-pub(super) fn system_fields() -> Vec<(String, Node<'static>)> {
-    let mut ks = fields::<SystemConfig>();
-    ks.retain(|(k, _)| k != "seed");
-    ks.push(("offered_load_per_s".to_string(), Leaf));
-    ks
-}
-
 /// Normalizes the `system` override map: dist-valued fields accept the
 /// shorthands, `arrival` accepts its shorthands, and `seed` is rejected
 /// (the top-level `seed` field owns it). `offered_load_per_s` is a
 /// *derived* quantity: a value `λ` lowers to an open Poisson arrival
 /// stream with interarrival mean `1000/λ` ms at parse time, so load
 /// grids (sweep axes, `--set`, quick overrides) read in the paper's
-/// tx/s units instead of interarrival means.
+/// tx/s units instead of interarrival means. Any other key must be a
+/// field of [`SystemConfig`].
 pub(super) fn system_overrides_from_value(
     v: &Value,
     at: At<'_>,
@@ -603,9 +511,17 @@ pub(super) fn system_overrides_from_value(
         "think",
         "restart_delay",
     ];
+    let Value::Map(fields) = serde::Serialize::to_value(&SystemConfig::default()) else {
+        // alc-lint: allow(panic-in-lib, reason="SystemConfig is a struct, which serializes to a map")
+        unreachable!("SystemConfig serializes to a map");
+    };
     let mut out: Vec<(String, Value)> = Vec::new();
     let mut arrival_sources = 0u32;
     for (k, val) in pairs(v, at)? {
+        if k != "offered_load_per_s" && !fields.iter().any(|(f, _)| *f == k) {
+            let known = fields.iter().map(|(f, _)| f.as_str()).filter(|f| *f != "seed");
+            return Err(unknown_key("system", &k, known.chain(["offered_load_per_s"])));
+        }
         let (key, norm) = if DIST_FIELDS.contains(&k.as_str()) {
             let norm = normalize_dist(&val)
                 .map_err(|e| SpecError::new(format!("system `{k}`: {e}")))?;

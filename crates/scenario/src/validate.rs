@@ -1,241 +1,275 @@
-//! Static resolution of override paths against the spec schema.
+//! Landing a cell's overrides, and naming the ones to blame when the
+//! cell does not read.
 //!
 //! Variant `set`/`quick` overrides, spec-level `quick` overrides and
-//! sweep-axis `path`s are dotted paths applied to the raw JSON tree
-//! before the typed reparse. The reparse rejects invented keys, but it
-//! checks one variant at a time, reports only the first failure, and —
-//! for `quick` paths — only fires under `--quick`. This pass resolves
-//! *every* path up front against the key tables the parser itself
-//! reads with (`spec::SPEC` and the tables it nests; config field lists
-//! come from the configs' own default serialization, so neither can
-//! drift), and reports all dead paths at once with the valid
-//! candidates. `scenario validate` therefore catches a dead path
-//! without compiling — let alone running — anything.
+//! sweep-axis values are dotted paths applied to the spec's JSON tree
+//! before it is read. There is no schema to check a path against but
+//! the strict reader itself: [`land`] applies a cell's overrides in the
+//! order compile gives them and reads the result once. Only when that
+//! read fails are the overrides applied again one at a time, each read
+//! on the tree the ones before it left, so the error names every
+//! override that breaks the tree — where it comes from, its path, and
+//! the reader's own message with the keys the section does know — and
+//! none that does not. A cell that reads costs one read.
 //!
-//! The check is deliberately a *superset* filter: a path it accepts may
-//! still be rejected by the strict reparse in context (e.g. a
-//! `controller.is.*` override on a spec whose controller is `pa`), but a
-//! path it rejects can never be applied meaningfully.
+//! `scenario validate` compiles every spec at both scales, so a dead
+//! `quick` path fails there, although a full-scale `run` never applies
+//! it.
 
-use crate::spec::{ScenarioSpec, SPEC};
-use crate::value_util::Node;
+use serde::Value;
+
+use crate::spec::ScenarioSpec;
+use crate::value_util::set_path;
 use crate::SpecError;
 
-/// Resolves one dotted path against the schema whose top level is `top`.
-fn resolve(top: &[(&str, Node<'_>)], path: &str) -> Result<(), String> {
-    if path.is_empty() {
-        return Err("the path is empty".to_string());
-    }
-    let mut node = Node::Keys(top);
-    let mut trail: Vec<&str> = Vec::new();
-    for seg in path.split('.') {
-        if seg.is_empty() {
-            return Err("the path has an empty segment".to_string());
+/// One layer of a cell's overrides: where they come from (for errors),
+/// and the `(path, value)` pairs, applied in order.
+type Layer = (String, Vec<(String, Value)>);
+
+/// Applies `layers` to a copy of `base` and reads the result: the
+/// cell's tree and its spec, or one line per override to blame.
+pub(crate) fn land(base: &Value, layers: &[Layer]) -> Result<(Value, ScenarioSpec), Vec<String>> {
+    let mut tree = base.clone();
+    let landed = layers
+        .iter()
+        .flat_map(|(_, overrides)| overrides)
+        .try_for_each(|(path, val)| set_path(&mut tree, path, val.clone()));
+    match landed.and_then(|()| ScenarioSpec::from_value(&tree)) {
+        Ok(spec) => Ok((tree, spec)),
+        Err(whole) => {
+            let dead = blame(base, layers);
+            Err(if dead.is_empty() {
+                vec![whole.to_string()]
+            } else {
+                dead
+            })
         }
-        let fields;
-        let children: Vec<(&str, Node<'_>)> = match node {
-            Node::Any => return Ok(()),
-            Node::Scalar => {
-                return Err(format!(
-                    "`{}` is a leaf field; the path cannot descend into it",
-                    trail.join(".")
-                ));
-            }
-            Node::Keys(keys) => keys.to_vec(),
-            Node::Fields(of) => {
-                fields = of();
-                fields.iter().map(|(k, n)| (k.as_str(), *n)).collect()
-            }
-        };
-        match children.iter().find(|(k, _)| *k == seg) {
-            Some((_, child)) => node = *child,
-            None => {
-                let ctx = if trail.is_empty() {
-                    "the spec".to_string()
-                } else {
-                    format!("`{}`", trail.join("."))
-                };
-                let mut valid: Vec<&str> = children.iter().map(|(k, _)| *k).collect();
-                valid.sort_unstable();
-                return Err(format!(
-                    "no key `{seg}` under {ctx} (valid: {})",
-                    valid.join(", ")
-                ));
-            }
-        }
-        trail.push(seg);
     }
-    Ok(())
 }
 
-/// Checks every override path the spec stores — spec-level `quick`,
-/// variant `set`/`quick`, sweep-axis `path` — against the schema,
-/// collecting *all* dead paths into one error.
-pub fn check_override_paths(spec: &ScenarioSpec) -> Result<(), SpecError> {
-    // The one dynamic subtree: `inputs` is keyed by the spec's own
-    // variant names, then cell names.
-    let cells: Vec<Vec<(&str, Node<'_>)>> = spec
-        .inputs
-        .iter()
-        .map(|(_, cells)| cells.iter().map(|(c, _)| (c.as_str(), Node::Scalar)).collect())
-        .collect();
-    let variants: Vec<(&str, Node<'_>)> = spec
-        .inputs
-        .iter()
-        .zip(&cells)
-        .map(|((variant, _), cells)| (variant.as_str(), Node::Keys(cells)))
-        .collect();
-    let top: Vec<(&str, Node<'_>)> = SPEC
-        .iter()
-        .map(|&(k, node)| (k, if k == "inputs" { Node::Keys(&variants) } else { node }))
-        .collect();
+/// Applies the overrides one at a time, each on the tree the ones
+/// before it left, and names those after which the tree no longer
+/// reads. Each of those is left out, so one dead path does not condemn
+/// the ones after it.
+fn blame(base: &Value, layers: &[Layer]) -> Vec<String> {
+    let mut tree = base.clone();
     let mut dead = Vec::new();
-    let mut check = |origin: String, path: &str| {
-        if let Err(why) = resolve(&top, path) {
-            dead.push(format!("{origin}: `{path}`: {why}"));
-        }
-    };
-    for (path, _) in &spec.quick {
-        check("`quick`".to_string(), path);
-    }
-    for v in &spec.variants {
-        for (path, _) in &v.set {
-            check(format!("variant `{}` `set`", v.name), path);
-        }
-        for (path, _) in &v.quick {
-            check(format!("variant `{}` `quick`", v.name), path);
+    for (origin, overrides) in layers {
+        for (path, val) in overrides {
+            let mut next = tree.clone();
+            let read = set_path(&mut next, path, val.clone())
+                .and_then(|()| ScenarioSpec::from_value(&next).map(drop));
+            match read {
+                Ok(()) => tree = next,
+                Err(e) => dead.push(format!("{origin}: `{path}`: {e}")),
+            }
         }
     }
-    if let Some(sweep) = &spec.sweep {
-        for (i, axis) in sweep.axes.iter().enumerate() {
-            check(format!("sweep axis {i} (`{}`)", axis.header), &axis.path);
-        }
-    }
-    if dead.is_empty() {
-        Ok(())
-    } else {
-        Err(SpecError::new(format!(
-            "{} dead override path(s):\n  {}",
-            dead.len(),
-            dead.join("\n  ")
-        )))
-    }
+    dead
+}
+
+/// The error listing every dead override of a plan's cells, each once
+/// (a spec-level `quick` path is applied in every cell).
+pub(crate) fn dead_paths(mut dead: Vec<String>) -> SpecError {
+    let mut seen = std::collections::BTreeSet::new();
+    dead.retain(|line| seen.insert(line.clone()));
+    SpecError::new(format!(
+        "{} dead override path(s):\n  {}",
+        dead.len(),
+        dead.join("\n  ")
+    ))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use serde::Value;
+    use std::path::Path;
 
-    fn parse(json: &str) -> Result<ScenarioSpec, SpecError> {
+    use super::*;
+    use crate::compile::{compile_value, RunPlan};
+
+    /// Compiles a spec at one scale (quick scale lands every kind of
+    /// override).
+    fn compile(json: &str, quick: bool) -> Result<RunPlan, SpecError> {
         let v: Value = serde_json::from_str(json).expect("test JSON parses");
-        ScenarioSpec::from_value(&v)
+        compile_value(&v, Path::new("."), quick)
     }
 
     fn base(extra: &str) -> String {
         format!(r#"{{"name": "t", "horizon_ms": 1000.0{extra}}}"#)
     }
 
+    fn quick_err(extra: &str) -> String {
+        compile(&base(extra), true).expect_err(extra).to_string()
+    }
+
     #[test]
     fn live_paths_of_every_shape_resolve() {
-        let spec = parse(&base(
-            r#", "quick": {
-                "horizon_ms": 10.0,
-                "system.terminals": 10,
-                "system.offered_load_per_s": 50,
-                "system.think": {"exponential": 100},
-                "control.sample_interval_ms": 100.0,
-                "workload.k": 4,
-                "controller.pa.dither_amplitude": 2.0,
-                "controller.hybrid.is.initial_bound": 5,
-                "controller.self_tuning_pa.outer.window": 4,
-                "cc": "2pl",
-                "cc.adaptive.min_dwell_s": 1.0,
-                "faults": []
-            }"#,
-        ))
-        .expect("all live paths parse");
-        check_override_paths(&spec).expect("all live paths resolve");
+        // A path is live when the tree it lands on still reads: a
+        // controller's parameters once the variant's `set` chose it.
+        compile(
+            &base(
+                r#", "quick": {
+                    "horizon_ms": 10.0,
+                    "system.terminals": 10,
+                    "system.offered_load_per_s": 50,
+                    "system.think": {"exponential": 100},
+                    "control.sample_interval_ms": 100.0,
+                    "workload.k": 4,
+                    "faults": []
+                },
+                "variants": [
+                    {"name": "pa", "set": {"controller": {"pa": {}}},
+                     "quick": {"controller.pa.dither_amplitude": 2.0}},
+                    {"name": "hybrid", "set": {"controller": {"hybrid": {}}},
+                     "quick": {"controller.hybrid.is.initial_bound": 5}},
+                    {"name": "st", "set": {"controller.self_tuning_pa.outer.window": 4}},
+                    {"name": "2pl", "set": {"cc": "2pl"}},
+                    {"name": "adaptive",
+                     "set": {"cc": {"adaptive": {"candidates": ["2pl", "mvto"],
+                             "policy": {"shadow_score": {}}, "min_dwell_s": 5.0}}},
+                     "quick": {"cc.adaptive.min_dwell_s": 1.0}}
+                ]"#,
+            ),
+            true,
+        )
+        .expect("all live paths land");
     }
 
     #[test]
     fn dead_system_field_is_reported_with_candidates() {
-        let err = parse(&base(r#", "quick": {"system.terminalz": 10}"#)).unwrap_err();
-        let msg = err.to_string();
+        let msg = quick_err(r#", "quick": {"system.terminalz": 10}"#);
         assert!(msg.contains("dead override path"), "{msg}");
-        assert!(msg.contains("terminalz"), "{msg}");
+        assert!(msg.contains("`quick`: `system.terminalz`"), "{msg}");
         assert!(msg.contains("terminals"), "candidates missing: {msg}");
     }
 
     #[test]
     fn dead_controller_param_is_reported() {
-        let err = parse(&base(
-            r#", "variants": [{"name": "a", "set": {"controller.pa.alpa": 0.5}}]"#,
-        ))
-        .unwrap_err();
-        let msg = err.to_string();
+        let json = base(r#", "variants": [{"name": "a", "set": {"controller.pa.alpa": 0.5}}]"#);
+        let msg = compile(&json, false).unwrap_err().to_string();
         assert!(msg.contains("variant `a` `set`"), "{msg}");
         assert!(msg.contains("alpha"), "candidates missing: {msg}");
     }
 
     #[test]
     fn descending_into_a_leaf_is_dead() {
-        let err = parse(&base(r#", "quick": {"horizon_ms.unit": 1}"#)).unwrap_err();
-        assert!(err.to_string().contains("leaf field"), "{err}");
+        let msg = quick_err(r#", "quick": {"horizon_ms.unit": 1}"#);
+        assert!(msg.contains("not inside an object or list"), "{msg}");
     }
 
     #[test]
     fn system_seed_is_not_a_live_path() {
-        // The parser rejects `system.seed` with its own message; an
-        // override path reaching it must die statically too.
-        let err = parse(&base(r#", "quick": {"system.seed": 7}"#)).unwrap_err();
-        assert!(err.to_string().contains("no key `seed`"), "{err}");
+        // The reader rejects `system.seed` with its own message, and an
+        // override path reaching it is dead by that message.
+        let msg = quick_err(r#", "quick": {"system.seed": 7}"#);
+        assert!(msg.contains("top-level `seed`"), "{msg}");
     }
 
     #[test]
     fn dead_sweep_axis_path_is_reported() {
-        let err = parse(&base(
+        let json = base(
             r#", "sweep": {"axes": [{"header": "x", "path": "system.offered_load",
                                      "values": [1, 2]}]}"#,
-        ))
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("sweep axis 0"), "{msg}");
-        assert!(msg.contains("offered_load_per_s"), "candidates missing: {msg}");
+        );
+        let msg = compile(&json, false).unwrap_err().to_string();
+        // Both cells hit the same dead path; it is named once.
+        assert!(msg.starts_with("1 dead override path"), "{msg}");
+        assert!(msg.contains("sweep axis 0 (`x`)"), "{msg}");
+        assert!(
+            msg.contains("offered_load_per_s"),
+            "candidates missing: {msg}"
+        );
     }
 
     #[test]
     fn input_cell_paths_check_variant_and_cell_names() {
-        let good = parse(&base(
-            r#", "label_header": "v",
-               "columns": [{"input": "alpha"}, "commits"],
-               "variants": [{"name": "a", "set": {},
-                             "quick": {"inputs.a.alpha": "0.5"}}],
-               "inputs": {"a": {"alpha": "0.9"}}"#,
-        ))
-        .expect("live input-cell path parses");
-        check_override_paths(&good).expect("live input-cell path resolves");
-
-        let err = parse(&base(
-            r#", "label_header": "v",
-               "columns": [{"input": "alpha"}, "commits"],
-               "variants": [{"name": "a", "set": {},
-                             "quick": {"inputs.a.alfa": "0.5"}}],
-               "inputs": {"a": {"alpha": "0.9"}}"#,
-        ))
-        .unwrap_err();
-        assert!(err.to_string().contains("no key `alfa`"), "{err}");
+        let with = |quick: &str| {
+            base(&format!(
+                r#", "label_header": "v",
+                   "columns": [{{"input": "alpha"}}, "commits"],
+                   "variants": [{{"name": "a", "set": {{}}, "quick": {{{quick}}}}}],
+                   "inputs": {{"a": {{"alpha": "0.9"}}}}"#
+            ))
+        };
+        compile(&with(r#""inputs.a.alpha": "0.5""#), true).expect("live input-cell path lands");
+        let msg = compile(&with(r#""inputs.a.alfa": "0.5""#), true)
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("`inputs.a.alfa` is read by no"), "{msg}");
+        let msg = compile(&with(r#""inputs.b.alpha": "0.5""#), true)
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("unknown variant `b`"), "{msg}");
     }
 
     #[test]
     fn schema_field_lists_track_the_configs() {
-        // The schema derives its field lists from the configs' own
-        // serialization, so a renamed field cannot leave a stale schema:
-        // this test pins the linkage on one representative per config.
-        parse(&base(
-            r#", "quick": {"system.db_size": 1, "control.victim_policy": 1,
-                           "controller.is.max_bound": 1, "controller.iyer.initial_bound": 1}"#,
-        ))
-        .expect("config fields are live paths");
+        // The reader is the schema: every field of the configs the
+        // `system` and `control` sections override is a live path,
+        // bar the seed the top-level field owns.
+        use alc_tpsim::config::{ControlConfig, SystemConfig};
+        let fields = |section: &str, config: Value| match config {
+            Value::Map(entries) => entries
+                .into_iter()
+                .filter(|(k, _)| k != "seed")
+                .map(|(k, v)| (format!("{section}.{k}"), v))
+                .collect::<Vec<_>>(),
+            other => panic!("configs serialize to maps, not {other:?}"),
+        };
+        let mut overrides = fields(
+            "system",
+            serde::Serialize::to_value(&SystemConfig::default()),
+        );
+        overrides.extend(fields(
+            "control",
+            serde::Serialize::to_value(&ControlConfig::default()),
+        ));
+        assert!(overrides.len() > 15, "the configs lost their fields");
+        let mut tree: Value = serde_json::from_str(&base("")).unwrap();
+        for (path, v) in &overrides {
+            set_path(&mut tree, path, v.clone()).unwrap();
+        }
+        compile_value(&tree, Path::new("."), false).expect("every config field is a live path");
+    }
+
+    #[test]
+    fn a_path_is_read_on_the_tree_its_variant_set_left() {
+        // An `is` parameter on a spec whose controller is `pa` would
+        // give the controller two kinds: dead, unless a `set` before it
+        // made the controller `is`.
+        let with = |set: &str| {
+            base(&format!(
+                r#", "controller": {{"pa": {{}}}},
+                   "variants": [{{"name": "a", "set": {{{set}}},
+                                  "quick": {{"controller.is.beta": 2.0}}}}]"#
+            ))
+        };
+        let msg = compile(&with(""), true).unwrap_err().to_string();
+        assert!(
+            msg.contains("variant `a` `quick`: `controller.is.beta`"),
+            "{msg}"
+        );
+        compile(&with(r#""controller": {"is": {}}"#), true).expect("the set chose `is`");
+    }
+
+    #[test]
+    fn every_dead_path_is_named_once_and_no_live_one() {
+        let msg = quick_err(
+            r#", "quick": {"system.terminalz": 10, "system.cpus": 4},
+               "variants": [
+                   {"name": "a", "set": {"control.initial_bound": 5}},
+                   {"name": "b", "set": {"control.initial_bund": 5}}
+               ]"#,
+        );
+        assert!(msg.starts_with("2 dead override path(s)"), "{msg}");
+        assert_eq!(msg.matches("system.terminalz").count(), 1, "{msg}");
+        assert!(
+            msg.contains("variant `b` `set`: `control.initial_bund`"),
+            "{msg}"
+        );
+        assert!(
+            !msg.contains("system.cpus") && !msg.contains("`control.initial_bound`"),
+            "{msg}"
+        );
     }
 }

@@ -5,13 +5,14 @@
 //! expressed the same way: a dotted path plus a replacement value applied
 //! to the tree *before* the typed parse. The typed parse (strict —
 //! unknown keys are errors) then catches any path typo that invented a
-//! bogus key, so path application itself can be insert-friendly.
+//! bogus key, so path application itself can be insert-friendly: the
+//! reader is the only schema a path is checked against.
 //!
 //! The strictness lives here too, once: [`Obj`] reads every object
-//! section of the DSL against the section's [`Keys`] table, and the
-//! field parsers beside it ([`positive`], [`nonempty`], [`list`], …)
-//! type and range-check one value each, naming `<section>.<key>` when
-//! it fails.
+//! section of the DSL, knowing its keys from the ones its parser asks
+//! for, and the field parsers beside it ([`positive`], [`nonempty`],
+//! [`list`], …) type and range-check one value each, naming
+//! `<section>.<key>` when it fails.
 
 use std::fmt;
 
@@ -77,45 +78,21 @@ pub fn set_path(root: &mut Value, path: &str, new: Value) -> Result<(), SpecErro
     unreachable!("split('.') yields at least one segment");
 }
 
-/// One position in the spec's path schema. Each object section of the
-/// DSL declares its keys once, as a [`Keys`] table: the reader names
-/// them in its errors and `validate` resolves override paths against
-/// them.
-#[derive(Clone, Copy)]
-pub enum Node<'a> {
-    /// Anything below here is structurally fine (left to the reparse).
-    Any,
-    /// A leaf: the path may end here but never descend further.
-    Scalar,
-    /// An object with a closed key set.
-    Keys(&'a [(&'a str, Node<'a>)]),
-    /// An object whose keys are the serialized fields of a config
-    /// struct, values free (dist shorthands and enums are maps or
-    /// strings as the spec pleases).
-    Fields(fn() -> Vec<(String, Node<'static>)>),
-}
-
-/// The key table of one object section.
-pub type Keys = &'static [(&'static str, Node<'static>)];
-
-/// The fields of `T::default()`'s serialized form, values free.
-pub fn fields<T: Default + serde::Serialize>() -> Vec<(String, Node<'static>)> {
-    match T::default().to_value() {
-        Value::Map(entries) => entries.into_iter().map(|(k, _)| (k, Node::Any)).collect(),
-        _ => Vec::new(),
-    }
-}
-
-fn unknown<'k>(section: &str, key: &str, known: impl Iterator<Item = &'k str>) -> SpecError {
-    SpecError::new(format!(
-        "unknown `{section}` key `{key}` (known: {})",
-        known.collect::<Vec<_>>().join(", ")
-    ))
-}
+/// The tags of one tagged union, written once beside the `match` that
+/// reads them: the reader names them in its errors.
+pub type Keys = &'static [&'static str];
 
 /// The error for a key (or a tag) its section does not have.
-pub fn unknown_key(section: &str, key: &str, keys: Keys) -> SpecError {
-    unknown(section, key, keys.iter().map(|(k, _)| *k))
+pub fn unknown_key(
+    section: &str,
+    key: &str,
+    known: impl IntoIterator<Item = impl AsRef<str>>,
+) -> SpecError {
+    let known: Vec<String> = known.into_iter().map(|k| k.as_ref().to_string()).collect();
+    SpecError::new(format!(
+        "unknown `{section}` key `{key}` (known: {})",
+        known.join(", ")
+    ))
 }
 
 /// The entries of an object, none of whose keys is given twice.
@@ -145,37 +122,35 @@ impl fmt::Display for At<'_> {
 /// with no repeated key; [`Obj::opt`] and [`Obj::req`] hand each key's
 /// value to a parser that is told where the value sits; and
 /// [`Obj::finish`] rejects any key nobody took, so a section cannot
-/// accept a key it does not read.
+/// accept a key it does not read. The keys its parser asks for are the
+/// section's keys — an unknown key's error lists them — so no table
+/// beside the parser repeats them.
 pub struct Obj<'a> {
     section: &'a str,
-    keys: Keys,
     entries: &'a [(String, Value)],
     taken: Vec<bool>,
+    asked: Vec<&'static str>,
 }
 
 impl<'a> Obj<'a> {
-    /// Opens `v` as the section named `section`, whose keys are `keys`.
-    pub fn open(v: &'a Value, section: &'a str, keys: Keys) -> Result<Self, SpecError> {
+    /// Opens `v` as the section named `section`.
+    pub fn open(v: &'a Value, section: &'a str) -> Result<Self, SpecError> {
         let entries = entries(v, section)?;
         Ok(Obj {
             section,
-            keys,
             entries,
             taken: vec![false; entries.len()],
+            asked: Vec::new(),
         })
     }
 
     /// Takes `key` and parses its value, `None` when the key is absent.
     pub fn opt<T>(
         &mut self,
-        key: &str,
+        key: &'static str,
         parse: impl FnOnce(&Value, At<'_>) -> Result<T, SpecError>,
     ) -> Result<Option<T>, SpecError> {
-        debug_assert!(
-            self.keys.iter().any(|(k, _)| *k == key),
-            "`{key}` is missing from the key table of `{}`",
-            self.section
-        );
+        self.asked.push(key);
         let Some(i) = self.entries.iter().position(|(k, _)| k == key) else {
             return Ok(None);
         };
@@ -186,7 +161,7 @@ impl<'a> Obj<'a> {
     /// Takes `key`, which the section cannot do without.
     pub fn req<T>(
         &mut self,
-        key: &str,
+        key: &'static str,
         parse: impl FnOnce(&Value, At<'_>) -> Result<T, SpecError>,
     ) -> Result<T, SpecError> {
         self.opt(key, parse)?
@@ -198,7 +173,7 @@ impl<'a> Obj<'a> {
     pub fn finish<T>(self, parsed: T) -> Result<T, SpecError> {
         match self.taken.iter().position(|taken| !taken) {
             None => Ok(parsed),
-            Some(i) => Err(unknown_key(self.section, &self.entries[i].0, self.keys)),
+            Some(i) => Err(unknown_key(self.section, &self.entries[i].0, &self.asked)),
         }
     }
 }
@@ -214,7 +189,7 @@ pub fn single_key<'a>(
         Some([(tag, payload)]) => Ok((tag, payload)),
         _ => Err(SpecError::new(format!(
             "`{section}` must be a single-key object ({})",
-            tags.iter().map(|(k, _)| *k).collect::<Vec<_>>().join("/")
+            tags.join("/")
         ))),
     }
 }
@@ -375,7 +350,7 @@ where
         match entries.iter_mut().find(|(ek, _)| ek == k) {
             Some(e) => e.1 = v.clone(),
             None => {
-                return Err(unknown(what, k, entries.iter().map(|(ek, _)| ek.as_str())));
+                return Err(unknown_key(what, k, entries.iter().map(|(ek, _)| ek)));
             }
         }
     }
@@ -446,7 +421,7 @@ pub fn normalize_arrival(v: &Value) -> Result<Value, SpecError> {
             let (tag, payload) = &entries[0];
             match tag.as_str() {
                 "open" | "Open" => {
-                    let mut o = Obj::open(payload, "open", OPEN)?;
+                    let mut o = Obj::open(payload, "open")?;
                     let dist = o.req("interarrival", |v, _| normalize_dist(v))?;
                     o.finish(tagged("Open", Value::Map(vec![("interarrival".into(), dist)])))
                 }
@@ -466,9 +441,6 @@ pub fn normalize_arrival(v: &Value) -> Result<Value, SpecError> {
         )),
     }
 }
-
-/// The one key of an `open` arrival.
-const OPEN: Keys = &[("interarrival", Node::Any)];
 
 fn tagged(tag: &str, payload: Value) -> Value {
     Value::Map(vec![(tag.to_string(), payload)])

@@ -11,9 +11,11 @@
 //! rejected with an error that names the
 //! section — the guard that no section of the parser forgets
 //! `Obj::finish`, and that no lenient path takes "the last one wins".
-//! Every integer leaf is finally set to `-1`, to itself plus a half and
-//! to `2^32 + 2`: integers are exact and in range, or an error that
-//! names the section.
+//! Every stored override path (spec `quick`, variant `set`/`quick`,
+//! sweep-axis `path`) is misspelled in turn: the scale that applies it
+//! must reject it by name. Every integer leaf is finally set to `-1`,
+//! to itself plus a half and to `2^32 + 2`: integers are exact and in
+//! range, or an error that names the section.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -204,6 +206,54 @@ fn stray_and_repeated_keys_are_rejected_by_name() {
         }
     }
     assert!(objects > 400, "the sweep lost its objects ({objects})");
+}
+
+#[test]
+fn misspelled_override_paths_are_rejected_by_name() {
+    // The reader is the only schema an override path meets: every path
+    // the catalog stores, its last segment misspelled, must fail the
+    // scale that applies it, and the error must name the misspelling.
+    let mut misspelled = 0;
+    for spec in catalog() {
+        let mut paths = Vec::new();
+        collect(&spec.value, &mut Vec::new(), &mut paths);
+        for path in &paths {
+            let keys = keys_along(&spec.value, path);
+            let quick = match keys.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+                ["quick"] | ["variants", "quick"] => true,
+                ["variants", "set"] | ["sweep", "axes", "path"] => false,
+                _ => continue,
+            };
+            let count = match node(&spec.value, path) {
+                Value::Map(entries) => entries.len(),
+                _ => 1,
+            };
+            for i in 0..count {
+                let mut mutant = spec.clone();
+                let bad = match node_mut(&mut mutant.value, path) {
+                    Value::Map(entries) => &mut entries[i].0,
+                    Value::Str(axis_path) => axis_path,
+                    other => unreachable!("an override site is a map or a path, not {other:?}"),
+                };
+                bad.push('x');
+                let what = format!("`{bad}` in {keys:?}");
+                // A `quick` path into a sweep's values is read as the
+                // axis it rewrites, whose error names the key, not the
+                // whole path.
+                let key = bad.rsplit('.').next().unwrap_or_default().to_string();
+                misspelled += 1;
+                match compile(&mutant, quick, &what) {
+                    Err(msg) => assert!(
+                        msg.contains(&key),
+                        "{}: {what}: error does not name `{key}`: {msg}",
+                        spec.path.display()
+                    ),
+                    Ok(_) => panic!("{}: {what}: accepted at quick={quick}", spec.path.display()),
+                }
+            }
+        }
+    }
+    assert!(misspelled > 200, "the sweep lost its paths ({misspelled})");
 }
 
 #[test]
