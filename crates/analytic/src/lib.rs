@@ -6,34 +6,27 @@
 //! the motivation for model-independent feedback control. To make that
 //! argument reproducible we implement the models themselves:
 //!
-//! * [`mmk`] — M/M/m (Erlang-C) queueing formulas for the multiprocessor
-//!   resource model.
 //! * [`mva`] — exact load-dependent Mean Value Analysis of the closed
 //!   resource network (multiserver CPU + delays), the run-throughput
 //!   backbone of the OCC model and of simulator validation.
 //! * [`tay`] — the mean-value locking model of Tay, Goodman & Suri (ACM
-//!   TODS 1985): blocked transactions grow quadratically in the MPL, with
-//!   the workload factor `k²n/D` locating the thrashing point.
+//!   TODS 1985): blocked transactions grow quadratically in the MPL.
 //! * [`occ`] — an optimistic-CC conflict/throughput model in the spirit of
 //!   Dan, Towsley & Kohler (ICDE 1988): restart probability rises with the
 //!   MPL until wasted re-execution work collapses throughput.
-//! * [`franaszek`] — the Franaszek–Robinson random conflict-graph model of
-//!   concurrency limits: useful concurrency `n·(1−p)^(n−1)` peaks near
-//!   `D/k²`, the queueing-free route to the thrashing curve.
 //! * [`surface`] — synthetic load–performance surfaces `P(n, t)` (unimodal
 //!   ridge, flat hump, jumps, sinusoidal drift). These drive controller
 //!   unit tests and reproduce the pathological situations of Figures 7/8
 //!   without simulator noise.
-//! * [`optimum`] — scalar maximization helpers used to locate `n_opt` on
-//!   any curve, giving the "true optimum" reference lines of Figures 13/14.
+//!
+//! The three engine models are each checked against the engine: `mva` at
+//! the conflict-free limit, `occ` against certification and `tay` against
+//! 2PL at low contention.
 
 #![warn(missing_docs)]
 
-pub mod franaszek;
 pub mod lambert;
-pub mod mmk;
 pub mod mva;
 pub mod occ;
-pub mod optimum;
 pub mod surface;
 pub mod tay;

@@ -168,8 +168,23 @@ impl OccCurve {
 
     /// The integer MPL maximizing goodput over `[1, n_max]`.
     pub fn optimal_mpl(&self) -> u32 {
-        crate::optimum::grid_max_u32(|n| self.throughput(f64::from(n)), 1, self.n_max).0
+        grid_max_u32(|n| self.throughput(f64::from(n)), 1, self.n_max).0
     }
+}
+
+/// Exhaustive integer grid scan for the maximum over `lo..=hi`. Ties are
+/// resolved toward the smallest argument, which is what an MPL bound
+/// should prefer (less admitted load for equal performance).
+fn grid_max_u32(mut f: impl FnMut(u32) -> f64, lo: u32, hi: u32) -> (u32, f64) {
+    assert!(hi >= lo);
+    let mut best = (lo, f(lo));
+    for n in (lo + 1)..=hi {
+        let v = f(n);
+        if v > best.1 {
+            best = (n, v);
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -311,5 +326,18 @@ mod tests {
         let net = m.network();
         let x50 = net.throughput(50);
         assert!((curve.run_throughput(50.0) - x50).abs() < 1e-12);
+    }
+
+    #[test]
+    fn grid_max_finds_peak_and_prefers_smaller_tie() {
+        let (n, v) = grid_max_u32(|n| if n == 5 || n == 7 { 10.0 } else { 0.0 }, 1, 10);
+        assert_eq!(n, 5);
+        assert_eq!(v, 10.0);
+    }
+
+    #[test]
+    fn grid_max_single_point() {
+        let (n, v) = grid_max_u32(f64::from, 4, 4);
+        assert_eq!((n, v), (4, 4.0));
     }
 }

@@ -2,61 +2,41 @@
 //!
 //! A closed mean-value model of a database with two-phase locking: `n`
 //! transactions, each acquiring `k` locks one at a time out of `D` lockable
-//! granules. Its headline results, as used by the paper:
-//!
-//! * the mean number of *blocked* transactions `b(n)` grows quadratically
-//!   in `n`, so past the point where `db/dn > 1` adding a transaction
-//!   *reduces* the number of active ones — thrashing (§1);
-//! * thrashing begins near workload factor `α = k²·n/D ≈ 1.5`, giving the
-//!   rule of thumb `k²n/D < 1.5` that the Tay baseline controller enforces.
+//! granules. The paper's introduction (§1) quotes its headline result: the
+//! mean number of *blocked* transactions `b(n)` grows quadratically in `n`,
+//! so past the point where `db/dn > 1` adding a transaction *reduces* the
+//! number of active ones — thrashing. (Its `k²n/D < 1.5` rule of thumb is
+//! the Tay baseline controller, `alc_core::controller::TayRule`.)
 //!
 //! The model here is the standard "no-waiting approximation" variant: each
 //! lock request conflicts with probability proportional to the locks held
-//! by others, a blocked transaction waits roughly half a transaction
-//! lifetime, and restarts are ignored below saturation. It reproduces the
-//! qualitative curve exactly as the paper needs it — a unimodal throughput
-//! function whose peak sits near `α ≈ 1.5`.
+//! by others, and a blocked transaction waits roughly half a transaction
+//! lifetime. The engine's 2PL is checked against [`TayModel::blocked`] at
+//! low contention (`crates/tpsim/tests/scenarios.rs`).
 
 /// Workload parameters of the locking model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TayModel {
     /// Locks acquired per transaction (`k`).
     pub k: u32,
     /// Number of lockable data granules (`D`).
     pub db_size: u64,
-    /// Mean lock-hold "think" time between acquiring successive locks, in
-    /// arbitrary time units; only scales throughput, not the shape.
-    pub step_time: f64,
 }
 
 impl TayModel {
     /// Creates a model; panics on degenerate parameters.
-    pub fn new(k: u32, db_size: u64, step_time: f64) -> Self {
-        assert!(k > 0 && db_size > 0 && step_time > 0.0);
+    pub fn new(k: u32, db_size: u64) -> Self {
+        assert!(k > 0 && db_size > 0);
         assert!(
             u64::from(k) <= db_size,
             "transactions cannot lock more granules than exist"
         );
-        TayModel { k, db_size, step_time }
-    }
-
-    /// The workload factor `α = k²·n / D`. Tay's thrashing criterion is
-    /// `α < 1.5`.
-    pub fn workload_factor(&self, n: f64) -> f64 {
-        let k = f64::from(self.k);
-        k * k * n / self.db_size as f64
-    }
-
-    /// The largest MPL satisfying the `k²n/D < 1.5` rule of thumb.
-    pub fn rule_of_thumb_mpl(&self) -> u32 {
-        let k = f64::from(self.k);
-        let n = 1.5 * self.db_size as f64 / (k * k);
-        n.floor().max(1.0) as u32
+        TayModel { k, db_size }
     }
 
     /// Probability that one lock request conflicts when `n` transactions
     /// each hold `k/2` locks on average.
-    pub fn conflict_probability(&self, n: f64) -> f64 {
+    fn conflict_probability(&self, n: f64) -> f64 {
         if n <= 1.0 {
             return 0.0;
         }
@@ -74,30 +54,6 @@ impl TayModel {
         let b = n * f64::from(self.k) * p * 0.5;
         b.min(n) // cannot block more transactions than exist
     }
-
-    /// Mean number of *active* (not blocked) transactions `a(n) = n − b(n)`.
-    pub fn active(&self, n: f64) -> f64 {
-        (n - self.blocked(n)).max(0.0)
-    }
-
-    /// Throughput: active transactions each complete `k` steps of duration
-    /// `step_time`, so `T(n) = a(n) / (k·step_time)`.
-    pub fn throughput(&self, n: f64) -> f64 {
-        self.active(n) / (f64::from(self.k) * self.step_time)
-    }
-
-    /// The derivative `db/dn`, used to locate the thrashing onset
-    /// (`db/dn > 1` means adding one transaction blocks more than one).
-    pub fn blocked_derivative(&self, n: f64) -> f64 {
-        let h = 1e-4;
-        (self.blocked(n + h) - self.blocked(n - h)) / (2.0 * h)
-    }
-
-    /// The MPL where `db/dn` first exceeds 1 (the analytic thrashing point),
-    /// searched over `[1, n_max]`.
-    pub fn thrashing_onset(&self, n_max: u32) -> Option<u32> {
-        (1..=n_max).find(|&n| self.blocked_derivative(f64::from(n)) > 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -105,23 +61,7 @@ mod tests {
     use super::*;
 
     fn model() -> TayModel {
-        TayModel::new(8, 4000, 10.0)
-    }
-
-    #[test]
-    fn workload_factor_formula() {
-        let m = model();
-        assert!((m.workload_factor(100.0) - 64.0 * 100.0 / 4000.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rule_of_thumb_matches_inversion() {
-        let m = model();
-        // 1.5 * 4000 / 64 = 93.75 -> 93
-        assert_eq!(m.rule_of_thumb_mpl(), 93);
-        // And the factor at that MPL is below 1.5 while n+1 exceeds it.
-        assert!(m.workload_factor(93.0) < 1.5);
-        assert!(m.workload_factor(94.0) >= 1.5);
+        TayModel::new(8, 4000)
     }
 
     #[test]
@@ -142,42 +82,11 @@ mod tests {
         let m = model();
         assert_eq!(m.blocked(1.0), 0.0);
         assert_eq!(m.conflict_probability(1.0), 0.0);
-        assert_eq!(m.active(1.0), 1.0);
-    }
-
-    #[test]
-    fn throughput_is_unimodal() {
-        let m = model();
-        let curve: Vec<f64> = (1..=600).map(|n| m.throughput(f64::from(n))).collect();
-        let peak_idx = curve
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        // Rises before the peak, falls after it.
-        assert!(peak_idx > 10 && peak_idx < 590, "peak at {peak_idx}");
-        assert!(curve[peak_idx / 2] < curve[peak_idx]);
-        assert!(curve[curve.len() - 1] < curve[peak_idx] * 0.8);
-    }
-
-    #[test]
-    fn thrashing_onset_near_rule_of_thumb() {
-        let m = model();
-        let onset = m.thrashing_onset(2000).expect("onset must exist");
-        let rot = m.rule_of_thumb_mpl();
-        // The db/dn > 1 point and the alpha = 1.5 point agree within a
-        // small factor (they are two renderings of the same criterion).
-        let ratio = f64::from(onset) / f64::from(rot);
-        assert!(
-            (0.5..=3.0).contains(&ratio),
-            "onset {onset} vs rule-of-thumb {rot}"
-        );
     }
 
     #[test]
     fn blocked_never_exceeds_population() {
-        let m = TayModel::new(32, 100, 1.0);
+        let m = TayModel::new(32, 100);
         for n in 1..=50 {
             assert!(m.blocked(f64::from(n)) <= f64::from(n));
         }
@@ -186,6 +95,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot lock more granules")]
     fn rejects_k_larger_than_db() {
-        TayModel::new(10, 5, 1.0);
+        TayModel::new(10, 5);
     }
 }

@@ -244,10 +244,6 @@ impl AdaptiveGate {
         self.enter_queued(timeout)
     }
 
-    // The gate is the documented real-time component: wall-clock
-    // deadlines and wait timing are its job, and the simulator never
-    // calls it.
-    #[allow(clippy::disallowed_methods)]
     fn enter_queued(&self, timeout: Option<Duration>) -> Option<u32> {
         let start = Instant::now();
         // A patience too long to represent is no deadline at all.
@@ -408,8 +404,6 @@ impl Drop for OwnedPermit {
 }
 
 #[cfg(test)]
-// Tests drive the live gate with real threads; sleeps/instants are the workload.
-#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicI32, AtomicU32, Ordering};

@@ -2,10 +2,6 @@
 //! limit changes, timeout storms. These are the conditions a production
 //! admission controller actually faces.
 
-// The point of this suite is to exercise the live, wall-clock gate with
-// real threads — sleeps and timeouts ARE the workload here.
-#![allow(clippy::disallowed_methods)]
-
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;

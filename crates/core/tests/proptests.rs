@@ -3,7 +3,6 @@
 //! sequences.
 
 #![allow(clippy::needless_range_loop)] // indexed matrix math in the oracle
-#![allow(clippy::unwrap_used)] // test oracles are infallible by construction
 
 use proptest::prelude::*;
 

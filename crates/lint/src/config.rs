@@ -19,7 +19,6 @@
 //!
 //! [rules.hash-container]
 //! scope = "sim"                 # file set the rule applies to
-//! exclude = ["crates/x/y.rs"]   # per-rule opt-outs (rare; prefer inline allows)
 //! include-tests = false         # default: skip #[cfg(test)]/#[test] regions
 //!
 //! [rules.wall-clock]
@@ -62,15 +61,12 @@ pub struct RuleConfig {
     /// file is linted when *any* of them contains it. Populated by
     /// either `scope = "name"` or `scopes = ["a", "b"]`.
     pub scopes: Vec<String>,
-    /// Extra per-rule excludes on top of the scopes'.
-    pub exclude: Vec<String>,
     /// Run the rule inside `#[cfg(test)]` / `#[test]` regions too.
     pub include_tests: bool,
 }
 
 impl RuleConfig {
-    /// Whether `path` is in any of the rule's scopes (rule-level
-    /// excludes are checked separately by the driver).
+    /// Whether `path` is in any of the rule's scopes.
     pub fn in_scope(&self, cfg: &Config, path: &str) -> bool {
         self.scopes
             .iter()
@@ -171,7 +167,6 @@ impl Config {
                 match key {
                     "scope" => rule.scopes = vec![value.into_string(lineno)?],
                     "scopes" => rule.scopes = value.into_strings(lineno)?,
-                    "exclude" => rule.exclude = value.into_strings(lineno)?,
                     "include-tests" => rule.include_tests = value.into_bool(lineno)?,
                     _ => return fail(&format!("unknown rule key `{key}`")),
                 }
@@ -296,7 +291,6 @@ scope = "sim"
 [rules.unwrap-in-lib]
 scope = "sim"
 include-tests = false
-exclude = ["crates/des/src/stats.rs"]
 "#;
 
     #[test]
@@ -305,10 +299,7 @@ exclude = ["crates/des/src/stats.rs"]
         assert_eq!(cfg.roots, vec!["crates", "src"]);
         assert_eq!(cfg.scopes["sim"].include.len(), 2);
         assert_eq!(cfg.rules["hash-container"].scopes, vec!["sim"]);
-        assert_eq!(
-            cfg.rules["unwrap-in-lib"].exclude,
-            vec!["crates/des/src/stats.rs"]
-        );
+        assert!(!cfg.rules["unwrap-in-lib"].include_tests);
     }
 
     #[test]
@@ -329,9 +320,15 @@ exclude = ["crates/des/src/stats.rs"]
         let dangling = "[workspace]\nroots = [\"a\"]\n[rules.x]\nscope = \"missing\"";
         let err = Config::parse(dangling).unwrap_err();
         assert!(err.contains("unknown scope"), "{err}");
-        let scopeless = "[workspace]\nroots = [\"a\"]\n[rules.x]\nexclude = [\"b\"]";
+        let scopeless = "[workspace]\nroots = [\"a\"]\n[rules.x]\ninclude-tests = true";
         let err = Config::parse(scopeless).unwrap_err();
         assert!(err.contains("binds no scope"), "{err}");
+        // A file leaves a rule's reach through its scope or an inline
+        // allow; a stale per-rule `exclude` fails loudly.
+        let stale = "[workspace]\nroots = [\"a\"]\n[scopes.s]\ninclude = [\"a\"]\n\
+                     [rules.x]\nscope = \"s\"\nexclude = [\"a/b.rs\"]\n";
+        let err = Config::parse(stale).unwrap_err();
+        assert!(err.contains("unknown rule key `exclude`"), "{err}");
     }
 
     #[test]

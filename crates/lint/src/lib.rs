@@ -202,8 +202,6 @@ scope = "none"
 scope = "none"
 [rules.purity-rng]
 scope = "none"
-[rules.purity-time]
-scope = "none"
 [rules.purity-io]
 scope = "none"
 [rules.purity-global-state]

@@ -11,9 +11,9 @@
 //! * **hot-path** — modules on the zero-alloc steady-state path must not
 //!   allocate (complementing the counting-allocator gates, which only
 //!   see executed paths);
-//! * **purity** — `controller/`, `estimator/`, `meta/` stay free of RNG,
-//!   time, I/O and global state, pre-clearing the `alc-runtime`
-//!   extraction;
+//! * **purity** — `controller/`, `estimator/`, `meta/` and the runtime's
+//!   `law/` stay free of RNG, I/O and global state (the determinism
+//!   rules keep clocks and sleeps out of them too);
 //!
 //! plus **hygiene**: `unwrap`/`panic!` policy in library code, and the
 //! suppression system policing itself; and **minimal**: a plain-`pub`
@@ -55,7 +55,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "sleep",
         family: "determinism",
-        summary: "no thread::sleep in simulation paths",
+        summary: "no thread::sleep (or any `…::sleep` path) in simulation paths",
         help: "schedule a calendar event instead of blocking the thread",
     },
     Rule {
@@ -87,12 +87,6 @@ pub const RULES: &[Rule] = &[
         family: "purity",
         summary: "controllers/estimators/meta policies take no randomness",
         help: "policy decisions must be a pure function of their observations",
-    },
-    Rule {
-        name: "purity-time",
-        family: "purity",
-        summary: "controllers/estimators/meta policies read no clocks (Duration values are fine)",
-        help: "time arrives inside a Measurement, never from a clock",
     },
     Rule {
         name: "purity-io",
@@ -239,9 +233,7 @@ pub fn lint_file(
             continue;
         }
         let rc = &cfg.rules[r.name];
-        if !rc.in_scope(cfg, &file.path)
-            || rc.exclude.iter().any(|p| crate_path_match(p, &file.path))
-        {
+        if !rc.in_scope(cfg, &file.path) {
             continue;
         }
         let toks: Vec<&Token<'_>> = file
@@ -256,11 +248,6 @@ pub fn lint_file(
     apply_suppressions(file, cfg, enabled("suppression-hygiene"), &mut findings);
     findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     findings
-}
-
-fn crate_path_match(prefix: &str, path: &str) -> bool {
-    path == prefix
-        || (path.starts_with(prefix) && path.as_bytes().get(prefix.len()) == Some(&b'/'))
 }
 
 /// Matches inline `allow(...)` directives against the findings, then
@@ -373,10 +360,11 @@ fn scan_rule(
                 if is_ident && matches!(t.text, "Instant" | "SystemTime" | "UNIX_EPOCH") => {
                     push(t, format!("wall-clock type `{}` in a simulation path", t.text));
                 }
+            // Any path ending in `sleep`: `use std::thread as t;` makes it
+            // `t::sleep`.
             "sleep"
-                if is_ident && t.text == "sleep" && i >= 2 && ident(i - 2, "thread") && punct(i - 1, "::")
-                => {
-                    push(t, "`thread::sleep` in a simulation path".to_string());
+                if is_ident && t.text == "sleep" && i >= 2 && punct(i - 1, "::") => {
+                    push(t, format!("`{}::sleep` in a simulation path", toks[i - 2].text));
                 }
             "env-read"
                 if is_ident && t.text == "env" && punct(i + 1, "::") => {
@@ -453,22 +441,6 @@ fn scan_rule(
                 => {
                     push(t, format!("randomness (`{}`) in a purity-scoped module", t.text));
                 }
-            "purity-time" => {
-                if is_ident && matches!(t.text, "Instant" | "SystemTime" | "UNIX_EPOCH") {
-                    push(t, format!("clock type `{}` in a purity-scoped module", t.text));
-                } else if is_ident
-                    && t.text == "time"
-                    && i >= 2
-                    && ident(i - 2, "std")
-                    && punct(i - 1, "::")
-                    && !(punct(i + 1, "::") && ident(i + 2, "Duration"))
-                {
-                    push(t, "`std::time` (beyond Duration) in a purity-scoped module".to_string());
-                } else if is_ident && t.text == "sleep" && i >= 2 && ident(i - 2, "thread") && punct(i - 1, "::")
-                {
-                    push(t, "`thread::sleep` in a purity-scoped module".to_string());
-                }
-            }
             "purity-io" => {
                 if is_ident
                     && matches!(t.text, "println" | "print" | "eprintln" | "eprint" | "dbg")
@@ -612,6 +584,7 @@ mod tests {
     #[test]
     fn sleep_needs_the_thread_path() {
         assert_eq!(findings("std::thread::sleep(d);", "sleep").len(), 1);
+        assert_eq!(findings("t::sleep(d);", "sleep").len(), 1);
         assert!(findings("my.sleep(d);", "sleep").is_empty());
     }
 
@@ -639,8 +612,9 @@ mod tests {
     #[test]
     fn purity_rules_fire_and_spare_pure_idioms() {
         assert_eq!(findings("let r = SeedFactory::new(s);", "purity-rng").len(), 1);
-        assert_eq!(findings("let t = Instant::now();", "purity-time").len(), 1);
-        assert!(findings("use std::time::Duration;", "purity-time").is_empty());
+        // Clocks are `wall-clock`'s, which binds the purity scope too.
+        assert_eq!(findings("let t = Instant::now();", "wall-clock").len(), 1);
+        assert!(findings("use std::time::Duration;", "wall-clock").is_empty());
         assert_eq!(findings("println!(\"x\");", "purity-io").len(), 1);
         assert_eq!(findings("static X: u8 = 0;", "purity-global-state").len(), 1);
         assert_eq!(findings("let c = AtomicU64::new(0);", "purity-global-state").len(), 1);

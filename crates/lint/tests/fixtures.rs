@@ -130,7 +130,6 @@ fixture_tests! {
     seed_literal => "seed-literal";
     hot_alloc => "hot-alloc";
     purity_rng => "purity-rng";
-    purity_time => "purity-time";
     purity_io => "purity-io";
     purity_global_state => "purity-global-state";
     unwrap_in_lib => "unwrap-in-lib";

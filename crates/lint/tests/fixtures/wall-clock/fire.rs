@@ -1,3 +1,8 @@
 fn stamp() -> Instant {
     Instant::now()
 }
+
+use std::time::Instant as I;
+fn stamp_aliased() -> I {
+    I::now()
+}

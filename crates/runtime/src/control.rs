@@ -349,7 +349,6 @@ impl ControlLoop {
                 .collect(),
             tracing: AtomicBool::new(false),
             trace: Mutex::new(None),
-            #[allow(clippy::disallowed_methods)] // real-time shell: the epoch is its time base
             // alc-lint: allow(wall-clock, reason="epoch stamp at construction; all later times are durations from it")
             epoch: std::time::Instant::now(),
         }

@@ -182,7 +182,6 @@ fn cmd_run(args: &[String]) {
     std::fs::create_dir_all(out_dir).expect("create output dir");
     let gate_log = gate_log_dir.map(|dir| alc_scenario::runner::GateLogRequest { dir, quick });
     for plan in &plans {
-        #[allow(clippy::disallowed_methods)] // CLI progress timing, not simulation time
         let start = std::time::Instant::now();
         let records = alc_scenario::runner::run_plan_logged(plan, gate_log.as_ref())
             .expect("write gate logs");
@@ -475,7 +474,6 @@ fn cmd_figure(args: &[String]) {
 
     let (mut claims, mut failed) = (0, Vec::new());
     for fig in selected {
-        #[allow(clippy::disallowed_methods)] // CLI progress timing, not simulation time
         let start = std::time::Instant::now();
         let report = figures::run(fig, Path::new("scenarios"), quick, Some(&out_dir))
             .unwrap_or_else(|e| fail(&e));

@@ -31,7 +31,6 @@ pub struct CpuStation {
     busy: u32,
     queue: VecDeque<CpuJob>,
     utilization: TimeWeighted,
-    queue_len: TimeWeighted,
     /// Time-weighted capacity, consulted by [`CpuStation::mean_utilization`]
     /// only once a fault event has varied the server count (`varied`): the
     /// constant-capacity path must keep dividing by the exact integer so
@@ -56,7 +55,6 @@ impl CpuStation {
             busy: 0,
             queue: VecDeque::with_capacity(cap),
             utilization: TimeWeighted::new(t0, 0.0),
-            queue_len: TimeWeighted::new(t0, 0.0),
             capacity_avg: TimeWeighted::new(t0, f64::from(servers)),
             capacity_varied: false,
         }
@@ -95,7 +93,6 @@ impl CpuStation {
             self.busy += 1;
             started.push(job);
         }
-        self.queue_len.set(now, self.queue.len() as f64);
         self.utilization.set(now, f64::from(self.busy));
     }
 
@@ -109,7 +106,6 @@ impl CpuStation {
             Some(job)
         } else {
             self.queue.push_back(job);
-            self.queue_len.set(now, self.queue.len() as f64);
             None
         }
     }
@@ -134,12 +130,10 @@ impl CpuStation {
                     continue;
                 }
                 self.busy += 1;
-                self.queue_len.set(now, self.queue.len() as f64);
                 self.utilization.set(now, f64::from(self.busy));
                 return Some(job);
             }
         }
-        self.queue_len.set(now, self.queue.len() as f64);
         self.utilization.set(now, f64::from(self.busy));
         None
     }
@@ -169,15 +163,9 @@ impl CpuStation {
         }
     }
 
-    /// Time-averaged ready-queue length.
-    pub fn mean_queue_len(&self, now: SimTime) -> f64 {
-        self.queue_len.average(now)
-    }
-
     /// Restarts the running averages (end of warm-up).
     pub fn reset_stats(&mut self, now: SimTime) {
         self.utilization.reset(now);
-        self.queue_len.reset(now);
         self.capacity_avg.reset(now);
     }
 }

@@ -27,9 +27,6 @@
 //! [`ControlLoop::metrics`]; the series is exported as metrics JSONL
 //! and read back, asserting the byte round trip.
 
-// A live threaded demo: wall-clock sleeps stand in for real work.
-#![allow(clippy::disallowed_methods)]
-
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

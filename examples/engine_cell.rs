@@ -19,9 +19,6 @@
 //! `multiversion`). Compare builds in alternating pairs: a shared host
 //! drifts by tens of percent.
 
-// Wall-clock timing of a whole run is what this probe measures.
-#![allow(clippy::disallowed_methods)]
-
 use std::time::Instant;
 
 use adaptive_load_control::analytic::surface::Schedule;

@@ -18,9 +18,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-// A live threaded demo: wall-clock sleeps stand in for real work.
-#![allow(clippy::disallowed_methods)]
-
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

@@ -13,9 +13,8 @@
 //!   basic and multiversion timestamp ordering.
 //! * [`des`] (`alc-des`) — the discrete-event simulation kernel and the
 //!   §5 measurement-interval theory.
-//! * [`analytic`] (`alc-analytic`) — companion analytic models (M/M/m,
-//!   MVA, Tay locking model, OCC conflict model, Franaszek–Robinson
-//!   random graphs, synthetic performance surfaces).
+//! * [`analytic`] (`alc-analytic`) — companion analytic models (MVA, Tay
+//!   locking model, OCC conflict model, synthetic performance surfaces).
 //! * [`scenario`] (`alc-scenario`) — the declarative scenario DSL:
 //!   nonstationary experiments (jumps, ramps, bursts, trace replay) as
 //!   JSON specs compiled into engine run plans and executed by the

@@ -3,10 +3,6 @@
 //! limit from wall-clock measurements — the path a server embedding this
 //! library exercises.
 
-// This test IS the wall-clock path: sleeps and Instant timings are the
-// behavior under test, not an accident.
-#![allow(clippy::disallowed_methods)]
-
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
