@@ -6,12 +6,13 @@
 //! alc-lint --rules
 //! ```
 //!
-//! Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/config error.
+//! Exit codes: 0 clean, 1 unsuppressed findings, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use alc_lint::{load_config, report, rules, run_files, run_workspace, RunResult};
+use alc_lint::config::Scope;
+use alc_lint::{report, rules, run_files, run_workspace};
 
 fn usage() {
     println!("alc-lint — repo-specific static analysis (determinism, RNG, hot-path allocs, purity, dead pub items)");
@@ -20,18 +21,34 @@ fn usage() {
     println!("       alc-lint [--root DIR] [--json PATH] FILE.rs...");
     println!("       alc-lint --rules");
     println!();
-    println!("  --workspace  lint every root listed in lint.toml");
-    println!("  --root DIR   repo root holding lint.toml (default: .)");
+    println!("  --workspace  lint every file the workspace walk reaches");
+    println!("  --root DIR   repo root to lint (default: .)");
     println!("  --json PATH  also write the machine-readable report to PATH");
     println!("  --quiet      print only the summary line, not each diagnostic");
-    println!("  --rules      list every rule with family and description");
+    println!("  --rules      list every rule with family, scopes and description, then each scope's paths");
     println!();
     println!("  suppress with: // alc-lint: allow(rule, reason=\"why\")  (reason required)");
 }
 
 fn list_rules() {
+    let mut scopes: Vec<Scope> = Vec::new();
     for r in rules::RULES {
-        println!("{:<24} {:<12} {}", r.name, r.family, r.summary);
+        let names: Vec<&str> = r.scopes.iter().map(|s| s.name).collect();
+        let names = names.join(", ");
+        println!("{:<20} {:<12} {names:<27} {}", r.name, r.family, r.summary);
+        for s in r.scopes {
+            if !scopes.contains(s) {
+                scopes.push(*s);
+            }
+        }
+    }
+    println!();
+    for s in scopes {
+        print!("{:<15} {}", s.name, s.include.join(" "));
+        if !s.exclude.is_empty() {
+            print!(" except {}", s.exclude.join(" "));
+        }
+        println!();
     }
 }
 
@@ -84,15 +101,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let run = || -> Result<RunResult, String> {
-        let cfg = load_config(&root)?;
-        if workspace {
-            run_workspace(&root, &cfg)
-        } else {
-            run_files(&root, &cfg, &files)
-        }
+    let run = if workspace {
+        run_workspace(&root, |r| r.scopes)
+    } else {
+        run_files(&root, |r| r.scopes, &files)
     };
-    let result = match run() {
+    let result = match run {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");

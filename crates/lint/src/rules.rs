@@ -1,8 +1,9 @@
 //! The rule registry and token matchers.
 //!
-//! Every rule is a token pattern evaluated inside a configured file
-//! scope (see `lint.toml`). Four families guard the properties the
-//! test suite can only check dynamically:
+//! Every rule is a token pattern evaluated inside the file scopes its
+//! [`RULES`] row names (the `const` [`Scope`]s in [`crate::config`]).
+//! Four families guard the properties the test suite can only check
+//! dynamically:
 //!
 //! * **determinism** — simulation paths must not observe hash-container
 //!   iteration order, wall clocks, sleeps, or the environment;
@@ -21,14 +22,16 @@
 
 use std::collections::BTreeMap;
 
-use crate::config::Config;
+use crate::config::{
+    Scope, Scoping, CRATE_SRC, HOT, LIB, PURITY, RNG_DISCIPLINE, RUNTIME_SHELL, SIM, WALK,
+};
 use crate::lexer::{TokKind, Token};
 use crate::source::SourceFile;
 
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
-    /// Rule id, as used in `lint.toml` and `allow(...)`.
+    /// Rule id, as used in `allow(...)`.
     pub name: &'static str,
     /// Rule family (diagnostic prefix, report grouping).
     pub family: &'static str,
@@ -36,6 +39,10 @@ pub struct Rule {
     pub summary: &'static str,
     /// Remediation hint appended to diagnostics.
     pub help: &'static str,
+    /// The file sets the rule applies to: a file is linted when *any*
+    /// of them contains it. Token rules skip `#[cfg(test)]` / `#[test]`
+    /// regions; `suppression-hygiene` reads every allow, tests included.
+    pub scopes: &'static [Scope],
 }
 
 /// Every rule the binary knows, in reporting order.
@@ -45,110 +52,104 @@ pub const RULES: &[Rule] = &[
         family: "determinism",
         summary: "no HashMap/HashSet in simulation paths (iteration order is nondeterministic)",
         help: "use a BTreeMap/BTreeSet or a direct-indexed table",
+        scopes: &[SIM],
     },
     Rule {
         name: "wall-clock",
         family: "determinism",
         summary: "no Instant/SystemTime in simulation paths (simulated time only)",
         help: "thread simulated time through explicitly; wall clocks break replayability",
+        scopes: &[SIM, RUNTIME_SHELL, PURITY],
     },
     Rule {
         name: "sleep",
         family: "determinism",
         summary: "no thread::sleep (or any `…::sleep` path) in simulation paths",
         help: "schedule a calendar event instead of blocking the thread",
+        scopes: &[SIM, RUNTIME_SHELL, PURITY],
     },
     Rule {
         name: "env-read",
         family: "determinism",
         summary: "no std::env reads in simulation paths (runs must be spec-determined)",
         help: "plumb configuration through the spec/config structs",
+        scopes: &[SIM, RUNTIME_SHELL],
     },
     Rule {
         name: "rng-construction",
         family: "rng",
         summary: "RNG construction/seeding only inside alc_des::rng",
         help: "derive a stream from a SeedFactory substream instead",
+        scopes: &[RNG_DISCIPLINE],
     },
     Rule {
         name: "seed-literal",
         family: "rng",
         summary: "no integer seed literals outside tests",
         help: "seeds come from config/replication plumbing, not literals",
+        scopes: &[RNG_DISCIPLINE],
     },
     Rule {
         name: "hot-alloc",
         family: "hot-path",
         summary: "no allocation tokens (Vec::new, vec!, format!, to_vec, to_owned, collect, Box::new) in hot modules",
         help: "reuse pooled scratch buffers, or allow() construction-time allocation with a reason",
+        scopes: &[HOT],
     },
     Rule {
         name: "purity-rng",
         family: "purity",
         summary: "controllers/estimators/meta policies take no randomness",
         help: "policy decisions must be a pure function of their observations",
+        scopes: &[PURITY],
     },
     Rule {
         name: "purity-io",
         family: "purity",
         summary: "controllers/estimators/meta policies do no I/O",
         help: "return data; let the caller decide what to print or persist",
+        scopes: &[PURITY],
     },
     Rule {
         name: "purity-global-state",
         family: "purity",
         summary: "controllers/estimators/meta policies hold no global or shared mutable state",
         help: "state lives in the policy struct so instances stay independent",
+        scopes: &[PURITY],
     },
     Rule {
         name: "unwrap-in-lib",
         family: "hygiene",
         summary: "no .unwrap() in library code (tests/bins exempt)",
         help: "return a Result, or .expect(\"why this cannot fail\")",
+        scopes: &[LIB],
     },
     Rule {
         name: "panic-in-lib",
         family: "hygiene",
         summary: "no panic!/todo!/unimplemented!/unreachable! in library code",
         help: "return an error; assert!/debug_assert! remain available for invariants",
+        scopes: &[LIB],
     },
     Rule {
         name: "suppression-hygiene",
         family: "hygiene",
         summary: "allow() directives need a reason, a known rule, and a finding to suppress",
         help: "fix the directive or delete it",
+        scopes: &[WALK],
     },
     Rule {
         name: "dead-pub",
         family: "minimal",
         summary: "a plain-pub fn/const/static in crate sources is named by another file's non-test code or an integration test",
         help: "delete it if only its unit tests call it; drop `pub` if its own file does",
+        scopes: &[CRATE_SRC],
     },
 ];
 
 /// Looks up a rule by name.
 pub fn rule(name: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.name == name)
-}
-
-/// Config ⇄ registry consistency: every known rule must be configured,
-/// every configured rule must exist.
-pub fn check_config(cfg: &Config) -> Result<(), String> {
-    for r in RULES {
-        if !cfg.rules.contains_key(r.name) {
-            return Err(format!("lint.toml does not configure rule `{}`", r.name));
-        }
-    }
-    for name in cfg.rules.keys() {
-        if rule(name).is_none() {
-            let known: Vec<&str> = RULES.iter().map(|r| r.name).collect();
-            return Err(format!(
-                "lint.toml configures unknown rule `{name}` (known: {})",
-                known.join(", ")
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// One finding, suppressed or not.
@@ -216,48 +217,43 @@ impl Callers {
     }
 }
 
-/// Runs every enabled rule over one file. `only` restricts to a single
-/// rule (fixture tests); `None` runs all. `callers` is the index of the
-/// whole walk, which `dead-pub` reads.
+/// Runs every rule whose scopes (per `scoping`) contain the file. `only`
+/// restricts to a single rule (fixture tests); `None` runs all.
+/// `callers` is the index of the whole walk, which `dead-pub` reads.
 pub fn lint_file(
     file: &SourceFile<'_>,
-    cfg: &Config,
+    scoping: Scoping,
     callers: &Callers,
     only: Option<&str>,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let enabled = |name: &str| only.is_none_or(|o| o == name);
-
+    let mut hygiene = false;
     for r in RULES {
-        if r.name == "suppression-hygiene" || !enabled(r.name) {
+        let in_scope = scoping(r).iter().any(|s| s.contains(&file.path));
+        if !in_scope || only.is_some_and(|o| o != r.name) {
             continue;
         }
-        let rc = &cfg.rules[r.name];
-        if !rc.in_scope(cfg, &file.path) {
+        if r.name == "suppression-hygiene" {
+            hygiene = true;
             continue;
         }
         let toks: Vec<&Token<'_>> = file
             .lexed
             .tokens
             .iter()
-            .filter(|t| rc.include_tests || !file.in_test_region(t.line))
+            .filter(|t| !file.in_test_region(t.line))
             .collect();
         scan_rule(r.name, &toks, &file.path, callers, &mut findings);
     }
 
-    apply_suppressions(file, cfg, enabled("suppression-hygiene"), &mut findings);
+    apply_suppressions(file, hygiene, &mut findings);
     findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     findings
 }
 
 /// Matches inline `allow(...)` directives against the findings, then
 /// reports the suppression system's own violations.
-fn apply_suppressions(
-    file: &SourceFile<'_>,
-    cfg: &Config,
-    hygiene_enabled: bool,
-    findings: &mut Vec<Finding>,
-) {
+fn apply_suppressions(file: &SourceFile<'_>, hygiene_enabled: bool, findings: &mut Vec<Finding>) {
     let mut used = vec![false; file.suppressions.len()];
     for f in findings.iter_mut() {
         for (i, s) in file.suppressions.iter().enumerate() {
@@ -292,21 +288,17 @@ fn apply_suppressions(
                 suppressed: None,
             });
         } else if !used[i] && s.rule != "suppression-hygiene" {
-            // Rule disabled this run (fixture mode) ⇒ can't judge usefulness.
-            let rule_ran = cfg.rules.contains_key(&s.rule);
-            if rule_ran {
-                hygiene.push(Finding {
-                    rule: "suppression-hygiene",
-                    path: file.path.clone(),
-                    line: s.line,
-                    col: 1,
-                    message: format!(
-                        "unused suppression: no `{}` finding on line {}",
-                        s.rule, s.target_line
-                    ),
-                    suppressed: None,
-                });
-            }
+            hygiene.push(Finding {
+                rule: "suppression-hygiene",
+                path: file.path.clone(),
+                line: s.line,
+                col: 1,
+                message: format!(
+                    "unused suppression: no `{}` finding on line {}",
+                    s.rule, s.target_line
+                ),
+                suppressed: None,
+            });
         }
     }
     // Hygiene findings are themselves suppressible — uniformity keeps the
@@ -541,31 +533,29 @@ fn pub_item<'a, 't>(toks: &[&'a Token<'t>]) -> Option<(&'static str, &'a Token<'
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
 
-    /// A config that puts `x.rs` in every scope, so any rule can fire.
-    fn test_config() -> Config {
-        let mut toml = String::from(
-            "[workspace]\nroots = [\".\"]\n[scopes.all]\ninclude = [\"x.rs\"]\n",
-        );
-        for r in RULES {
-            toml.push_str(&format!("[rules.{}]\nscope = \"all\"\n", r.name));
-        }
-        Config::parse(&toml).unwrap()
-    }
+    /// Every rule on `x.rs`, so any rule can fire.
+    const X_RS: Scoping = |_| {
+        &[Scope {
+            name: "x",
+            include: &["x.rs"],
+            exclude: &[],
+        }]
+    };
 
     fn findings(src: &str, only: &str) -> Vec<Finding> {
         let f = SourceFile::new("x.rs".into(), src);
-        lint_file(&f, &test_config(), &Callers::default(), Some(only))
+        lint_file(&f, X_RS, &Callers::default(), Some(only))
     }
 
     #[test]
     fn registry_and_config_stay_consistent() {
         assert!(RULES.len() >= 10, "the issue demands ≥10 rules");
-        check_config(&test_config()).unwrap();
-        let mut missing = test_config();
-        missing.rules.remove("hash-container");
-        assert!(check_config(&missing).is_err());
+        for (i, r) in RULES.iter().enumerate() {
+            assert!(!r.scopes.is_empty(), "rule `{}` binds no scope", r.name);
+            let twice = RULES[..i].iter().any(|o| o.name == r.name);
+            assert!(!twice, "rule `{}` registered twice", r.name);
+        }
     }
 
     #[test]
@@ -636,7 +626,7 @@ mod tests {
     fn suppression_marks_findings_and_unused_allows_fire() {
         let src = "use std::collections::HashMap; // alc-lint: allow(hash-container, reason=\"lookup only\")\n";
         let f = SourceFile::new("x.rs".into(), src);
-        let all = lint_file(&f, &test_config(), &Callers::default(), None);
+        let all = lint_file(&f, X_RS, &Callers::default(), None);
         let hc: Vec<_> = all.iter().filter(|x| x.rule == "hash-container").collect();
         assert_eq!(hc.len(), 1);
         assert_eq!(hc[0].suppressed.as_deref(), Some("lookup only"));
@@ -644,7 +634,7 @@ mod tests {
 
         let unused = "let x = 1; // alc-lint: allow(hash-container, reason=\"nothing here\")\n";
         let f = SourceFile::new("x.rs".into(), unused);
-        let all = lint_file(&f, &test_config(), &Callers::default(), None);
+        let all = lint_file(&f, X_RS, &Callers::default(), None);
         assert!(all.iter().any(|x| x.rule == "suppression-hygiene"
             && x.message.contains("unused")));
     }

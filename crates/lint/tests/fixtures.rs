@@ -4,23 +4,21 @@
 //! compared against the checked-in `*.expected` files; rebless with
 //! `UPDATE_LINT_FIXTURES=1 cargo test -p alc-lint --test fixtures`.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use alc_lint::config::Config;
+use alc_lint::config::{Scope, Scoping};
 use alc_lint::report::render_text;
 use alc_lint::rules::{lint_file, Callers, Finding, RULES};
 use alc_lint::source::SourceFile;
 
-/// A config that puts the fixture tree in every rule's scope.
-fn fixture_config() -> Config {
-    let mut toml =
-        String::from("[workspace]\nroots = [\".\"]\n[scopes.all]\ninclude = [\"fixtures\"]\n");
-    for r in RULES {
-        let _ = writeln!(toml, "[rules.{}]\nscope = \"all\"", r.name);
-    }
-    Config::parse(&toml).expect("fixture config parses")
-}
+/// Puts the fixture tree in every rule's scope.
+const FIXTURES: Scoping = |_| {
+    &[Scope {
+        name: "fixtures",
+        include: &["fixtures"],
+        exclude: &[],
+    }]
+};
 
 fn fixture_dir(rule: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -35,7 +33,7 @@ fn lint_fixture(rule: &str, which: &str) -> (Vec<Finding>, String) {
     let rel = format!("fixtures/{rule}/{which}");
     let file = SourceFile::new(rel, &text);
     // No other file names anything, so every `dead-pub` item fires.
-    let findings = lint_file(&file, &fixture_config(), &Callers::default(), Some(rule));
+    let findings = lint_file(&file, FIXTURES, &Callers::default(), Some(rule));
     let mut rendered = String::new();
     for f in &findings {
         rendered.push_str(&render_text(f, file.line_text(f.line)));

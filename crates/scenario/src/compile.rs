@@ -93,14 +93,11 @@ pub struct VariantPlan {
     pub cc_switches: Vec<(f64, CcKind)>,
     /// Closed-loop protocol selection (builds one policy per run).
     pub adaptive_cc: Option<AdaptiveCcSpec>,
-    /// Scheduled CPU-capacity deltas `(t_ms, delta)` lowered from the
-    /// fault windows, ascending — shared by every replication (empty
-    /// when `fault_schedules` carries per-replication timelines).
-    pub faults: Vec<(f64, i32)>,
-    /// Per-replication fault timelines, present when any fault uses a
-    /// sampled `repair` distribution (repair times differ per seed);
-    /// indexed like `seeds`.
-    pub fault_schedules: Option<Vec<Vec<(f64, i32)>>>,
+    /// Each replication's scheduled CPU-capacity deltas `(t_ms, delta)`
+    /// lowered from the fault windows, ascending; indexed like `seeds`.
+    /// A sampled `repair` distribution differs per seed; fixed windows
+    /// lower identically in every replication.
+    pub faults: Vec<Vec<(f64, i32)>>,
     /// Closed-loop client pool replacing the patient terminals (timeouts,
     /// retries, abandonment); `None` runs the paper's patient model.
     pub clients: Option<alc_tpsim::client::ClientConfig>,
@@ -122,15 +119,6 @@ pub struct VariantPlan {
 }
 
 impl VariantPlan {
-    /// The fault timeline replication `rep` runs under: its sampled
-    /// schedule when the plan carries per-replication ones, else the
-    /// shared one.
-    pub fn fault_timeline(&self, rep: usize) -> &[(f64, i32)] {
-        self.fault_schedules
-            .as_ref()
-            .map_or(&self.faults, |per_rep| &per_rep[rep])
-    }
-
     /// The simulator of replication `rep`, fully assembled and not yet
     /// run — the one place a plan becomes an engine, so runs, traces
     /// and tests cannot disagree on a setter. Callers add only their
@@ -156,7 +144,7 @@ impl VariantPlan {
             let (candidates, policy) = adaptive.build();
             sim.set_adaptive_cc(candidates, policy);
         }
-        let faults = self.fault_timeline(rep);
+        let faults = &self.faults[rep];
         if !faults.is_empty() {
             sim.set_faults(faults);
         }
@@ -411,21 +399,10 @@ fn build_variant(
     let seeds: Vec<u64> = (0..spec.replications)
         .map(|r| replication_seed(spec.seed, r))
         .collect();
-    let has_repair = spec
-        .faults
+    let faults = seeds
         .iter()
-        .any(|f| matches!(f.recovery, crate::spec::FaultRecovery::Repair(_)));
-    let (faults, fault_schedules) = if has_repair {
-        let per_rep = seeds
-            .iter()
-            .map(|&s| lower_faults_for_seed(&spec.faults, &sys, s))
-            .collect::<Result<Vec<_>, _>>()?;
-        (Vec::new(), Some(per_rep))
-    } else {
-        // Fixed windows never touch the RNG; any seed gives the shared
-        // timeline.
-        (lower_faults_for_seed(&spec.faults, &sys, spec.seed)?, None)
-    };
+        .map(|&s| lower_faults_for_seed(&spec.faults, &sys, s))
+        .collect::<Result<Vec<_>, _>>()?;
     let cells = spec
         .inputs
         .iter()
@@ -450,7 +427,6 @@ fn build_variant(
         cc_switches: spec.cc_phases.clone(),
         adaptive_cc: spec.cc_adaptive.clone(),
         faults,
-        fault_schedules,
         clients: spec.clients.clone(),
         control,
         controller: spec.controller.clone(),
@@ -666,9 +642,7 @@ mod tests {
         let a = compile_value(&v, &PathBuf::from("."), false).unwrap();
         let b = compile_value(&v, &PathBuf::from("."), false).unwrap();
         assert_eq!(a, b, "sampled repair times must be seed-deterministic");
-        let vp = &a.variants[0];
-        assert!(vp.faults.is_empty(), "repair faults move to per-rep timelines");
-        let per_rep = vp.fault_schedules.as_ref().expect("per-rep timelines");
+        let per_rep = &a.variants[0].faults;
         assert_eq!(per_rep.len(), 3);
         for timeline in per_rep {
             assert_eq!(timeline.len(), 4);

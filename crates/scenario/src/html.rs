@@ -111,11 +111,7 @@ fn cell_markers(v: &VariantPlan, rec: &RunRecord) -> Vec<Marker> {
             });
         }
     }
-    let faults = v
-        .fault_schedules
-        .as_ref()
-        .map_or(&v.faults, |per_rep| &per_rep[rec.replication as usize]);
-    for &(at_ms, delta) in faults {
+    for &(at_ms, delta) in &v.faults[rec.replication as usize] {
         markers.push(Marker {
             at_ms,
             class: "fault",

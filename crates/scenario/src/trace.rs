@@ -189,8 +189,7 @@ pub fn trace_cell(
                 + c.count(Phase::Mark, tname::CLIENT_HEDGE).after_floor,
         );
     }
-    let scheduled_faults = v
-        .fault_timeline(rep)
+    let scheduled_faults = v.faults[rep]
         .iter()
         .filter(|(at, _)| *at <= v.horizon_ms)
         .count() as u64;

@@ -79,13 +79,8 @@ fn abl_cc_sweep_port_reproduces_golden_table() {
 #[test]
 fn fault_repair_spec_reproduces_its_golden_table() {
     let (plan, records) = run_quick("fault-repair");
-    let vp = &plan.variants[0];
-    assert!(
-        vp.fault_schedules.is_some(),
-        "repair faults must lower to per-replication timelines"
-    );
     // The two replications sample different outage lengths.
-    let per_rep = vp.fault_schedules.as_ref().unwrap();
+    let per_rep = &plan.variants[0].faults;
     assert_ne!(per_rep[0], per_rep[1], "replications shared repair draws");
     compare_or_bless("fault-repair.csv", table_csv(&plan, &records).as_bytes());
 }

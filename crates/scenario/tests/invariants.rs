@@ -80,7 +80,7 @@ fn fault_scenario_is_deterministic_across_reruns_and_thread_counts() {
     let plan = quick_plan("fault-outage");
     assert_eq!(
         plan.variants[0].faults,
-        vec![(6_000.0, -2), (11_000.0, 2)],
+        vec![vec![(6_000.0, -2), (11_000.0, 2)]],
         "the fault window lowers to a kill/restart delta pair"
     );
     let a = run_plan(&plan);

@@ -12,7 +12,7 @@
 
 use alc_scenario::compile::compile_value;
 use alc_scenario::profile::Profile;
-use alc_scenario::spec::{cc_spec_name, ClientColumn, ScenarioSpec, StatColumn};
+use alc_scenario::spec::{cc_spec_name, ClientColumn, FaultRecovery, ScenarioSpec, StatColumn};
 use alc_tpsim::config::CcKind;
 use proptest::prelude::*;
 use proptest::{boxed, collection, Union};
@@ -618,20 +618,16 @@ proptest! {
             // on every variant.
             for v in &plan.variants {
                 prop_assert_eq!(v.cc_switches.len(), spec.cc_phases.len());
-                match &v.fault_schedules {
-                    // Sampled repair times: one timeline per replication,
-                    // each ascending with both edges of every window.
-                    Some(per_rep) => {
-                        prop_assert_eq!(per_rep.len(), v.seeds.len());
-                        for timeline in per_rep {
-                            prop_assert_eq!(timeline.len(), 2 * spec.faults.len());
-                            prop_assert!(timeline.windows(2).all(|w| w[0].0 <= w[1].0));
-                        }
-                    }
-                    None => {
-                        prop_assert_eq!(v.faults.len(), 2 * spec.faults.len());
-                        prop_assert!(v.faults.windows(2).all(|w| w[0].0 <= w[1].0));
-                    }
+                // One fault timeline per replication, each ascending with
+                // both edges of every window.
+                prop_assert_eq!(v.faults.len(), v.seeds.len());
+                for timeline in &v.faults {
+                    prop_assert_eq!(timeline.len(), 2 * spec.faults.len());
+                    prop_assert!(timeline.windows(2).all(|w| w[0].0 <= w[1].0));
+                }
+                // Fixed windows draw nothing: every replication shares them.
+                if spec.faults.iter().all(|f| matches!(f.recovery, FaultRecovery::Fixed(_))) {
+                    prop_assert!(v.faults.windows(2).all(|w| w[0] == w[1]));
                 }
             }
         }
