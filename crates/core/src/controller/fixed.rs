@@ -16,10 +16,6 @@ use crate::measure::Measurement;
 pub struct Unlimited;
 
 impl LoadController for Unlimited {
-    fn name(&self) -> &'static str {
-        "unlimited"
-    }
-
     fn update(&mut self, _m: &Measurement) -> u32 {
         u32::MAX
     }
@@ -27,8 +23,6 @@ impl LoadController for Unlimited {
     fn current_bound(&self) -> u32 {
         u32::MAX
     }
-
-    fn reset(&mut self) {}
 }
 
 /// A static MPL bound fixed at construction.
@@ -45,10 +39,6 @@ impl FixedBound {
 }
 
 impl LoadController for FixedBound {
-    fn name(&self) -> &'static str {
-        "fixed-bound"
-    }
-
     fn update(&mut self, _m: &Measurement) -> u32 {
         self.0
     }
@@ -56,8 +46,6 @@ impl LoadController for FixedBound {
     fn current_bound(&self) -> u32 {
         self.0
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -70,7 +58,6 @@ mod tests {
         let m = Measurement::basic(0.0, 1.0, 0.0, 0.0);
         assert_eq!(c.update(&m), u32::MAX);
         assert_eq!(c.current_bound(), u32::MAX);
-        assert_eq!(c.name(), "unlimited");
     }
 
     #[test]
@@ -80,7 +67,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(c.update(&m), 64);
         }
-        c.reset();
         assert_eq!(c.current_bound(), 64);
     }
 

@@ -83,20 +83,20 @@ impl HybridParams {
 
 /// Which phase currently owns the output bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HybridPhase {
+enum HybridPhase {
     /// Incremental Steps is exploring; the estimator is learning along.
     Bootstrap,
     /// Parabola Approximation is tracking the vertex.
     Refine,
 }
 
-/// Diagnostic counters for experiments and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct HybridDiagnostics {
+/// Diagnostic counters for tests.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct HybridDiagnostics {
     /// Bootstrap → refine hand-overs.
-    pub promotions: u64,
+    promotions: u64,
     /// Refine → bootstrap reversions (PA pathology hits).
-    pub reversions: u64,
+    reversions: u64,
 }
 
 /// IS-bootstrapped, PA-refined dynamic optimum search.
@@ -129,21 +129,6 @@ impl Hybrid {
         }
     }
 
-    /// The phase currently owning the output.
-    pub fn phase(&self) -> HybridPhase {
-        self.phase
-    }
-
-    /// Hand-over counters.
-    pub fn diagnostics(&self) -> HybridDiagnostics {
-        self.diagnostics
-    }
-
-    /// Read access to the inner PA (fit inspection in experiments).
-    pub fn parabola(&self) -> &ParabolaApproximation {
-        &self.pa
-    }
-
     fn promote(&mut self) {
         // PA resumes exactly where IS stood; the estimator is already
         // trained from the bootstrap excursions.
@@ -169,10 +154,6 @@ impl Hybrid {
 }
 
 impl LoadController for Hybrid {
-    fn name(&self) -> &'static str {
-        "hybrid-is-pa"
-    }
-
     fn update(&mut self, m: &Measurement) -> u32 {
         self.phase_samples += 1;
         match self.phase {
@@ -212,15 +193,6 @@ impl LoadController for Hybrid {
             HybridPhase::Bootstrap => self.is.current_bound(),
             HybridPhase::Refine => self.pa.current_bound(),
         }
-    }
-
-    fn reset(&mut self) {
-        self.is = IncrementalSteps::new(self.params.is);
-        self.pa.reset();
-        self.phase = HybridPhase::Bootstrap;
-        self.phase_samples = 0;
-        self.convex_history = 0;
-        self.diagnostics = HybridDiagnostics::default();
     }
 }
 
@@ -273,10 +245,10 @@ mod tests {
     fn starts_in_bootstrap_then_promotes() {
         let surface = RidgeSurface::stationary(150.0, 100.0, 2.0);
         let mut ctrl = Hybrid::new(params_500());
-        assert_eq!(ctrl.phase(), HybridPhase::Bootstrap);
+        assert_eq!(ctrl.phase, HybridPhase::Bootstrap);
         drive(&mut ctrl, &surface, 100, 1000.0);
-        assert_eq!(ctrl.phase(), HybridPhase::Refine);
-        assert_eq!(ctrl.diagnostics().promotions, 1);
+        assert_eq!(ctrl.phase, HybridPhase::Refine);
+        assert_eq!(ctrl.diagnostics.promotions, 1);
     }
 
     #[test]
@@ -326,8 +298,8 @@ mod tests {
             let perf = (n - 100.0).abs(); // V shape
             ctrl.update(&Measurement::basic(i as f64, 1.0, perf, n));
         }
-        assert_eq!(ctrl.phase(), HybridPhase::Bootstrap);
-        assert_eq!(ctrl.diagnostics().promotions, 0);
+        assert_eq!(ctrl.phase, HybridPhase::Bootstrap);
+        assert_eq!(ctrl.diagnostics.promotions, 0);
     }
 
     #[test]
@@ -351,7 +323,7 @@ mod tests {
             };
             ctrl.update(&Measurement::basic(i as f64, 1.0, perf, n));
         }
-        let d = ctrl.diagnostics();
+        let d = ctrl.diagnostics;
         assert!(d.promotions >= 1, "never promoted on the healthy ridge: {d:?}");
         assert!(d.reversions >= 1, "pathology never reverted: {d:?}");
     }
@@ -364,17 +336,6 @@ mod tests {
         for &(_, b) in &traj {
             assert!((1..=500).contains(&b), "bound {b} escaped [1,500]");
         }
-    }
-
-    #[test]
-    fn reset_restores_bootstrap() {
-        let surface = RidgeSurface::stationary(150.0, 100.0, 2.0);
-        let mut ctrl = Hybrid::new(params_500());
-        drive(&mut ctrl, &surface, 100, 1000.0);
-        ctrl.reset();
-        assert_eq!(ctrl.phase(), HybridPhase::Bootstrap);
-        assert_eq!(ctrl.current_bound(), 10);
-        assert_eq!(ctrl.diagnostics(), HybridDiagnostics::default());
     }
 
     #[test]
@@ -391,10 +352,5 @@ mod tests {
             },
             ..HybridParams::default()
         });
-    }
-
-    #[test]
-    fn name_is_stable() {
-        assert_eq!(Hybrid::new(params_500()).name(), "hybrid-is-pa");
     }
 }

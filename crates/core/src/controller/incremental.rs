@@ -131,10 +131,6 @@ impl IncrementalSteps {
 }
 
 impl LoadController for IncrementalSteps {
-    fn name(&self) -> &'static str {
-        "incremental-steps"
-    }
-
     fn update(&mut self, m: &Measurement) -> u32 {
         let p = &self.params;
         let perf = self.smoother.update(m.performance);
@@ -173,13 +169,6 @@ impl LoadController for IncrementalSteps {
 
     fn current_bound(&self) -> u32 {
         self.bound as u32
-    }
-
-    fn reset(&mut self) {
-        self.bound = f64::from(self.params.initial_bound);
-        self.prev_bound = self.bound;
-        self.prev_perf = None;
-        self.smoother.reset();
     }
 }
 
@@ -359,22 +348,6 @@ mod tests {
         for &(_, b) in &traj {
             assert!(b >= 2);
         }
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut ctrl = IncrementalSteps::new(IsParams::default());
-        let m = Measurement::basic(1000.0, 1000.0, 10.0, 10.0);
-        ctrl.update(&m);
-        ctrl.update(&m);
-        ctrl.reset();
-        assert_eq!(ctrl.current_bound(), IsParams::default().initial_bound);
-    }
-
-    #[test]
-    fn name_is_stable() {
-        let ctrl = IncrementalSteps::new(IsParams::default());
-        assert_eq!(ctrl.name(), "incremental-steps");
     }
 
     #[test]

@@ -32,7 +32,7 @@ mod retry_budget;
 mod rules;
 
 pub use fixed::{FixedBound, Unlimited};
-pub use hybrid::{Hybrid, HybridDiagnostics, HybridParams, HybridPhase};
+pub use hybrid::{Hybrid, HybridParams};
 pub use incremental::{IncrementalSteps, IsParams};
 pub use outer::{OuterParams, PaOuterParams, SelfTuningIs, SelfTuningPa};
 pub use parabola::{FallbackPolicy, PaParams, ParabolaApproximation};
@@ -47,18 +47,12 @@ use crate::measure::Measurement;
 /// boundaries — the embeddable runtime hands them to its control loop,
 /// and every implementation is a plain data struct anyway.
 pub trait LoadController: Send {
-    /// Controller name for tables and trajectory labels.
-    fn name(&self) -> &'static str;
-
     /// Consumes the latest interval measurement and returns the bound to
     /// enforce for the next interval.
     fn update(&mut self, m: &Measurement) -> u32;
 
     /// The bound currently in force (before the next `update`).
     fn current_bound(&self) -> u32;
-
-    /// Restores the initial state (used between experiment repetitions).
-    fn reset(&mut self);
 }
 
 /// One rule of a parameter check: `Ok` when `ok` holds, else the rule

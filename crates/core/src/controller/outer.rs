@@ -70,7 +70,6 @@ impl OuterParams {
 pub struct SelfTuningIs {
     inner: IncrementalSteps,
     outer: OuterParams,
-    initial_beta: f64,
     ticks: u32,
     step_sum: f64,
     bound_sum: f64,
@@ -85,18 +84,12 @@ impl SelfTuningIs {
         let inner = IncrementalSteps::new(inner_params);
         SelfTuningIs {
             last_bound: inner.current_bound(),
-            initial_beta: inner_params.beta,
             inner,
             outer,
             ticks: 0,
             step_sum: 0.0,
             bound_sum: 0.0,
         }
-    }
-
-    /// The gain currently in force (read by tests and ablations).
-    pub fn beta(&self) -> f64 {
-        self.inner.params().beta
     }
 
     fn outer_tick(&mut self) {
@@ -120,10 +113,6 @@ impl SelfTuningIs {
 }
 
 impl LoadController for SelfTuningIs {
-    fn name(&self) -> &'static str {
-        "self-tuning-is"
-    }
-
     fn update(&mut self, m: &Measurement) -> u32 {
         let bound = self.inner.update(m);
         self.step_sum += (f64::from(bound) - f64::from(self.last_bound)).abs();
@@ -138,15 +127,6 @@ impl LoadController for SelfTuningIs {
 
     fn current_bound(&self) -> u32 {
         self.inner.current_bound()
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.inner.set_beta(self.initial_beta);
-        self.ticks = 0;
-        self.step_sum = 0.0;
-        self.bound_sum = 0.0;
-        self.last_bound = self.inner.current_bound();
     }
 }
 
@@ -224,7 +204,6 @@ impl PaOuterParams {
 pub struct SelfTuningPa {
     inner: ParabolaApproximation,
     outer: PaOuterParams,
-    initial_alpha: f64,
     fast: Ewma,
     slow: Ewma,
     ticks: u32,
@@ -238,12 +217,10 @@ impl SelfTuningPa {
     pub fn new(inner_params: PaParams, outer: PaOuterParams) -> Self {
         outer.check().expect("invalid outer-loop parameters");
         let mut inner = ParabolaApproximation::new(inner_params);
-        let initial_alpha = inner.alpha().clamp(outer.alpha_min, outer.alpha_max);
-        inner.set_alpha(initial_alpha);
+        inner.set_alpha(inner.alpha().clamp(outer.alpha_min, outer.alpha_max));
         SelfTuningPa {
             inner,
             outer,
-            initial_alpha,
             fast: Ewma::new(outer.fast_weight),
             slow: Ewma::new(outer.slow_weight),
             ticks: 0,
@@ -254,11 +231,6 @@ impl SelfTuningPa {
     /// The forgetting factor currently in force.
     pub fn alpha(&self) -> f64 {
         self.inner.alpha()
-    }
-
-    /// Read access to the wrapped PA controller.
-    pub fn parabola(&self) -> &ParabolaApproximation {
-        &self.inner
     }
 
     /// Moves α by one geometric step of the forgetting *rate* `1 − α` —
@@ -276,10 +248,6 @@ impl SelfTuningPa {
 }
 
 impl LoadController for SelfTuningPa {
-    fn name(&self) -> &'static str {
-        "self-tuning-pa"
-    }
-
     fn update(&mut self, m: &Measurement) -> u32 {
         let o = self.outer;
         let bound = self.inner.update(m);
@@ -312,15 +280,6 @@ impl LoadController for SelfTuningPa {
 
     fn current_bound(&self) -> u32 {
         self.inner.current_bound()
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.inner.set_alpha(self.initial_alpha);
-        self.fast.reset();
-        self.slow.reset();
-        self.ticks = 0;
-        self.shock_streak = 0;
     }
 }
 
@@ -391,7 +350,7 @@ mod tests {
             tuned_amp < plain_amp * 0.5,
             "outer loop failed to calm the oscillation: tuned {tuned_amp} vs plain {plain_amp}"
         );
-        assert!(tuned.beta() < 500.0, "beta was never reduced");
+        assert!(tuned.inner.params().beta < 500.0, "beta was never reduced");
     }
 
     #[test]
@@ -415,7 +374,7 @@ mod tests {
         let traj = drive(&mut tuned, &surface, 500, 0.0, 2);
         let tail = &traj[400..];
         let mean = tail.iter().map(|&b| f64::from(b)).sum::<f64>() / tail.len() as f64;
-        assert!(tuned.beta() > 1e-3, "beta was never raised");
+        assert!(tuned.inner.params().beta > 1e-3, "beta was never raised");
         assert!(
             (mean - 300.0).abs() < 90.0,
             "failed to reach the optimum: settled at {mean}"
@@ -434,27 +393,8 @@ mod tests {
         let mut tuned = SelfTuningIs::new(params, outer);
         let surface = RidgeSurface::stationary(50.0, 1000.0, 3.0);
         drive(&mut tuned, &surface, 300, 0.3, 3);
-        assert!((0.5..=2.0).contains(&tuned.beta()), "beta {}", tuned.beta());
-    }
-
-    #[test]
-    fn reset_restores_initial_gain() {
-        let params = IsParams {
-            beta: 7.0,
-            ..IsParams::default()
-        };
-        let mut tuned = SelfTuningIs::new(params, OuterParams { window: 2, ..OuterParams::default() });
-        let surface = RidgeSurface::stationary(100.0, 50.0, 2.0);
-        drive(&mut tuned, &surface, 50, 0.0, 4);
-        tuned.reset();
-        assert_eq!(tuned.beta(), 7.0);
-        assert_eq!(tuned.current_bound(), IsParams::default().initial_bound);
-    }
-
-    #[test]
-    fn name_is_stable() {
-        let t = SelfTuningIs::new(IsParams::default(), OuterParams::default());
-        assert_eq!(t.name(), "self-tuning-is");
+        let beta = tuned.inner.params().beta;
+        assert!((0.5..=2.0).contains(&beta), "beta {beta}");
     }
 
     fn drive_pa(
@@ -582,27 +522,5 @@ mod tests {
             "alpha {} escaped clamps",
             ctrl.alpha()
         );
-    }
-
-    #[test]
-    fn pa_reset_restores_initial_alpha() {
-        let surface = RidgeSurface::stationary(100.0, 50.0, 2.0);
-        let mut ctrl = SelfTuningPa::new(
-            PaParams {
-                alpha: 0.9,
-                ..pa_params_500()
-            },
-            PaOuterParams::default(),
-        );
-        drive_pa(&mut ctrl, &surface, 100, 0.0, 4);
-        ctrl.reset();
-        assert_eq!(ctrl.alpha(), 0.9);
-        assert_eq!(ctrl.current_bound(), 10);
-    }
-
-    #[test]
-    fn pa_name_is_stable() {
-        let t = SelfTuningPa::new(PaParams::default(), PaOuterParams::default());
-        assert_eq!(t.name(), "self-tuning-pa");
     }
 }

@@ -289,10 +289,6 @@ impl ParabolaApproximation {
 }
 
 impl LoadController for ParabolaApproximation {
-    fn name(&self) -> &'static str {
-        "parabola-approximation"
-    }
-
     fn update(&mut self, m: &Measurement) -> u32 {
         let p = self.params;
         let scale = f64::from(p.max_bound);
@@ -334,18 +330,6 @@ impl LoadController for ParabolaApproximation {
 
     fn current_bound(&self) -> u32 {
         clamp_bound(self.bound, self.params.min_bound, self.params.max_bound)
-    }
-
-    fn reset(&mut self) {
-        self.rls.reset();
-        self.bound = f64::from(self.params.initial_bound);
-        self.prev_bound = self.bound;
-        self.prev_perf = None;
-        self.dither_phase = 0;
-        self.consecutive_convex = 0;
-        self.probe_direction = 1.0;
-        self.last_innovation = 0.0;
-        self.diagnostics = PaDiagnostics::default();
     }
 }
 
@@ -598,16 +582,6 @@ mod tests {
         assert!((q.a2 + 0.001).abs() < 1e-4, "a2 {}", q.a2);
         // And the implied vertex is -a1/(2 a2) = 200.
         assert!((q.vertex().unwrap() - 200.0).abs() < 5.0);
-    }
-
-    #[test]
-    fn reset_restores_everything() {
-        let mut ctrl = ParabolaApproximation::new(params_500());
-        let surface = RidgeSurface::stationary(100.0, 10.0, 2.0);
-        drive(&mut ctrl, &surface, 50, 1000.0);
-        ctrl.reset();
-        assert_eq!(ctrl.current_bound(), 10);
-        assert_eq!(ctrl.diagnostics(), PaDiagnostics::default());
     }
 
     #[test]

@@ -94,10 +94,6 @@ impl RetryBudget {
 }
 
 impl LoadController for RetryBudget {
-    fn name(&self) -> &'static str {
-        "retry-budget"
-    }
-
     fn update(&mut self, m: &Measurement) -> u32 {
         if m.departures == 0 && m.aborts == 0 {
             return self.bound; // starved window: no evidence
@@ -124,14 +120,6 @@ impl LoadController for RetryBudget {
 
     fn current_bound(&self) -> u32 {
         self.bound
-    }
-
-    fn reset(&mut self) {
-        self.bound = self
-            .params
-            .initial_bound
-            .clamp(self.params.min_bound, self.params.max_bound);
-        self.credit = 0.0;
     }
 }
 
@@ -194,14 +182,12 @@ mod tests {
     }
 
     #[test]
-    fn starved_windows_hold_and_reset_restores() {
+    fn starved_windows_hold_the_bound() {
         let mut c = RetryBudget::new(RetryBudgetParams {
             initial_bound: 7,
             ..RetryBudgetParams::default()
         });
         assert_eq!(c.update(&window(0, 0)), 7);
-        c.update(&window(100, 0));
-        c.reset();
         assert_eq!(c.current_bound(), 7);
         assert_eq!(c.credit, 0.0);
     }

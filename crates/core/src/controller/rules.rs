@@ -50,10 +50,6 @@ impl TayRule {
 }
 
 impl LoadController for TayRule {
-    fn name(&self) -> &'static str {
-        "tay-rule"
-    }
-
     fn update(&mut self, _m: &Measurement) -> u32 {
         self.bound
     }
@@ -61,8 +57,6 @@ impl LoadController for TayRule {
     fn current_bound(&self) -> u32 {
         self.bound
     }
-
-    fn reset(&mut self) {}
 }
 
 /// Parameters of the Iyer-rule feedback controller.
@@ -123,10 +117,6 @@ impl IyerRule {
 }
 
 impl LoadController for IyerRule {
-    fn name(&self) -> &'static str {
-        "iyer-rule"
-    }
-
     fn update(&mut self, m: &Measurement) -> u32 {
         let p = self.params;
         let c = m.conflicts_per_txn;
@@ -151,10 +141,6 @@ impl LoadController for IyerRule {
     fn current_bound(&self) -> u32 {
         clamp_bound(self.bound, self.params.min_bound, self.params.max_bound)
     }
-
-    fn reset(&mut self) {
-        self.bound = f64::from(self.params.initial_bound);
-    }
 }
 
 #[cfg(test)]
@@ -176,8 +162,6 @@ mod tests {
         assert_eq!(rule.current_bound(), 93);
         rule = TayRule::new(16, 4000, 1, 1000);
         // 1.5 * 4000 / 256 = 23.4 -> 23
-        assert_eq!(rule.current_bound(), 23);
-        rule.reset();
         assert_eq!(rule.current_bound(), 23);
     }
 
@@ -270,17 +254,5 @@ mod tests {
             ..Measurement::basic(0.0, 1.0, 0.0, 20.0)
         };
         assert!(rule.update(&m) >= 5);
-    }
-
-    #[test]
-    fn iyer_reset() {
-        let mut rule = IyerRule::new(IyerRuleParams::default());
-        let m = Measurement {
-            conflicts_per_txn: 0.0,
-            ..Measurement::basic(0.0, 1.0, 0.0, 10.0)
-        };
-        rule.update(&m);
-        rule.reset();
-        assert_eq!(rule.current_bound(), IyerRuleParams::default().initial_bound);
     }
 }

@@ -39,7 +39,7 @@ pub struct Rls<const D: usize> {
 pub struct RlsSnapshot<const D: usize> {
     /// Current coefficient estimates.
     pub theta: [f64; D],
-    /// Observations absorbed since the last full reset.
+    /// Observations absorbed since construction.
     pub samples: u64,
 }
 
@@ -82,7 +82,7 @@ impl<const D: usize> Rls<D> {
         self.alpha = alpha;
     }
 
-    /// Number of observations absorbed since the last reset.
+    /// Number of observations absorbed since construction.
     pub fn samples(&self) -> u64 {
         self.samples
     }
@@ -162,13 +162,6 @@ impl<const D: usize> Rls<D> {
         for (i, row) in self.p.iter_mut().enumerate() {
             row[i] = self.initial_covariance;
         }
-    }
-
-    /// Full reset: coefficients to zero, covariance to the initial prior.
-    pub fn reset(&mut self) {
-        self.reset_covariance();
-        self.theta = [0.0; D];
-        self.samples = 0;
     }
 }
 
@@ -343,16 +336,6 @@ mod tests {
             "slope after reset: {}",
             rls.theta()[1]
         );
-    }
-
-    #[test]
-    fn full_reset_zeroes_everything() {
-        let mut rls = Rls::<2>::new(0.9, 100.0);
-        rls.update(&[1.0, 1.0], 5.0);
-        rls.reset();
-        assert_eq!(rls.theta(), &[0.0, 0.0]);
-        assert_eq!(rls.samples(), 0);
-        assert_eq!(covariance_trace(&rls), 200.0);
     }
 
     #[test]

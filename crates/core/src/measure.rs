@@ -105,16 +105,6 @@ impl PerfIndicator {
             PerfIndicator::NegatedConflictRate => -m.conflicts_per_txn,
         }
     }
-
-    /// Short name for table output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PerfIndicator::Throughput => "throughput",
-            PerfIndicator::InverseResponseTime => "inv-response",
-            PerfIndicator::EffectiveThroughput => "eff-throughput",
-            PerfIndicator::NegatedConflictRate => "neg-conflicts",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,11 +177,5 @@ mod tests {
         assert_eq!(m.conflicts_per_txn, 0.0);
         assert_eq!(m.performance, 3.0);
         assert_eq!(m.observed_mpl, 4.0);
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(PerfIndicator::Throughput.name(), "throughput");
-        assert_eq!(PerfIndicator::NegatedConflictRate.name(), "neg-conflicts");
     }
 }

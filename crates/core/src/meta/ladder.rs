@@ -1,4 +1,4 @@
-//! Threshold-ladder policies: escalate/de-escalate along an ordered
+//! The threshold-ladder policy: escalate/de-escalate along an ordered
 //! candidate list when a smoothed contention signal crosses a band.
 //!
 //! The candidate order is semantic: index 0 is the protocol for the
@@ -17,19 +17,22 @@ use crate::measure::Measurement;
 
 use super::{check_common, GuardParams, MetaPolicy, SwitchGuard};
 
-/// Which contention signal a ladder policy watches.
+/// Which contention signal a [`Ladder`] watches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LadderSignal {
-    /// Mean data conflicts per committed transaction.
+pub enum LadderSignal {
+    /// Mean data conflicts per committed transaction — the signal Iyer's
+    /// rule of thumb bounds, turned into a protocol-selection ladder.
     ConflictsPerTxn,
-    /// Aborted runs / finished runs (the restart rate).
+    /// Aborted runs / finished runs (the restart rate). Restart work is
+    /// what thrashes an optimistic protocol, so this signal reacts to
+    /// wasted execution rather than raw conflict counts.
     AbortRatio,
 }
 
-/// The shared ladder machinery behind [`ConflictThreshold`] and
-/// [`RestartRate`].
+/// Threshold-with-hysteresis on an EWMA'd contention signal, over an
+/// ordered candidate ladder.
 #[derive(Debug, Clone)]
-struct Ladder {
+pub struct Ladder {
     signal: LadderSignal,
     candidates: usize,
     threshold: f64,
@@ -38,14 +41,41 @@ struct Ladder {
 }
 
 impl Ladder {
-    /// Assembles the ladder; the public constructors check first.
-    fn new(
+    /// The first argument [`Ladder::new`] cannot run with, as
+    /// `<argument> must …`: every policy's rules, a positive finite
+    /// threshold, and one below 1 for [`LadderSignal::AbortRatio`] (it is
+    /// a ratio).
+    pub fn check(
+        signal: LadderSignal,
+        candidates: usize,
+        threshold: f64,
+        ewma_weight: f64,
+        guard: &GuardParams,
+    ) -> Result<(), String> {
+        check_common(candidates, ewma_weight, guard)?;
+        require(
+            threshold > 0.0 && threshold.is_finite(),
+            "threshold must be positive and finite",
+        )?;
+        require(
+            signal != LadderSignal::AbortRatio || threshold < 1.0,
+            "threshold must be < 1",
+        )
+    }
+
+    /// Creates the policy over `candidates` ordered rungs. `threshold`
+    /// is the centre of the signal's band, `ewma_weight ∈ (0, 1]` the
+    /// smoothing weight on new observations. Panics exactly when
+    /// [`Ladder::check`] errs.
+    pub fn new(
         signal: LadderSignal,
         candidates: usize,
         threshold: f64,
         ewma_weight: f64,
         guard: GuardParams,
     ) -> Self {
+        Self::check(signal, candidates, threshold, ewma_weight, &guard)
+            .expect("invalid ladder arguments");
         Ladder {
             signal,
             candidates,
@@ -53,6 +83,12 @@ impl Ladder {
             ewma: Ewma::new(ewma_weight),
             guard: SwitchGuard::new(guard),
         }
+    }
+}
+
+impl MetaPolicy for Ladder {
+    fn candidate_count(&self) -> usize {
+        self.candidates
     }
 
     fn decide(&mut self, active: usize, m: &Measurement) -> Option<usize> {
@@ -86,137 +122,8 @@ impl Ladder {
         Some(target)
     }
 
-    fn reset(&mut self) {
-        self.ewma.reset();
-        self.guard.reset();
-    }
-}
-
-/// Threshold-with-hysteresis on the EWMA'd conflict ratio (conflicts per
-/// committed transaction) — the signal Iyer's rule of thumb bounds,
-/// turned into a protocol-selection ladder.
-#[derive(Debug, Clone)]
-pub struct ConflictThreshold {
-    ladder: Ladder,
-}
-
-impl ConflictThreshold {
-    /// The first argument [`ConflictThreshold::new`] cannot run with, as
-    /// `<argument> must …` (every ladder's rules).
-    pub fn check(
-        candidates: usize,
-        threshold: f64,
-        ewma_weight: f64,
-        guard: &GuardParams,
-    ) -> Result<(), String> {
-        check_common(candidates, ewma_weight, guard)?;
-        require(
-            threshold > 0.0 && threshold.is_finite(),
-            "threshold must be positive and finite",
-        )
-    }
-
-    /// Creates the policy over `candidates` ordered rungs. `threshold`
-    /// is the centre of the conflict-ratio band, `ewma_weight ∈ (0, 1]`
-    /// the smoothing weight on new observations. Panics exactly when
-    /// [`ConflictThreshold::check`] errs.
-    pub fn new(candidates: usize, threshold: f64, ewma_weight: f64, guard: GuardParams) -> Self {
-        Self::check(candidates, threshold, ewma_weight, &guard)
-            .expect("invalid conflict-threshold arguments");
-        ConflictThreshold {
-            ladder: Ladder::new(
-                LadderSignal::ConflictsPerTxn,
-                candidates,
-                threshold,
-                ewma_weight,
-                guard,
-            ),
-        }
-    }
-}
-
-impl MetaPolicy for ConflictThreshold {
-    fn name(&self) -> &'static str {
-        "conflict-threshold"
-    }
-
-    fn candidate_count(&self) -> usize {
-        self.ladder.candidates
-    }
-
-    fn decide(&mut self, active: usize, m: &Measurement) -> Option<usize> {
-        self.ladder.decide(active, m)
-    }
-
     fn note_swap_complete(&mut self, completed_at_ms: f64) {
-        self.ladder.guard.note_swap_complete(completed_at_ms);
-    }
-
-    fn reset(&mut self) {
-        self.ladder.reset();
-    }
-}
-
-/// The same ladder driven by the EWMA'd restart (abort) ratio: escalate
-/// when the fraction of runs that abort and restart crosses the band.
-/// Restart work is what thrashes an optimistic protocol, so this signal
-/// reacts to wasted execution rather than raw conflict counts.
-#[derive(Debug, Clone)]
-pub struct RestartRate {
-    ladder: Ladder,
-}
-
-impl RestartRate {
-    /// The first argument [`RestartRate::new`] cannot run with, as
-    /// `<argument> must …`: every ladder's rules, and a threshold below 1
-    /// (it is an abort ratio).
-    pub fn check(
-        candidates: usize,
-        threshold: f64,
-        ewma_weight: f64,
-        guard: &GuardParams,
-    ) -> Result<(), String> {
-        ConflictThreshold::check(candidates, threshold, ewma_weight, guard)?;
-        require(threshold < 1.0, "threshold must be < 1")
-    }
-
-    /// Creates the policy; `threshold ∈ (0, 1)` is the centre of the
-    /// abort-ratio band. Panics exactly when [`RestartRate::check`]
-    /// errs.
-    pub fn new(candidates: usize, threshold: f64, ewma_weight: f64, guard: GuardParams) -> Self {
-        Self::check(candidates, threshold, ewma_weight, &guard)
-            .expect("invalid restart-rate arguments");
-        RestartRate {
-            ladder: Ladder::new(
-                LadderSignal::AbortRatio,
-                candidates,
-                threshold,
-                ewma_weight,
-                guard,
-            ),
-        }
-    }
-}
-
-impl MetaPolicy for RestartRate {
-    fn name(&self) -> &'static str {
-        "restart-rate"
-    }
-
-    fn candidate_count(&self) -> usize {
-        self.ladder.candidates
-    }
-
-    fn decide(&mut self, active: usize, m: &Measurement) -> Option<usize> {
-        self.ladder.decide(active, m)
-    }
-
-    fn note_swap_complete(&mut self, completed_at_ms: f64) {
-        self.ladder.guard.note_swap_complete(completed_at_ms);
-    }
-
-    fn reset(&mut self) {
-        self.ladder.reset();
+        self.guard.note_swap_complete(completed_at_ms);
     }
 }
 
@@ -224,6 +131,10 @@ impl MetaPolicy for RestartRate {
 mod tests {
     use super::super::obs_at;
     use super::*;
+
+    fn conflicts(candidates: usize, threshold: f64, weight: f64, guard: GuardParams) -> Ladder {
+        Ladder::new(LadderSignal::ConflictsPerTxn, candidates, threshold, weight, guard)
+    }
 
     fn guard(dwell: f64, cooldown: f64, hysteresis: f64) -> GuardParams {
         GuardParams {
@@ -235,7 +146,7 @@ mod tests {
 
     #[test]
     fn escalates_and_deescalates_across_the_band() {
-        let mut p = ConflictThreshold::new(2, 1.0, 1.0, guard(0.0, 0.0, 0.2));
+        let mut p = conflicts(2, 1.0, 1.0, guard(0.0, 0.0, 0.2));
         // Calm: well below the lower edge — no move off rung 0.
         assert_eq!(p.decide(0, &obs_at(1_000.0, 0.1)), None);
         // Hot: above the upper edge (1.2) — climb.
@@ -248,7 +159,7 @@ mod tests {
 
     #[test]
     fn dead_band_absorbs_mid_range_signals() {
-        let mut p = ConflictThreshold::new(2, 1.0, 1.0, guard(0.0, 0.0, 0.5));
+        let mut p = conflicts(2, 1.0, 1.0, guard(0.0, 0.0, 0.5));
         for (i, v) in [0.6, 1.4, 0.9, 1.2].into_iter().enumerate() {
             assert_eq!(
                 p.decide(0, &obs_at(1_000.0 * (i + 1) as f64, v)),
@@ -264,7 +175,7 @@ mod tests {
     #[test]
     fn no_switch_within_min_dwell_of_the_previous_one() {
         let dwell = 10_000.0;
-        let mut p = ConflictThreshold::new(3, 1.0, 1.0, guard(dwell, 0.0, 0.0));
+        let mut p = conflicts(3, 1.0, 1.0, guard(dwell, 0.0, 0.0));
         let mut active = 0usize;
         let mut switch_times = Vec::new();
         // A violently alternating signal, sampled every second.
@@ -297,7 +208,7 @@ mod tests {
 
     #[test]
     fn cooldown_discards_post_switch_observations() {
-        let mut p = ConflictThreshold::new(2, 1.0, 1.0, guard(0.0, 5_000.0, 0.0));
+        let mut p = conflicts(2, 1.0, 1.0, guard(0.0, 5_000.0, 0.0));
         // t=1s..4s sit inside the initial cooldown: discarded.
         assert_eq!(p.decide(0, &obs_at(1_000.0, 100.0)), None);
         assert_eq!(p.decide(0, &obs_at(4_999.0, 100.0)), None);
@@ -313,7 +224,7 @@ mod tests {
     /// guards at the swap, so the cooldown counts from there.
     #[test]
     fn swap_completion_reanchors_cooldown_and_dwell() {
-        let mut p = ConflictThreshold::new(2, 1.0, 1.0, guard(4_000.0, 2_000.0, 0.0));
+        let mut p = conflicts(2, 1.0, 1.0, guard(4_000.0, 2_000.0, 0.0));
         // Decision at t=5s; the drain takes until t=8s.
         assert_eq!(p.decide(0, &obs_at(5_000.0, 100.0)), Some(1));
         p.note_swap_complete(8_000.0);
@@ -329,7 +240,7 @@ mod tests {
         // The ablation baseline: with no dwell, no cooldown and no
         // hysteresis, an alternating signal flips the ladder every
         // interval — the pathology the guards exist to prevent.
-        let mut p = ConflictThreshold::new(2, 1.0, 1.0, guard(0.0, 0.0, 0.0));
+        let mut p = conflicts(2, 1.0, 1.0, guard(0.0, 0.0, 0.0));
         let mut active = 0usize;
         let mut switches = 0;
         for i in 1..100 {
@@ -344,7 +255,7 @@ mod tests {
 
     #[test]
     fn restart_rate_watches_abort_ratio() {
-        let mut p = RestartRate::new(2, 0.3, 1.0, guard(0.0, 0.0, 0.0));
+        let mut p = Ladder::new(LadderSignal::AbortRatio, 2, 0.3, 1.0, guard(0.0, 0.0, 0.0));
         let mut calm = obs_at(1_000.0, 0.0);
         (calm.departures, calm.aborts) = (95, 5);
         assert_eq!(p.decide(0, &calm), None);
@@ -355,7 +266,7 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_across_instances() {
-        let mk = || ConflictThreshold::new(3, 0.8, 0.4, guard(4_000.0, 2_000.0, 0.3));
+        let mk = || conflicts(3, 0.8, 0.4, guard(4_000.0, 2_000.0, 0.3));
         let mut a = mk();
         let mut b = mk();
         let mut active_a = 0usize;

@@ -25,10 +25,9 @@
 //! * [`SwitchGuard`] / [`GuardParams`] — the shared anti-oscillation
 //!   guards (minimum dwell time between switches, post-switch cooldown
 //!   during which observations are discarded, relative hysteresis band).
-//! * [`ConflictThreshold`] — escalates along an ordered candidate ladder
-//!   when the EWMA'd conflict ratio crosses a threshold band.
-//! * [`RestartRate`] — the same ladder driven by the abort (restart)
-//!   ratio instead of the conflict ratio.
+//! * [`Ladder`] — escalates along an ordered candidate ladder when an
+//!   EWMA'd contention signal ([`LadderSignal`]: the conflict ratio or
+//!   the abort (restart) ratio) crosses a threshold band.
 //! * [`ShadowScore`] — O|R|P|E-style running per-candidate score
 //!   estimates of delivered throughput; switches to the best-scoring
 //!   candidate when it beats the active one by the hysteresis margin.
@@ -40,7 +39,7 @@
 mod ladder;
 mod shadow;
 
-pub use ladder::{ConflictThreshold, RestartRate};
+pub use ladder::{Ladder, LadderSignal};
 pub use shadow::ShadowScore;
 
 use crate::controller::require;
@@ -133,11 +132,6 @@ impl SwitchGuard {
     pub fn note_swap_complete(&mut self, at_ms: f64) {
         self.last_switch_ms = self.last_switch_ms.max(at_ms);
     }
-
-    /// Restores the initial state.
-    pub fn reset(&mut self) {
-        self.last_switch_ms = 0.0;
-    }
 }
 
 /// A protocol-selection policy over `n` candidates.
@@ -149,9 +143,6 @@ impl SwitchGuard {
 /// own guard state before returning. Policies must be deterministic
 /// functions of their observation sequence.
 pub trait MetaPolicy: Send {
-    /// Policy name for reports and traces.
-    fn name(&self) -> &'static str;
-
     /// Number of candidates the policy selects among.
     fn candidate_count(&self) -> usize;
 
@@ -169,9 +160,6 @@ pub trait MetaPolicy: Send {
     fn note_swap_complete(&mut self, completed_at_ms: f64) {
         let _ = completed_at_ms;
     }
-
-    /// Restores the initial state (used between experiment repetitions).
-    fn reset(&mut self);
 }
 
 /// A one-second interval ending at `at_ms`: 100 commits, no aborts,
@@ -205,8 +193,6 @@ mod tests {
         assert!(g.settling(12_000.0));
         assert!(!g.may_switch(19_999.0));
         assert!(g.may_switch(20_000.0));
-        g.reset();
-        assert!(!g.may_switch(5_000.0));
     }
 
     #[test]

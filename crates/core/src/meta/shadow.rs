@@ -48,10 +48,6 @@ impl ShadowScore {
 }
 
 impl MetaPolicy for ShadowScore {
-    fn name(&self) -> &'static str {
-        "shadow-score"
-    }
-
     fn candidate_count(&self) -> usize {
         self.scores.len()
     }
@@ -99,13 +95,6 @@ impl MetaPolicy for ShadowScore {
 
     fn note_swap_complete(&mut self, completed_at_ms: f64) {
         self.guard.note_swap_complete(completed_at_ms);
-    }
-
-    fn reset(&mut self) {
-        for s in &mut self.scores {
-            s.reset();
-        }
-        self.guard.reset();
     }
 }
 

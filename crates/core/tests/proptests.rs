@@ -236,7 +236,7 @@ proptest! {
 // Meta-policy properties (closed-loop CC selection)
 // ---------------------------------------------------------------------
 
-use alc_core::meta::{ConflictThreshold, GuardParams, MetaPolicy, RestartRate, ShadowScore};
+use alc_core::meta::{GuardParams, Ladder, LadderSignal, MetaPolicy, ShadowScore};
 
 /// Replays a sequence of `(conflicts per commit, commits, aborts)`
 /// intervals through a policy, returning the decision trace (decision
@@ -268,11 +268,10 @@ proptest! {
 
     /// Every meta policy is a pure function of its observation sequence:
     /// two fresh instances replaying the same sequence emit the same
-    /// decision trace, and a reset instance replays it identically —
-    /// the property that makes adaptive runs exactly as reproducible as
-    /// scheduled ones.
+    /// decision trace — the property that makes adaptive runs exactly as
+    /// reproducible as scheduled ones.
     #[test]
-    fn meta_policies_are_deterministic_and_reset_clean(
+    fn meta_policies_are_deterministic(
         obs in proptest::collection::vec(
             (0.0f64..6.0, 0u64..100, 0u64..100), 10..120),
         threshold in 0.2f64..4.0,
@@ -286,21 +285,21 @@ proptest! {
             cooldown_ms: cooldown_s * 1000.0,
             hysteresis,
         };
-        let policies: Vec<Box<dyn Fn() -> Box<dyn MetaPolicy>>> = vec![
-            Box::new(move || Box::new(ConflictThreshold::new(3, threshold, weight, guard))),
-            Box::new(move || Box::new(RestartRate::new(3, threshold.min(0.95), weight, guard))),
-            Box::new(move || Box::new(ShadowScore::new(3, weight, guard))),
+        type Make = Box<dyn Fn() -> Box<dyn MetaPolicy>>;
+        let policies: Vec<(&str, Make)> = vec![
+            ("conflict ladder", Box::new(move || {
+                Box::new(Ladder::new(LadderSignal::ConflictsPerTxn, 3, threshold, weight, guard))
+            })),
+            ("abort ladder", Box::new(move || {
+                let threshold = threshold.min(0.95);
+                Box::new(Ladder::new(LadderSignal::AbortRatio, 3, threshold, weight, guard))
+            })),
+            ("shadow score", Box::new(move || Box::new(ShadowScore::new(3, weight, guard)))),
         ];
-        for mk in &policies {
-            let mut a = mk();
-            let mut b = mk();
-            let ta = replay(a.as_mut(), &obs);
-            let tb = replay(b.as_mut(), &obs);
-            prop_assert_eq!(&ta, &tb, "{} diverged across instances", a.name());
-            // Reset restores the initial state exactly.
-            a.reset();
-            let tr = replay(a.as_mut(), &obs);
-            prop_assert_eq!(&ta, &tr, "{} diverged after reset", a.name());
+        for (name, mk) in &policies {
+            let ta = replay(mk().as_mut(), &obs);
+            let tb = replay(mk().as_mut(), &obs);
+            prop_assert_eq!(&ta, &tb, "{} diverged across instances", name);
             // The dwell guard holds on every trace: consecutive decisions
             // (and the first, measured from run start) are at least
             // min_dwell apart.
@@ -310,7 +309,7 @@ proptest! {
             for w in ta.windows(2) {
                 prop_assert!(
                     w[1].0 - w[0].0 >= guard.min_dwell_ms,
-                    "{} violated min_dwell: {} then {}", a.name(), w[0].0, w[1].0
+                    "{} violated min_dwell: {} then {}", name, w[0].0, w[1].0
                 );
             }
         }
@@ -504,8 +503,8 @@ proptest! {
         let (n, w, guard, threshold) = meta_args(&f);
         agrees(
             &(n, threshold, w, guard),
-            ConflictThreshold::check(n, threshold, w, &guard),
-            || ConflictThreshold::new(n, threshold, w, guard),
+            Ladder::check(LadderSignal::ConflictsPerTxn, n, threshold, w, &guard),
+            || Ladder::new(LadderSignal::ConflictsPerTxn, n, threshold, w, guard),
         );
     }
 
@@ -514,8 +513,8 @@ proptest! {
         let (n, w, guard, threshold) = meta_args(&f);
         agrees(
             &(n, threshold, w, guard),
-            RestartRate::check(n, threshold, w, &guard),
-            || RestartRate::new(n, threshold, w, guard),
+            Ladder::check(LadderSignal::AbortRatio, n, threshold, w, &guard),
+            || Ladder::new(LadderSignal::AbortRatio, n, threshold, w, guard),
         );
     }
 

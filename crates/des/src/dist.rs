@@ -14,7 +14,9 @@ pub trait Sample {
     /// Draws one value.
     fn sample(&self, rng: &mut RngStream) -> f64;
 
-    /// The distribution's mean, used in tests and analytic cross-checks.
+    /// The distribution's mean: the expected demands of
+    /// `SystemConfig::cpu_per_run_ms` / `disk_per_run_ms`, the spec
+    /// reader's positive-mean checks, and tests and analytic cross-checks.
     fn mean(&self) -> f64;
 }
 

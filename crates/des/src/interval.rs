@@ -160,13 +160,6 @@ impl DispersionEstimator {
     pub fn required_interval_ms(&self, rel_accuracy: f64, level: ConfidenceLevel) -> f64 {
         required_duration_ms(self.rate_per_ms(), self.scv(), rel_accuracy, level)
     }
-
-    /// Forgets everything.
-    pub fn reset(&mut self) {
-        self.total_count = 0.0;
-        self.total_ms = 0.0;
-        self.history.clear();
-    }
 }
 
 #[cfg(test)]
@@ -258,14 +251,5 @@ mod tests {
             d.observe((0.2 * t) as u64, t);
         }
         assert!(d.scv() < 0.05, "{}", d.scv());
-    }
-
-    #[test]
-    fn reset_clears_both_estimators() {
-        let mut d = DispersionEstimator::new(8);
-        d.observe(5, 100.0);
-        d.reset();
-        assert!(d.is_empty());
-        assert_eq!(d.rate_per_ms(), 0.0);
     }
 }

@@ -145,9 +145,9 @@ fn render_aligned_csv_into(out: &mut String, series: &[&TimeSeries]) {
     }
 }
 
-/// Writes several series sharing a time axis as one CSV table (see
-/// [`render_aligned_csv_into`]); the whole table goes to the writer in a
-/// single call.
+/// Writes several series sharing a time axis as one CSV table, aligned
+/// on the time points of the first series using sample-and-hold; the
+/// whole table goes to the writer in a single call.
 pub fn write_aligned_csv<W: std::io::Write>(
     mut w: W,
     series: &[&TimeSeries],

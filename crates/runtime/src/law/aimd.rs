@@ -76,10 +76,6 @@ impl AimdLaw {
 }
 
 impl ControlLaw for AimdLaw {
-    fn name(&self) -> &'static str {
-        "aimd"
-    }
-
     fn decide(&mut self, window: &WindowSnapshot) -> u32 {
         let m = &window.measurement;
         if m.departures == 0 && m.aborts == 0 {
@@ -99,13 +95,6 @@ impl ControlLaw for AimdLaw {
 
     fn current_bound(&self) -> u32 {
         self.bound
-    }
-
-    fn reset(&mut self) {
-        self.bound = self
-            .params
-            .initial_bound
-            .clamp(self.params.min_bound, self.params.max_bound);
     }
 }
 
@@ -178,7 +167,5 @@ mod tests {
         assert_eq!(law.decide(&window(10, 0, 0.0)), 4);
         assert_eq!(law.decide(&window(10, 9, 0.0)), 2);
         assert_eq!(law.decide(&window(10, 9, 0.0)), 2);
-        law.reset();
-        assert_eq!(law.current_bound(), 3);
     }
 }

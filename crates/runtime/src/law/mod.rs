@@ -84,16 +84,10 @@ impl WindowSnapshot {
 ///
 /// [`LoadController`]: alc_core::controller::LoadController
 pub trait ControlLaw: Send {
-    /// Short identifier for reports and logs.
-    fn name(&self) -> &'static str;
-
     /// Absorbs one window and returns the MPL bound to enforce next.
     fn decide(&mut self, window: &WindowSnapshot) -> u32;
 
     /// The bound currently in force (last decision, or the initial
     /// bound before any).
     fn current_bound(&self) -> u32;
-
-    /// Returns to the initial state.
-    fn reset(&mut self);
 }

@@ -28,10 +28,6 @@ impl PaperLaw {
 }
 
 impl ControlLaw for PaperLaw {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
     fn decide(&mut self, window: &WindowSnapshot) -> u32 {
         self.inner.update(&window.measurement)
     }
@@ -39,29 +35,17 @@ impl ControlLaw for PaperLaw {
     fn current_bound(&self) -> u32 {
         self.inner.current_bound()
     }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
 }
 
 /// The retry budget needs no box: it reads only the measurement, so
 /// the simulator's controller is the runtime's law as it stands.
 impl ControlLaw for RetryBudget {
-    fn name(&self) -> &'static str {
-        LoadController::name(self)
-    }
-
     fn decide(&mut self, window: &WindowSnapshot) -> u32 {
         self.update(&window.measurement)
     }
 
     fn current_bound(&self) -> u32 {
         LoadController::current_bound(self)
-    }
-
-    fn reset(&mut self) {
-        LoadController::reset(self);
     }
 }
 
@@ -72,7 +56,7 @@ mod tests {
     use alc_core::measure::Measurement;
 
     #[test]
-    fn forwards_measurements_and_name() {
+    fn forwards_measurements() {
         let params = IsParams {
             initial_bound: 10,
             min_bound: 1,
@@ -81,7 +65,6 @@ mod tests {
         };
         let mut reference = IncrementalSteps::new(params);
         let mut law = PaperLaw::new(Box::new(IncrementalSteps::new(params)));
-        assert_eq!(law.name(), reference.name());
         assert_eq!(law.current_bound(), reference.current_bound());
         for step in 0..12 {
             let m = Measurement::basic(
@@ -94,8 +77,5 @@ mod tests {
             let got = law.decide(&WindowSnapshot::from_measurement(m));
             assert_eq!(got, expect, "step {step}");
         }
-        law.reset();
-        reference.reset();
-        assert_eq!(law.current_bound(), reference.current_bound());
     }
 }

@@ -24,7 +24,7 @@
 //! * [`metrics`] — [`MetricsSnapshot`]: the loop's live state (gate
 //!   occupancy, cumulative counters, last window with P² quantiles)
 //!   flattened for export, with a byte-round-tripping JSONL form.
-//! * [`replay`] — [`check_conformance`]: feed a recorded log back
+//! * [`replay`](mod@replay) — [`check_conformance`]: feed a recorded log back
 //!   through a fresh [`LoopCore`] and require the decision sequence to
 //!   match byte-for-byte.
 //!

@@ -46,7 +46,7 @@ use alc_core::controller::{
     ParabolaApproximation, RetryBudget, RetryBudgetParams, SelfTuningIs as SelfTuningIsCtrl,
     SelfTuningPa as SelfTuningPaCtrl, TayRule, Unlimited,
 };
-use alc_core::meta::{ConflictThreshold, GuardParams, MetaPolicy, RestartRate, ShadowScore};
+use alc_core::meta::{GuardParams, Ladder, LadderSignal, MetaPolicy, ShadowScore};
 use alc_tpsim::client::ClientConfig;
 use alc_tpsim::config::{CcKind, SystemConfig};
 use alc_tpsim::workload::WorkloadConfig;
@@ -199,16 +199,14 @@ pub struct AdaptiveCcSpec {
 /// The policy inside an adaptive `cc` section.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetaPolicySpec {
-    /// Threshold-with-hysteresis ladder on the EWMA'd conflict ratio.
-    ConflictThreshold {
-        /// Centre of the conflict-ratio band (conflicts per commit).
-        threshold: f64,
-        /// EWMA weight on each new observation, in (0, 1].
-        ewma_weight: f64,
-    },
-    /// The same ladder on the EWMA'd abort (restart) ratio.
-    RestartRate {
-        /// Centre of the abort-ratio band, in (0, 1).
+    /// Threshold-with-hysteresis ladder on an EWMA'd signal: the conflict
+    /// ratio (tag `conflict_threshold`) or the abort (restart) ratio (tag
+    /// `restart_rate`).
+    Ladder {
+        /// The signal the ladder watches.
+        signal: LadderSignal,
+        /// Centre of the signal's band (conflicts per commit, or an abort
+        /// ratio in (0, 1)).
         threshold: f64,
         /// EWMA weight on each new observation, in (0, 1].
         ewma_weight: f64,
@@ -236,8 +234,13 @@ impl AdaptiveCcSpec {
     pub fn check(&self) -> Result<(), String> {
         let (n, guard) = (self.candidates.len(), self.guard());
         let (tag, checked) = match self.policy {
-            MetaPolicySpec::ConflictThreshold { threshold: t, ewma_weight: w } => ("conflict_threshold", ConflictThreshold::check(n, t, w, &guard)),
-            MetaPolicySpec::RestartRate { threshold: t, ewma_weight: w } => ("restart_rate", RestartRate::check(n, t, w, &guard)),
+            MetaPolicySpec::Ladder { signal, threshold: t, ewma_weight: w } => (
+                match signal {
+                    LadderSignal::ConflictsPerTxn => "conflict_threshold",
+                    LadderSignal::AbortRatio => "restart_rate",
+                },
+                Ladder::check(signal, n, t, w, &guard),
+            ),
             MetaPolicySpec::ShadowScore { ewma_weight: w } => ("shadow_score", ShadowScore::check(n, w, &guard)),
         };
         checked.map_err(|e| match e.split(' ').next() {
@@ -250,14 +253,11 @@ impl AdaptiveCcSpec {
     pub fn build(&self) -> (Vec<CcKind>, Box<dyn MetaPolicy>) {
         let (n, guard) = (self.candidates.len(), self.guard());
         let policy: Box<dyn MetaPolicy> = match &self.policy {
-            MetaPolicySpec::ConflictThreshold {
+            MetaPolicySpec::Ladder {
+                signal,
                 threshold,
                 ewma_weight,
-            } => Box::new(ConflictThreshold::new(n, *threshold, *ewma_weight, guard)),
-            MetaPolicySpec::RestartRate {
-                threshold,
-                ewma_weight,
-            } => Box::new(RestartRate::new(n, *threshold, *ewma_weight, guard)),
+            } => Box::new(Ladder::new(*signal, n, *threshold, *ewma_weight, guard)),
             MetaPolicySpec::ShadowScore { ewma_weight } => {
                 Box::new(ShadowScore::new(n, *ewma_weight, guard))
             }

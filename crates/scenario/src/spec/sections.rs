@@ -4,6 +4,7 @@ use alc_core::controller::{
     HybridParams, IsParams, IyerRuleParams, OuterParams, PaOuterParams, PaParams,
     RetryBudgetParams,
 };
+use alc_core::meta::LadderSignal;
 use alc_tpsim::client::{ClientConfig, LatencyFeedback, RetryPolicy};
 use alc_tpsim::config::{CcKind, SystemConfig};
 use serde::Value;
@@ -177,18 +178,17 @@ fn meta_policy_from_value(v: &Value) -> Result<MetaPolicySpec, SpecError> {
         }
         "conflict_threshold" | "restart_rate" => {
             let mut o = Obj::open(payload, tag)?;
+            let signal = if tag == "conflict_threshold" {
+                LadderSignal::ConflictsPerTxn
+            } else {
+                LadderSignal::AbortRatio
+            };
             let threshold = o.req("threshold", number)?;
             let ewma_weight = ewma(&mut o)?;
-            o.finish(if tag == "conflict_threshold" {
-                MetaPolicySpec::ConflictThreshold {
-                    threshold,
-                    ewma_weight,
-                }
-            } else {
-                MetaPolicySpec::RestartRate {
-                    threshold,
-                    ewma_weight,
-                }
+            o.finish(MetaPolicySpec::Ladder {
+                signal,
+                threshold,
+                ewma_weight,
             })
         }
         other => Err(unknown_key("cc.adaptive.policy", other, POLICY)),

@@ -309,7 +309,8 @@ fn adaptive_cc_parses_and_pins_initial_protocol() {
     );
     assert_eq!(
         ad.policy,
-        MetaPolicySpec::ConflictThreshold {
+        MetaPolicySpec::Ladder {
+            signal: LadderSignal::ConflictsPerTxn,
             threshold: 0.8,
             ewma_weight: 0.3
         }
@@ -318,7 +319,6 @@ fn adaptive_cc_parses_and_pins_initial_protocol() {
     let (candidates, policy) = ad.build();
     assert_eq!(candidates.len(), 2);
     assert_eq!(policy.candidate_count(), 2);
-    assert_eq!(policy.name(), "conflict-threshold");
 }
 
 #[test]
@@ -409,7 +409,8 @@ fn adaptive_cc_is_set_addressable() {
     assert_eq!(ad.min_dwell_s, 5.0);
     assert_eq!(
         ad.policy,
-        MetaPolicySpec::ConflictThreshold {
+        MetaPolicySpec::Ladder {
+            signal: LadderSignal::ConflictsPerTxn,
             threshold: 2.5,
             ewma_weight: 0.3
         }

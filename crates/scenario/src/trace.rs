@@ -6,11 +6,11 @@
 //! runs, with a [`Tee`] of two sinks installed before the run: a streaming
 //! [`ChromeWriter`] producing the Perfetto-loadable
 //! `<stem>_trace.json`, and a [`CountingSink`] whose tallies are
-//! checked against the run's [`RunStats`](alc_tpsim::engine::RunStats)
-//! / [`ClientStats`](alc_tpsim::ClientStats) after the run. Every
-//! identity is structural — "commits equals attempt-spans ending in
-//! `commit`", "every span opened was closed" — so a drifting emission
-//! site fails the command rather than silently skewing the timeline.
+//! checked against the run's [`RunStats`] / [`ClientStats`] after the
+//! run. Every identity is structural — "commits equals attempt-spans
+//! ending in `commit`", "every span opened was closed" — so a drifting
+//! emission site fails the command rather than silently skewing the
+//! timeline.
 
 use std::io;
 use std::io::Write as _;

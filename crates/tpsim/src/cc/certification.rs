@@ -92,10 +92,6 @@ impl Certification {
 }
 
 impl ConcurrencyControl for Certification {
-    fn name(&self) -> &'static str {
-        "certification"
-    }
-
     fn begin(&mut self, txn: TxnId, _ts: u64) {
         let st = &mut self.txns[txn];
         st.start_seq = self.commit_seq;
@@ -361,10 +357,6 @@ mod tests {
         }
 
         impl ConcurrencyControl for Certification {
-            fn name(&self) -> &'static str {
-                "certification"
-            }
-
             fn begin(&mut self, txn: TxnId, _ts: u64) {
                 let st = &mut self.txns[txn];
                 st.start_seq = self.commit_seq;

@@ -83,12 +83,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         self.len += 1;
     }
 
-    /// Removes all elements, keeping the spill capacity for reuse.
-    #[inline]
-    pub(crate) fn clear(&mut self) {
-        self.len = 0;
-    }
-
     /// Iterates the elements by value, in insertion order.
     #[inline]
     pub(crate) fn iter(&self) -> impl Iterator<Item = T> + '_ {
@@ -141,20 +135,6 @@ mod tests {
         assert_eq!(v.iter().collect::<Vec<_>>(), vec![0, 2, 4]);
         // 4 moved from the spill into the inline region.
         assert_eq!(v.get(2), 4);
-    }
-
-    #[test]
-    fn clear_then_reuse_keeps_working() {
-        let mut v: InlineVec<u32, 2> = InlineVec::new();
-        for i in 0..10 {
-            v.push(i);
-        }
-        v.clear();
-        assert!(v.is_empty());
-        for i in 0..4 {
-            v.push(100 + i);
-        }
-        assert_eq!(v.iter().collect::<Vec<_>>(), vec![100, 101, 102, 103]);
     }
 
     #[test]

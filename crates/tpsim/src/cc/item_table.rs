@@ -223,12 +223,6 @@ impl<V: Copy + Default> ItemTable<V> {
         self.len = self.live.len();
     }
 
-    /// Empties the table, keeping its capacity.
-    pub(super) fn clear(&mut self) {
-        self.slots.fill((EMPTY, V::default()));
-        self.len = 0;
-    }
-
     /// Slots allocated (free ones included).
     #[cfg(test)]
     pub(super) fn capacity(&self) -> usize {
@@ -444,16 +438,5 @@ mod tests {
             );
             assert!(t.len() <= t.capacity() / 2);
         }
-    }
-
-    #[test]
-    fn clear_keeps_the_capacity() {
-        let mut t: ItemTable<u64> = ItemTable::with_capacity(4);
-        for item in 0..8 {
-            *t.entry(item, || 0, keep) = 1;
-        }
-        let capacity = t.capacity();
-        t.clear();
-        assert_eq!((t.len(), t.capacity(), t.get(3)), (0, capacity, 0));
     }
 }

@@ -155,26 +155,6 @@ impl LockTable {
         slot.blocked_count = 0;
     }
 
-    /// Clears all lock state, retaining every capacity (arena entries,
-    /// spill buffers, queues, the item index), so a caller re-driving
-    /// one protocol instance across runs pays no re-allocation. (The
-    /// scenario runner builds a fresh `Simulator` per cell and does not
-    /// use this.)
-    pub(crate) fn reset(&mut self) {
-        self.index.clear();
-        self.free.clear();
-        for (i, entry) in self.entries.iter_mut().enumerate() {
-            entry.holders.clear();
-            entry.queue.clear();
-            self.free.push(i as u32);
-        }
-        for slot in &mut self.slots {
-            slot.held.clear();
-            slot.waiting_for_item = None;
-            slot.blocked_count = 0;
-        }
-    }
-
     /// Arena entries ever created (high-water of concurrently locked
     /// items). Exposed so tests can pin capacity retention.
     #[cfg(test)]
@@ -736,29 +716,6 @@ mod tests {
             "arena grew to {} entries for 2 concurrent locks",
             lt.arena_len()
         );
-    }
-
-    #[test]
-    fn reset_clears_state_but_keeps_arena() {
-        let mut lt = LockTable::new(2);
-        lt.begin(0);
-        lt.begin(1);
-        lt.request(0, 1, Mode::Exclusive);
-        lt.request(0, 2, Mode::Exclusive);
-        lt.request(1, 1, Mode::Shared);
-        let high_water = lt.arena_len();
-        lt.reset();
-        assert_eq!(lt.locked_items(), 0);
-        assert_eq!(lt.waiting_item(1), None);
-        assert_eq!(lt.blocked_count(1), 0);
-        assert_eq!(lt.arena_len(), high_water, "reset must keep the arena");
-        // And the table still works after reset.
-        lt.begin(0);
-        lt.begin(1);
-        assert_eq!(lt.request(0, 9, Mode::Exclusive), RequestOutcome::Granted);
-        assert_eq!(lt.request(1, 9, Mode::Shared), RequestOutcome::Queued);
-        assert_eq!(lt.release_all(0), vec![1]);
-        assert_eq!(lt.arena_len(), high_water);
     }
 
     #[test]

@@ -63,9 +63,6 @@ pub struct ValidateOutcome {
 
 /// A pluggable concurrency-control protocol.
 pub trait ConcurrencyControl {
-    /// Protocol name for tables.
-    fn name(&self) -> &'static str;
-
     /// Starts a (re)run of `txn` with a fresh timestamp (larger = younger).
     fn begin(&mut self, txn: TxnId, ts: u64);
 
@@ -216,18 +213,54 @@ mod differential {
 mod tests {
     use super::*;
 
+    /// Slot 0 runs at timestamp 1 (the older), slot 1 at 2. `holder`
+    /// writes item 7, then the other slot reads it: the read's outcome,
+    /// and the victim the protocol names if it blocked.
+    fn contend(kind: CcKind, holder: TxnId) -> (AccessOutcome, Option<TxnId>) {
+        let mut cc = make_cc(kind, 2, 100);
+        cc.begin(0, 1);
+        cc.begin(1, 2);
+        assert_eq!(cc.access(holder, 7, true), AccessOutcome::Granted);
+        let requester = 1 - holder;
+        let got = cc.access(requester, 7, false);
+        let victim = match got {
+            AccessOutcome::Blocked => cc.deadlock_victim(requester),
+            _ => None,
+        };
+        (got, victim)
+    }
+
+    /// The younger slot writes item 7 and commits, then the older one
+    /// reads it: the read's outcome, and its validation if granted.
+    fn read_after_commit(kind: CcKind) -> (AccessOutcome, Option<bool>) {
+        let mut cc = make_cc(kind, 2, 100);
+        cc.begin(0, 1);
+        cc.begin(1, 2);
+        assert_eq!(cc.access(1, 7, true), AccessOutcome::Granted);
+        assert!(cc.validate(1).ok);
+        cc.commit(1);
+        let got = cc.access(0, 7, false);
+        (got, (got == AccessOutcome::Granted).then(|| cc.validate(0).ok))
+    }
+
+    /// `make_cc` builds each kind's protocol, told apart by behaviour:
+    /// no two rows below are equal.
     #[test]
     fn factory_builds_all_kinds() {
-        for (kind, name) in [
-            (CcKind::Certification, "certification"),
-            (CcKind::TwoPhaseLocking, "2pl"),
-            (CcKind::TimestampOrdering, "timestamp-ordering"),
-            (CcKind::WoundWait, "wound-wait"),
-            (CcKind::WaitDie, "wait-die"),
-            (CcKind::Multiversion, "mvto"),
+        use AccessOutcome::{Abort, Blocked, Granted};
+        for (kind, older_waits, younger_waits, late_read) in [
+            (CcKind::Certification, (Granted, None), (Granted, None), (Granted, Some(false))),
+            (CcKind::TwoPhaseLocking, (Blocked, None), (Blocked, None), (Granted, Some(true))),
+            (CcKind::TimestampOrdering, (Abort, None), (Granted, None), (Abort, None)),
+            // Wound-wait: the older requester wounds the younger holder.
+            (CcKind::WoundWait, (Blocked, Some(1)), (Blocked, None), (Granted, Some(true))),
+            // Wait-die: the younger requester dies.
+            (CcKind::WaitDie, (Blocked, None), (Blocked, Some(1)), (Granted, Some(true))),
+            (CcKind::Multiversion, (Granted, None), (Granted, None), (Granted, Some(true))),
         ] {
-            let cc = make_cc(kind, 4, 100);
-            assert_eq!(cc.name(), name);
+            assert_eq!(contend(kind, 1), older_waits, "{}: older reader", kind.name());
+            assert_eq!(contend(kind, 0), younger_waits, "{}: younger reader", kind.name());
+            assert_eq!(read_after_commit(kind), late_read, "{}: late read", kind.name());
         }
     }
 }

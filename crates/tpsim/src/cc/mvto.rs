@@ -339,10 +339,6 @@ impl Mvto {
 }
 
 impl ConcurrencyControl for Mvto {
-    fn name(&self) -> &'static str {
-        "mvto"
-    }
-
     fn begin(&mut self, txn: TxnId, ts: u64) {
         let slot = &mut self.slots[txn];
         slot.ts = ts;
@@ -856,10 +852,6 @@ mod tests {
         }
 
         impl ConcurrencyControl for Mvto {
-            fn name(&self) -> &'static str {
-                "mvto"
-            }
-
             fn begin(&mut self, txn: TxnId, ts: u64) {
                 let slot = &mut self.slots[txn];
                 slot.ts = ts;

@@ -66,23 +66,9 @@ impl Prevention {
             targets_scratch: Vec::new(), // alc-lint: allow(hot-alloc, reason="construction-time scratch; retains capacity across calls")
         }
     }
-
-    /// Clears all lock state, retaining arena/queue capacity, for
-    /// callers re-driving one protocol instance across runs.
-    pub fn reset(&mut self) {
-        self.table.reset();
-        self.slots.fill(Slot::default());
-    }
 }
 
 impl ConcurrencyControl for Prevention {
-    fn name(&self) -> &'static str {
-        match self.policy {
-            PreventionPolicy::WoundWait => "wound-wait",
-            PreventionPolicy::WaitDie => "wait-die",
-        }
-    }
-
     fn begin(&mut self, txn: TxnId, ts: u64) {
         self.table.begin(txn);
         let slot = &mut self.slots[txn];
@@ -176,12 +162,6 @@ mod tests {
 
     fn wait_die(slots: usize) -> Prevention {
         Prevention::new(PreventionPolicy::WaitDie, slots)
-    }
-
-    #[test]
-    fn names_differ_by_policy() {
-        assert_eq!(wound_wait(1).name(), "wound-wait");
-        assert_eq!(wait_die(1).name(), "wait-die");
     }
 
     #[test]
@@ -362,18 +342,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reset_clears_locks_and_pending_restarts() {
-        let mut cc = wound_wait(2);
-        cc.begin(0, 10);
-        cc.access(0, 5, true);
-        cc.abort(0); // would normally preserve priority across the rerun
-        cc.reset();
-        cc.begin(0, 99);
-        assert_eq!(cc.slots[0].eff_ts, 99, "reset must clear restart_pending");
-        assert_eq!(cc.access(0, 5, true), AccessOutcome::Granted);
     }
 
     #[test]

@@ -74,10 +74,6 @@ impl TimestampOrdering {
 }
 
 impl ConcurrencyControl for TimestampOrdering {
-    fn name(&self) -> &'static str {
-        "timestamp-ordering"
-    }
-
     fn begin(&mut self, txn: TxnId, ts: u64) {
         self.txns[txn] = TxnState { ts, conflicts: 0 };
     }
@@ -252,10 +248,6 @@ mod tests {
         }
 
         impl ConcurrencyControl for TimestampOrdering {
-            fn name(&self) -> &'static str {
-                "timestamp-ordering"
-            }
-
             fn begin(&mut self, txn: TxnId, ts: u64) {
                 self.txns[txn] = TxnState { ts, conflicts: 0 };
             }

@@ -58,13 +58,6 @@ impl TwoPhaseLocking {
         }
     }
 
-    /// Clears all lock state, retaining arena/queue capacity, for
-    /// callers re-driving one protocol instance across runs.
-    pub fn reset(&mut self) {
-        self.table.reset();
-        self.ts.fill(0);
-    }
-
     /// Number of data items currently locked (table size), for tests.
     pub fn locked_items(&self) -> usize {
         self.table.locked_items()
@@ -72,10 +65,6 @@ impl TwoPhaseLocking {
 }
 
 impl ConcurrencyControl for TwoPhaseLocking {
-    fn name(&self) -> &'static str {
-        "2pl"
-    }
-
     fn begin(&mut self, txn: TxnId, ts: u64) {
         self.table.begin(txn);
         self.ts[txn] = ts;
@@ -360,17 +349,6 @@ mod tests {
         assert_eq!(cc.locked_items(), 2);
         cc.commit(0);
         assert_eq!(cc.locked_items(), 0, "entries must be reclaimed");
-    }
-
-    #[test]
-    fn reset_clears_locks_for_replicate_runs() {
-        let mut cc = TwoPhaseLocking::new(2);
-        cc.begin(0, 1);
-        cc.access(0, 5, true);
-        cc.reset();
-        assert_eq!(cc.locked_items(), 0);
-        cc.begin(1, 2);
-        assert_eq!(cc.access(1, 5, true), AccessOutcome::Granted);
     }
 
     #[test]

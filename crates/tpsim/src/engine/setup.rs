@@ -130,7 +130,8 @@ impl Simulator {
         sim
     }
 
-    /// Disables the (potentially costly) analytic-optimum trajectory.
+    /// Records the (potentially costly) analytic-optimum trajectory when
+    /// `on`, and skips it otherwise; it is recorded by default.
     pub fn set_record_optimum(&mut self, on: bool) {
         self.record_optimum = on;
     }

@@ -352,9 +352,6 @@ fn displacement_enforces_bound_drop() {
         calls: u32,
     }
     impl LoadController for Slammer {
-        fn name(&self) -> &'static str {
-            "slammer"
-        }
         fn update(&mut self, _m: &alc_core::measure::Measurement) -> u32 {
             self.calls += 1;
             if self.calls > 10 {
@@ -366,7 +363,6 @@ fn displacement_enforces_bound_drop() {
         fn current_bound(&self) -> u32 {
             self.at
         }
-        fn reset(&mut self) {}
     }
     let mut sim = Simulator::new(
         small_sys(30, 10),
@@ -401,9 +397,6 @@ fn victim_policies_enforce_bound_and_differ() {
         calls: u32,
     }
     impl LoadController for Stepper {
-        fn name(&self) -> &'static str {
-            "stepper"
-        }
         fn update(&mut self, _m: &alc_core::measure::Measurement) -> u32 {
             self.calls += 1;
             if self.calls.is_multiple_of(4) {
@@ -415,7 +408,6 @@ fn victim_policies_enforce_bound_and_differ() {
         fn current_bound(&self) -> u32 {
             25
         }
-        fn reset(&mut self) {}
     }
     let run = |policy: VictimPolicy| {
         let mut sim = Simulator::new(
@@ -785,9 +777,6 @@ fn displacement_during_drain_does_not_double_start_parked_restarts() {
             calls: u32,
         }
         impl LoadController for Slammer {
-            fn name(&self) -> &'static str {
-                "slammer"
-            }
             fn update(&mut self, _m: &alc_core::measure::Measurement) -> u32 {
                 self.calls += 1;
                 if self.calls.is_multiple_of(3) {
@@ -799,7 +788,6 @@ fn displacement_during_drain_does_not_double_start_parked_restarts() {
             fn current_bound(&self) -> u32 {
                 25
             }
-            fn reset(&mut self) {}
         }
         let mut sim = Simulator::new(
             sys,
@@ -951,7 +939,7 @@ fn total_cpu_outage_stalls_until_restart() {
 /// deterministic.
 #[test]
 fn adaptive_cc_switches_on_conflict_and_conserves() {
-    use alc_core::meta::{ConflictThreshold, GuardParams};
+    use alc_core::meta::{GuardParams, Ladder, LadderSignal};
     let run = || {
         // Calm (k=2, few writes) → hot (k=8, small db) → calm again.
         let workload = WorkloadConfig {
@@ -979,7 +967,8 @@ fn adaptive_cc_switches_on_conflict_and_conserves() {
             None,
         );
         sim.set_record_optimum(false);
-        let policy = ConflictThreshold::new(
+        let policy = Ladder::new(
+            LadderSignal::ConflictsPerTxn,
             2,
             0.6,
             0.5,
@@ -1040,7 +1029,7 @@ fn adaptive_cc_switches_on_conflict_and_conserves() {
 /// is free.
 #[test]
 fn adaptive_cc_with_quiet_policy_is_transparent() {
-    use alc_core::meta::{ConflictThreshold, GuardParams};
+    use alc_core::meta::{GuardParams, Ladder, LadderSignal};
     let base = || {
         let mut sim = Simulator::new(
             small_sys(20, 92),
@@ -1059,7 +1048,8 @@ fn adaptive_cc_with_quiet_policy_is_transparent() {
     let adaptive = {
         // A threshold far above anything the default workload can
         // produce: the policy observes but never acts.
-        let policy = ConflictThreshold::new(
+        let policy = Ladder::new(
+            LadderSignal::ConflictsPerTxn,
             2,
             1e9,
             0.3,
@@ -1082,7 +1072,7 @@ fn adaptive_cc_with_quiet_policy_is_transparent() {
 #[test]
 #[should_panic(expected = "mutually exclusive")]
 fn adaptive_cc_rejects_scheduled_switch_mix() {
-    use alc_core::meta::{ConflictThreshold, GuardParams};
+    use alc_core::meta::{GuardParams, Ladder, LadderSignal};
     let mut sim = Simulator::new(
         small_sys(10, 93),
         WorkloadConfig::default(),
@@ -1093,7 +1083,8 @@ fn adaptive_cc_rejects_scheduled_switch_mix() {
     sim.set_cc_switches(&[(1_000.0, CcKind::WaitDie)]);
     sim.set_adaptive_cc(
         vec![CcKind::Certification, CcKind::WaitDie],
-        Box::new(ConflictThreshold::new(
+        Box::new(Ladder::new(
+            LadderSignal::ConflictsPerTxn,
             2,
             1.0,
             0.5,

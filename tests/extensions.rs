@@ -71,9 +71,6 @@ fn self_tuning_pa_shortens_memory_on_workload_jump() {
         log: Arc<Mutex<Vec<f64>>>,
     }
     impl LoadController for AlphaProbe {
-        fn name(&self) -> &'static str {
-            "alpha-probe"
-        }
         fn update(&mut self, m: &Measurement) -> u32 {
             let b = self.inner.update(m);
             self.log
@@ -84,9 +81,6 @@ fn self_tuning_pa_shortens_memory_on_workload_jump() {
         }
         fn current_bound(&self) -> u32 {
             self.inner.current_bound()
-        }
-        fn reset(&mut self) {
-            self.inner.reset();
         }
     }
 
