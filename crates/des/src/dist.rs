@@ -317,6 +317,8 @@ impl Sample for Dist {
 pub struct Zipf {
     n: u64,
     theta: f64,
+    /// `|theta − 1| ≤ 1e-9`: `h` takes its θ → 1 limit, `ln(1 + x)`.
+    unit: bool,
     // Precomputed constants of the rejection-inversion sampler.
     h_x1: f64,
     h_n: f64,
@@ -324,19 +326,36 @@ pub struct Zipf {
 }
 
 impl Zipf {
-    /// Creates a Zipf sampler over `[0, n)` with skew `theta ∈ [0, 1)∪(1, …)`.
+    /// Creates a Zipf sampler over `[0, n)` with skew `theta ≥ 0`.
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0);
-        assert!(theta >= 0.0 && (theta - 1.0).abs() > 1e-9, "theta == 1 unsupported");
-        let h = |x: f64| ((x + 1.0).powf(1.0 - theta) - 1.0) / (1.0 - theta);
-        let h_x1 = h(1.5) - 1.0;
-        let h_n = h(n as f64 + 0.5);
-        let s = 2.0 - {
-            // h^-1(h(2.5) - 2^-theta) ... constant from Hörmann's paper
-            let v = h(2.5) - (2.0f64).powf(-theta);
-            ((1.0 - theta) * v + 1.0).powf(1.0 / (1.0 - theta)) - 1.0
-        };
-        Zipf { n, theta, h_x1, h_n, s }
+        let unit = (theta - 1.0).abs() <= 1e-9;
+        let mut z = Zipf { n, theta, unit, h_x1: 0.0, h_n: 0.0, s: 0.0 };
+        z.h_x1 = z.h(1.5) - 1.0;
+        z.h_n = z.h(n as f64 + 0.5);
+        // h^-1(h(2.5) - 2^-theta) ... constant from Hörmann's paper
+        z.s = 2.0 - z.h_inv(z.h(2.5) - (2.0f64).powf(-theta));
+        z
+    }
+
+    /// Hörmann's `h(x) = ((x + 1)^(1−θ) − 1) / (1−θ)`, or `ln(1 + x)` at θ = 1.
+    #[inline]
+    fn h(&self, x: f64) -> f64 {
+        if self.unit {
+            x.ln_1p()
+        } else {
+            ((x + 1.0).powf(1.0 - self.theta) - 1.0) / (1.0 - self.theta)
+        }
+    }
+
+    /// The inverse of [`Zipf::h`]: `e^v − 1` at θ = 1.
+    #[inline]
+    fn h_inv(&self, v: f64) -> f64 {
+        if self.unit {
+            v.exp_m1()
+        } else {
+            ((1.0 - self.theta) * v + 1.0).powf(1.0 / (1.0 - self.theta)) - 1.0
+        }
     }
 
     /// Draws one value in `[0, n)`; smaller values are more popular.
@@ -345,13 +364,11 @@ impl Zipf {
         if self.theta == 0.0 {
             return rng.below(self.n);
         }
-        let h_inv = |v: f64| ((1.0 - self.theta) * v + 1.0).powf(1.0 / (1.0 - self.theta)) - 1.0;
         loop {
             let u = self.h_x1 + rng.uniform01() * (self.h_n - self.h_x1);
-            let x = h_inv(u);
+            let x = self.h_inv(u);
             let k = (x + 0.5).floor().max(1.0);
-            let h_k = |x: f64| ((x + 1.0).powf(1.0 - self.theta) - 1.0) / (1.0 - self.theta);
-            if k - x <= self.s || u >= h_k(k + 0.5) - k.powf(-self.theta) {
+            if k - x <= self.s || u >= self.h(k + 0.5) - k.powf(-self.theta) {
                 let idx = k as u64;
                 if idx >= 1 && idx <= self.n {
                     return idx - 1;
@@ -548,6 +565,36 @@ mod tests {
             small as f64 > 0.5 * n as f64,
             "only {small}/{n} samples in the hot range"
         );
+    }
+
+    /// At θ = 1 the sampler takes its logarithmic limit form. On the same
+    /// stream its draws continue those of the θ ≠ 1 form across the limit,
+    /// and item 0's share sits in the band around `1/Hₙ` that the θ ≠ 1
+    /// form keeps near θ = 1: the hat `h` integrates `(x + 1)^−θ` rather
+    /// than `x^−θ`, which overweights item 0 by about 7 % there (item 9
+    /// is within 2 %).
+    #[test]
+    fn zipf_at_unit_skew_draws_the_harmonic_share() {
+        let n = 1000;
+        let harmonic: f64 = (1..=n).map(|i| 1.0 / i as f64).sum();
+        let draws = 200_000;
+        let shares = |theta: f64| {
+            let (z, mut rng) = (Zipf::new(n, theta), RngStream::from_seed(21));
+            let mut hits = [0usize; 10];
+            for _ in 0..draws {
+                if let Some(h) = hits.get_mut(z.sample(&mut rng) as usize) {
+                    *h += 1;
+                }
+            }
+            hits.map(|h| h as f64 / draws as f64)
+        };
+        let unit = shares(1.0);
+        for near in [1.0 - 1e-6, 1.0 + 1e-6] {
+            let (a, b) = (unit[0], shares(near)[0]);
+            assert!((a - b).abs() < 1e-3, "θ = 1 drew {a}, θ = {near} drew {b}");
+        }
+        assert!((unit[0] * harmonic - 1.0).abs() < 0.1, "item 0 drew {}", unit[0]);
+        assert!((unit[9] * 10.0 * harmonic - 1.0).abs() < 0.05, "item 9 drew {}", unit[9]);
     }
 
     #[test]

@@ -87,9 +87,9 @@ fn usage() {
     println!("            with conflict_threshold/restart_rate/shadow_score");
     println!("            policies), faults (CPU kill/restart windows, fixed");
     println!("            duration or sampled repair distribution), clients");
-    println!("            (closed client pools: timeouts, retry policies with");
-    println!("            backoff/budget/hedging, abandonment, latency feedback,");
-    println!("            retry shedding; pairs with the retry_budget controller)");
+    println!("            (closed client pools: timeouts, backoff/budget retry");
+    println!("            policies, abandonment, retry shedding; pairs with the");
+    println!("            retry_budget controller)");
 }
 
 fn fail(e: &SpecError) -> ! {

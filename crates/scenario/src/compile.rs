@@ -382,7 +382,7 @@ fn build_variant(
     }
     let workload = spec.workload.lower(base_dir)?;
     // What the access-set sampler cannot draw: more distinct items than
-    // the database holds, or a Zipf skew of exactly 1.
+    // the database holds.
     let k_max = levels(&workload.k).into_iter().fold(1.0, f64::max).round();
     if k_max > sys.db_size as f64 {
         return Err(SpecError::new(format!(
@@ -390,11 +390,6 @@ fn build_variant(
              system.db_size is {}",
             sys.db_size
         )));
-    }
-    if levels(&workload.access_skew).iter().any(|theta| (theta - 1.0).abs() <= 1e-9) {
-        return Err(SpecError::new(
-            "workload.access_skew must not rest at 1 (the Zipf sampler has no θ = 1 form)",
-        ));
     }
     let seeds: Vec<u64> = (0..spec.replications)
         .map(|r| replication_seed(spec.seed, r))
@@ -476,7 +471,7 @@ mod tests {
     fn configs_the_engine_would_panic_on_are_spec_errors() {
         // Each of these passed `scenario validate` and then panicked
         // `scenario run` (a station, the RNG, the clock, a sampler, the
-        // calendar, the Zipf table; then a controller constructor, the
+        // calendar; then a controller constructor, the
         // estimator inside one, the analytic optimum scan, the sample
         // tick, the client pool).
         for (path, value, names) in [
@@ -487,7 +482,6 @@ mod tests {
             ("system.think", "-5", "system.think"),
             ("system.think", r#"{"erlang": {"stages": 0, "mean": 5}}"#, "system.think"),
             ("system.cpu_phase", "-1", "system.cpu_phase"),
-            ("workload.access_skew", "1", "workload.access_skew"),
             ("controller", r#"{"fixed": {"bound": 0}}"#, "controller.fixed.bound"),
             (
                 "controller",

@@ -223,7 +223,7 @@ impl<'de> serde::Deserialize<'de> for Profile {
 }
 
 /// The profile shapes written as single-key objects.
-const PROFILE: Keys = &[
+pub(crate) const PROFILE: Keys = &[
     "constant",
     "step",
     "ramp",

@@ -92,8 +92,8 @@ pub struct ScenarioSpec {
     /// Scheduled station faults (CPU kill/restart windows).
     pub faults: Vec<FaultSpec>,
     /// Closed-loop client population replacing the patient terminals:
-    /// timeouts, retry policies, abandonment, and latency→load feedback
-    /// (the overload/metastability vocabulary). `None` keeps the
+    /// timeouts, retry policies and abandonment (the
+    /// overload/metastability vocabulary). `None` keeps the
     /// paper's patient closed model byte-identical.
     pub clients: Option<ClientConfig>,
     /// Shallow overrides on [`SystemConfig`] (dist shorthands allowed;

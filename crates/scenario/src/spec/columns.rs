@@ -107,9 +107,9 @@ impl StatColumn {
 pub enum ClientColumn {
     /// Requests issued by the pool.
     Issued,
-    /// Total attempts (first attempts + retries + hedges).
+    /// Total attempts (first attempts + retries).
     Attempts,
-    /// Retry attempts (including hedge duplicates).
+    /// Retry attempts.
     Retries,
     /// Requests abandoned after exhausting patience or budget.
     Abandoned,
@@ -431,7 +431,7 @@ impl DerivedColumn {
 }
 
 /// The column kinds written as single-key objects.
-const COLUMN: Keys = &[
+pub(super) const COLUMN: Keys = &[
     "settling_time_s",
     "time_in_protocol",
     "post_switch_settling_time_s",

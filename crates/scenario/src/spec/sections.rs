@@ -5,7 +5,7 @@ use alc_core::controller::{
     RetryBudgetParams,
 };
 use alc_core::meta::LadderSignal;
-use alc_tpsim::client::{ClientConfig, LatencyFeedback, RetryPolicy};
+use alc_tpsim::client::{ClientConfig, RetryPolicy};
 use alc_tpsim::config::{CcKind, SystemConfig};
 use serde::Value;
 
@@ -17,7 +17,7 @@ use crate::profile::Profile;
 use crate::value_util::{
     at_least_one, boolean, fraction, list, non_negative, nonempty, normalize_arrival,
     normalize_dist, number, pairs, params, positive, positive_u32, single_key, strict, string,
-    timed, u32_from, u64_from, unknown_key, weight, At, Keys, Obj,
+    timed, u32_from, u64_from, unknown_key, At, Keys, Obj,
 };
 use crate::SpecError;
 
@@ -57,7 +57,7 @@ fn dist(v: &Value, at: At<'_>) -> Result<alc_des::dist::Dist, SpecError> {
 }
 
 /// The controller kinds written as single-key objects.
-const CONTROLLER: Keys = &[
+pub(super) const CONTROLLER: Keys = &[
     "fixed",
     "fixed_analytic_optimum",
     "is",
@@ -163,7 +163,7 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
 }
 
 /// The adaptive-`cc` policies, each a single-key object.
-const POLICY: Keys = &["conflict_threshold", "restart_rate", "shadow_score"];
+pub(super) const POLICY: Keys = &["conflict_threshold", "restart_rate", "shadow_score"];
 
 /// Parses the policy object of an adaptive `cc` section (its ranges are
 /// the policy's own `check`, asked once the whole section is read).
@@ -284,7 +284,7 @@ pub(super) fn fault_from_value(v: &Value) -> Result<FaultSpec, SpecError> {
 }
 
 /// The retry policies, each a single-key object.
-const RETRY: Keys = &["backoff", "budget", "hedged"];
+pub(super) const RETRY: Keys = &["backoff", "budget"];
 
 /// Parses the retry policy of a `clients` section; an empty `backoff`
 /// is [`RetryPolicy::default`].
@@ -310,25 +310,8 @@ pub(super) fn retry_policy_from_value(v: &Value) -> Result<RetryPolicy, SpecErro
             };
             o.finish(policy)
         }
-        "hedged" => {
-            let mut o = Obj::open(payload, tag)?;
-            let delay_ms = o.req("delay_ms", positive)?;
-            o.finish(RetryPolicy::Hedged { delay_ms })
-        }
         other => Err(unknown_key("clients.retry", other, RETRY)),
     }
-}
-
-/// Parses the latency→load feedback of a `clients` section.
-fn feedback_from_value(v: &Value) -> Result<LatencyFeedback, SpecError> {
-    let mut o = Obj::open(v, "clients.feedback")?;
-    let d = LatencyFeedback::default();
-    let feedback = LatencyFeedback {
-        gain: o.opt("gain", non_negative)?.unwrap_or(d.gain),
-        reference_ms: o.opt("reference_ms", positive)?.unwrap_or(d.reference_ms),
-        weight: o.opt("weight", weight)?.unwrap_or(d.weight),
-    };
-    o.finish(feedback)
 }
 
 /// Parses the `clients` section into the engine's [`ClientConfig`].
@@ -342,9 +325,6 @@ pub(super) fn clients_from_value(v: &Value) -> Result<ClientConfig, SpecError> {
             .opt("retry", |v, _| retry_policy_from_value(v))?
             .unwrap_or_default(),
         shed_retries: o.opt("shed_retries", boolean)?.unwrap_or(false),
-        feedback: o
-            .opt("feedback", |v, _| feedback_from_value(v))?
-            .unwrap_or_default(),
     };
     o.finish(clients)
 }

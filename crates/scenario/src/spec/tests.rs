@@ -103,6 +103,17 @@ fn unknown_key_errors_list_the_known_keys() {
         msg.contains("invalid `system`: `ExpZig` has no key `men` (known: mean)"),
         "{msg}"
     );
+    // Keys and tags that no checked-in spec used, and that went.
+    for (bad, known) in [
+        (r#""timeout": 100, "feedback": {}"#, "`clients` key `feedback` (known: population,"),
+        (r#""timeout": 100, "retry": {"hedged": {}}"#, "key `hedged` (known: backoff, budget)"),
+        (r#""timeout": {"uniform": [1, 2]}"#, "key `uniform` (known: constant, exponential, erlang)"),
+        (r#""timeout": {"hyperexp": {}}"#, "key `hyperexp` (known: constant, exponential, erlang)"),
+        (r#""timeout": {"exponential_fast": 5}"#, "key `exponential_fast` (known: constant,"),
+    ] {
+        let msg = parse_err(&format!(r#""clients": {{"population": 4, {bad}}}"#));
+        assert!(msg.contains(known), "{bad}: {msg}");
+    }
 }
 
 #[test]
@@ -492,4 +503,55 @@ fn stat_columns_cover_run_stats() {
     for c in StatColumn::ALL {
         assert_eq!(StatColumn::parse(c.name()).unwrap(), c);
     }
+}
+
+/// Every map key and string value anywhere in `v`.
+fn words(v: &Value, out: &mut std::collections::BTreeSet<String>) {
+    match v {
+        Value::Str(s) => {
+            out.insert(s.clone());
+        }
+        Value::Seq(items) => items.iter().for_each(|x| words(x, out)),
+        Value::Map(entries) => {
+            for (k, x) in entries {
+                out.insert(k.clone());
+                words(x, out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// A DSL feature stays only while a checked-in spec uses it: every tag
+/// of a tagged-union table appears in some `scenarios/*.json`, as a map
+/// key or a string value. The check sees tags only — a plain key such as
+/// a section's optional field is outside it, and so is which table a
+/// word came from (`constant` serves both `PROFILE` and `DIST`).
+#[test]
+fn every_tagged_union_tag_is_used_by_a_checked_in_spec() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let mut used = std::collections::BTreeSet::new();
+    for entry in std::fs::read_dir(&dir).expect("scenarios/") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let text = std::fs::read_to_string(&path).expect("read spec");
+            let v: Value = serde_json::from_str(&text).expect("parse spec");
+            words(&v, &mut used);
+        }
+    }
+    assert!(used.contains("name"), "no spec read from {}", dir.display());
+    let unused: Vec<String> = [
+        ("CONTROLLER", sections::CONTROLLER),
+        ("POLICY", sections::POLICY),
+        ("RETRY", sections::RETRY),
+        ("COLUMN", columns::COLUMN),
+        ("PROFILE", crate::profile::PROFILE),
+        ("DIST", crate::value_util::DIST),
+    ]
+    .into_iter()
+    .flat_map(|(table, tags)| tags.iter().map(move |tag| (table, *tag)))
+    .filter(|(_, tag)| !used.contains(*tag))
+    .map(|(table, tag)| format!("{table} `{tag}`"))
+    .collect();
+    assert!(unused.is_empty(), "no spec in scenarios/ uses {}", unused.join(", "));
 }

@@ -183,10 +183,9 @@ pub fn trace_cell(
             c.count(Phase::Mark, tname::CLIENT_ABANDON).after_floor,
         );
         check(
-            "clients.retries == retry flow ends + client.hedge instants",
+            "clients.retries == retry flow ends",
             cs.retries,
-            c.count(Phase::FlowEnd, tname::RETRY).after_floor
-                + c.count(Phase::Mark, tname::CLIENT_HEDGE).after_floor,
+            c.count(Phase::FlowEnd, tname::RETRY).after_floor,
         );
     }
     let scheduled_faults = v.faults[rep]

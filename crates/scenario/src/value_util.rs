@@ -275,11 +275,6 @@ pub fn at_least_one(v: &Value, at: At<'_>) -> Result<f64, SpecError> {
     num_where(v, at, |x| x >= 1.0 && x.is_finite(), "a number ≥ 1")
 }
 
-/// Parses a number field in `(0, 1]` (a weight).
-pub fn weight(v: &Value, at: At<'_>) -> Result<f64, SpecError> {
-    num_where(v, at, |x| x > 0.0 && x <= 1.0, "in (0, 1]")
-}
-
 /// Parses a number field in `[0, 1)` (a relative band or offset).
 pub fn below_one(v: &Value, at: At<'_>) -> Result<f64, SpecError> {
     num_where(v, at, |x| (0.0..1.0).contains(&x), "in [0, 1)")
@@ -357,15 +352,15 @@ where
     strict(&Value::Map(entries), what)
 }
 
+/// The distribution shorthands written as single-key objects.
+pub(crate) const DIST: Keys = &["constant", "exponential", "erlang"];
+
 /// Normalizes the DSL's distribution shorthands into the canonical
 /// (externally tagged) `alc_des::dist::Dist` representation:
 ///
 /// * a bare number → `{"Constant": [x]}`
-/// * `{"constant": x}`, `{"exponential": mean}` and its alias
-///   `{"exponential_fast": mean}` (both ziggurat-sampled),
-///   `{"uniform": [lo, hi]}`,
-///   `{"erlang": {"stages", "mean"}}`,
-///   `{"hyperexp": {"p", "mean_a", "mean_b"}}`
+/// * `{"constant": x}`, `{"exponential": mean}` (ziggurat-sampled),
+///   `{"erlang": {"stages", "mean"}}`
 /// * already-canonical tags pass through unchanged.
 pub fn normalize_dist(v: &Value) -> Result<Value, SpecError> {
     if let Some(x) = v.as_f64() {
@@ -380,29 +375,14 @@ pub fn normalize_dist(v: &Value) -> Result<Value, SpecError> {
     let mean = |m: f64| Value::Map(vec![("mean".into(), Value::Num(m))]);
     Ok(match tag.as_str() {
         "constant" => tagged("Constant", Value::Seq(vec![Value::Num(number(payload, at)?)])),
-        // Both exponential shorthands lower to the ziggurat sampler —
-        // the default since its promotion; spell the canonical
+        // The exponential shorthand lowers to the ziggurat sampler — the
+        // default since its promotion; spell the canonical
         // `{"Exponential": …}` tag to request inversion sampling.
-        "exponential" | "exponential_fast" => tagged("ExpZig", mean(number(payload, at)?)),
-        "uniform" => match payload.as_seq() {
-            Some([lo, hi]) => tagged(
-                "Uniform",
-                Value::Map(vec![
-                    ("lo".into(), Value::Num(number(lo, at)?)),
-                    ("hi".into(), Value::Num(number(hi, at)?)),
-                ]),
-            ),
-            _ => return Err(SpecError::new("`uniform` distribution needs a [lo, hi] pair")),
-        },
+        "exponential" => tagged("ExpZig", mean(number(payload, at)?)),
         "erlang" => tagged("Erlang", payload.clone()),
-        "hyperexp" => tagged("HyperExp", payload.clone()),
         // Canonical tags pass through.
         "Constant" | "Uniform" | "Exponential" | "ExpZig" | "Erlang" | "HyperExp" => v.clone(),
-        other => {
-            return Err(SpecError::new(format!(
-                "unknown distribution kind `{other}`"
-            )));
-        }
+        other => return Err(unknown_key("distribution", other, DIST)),
     })
 }
 
@@ -502,14 +482,6 @@ mod tests {
         let c = normalize_dist(&Value::U64(40)).unwrap();
         let d: alc_des::dist::Dist = serde::Deserialize::from_value(&c).unwrap();
         assert_eq!(d, alc_des::dist::Dist::constant(40.0));
-
-        let z = normalize_dist(&Value::Map(vec![(
-            "exponential_fast".into(),
-            Value::Num(5.0),
-        )]))
-        .unwrap();
-        let d: alc_des::dist::Dist = serde::Deserialize::from_value(&z).unwrap();
-        assert_eq!(d, alc_des::dist::Dist::exponential(5.0));
 
         assert!(normalize_dist(&Value::Str("nope".into())).is_err());
     }

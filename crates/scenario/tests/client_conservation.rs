@@ -1,7 +1,7 @@
 //! Property tests for the closed-loop client population: across random
 //! pool configurations — timeout distributions, retry policies (backoff,
-//! token budget, hedged), abandonment limits, retry shedding, latency
-//! feedback, and admission controllers — the client-side conservation
+//! token budget), abandonment limits, retry shedding, and admission
+//! controllers — the client-side conservation
 //! identities hold at end of run, and the whole run is deterministic
 //! across reruns and across thread counts (rayon fan-out vs one cell
 //! per call).
@@ -9,9 +9,9 @@
 //! The identities are the client analogue of the engine's transaction
 //! census: no request is lost or double-counted between issue, commit,
 //! and abandonment, and every attempt is either a first attempt or a
-//! retry/hedge. They must survive the messy paths — timeouts that
-//! cancel queued attempts, sheds bounced at the gate, hedge duplicates,
-//! budget-starved abandons — not just the happy commit loop.
+//! retry. They must survive the messy paths — timeouts that cancel
+//! queued attempts, sheds bounced at the gate, budget-starved abandons —
+//! not just the happy commit loop.
 
 use alc_scenario::compile::RunPlan;
 use alc_scenario::runner::{run_plan, RunRecord};
@@ -42,7 +42,6 @@ fn arb_retry() -> impl Strategy<Value = Value> {
                 ("delay_ms", delay_ms)
             ])
         )),
-        (10.0..800.0f64).prop_map(|delay_ms| tag("hedged", nums([("delay_ms", delay_ms)]))),
     ]
 }
 
@@ -53,10 +52,10 @@ fn arb_retry() -> impl Strategy<Value = Value> {
 fn arb_clients() -> impl Strategy<Value = (Value, bool)> {
     (
         (2u64..24, 80.0..1_500.0f64, any::<bool>(), 0u64..6),
-        (arb_retry(), any::<bool>(), 0.0..2.0f64, 0.05..1.0f64),
+        (arb_retry(), any::<bool>()),
     )
         .prop_map(
-            |((population, timeout_ms, bare, max_retries), (retry, shed_retries, gain, weight))| {
+            |((population, timeout_ms, bare, max_retries), (retry, shed_retries))| {
                 // A constant timeout, as the bare number or spelt out.
                 let timeout = if bare {
                     Value::Num(timeout_ms)
@@ -69,10 +68,6 @@ fn arb_clients() -> impl Strategy<Value = (Value, bool)> {
                     ("max_retries", Value::U64(max_retries)),
                     ("retry", retry),
                     ("shed_retries", Value::Bool(shed_retries)),
-                    (
-                        "feedback",
-                        nums([("gain", gain), ("reference_ms", 500.0), ("weight", weight)]),
-                    ),
                 ]);
                 (clients, shed_retries)
             },

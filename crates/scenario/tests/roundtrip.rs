@@ -103,8 +103,8 @@ fn arb_profile(depth: u32) -> Union<Value> {
     ])
 }
 
-/// Client retry policies across all three families, drawn inside their
-/// legal parameter ranges.
+/// Client retry policies across both families, drawn inside their legal
+/// parameter ranges.
 fn arb_retry() -> impl Strategy<Value = Value> {
     prop_oneof![
         (
@@ -132,33 +132,24 @@ fn arb_retry() -> impl Strategy<Value = Value> {
                 ])
             )
         ),
-        (10.0..5_000.0f64).prop_map(|delay_ms| tag("hedged", nums([("delay_ms", delay_ms)]))),
     ]
 }
 
-/// Client pool sections: population, impatience timeout, retry policy,
-/// shedding flag, and latency→demand feedback.
+/// Client pool sections: population, impatience timeout, retry policy
+/// and shedding flag.
 fn arb_clients() -> impl Strategy<Value = Value> {
     (
         (1u64..64, 500.0..60_000.0f64, any::<bool>(), 0u64..8),
-        (arb_retry(), any::<bool>(), 0.0..4.0f64, 0.05..1.0f64),
+        (arb_retry(), any::<bool>()),
     )
         .prop_map(
-            |((population, timeout, short, max_retries), (retry, shed_retries, gain, weight))| {
+            |((population, timeout, short, max_retries), (retry, shed_retries))| {
                 obj([
                     ("population", Value::U64(population)),
                     ("timeout", exponential(timeout, short)),
                     ("max_retries", Value::U64(max_retries)),
                     ("retry", retry),
                     ("shed_retries", Value::Bool(shed_retries)),
-                    (
-                        "feedback",
-                        nums([
-                            ("gain", gain),
-                            ("reference_ms", 1_000.0),
-                            ("weight", weight),
-                        ]),
-                    ),
                 ])
             },
         )

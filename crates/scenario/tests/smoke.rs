@@ -1,7 +1,7 @@
 //! Smoke tests of the `scenario` binary's cheap paths: the `figure`
 //! subcommand (help, catalog, an unknown id, a closed-form figure end to
-//! end, the quick catalog's claim verdicts) and the CSV a `run` writes
-//! when a header needs quoting.
+//! end, the quick catalog's claim verdicts), the CSV a `run` writes
+//! when a header needs quoting, and a run whose access skew crosses 1.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -128,4 +128,23 @@ fn run_quotes_a_header_that_contains_a_comma() {
         Some("\"run,extra\",throughput_per_s,abort_ratio,mean_mpl,mean_bound")
     );
     assert_eq!(lines.next().map(|row| row.split(',').count()), Some(5));
+}
+
+/// A skew ramp that crosses θ = 1 passes `validate` and must run: the
+/// Zipf sampler draws at θ = 1 in its logarithmic limit form.
+#[test]
+fn run_completes_with_access_skew_crossing_one() {
+    let dir = fresh_dir("skew-crossing-one");
+    let out = scenario(&[
+        "run",
+        "--out",
+        dir.to_str().unwrap(),
+        "--set",
+        r#"workload.access_skew={"ramp": {"from": 0.99999999, "to": 1.00000001, "t_start": 0, "t_end": 100000}}"#,
+        "--set",
+        "horizon_ms=100000",
+        "scenarios/hotspot-drift.json",
+    ]);
+    assert!(out.status.success(), "run failed: {out:?}");
+    assert!(dir.join("hotspot-drift.csv").exists());
 }

@@ -4,13 +4,13 @@
 //! a terminal waits however long its transaction takes, so offered load
 //! *falls* as the system congests. Real clients are impatient: they time
 //! out, retry with backoff, and give up, which makes offered load a
-//! function of observed latency — the feedback loop that turns a
-//! transient fault into a *metastable* failure where retry traffic holds
-//! the system down long after the fault is repaired.
+//! function of observed latency — the loop that turns a transient fault
+//! into a *metastable* failure where retry traffic holds the system down
+//! long after the fault is repaired.
 //!
 //! This module holds the client-side data model; the state machine lives
 //! in the engine (`Simulator::set_clients` and the `ClientIssue` /
-//! `ClientTimeout` / `HedgeFire` events). Each client cycles through
+//! `ClientTimeout` events). Each client cycles through
 //! Thinking → Waiting (an attempt in flight) → either completion (back
 //! to Thinking), or timeout → Backoff → retry, or abandonment. The
 //! bookkeeping maintains two conservation identities pinned by tests:
@@ -48,13 +48,6 @@ pub enum RetryPolicy {
         /// Fixed delay before a budgeted retry, ms.
         delay_ms: f64,
     },
-    /// Request hedging: if the first attempt is still in flight after
-    /// `delay_ms`, launch a duplicate and take whichever finishes first.
-    /// A timeout cancels both; a hedged client never retries past that.
-    Hedged {
-        /// Delay before the duplicate attempt is launched, ms.
-        delay_ms: f64,
-    },
 }
 
 impl Default for RetryPolicy {
@@ -68,35 +61,10 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Latency→load feedback: clients stretch their think time as the
-/// latency they observe grows, modelling users who slow down (or load
-/// balancers that divert) when the system is slow. `gain = 0` is the
-/// identity — think times match the patient closed model exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyFeedback {
-    /// Think-time stretch per `reference_ms` of smoothed latency.
-    pub gain: f64,
-    /// Latency normalization constant, ms.
-    pub reference_ms: f64,
-    /// EMA weight for newly observed response times, in `(0, 1]`.
-    pub weight: f64,
-}
-
-impl Default for LatencyFeedback {
-    fn default() -> Self {
-        LatencyFeedback {
-            gain: 0.0,
-            reference_ms: 1000.0,
-            weight: 0.2,
-        }
-    }
-}
-
 /// Configuration of one closed-loop client pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientConfig {
-    /// Number of clients (each occupies one terminal slot; hedged pools
-    /// occupy two per client).
+    /// Number of clients (each occupies one terminal slot).
     pub population: u32,
     /// Patience: how long a client waits before declaring an attempt
     /// dead and consulting its retry policy.
@@ -109,14 +77,11 @@ pub struct ClientConfig {
     /// the gate is saturated instead of queueing them (first attempts
     /// are never shed).
     pub shed_retries: bool,
-    /// Latency→think-time feedback (identity when `gain = 0`).
-    pub feedback: LatencyFeedback,
 }
 
 impl ClientConfig {
     /// A pool with the given population and timeout, default policy
-    /// otherwise (exponential backoff, 3 retries, no shedding, no
-    /// latency feedback).
+    /// otherwise (exponential backoff, 3 retries, no shedding).
     pub fn new(population: u32, timeout: Dist) -> Self {
         ClientConfig {
             population,
@@ -124,24 +89,18 @@ impl ClientConfig {
             max_retries: 3,
             retry: RetryPolicy::default(),
             shed_retries: false,
-            feedback: LatencyFeedback::default(),
         }
     }
 
     /// The first field a pool cannot run with on `sys`, as
     /// `<field> must …`.
     pub fn check(&self, sys: &SystemConfig) -> Result<(), String> {
-        // A hedged client holds a second slot for its duplicate attempt.
-        let slots = match self.retry {
-            RetryPolicy::Hedged { .. } => 2 * u64::from(self.population),
-            _ => u64::from(self.population),
-        };
         let rule = if !matches!(sys.arrival, ArrivalProcess::Closed) {
             "population must run under closed arrivals (clients are the arrival process)"
         } else if self.population == 0 {
             "population must be ≥ 1"
-        } else if slots > u64::from(sys.terminals) {
-            "population must fit system.terminals (a hedged client takes two slots)"
+        } else if self.population > sys.terminals {
+            "population must fit system.terminals"
         } else {
             return Ok(());
         };
@@ -158,9 +117,9 @@ pub struct ClientStats {
     pub issued: u64,
     /// First attempts of a request.
     pub first_attempts: u64,
-    /// Total attempts (first attempts + retries + hedges).
+    /// Total attempts (first attempts + retries).
     pub attempts: u64,
-    /// Retry attempts (including hedge duplicates).
+    /// Retry attempts.
     pub retries: u64,
     /// Requests that committed.
     pub committed: u64,
@@ -211,14 +170,10 @@ pub(crate) enum ClientPhase {
 pub(crate) struct Client {
     pub phase: ClientPhase,
     /// Tombstone counter: bumped whenever the client's pending calendar
-    /// events (issue, timeout, hedge) become stale.
+    /// events (issue, timeout) become stale.
     pub generation: u64,
     /// Attempts made for the current request (0 while Thinking).
     pub attempt: u32,
-    /// Whether a hedge duplicate is in flight for the current attempt.
-    pub hedged: bool,
-    /// Smoothed observed response latency, ms (0 until first commit).
-    pub ema_ms: f64,
 }
 
 impl Client {
@@ -227,8 +182,6 @@ impl Client {
             phase: ClientPhase::Thinking,
             generation: 0,
             attempt: 0,
-            hedged: false,
-            ema_ms: 0.0,
         }
     }
 }
@@ -256,16 +209,6 @@ impl ClientPool {
             stats: ClientStats::default(),
             cfg,
         }
-    }
-
-    /// The think-time multiplier the latency feedback dictates for
-    /// client `c`: `max(1 + gain × ema/reference, 0.1)`.
-    pub fn think_multiplier(&self, c: usize) -> f64 {
-        let f = &self.cfg.feedback;
-        if f.gain == 0.0 {
-            return 1.0;
-        }
-        (1.0 + f.gain * self.clients[c].ema_ms / f.reference_ms).max(0.1)
     }
 
     /// The deterministic part of the backoff delay for attempt number
@@ -343,19 +286,5 @@ mod tests {
         };
         let pool = ClientPool::new(cfg);
         assert_eq!(pool.tokens, 7.5);
-    }
-
-    #[test]
-    fn latency_feedback_stretches_think_time() {
-        let mut cfg = ClientConfig::new(1, Dist::constant(500.0));
-        cfg.feedback = LatencyFeedback {
-            gain: 1.0,
-            reference_ms: 1000.0,
-            weight: 0.2,
-        };
-        let mut pool = ClientPool::new(cfg);
-        assert_eq!(pool.think_multiplier(0), 1.0);
-        pool.clients[0].ema_ms = 2000.0;
-        assert!((pool.think_multiplier(0) - 3.0).abs() < 1e-12);
     }
 }

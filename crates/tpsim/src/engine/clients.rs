@@ -1,5 +1,5 @@
 //! The closed-loop client state machine (client mode only): issue,
-//! timeout, hedge, retry or abandon, and the cancellation of an attempt
+//! timeout, retry or abandon, and the cancellation of an attempt
 //! wherever on the floor it is. The data model is `crate::client`.
 
 use alc_core::gatelog::GateEvent;
@@ -13,9 +13,8 @@ use crate::txn::TxnState;
 impl Simulator {
     /// A client issues an attempt: first attempt of a fresh request when
     /// Thinking, retry of the outstanding request when in Backoff. Arms
-    /// the patience timeout (and the hedge timer for first attempts of a
-    /// hedged pool) and submits the client's slot to the gate — unless
-    /// retry shedding bounces the attempt at a saturated gate.
+    /// the patience timeout and submits the client's slot to the gate —
+    /// unless retry shedding bounces the attempt at a saturated gate.
     pub(super) fn on_client_issue(&mut self, c: usize, generation: u64) {
         let Some(pool) = self.clients.as_mut() else {
             debug_assert!(false, "ClientIssue without a client pool");
@@ -33,15 +32,10 @@ impl Simulator {
             pool.stats.first_attempts += 1;
             pool.stats.in_flight += 1;
             pool.clients[c].attempt = 0;
-            pool.clients[c].hedged = false;
         }
         pool.stats.attempts += 1;
         pool.clients[c].attempt += 1;
         pool.clients[c].phase = ClientPhase::Waiting;
-        let hedge_delay = match pool.cfg.retry {
-            RetryPolicy::Hedged { delay_ms } if !retry => Some(delay_ms),
-            _ => None,
-        };
         let (shed_cfg, timeout_dist) = (pool.cfg.shed_retries, pool.cfg.timeout);
         if retry {
             // Close the retry-chain flow opened when the retry was
@@ -71,21 +65,12 @@ impl Simulator {
                 generation,
             },
         );
-        if let Some(d) = hedge_delay {
-            self.cal.schedule_in(
-                d,
-                Event::HedgeFire {
-                    client: c,
-                    generation,
-                },
-            );
-        }
         self.submit_attempt(c);
     }
 
-    /// Patience expired: cancel the in-flight attempt (and its hedge
-    /// twin), count the timeout as sampler-visible lost work, and let
-    /// the retry policy decide what happens next.
+    /// Patience expired: cancel the in-flight attempt, count the timeout
+    /// as sampler-visible lost work, and let the retry policy decide
+    /// what happens next.
     pub(super) fn on_client_timeout(&mut self, c: usize, generation: u64) {
         let Some(pool) = self.clients.as_mut() else {
             debug_assert!(false, "ClientTimeout without a client pool");
@@ -96,45 +81,17 @@ impl Simulator {
         }
         debug_assert_eq!(pool.clients[c].phase, ClientPhase::Waiting);
         pool.stats.timeouts += 1;
-        let hedged = pool.clients[c].hedged;
         self.tr_client_instant(tname::CLIENT_TIMEOUT, c);
-        let population = self.client_population();
-        let mut consumed = self.cancel_attempt(c);
-        if hedged {
-            consumed |= self.cancel_attempt(population + c);
-        }
         // Only attempts that actually consumed service count as
         // sampler-visible wasted work; a cancellation straight out of the
         // gate queue is an admission refusal, exactly like a shed retry.
-        if consumed {
+        if self.cancel_attempt(c) {
             self.feed(GateEvent::Abort {
                 at_ms: self.now().millis(),
                 conflicts: 0,
             });
         }
         self.retry_or_abandon(c);
-    }
-
-    /// The hedge timer fired with the first attempt still in flight:
-    /// launch the duplicate on the client's second slot. The duplicate
-    /// counts as a retry (work amplification), shares the request's
-    /// timeout, and whichever attempt commits first cancels the other.
-    pub(super) fn on_hedge_fire(&mut self, c: usize, generation: u64) {
-        let Some(pool) = self.clients.as_mut() else {
-            debug_assert!(false, "HedgeFire without a client pool");
-            return;
-        };
-        let client = &mut pool.clients[c];
-        if client.generation != generation || client.phase != ClientPhase::Waiting || client.hedged
-        {
-            return; // the request is over, or already hedged
-        }
-        client.hedged = true;
-        pool.stats.attempts += 1;
-        pool.stats.retries += 1;
-        self.tr_client_instant(tname::CLIENT_HEDGE, c);
-        let population = self.client_population();
-        self.submit_attempt(population + c);
     }
 
     /// The population of the installed client pool (client mode only).
@@ -153,14 +110,12 @@ impl Simulator {
             return;
         };
         let attempt = pool.clients[c].attempt;
-        // Hedged clients never retry past a timeout (the hedge was their
-        // second attempt); others retry until the per-request budget or
-        // the shared token bucket runs out.
+        // Retry until the per-request budget or the shared token bucket
+        // runs out.
         let delay = if attempt > pool.cfg.max_retries {
             None
         } else {
             match pool.cfg.retry {
-                RetryPolicy::Hedged { .. } => None,
                 RetryPolicy::Budget { delay_ms, .. } => {
                     if pool.tokens >= 1.0 {
                         pool.tokens -= 1.0;
@@ -178,7 +133,7 @@ impl Simulator {
         match delay {
             Some(d) => {
                 pool.clients[c].phase = ClientPhase::Backoff;
-                pool.clients[c].generation += 1; // tombstones the pending timeout/hedge
+                pool.clients[c].generation += 1; // tombstones the pending timeout
                 let generation = pool.clients[c].generation;
                 self.cal.schedule_in(
                     d,
@@ -200,17 +155,9 @@ impl Simulator {
         }
     }
 
-    /// A client's attempt committed: cancel the hedge twin (if any),
-    /// bank retry tokens, fold the observed response into the
-    /// latency-feedback EMA, and settle the request.
-    pub(super) fn on_client_commit(&mut self, i: usize, response_ms: f64) {
-        // Slot `c` is client `c`'s primary, slot `population + c` its
-        // hedge duplicate: whichever committed, cancel the other.
-        let population = self.client_population();
-        let c = i % population;
-        if self.clients.as_ref().expect("client mode").clients[c].hedged {
-            self.cancel_attempt(if i == c { population + c } else { c });
-        }
+    /// Client `c`'s attempt committed (slot `c` is client `c`'s): bank
+    /// retry tokens and settle the request.
+    pub(super) fn on_client_commit(&mut self, c: usize) {
         let pool = self.clients.as_mut().expect("client mode");
         debug_assert_eq!(pool.clients[c].phase, ClientPhase::Waiting);
         pool.stats.committed += 1;
@@ -220,31 +167,21 @@ impl Simulator {
         {
             pool.tokens = (pool.tokens + per_commit).min(burst);
         }
-        let w = pool.cfg.feedback.weight;
-        let ema = &mut pool.clients[c].ema_ms;
-        *ema = if *ema == 0.0 {
-            response_ms
-        } else {
-            w * response_ms + (1.0 - w) * *ema
-        };
         self.settle(c);
     }
 
     /// Client `c`'s request is over (committed or abandoned): back to
-    /// Thinking, with the next request one think time away, stretched by
-    /// the latency feedback.
+    /// Thinking, with the next request one think time away.
     fn settle(&mut self, c: usize) {
         let pool = self.clients.as_mut().expect("client mode");
         pool.stats.in_flight -= 1;
         let client = &mut pool.clients[c];
-        client.generation += 1; // tombstones the armed timeout/hedge
+        client.generation += 1; // tombstones the armed timeout
         let generation = client.generation;
         client.phase = ClientPhase::Thinking;
         client.attempt = 0;
-        client.hedged = false;
         let think = self.sys.think.sample(&mut self.rng.think)
-            * self.workload.think_time_factor_at(self.cal.now().millis())
-            * pool.think_multiplier(c);
+            * self.workload.think_time_factor_at(self.cal.now().millis());
         self.cal.schedule_in(
             think,
             Event::ClientIssue {
@@ -255,7 +192,7 @@ impl Simulator {
     }
 
     /// Tears down an in-flight attempt on slot `i` after a client
-    /// timeout (or a hedge resolution): the run leaves whatever stage it
+    /// timeout: the run leaves whatever stage it
     /// occupies — gate queue, CC layer, CPU/disk, restart wait — without
     /// counting as an engine-level abort, and a freed MPL slot admits
     /// waiters exactly like a commit departure. Returns whether the
@@ -265,7 +202,7 @@ impl Simulator {
         let prior = self.txns[i].state;
         self.txns[i].generation += 1; // kill in-flight burst/restart events
         if prior == TxnState::Thinking {
-            return false; // not on the floor (e.g. the hedge twin never launched)
+            return false; // not on the floor
         }
         self.set_state(i, TxnState::Thinking, "cancel");
         match prior {

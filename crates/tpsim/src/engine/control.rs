@@ -66,7 +66,7 @@ pub struct Trajectories {
     /// scenarios stay byte-identical.
     pub switches: Vec<SwitchEvent>,
     /// Client mode only: attempts launched per interval (first attempts
-    /// plus retries plus hedges). Empty for runs without a client pool,
+    /// plus retries). Empty for runs without a client pool,
     /// so the trajectory CSVs of existing scenarios stay byte-identical.
     pub attempts: TimeSeries,
     /// Client mode only: retry attempts per interval.

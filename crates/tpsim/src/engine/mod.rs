@@ -135,9 +135,6 @@ enum Event {
     ClientIssue { client: usize, generation: u64 },
     /// Client mode: patience expired for the client's in-flight attempt.
     ClientTimeout { client: usize, generation: u64 },
-    /// Client mode: hedging delay elapsed; launch the duplicate attempt
-    /// if the first one is still in flight.
-    HedgeFire { client: usize, generation: u64 },
 }
 
 struct Streams {
@@ -324,7 +321,6 @@ impl Simulator {
             Event::ClientTimeout { client, generation } => {
                 self.on_client_timeout(client, generation)
             }
-            Event::HedgeFire { client, generation } => self.on_hedge_fire(client, generation),
         }
     }
 
@@ -681,10 +677,10 @@ impl Simulator {
         self.window.commits += 1;
         // Departure: back to the terminal (closed) or out of the system,
         // returning the slot (open). In client mode the client settles
-        // the request instead (and may cancel a hedge twin).
+        // the request instead.
         self.set_state(i, TxnState::Thinking, "commit");
         if self.clients.is_some() {
-            self.on_client_commit(i, response);
+            self.on_client_commit(i);
         } else {
             match self.sys.arrival {
                 ArrivalProcess::Closed => {
@@ -698,9 +694,6 @@ impl Simulator {
             }
         }
         self.depart();
-        // A hedge twin that waited on the winner's own lock is on the
-        // list, and `on_client_commit` has just cancelled it.
-        unblocked.retain(|&u| matches!(self.txns[u].state, TxnState::Blocked { .. }));
         self.resume_all(unblocked);
     }
 

@@ -154,10 +154,9 @@ impl Simulator {
     }
 
     /// Installs a closed-loop client pool: impatient clients replace the
-    /// paper's patient terminals. Each client owns one transaction slot
-    /// (hedged pools own two — primary and duplicate), cycles through
-    /// think → issue → wait, and on timeout cancels its in-flight
-    /// attempt and consults its retry policy. Timeouts and shed retries
+    /// paper's patient terminals. Each client owns one transaction slot,
+    /// cycles through think → issue → wait, and on timeout cancels its
+    /// in-flight attempt and consults its retry policy. Timeouts and shed retries
     /// feed the sampler (and the gate log) as aborts, so retry-aware
     /// control laws observe the storm they must clamp. Call once, before
     /// the run; panics when [`ClientConfig::check`] errs.

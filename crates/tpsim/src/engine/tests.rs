@@ -1149,7 +1149,7 @@ fn little_law_consistency() {
 // Client mode
 // ------------------------------------------------------------------
 
-use crate::client::{ClientConfig, LatencyFeedback, RetryPolicy};
+use crate::client::{ClientConfig, RetryPolicy};
 
 fn client_pool(population: u32, timeout_ms: f64) -> ClientConfig {
     ClientConfig::new(population, Dist::constant(timeout_ms))
@@ -1263,28 +1263,6 @@ fn clientless_runs_are_unperturbed_by_the_client_code_path() {
 }
 
 #[test]
-fn hedged_clients_duplicate_work_and_cancel_the_loser() {
-    let mut sim = Simulator::new(
-        small_sys(24, 5),
-        WorkloadConfig::default(),
-        CcKind::Certification,
-        no_control(u32::MAX),
-        None,
-    );
-    sim.set_record_optimum(false);
-    let mut cfg = client_pool(12, 5_000.0);
-    cfg.retry = RetryPolicy::Hedged { delay_ms: 30.0 };
-    sim.set_clients(cfg);
-    sim.run(20_000.0);
-    let s = sim.client_stats().expect("client mode");
-    assert!(s.retries > 0, "hedges count as retries: {s:?}");
-    assert!(s.committed > 0);
-    assert_client_conservation(&sim);
-    let census = sim.txn_state_census();
-    assert_eq!(census.iter().sum::<usize>(), 24);
-}
-
-#[test]
 fn budget_retries_are_bounded_by_the_bucket() {
     let mut sim = Simulator::new(
         small_sys(16, 21),
@@ -1334,35 +1312,6 @@ fn retry_shedding_bounces_retries_at_a_saturated_gate() {
     let s = sim.client_stats().expect("client mode");
     assert!(s.shed > 0, "a bound of 1 must shed retries: {s:?}");
     assert_client_conservation(&sim);
-}
-
-#[test]
-fn latency_feedback_stretches_think_and_lowers_offered_load() {
-    let offered = |gain: f64| {
-        let mut sim = Simulator::new(
-            small_sys(16, 17),
-            WorkloadConfig::default(),
-            CcKind::Certification,
-            no_control(2),
-            None,
-        );
-        sim.set_record_optimum(false);
-        let mut cfg = client_pool(16, 2_000.0);
-        cfg.feedback = LatencyFeedback {
-            gain,
-            reference_ms: 100.0,
-            weight: 0.2,
-        };
-        sim.set_clients(cfg);
-        sim.run(20_000.0);
-        sim.client_stats().expect("client mode").issued
-    };
-    let patient = offered(0.0);
-    let deferring = offered(4.0);
-    assert!(
-        deferring < patient,
-        "feedback gain must reduce issued requests: {deferring} !< {patient}"
-    );
 }
 
 #[test]

@@ -15,7 +15,7 @@ impl Simulator {
     /// (the span column of the lifecycle table in the [module doc](super)),
     /// CPU/disk service bursts, gate decisions and MPL/bound counters, CC
     /// switch decide/complete markers, faults, and client
-    /// timeout/shed/abandon/hedge events with retry chains linked by flow
+    /// timeout/shed/abandon events with retry chains linked by flow
     /// ids. Everything is stamped with simulated time and ids come from
     /// deterministic counters, so traces are byte-identical across reruns.
     /// Call after [`Simulator::set_clients`] (client lane metadata is

@@ -40,7 +40,7 @@ pub mod station;
 pub mod txn;
 pub mod workload;
 
-pub use client::{ClientConfig, ClientStats, LatencyFeedback, RetryPolicy};
+pub use client::{ClientConfig, ClientStats, RetryPolicy};
 pub use config::{ControlConfig, SystemConfig};
 pub use engine::{RunStats, Simulator, Trajectories};
 pub use workload::WorkloadConfig;

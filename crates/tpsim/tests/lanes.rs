@@ -114,13 +114,9 @@ fn run(case: Case, lanes: bool) -> (Outcome, CountingSink) {
         sim.set_faults(&[(5_000.0, -3), (6_500.0, 3)]);
     }
     if let Some(retry) = case.clients {
-        let population = match retry {
-            RetryPolicy::Hedged { .. } => 20,
-            _ => 40,
-        };
         sim.set_clients(ClientConfig {
             retry,
-            ..ClientConfig::new(population, Dist::exponential(250.0))
+            ..ClientConfig::new(40, Dist::exponential(250.0))
         });
     }
     let gate_log = Arc::new(Mutex::new(Vec::new()));
@@ -157,12 +153,16 @@ fn constants_on_lanes_equal_degenerate_uniforms_on_the_rung() {
             });
         }
     }
-    let hedged = RetryPolicy::Hedged { delay_ms: 30.0 };
+    let budget = RetryPolicy::Budget {
+        per_commit: 0.1,
+        burst: 4.0,
+        delay_ms: 30.0,
+    };
     for (cc, clients, lockstep) in [
         (CcKind::Certification, None, false),
         (CcKind::TwoPhaseLocking, Some(RetryPolicy::default()), false),
-        (CcKind::Multiversion, Some(hedged), false),
-        (CcKind::WoundWait, Some(hedged), false),
+        (CcKind::Multiversion, Some(budget), false),
+        (CcKind::WoundWait, Some(budget), false),
         (CcKind::Certification, None, true),
         (CcKind::WaitDie, Some(RetryPolicy::default()), true),
     ] {

@@ -454,9 +454,9 @@ mod engine_props {
         /// For arbitrary small configurations (a static bound or an IS
         /// controller displacing down to its own; a scheduled CC switch;
         /// a CPU kill/restore pair; patient terminals or an impatient
-        /// client pool, backing off or hedging) the engine terminates,
-        /// keeps its books at every step, respects a static bound, and
-        /// produces finite statistics. In debug builds the lifecycle
+        /// client pool, backing off or on a token budget) the engine
+        /// terminates, keeps its books at every step, respects a static
+        /// bound, and produces finite statistics. In debug builds the lifecycle
         /// writer's legal-edge check runs under all of it.
         #[test]
         fn engine_invariants_hold(
@@ -511,10 +511,10 @@ mod engine_props {
             sim.set_cc_switches(&[(switch.0, CcKind::ALL[switch.1])]);
             let (down_at, down_for, servers) = outage;
             sim.set_faults(&[(down_at, -servers), (down_at + down_for, servers)]);
-            // Hedged pools own two slots per client.
+            let budget = RetryPolicy::Budget { per_commit: 0.1, burst: 4.0, delay_ms: 30.0 };
             let pool = match clients {
                 1 => Some((terminals, RetryPolicy::default())),
-                2 => Some((terminals / 2, RetryPolicy::Hedged { delay_ms: 30.0 })),
+                2 => Some((terminals / 2, budget)),
                 _ => None,
             };
             if let Some((population, retry)) = pool {
@@ -553,8 +553,8 @@ mod engine_props {
         /// `ControlConfig::check` and `ClientConfig::check` say `Ok`
         /// exactly when `Simulator::new` and `set_clients` take the
         /// configuration: the sample interval at its edges (0, negative,
-        /// NaN, ∞), pools of 0 to twice the terminals, hedged or not,
-        /// under closed or open arrivals.
+        /// NaN, ∞), pools of 0 to twice the terminals, under closed or
+        /// open arrivals.
         #[test]
         fn control_and_client_checks_agree_with_the_engine(
             interval in prop_oneof![
@@ -562,7 +562,6 @@ mod engine_props {
             ],
             terminals in 1u32..8,
             population in 0u32..16,
-            hedged in any::<bool>(),
             open in any::<bool>(),
         ) {
             use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -575,13 +574,7 @@ mod engine_props {
             let sys = SystemConfig { terminals, arrival, ..SystemConfig::default() };
             let control =
                 ControlConfig { sample_interval_ms: interval, ..ControlConfig::default() };
-            let retry = if hedged {
-                RetryPolicy::Hedged { delay_ms: 30.0 }
-            } else {
-                RetryPolicy::default()
-            };
-            let pool =
-                ClientConfig { retry, ..ClientConfig::new(population, Dist::constant(500.0)) };
+            let pool = ClientConfig::new(population, Dist::constant(500.0));
             let workload = WorkloadConfig::default;
             let new = || Simulator::new(sys, workload(), CcKind::Certification, control, None);
             let built = catch_unwind(AssertUnwindSafe(new)).is_ok();

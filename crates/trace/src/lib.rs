@@ -76,8 +76,6 @@ pub mod name {
     pub const CLIENT_SHED: &str = "client.shed";
     /// Instant: a client gave up after exhausting its retry policy.
     pub const CLIENT_ABANDON: &str = "client.abandon";
-    /// Instant: a hedged duplicate attempt was launched.
-    pub const CLIENT_HEDGE: &str = "client.hedge";
     /// Flow: links a failed attempt to the retry it caused.
     pub const RETRY: &str = "retry";
     /// Counter: the observed multiprogramming level (in-system count).
