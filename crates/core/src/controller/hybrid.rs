@@ -16,7 +16,7 @@
 //!    samples *and* reports a concave fit, PA takes over at IS's current
 //!    position and tracks the vertex.
 //! 3. **Revert.** If PA's fit degenerates (upward-opening parabolas for
-//!    `revert_after` consecutive intervals — the Fig. 7/8 pathologies), the
+//!    half of the last eight intervals — the Fig. 7/8 pathologies), the
 //!    hybrid falls back to a fresh IS phase seeded at the current bound,
 //!    regenerating excitation until concavity returns.
 //!
@@ -28,8 +28,20 @@ use super::{require, IncrementalSteps, IsParams, LoadController, PaParams, Parab
 use crate::estimator::quadratic::FitShape;
 use crate::measure::Measurement;
 
+/// Measurements the estimator must absorb before PA may take over (the
+/// 3-parameter fit needs at least 3).
+const BOOTSTRAP_SAMPLES: u64 = 12;
+/// Unusable (convex) fits within the last `REVERT_WINDOW` refine
+/// intervals before the hybrid reverts to a fresh bootstrap. A windowed
+/// count, not a consecutive one: PA's own probing fallback alternates
+/// the fit shape, so pathology shows up as a *rate*.
+const REVERT_AFTER: u32 = 4;
+/// Length of the sliding window over fit shapes (at most 64, the bits
+/// of the history mask).
+const REVERT_WINDOW: u32 = 8;
+
 /// Tuning parameters of the [`Hybrid`] controller.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct HybridParams {
     /// Inner IS parameters (bootstrap phase).
     pub is: IsParams,
@@ -37,27 +49,6 @@ pub struct HybridParams {
     /// and `max_bound` should agree with the IS ones; the constructor
     /// asserts the range does.
     pub pa: PaParams,
-    /// Measurements the estimator must absorb before PA may take over.
-    pub bootstrap_samples: u64,
-    /// Unusable (convex) fits within the last `revert_window` refine
-    /// intervals before the hybrid reverts to a fresh bootstrap. A
-    /// windowed count, not a consecutive one: PA's own probing fallback
-    /// alternates the fit shape, so pathology shows up as a *rate*.
-    pub revert_after: u32,
-    /// Length of the sliding window over fit shapes (≤ 64).
-    pub revert_window: u32,
-}
-
-impl Default for HybridParams {
-    fn default() -> Self {
-        HybridParams {
-            is: IsParams::default(),
-            pa: PaParams::default(),
-            bootstrap_samples: 12,
-            revert_after: 4,
-            revert_window: 8,
-        }
-    }
 }
 
 impl HybridParams {
@@ -68,16 +59,7 @@ impl HybridParams {
         self.pa.check().map_err(|e| format!("pa.{e}"))?;
         // The phases hand the bound over, so they must share one range.
         require(self.pa.min_bound == self.is.min_bound, "pa.min_bound must share is.min_bound")?;
-        require(self.pa.max_bound == self.is.max_bound, "pa.max_bound must share is.max_bound")?;
-        require(
-            self.bootstrap_samples >= 3,
-            "bootstrap_samples must be ≥ 3 (the 3-parameter fit needs them)",
-        )?;
-        require(self.revert_after >= 1, "revert_after must be ≥ 1")?;
-        require(
-            (self.revert_after..=64).contains(&self.revert_window),
-            "revert_window must lie in [revert_after, 64]",
-        )
+        require(self.pa.max_bound == self.is.max_bound, "pa.max_bound must share is.max_bound")
     }
 }
 
@@ -160,7 +142,7 @@ impl LoadController for Hybrid {
             HybridPhase::Bootstrap => {
                 let bound = self.is.update(m);
                 self.pa.observe_only(m);
-                if self.phase_samples >= self.params.bootstrap_samples
+                if self.phase_samples >= BOOTSTRAP_SAMPLES
                     && matches!(self.pa.fit_shape(), FitShape::Concave { .. })
                 {
                     self.promote();
@@ -171,15 +153,9 @@ impl LoadController for Hybrid {
                 let bound = self.pa.update(m);
                 let unusable = matches!(self.pa.fit_shape(), FitShape::Unusable);
                 self.convex_history = (self.convex_history << 1) | u64::from(unusable);
-                let window_mask = if self.params.revert_window == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << self.params.revert_window) - 1
-                };
+                let window_mask = (1u64 << REVERT_WINDOW) - 1;
                 let recent = (self.convex_history & window_mask).count_ones();
-                if self.phase_samples >= u64::from(self.params.revert_window)
-                    && recent >= self.params.revert_after
-                {
+                if self.phase_samples >= u64::from(REVERT_WINDOW) && recent >= REVERT_AFTER {
                     self.revert();
                     return self.is.current_bound();
                 }
@@ -214,7 +190,6 @@ mod tests {
                 max_bound: 500,
                 ..PaParams::default()
             },
-            ..HybridParams::default()
         }
     }
 
@@ -287,11 +262,7 @@ mod tests {
         // Measurements straddling a performance *minimum* keep every
         // honest fit convex: the hybrid must refuse the hand-over to PA
         // and keep exploring with IS.
-        let mut ctrl = Hybrid::new(HybridParams {
-            bootstrap_samples: 6,
-            revert_after: 3,
-            ..params_500()
-        });
+        let mut ctrl = Hybrid::new(params_500());
         let cycle = [40.0f64, 100.0, 160.0];
         for i in 0..120usize {
             let n = cycle[i % cycle.len()];
@@ -308,11 +279,7 @@ mod tests {
         // enough to promote into the refine phase, then the surface
         // degenerates into a V — the fits turn convex and the hybrid must
         // fall back to a fresh IS bootstrap.
-        let mut ctrl = Hybrid::new(HybridParams {
-            bootstrap_samples: 6,
-            revert_after: 3,
-            ..params_500()
-        });
+        let mut ctrl = Hybrid::new(params_500());
         let cycle = [40.0f64, 100.0, 160.0];
         for i in 0..200usize {
             let n = cycle[i % cycle.len()];
@@ -350,7 +317,6 @@ mod tests {
                 max_bound: 200,
                 ..PaParams::default()
             },
-            ..HybridParams::default()
         });
     }
 }

@@ -25,31 +25,24 @@ use super::{require, IncrementalSteps, IsParams, LoadController, PaParams, Parab
 use crate::estimator::Ewma;
 use crate::measure::Measurement;
 
+/// Desired mean |bound step| as a fraction of the current bound: small
+/// is a calm steady state, large a fast reaction.
+const TARGET_STEP_FRACTION: f64 = 0.05;
+/// Multiplicative β adjustment per outer tick.
+const BETA_ADJUST: f64 = 1.5;
+/// The range β is clamped into.
+const BETA_RANGE: (f64, f64) = (1e-4, 1e4);
+
 /// Parameters of the outer tuning loop.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct OuterParams {
     /// Inner-loop updates per outer-loop adjustment.
     pub window: u32,
-    /// Desired mean |bound step| as a fraction of the current bound.
-    /// Small = calm steady state, large = fast reaction.
-    pub target_step_fraction: f64,
-    /// Multiplicative β adjustment per outer tick (> 1).
-    pub adjust_factor: f64,
-    /// Lower clamp for β.
-    pub beta_min: f64,
-    /// Upper clamp for β.
-    pub beta_max: f64,
 }
 
 impl Default for OuterParams {
     fn default() -> Self {
-        OuterParams {
-            window: 25,
-            target_step_fraction: 0.05,
-            adjust_factor: 1.5,
-            beta_min: 1e-4,
-            beta_max: 1e4,
-        }
+        OuterParams { window: 25 }
     }
 }
 
@@ -57,11 +50,7 @@ impl OuterParams {
     /// The first field [`SelfTuningIs::new`] cannot run with, as
     /// `<field> must …`.
     pub fn check(&self) -> Result<(), String> {
-        require(self.window >= 2, "window must be ≥ 2")?;
-        require(self.target_step_fraction > 0.0, "target_step_fraction must be > 0")?;
-        require(self.adjust_factor > 1.0, "adjust_factor must be > 1")?;
-        require(self.beta_min > 0.0, "beta_min must be > 0")?;
-        require(self.beta_min <= self.beta_max, "beta_max must be ≥ beta_min")
+        require(self.window >= 2, "window must be ≥ 2")
     }
 }
 
@@ -95,17 +84,17 @@ impl SelfTuningIs {
     fn outer_tick(&mut self) {
         let mean_step = self.step_sum / f64::from(self.outer.window);
         let mean_bound = (self.bound_sum / f64::from(self.outer.window)).max(1.0);
-        let target = self.outer.target_step_fraction * mean_bound;
+        let target = TARGET_STEP_FRACTION * mean_bound;
         let beta = self.inner.params().beta;
         let new_beta = if mean_step > 2.0 * target {
-            beta / self.outer.adjust_factor
+            beta / BETA_ADJUST
         } else if mean_step < 0.5 * target {
-            beta * self.outer.adjust_factor
+            beta * BETA_ADJUST
         } else {
             beta
         };
         self.inner
-            .set_beta(new_beta.clamp(self.outer.beta_min, self.outer.beta_max));
+            .set_beta(new_beta.clamp(BETA_RANGE.0, BETA_RANGE.1));
         self.ticks = 0;
         self.step_sum = 0.0;
         self.bound_sum = 0.0;
@@ -130,6 +119,24 @@ impl LoadController for SelfTuningIs {
     }
 }
 
+/// EWMA weight of the fast |innovation| tracker (the recent level).
+const FAST_WEIGHT: f64 = 0.4;
+/// EWMA weight of the slow |innovation| tracker (the noise floor).
+const SLOW_WEIGHT: f64 = 0.05;
+/// A step is a *shock* when its |innovation| exceeds this many times
+/// the slow tracker.
+const SHOCK_FACTOR: f64 = 3.0;
+/// Consecutive shock steps before shortening starts (a single
+/// measurement blip must not shorten the memory).
+const SHOCK_CONFIRM: u32 = 2;
+/// Fast/slow ratio below which memory lengthens (steady state).
+const LENGTHEN_BELOW: f64 = 0.8;
+/// Multiplicative step applied to `1 − α` per adjustment.
+const ALPHA_ADJUST: f64 = 1.5;
+/// The range α is clamped into: the shortest and the longest memory
+/// allowed.
+const ALPHA_RANGE: (f64, f64) = (0.6, 0.99);
+
 /// Parameters of the α-tuning outer loop for PA.
 ///
 /// The loop is deliberately asymmetric. *Shortening* memory must happen
@@ -137,64 +144,23 @@ impl LoadController for SelfTuningIs {
 /// burst of innovations that lives and dies within a handful of
 /// intervals, so waiting for a window boundary would miss it. *Lengthening*
 /// memory is never urgent, so it runs calmly once per window.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaOuterParams {
     /// Inner-loop updates per lengthening decision.
     pub window: u32,
-    /// EWMA weight of the fast |innovation| tracker (recent level).
-    pub fast_weight: f64,
-    /// EWMA weight of the slow |innovation| tracker (the noise floor).
-    pub slow_weight: f64,
-    /// A step is a *shock* when its |innovation| exceeds `shock_factor`
-    /// times the slow tracker.
-    pub shock_factor: f64,
-    /// Consecutive shock steps required before shortening starts (single
-    /// measurement blips must not shorten the memory).
-    pub shock_confirm: u32,
-    /// Fast/slow ratio below which memory lengthens (steady state).
-    pub lengthen_below: f64,
-    /// Multiplicative step applied to `1 − α` per adjustment (> 1).
-    pub adjust_factor: f64,
-    /// Lower clamp for α (shortest memory allowed).
-    pub alpha_min: f64,
-    /// Upper clamp for α (longest memory allowed).
-    pub alpha_max: f64,
 }
 
 impl Default for PaOuterParams {
     fn default() -> Self {
-        PaOuterParams {
-            window: 10,
-            fast_weight: 0.4,
-            slow_weight: 0.05,
-            shock_factor: 3.0,
-            shock_confirm: 2,
-            lengthen_below: 0.8,
-            adjust_factor: 1.5,
-            alpha_min: 0.6,
-            alpha_max: 0.99,
-        }
+        PaOuterParams { window: 10 }
     }
 }
 
 impl PaOuterParams {
     /// The first field [`SelfTuningPa::new`] cannot run with, as
-    /// `<field> must …` (the two innovation trackers' weights included).
+    /// `<field> must …`.
     pub fn check(&self) -> Result<(), String> {
-        require(self.window >= 2, "window must be ≥ 2")?;
-        require(self.slow_weight > 0.0, "slow_weight must be > 0")?;
-        require(self.fast_weight > self.slow_weight, "fast_weight must be > slow_weight")?;
-        require(self.fast_weight <= 1.0, "fast_weight must be ≤ 1")?;
-        require(self.shock_factor > 1.0, "shock_factor must be > 1")?;
-        require(self.shock_confirm >= 1, "shock_confirm must be ≥ 1")?;
-        require(
-            self.lengthen_below > 0.0 && self.lengthen_below < 1.0,
-            "lengthen_below must lie in (0, 1)",
-        )?;
-        require(self.adjust_factor > 1.0, "adjust_factor must be > 1")?;
-        require(self.alpha_min > 0.0, "alpha_min must be > 0")?;
-        require(self.alpha_min <= self.alpha_max, "alpha_max must be ≥ alpha_min")?;
-        require(self.alpha_max < 1.0, "alpha_max must be < 1")
+        require(self.window >= 2, "window must be ≥ 2")
     }
 }
 
@@ -213,16 +179,16 @@ pub struct SelfTuningPa {
 impl SelfTuningPa {
     /// Wraps PA with the given inner and outer parameters; panics exactly
     /// when [`PaParams::check`] or [`PaOuterParams::check`] errs. The
-    /// inner α is clamped into `[alpha_min, alpha_max]` immediately.
+    /// inner α is clamped into its range (0.6 to 0.99) immediately.
     pub fn new(inner_params: PaParams, outer: PaOuterParams) -> Self {
         outer.check().expect("invalid outer-loop parameters");
         let mut inner = ParabolaApproximation::new(inner_params);
-        inner.set_alpha(inner.alpha().clamp(outer.alpha_min, outer.alpha_max));
+        inner.set_alpha(inner.alpha().clamp(ALPHA_RANGE.0, ALPHA_RANGE.1));
         SelfTuningPa {
             inner,
             outer,
-            fast: Ewma::new(outer.fast_weight),
-            slow: Ewma::new(outer.slow_weight),
+            fast: Ewma::new(FAST_WEIGHT),
+            slow: Ewma::new(SLOW_WEIGHT),
             ticks: 0,
             shock_streak: 0,
         }
@@ -236,20 +202,19 @@ impl SelfTuningPa {
     /// Moves α by one geometric step of the forgetting *rate* `1 − α` —
     /// shorter memory for `shorten = true`, longer otherwise.
     fn step_alpha(&mut self, shorten: bool) {
-        let o = self.outer;
         let one_minus = 1.0 - self.inner.alpha();
         let new_alpha = if shorten {
-            1.0 - (one_minus * o.adjust_factor)
+            1.0 - (one_minus * ALPHA_ADJUST)
         } else {
-            1.0 - (one_minus / o.adjust_factor)
+            1.0 - (one_minus / ALPHA_ADJUST)
         };
-        self.inner.set_alpha(new_alpha.clamp(o.alpha_min, o.alpha_max));
+        self.inner
+            .set_alpha(new_alpha.clamp(ALPHA_RANGE.0, ALPHA_RANGE.1));
     }
 }
 
 impl LoadController for SelfTuningPa {
     fn update(&mut self, m: &Measurement) -> u32 {
-        let o = self.outer;
         let bound = self.inner.update(m);
         let innovation = self.inner.last_innovation().abs();
         let noise_floor = self.slow.value().unwrap_or(innovation);
@@ -257,9 +222,9 @@ impl LoadController for SelfTuningPa {
         let slow = self.slow.update(innovation);
 
         // Shock path: confirmed innovation bursts shorten memory at once.
-        if innovation > o.shock_factor * noise_floor.max(f64::EPSILON) {
+        if innovation > SHOCK_FACTOR * noise_floor.max(f64::EPSILON) {
             self.shock_streak += 1;
-            if self.shock_streak >= o.shock_confirm {
+            if self.shock_streak >= SHOCK_CONFIRM {
                 self.step_alpha(true);
             }
         } else {
@@ -269,9 +234,9 @@ impl LoadController for SelfTuningPa {
         // Calm path: lengthen once per window when innovations sit below
         // their long-run level.
         self.ticks += 1;
-        if self.ticks >= o.window {
+        if self.ticks >= self.outer.window {
             self.ticks = 0;
-            if fast < o.lengthen_below * slow.max(f64::EPSILON) && self.shock_streak == 0 {
+            if fast < LENGTHEN_BELOW * slow.max(f64::EPSILON) && self.shock_streak == 0 {
                 self.step_alpha(false);
             }
         }
@@ -364,13 +329,7 @@ mod tests {
             min_step: 1.0,
             ..IsParams::default()
         };
-        let mut tuned = SelfTuningIs::new(
-            params,
-            OuterParams {
-                window: 10,
-                ..OuterParams::default()
-            },
-        );
+        let mut tuned = SelfTuningIs::new(params, OuterParams { window: 10 });
         let traj = drive(&mut tuned, &surface, 500, 0.0, 2);
         let tail = &traj[400..];
         let mean = tail.iter().map(|&b| f64::from(b)).sum::<f64>() / tail.len() as f64;
@@ -383,18 +342,16 @@ mod tests {
 
     #[test]
     fn beta_stays_clamped() {
-        let params = IsParams::default();
-        let outer = OuterParams {
-            window: 5,
-            beta_min: 0.5,
-            beta_max: 2.0,
-            ..OuterParams::default()
+        // An optimum beyond `max_bound` pins the bound there: no steps,
+        // so every window asks for a larger β, until the clamp holds it.
+        let params = IsParams {
+            max_bound: 100,
+            ..IsParams::default()
         };
-        let mut tuned = SelfTuningIs::new(params, outer);
-        let surface = RidgeSurface::stationary(50.0, 1000.0, 3.0);
-        drive(&mut tuned, &surface, 300, 0.3, 3);
-        let beta = tuned.inner.params().beta;
-        assert!((0.5..=2.0).contains(&beta), "beta {beta}");
+        let mut tuned = SelfTuningIs::new(params, OuterParams { window: 5 });
+        let surface = RidgeSurface::stationary(900.0, 1000.0, 3.0);
+        drive(&mut tuned, &surface, 300, 0.0, 3);
+        assert_eq!(tuned.inner.params().beta, BETA_RANGE.1);
     }
 
     fn drive_pa(
@@ -509,16 +466,10 @@ mod tests {
     #[test]
     fn pa_alpha_stays_clamped() {
         let surface = RidgeSurface::stationary(100.0, 50.0, 2.0);
-        let outer = PaOuterParams {
-            alpha_min: 0.7,
-            alpha_max: 0.9,
-            window: 5,
-            ..PaOuterParams::default()
-        };
-        let mut ctrl = SelfTuningPa::new(pa_params_500(), outer);
+        let mut ctrl = SelfTuningPa::new(pa_params_500(), PaOuterParams { window: 5 });
         drive_pa(&mut ctrl, &surface, 300, 0.5, 3);
         assert!(
-            (0.7..=0.9).contains(&ctrl.alpha()),
+            (ALPHA_RANGE.0..=ALPHA_RANGE.1).contains(&ctrl.alpha()),
             "alpha {} escaped clamps",
             ctrl.alpha()
         );

@@ -51,6 +51,12 @@ pub enum FallbackPolicy {
     },
 }
 
+/// Initial covariance scale of the RLS prior.
+const INITIAL_COVARIANCE: f64 = 1e4;
+/// Smallest significant |a₂| (in normalized units) for the fit to count
+/// as concave; below it the vertex is numerically meaningless.
+const MIN_CURVATURE: f64 = 1e-3;
+
 /// Tuning parameters of the Parabola Approximation controller.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PaParams {
@@ -65,11 +71,6 @@ pub struct PaParams {
     /// memory). The paper's illustrative value is 0.8; with short
     /// intervals 0.9–0.97 behaves well.
     pub alpha: f64,
-    /// Initial covariance scale of the RLS prior.
-    pub initial_covariance: f64,
-    /// Smallest significant |a₂| (in normalized units) for the fit to
-    /// count as concave; below it the vertex is numerically meaningless.
-    pub min_curvature: f64,
     /// Observations to collect (while ramping the bound up) before the
     /// first vertex is trusted.
     pub warmup_samples: u64,
@@ -94,8 +95,6 @@ impl Default for PaParams {
             min_bound: 1,
             max_bound: 1000,
             alpha: 0.95,
-            initial_covariance: 1e4,
-            min_curvature: 1e-3,
             warmup_samples: 8,
             warmup_step: 8.0,
             dither_amplitude: 6.0,
@@ -108,12 +107,10 @@ impl Default for PaParams {
 
 impl PaParams {
     /// The first field [`ParabolaApproximation::new`] cannot run with, as
-    /// `<field> must …` (the RLS estimator's `alpha` and
-    /// `initial_covariance` included).
+    /// `<field> must …` (the RLS estimator's `alpha` included).
     pub fn check(&self) -> Result<(), String> {
         check_bounds(self.min_bound, self.max_bound, Some(self.initial_bound))?;
         require(self.alpha > 0.0 && self.alpha <= 1.0, "alpha must lie in (0, 1]")?;
-        require(self.initial_covariance > 0.0, "initial_covariance must be > 0")?;
         require(self.dither_amplitude >= 0.0, "dither_amplitude must be ≥ 0")?;
         require(self.max_step > 0.0, "max_step must be > 0")
     }
@@ -153,7 +150,7 @@ impl ParabolaApproximation {
         params.check().expect("invalid PA parameters");
         ParabolaApproximation {
             params,
-            rls: Rls::new(params.alpha, params.initial_covariance),
+            rls: Rls::new(params.alpha, INITIAL_COVARIANCE),
             bound: f64::from(params.initial_bound),
             dither_phase: 0,
             consecutive_convex: 0,
@@ -221,7 +218,7 @@ impl ParabolaApproximation {
     /// Classification of the current fit: concave with a usable vertex,
     /// or unusable (upward-opening / numerically flat).
     pub fn fit_shape(&self) -> FitShape {
-        Quadratic::from_theta(self.rls.theta()).classify(self.params.min_curvature)
+        Quadratic::from_theta(self.rls.theta()).classify(MIN_CURVATURE)
     }
 
     /// Absorbs a measurement into the estimator *without* running the
@@ -302,7 +299,7 @@ impl LoadController for ParabolaApproximation {
             self.bound += p.warmup_step;
         } else {
             let fit = Quadratic::from_theta(self.rls.theta());
-            match fit.classify(p.min_curvature) {
+            match fit.classify(MIN_CURVATURE) {
                 FitShape::Concave { vertex } => {
                     self.consecutive_convex = 0;
                     self.diagnostics.vertex_updates += 1;
@@ -562,16 +559,17 @@ mod tests {
 
     #[test]
     fn fitted_parabola_denormalizes_correctly() {
-        // Train on an exact parabola of n; the denormalized fit must match.
+        // Train on an exact parabola of n; the denormalized fit must match
+        // once the data outweigh the prior (no forgetting, so its pull
+        // fades as 1/samples).
         let mut ctrl = ParabolaApproximation::new(PaParams {
             max_bound: 1000,
             alpha: 1.0,
-            initial_covariance: 1e8,
             warmup_samples: 0,
             dither_amplitude: 0.0,
             ..PaParams::default()
         });
-        for i in 0..100 {
+        for i in 0..2000 {
             let n = 50.0 + f64::from(i % 20) * 20.0;
             let perf = 10.0 + 0.4 * n - 0.001 * n * n;
             ctrl.update(&Measurement::basic(f64::from(i), 1.0, perf, n));

@@ -10,6 +10,14 @@
 use super::{check_bounds, require, LoadController};
 use crate::measure::Measurement;
 
+/// Additive bound step for a comfortable window.
+const INCREASE: u32 = 1;
+/// Multiplicative bound cut when the bucket runs dry.
+const DECREASE: f64 = 0.5;
+/// Fraction of a window's earned credit that it may spend and still
+/// count as comfortable.
+const HEADROOM: f64 = 0.5;
+
 /// Parameters of [`RetryBudget`].
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RetryBudgetParams {
@@ -24,15 +32,6 @@ pub struct RetryBudgetParams {
     pub budget: f64,
     /// Maximum banked credit, in retries (the burst the bucket absorbs).
     pub burst: f64,
-    /// Additive step applied when the window spends at most
-    /// `headroom × earned` credit (comfortably inside the budget).
-    pub increase: u32,
-    /// Multiplicative factor applied when the bucket runs dry (in
-    /// `(0, 1)`).
-    pub decrease: f64,
-    /// Fraction of the per-window earned credit under which the system
-    /// counts as comfortable (in `[0, 1]`).
-    pub headroom: f64,
 }
 
 impl Default for RetryBudgetParams {
@@ -43,9 +42,6 @@ impl Default for RetryBudgetParams {
             max_bound: 1024,
             budget: 0.1,
             burst: 32.0,
-            increase: 1,
-            decrease: 0.5,
-            headroom: 0.5,
         }
     }
 }
@@ -56,17 +52,15 @@ impl RetryBudgetParams {
     pub fn check(&self) -> Result<(), String> {
         check_bounds(self.min_bound, self.max_bound, None)?;
         require(self.budget >= 0.0, "budget must be ≥ 0")?;
-        require(self.burst >= 0.0, "burst must be ≥ 0")?;
-        require(self.decrease > 0.0 && self.decrease < 1.0, "decrease must lie in (0, 1)")?;
-        require((0.0..=1.0).contains(&self.headroom), "headroom must lie in [0, 1]")
+        require(self.burst >= 0.0, "burst must be ≥ 0")
     }
 }
 
 /// Token-bucket retry budgeting over interval measurements: a window
 /// that drains the bucket below zero is an overload — the bound is cut
-/// multiplicatively and the bucket resets to empty. A window that spends
-/// only a small fraction of what it earned lets the bound creep up
-/// additively; anything in between holds.
+/// in half and the bucket resets to empty. A window that spends at most
+/// half of what it earned lets the bound creep up by one; anything in
+/// between holds.
 ///
 /// Unlike a plain abort-ratio threshold, the bucket forgives short
 /// conflict bursts (paid from banked credit) while still clamping
@@ -103,13 +97,13 @@ impl LoadController for RetryBudget {
         let balance = self.credit + earned - spent;
         self.bound = if balance < 0.0 {
             self.credit = 0.0;
-            let cut = (f64::from(self.bound) * self.params.decrease).floor() as u32;
+            let cut = (f64::from(self.bound) * DECREASE).floor() as u32;
             cut.clamp(self.params.min_bound, self.params.max_bound)
         } else {
             self.credit = balance.min(self.params.burst);
-            if spent <= self.params.headroom * earned {
+            if spent <= HEADROOM * earned {
                 self.bound
-                    .saturating_add(self.params.increase)
+                    .saturating_add(INCREASE)
                     .clamp(self.params.min_bound, self.params.max_bound)
             } else {
                 self.bound // inside budget but not comfortable: hold
@@ -172,7 +166,6 @@ mod tests {
             initial_bound: 40,
             budget: 0.1,
             burst: 10.0,
-            decrease: 0.5,
             ..RetryBudgetParams::default()
         });
         // 30 aborts per 100 departures spends 30 against ≤ 20 available.

@@ -59,19 +59,20 @@ impl LoadController for TayRule {
     }
 }
 
+/// Additive bound increase per interval while conflicts sit below
+/// target (exploration).
+const IYER_INCREASE: f64 = 4.0;
+/// Static lower bound of the Iyer rule.
+const IYER_MIN_BOUND: u32 = 1;
+
 /// Parameters of the Iyer-rule feedback controller.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct IyerRuleParams {
     /// Target mean conflicts per transaction (Iyer: 0.75).
     pub target: f64,
-    /// Additive bound increase per interval while conflicts are below
-    /// target (exploration).
-    pub increase: f64,
     /// Bound in force before the first measurement.
     pub initial_bound: u32,
-    /// Static lower bound.
-    pub min_bound: u32,
-    /// Static upper bound.
+    /// Static upper bound (the lower one is 1).
     pub max_bound: u32,
 }
 
@@ -79,9 +80,7 @@ impl Default for IyerRuleParams {
     fn default() -> Self {
         IyerRuleParams {
             target: 0.75,
-            increase: 4.0,
             initial_bound: 10,
-            min_bound: 1,
             max_bound: 1000,
         }
     }
@@ -92,7 +91,7 @@ impl IyerRuleParams {
     /// `<field> must …`.
     pub fn check(&self) -> Result<(), String> {
         require(self.target > 0.0, "target must be > 0")?;
-        check_bounds(self.min_bound, self.max_bound, Some(self.initial_bound))
+        check_bounds(IYER_MIN_BOUND, self.max_bound, Some(self.initial_bound))
     }
 }
 
@@ -130,16 +129,16 @@ impl LoadController for IyerRule {
             };
             self.bound = (basis * p.target / c).max(1.0);
         } else {
-            self.bound += p.increase;
+            self.bound += IYER_INCREASE;
         }
         self.bound = self
             .bound
-            .clamp(f64::from(p.min_bound), f64::from(p.max_bound));
-        clamp_bound(self.bound, p.min_bound, p.max_bound)
+            .clamp(f64::from(IYER_MIN_BOUND), f64::from(p.max_bound));
+        clamp_bound(self.bound, IYER_MIN_BOUND, p.max_bound)
     }
 
     fn current_bound(&self) -> u32 {
-        clamp_bound(self.bound, self.params.min_bound, self.params.max_bound)
+        clamp_bound(self.bound, IYER_MIN_BOUND, self.params.max_bound)
     }
 }
 
@@ -201,14 +200,13 @@ mod tests {
     fn iyer_rule_increases_under_target() {
         let mut rule = IyerRule::new(IyerRuleParams {
             initial_bound: 100,
-            increase: 5.0,
             ..IyerRuleParams::default()
         });
         let m = Measurement {
             conflicts_per_txn: 0.1,
             ..Measurement::basic(0.0, 1.0, 0.0, 100.0)
         };
-        assert_eq!(rule.update(&m), 105);
+        assert_eq!(rule.update(&m), 104);
     }
 
     #[test]
@@ -238,7 +236,6 @@ mod tests {
     fn iyer_rule_respects_bounds() {
         let mut rule = IyerRule::new(IyerRuleParams {
             initial_bound: 10,
-            min_bound: 5,
             max_bound: 20,
             ..IyerRuleParams::default()
         });
@@ -253,6 +250,6 @@ mod tests {
             conflicts_per_txn: 1000.0,
             ..Measurement::basic(0.0, 1.0, 0.0, 20.0)
         };
-        assert!(rule.update(&m) >= 5);
+        assert_eq!(rule.update(&m), IYER_MIN_BOUND);
     }
 }

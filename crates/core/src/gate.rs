@@ -18,8 +18,8 @@
 //!   ("not displacing transactions has a smoothing effect … that supports
 //!   controller stability"); the population drains to the new limit by
 //!   normal departures.
-//! * **RAII permits**: dropping a [`Permit`]/[`OwnedPermit`] releases the
-//!   slot, so a panicking worker cannot leak MPL capacity.
+//! * **RAII permits**: dropping a [`Permit`] releases the slot, so a
+//!   panicking worker cannot leak MPL capacity.
 //! * **Wait statistics** for the measurement layer.
 //!
 //! # Fast path and slow path
@@ -61,7 +61,6 @@ use std::sync::atomic::{
     AtomicU32, AtomicU64,
     Ordering::{Relaxed, SeqCst},
 };
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -169,16 +168,6 @@ impl AdaptiveGate {
     /// Blocks until admitted or until `timeout` elapses.
     pub fn acquire_timeout(&self, timeout: Duration) -> Option<Permit<'_>> {
         self.enter(Some(timeout)).map(|n| self.permit(n))
-    }
-
-    /// Like [`AdaptiveGate::acquire`] but returns an `Arc`-owning permit
-    /// that can move across threads and outlive the caller's borrow.
-    pub fn acquire_owned(self: &Arc<Self>) -> OwnedPermit {
-        self.enter(None)
-            .expect("acquire without deadline cannot time out");
-        OwnedPermit {
-            gate: Arc::clone(self),
-        }
     }
 
     /// Admits immediately if the queue is empty and capacity is free;
@@ -391,22 +380,11 @@ impl Drop for Permit<'_> {
     }
 }
 
-/// An owning admission permit (`Arc`-backed); releases its slot on drop.
-#[derive(Debug)]
-pub struct OwnedPermit {
-    gate: Arc<AdaptiveGate>,
-}
-
-impl Drop for OwnedPermit {
-    fn drop(&mut self) {
-        self.gate.release();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicI32, AtomicU32, Ordering};
+    use std::sync::Arc;
     use std::thread;
 
     #[test]
@@ -471,7 +449,7 @@ mod tests {
             let peak = Arc::clone(&peak);
             handles.push(thread::spawn(move || {
                 for _ in 0..50 {
-                    let _p = gate.acquire_owned();
+                    let _p = gate.acquire();
                     let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
                     std::thread::yield_now();
@@ -507,7 +485,7 @@ mod tests {
                     let gate = Arc::clone(&gate);
                     let order = Arc::clone(&order);
                     move || {
-                        let _p = gate.acquire_owned();
+                        let _p = gate.acquire();
                         order.lock().push(i);
                     }
                 });
@@ -549,7 +527,7 @@ mod tests {
             let gate = Arc::clone(&gate);
             let admitted = Arc::clone(&admitted);
             handles.push(thread::spawn(move || {
-                let _p = gate.acquire_owned();
+                let _p = gate.acquire();
                 admitted.fetch_add(1, Ordering::SeqCst);
             }));
         }
@@ -590,7 +568,7 @@ mod tests {
         // …and must not wedge the queue for the next arrival.
         let gate2 = Arc::clone(&gate);
         let h = thread::spawn(move || {
-            let _p = gate2.acquire_owned();
+            let _p = gate2.acquire();
         });
         drop(blocker);
         h.join().unwrap();
@@ -610,7 +588,7 @@ mod tests {
         let blocker = gate.acquire();
         let gate2 = Arc::clone(&gate);
         let h = thread::spawn(move || {
-            let _p = gate2.acquire_owned();
+            let _p = gate2.acquire();
         });
         while gate.stats().waiting < 1 {
             std::thread::yield_now();
@@ -633,7 +611,7 @@ mod tests {
         let blocker = gate.acquire();
         let gate2 = Arc::clone(&gate);
         let h = thread::spawn(move || {
-            let _p = gate2.acquire_owned();
+            let _p = gate2.acquire();
         });
         while gate.stats().waiting < 1 {
             std::thread::yield_now();

@@ -54,7 +54,7 @@ fn limit_churn_never_overschedules() {
         let violations = Arc::clone(&violations);
         workers.push(std::thread::spawn(move || {
             while running.load(Ordering::Relaxed) {
-                let permit = gate.acquire_owned();
+                let permit = gate.acquire();
                 let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
                 // The limit is in motion; admission-only semantics allow
                 // in-flight work to exceed a *freshly lowered* limit, but
@@ -129,7 +129,7 @@ fn throughput_under_contention_is_live() {
         let gate = Arc::clone(&gate);
         handles.push(std::thread::spawn(move || {
             for _ in 0..200 {
-                let p = gate.acquire_owned();
+                let p = gate.acquire();
                 std::hint::black_box(&p);
             }
         }));
@@ -155,7 +155,7 @@ fn raising_limit_mid_queue_admits_in_order() {
         let order = Arc::clone(&order);
         let release = Arc::clone(&release);
         handles.push(std::thread::spawn(move || {
-            let _p = gate.acquire_owned();
+            let _p = gate.acquire();
             order.lock().push(i);
             // Hold the permit until the test is done raising, so each
             // raise admits exactly one waiter (a dropped permit would

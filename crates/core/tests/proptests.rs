@@ -113,9 +113,9 @@ proptest! {
             max_bound,
             ..PaParams::default()
         });
+        // Iyer's floor is fixed at 1.
         let mut iyer = IyerRule::new(IyerRuleParams {
             initial_bound: initial,
-            min_bound,
             max_bound,
             ..IyerRuleParams::default()
         });
@@ -134,7 +134,6 @@ proptest! {
         let mut hybrid = Hybrid::new(HybridParams {
             is: is_params,
             pa: pa_params,
-            ..HybridParams::default()
         });
         let mut tuned_is = SelfTuningIs::new(is_params, OuterParams::default());
         let mut tuned_pa = SelfTuningPa::new(pa_params, PaOuterParams::default());
@@ -143,17 +142,17 @@ proptest! {
                 conflicts_per_txn: p / 1e5,
                 ..Measurement::basic(i as f64, 1.0, p, n)
             };
-            for (ctrl, b) in [
-                ("is", is.update(&m)),
-                ("pa", pa.update(&m)),
-                ("iyer", iyer.update(&m)),
-                ("hybrid", hybrid.update(&m)),
-                ("self-tuning-is", tuned_is.update(&m)),
-                ("self-tuning-pa", tuned_pa.update(&m)),
+            for (ctrl, b, floor) in [
+                ("is", is.update(&m), min_bound),
+                ("pa", pa.update(&m), min_bound),
+                ("iyer", iyer.update(&m), 1),
+                ("hybrid", hybrid.update(&m), min_bound),
+                ("self-tuning-is", tuned_is.update(&m), min_bound),
+                ("self-tuning-pa", tuned_pa.update(&m), min_bound),
             ] {
                 prop_assert!(
-                    (min_bound..=max_bound).contains(&b),
-                    "{ctrl} bound {b} escaped [{min_bound}, {max_bound}]"
+                    (floor..=max_bound).contains(&b),
+                    "{ctrl} bound {b} escaped [{floor}, {max_bound}]"
                 );
             }
         }
@@ -377,13 +376,11 @@ fn pa_params(f: &[Option<f64>]) -> PaParams {
         min_bound: count(f, 1, d.min_bound),
         max_bound: count(f, 2, d.max_bound),
         alpha: real(f, 3, d.alpha),
-        initial_covariance: real(f, 4, d.initial_covariance),
-        min_curvature: real(f, 5, d.min_curvature),
-        warmup_samples: u64::from(count(f, 6, 8)),
-        warmup_step: real(f, 7, d.warmup_step),
-        dither_amplitude: real(f, 8, d.dither_amplitude),
-        max_step: real(f, 9, d.max_step),
-        reset_after_convex: count(f, 10, d.reset_after_convex),
+        warmup_samples: u64::from(count(f, 4, 8)),
+        warmup_step: real(f, 5, d.warmup_step),
+        dither_amplitude: real(f, 6, d.dither_amplitude),
+        max_step: real(f, 7, d.max_step),
+        reset_after_convex: count(f, 8, d.reset_after_convex),
         ..d
     }
 }
@@ -417,37 +414,23 @@ proptest! {
     }
 
     #[test]
-    fn pa_check_agrees_with_its_constructor(f in overrides(11)) {
+    fn pa_check_agrees_with_its_constructor(f in overrides(9)) {
         let p = pa_params(&f);
         agrees(&p, p.check(), || ParabolaApproximation::new(p));
     }
 
     #[test]
-    fn outer_check_agrees_with_its_constructor(f in overrides(5)) {
-        let d = OuterParams::default();
+    fn outer_check_agrees_with_its_constructor(f in overrides(1)) {
         let p = OuterParams {
-            window: count(&f, 0, d.window),
-            target_step_fraction: real(&f, 1, d.target_step_fraction),
-            adjust_factor: real(&f, 2, d.adjust_factor),
-            beta_min: real(&f, 3, d.beta_min),
-            beta_max: real(&f, 4, d.beta_max),
+            window: count(&f, 0, OuterParams::default().window),
         };
         agrees(&p, p.check(), || SelfTuningIs::new(IsParams::default(), p));
     }
 
     #[test]
-    fn pa_outer_check_agrees_with_its_constructor(f in overrides(9)) {
-        let d = PaOuterParams::default();
+    fn pa_outer_check_agrees_with_its_constructor(f in overrides(1)) {
         let p = PaOuterParams {
-            window: count(&f, 0, d.window),
-            fast_weight: real(&f, 1, d.fast_weight),
-            slow_weight: real(&f, 2, d.slow_weight),
-            shock_factor: real(&f, 3, d.shock_factor),
-            shock_confirm: count(&f, 4, d.shock_confirm),
-            lengthen_below: real(&f, 5, d.lengthen_below),
-            adjust_factor: real(&f, 6, d.adjust_factor),
-            alpha_min: real(&f, 7, d.alpha_min),
-            alpha_max: real(&f, 8, d.alpha_max),
+            window: count(&f, 0, PaOuterParams::default().window),
         };
         agrees(&p, p.check(), || SelfTuningPa::new(PaParams::default(), p));
     }
@@ -455,22 +438,17 @@ proptest! {
     #[test]
     fn hybrid_check_agrees_with_its_constructor(
         is in overrides(9),
-        pa in overrides(11),
-        f in overrides(3),
+        pa in overrides(9),
     ) {
-        let d = HybridParams::default();
         let p = HybridParams {
             is: is_params(&is),
             pa: pa_params(&pa),
-            bootstrap_samples: u64::from(count(&f, 0, 12)),
-            revert_after: count(&f, 1, d.revert_after),
-            revert_window: count(&f, 2, d.revert_window),
         };
         agrees(&p, p.check(), || Hybrid::new(p));
     }
 
     #[test]
-    fn retry_budget_check_agrees_with_its_constructor(f in overrides(8)) {
+    fn retry_budget_check_agrees_with_its_constructor(f in overrides(5)) {
         let d = RetryBudgetParams::default();
         let p = RetryBudgetParams {
             initial_bound: count(&f, 0, d.initial_bound),
@@ -478,22 +456,17 @@ proptest! {
             max_bound: count(&f, 2, d.max_bound),
             budget: real(&f, 3, d.budget),
             burst: real(&f, 4, d.burst),
-            increase: count(&f, 5, d.increase),
-            decrease: real(&f, 6, d.decrease),
-            headroom: real(&f, 7, d.headroom),
         };
         agrees(&p, p.check(), || RetryBudget::new(p));
     }
 
     #[test]
-    fn iyer_check_agrees_with_its_constructor(f in overrides(5)) {
+    fn iyer_check_agrees_with_its_constructor(f in overrides(3)) {
         let d = IyerRuleParams::default();
         let p = IyerRuleParams {
             target: real(&f, 0, d.target),
-            increase: real(&f, 1, d.increase),
-            initial_bound: count(&f, 2, d.initial_bound),
-            min_bound: count(&f, 3, d.min_bound),
-            max_bound: count(&f, 4, d.max_bound),
+            initial_bound: count(&f, 1, d.initial_bound),
+            max_bound: count(&f, 2, d.max_bound),
         };
         agrees(&p, p.check(), || IyerRule::new(p));
     }

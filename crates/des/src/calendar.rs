@@ -30,8 +30,8 @@
 //!   events here.
 //!
 //! `schedule` therefore never searches, except for the few events that
-//! land in the bucket being drained (or before it, after a `peek_time`
-//! ran ahead of the clock): those do a short sorted insert into
+//! land in the bucket being drained (or before it, after a refused
+//! `pop_until` ran ahead of the clock): those do a short sorted insert into
 //! `current`. `pop` takes the tail of `current`; when that runs dry the
 //! next non-empty bucket is unthreaded and insertion-sorted (about
 //! `PER_BUCKET` = 4 entries), and when the rung runs dry a new window
@@ -341,7 +341,8 @@ impl<E> Calendar<E> {
         let x = (at.millis() - self.start) * self.inv_width;
         if x < BUCKETS as f64 {
             // A time before the window (the clock is still short of a
-            // window that `peek_time` opened) saturates to bucket 0.
+            // window that a refused `pop_until` opened) saturates to
+            // bucket 0.
             let bucket = x as usize;
             if bucket >= self.next_bucket {
                 self.slots[slot as usize].next = self.heads[bucket];
@@ -428,30 +429,11 @@ impl<E> Calendar<E> {
 
     /// [`Calendar::pop`], unless the next live event fires after `limit`:
     /// then it stays scheduled, the clock stays put and `None` comes
-    /// back. The run loop's "next event up to the horizon" in one step
-    /// instead of a `peek_time` and a `pop`.
+    /// back. The run loop's "next event up to the horizon" in one step.
+    /// Tombstoned entries at the front are reaped on the way, and a
+    /// refusal may leave a window open ahead of the clock.
     pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         self.pop_through(limit.millis())
-    }
-
-    /// The firing time of the next live event without removing it.
-    /// Tombstoned entries at the front are reaped on the way.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            match self.current.last().copied() {
-                Some(tail) if tail.key() < self.lane_head => {
-                    if self.slots[tail.slot as usize].payload.is_some() {
-                        return Some(tail.at);
-                    }
-                    self.current.pop();
-                    self.free_slot(tail.slot);
-                }
-                None if self.advance() => {}
-                // With every lane empty `lane_first` is stale, but then
-                // the lane it names is as empty as the rest.
-                _ => return Some(self.lanes.get(self.lane_first)?.queue.front()?.at),
-            }
-        }
     }
 
     /// Number of scheduled entries, lanes included, and including
@@ -711,6 +693,20 @@ mod tests {
         SimTime::new(ms)
     }
 
+    /// Asserts that no live event fires before `at`, firing none: a
+    /// `pop_until` just short of `at` refuses and the clock stays put.
+    /// On the way it reaps front tombstones and may open a window ahead
+    /// of the clock.
+    fn refuses_before<E: std::fmt::Debug + PartialEq>(cal: &mut Calendar<E>, at: f64) {
+        let now = cal.now();
+        assert_eq!(
+            cal.pop_until(t(at.next_down())),
+            None,
+            "an event fired before {at}"
+        );
+        assert_eq!(cal.now(), now, "a refused pop moved the clock");
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut cal = Calendar::new();
@@ -790,7 +786,7 @@ mod tests {
         let tok = cal.schedule(t(1.0), "x");
         cal.schedule(t(2.0), "y");
         cal.cancel(tok);
-        assert_eq!(cal.peek_time(), Some(t(2.0)));
+        refuses_before(&mut cal, 2.0);
         assert_eq!(cal.pop().unwrap().1, "y");
     }
 
@@ -800,7 +796,7 @@ mod tests {
         assert!(cal.is_empty());
         assert_eq!(cal.len(), 0);
         assert!(cal.pop().is_none());
-        assert!(cal.peek_time().is_none());
+        assert!(cal.pop_until(t(1.0)).is_none());
     }
 
     /// Regression for the seed-design leak: a token cancelled after its
@@ -869,8 +865,8 @@ mod tests {
         cal.schedule(t(2.0), ());
         cal.cancel(tok);
         assert_eq!(cal.len(), 2, "tombstone still occupies a heap entry");
-        assert_eq!(cal.peek_time(), Some(t(2.0)));
-        assert_eq!(cal.len(), 1, "peek reaps front tombstones");
+        refuses_before(&mut cal, 2.0);
+        assert_eq!(cal.len(), 1, "a refused pop reaps front tombstones");
     }
 
     /// `SimTime::new(-0.0)` passes the non-negativity assert; the bit-
@@ -975,19 +971,19 @@ mod tests {
         (cal, pending)
     }
 
-    /// `peek_time` runs ahead of the clock into a window opened far
-    /// beyond it; events scheduled afterwards, earlier than what it saw
-    /// — before that window, at its first instant, inside it — must still
-    /// fire in order.
+    /// A refused `pop_until` runs ahead of the clock into a window opened
+    /// far beyond it; events scheduled afterwards, earlier than what it
+    /// saw — before that window, at its first instant, inside it — must
+    /// still fire in order.
     #[test]
     fn schedule_earlier_than_a_peeked_window() {
         let (mut cal, pending) = warmed();
         cal.schedule(t(50_000.0), -1);
         cal.cancel(pending);
-        assert_eq!(cal.peek_time(), Some(t(50_000.0)));
+        refuses_before(&mut cal, 50_000.0);
         assert_eq!(
             cal.start, 50_000.0,
-            "the peek opened a window at the far event"
+            "the refused pop opened a window at the far event"
         );
         assert_eq!(cal.now(), t(4_999.0));
         for (at, e) in [
@@ -1001,13 +997,13 @@ mod tests {
         ] {
             cal.schedule(t(at), e);
         }
-        assert_eq!(cal.peek_time(), Some(t(4_999.0)));
+        refuses_before(&mut cal, 4_999.0);
         let rest: Vec<_> = std::iter::from_fn(|| cal.pop()).map(|(_, e)| e).collect();
         assert_eq!(rest, vec![1, 2, 3, 4, -1, 5, 6, 7]);
     }
 
-    /// A peek that skips empty buckets inside the open window, then a
-    /// schedule into one of the buckets it skipped.
+    /// A refused pop that skips empty buckets inside the open window,
+    /// then a schedule into one of the buckets it skipped.
     #[test]
     fn schedule_into_a_bucket_the_peek_skipped() {
         let (mut cal, pending) = warmed();
@@ -1016,7 +1012,7 @@ mod tests {
         assert!(cal.far.is_empty(), "5 300 is inside the open window");
         cal.cancel(pending);
         let before = cal.next_bucket;
-        assert_eq!(cal.peek_time(), Some(t(5_300.0)));
+        refuses_before(&mut cal, 5_300.0);
         assert!(cal.next_bucket > before + 50 && cal.start == window);
         cal.schedule(t(5_100.0), 1);
         cal.schedule(t(5_300.0), 2);
@@ -1037,7 +1033,7 @@ mod tests {
         assert_eq!(cal.far.len(), 501);
         assert_eq!(cal.pop().unwrap().1, 5_000);
         doomed.into_iter().for_each(|tok| cal.cancel(tok));
-        assert_eq!(cal.peek_time(), Some(t(1.0e6)));
+        refuses_before(&mut cal, 1.0e6);
         assert_eq!(cal.len(), 1, "500 tombstones reaped on the way");
         assert_eq!(cal.pop(), Some((t(1.0e6), -2)));
         assert!(cal.is_empty() && cal.pop().is_none());
@@ -1185,32 +1181,32 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_sees_lanes_and_rung() {
+    fn refused_pops_see_lanes_and_rung() {
         let mut cal = Calendar::new();
         let slow = cal.lane(50.0);
         let fast = cal.lane(5.0);
-        assert_eq!(cal.peek_time(), None);
+        assert_eq!(cal.pop_until(t(1.0e9)), None);
         // Lanes only: the earliest head, not the first lane's.
         cal.schedule_lane(slow, 0);
-        assert_eq!(cal.peek_time(), Some(t(50.0)));
+        refuses_before(&mut cal, 50.0);
         cal.schedule_lane(fast, 1);
-        assert_eq!(cal.peek_time(), Some(t(5.0)));
+        refuses_before(&mut cal, 5.0);
         assert_eq!(drain(&mut cal), vec![1, 0]);
         // Rung only.
         cal.schedule(t(70.0), 2);
-        assert_eq!(cal.peek_time(), Some(t(70.0)));
+        refuses_before(&mut cal, 70.0);
         // Both, the lane head behind the rung's, then ahead of it.
         cal.schedule_lane(slow, 3);
-        assert_eq!(cal.peek_time(), Some(t(70.0)));
+        refuses_before(&mut cal, 70.0);
         cal.schedule_lane(fast, 4);
-        assert_eq!(cal.peek_time(), Some(t(55.0)));
+        refuses_before(&mut cal, 55.0);
         // Then an earlier schedule, and a tombstone in front of it all.
         cal.schedule(t(52.0), 5);
-        assert_eq!(cal.peek_time(), Some(t(52.0)));
+        refuses_before(&mut cal, 52.0);
         let dead = cal.schedule(t(51.0), -1);
         cal.cancel(dead);
-        assert_eq!(cal.peek_time(), Some(t(52.0)));
-        assert_eq!(cal.now(), t(50.0), "peeking leaves the clock alone");
+        refuses_before(&mut cal, 52.0);
+        assert_eq!(cal.now(), t(50.0));
         assert_eq!(drain(&mut cal), vec![5, 4, 2, 3]);
     }
 
@@ -1229,7 +1225,7 @@ mod tests {
                 drain(&mut cal),
                 vec![10 * round + 1, 10 * round + 2, 10 * round]
             );
-            assert!(cal.is_empty() && cal.pop().is_none() && cal.peek_time().is_none());
+            assert!(cal.is_empty() && cal.pop().is_none());
         }
         assert_eq!(cal.slot_capacity(), 0, "lane entries take no slab slot");
     }
@@ -1248,7 +1244,6 @@ mod tests {
         cal.schedule_lane(lane, "lane b");
         cal.schedule(t(1.0), "later");
         cal.schedule(SimTime::new(-0.0), "filed c");
-        assert_eq!(cal.peek_time(), Some(t(0.0)));
         assert_eq!(cal.pop_until(t(0.0)).unwrap().1, "filed a");
         assert_eq!(cal.pop_until(t(0.0)).unwrap().1, "lane b");
         assert_eq!(drain(&mut cal), vec!["filed c", "later"]);

@@ -108,25 +108,16 @@ impl RngStream {
         self.uniform01() < p
     }
 
-    /// Samples `count` distinct values from `[0, population)` via Floyd's
-    /// algorithm — O(count) draws. Convenience wrapper around
-    /// [`RngStream::distinct_below_into`] that allocates the result.
+    /// Replaces the contents of `out` with `count` distinct values from
+    /// `[0, population)`, drawn by Floyd's algorithm — O(count) draws.
     ///
     /// This is how a transaction picks its `k` data items out of the `D`
     /// item database ("data items are selected randomly, no hot spots").
-    pub fn distinct_below(&mut self, population: u64, count: usize) -> Vec<u64> {
-        let mut out = Vec::with_capacity(count);
-        self.distinct_below_into(population, count, &mut out);
-        out
-    }
-
-    /// Allocation-free [`RngStream::distinct_below`]: replaces the
-    /// contents of `out` with the sample. `out` holds exactly the chosen
-    /// set at every step and `count` is small (a transaction's `k`), so
-    /// the duplicate probe is a linear scan — cheaper than hashing and
-    /// free of allocator traffic on the simulator's per-instance path.
-    /// Draws the same values in the same order as the seed `HashSet`
-    /// implementation.
+    /// `out` holds exactly the chosen set at every step and `count` is
+    /// small (a transaction's `k`), so the duplicate probe is a linear
+    /// scan — cheaper than hashing and free of allocator traffic on the
+    /// simulator's per-instance path. Draws the same values in the same
+    /// order as the seed `HashSet` implementation.
     #[inline]
     pub fn distinct_below_into(&mut self, population: u64, count: usize, out: &mut Vec<u64>) {
         assert!(
@@ -217,7 +208,8 @@ mod tests {
     fn distinct_below_yields_distinct_in_range() {
         let mut s = RngStream::from_seed(3);
         for _ in 0..100 {
-            let v = s.distinct_below(50, 8);
+            let mut v = Vec::new();
+            s.distinct_below_into(50, 8, &mut v);
             assert_eq!(v.len(), 8);
             let set: std::collections::HashSet<_> = v.iter().collect();
             assert_eq!(set.len(), 8);
@@ -228,7 +220,8 @@ mod tests {
     #[test]
     fn distinct_below_full_population() {
         let mut s = RngStream::from_seed(4);
-        let mut v = s.distinct_below(10, 10);
+        let mut v = vec![99; 3];
+        s.distinct_below_into(10, 10, &mut v);
         v.sort_unstable();
         assert_eq!(v, (0..10).collect::<Vec<_>>());
     }
@@ -237,7 +230,7 @@ mod tests {
     #[should_panic(expected = "cannot draw")]
     fn distinct_below_rejects_oversample() {
         let mut s = RngStream::from_seed(5);
-        s.distinct_below(3, 4);
+        s.distinct_below_into(3, 4, &mut Vec::new());
     }
 
     #[test]

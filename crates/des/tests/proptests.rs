@@ -74,7 +74,8 @@ proptest! {
     fn distinct_below_properties(seed in any::<u64>(), population in 1u64..5000, frac in 0.0f64..1.0) {
         let count = ((population as f64 * frac) as usize).min(512);
         let mut rng = RngStream::from_seed(seed);
-        let sample = rng.distinct_below(population, count);
+        let mut sample = vec![population; 3];
+        rng.distinct_below_into(population, count, &mut sample);
         prop_assert_eq!(sample.len(), count);
         let set: std::collections::HashSet<_> = sample.iter().collect();
         prop_assert_eq!(set.len(), count, "duplicates in sample");
@@ -121,9 +122,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The calendar agrees with a naive reference model (linear scan over
-    /// live `(time, seq)` pairs) on arbitrary schedule/cancel/pop/peek
+    /// live `(time, seq)` pairs) on arbitrary schedule/cancel/pop
     /// interleavings — including cancels of tokens that already fired,
-    /// which must be no-ops, and peeks that run ahead of the clock. The
+    /// which must be no-ops, and refused pops that run ahead of the
+    /// clock. The
     /// delays mix the time scales a bucketed rung is sensitive to: ties
     /// and zero delays, sub-millisecond to 4 ms service bursts, 1 s think
     /// times and outliers 100× beyond those, so that windows are opened
@@ -174,10 +176,15 @@ proptest! {
                         oracle[idx].3 = false;
                     }
                 }
-                // Peek: the clock stays put.
+                // Pop up to just short of the next live event: refused,
+                // and the clock stays put.
                 3 => {
-                    let expect = next_live(&oracle).map(|(_, at, _)| SimTime::new(at));
-                    prop_assert_eq!(cal.peek_time(), expect);
+                    if let Some((_, at, _)) = next_live(&oracle) {
+                        if at > 0.0 {
+                            let limit = SimTime::new(at.next_down());
+                            prop_assert_eq!(cal.pop_until(limit), None);
+                        }
+                    }
                     prop_assert_eq!(cal.now(), SimTime::new(oracle_now));
                 }
                 // Open a lane (every fourth with the delay of one that is

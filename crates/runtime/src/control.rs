@@ -558,7 +558,15 @@ impl ControlLoop {
             } => (
                 GateEvent::Commit {
                     at_ms: now,
-                    response_ms,
+                    // NaN to 0, the rest into [0, f64::MAX]: one bad
+                    // reading cannot turn the window's mean and quantiles
+                    // into NaN or a negative time, nor write a gate log
+                    // that does not read back (JSON has no NaN or ∞).
+                    response_ms: if response_ms.is_nan() {
+                        0.0
+                    } else {
+                        response_ms.clamp(0.0, f64::MAX)
+                    },
                     conflicts,
                 },
                 "commit",

@@ -23,7 +23,11 @@ pub enum Outcome {
     /// Committed with the given response time and the conflicts observed
     /// at (successful) certification.
     Commit {
-        /// Submission → commit response time, ms.
+        /// Submission → commit response time, ms. [`ControlLoop::complete`]
+        /// records a value that is not a finite, non-negative number
+        /// clamped into `[0, f64::MAX]`, NaN as 0.
+        ///
+        /// [`ControlLoop::complete`]: crate::ControlLoop::complete
         response_ms: f64,
         /// Conflicts observed while still committing.
         conflicts: u64,

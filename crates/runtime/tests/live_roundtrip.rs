@@ -15,8 +15,9 @@ use alc_core::controller::{IncrementalSteps, IsParams};
 use alc_core::gatelog::{GateEvent, GateLogSink};
 use alc_core::measure::PerfIndicator;
 use alc_runtime::{
-    check_conformance, AdmissionPolicy, AimdLaw, AimdParams, ControlLaw, ControlLoop, LoopCore,
-    Outcome, PaperLaw, RetryBudgetLaw, RetryBudgetParams,
+    check_conformance, read_gate_log, write_gate_log, AdmissionPolicy, AimdLaw, AimdParams,
+    ControlLaw, ControlLoop, GateLogHeader, LoopCore, Outcome, PaperLaw, RetryBudgetLaw,
+    RetryBudgetParams,
 };
 
 /// A sink whose buffer outlives the boxed recorder the loop owns.
@@ -399,4 +400,73 @@ fn a_drain_merges_stripes_in_timestamp_order() {
     expected.push(('d', 0));
     assert_eq!(kinds, expected);
     assert!(logged.windows(2).all(|w| w[0].at_ms() <= w[1].at_ms()));
+}
+
+/// A latency that is not a finite, non-negative number (NaN, −5, +∞)
+/// among 20 commits is recorded clamped into `[0, f64::MAX]`, NaN as 0:
+/// the window's mean and quantiles stay finite and non-negative, and
+/// the gate log written across them reads back and replays.
+#[test]
+fn unusable_latencies_are_clamped_before_they_are_recorded() {
+    let law = || Box::new(AimdLaw::new(AimdParams::default())) as Box<dyn ControlLaw>;
+    let rt = ControlLoop::new(law(), PerfIndicator::Throughput, AdmissionPolicy::Queue);
+    let log = capture(&rt);
+    let bad = [
+        (3, f64::NAN, 0.0),
+        (9, -5.0, 0.0),
+        (15, f64::INFINITY, f64::MAX),
+    ];
+    for i in 0..20 {
+        let permit = rt.admit().expect("Queue policy never sheds");
+        let response_ms = bad
+            .iter()
+            .find(|b| b.0 == i)
+            .map_or(10.0 + f64::from(i), |b| b.1);
+        rt.complete(
+            permit,
+            Outcome::Commit {
+                response_ms,
+                conflicts: 0,
+            },
+        );
+    }
+    let w = rt.tick().window;
+    for (what, x) in [
+        ("mean", w.measurement.mean_response_ms),
+        ("p50", w.p50_ms),
+        ("p95", w.p95_ms),
+        ("p99", w.p99_ms),
+    ] {
+        assert!(x.is_finite() && x >= 0.0, "window {what} {x}");
+    }
+
+    drop(rt.take_gate_log());
+    let events = log.lock().expect("sink buffer").clone();
+    let recorded: Vec<f64> = events
+        .iter()
+        .filter_map(|e| match *e {
+            GateEvent::Commit { response_ms, .. } => Some(response_ms),
+            _ => None,
+        })
+        .collect();
+    for &(i, _, want) in &bad {
+        assert_eq!(recorded[i as usize], want, "commit {i}");
+    }
+    let mut file = Vec::new();
+    let header = GateLogHeader {
+        scenario: String::new(),
+        variant: String::new(),
+        replication: 0,
+        seed: 0,
+        quick: false,
+    };
+    write_gate_log(&mut file, &header, &events).expect("write to memory");
+    let (_, read) = read_gate_log(file.as_slice()).expect("the log reads back");
+    assert_eq!(read, events);
+    let c = check_conformance(&read, law(), PerfIndicator::Throughput);
+    assert!(
+        c.is_identical(),
+        "replay diverged at {:?}",
+        c.first_divergence
+    );
 }

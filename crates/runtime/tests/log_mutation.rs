@@ -163,7 +163,7 @@ fn laws() -> [(&'static str, u32, MakeLaw); 8] {
         ("Hybrid", HybridParams::default().is.min_bound, || {
             paper(Hybrid::new(HybridParams::default()))
         }),
-        ("Iyer", IyerRuleParams::default().min_bound, || {
+        ("Iyer", 1, || {
             paper(IyerRule::new(IyerRuleParams::default()))
         }),
         ("SelfTuningIs", is, || {

@@ -87,8 +87,8 @@ fn usage() {
     println!("            with conflict_threshold/restart_rate/shadow_score");
     println!("            policies), faults (CPU kill/restart windows, fixed");
     println!("            duration or sampled repair distribution), clients");
-    println!("            (closed client pools: timeouts, backoff/budget retry");
-    println!("            policies, abandonment, retry shedding; pairs with the");
+    println!("            (closed client pools: timeouts, retry backoff,");
+    println!("            abandonment, retry shedding; pairs with the");
     println!("            retry_budget controller)");
 }
 

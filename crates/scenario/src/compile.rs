@@ -496,8 +496,8 @@ mod tests {
             ("controller", r#"{"pa": {"max_step": 0}}"#, "controller.pa.max_step"),
             (
                 "controller",
-                r#"{"pa": {"initial_covariance": 0}}"#,
-                "controller.pa.initial_covariance",
+                r#"{"pa": {"dither_amplitude": -1}}"#,
+                "controller.pa.dither_amplitude",
             ),
             ("controller", r#"{"iyer": {"target": 0}}"#, "controller.iyer.target"),
             ("controller", r#"{"tay": {"k": 0, "max_bound": 10}}"#, "controller.tay.k"),
@@ -515,6 +515,11 @@ mod tests {
                 "controller",
                 r#"{"self_tuning_pa": {"pa": {"alpha": 2}}}"#,
                 "controller.self_tuning_pa.pa.alpha",
+            ),
+            (
+                "controller",
+                r#"{"self_tuning_is": {"outer": {"window": 1}}}"#,
+                "controller.self_tuning_is.outer.window",
             ),
             (
                 "controller",

@@ -224,7 +224,6 @@ impl<'de> serde::Deserialize<'de> for Profile {
 
 /// The profile shapes written as single-key objects.
 pub(crate) const PROFILE: Keys = &[
-    "constant",
     "step",
     "ramp",
     "sinusoid",
@@ -242,7 +241,6 @@ fn profile_from_value(value: &Value) -> Result<Profile, SpecError> {
         .map_err(|e| e.context("a profile is a number, or"))?;
     let at = At("profile", tag);
     Ok(match tag {
-        "constant" => Profile::Constant(number(payload, at)?),
         "step" => {
             let mut o = Obj::open(payload, tag)?;
             let p = Profile::Step {
@@ -308,7 +306,6 @@ mod tests {
         };
         for (json, want) in [
             ("8.0", Profile::Constant(8.0)),
-            (r#"{"constant": 8}"#, Profile::Constant(8.0)),
             (
                 r#"{"step": {"at": 1e6, "before": 8, "after": 16}}"#,
                 Profile::Step {

@@ -411,13 +411,9 @@ pub enum ControllerSpec {
         /// Outer-loop tuning.
         outer: OuterParams,
     },
-    /// PA with the §5 outer loop auto-tuning its forgetting factor α.
-    SelfTuningPa {
-        /// Inner PA parameters.
-        pa: PaParams,
-        /// Outer-loop tuning.
-        outer: PaOuterParams,
-    },
+    /// PA with the §5 outer loop auto-tuning its forgetting factor α
+    /// (the outer loop at its defaults).
+    SelfTuningPa(PaParams),
     /// The IS-bootstrapped, PA-refined hybrid.
     Hybrid(HybridParams),
     /// Iyer's conflict-rate rule as a feedback baseline.
@@ -457,9 +453,10 @@ impl ControllerSpec {
             ControllerSpec::SelfTuningIs { is, outer } => {
                 Some(Box::new(SelfTuningIsCtrl::new(*is, *outer)))
             }
-            ControllerSpec::SelfTuningPa { pa, outer } => {
-                Some(Box::new(SelfTuningPaCtrl::new(*pa, *outer)))
-            }
+            ControllerSpec::SelfTuningPa(pa) => Some(Box::new(SelfTuningPaCtrl::new(
+                *pa,
+                PaOuterParams::default(),
+            ))),
             ControllerSpec::Hybrid(p) => Some(Box::new(HybridCtrl::new(*p))),
             ControllerSpec::Iyer(p) => Some(Box::new(IyerRule::new(*p))),
             ControllerSpec::RetryBudget(p) => Some(Box::new(RetryBudget::new(*p))),

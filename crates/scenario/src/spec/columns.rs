@@ -235,16 +235,11 @@ pub enum DerivedColumn {
         header: Option<String>,
     },
     /// Seconds from the last switch's completion until the interval
-    /// throughput first enters the ±`band` relative band around its
-    /// settled post-switch level (the mean of the final quarter of the
+    /// throughput first enters the ±25 % band around its settled
+    /// post-switch level (the mean of the final quarter of the
     /// post-switch samples); `never` when it doesn't, `-` for runs
     /// without a switch.
-    PostSwitchSettling {
-        /// Column header (e.g. `post_switch_settling_time_s`).
-        header: String,
-        /// Relative band around the settled level.
-        band: f64,
-    },
+    PostSwitchSettling,
     /// Seconds from `after_ms` (a fault-repair time) until interval
     /// throughput *permanently* re-enters `band × baseline`, where the
     /// baseline is the mean throughput before `after_ms`. A metastable
@@ -276,8 +271,8 @@ impl ColumnSpec {
             ColumnSpec::Derived(DerivedColumn::TimeInProtocol { cc, header }) => header
                 .clone()
                 .unwrap_or_else(|| format!("time_in_protocol:{}", cc_spec_name(*cc))),
-            ColumnSpec::Derived(DerivedColumn::PostSwitchSettling { header, .. }) => {
-                header.clone()
+            ColumnSpec::Derived(DerivedColumn::PostSwitchSettling) => {
+                "post_switch_settling_time_s".to_string()
             }
             ColumnSpec::Derived(DerivedColumn::TimeToRecover { header, .. }) => header.clone(),
             ColumnSpec::Client(c) => c.name().to_string(),
@@ -364,7 +359,7 @@ impl DerivedColumn {
                 }
                 num(total / 1000.0)
             }
-            DerivedColumn::PostSwitchSettling { band, .. } => {
+            DerivedColumn::PostSwitchSettling => {
                 let Some(last) = traj.switches.last() else {
                     return "-".into();
                 };
@@ -385,7 +380,7 @@ impl DerivedColumn {
                 let settled =
                     tail.iter().map(|&(_, x)| x).sum::<f64>() / tail.len().max(1) as f64;
                 pts.iter()
-                    .find(|&&(_, x)| (x - settled).abs() <= band * settled.abs())
+                    .find(|&&(_, x)| (x - settled).abs() <= 0.25 * settled.abs())
                     .map(|&(t, _)| (t - t0) / 1000.0)
                     .map_or("never".into(), num)
             }
@@ -434,7 +429,6 @@ impl DerivedColumn {
 pub(super) const COLUMN: Keys = &[
     "settling_time_s",
     "time_in_protocol",
-    "post_switch_settling_time_s",
     "time_to_recover_s",
     "input",
     "literal",
@@ -448,9 +442,8 @@ pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
             }
             "conflict_ratio_at_peak" => ColumnSpec::Derived(DerivedColumn::ConflictRatioAtPeak),
             "switch_count" => ColumnSpec::Derived(DerivedColumn::SwitchCount),
-            // The bare name is the object form with every default.
             "post_switch_settling_time_s" => {
-                return column_from_value(&Value::Map(vec![(s.clone(), Value::Map(Vec::new()))]));
+                ColumnSpec::Derived(DerivedColumn::PostSwitchSettling)
             }
             name => {
                 if let Ok(c) = StatColumn::parse(name) {
@@ -480,14 +473,6 @@ pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
             let col = DerivedColumn::TimeInProtocol {
                 cc: o.req("cc", |v, _| cc_from_value(v))?,
                 header: o.opt("header", nonempty)?,
-            };
-            ColumnSpec::Derived(o.finish(col)?)
-        }
-        "post_switch_settling_time_s" => {
-            let mut o = Obj::open(payload, tag)?;
-            let col = DerivedColumn::PostSwitchSettling {
-                header: o.opt("header", nonempty)?.unwrap_or_else(|| tag.to_string()),
-                band: o.opt("band", positive)?.unwrap_or(0.25),
             };
             ColumnSpec::Derived(o.finish(col)?)
         }

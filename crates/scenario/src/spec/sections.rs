@@ -1,8 +1,7 @@
 //! The per-section parsers of a spec.
 
 use alc_core::controller::{
-    HybridParams, IsParams, IyerRuleParams, OuterParams, PaOuterParams, PaParams,
-    RetryBudgetParams,
+    HybridParams, IsParams, IyerRuleParams, OuterParams, PaParams, RetryBudgetParams,
 };
 use alc_core::meta::LadderSignal;
 use alc_tpsim::client::{ClientConfig, RetryPolicy};
@@ -17,7 +16,7 @@ use crate::profile::Profile;
 use crate::value_util::{
     at_least_one, boolean, fraction, list, non_negative, nonempty, normalize_arrival,
     normalize_dist, number, pairs, params, positive, positive_u32, single_key, strict, string,
-    timed, u32_from, u64_from, unknown_key, At, Keys, Obj,
+    timed, u32_from, unknown_key, At, Keys, Obj,
 };
 use crate::SpecError;
 
@@ -109,8 +108,8 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
         "pa" => ControllerSpec::Pa(checked(params(payload, at)?, at, PaParams::check)?),
         "self_tuning_is" => {
             let mut o = Obj::open(payload, &section)?;
-            let is = o.opt("is", params)?.unwrap_or_default();
-            let outer = o.opt("outer", params)?.unwrap_or_default();
+            let is = o.params("is")?;
+            let outer = o.params("outer")?;
             o.finish(())?;
             ControllerSpec::SelfTuningIs {
                 is: checked(is, At(&section, "is"), IsParams::check)?,
@@ -119,25 +118,15 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
         }
         "self_tuning_pa" => {
             let mut o = Obj::open(payload, &section)?;
-            let pa = o.opt("pa", params)?.unwrap_or_default();
-            let outer = o.opt("outer", params)?.unwrap_or_default();
+            let pa = o.params("pa")?;
             o.finish(())?;
-            ControllerSpec::SelfTuningPa {
-                pa: checked(pa, At(&section, "pa"), PaParams::check)?,
-                outer: checked(outer, At(&section, "outer"), PaOuterParams::check)?,
-            }
+            ControllerSpec::SelfTuningPa(checked(pa, At(&section, "pa"), PaParams::check)?)
         }
         "hybrid" => {
             let mut o = Obj::open(payload, &section)?;
-            let d = HybridParams::default();
             let p = HybridParams {
-                is: o.opt("is", params)?.unwrap_or(d.is),
-                pa: o.opt("pa", params)?.unwrap_or(d.pa),
-                bootstrap_samples: o
-                    .opt("bootstrap_samples", u64_from)?
-                    .unwrap_or(d.bootstrap_samples),
-                revert_after: o.opt("revert_after", u32_from)?.unwrap_or(d.revert_after),
-                revert_window: o.opt("revert_window", u32_from)?.unwrap_or(d.revert_window),
+                is: o.params("is")?,
+                pa: o.params("pa")?,
             };
             o.finish(())?;
             ControllerSpec::Hybrid(checked(p, at, HybridParams::check)?)
@@ -284,7 +273,7 @@ pub(super) fn fault_from_value(v: &Value) -> Result<FaultSpec, SpecError> {
 }
 
 /// The retry policies, each a single-key object.
-pub(super) const RETRY: Keys = &["backoff", "budget"];
+pub(super) const RETRY: Keys = &["backoff"];
 
 /// Parses the retry policy of a `clients` section; an empty `backoff`
 /// is [`RetryPolicy::default`].
@@ -292,21 +281,13 @@ pub(super) fn retry_policy_from_value(v: &Value) -> Result<RetryPolicy, SpecErro
     let (tag, payload) = single_key(v, "clients.retry", RETRY)?;
     match tag {
         "backoff" => {
-            let mut o = Obj::open(payload, tag)?;
-            let policy = RetryPolicy::Backoff {
-                base_ms: o.opt("base_ms", positive)?.unwrap_or(100.0),
-                factor: o.opt("factor", at_least_one)?.unwrap_or(2.0),
-                max_ms: o.opt("max_ms", positive)?.unwrap_or(5000.0),
-                jitter: o.opt("jitter", fraction)?.unwrap_or(0.5),
-            };
-            o.finish(policy)
-        }
-        "budget" => {
-            let mut o = Obj::open(payload, tag)?;
-            let policy = RetryPolicy::Budget {
-                per_commit: o.opt("per_commit", non_negative)?.unwrap_or(0.1),
-                burst: o.opt("burst", positive)?.unwrap_or(10.0),
-                delay_ms: o.opt("delay_ms", positive)?.unwrap_or(100.0),
+            let mut o = Obj::open(payload, "clients.retry.backoff")?;
+            let d = RetryPolicy::default();
+            let policy = RetryPolicy {
+                base_ms: o.opt("base_ms", positive)?.unwrap_or(d.base_ms),
+                factor: o.opt("factor", at_least_one)?.unwrap_or(d.factor),
+                max_ms: o.opt("max_ms", positive)?.unwrap_or(d.max_ms),
+                jitter: o.opt("jitter", fraction)?.unwrap_or(d.jitter),
             };
             o.finish(policy)
         }

@@ -52,12 +52,10 @@ fn section_payloads_must_be_objects() {
     for bad in [
         r#""controller": {"hybrid": 7}"#,
         r#""controller": {"self_tuning_pa": "auto"}"#,
-        r#""clients": {"population": 4, "timeout": 100, "retry": {"budget": 3}}"#,
         r#""clients": {"population": 4, "timeout": 100, "retry": {"backoff": []}}"#,
         r#""cc": {"adaptive": {"candidates": ["2pl", "mvto"], "min_dwell_s": 1.0,
                                "policy": {"shadow_score": "fast"}}}"#,
         r#""columns": [{"settling_time_s": 5}]"#,
-        r#""columns": [{"post_switch_settling_time_s": 5}]"#,
     ] {
         let msg = parse_err(bad);
         assert!(msg.contains("must be an object"), "{bad}: {msg}");
@@ -106,12 +104,22 @@ fn unknown_key_errors_list_the_known_keys() {
     // Keys and tags that no checked-in spec used, and that went.
     for (bad, known) in [
         (r#""timeout": 100, "feedback": {}"#, "`clients` key `feedback` (known: population,"),
-        (r#""timeout": 100, "retry": {"hedged": {}}"#, "key `hedged` (known: backoff, budget)"),
+        (r#""timeout": 100, "retry": {"hedged": {}}"#, "key `hedged` (known: backoff)"),
+        (r#""timeout": 100, "retry": {"budget": {}}"#, "`clients.retry` key `budget` (known: backoff)"),
         (r#""timeout": {"uniform": [1, 2]}"#, "key `uniform` (known: constant, exponential, erlang)"),
         (r#""timeout": {"hyperexp": {}}"#, "key `hyperexp` (known: constant, exponential, erlang)"),
         (r#""timeout": {"exponential_fast": 5}"#, "key `exponential_fast` (known: constant,"),
     ] {
         let msg = parse_err(&format!(r#""clients": {{"population": 4, {bad}}}"#));
+        assert!(msg.contains(known), "{bad}: {msg}");
+    }
+    for (bad, known) in [
+        (r#""controller": {"pa": {"min_curvature": 0.1}}"#, "`controller.pa` key `min_curvature`"),
+        (r#""controller": {"self_tuning_pa": {"outer": {}}}"#, "key `outer` (known: pa)"),
+        (r#""workload": {"k": {"constant": 8}}"#, "`profile` key `constant` (known: step,"),
+        (r#""columns": [{"post_switch_settling_time_s": {}}]"#, "key `post_switch_settling_time_s`"),
+    ] {
+        let msg = parse_err(bad);
         assert!(msg.contains(known), "{bad}: {msg}");
     }
 }
@@ -435,8 +443,7 @@ fn switch_derived_columns_parse_and_format() {
             "switch_count",
             {"time_in_protocol": {"cc": "2pl"}},
             {"time_in_protocol": {"cc": "mvto", "header": "mvto_s"}},
-            "post_switch_settling_time_s",
-            {"post_switch_settling_time_s": {"band": 0.1, "header": "settle"}}
+            "post_switch_settling_time_s"
         ]}"#,
     )
     .unwrap();
@@ -447,8 +454,7 @@ fn switch_derived_columns_parse_and_format() {
             "switch_count",
             "time_in_protocol:2pl",
             "mvto_s",
-            "post_switch_settling_time_s",
-            "settle"
+            "post_switch_settling_time_s"
         ]
     );
     assert!(spec.columns.iter().all(ColumnSpec::needs_trajectories));
@@ -505,42 +511,46 @@ fn stat_columns_cover_run_stats() {
     }
 }
 
-/// Every map key and string value anywhere in `v`.
-fn words(v: &Value, out: &mut std::collections::BTreeSet<String>) {
-    match v {
-        Value::Str(s) => {
-            out.insert(s.clone());
-        }
-        Value::Seq(items) => items.iter().for_each(|x| words(x, out)),
-        Value::Map(entries) => {
-            for (k, x) in entries {
-                out.insert(k.clone());
-                words(x, out);
+/// A setting stays only while a checked-in spec sets it. Compiling
+/// every `scenarios/*.json` at both scales (variant and `quick` override
+/// paths and sweep values landed, as a run lands them) records what the
+/// reader takes where it reads it, and the test names:
+/// - a tag of a tagged-union table that no spec writes in that table's
+///   own position (`constant` as a distribution does not keep it as a
+///   profile);
+/// - a key of a `controller` tag's parameters or of a `clients.retry`
+///   policy that no spec gives. A type's keys pool wherever it is read,
+///   so `beta` counts alike under `is`, `hybrid.is` and
+///   `self_tuning_is.is`.
+///
+/// A key that a closed-form figure sets in Rust counts as set when its
+/// figure still writes it (`SET_BY_FIGURES`).
+#[test]
+fn every_tag_and_parameter_key_is_set_by_a_checked_in_spec() {
+    use std::collections::{BTreeMap, BTreeSet};
+    const DYNAMIC: &str = include_str!("../figures/dynamic.rs");
+    const SET_BY_FIGURES: [(&str, &str, &str); 2] = [
+        ("PaParams", "fallback", DYNAMIC),
+        ("PaParams", "reset_after_convex", DYNAMIC),
+    ];
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let mut specs = 0;
+    let reads = crate::value_util::reads::recording(|| {
+        for entry in std::fs::read_dir(&dir).expect("scenarios/") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|e| e == "json") {
+                let text = std::fs::read_to_string(&path).expect("read spec");
+                let v: Value = serde_json::from_str(&text).expect("parse spec");
+                for quick in [false, true] {
+                    crate::compile::compile_value(&v, &dir, quick)
+                        .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                }
+                specs += 1;
             }
         }
-        _ => {}
-    }
-}
-
-/// A DSL feature stays only while a checked-in spec uses it: every tag
-/// of a tagged-union table appears in some `scenarios/*.json`, as a map
-/// key or a string value. The check sees tags only — a plain key such as
-/// a section's optional field is outside it, and so is which table a
-/// word came from (`constant` serves both `PROFILE` and `DIST`).
-#[test]
-fn every_tagged_union_tag_is_used_by_a_checked_in_spec() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
-    let mut used = std::collections::BTreeSet::new();
-    for entry in std::fs::read_dir(&dir).expect("scenarios/") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().is_some_and(|e| e == "json") {
-            let text = std::fs::read_to_string(&path).expect("read spec");
-            let v: Value = serde_json::from_str(&text).expect("parse spec");
-            words(&v, &mut used);
-        }
-    }
-    assert!(used.contains("name"), "no spec read from {}", dir.display());
-    let unused: Vec<String> = [
+    });
+    assert!(specs > 0, "no spec read from {}", dir.display());
+    let mut unused: Vec<String> = [
         ("CONTROLLER", sections::CONTROLLER),
         ("POLICY", sections::POLICY),
         ("RETRY", sections::RETRY),
@@ -549,9 +559,42 @@ fn every_tagged_union_tag_is_used_by_a_checked_in_spec() {
         ("DIST", crate::value_util::DIST),
     ]
     .into_iter()
-    .flat_map(|(table, tags)| tags.iter().map(move |tag| (table, *tag)))
-    .filter(|(_, tag)| !used.contains(*tag))
-    .map(|(table, tag)| format!("{table} `{tag}`"))
+    .flat_map(|(name, table)| table.iter().map(move |tag| (name, table, *tag)))
+    .filter(|&(_, table, tag)| !reads.tags.iter().any(|(t, g)| *t == table && g == tag))
+    .map(|(name, _, tag)| format!("{name} `{tag}`"))
     .collect();
-    assert!(unused.is_empty(), "no spec in scenarios/ uses {}", unused.join(", "));
+    // Per group: the sections it was read at, its known and given keys.
+    type Group<'r> = (BTreeSet<&'r str>, BTreeSet<&'r str>, BTreeSet<&'r str>);
+    let mut groups: BTreeMap<&str, Group<'_>> = BTreeMap::new();
+    let in_scope = |s: &str| s.starts_with("controller.") || s.starts_with("clients.retry.");
+    for read in reads.keys.iter().filter(|r| in_scope(&r.section)) {
+        let g = groups.entry(&read.group).or_default();
+        g.0.insert(&read.section);
+        g.1.extend(read.known.iter().map(String::as_str));
+        g.2.extend(read.given.iter().map(String::as_str));
+    }
+    assert!(groups.len() > 1, "no controller or retry section read");
+    for (group, (sections, known, given)) in &groups {
+        let at = sections
+            .iter()
+            .min_by_key(|s| (s.len(), **s))
+            .expect("read somewhere");
+        for key in known.difference(given) {
+            let figure = SET_BY_FIGURES
+                .iter()
+                .find(|(ty, k, _)| group.ends_with(&format!("::{ty}")) && k == key);
+            match figure {
+                Some((_, _, source)) => assert!(
+                    source.contains(&format!("{key}:")),
+                    "no figure sets `{at}.{key}` any more: drop it from SET_BY_FIGURES"
+                ),
+                None => unused.push(format!("KEY `{at}.{key}`")),
+            }
+        }
+    }
+    assert!(
+        unused.is_empty(),
+        "no spec in scenarios/ sets {}",
+        unused.join(", ")
+    );
 }

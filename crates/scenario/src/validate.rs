@@ -122,7 +122,7 @@ mod tests {
                      "quick": {"controller.pa.dither_amplitude": 2.0}},
                     {"name": "hybrid", "set": {"controller": {"hybrid": {}}},
                      "quick": {"controller.hybrid.is.initial_bound": 5}},
-                    {"name": "st", "set": {"controller.self_tuning_pa.outer.window": 4}},
+                    {"name": "st", "set": {"controller.self_tuning_is.outer.window": 4}},
                     {"name": "2pl", "set": {"cc": "2pl"}},
                     {"name": "adaptive",
                      "set": {"cc": {"adaptive": {"candidates": ["2pl", "mvto"],

@@ -168,11 +168,33 @@ impl<'a> Obj<'a> {
             .ok_or_else(|| SpecError::new(format!("`{}` needs `{key}`", self.section)))
     }
 
+    /// Takes `key`, an object of overrides on `T::default()` read by
+    /// [`params`]. An absent key reads as `{}`: the defaults, by the
+    /// same path.
+    pub fn params<T>(&mut self, key: &'static str) -> Result<T, SpecError>
+    where
+        T: Default + serde::Serialize + serde::de::DeserializeOwned,
+    {
+        match self.opt(key, params)? {
+            Some(p) => Ok(p),
+            None => params(&Value::Map(Vec::new()), At(self.section, key)),
+        }
+    }
+
     /// Closes the section around what it parsed to: a key nobody took
     /// is unknown to it.
     pub fn finish<T>(self, parsed: T) -> Result<T, SpecError> {
         match self.taken.iter().position(|taken| !taken) {
-            None => Ok(parsed),
+            None => {
+                let given = self.entries.iter().map(|(k, _)| k.as_str());
+                reads::keys(
+                    self.section,
+                    self.section,
+                    self.asked.iter().copied(),
+                    given,
+                );
+                Ok(parsed)
+            }
             Some(i) => Err(unknown_key(self.section, &self.entries[i].0, &self.asked)),
         }
     }
@@ -186,7 +208,10 @@ pub fn single_key<'a>(
     tags: Keys,
 ) -> Result<(&'a str, &'a Value), SpecError> {
     match v.as_map() {
-        Some([(tag, payload)]) => Ok((tag, payload)),
+        Some([(tag, payload)]) => {
+            reads::tag(tags, tag);
+            Ok((tag, payload))
+        }
         _ => Err(SpecError::new(format!(
             "`{section}` must be a single-key object ({})",
             tags.join("/")
@@ -349,6 +374,12 @@ where
             }
         }
     }
+    reads::keys(
+        what,
+        std::any::type_name::<T>(),
+        entries.iter().map(|(k, _)| k.as_str()),
+        overrides.iter().map(|(k, _)| k.as_str()),
+    );
     strict(&Value::Map(entries), what)
 }
 
@@ -371,6 +402,7 @@ pub fn normalize_dist(v: &Value) -> Result<Value, SpecError> {
             "distribution must be a number or a single-key object",
         ));
     };
+    reads::tag(DIST, tag);
     let at = At("distribution", tag);
     let mean = |m: f64| Value::Map(vec![("mean".into(), Value::Num(m))]);
     Ok(match tag.as_str() {
@@ -424,6 +456,86 @@ pub fn normalize_arrival(v: &Value) -> Result<Value, SpecError> {
 
 fn tagged(tag: &str, payload: Value) -> Value {
     Value::Map(vec![(tag.to_string(), payload)])
+}
+
+/// What reading a spec took from it, recorded on the reading thread for
+/// the test that every tag and parameter key the reader knows is set by
+/// a checked-in spec: each tag read in its own table's position, and for
+/// each object read, the keys its reader knows and the ones the spec
+/// gave. Outside test builds the notes are no-ops.
+#[cfg(not(test))]
+mod reads {
+    pub(super) fn tag(_: super::Keys, _: &str) {}
+
+    pub(super) fn keys<'k>(
+        _: &str,
+        _: &str,
+        _: impl Iterator<Item = &'k str>,
+        _: impl Iterator<Item = &'k str>,
+    ) {
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod reads {
+    use std::cell::RefCell;
+
+    use super::Keys;
+
+    /// One object as read: where it sat, the group its keys pool in (its
+    /// type when the derive reads it, else its section), the keys its
+    /// reader knows and the ones the spec gave.
+    pub(crate) struct KeysRead {
+        pub section: String,
+        pub group: String,
+        pub known: Vec<String>,
+        pub given: Vec<String>,
+    }
+
+    /// Everything read while [`recording`] ran.
+    #[derive(Default)]
+    pub(crate) struct Reads {
+        /// `(table, tag)` per tag read in its table's position.
+        pub tags: Vec<(Keys, String)>,
+        pub keys: Vec<KeysRead>,
+    }
+
+    thread_local! {
+        static READS: RefCell<Option<Reads>> = const { RefCell::new(None) };
+    }
+
+    /// Runs `read` and returns what it read on this thread.
+    pub(crate) fn recording(read: impl FnOnce()) -> Reads {
+        READS.with(|r| *r.borrow_mut() = Some(Reads::default()));
+        read();
+        READS.with(|r| r.borrow_mut().take()).unwrap_or_default()
+    }
+
+    fn with(note: impl FnOnce(&mut Reads)) {
+        READS.with(|r| r.borrow_mut().as_mut().map(note));
+    }
+
+    /// Notes `tag`, read in `table`'s position.
+    pub(super) fn tag(table: Keys, tag: &str) {
+        with(|r| r.tags.push((table, tag.to_string())));
+    }
+
+    /// Notes an object read at `section`, pooling its keys in `group`.
+    pub(super) fn keys<'k>(
+        section: &str,
+        group: &str,
+        known: impl Iterator<Item = &'k str>,
+        given: impl Iterator<Item = &'k str>,
+    ) {
+        with(|r| {
+            r.keys.push(KeysRead {
+                section: section.to_string(),
+                group: group.to_string(),
+                known: known.map(str::to_string).collect(),
+                given: given.map(str::to_string).collect(),
+            })
+        });
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Property tests for the closed-loop client population: across random
-//! pool configurations — timeout distributions, retry policies (backoff,
-//! token budget), abandonment limits, retry shedding, and admission
+//! pool configurations — timeout distributions, retry backoff,
+//! abandonment limits, retry shedding, and admission
 //! controllers — the client-side conservation
 //! identities hold at end of run, and the whole run is deterministic
 //! across reruns and across thread counts (rayon fan-out vs one cell
@@ -10,7 +10,7 @@
 //! census: no request is lost or double-counted between issue, commit,
 //! and abandonment, and every attempt is either a first attempt or a
 //! retry. They must survive the messy paths — timeouts that cancel
-//! queued attempts, sheds bounced at the gate, budget-starved abandons —
+//! queued attempts, sheds bounced at the gate, retries run out —
 //! not just the happy commit loop.
 
 use alc_scenario::compile::RunPlan;
@@ -22,27 +22,19 @@ mod common;
 use common::{compile, exponential, nums, obj, s, tag};
 
 fn arb_retry() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        (5.0..400.0f64, 1.0..3.0f64, 100.0..2_000.0f64, 0.0..1.0f64).prop_map(
-            |(base_ms, factor, max_ms, jitter)| tag(
+    (5.0..400.0f64, 1.0..3.0f64, 100.0..2_000.0f64, 0.0..1.0f64).prop_map(
+        |(base_ms, factor, max_ms, jitter)| {
+            tag(
                 "backoff",
                 nums([
                     ("base_ms", base_ms),
                     ("factor", factor),
                     ("max_ms", max_ms),
-                    ("jitter", jitter)
-                ])
+                    ("jitter", jitter),
+                ]),
             )
-        ),
-        (0.0..2.0f64, 1.0..16.0f64, 10.0..500.0f64).prop_map(|(per_commit, burst, delay_ms)| tag(
-            "budget",
-            nums([
-                ("per_commit", per_commit),
-                ("burst", burst),
-                ("delay_ms", delay_ms)
-            ])
-        )),
-    ]
+        },
+    )
 }
 
 /// Pools tuned so the 5-second horizon actually exercises the edge

@@ -50,7 +50,6 @@ fn timed(mut v: Vec<(f64, Value)>) -> Value {
 fn arb_profile_leaf() -> Union<Value> {
     prop_oneof![
         arb_level().prop_map(Value::Num),
-        arb_level().prop_map(|x| tag("constant", Value::Num(x))),
         (arb_time(), arb_level(), arb_level()).prop_map(|(at, before, after)| tag(
             "step",
             nums([("at", at), ("before", before), ("after", after)])
@@ -103,36 +102,25 @@ fn arb_profile(depth: u32) -> Union<Value> {
     ])
 }
 
-/// Client retry policies across both families, drawn inside their legal
-/// parameter ranges.
+/// Client retry backoff, drawn inside its legal parameter ranges.
 fn arb_retry() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        (
-            10.0..1_000.0f64,
-            1.0..4.0f64,
-            1_000.0..60_000.0f64,
-            0.0..1.0f64
-        )
-            .prop_map(|(base_ms, factor, max_ms, jitter)| tag(
+    (
+        10.0..1_000.0f64,
+        1.0..4.0f64,
+        1_000.0..60_000.0f64,
+        0.0..1.0f64,
+    )
+        .prop_map(|(base_ms, factor, max_ms, jitter)| {
+            tag(
                 "backoff",
                 nums([
                     ("base_ms", base_ms),
                     ("factor", factor),
                     ("max_ms", max_ms),
-                    ("jitter", jitter)
-                ])
-            )),
-        (0.0..2.0f64, 1.0..64.0f64, 10.0..2_000.0f64).prop_map(
-            |(per_commit, burst, delay_ms)| tag(
-                "budget",
-                nums([
-                    ("per_commit", per_commit),
-                    ("burst", burst),
-                    ("delay_ms", delay_ms)
-                ])
+                    ("jitter", jitter),
+                ]),
             )
-        ),
-    ]
+        })
 }
 
 /// Client pool sections: population, impatience timeout, retry policy
@@ -201,12 +189,10 @@ fn arb_controller() -> Union<Value> {
             m.push(("max_bound", Value::U64(max_bound)));
             tag("tay", obj(m))
         }),
-        (1u64..64, 64u64..900, 0.0..2.0f64, 0.1..0.9f64).prop_map(
-            |(lo, hi, budget, decrease)| tag(
-                "retry_budget",
-                params(lo, hi, true, [("budget", budget), ("decrease", decrease)])
-            )
-        ),
+        (1u64..64, 64u64..900, 0.0..2.0f64, 1.0..64.0f64).prop_map(|(lo, hi, budget, burst)| tag(
+            "retry_budget",
+            params(lo, hi, true, [("budget", budget), ("burst", burst)])
+        )),
         (1u64..64, 64u64..900, 0.1..8.0, any::<bool>()).prop_map(|(lo, hi, beta, outer)| {
             let mut m = vec![("is", params(lo, hi, true, [("beta", beta)]))];
             if outer {
@@ -345,10 +331,6 @@ fn arb_columns() -> impl Strategy<Value = Vec<(Value, Needs)>> {
             (tag("time_in_protocol", obj(m)), Needs::Nothing)
         }),
         Just((s("post_switch_settling_time_s"), Needs::Nothing)),
-        (0.05..0.5f64).prop_map(|band| (
-            tag("post_switch_settling_time_s", nums([("band", band)])),
-            Needs::Nothing
-        )),
         (1_000.0..500_000.0f64, 0.05..0.95f64).prop_map(|(after_ms, band)| (
             tag(
                 "time_to_recover_s",

@@ -30,9 +30,9 @@ fn arb_clients() -> impl Strategy<Value = Value> {
                 "backoff",
                 nums([("base_ms", base_ms), ("max_ms", 2_000.0)])
             )),
-            (10.0..600.0f64).prop_map(|delay_ms| tag(
-                "budget",
-                nums([("per_commit", 0.1), ("burst", 4.0), ("delay_ms", delay_ms)])
+            (10.0..600.0f64).prop_map(|base_ms| tag(
+                "backoff",
+                nums([("base_ms", base_ms), ("factor", 1.0), ("jitter", 0.0)])
             )),
         ],
     )

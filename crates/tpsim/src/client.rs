@@ -21,38 +21,24 @@ use alc_des::dist::Dist;
 
 use crate::config::{ArrivalProcess, SystemConfig};
 
-/// How a client reacts to a timed-out attempt.
+/// How a client waits before retrying a timed-out attempt: exponential
+/// backoff with decorrelating jitter. Attempt `k` (1-based) waits
+/// `min(base_ms × factor^(k−1), max_ms)` scaled by `1 − jitter × U[0,1)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RetryPolicy {
-    /// Exponential backoff with decorrelating jitter: attempt `k`
-    /// (1-based) waits `min(base_ms × factor^(k−1), max_ms)` scaled by
-    /// `1 − jitter × U[0,1)`.
-    Backoff {
-        /// Delay before the first retry, ms.
-        base_ms: f64,
-        /// Multiplicative growth per further retry.
-        factor: f64,
-        /// Cap on the uncapped exponential delay, ms.
-        max_ms: f64,
-        /// Jitter fraction in `[0, 1]`: `0` = deterministic delay.
-        jitter: f64,
-    },
-    /// Token-budgeted retries shared across the pool: each commit earns
-    /// `per_commit` tokens (capped at `burst`), each retry spends one;
-    /// a client whose timeout finds an empty bucket abandons instead.
-    Budget {
-        /// Tokens earned per committed transaction.
-        per_commit: f64,
-        /// Token cap (the bucket starts full).
-        burst: f64,
-        /// Fixed delay before a budgeted retry, ms.
-        delay_ms: f64,
-    },
+pub struct RetryPolicy {
+    /// Delay before the first retry, ms.
+    pub base_ms: f64,
+    /// Multiplicative growth per further retry.
+    pub factor: f64,
+    /// Cap on the uncapped exponential delay, ms.
+    pub max_ms: f64,
+    /// Jitter fraction in `[0, 1]`: `0` = deterministic delay.
+    pub jitter: f64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy::Backoff {
+        RetryPolicy {
             base_ms: 100.0,
             factor: 2.0,
             max_ms: 5000.0,
@@ -123,7 +109,7 @@ pub struct ClientStats {
     pub retries: u64,
     /// Requests that committed.
     pub committed: u64,
-    /// Requests abandoned after exhausting patience or budget.
+    /// Requests abandoned after exhausting their retries.
     pub abandoned: u64,
     /// Attempt timeouts observed.
     pub timeouts: u64,
@@ -186,47 +172,34 @@ impl Client {
     }
 }
 
-/// The pool: per-client state plus shared retry-token bucket and the
-/// window's counters.
+/// The pool: per-client state plus the window's counters.
 #[derive(Debug, Clone)]
 pub(crate) struct ClientPool {
     pub cfg: ClientConfig,
     pub clients: Vec<Client>,
-    /// Shared retry tokens (only drawn on by [`RetryPolicy::Budget`]).
-    pub tokens: f64,
     pub stats: ClientStats,
 }
 
 impl ClientPool {
     pub fn new(cfg: ClientConfig) -> Self {
-        let tokens = match cfg.retry {
-            RetryPolicy::Budget { burst, .. } => burst,
-            _ => 0.0,
-        };
         ClientPool {
             clients: vec![Client::new(); cfg.population as usize], // alc-lint: allow(hot-alloc, reason="construction-time pool allocation")
-            tokens,
             stats: ClientStats::default(),
             cfg,
         }
     }
 
     /// The deterministic part of the backoff delay for attempt number
-    /// `attempt` (1-based); the caller applies jitter. Returns `None`
-    /// for policies without a computed backoff curve.
-    pub fn backoff_base(&self, attempt: u32) -> Option<f64> {
-        match self.cfg.retry {
-            RetryPolicy::Backoff {
-                base_ms,
-                factor,
-                max_ms,
-                ..
-            } => {
-                let exp = attempt.saturating_sub(1).min(63);
-                Some((base_ms * factor.powi(exp as i32)).min(max_ms))
-            }
-            _ => None,
-        }
+    /// `attempt` (1-based); the caller applies jitter.
+    pub fn backoff_base(&self, attempt: u32) -> f64 {
+        let RetryPolicy {
+            base_ms,
+            factor,
+            max_ms,
+            ..
+        } = self.cfg.retry;
+        let exp = attempt.saturating_sub(1).min(63);
+        (base_ms * factor.powi(exp as i32)).min(max_ms)
     }
 }
 
@@ -263,28 +236,16 @@ mod tests {
     #[test]
     fn backoff_curve_doubles_and_caps() {
         let mut cfg = ClientConfig::new(4, Dist::constant(500.0));
-        cfg.retry = RetryPolicy::Backoff {
+        cfg.retry = RetryPolicy {
             base_ms: 100.0,
             factor: 2.0,
             max_ms: 350.0,
             jitter: 0.0,
         };
         let pool = ClientPool::new(cfg);
-        assert_eq!(pool.backoff_base(1), Some(100.0));
-        assert_eq!(pool.backoff_base(2), Some(200.0));
-        assert_eq!(pool.backoff_base(3), Some(350.0)); // capped
-        assert_eq!(pool.backoff_base(9), Some(350.0));
-    }
-
-    #[test]
-    fn budget_pool_starts_with_a_full_bucket() {
-        let mut cfg = ClientConfig::new(2, Dist::constant(500.0));
-        cfg.retry = RetryPolicy::Budget {
-            per_commit: 0.1,
-            burst: 7.5,
-            delay_ms: 50.0,
-        };
-        let pool = ClientPool::new(cfg);
-        assert_eq!(pool.tokens, 7.5);
+        assert_eq!(pool.backoff_base(1), 100.0);
+        assert_eq!(pool.backoff_base(2), 200.0);
+        assert_eq!(pool.backoff_base(3), 350.0); // capped
+        assert_eq!(pool.backoff_base(9), 350.0);
     }
 }

@@ -7,7 +7,7 @@ use alc_des::dist::Sample as _;
 use alc_trace::name as tname;
 
 use super::{Event, Simulator};
-use crate::client::{ClientPhase, RetryPolicy};
+use crate::client::ClientPhase;
 use crate::txn::TxnState;
 
 impl Simulator {
@@ -110,26 +110,11 @@ impl Simulator {
             return;
         };
         let attempt = pool.clients[c].attempt;
-        // Retry until the per-request budget or the shared token bucket
-        // runs out.
-        let delay = if attempt > pool.cfg.max_retries {
-            None
-        } else {
-            match pool.cfg.retry {
-                RetryPolicy::Budget { delay_ms, .. } => {
-                    if pool.tokens >= 1.0 {
-                        pool.tokens -= 1.0;
-                        Some(delay_ms)
-                    } else {
-                        None
-                    }
-                }
-                RetryPolicy::Backoff { jitter, .. } => {
-                    let base = pool.backoff_base(attempt).expect("backoff policy");
-                    Some(base * (1.0 - jitter * self.rng.retry_jitter.uniform01()))
-                }
-            }
-        };
+        // Retry until the request's retries run out.
+        let delay = (attempt <= pool.cfg.max_retries).then(|| {
+            let jitter = pool.cfg.retry.jitter;
+            pool.backoff_base(attempt) * (1.0 - jitter * self.rng.retry_jitter.uniform01())
+        });
         match delay {
             Some(d) => {
                 pool.clients[c].phase = ClientPhase::Backoff;
@@ -155,18 +140,12 @@ impl Simulator {
         }
     }
 
-    /// Client `c`'s attempt committed (slot `c` is client `c`'s): bank
-    /// retry tokens and settle the request.
+    /// Client `c`'s attempt committed (slot `c` is client `c`'s): settle
+    /// the request.
     pub(super) fn on_client_commit(&mut self, c: usize) {
         let pool = self.clients.as_mut().expect("client mode");
         debug_assert_eq!(pool.clients[c].phase, ClientPhase::Waiting);
         pool.stats.committed += 1;
-        if let RetryPolicy::Budget {
-            per_commit, burst, ..
-        } = pool.cfg.retry
-        {
-            pool.tokens = (pool.tokens + per_commit).min(burst);
-        }
         self.settle(c);
     }
 

@@ -149,7 +149,7 @@ struct Streams {
     /// label-independent, so runs without clients stay byte-identical)
     /// but only drawn from in client mode.
     client_timeout: RngStream,
-    /// Backoff-jitter draws (client mode, `RetryPolicy::Backoff` only).
+    /// Backoff-jitter draws (client mode only).
     retry_jitter: RngStream,
 }
 

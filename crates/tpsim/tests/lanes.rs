@@ -153,16 +153,17 @@ fn constants_on_lanes_equal_degenerate_uniforms_on_the_rung() {
             });
         }
     }
-    let budget = RetryPolicy::Budget {
-        per_commit: 0.1,
-        burst: 4.0,
-        delay_ms: 30.0,
+    let fixed_delay = RetryPolicy {
+        base_ms: 30.0,
+        factor: 1.0,
+        jitter: 0.0,
+        ..RetryPolicy::default()
     };
     for (cc, clients, lockstep) in [
         (CcKind::Certification, None, false),
         (CcKind::TwoPhaseLocking, Some(RetryPolicy::default()), false),
-        (CcKind::Multiversion, Some(budget), false),
-        (CcKind::WoundWait, Some(budget), false),
+        (CcKind::Multiversion, Some(fixed_delay), false),
+        (CcKind::WoundWait, Some(fixed_delay), false),
         (CcKind::Certification, None, true),
         (CcKind::WaitDie, Some(RetryPolicy::default()), true),
     ] {

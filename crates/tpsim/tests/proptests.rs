@@ -454,7 +454,7 @@ mod engine_props {
         /// For arbitrary small configurations (a static bound or an IS
         /// controller displacing down to its own; a scheduled CC switch;
         /// a CPU kill/restore pair; patient terminals or an impatient
-        /// client pool, backing off or on a token budget) the engine
+        /// client pool, backing off with or without jitter) the engine
         /// terminates, keeps its books at every step, respects a static
         /// bound, and produces finite statistics. In debug builds the lifecycle
         /// writer's legal-edge check runs under all of it.
@@ -511,10 +511,15 @@ mod engine_props {
             sim.set_cc_switches(&[(switch.0, CcKind::ALL[switch.1])]);
             let (down_at, down_for, servers) = outage;
             sim.set_faults(&[(down_at, -servers), (down_at + down_for, servers)]);
-            let budget = RetryPolicy::Budget { per_commit: 0.1, burst: 4.0, delay_ms: 30.0 };
+            let fixed_delay = RetryPolicy {
+                base_ms: 30.0,
+                factor: 1.0,
+                jitter: 0.0,
+                ..RetryPolicy::default()
+            };
             let pool = match clients {
                 1 => Some((terminals, RetryPolicy::default())),
-                2 => Some((terminals / 2, budget)),
+                2 => Some((terminals / 2, fixed_delay)),
                 _ => None,
             };
             if let Some((population, retry)) = pool {

@@ -7,7 +7,9 @@ mod common;
 use std::sync::{Arc, Mutex};
 
 use adaptive_load_control::analytic::surface::Schedule;
-use adaptive_load_control::core::controller::{LoadController, PaParams, SelfTuningPa};
+use adaptive_load_control::core::controller::{
+    LoadController, PaOuterParams, PaParams, SelfTuningPa,
+};
 use adaptive_load_control::core::measure::Measurement;
 use adaptive_load_control::scenario::runner::{self, RunRecord};
 use adaptive_load_control::scenario::spec::ControllerSpec;
@@ -90,12 +92,12 @@ fn self_tuning_pa_shortens_memory_on_workload_jump() {
         .iter()
         .find(|v| v.label == "self-tuning-PA")
         .expect("self-tuning-PA variant");
-    let ControllerSpec::SelfTuningPa { pa, outer } = v.controller else {
+    let ControllerSpec::SelfTuningPa(pa) = v.controller else {
         panic!("self-tuning-PA runs {:?}", v.controller);
     };
     let log = Arc::new(Mutex::new(Vec::new()));
     let probe = AlphaProbe {
-        inner: SelfTuningPa::new(pa, outer),
+        inner: SelfTuningPa::new(pa, PaOuterParams::default()),
         log: Arc::clone(&log),
     };
     // Replication 0: `v.sys` carries the spec seed.
