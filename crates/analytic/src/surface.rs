@@ -118,6 +118,33 @@ impl Schedule {
             }
         }
     }
+
+    /// The values the schedule rests at or peaks at, which bound every
+    /// [`Schedule::value`]; `None` when a list in it is empty, where
+    /// `value` reads 0 without anyone having written it. A phase cut
+    /// short by the next one may never reach its own levels: a check on
+    /// them errs on that side.
+    pub fn levels(&self) -> Option<Vec<f64>> {
+        Some(match self {
+            Schedule::Constant(v) => vec![*v],
+            Schedule::Jump { before, after, .. } => vec![*before, *after],
+            Schedule::Sinusoid {
+                mean, amplitude, ..
+            } => vec![mean - amplitude, mean + amplitude],
+            Schedule::Ramp { from, to, .. } => vec![*from, *to],
+            Schedule::Piecewise(points) if !points.is_empty() => {
+                points.iter().map(|&(_, v)| v).collect()
+            }
+            Schedule::Profile(segments) if !segments.is_empty() => {
+                let mut levels = Vec::new();
+                for (_, s) in segments {
+                    levels.extend(s.levels()?);
+                }
+                levels
+            }
+            Schedule::Piecewise(_) | Schedule::Profile(_) => return None,
+        })
+    }
 }
 
 /// A load–performance surface: performance as a function of concurrency
@@ -300,6 +327,34 @@ mod tests {
         assert_eq!(s.value(105.0), 1.0);
         assert_eq!(s.value(110.0), 2.0);
         assert_eq!(Schedule::Profile(vec![]).value(42.0), 0.0);
+    }
+
+    #[test]
+    fn levels_bound_every_value_and_refuse_empty_lists() {
+        let s = Schedule::Profile(vec![
+            (
+                0.0,
+                Schedule::Sinusoid {
+                    mean: 10.0,
+                    amplitude: 4.0,
+                    period: 100.0,
+                },
+            ),
+            (500.0, Schedule::Piecewise(vec![(0.0, 3.0), (50.0, 18.0)])),
+        ]);
+        let levels = s.levels().expect("no empty list");
+        assert_eq!(levels, vec![6.0, 14.0, 3.0, 18.0]);
+        let (lo, hi) = (3.0, 18.0);
+        for t in 0..1000 {
+            let v = s.value(f64::from(t));
+            assert!((lo..=hi).contains(&v), "{v} at {t}");
+        }
+        assert_eq!(Schedule::Piecewise(vec![]).levels(), None);
+        let nested = Schedule::Profile(vec![
+            (0.0, Schedule::Constant(1.0)),
+            (9.0, Schedule::Profile(vec![])),
+        ]);
+        assert_eq!(nested.levels(), None);
     }
 
     #[test]

@@ -420,7 +420,7 @@ fn cmd_list(args: &[String]) {
     entries.sort();
     for path in entries {
         match LoadedSpec::read(&path)
-            .and_then(|l| alc_scenario::spec::ScenarioSpec::from_value(&l.value))
+            .and_then(|l| alc_scenario::spec::ScenarioSpec::from_value(&l.value, &l.base_dir))
         {
             Ok(spec) => {
                 let variants = if spec.variants.is_empty() {

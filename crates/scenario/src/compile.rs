@@ -9,13 +9,16 @@
 //! variant's `set` overrides (then the quick overrides under `--quick`)
 //! and re-parsing — so a variant can change *anything* a spec can say,
 //! from one control flag to the whole controller object. The re-parse
-//! is the only check an override path gets; when a cell does not read,
-//! `validate::land` names every override to blame.
+//! is the only check a cell gets, its override paths and its rules
+//! alike: the reader returns the engine's own configs, checked, and
+//! when a cell does not read, `validate::land` names every override to
+//! blame. What compiling adds to a read cell is its replication seeds,
+//! each seed's fault timeline (the one rule left here: the faults must
+//! not kill more CPUs than are installed, which a sampled outage decides
+//! per seed) and its labels.
 
 use std::path::Path;
 
-use alc_analytic::surface::Schedule;
-use alc_core::controller::TayRule;
 use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
 use alc_tpsim::engine::Simulator;
 use alc_tpsim::workload::WorkloadConfig;
@@ -25,7 +28,6 @@ use crate::spec::{
     AdaptiveCcSpec, ColumnSpec, ControllerSpec, FaultSpec, ScenarioSpec, StatColumn, VariantSpec,
 };
 use crate::validate::{dead_paths, land};
-use crate::value_util::from_overrides;
 use crate::SpecError;
 
 /// A fully lowered scenario: everything the runner needs, nothing left
@@ -85,7 +87,7 @@ pub struct VariantPlan {
     pub cells: Vec<(String, String)>,
     /// Physical system (seed field is per-replication; see `seeds`).
     pub sys: SystemConfig,
-    /// Lowered time-varying workload.
+    /// Time-varying workload.
     pub workload: WorkloadConfig,
     /// CC protocol at t = 0 (for adaptive plans: `candidates[0]`).
     pub cc: CcKind,
@@ -165,7 +167,7 @@ fn replication_seed(seed: u64, r: u32) -> u64 {
 /// Compiles a spec tree. `base_dir` resolves trace paths; `quick`
 /// applies the spec's CI-scale overrides.
 pub fn compile_value(base: &Value, base_dir: &Path, quick: bool) -> Result<RunPlan, SpecError> {
-    let spec = ScenarioSpec::from_value(base)?;
+    let spec = ScenarioSpec::from_value(base, base_dir)?;
     if spec.sweep.is_some() {
         return compile_sweep(base, spec, base_dir, quick);
     }
@@ -189,8 +191,8 @@ pub fn compile_value(base: &Value, base_dir: &Path, quick: bool) -> Result<RunPl
             layers.push(("`quick`".to_string(), spec.quick.clone()));
             layers.push((format!("variant `{}` `quick`", vs.name), vs.quick.clone()));
         }
-        match land(base, &layers) {
-            Ok((_, vspec)) => variants.push(build_variant(&vspec, &vs.name, base_dir)?),
+        match land(base, base_dir, &layers) {
+            Ok((_, vspec)) => variants.push(build_variant(vspec, &vs.name)?),
             Err(lines) => dead.extend(lines),
         }
     }
@@ -213,7 +215,8 @@ fn compile_sweep(
     quick: bool,
 ) -> Result<RunPlan, SpecError> {
     let (tree, spec) = if quick {
-        land(base, &[("`quick`".to_string(), spec.quick.clone())]).map_err(dead_paths)?
+        let quick = [("`quick`".to_string(), spec.quick.clone())];
+        land(base, base_dir, &quick).map_err(dead_paths)?
     } else {
         (base.clone(), spec)
     };
@@ -257,8 +260,8 @@ fn compile_sweep(
             layers.push((format!("sweep axis {i} (`{}`)", axis.header), set));
             label.push(axis.label(c));
         }
-        match land(&cell_base, &layers) {
-            Ok((_, vspec)) => variants.push(build_variant(&vspec, &label.join("_"), base_dir)?),
+        match land(&cell_base, base_dir, &layers) {
+            Ok((_, vspec)) => variants.push(build_variant(vspec, &label.join("_"))?),
             Err(lines) => dead.extend(lines),
         }
     }
@@ -350,59 +353,21 @@ fn lower_faults_for_seed(
     lower_fault_windows(&windows, sys)
 }
 
-/// The values a schedule can rest at or peak at (a phase cut short by
-/// the next one may never reach its own: the checks err on that side).
-fn levels(s: &Schedule) -> Vec<f64> {
-    match s {
-        Schedule::Constant(v) => vec![*v],
-        Schedule::Jump { before, after, .. } => vec![*before, *after],
-        Schedule::Sinusoid { mean, amplitude, .. } => vec![mean - amplitude, mean + amplitude],
-        Schedule::Ramp { from, to, .. } => vec![*from, *to],
-        Schedule::Piecewise(points) => points.iter().map(|&(_, v)| v).collect(),
-        Schedule::Profile(segments) => segments.iter().flat_map(|(_, s)| levels(s)).collect(),
-    }
-}
-
-fn build_variant(
-    spec: &ScenarioSpec,
-    label: &str,
-    base_dir: &Path,
-) -> Result<VariantPlan, SpecError> {
-    let mut sys: SystemConfig = from_overrides(&spec.system, "system")?;
-    sys.seed = spec.seed;
-    sys.check().map_err(|e| SpecError::new(format!("system.{e}")))?;
-    let control: ControlConfig = from_overrides(&spec.control, "control")?;
-    control.check().map_err(|e| SpecError::new(format!("control.{e}")))?;
-    if let Some(clients) = &spec.clients {
-        clients.check(&sys).map_err(|e| SpecError::new(format!("clients.{e}")))?;
-    }
-    if let ControllerSpec::Tay { k, min_bound, max_bound } = spec.controller {
-        TayRule::check(k, sys.db_size, min_bound, max_bound)
-            .map_err(|e| SpecError::new(format!("controller.tay.{e}")))?;
-    }
-    let workload = spec.workload.lower(base_dir)?;
-    // What the access-set sampler cannot draw: more distinct items than
-    // the database holds.
-    let k_max = levels(&workload.k).into_iter().fold(1.0, f64::max).round();
-    if k_max > sys.db_size as f64 {
-        return Err(SpecError::new(format!(
-            "workload.k reaches {k_max} distinct items per transaction but \
-             system.db_size is {}",
-            sys.db_size
-        )));
-    }
+/// The plan of one read cell: its seeds, each seed's fault timeline and
+/// its labels.
+fn build_variant(spec: ScenarioSpec, label: &str) -> Result<VariantPlan, SpecError> {
     let seeds: Vec<u64> = (0..spec.replications)
-        .map(|r| replication_seed(spec.seed, r))
+        .map(|r| replication_seed(spec.system.seed, r))
         .collect();
     let faults = seeds
         .iter()
-        .map(|&s| lower_faults_for_seed(&spec.faults, &sys, s))
+        .map(|&s| lower_faults_for_seed(&spec.faults, &spec.system, s))
         .collect::<Result<Vec<_>, _>>()?;
     let cells = spec
         .inputs
-        .iter()
+        .into_iter()
         .find(|(name, _)| name == label)
-        .map(|(_, cells)| cells.clone())
+        .map(|(_, cells)| cells)
         .unwrap_or_default();
     let display_label = match &spec.label_from {
         Some(lf) => cells
@@ -416,15 +381,15 @@ fn build_variant(
         label: label.to_string(),
         display_label,
         cells,
-        sys,
-        workload,
+        sys: spec.system,
+        workload: spec.workload,
         cc: spec.cc,
-        cc_switches: spec.cc_phases.clone(),
-        adaptive_cc: spec.cc_adaptive.clone(),
+        cc_switches: spec.cc_phases,
+        adaptive_cc: spec.cc_adaptive,
         faults,
-        clients: spec.clients.clone(),
-        control,
-        controller: spec.controller.clone(),
+        clients: spec.clients,
+        control: spec.control,
+        controller: spec.controller,
         horizon_ms: spec.horizon_ms,
         seeds,
         record_optimum: spec.record_optimum,
@@ -473,7 +438,8 @@ mod tests {
         // `scenario run` (a station, the RNG, the clock, a sampler, the
         // calendar; then a controller constructor, the
         // estimator inside one, the analytic optimum scan, the sample
-        // tick, the client pool).
+        // tick, the client pool), or ran as another value (a workload
+        // field outside its domain).
         for (path, value, names) in [
             ("system.cpus", "0", "system.cpus"),
             ("system.db_size", "0", "system.db_size"),
@@ -528,6 +494,31 @@ mod tests {
             ),
             ("control.sample_interval_ms", "1e400", "control.sample_interval_ms"),
             ("clients", r#"{"population": 401, "timeout": 100}"#, "clients.population"),
+            ("workload.k", "-3", "workload.k"),
+            ("workload.k", "0", "workload.k"),
+            ("workload.k", r#"{"piecewise": []}"#, "workload.k"),
+            ("workload.query_frac", "1.5", "workload.query_frac"),
+            (
+                "workload.write_frac",
+                r#"{"ramp": {"from": 0.5, "to": -0.5, "t_start": 0, "t_end": 10}}"#,
+                "workload.write_frac",
+            ),
+            ("workload.access_skew", "-1", "workload.access_skew"),
+            (
+                "workload.arrival_rate_factor",
+                "0",
+                "workload.arrival_rate_factor",
+            ),
+            (
+                "workload.think_time_factor",
+                "-1",
+                "workload.think_time_factor",
+            ),
+            (
+                "workload.think_time_factor",
+                r#"{"piecewise": []}"#,
+                "workload.think_time_factor",
+            ),
         ] {
             let mut v = parse(r#"{"name": "bad", "horizon_ms": 5000.0}"#);
             set_path(&mut v, path, parse(value)).unwrap();

@@ -5,12 +5,13 @@
 //! drifts or oscillates. This crate turns such experiments from bespoke
 //! Rust functions into checked-in JSON **scenario specs**:
 //!
-//! * [`profile::Profile`] — the time-varying value DSL (steps, ramps,
-//!   sinusoids, bursts, trace replay, phase lists) lowered into
+//! * [`profile`] — the time-varying value DSL (steps, ramps, sinusoids,
+//!   bursts, trace replay, phase lists), read straight into the engine's
 //!   [`alc_analytic::surface::Schedule`];
-//! * [`spec::ScenarioSpec`] — one experiment: workload profiles, system
-//!   and control overrides, a controller, ablation variants and quick
-//!   (CI-scale) overrides. Parsing is strict: unknown keys are errors;
+//! * [`spec::ScenarioSpec`] — one experiment: the engine's system,
+//!   control and workload configs, a controller, ablation variants and
+//!   quick (CI-scale) overrides. Parsing is strict: unknown keys are
+//!   errors, and so is a value the engine would not run as written;
 //! * [`compile`] — deterministic lowering into a [`compile::RunPlan`]
 //!   of concrete engine configurations with per-replication seeds;
 //! * [`runner`] — rayon-parallel execution emitting [`report::Report`]

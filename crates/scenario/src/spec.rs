@@ -17,6 +17,13 @@
 //! with the reader — tests that need a spec generate the tree a user
 //! would write.
 //!
+//! The reader returns the engine's own types: `system`, `control` and
+//! `workload` read straight into [`SystemConfig`], [`ControlConfig`]
+//! and [`WorkloadConfig`], and every rule on a cell is checked here, as
+//! the cell is read — each config's own `check`, the clients' fit to the
+//! system, Tay's arguments and `k` ≤ `db_size` — so `validate::land`
+//! blames a broken cell on the override that broke it.
+//!
 //! This file holds the typed model and the top-level
 //! [`ScenarioSpec::from_value`]; `spec/columns.rs` is the report-column
 //! vocabulary, `spec/sections.rs` the per-section parsers.
@@ -40,6 +47,8 @@ mod columns;
 mod sections;
 mod tests;
 
+use std::path::Path;
+
 use alc_core::controller::{
     FixedBound, Hybrid as HybridCtrl, HybridParams, IncrementalSteps, IsParams, IyerRule,
     IyerRuleParams, LoadController, OuterParams, PaOuterParams, PaParams,
@@ -48,18 +57,17 @@ use alc_core::controller::{
 };
 use alc_core::meta::{GuardParams, Ladder, LadderSignal, MetaPolicy, ShadowScore};
 use alc_tpsim::client::ClientConfig;
-use alc_tpsim::config::{CcKind, SystemConfig};
+use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
 use alc_tpsim::workload::WorkloadConfig;
 use serde::Value;
 
 pub use self::columns::{ClientColumn, ColumnSpec, DerivedColumn, StatColumn};
 use self::columns::{column_from_value, default_columns};
 use self::sections::{
-    cc_field_from_value, clients_from_value, controller_from_value, fault_from_value,
-    filename_safe, inputs_from_value, sweep_from_value, system_overrides_from_value,
+    cc_field_from_value, clients_from_value, control_from_value, controller_from_value,
+    fault_from_value, filename_safe, inputs_from_value, sweep_from_value, system_from_value,
     variant_from_value, workload_from_value,
 };
-use crate::profile::Profile;
 use crate::value_util::{
     boolean, list, nonempty, pairs, positive, positive_u32, string, u64_from, Obj,
 };
@@ -72,8 +80,6 @@ pub struct ScenarioSpec {
     pub name: String,
     /// One-line description (report title).
     pub description: String,
-    /// Master seed of replication 0; later replications derive from it.
-    pub seed: u64,
     /// Independent replications per variant (different derived seeds).
     pub replications: u32,
     /// Simulated horizon, ms.
@@ -96,13 +102,14 @@ pub struct ScenarioSpec {
     /// overload/metastability vocabulary). `None` keeps the
     /// paper's patient closed model byte-identical.
     pub clients: Option<ClientConfig>,
-    /// Shallow overrides on [`SystemConfig`] (dist shorthands allowed;
-    /// `seed` is set by the top-level field, not here).
-    pub system: Vec<(String, Value)>,
-    /// Shallow overrides on [`alc_tpsim::config::ControlConfig`].
-    pub control: Vec<(String, Value)>,
+    /// The physical system. Its `seed`, the master seed of replication
+    /// 0 (later replications derive from it), is the spec's top-level
+    /// `seed` field.
+    pub system: SystemConfig,
+    /// Measurement and control wiring.
+    pub control: ControlConfig,
     /// The time-varying workload.
-    pub workload: WorkloadSpec,
+    pub workload: WorkloadConfig,
     /// The load controller (or a static/baseline policy).
     pub controller: ControllerSpec,
     /// Record the analytic optimum trajectory `n_opt(t)`.
@@ -187,13 +194,9 @@ pub struct AdaptiveCcSpec {
     pub candidates: Vec<CcKind>,
     /// The selection policy.
     pub policy: MetaPolicySpec,
-    /// Minimum time between switches, seconds (also from run start).
-    pub min_dwell_s: f64,
-    /// Post-switch settling window, seconds: observations inside it are
-    /// discarded.
-    pub cooldown_s: f64,
-    /// Relative dead band / challenger margin (see `alc_core::meta`).
-    pub hysteresis: f64,
+    /// The anti-oscillation guards, in the milliseconds the policies
+    /// count (the spec writes the dwell and the cooldown in seconds).
+    pub guard: GuardParams,
 }
 
 /// The policy inside an adaptive `cc` section.
@@ -219,20 +222,11 @@ pub enum MetaPolicySpec {
 }
 
 impl AdaptiveCcSpec {
-    /// The guard parameters, in the milliseconds the policies count.
-    fn guard(&self) -> GuardParams {
-        GuardParams {
-            min_dwell_ms: self.min_dwell_s * 1000.0,
-            cooldown_ms: self.cooldown_s * 1000.0,
-            hysteresis: self.hysteresis,
-        }
-    }
-
     /// The first rule the policy's constructor would panic on (its own
     /// `check`), as `<key> must …` with the key's path under `cc.adaptive`
     /// (the policy's own arguments sit in `policy.<tag>`).
     pub fn check(&self) -> Result<(), String> {
-        let (n, guard) = (self.candidates.len(), self.guard());
+        let (n, guard) = (self.candidates.len(), self.guard);
         let (tag, checked) = match self.policy {
             MetaPolicySpec::Ladder { signal, threshold: t, ewma_weight: w } => (
                 match signal {
@@ -251,7 +245,7 @@ impl AdaptiveCcSpec {
 
     /// Instantiates the candidate list and the boxed policy for one run.
     pub fn build(&self) -> (Vec<CcKind>, Box<dyn MetaPolicy>) {
-        let (n, guard) = (self.candidates.len(), self.guard());
+        let (n, guard) = (self.candidates.len(), self.guard);
         let policy: Box<dyn MetaPolicy> = match &self.policy {
             MetaPolicySpec::Ladder {
                 signal,
@@ -332,50 +326,6 @@ pub struct VariantSpec {
     /// Additional path → value overrides applied under `--quick`, after
     /// the spec-level quick overrides.
     pub quick: Vec<(String, Value)>,
-}
-
-/// The workload section: one [`Profile`] per time-varying parameter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadSpec {
-    /// Items accessed per transaction, `k(t)`.
-    pub k: Profile,
-    /// Read-only fraction `q(t)`.
-    pub query_frac: Profile,
-    /// Updater write-access fraction `w(t)`.
-    pub write_frac: Profile,
-    /// Zipf access skew θ(t) (hot-spot drift).
-    pub access_skew: Profile,
-    /// Open-mode arrival-rate multiplier `a(t)` (surges, flash crowds).
-    pub arrival_rate_factor: Profile,
-    /// Closed-mode think-time multiplier `h(t)`.
-    pub think_time_factor: Profile,
-}
-
-impl Default for WorkloadSpec {
-    fn default() -> Self {
-        WorkloadSpec {
-            k: Profile::Constant(8.0),
-            query_frac: Profile::Constant(0.2),
-            write_frac: Profile::Constant(0.25),
-            access_skew: Profile::Constant(0.0),
-            arrival_rate_factor: Profile::Constant(1.0),
-            think_time_factor: Profile::Constant(1.0),
-        }
-    }
-}
-
-impl WorkloadSpec {
-    /// Lowers every profile into the engine's [`WorkloadConfig`].
-    pub fn lower(&self, base_dir: &std::path::Path) -> Result<WorkloadConfig, SpecError> {
-        Ok(WorkloadConfig {
-            k: self.k.lower(base_dir)?,
-            query_frac: self.query_frac.lower(base_dir)?,
-            write_frac: self.write_frac.lower(base_dir)?,
-            access_skew: self.access_skew.lower(base_dir)?,
-            arrival_rate_factor: self.arrival_rate_factor.lower(base_dir)?,
-            think_time_factor: self.think_time_factor.lower(base_dir)?,
-        })
-    }
 }
 
 /// The controller section: the §4 feedback controllers, the self-tuning
@@ -475,19 +425,21 @@ impl ControllerSpec {
 }
 
 impl ScenarioSpec {
-    /// Strictly parses a spec from its JSON tree. Unknown and repeated
-    /// keys anywhere are errors.
-    pub fn from_value(v: &Value) -> Result<Self, SpecError> {
+    /// Strictly parses a spec from its JSON tree, reading `trace`
+    /// profiles relative to `base_dir`, the spec's directory. Unknown and
+    /// repeated keys anywhere are errors, and so is a cell the engine
+    /// would not run as written.
+    pub fn from_value(v: &Value, base_dir: &Path) -> Result<Self, SpecError> {
         let mut o = Obj::open(v, "spec")?;
         let (cc, cc_phases, cc_adaptive) = o
             .opt("cc", |v, _| cc_field_from_value(v))?
             .unwrap_or((CcKind::Certification, Vec::new(), None));
+        let seed = o
+            .opt("seed", u64_from)?
+            .unwrap_or(SystemConfig::default().seed);
         let spec = ScenarioSpec {
             name: o.req("name", string)?,
             description: o.opt("description", string)?.unwrap_or_default(),
-            seed: o
-                .opt("seed", u64_from)?
-                .unwrap_or(SystemConfig::default().seed),
             replications: o.opt("replications", positive_u32)?.unwrap_or(1),
             horizon_ms: o.req("horizon_ms", positive)?,
             cc,
@@ -495,12 +447,13 @@ impl ScenarioSpec {
             cc_adaptive,
             faults: o.opt("faults", list(fault_from_value))?.unwrap_or_default(),
             clients: o.opt("clients", |v, _| clients_from_value(v))?,
-            system: o
-                .opt("system", system_overrides_from_value)?
-                .unwrap_or_default(),
-            control: o.opt("control", pairs)?.unwrap_or_default(),
+            system: SystemConfig {
+                seed,
+                ..o.opt("system", system_from_value)?.unwrap_or_default()
+            },
+            control: o.opt("control", control_from_value)?.unwrap_or_default(),
             workload: o
-                .opt("workload", |v, _| workload_from_value(v))?
+                .opt("workload", |v, _| workload_from_value(v, base_dir))?
                 .unwrap_or_default(),
             controller: o
                 .opt("controller", |v, _| controller_from_value(v))?
@@ -638,17 +591,33 @@ impl ScenarioSpec {
                  `clients` section",
             ));
         }
-        // Eagerly dry-run the override merges so a typo'd system/control
-        // key fails at parse time, not only at compile time.
-        let _: SystemConfig = crate::value_util::from_overrides(&spec.system, "system")?;
-        let _: alc_tpsim::config::ControlConfig =
-            crate::value_util::from_overrides(&spec.control, "control")?;
+        spec.check_cells()?;
         Ok(spec)
     }
-}
 
-impl<'de> serde::Deserialize<'de> for ScenarioSpec {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        ScenarioSpec::from_value(value).map_err(|e| serde::Error::custom(e.to_string()))
+    /// The rules that tie one section's values to another's: the client
+    /// pool must fit the system, Tay's rule reads `db_size`, and no
+    /// transaction may access more distinct items than the database
+    /// holds. Each section's own rules are checked as it is read.
+    fn check_cells(&self) -> Result<(), SpecError> {
+        let named = |at: &'static str| move |e: String| SpecError::new(format!("{at}.{e}"));
+        let db_size = self.system.db_size;
+        if let Some(clients) = &self.clients {
+            clients.check(&self.system).map_err(named("clients"))?;
+        }
+        if let ControllerSpec::Tay { k, min_bound, max_bound } = self.controller {
+            TayRule::check(k, db_size, min_bound, max_bound).map_err(named("controller.tay"))?;
+        }
+        // What the access-set sampler cannot draw: more distinct items
+        // than the database holds.
+        let levels = self.workload.k.levels().unwrap_or_default();
+        let k_max = levels.into_iter().fold(1.0, f64::max).round();
+        if k_max > db_size as f64 {
+            return Err(SpecError::new(format!(
+                "workload.k reaches {k_max} distinct items per transaction but \
+                 system.db_size is {db_size}"
+            )));
+        }
+        Ok(())
     }
 }

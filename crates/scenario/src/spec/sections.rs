@@ -1,22 +1,26 @@
 //! The per-section parsers of a spec.
 
+use std::fmt::Display;
+use std::path::Path;
+
 use alc_core::controller::{
     HybridParams, IsParams, IyerRuleParams, OuterParams, PaParams, RetryBudgetParams,
 };
-use alc_core::meta::LadderSignal;
+use alc_core::meta::{GuardParams, LadderSignal};
 use alc_tpsim::client::{ClientConfig, RetryPolicy};
-use alc_tpsim::config::{CcKind, SystemConfig};
+use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
+use alc_tpsim::workload::WorkloadConfig;
 use serde::Value;
 
 use super::{
     cc_spec_name, AdaptiveCcSpec, ControllerSpec, FaultRecovery, FaultSpec, MetaPolicySpec,
-    PivotSpec, StatColumn, SweepAxis, SweepSpec, VariantInputs, VariantSpec, WorkloadSpec,
+    PivotSpec, StatColumn, SweepAxis, SweepSpec, VariantInputs, VariantSpec,
 };
-use crate::profile::Profile;
+use crate::profile::schedule_from_value;
 use crate::value_util::{
-    at_least_one, boolean, fraction, list, non_negative, nonempty, normalize_arrival,
-    normalize_dist, number, pairs, params, positive, positive_u32, single_key, strict, string,
-    timed, u32_from, unknown_key, At, Keys, Obj,
+    at_least_one, boolean, fraction, from_overrides, list, non_negative, nonempty,
+    normalize_arrival, normalize_dist, number, pairs, params, positive, positive_u32, single_key,
+    strict, string, timed, u32_from, unknown_key, At, Keys, Obj,
 };
 use crate::SpecError;
 
@@ -72,7 +76,11 @@ pub(super) const CONTROLLER: Keys = &[
 /// `p` if it keeps the rules its own type states (`check`), else the
 /// first one it breaks, named `<at>.<field>`: a spec fails here, by
 /// field, instead of panicking the constructor in `run`.
-fn checked<T>(p: T, at: At<'_>, check: fn(&T) -> Result<(), String>) -> Result<T, SpecError> {
+fn checked<T>(
+    p: T,
+    at: impl Display,
+    check: fn(&T) -> Result<(), String>,
+) -> Result<T, SpecError> {
     check(&p).map_err(|e| SpecError::new(format!("{at}.{e}")))?;
     Ok(p)
 }
@@ -136,8 +144,8 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
             let p = params(payload, at)?;
             ControllerSpec::RetryBudget(checked(p, at, RetryBudgetParams::check)?)
         }
-        // Tay's rule also reads `system.db_size`: `build_variant` asks
-        // `TayRule::check` once the system is known.
+        // Tay's rule also reads `system.db_size`: the spec asks
+        // `TayRule::check` once every section is read.
         "tay" => {
             let mut o = Obj::open(payload, &section)?;
             let c = ControllerSpec::Tay {
@@ -192,9 +200,11 @@ fn adaptive_from_value(v: &Value) -> Result<AdaptiveCcSpec, SpecError> {
     let adaptive = AdaptiveCcSpec {
         candidates: o.opt("candidates", list(cc_from_value))?.unwrap_or_default(),
         policy: o.req("policy", |v, _| meta_policy_from_value(v))?,
-        min_dwell_s: o.req("min_dwell_s", non_negative)?,
-        cooldown_s: o.opt("cooldown_s", non_negative)?.unwrap_or(0.0),
-        hysteresis: o.opt("hysteresis", number)?.unwrap_or(0.25),
+        guard: GuardParams {
+            min_dwell_ms: o.req("min_dwell_s", non_negative)? * 1000.0,
+            cooldown_ms: o.opt("cooldown_s", non_negative)?.unwrap_or(0.0) * 1000.0,
+            hysteresis: o.opt("hysteresis", number)?.unwrap_or(0.25),
+        },
     };
     o.finish(())?;
     adaptive
@@ -421,14 +431,19 @@ pub(super) fn inputs_from_value(v: &Value, at: At<'_>) -> Result<VariantInputs, 
     Ok(out)
 }
 
-pub(super) fn workload_from_value(v: &Value) -> Result<WorkloadSpec, SpecError> {
+/// Reads the `workload` section, one profile per field, into the
+/// engine's [`WorkloadConfig`] (`trace` files relative to `base_dir`);
+/// an omitted field keeps its default.
+pub(super) fn workload_from_value(
+    v: &Value,
+    base_dir: &Path,
+) -> Result<WorkloadConfig, SpecError> {
     let profile = |v: &Value, at: At<'_>| {
-        <Profile as serde::Deserialize>::from_value(v)
-            .map_err(|e| SpecError::new(format!("`{at}`: {e}")))
+        schedule_from_value(v, base_dir).map_err(|e| e.context(format!("`{at}`")))
     };
     let mut o = Obj::open(v, "workload")?;
-    let d = WorkloadSpec::default();
-    let workload = WorkloadSpec {
+    let d = WorkloadConfig::default();
+    let workload = WorkloadConfig {
         k: o.opt("k", profile)?.unwrap_or(d.k),
         query_frac: o.opt("query_frac", profile)?.unwrap_or(d.query_frac),
         write_frac: o.opt("write_frac", profile)?.unwrap_or(d.write_frac),
@@ -440,7 +455,13 @@ pub(super) fn workload_from_value(v: &Value) -> Result<WorkloadSpec, SpecError> 
             .opt("think_time_factor", profile)?
             .unwrap_or(d.think_time_factor),
     };
-    o.finish(workload)
+    checked(o.finish(workload)?, "workload", WorkloadConfig::check)
+}
+
+/// Reads the `control` section: overrides on [`ControlConfig::default`].
+pub(super) fn control_from_value(v: &Value, at: At<'_>) -> Result<ControlConfig, SpecError> {
+    let control = from_overrides(&pairs(v, at)?, "control")?;
+    checked(control, "control", ControlConfig::check)
 }
 
 pub(super) fn variant_from_value(v: &Value) -> Result<VariantSpec, SpecError> {
@@ -453,18 +474,15 @@ pub(super) fn variant_from_value(v: &Value) -> Result<VariantSpec, SpecError> {
     o.finish(variant)
 }
 
-/// Normalizes the `system` override map: dist-valued fields accept the
-/// shorthands, `arrival` accepts its shorthands, and `seed` is rejected
-/// (the top-level `seed` field owns it). `offered_load_per_s` is a
-/// *derived* quantity: a value `λ` lowers to an open Poisson arrival
-/// stream with interarrival mean `1000/λ` ms at parse time, so load
-/// grids (sweep axes, `--set`, quick overrides) read in the paper's
-/// tx/s units instead of interarrival means. Any other key must be a
-/// field of [`SystemConfig`].
-pub(super) fn system_overrides_from_value(
-    v: &Value,
-    at: At<'_>,
-) -> Result<Vec<(String, Value)>, SpecError> {
+/// Reads the `system` section: overrides on [`SystemConfig::default`].
+/// Dist-valued fields accept the shorthands, `arrival` accepts its
+/// shorthands, and `seed` is rejected (the top-level `seed` field owns
+/// it). `offered_load_per_s` is a *derived* quantity: a value `λ` reads
+/// as an open Poisson arrival stream with interarrival mean `1000/λ`
+/// ms, so load grids (sweep axes, `--set`, quick overrides) read in the
+/// paper's tx/s units instead of interarrival means. Any other key must
+/// be a field of [`SystemConfig`].
+pub(super) fn system_from_value(v: &Value, at: At<'_>) -> Result<SystemConfig, SpecError> {
     const DIST_FIELDS: [&str; 5] = [
         "cpu_phase",
         "disk_access",
@@ -509,5 +527,6 @@ pub(super) fn system_overrides_from_value(
             "set `system.arrival` or `system.offered_load_per_s`, not both",
         ));
     }
-    Ok(out)
+    let system = from_overrides(&out, "system")?;
+    checked(system, "system", SystemConfig::check)
 }

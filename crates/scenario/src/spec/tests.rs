@@ -8,18 +8,22 @@ use alc_tpsim::engine::{RunStats, Trajectories};
 
 use super::sections::retry_policy_from_value;
 use super::*;
+use crate::SpecError;
+
+/// Reads a spec from its JSON text, `trace` paths relative to `.`.
+fn read(json: &str) -> Result<ScenarioSpec, SpecError> {
+    let tree: Value = serde_json::from_str(json).map_err(|e| SpecError::new(e.to_string()))?;
+    ScenarioSpec::from_value(&tree, Path::new("."))
+}
 
 #[test]
 fn minimal_spec_parses_with_defaults() {
-    let spec: ScenarioSpec = serde_json::from_str(
-        r#"{"name": "mini", "horizon_ms": 1000.0}"#,
-    )
-    .unwrap();
+    let spec = read(r#"{"name": "mini", "horizon_ms": 1000.0}"#).unwrap();
     assert_eq!(spec.name, "mini");
     assert_eq!(spec.replications, 1);
     assert_eq!(spec.cc, CcKind::Certification);
     assert_eq!(spec.controller, ControllerSpec::None);
-    assert_eq!(spec.workload, WorkloadSpec::default());
+    assert_eq!(spec.workload, WorkloadConfig::default());
     assert!(!spec.record_optimum);
 }
 
@@ -32,14 +36,14 @@ fn unknown_keys_are_rejected_everywhere() {
         r#"{"name": "x", "horizon_ms": 1.0, "controller": {"is": {"beta2": 1}}}"#,
         r#"{"name": "x", "horizon_ms": 1.0, "columns": ["throughputt"]}"#,
     ] {
-        let r: Result<ScenarioSpec, _> = serde_json::from_str(bad);
+        let r = read(bad);
         assert!(r.is_err(), "accepted bad spec {bad}");
     }
 }
 
 fn parse_err(body: &str) -> String {
     let json = format!(r#"{{"name": "x", "horizon_ms": 1.0, {body}}}"#);
-    match serde_json::from_str::<ScenarioSpec>(&json) {
+    match read(&json) {
         Ok(_) => panic!("accepted bad spec {json}"),
         Err(e) => e.to_string(),
     }
@@ -132,7 +136,7 @@ fn empty_retry_payloads_are_the_defaults() {
 
 #[test]
 fn controller_specs_parse_with_partial_params() {
-    let spec: ScenarioSpec = serde_json::from_str(
+    let spec = read(
         r#"{"name": "c", "horizon_ms": 1.0,
             "controller": {"is": {"initial_bound": 5, "max_bound": 60}}}"#,
     )
@@ -156,7 +160,7 @@ fn cc_aliases_parse() {
         ("Certification", CcKind::Certification),
     ] {
         let json = format!(r#"{{"name": "c", "horizon_ms": 1.0, "cc": "{alias}"}}"#);
-        let spec: ScenarioSpec = serde_json::from_str(&json).unwrap();
+        let spec = read(&json).unwrap();
         assert_eq!(spec.cc, want, "{alias}");
     }
 }
@@ -178,7 +182,7 @@ fn truncating_and_mistyped_integers_are_rejected() {
         r#"{"name": "x", "horizon_ms": 1.0,
             "controller": {"tay": {"k": 4, "min_bound": "two", "max_bound": 60}}}"#,
     ] {
-        let r: Result<ScenarioSpec, _> = serde_json::from_str(bad);
+        let r = read(bad);
         assert!(r.is_err(), "accepted bad spec {bad}");
     }
 }
@@ -189,20 +193,18 @@ fn variant_names_are_filename_safe() {
         let json = format!(
             r#"{{"name": "x", "horizon_ms": 1.0, "variants": [{{"name": "{bad}"}}]}}"#
         );
-        let r: Result<ScenarioSpec, _> = serde_json::from_str(&json);
+        let r = read(&json);
         assert!(r.is_err(), "accepted variant name `{bad}`");
     }
     // The dot stays legal: `iyer-0.75` is a real ported label.
-    let ok: ScenarioSpec = serde_json::from_str(
-        r#"{"name": "x", "horizon_ms": 1.0, "variants": [{"name": "iyer-0.75"}]}"#,
-    )
-    .unwrap();
+    let ok =
+        read(r#"{"name": "x", "horizon_ms": 1.0, "variants": [{"name": "iyer-0.75"}]}"#).unwrap();
     assert_eq!(ok.variants[0].name, "iyer-0.75");
 }
 
 #[test]
 fn open_arrival_rejects_stray_keys() {
-    let r: Result<ScenarioSpec, _> = serde_json::from_str(
+    let r = read(
         r#"{"name": "x", "horizon_ms": 1.0,
             "system": {"arrival": {"open": {
                 "interarrival": {"exponential": 5}, "rate_per_s": 200}}}}"#,
@@ -212,25 +214,24 @@ fn open_arrival_rejects_stray_keys() {
 
 #[test]
 fn offered_load_lowers_to_interarrival_mean() {
-    let spec: ScenarioSpec = serde_json::from_str(
+    let spec = read(
         r#"{"name": "x", "horizon_ms": 1.0,
             "system": {"terminals": 80, "offered_load_per_s": 250}}"#,
     )
     .unwrap();
-    let sys: SystemConfig = crate::value_util::from_overrides(&spec.system, "system").unwrap();
-    let alc_tpsim::config::ArrivalProcess::Open { interarrival } = sys.arrival else {
+    let alc_tpsim::config::ArrivalProcess::Open { interarrival } = spec.system.arrival else {
         panic!("offered load must lower to an open arrival stream");
     };
     assert_eq!(interarrival, alc_des::dist::Dist::exponential(4.0));
 
     // Both arrival vocabularies at once are ambiguous.
-    let r: Result<ScenarioSpec, _> = serde_json::from_str(
+    let r = read(
         r#"{"name": "x", "horizon_ms": 1.0,
             "system": {"arrival": "closed", "offered_load_per_s": 250}}"#,
     );
     assert!(r.is_err(), "conflicting arrival sources accepted");
     // And the rate must be a positive number.
-    let r: Result<ScenarioSpec, _> = serde_json::from_str(
+    let r = read(
         r#"{"name": "x", "horizon_ms": 1.0,
             "system": {"offered_load_per_s": "fast"}}"#,
     );
@@ -239,9 +240,7 @@ fn offered_load_lowers_to_interarrival_mean() {
 
 #[test]
 fn seed_belongs_at_top_level() {
-    let r: Result<ScenarioSpec, _> = serde_json::from_str(
-        r#"{"name": "x", "horizon_ms": 1.0, "system": {"seed": 42}}"#,
-    );
+    let r = read(r#"{"name": "x", "horizon_ms": 1.0, "system": {"seed": 42}}"#);
     assert!(r.is_err());
 }
 
@@ -291,14 +290,14 @@ fn cross_field_validations_reject_unsatisfiable_specs() {
             "fault without duration",
         ),
     ] {
-        let r: Result<ScenarioSpec, _> = serde_json::from_str(bad);
+        let r = read(bad);
         assert!(r.is_err(), "accepted bad spec ({why}): {bad}");
     }
 }
 
 #[test]
 fn cc_phases_parse_and_split() {
-    let spec: ScenarioSpec = serde_json::from_str(
+    let spec = read(
         r#"{"name": "x", "horizon_ms": 1.0,
             "cc": {"phases": [[0.0, "certification"], [500.0, "2pl"]]}}"#,
     )
@@ -309,7 +308,7 @@ fn cc_phases_parse_and_split() {
 
 #[test]
 fn adaptive_cc_parses_and_pins_initial_protocol() {
-    let spec: ScenarioSpec = serde_json::from_str(
+    let spec = read(
         r#"{"name": "a", "horizon_ms": 1.0,
             "cc": {"adaptive": {
                 "candidates": ["certification", "2pl"],
@@ -334,7 +333,8 @@ fn adaptive_cc_parses_and_pins_initial_protocol() {
             ewma_weight: 0.3
         }
     );
-    assert_eq!(ad.min_dwell_s, 30.0);
+    assert_eq!(ad.guard.min_dwell_ms, 30_000.0);
+    assert_eq!(ad.guard.cooldown_ms, 4_000.0);
     let (candidates, policy) = ad.build();
     assert_eq!(candidates.len(), 2);
     assert_eq!(policy.candidate_count(), 2);
@@ -398,7 +398,7 @@ fn adaptive_cc_rejects_malformed_sections() {
             "dwell",
         ),
     ] {
-        let r: Result<ScenarioSpec, _> = serde_json::from_str(&with_cc(bad));
+        let r = read(&with_cc(bad));
         let err = r.expect_err(bad).to_string();
         assert!(err.contains(names), "{bad}: `{err}` does not name `{names}`");
     }
@@ -423,9 +423,9 @@ fn adaptive_cc_is_set_addressable() {
         Value::Num(2.5),
     )
     .unwrap();
-    let spec = ScenarioSpec::from_value(&tree).unwrap();
+    let spec = ScenarioSpec::from_value(&tree, Path::new(".")).unwrap();
     let ad = spec.cc_adaptive.unwrap();
-    assert_eq!(ad.min_dwell_s, 5.0);
+    assert_eq!(ad.guard.min_dwell_ms, 5_000.0);
     assert_eq!(
         ad.policy,
         MetaPolicySpec::Ladder {
@@ -438,7 +438,7 @@ fn adaptive_cc_is_set_addressable() {
 
 #[test]
 fn switch_derived_columns_parse_and_format() {
-    let spec: ScenarioSpec = serde_json::from_str(
+    let spec = read(
         r#"{"name": "a", "horizon_ms": 1.0, "columns": [
             "switch_count",
             {"time_in_protocol": {"cc": "2pl"}},

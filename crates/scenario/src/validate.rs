@@ -12,9 +12,17 @@
 //! the reader's own message with the keys the section does know — and
 //! none that does not. A cell that reads costs one read.
 //!
+//! The reader checks every rule on a cell, not only its keys: a value
+//! out of its config's range (`system.cpus: 0`), a profile out of shape
+//! (a ramp that ends before it starts) or out of its field's domain
+//! (`k` below 1), and the rules across sections (`k` ≤ `db_size`), so
+//! each of these is blamed on the override that set it.
+//!
 //! `scenario validate` compiles every spec at both scales, so a dead
 //! `quick` path fails there, although a full-scale `run` never applies
 //! it.
+
+use std::path::Path;
 
 use serde::Value;
 
@@ -26,18 +34,23 @@ use crate::SpecError;
 /// and the `(path, value)` pairs, applied in order.
 type Layer = (String, Vec<(String, Value)>);
 
-/// Applies `layers` to a copy of `base` and reads the result: the
-/// cell's tree and its spec, or one line per override to blame.
-pub(crate) fn land(base: &Value, layers: &[Layer]) -> Result<(Value, ScenarioSpec), Vec<String>> {
+/// Applies `layers` to a copy of `base` and reads the result (`trace`
+/// files relative to `base_dir`): the cell's tree and its spec, or one
+/// line per override to blame.
+pub(crate) fn land(
+    base: &Value,
+    base_dir: &Path,
+    layers: &[Layer],
+) -> Result<(Value, ScenarioSpec), Vec<String>> {
     let mut tree = base.clone();
     let landed = layers
         .iter()
         .flat_map(|(_, overrides)| overrides)
         .try_for_each(|(path, val)| set_path(&mut tree, path, val.clone()));
-    match landed.and_then(|()| ScenarioSpec::from_value(&tree)) {
+    match landed.and_then(|()| ScenarioSpec::from_value(&tree, base_dir)) {
         Ok(spec) => Ok((tree, spec)),
         Err(whole) => {
-            let dead = blame(base, layers);
+            let dead = blame(base, base_dir, layers);
             Err(if dead.is_empty() {
                 vec![whole.to_string()]
             } else {
@@ -51,14 +64,14 @@ pub(crate) fn land(base: &Value, layers: &[Layer]) -> Result<(Value, ScenarioSpe
 /// before it left, and names those after which the tree no longer
 /// reads. Each of those is left out, so one dead path does not condemn
 /// the ones after it.
-fn blame(base: &Value, layers: &[Layer]) -> Vec<String> {
+fn blame(base: &Value, base_dir: &Path, layers: &[Layer]) -> Vec<String> {
     let mut tree = base.clone();
     let mut dead = Vec::new();
     for (origin, overrides) in layers {
         for (path, val) in overrides {
             let mut next = tree.clone();
             let read = set_path(&mut next, path, val.clone())
-                .and_then(|()| ScenarioSpec::from_value(&next).map(drop));
+                .and_then(|()| ScenarioSpec::from_value(&next, base_dir).map(drop));
             match read {
                 Ok(()) => tree = next,
                 Err(e) => dead.push(format!("{origin}: `{path}`: {e}")),
@@ -271,5 +284,29 @@ mod tests {
             !msg.contains("system.cpus") && !msg.contains("`control.initial_bound`"),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn every_override_that_breaks_a_cell_rule_is_named() {
+        // Rules on values, not keys: a profile out of shape, a system
+        // field out of range, and `k` beyond `db_size` (2,000 by
+        // default) — each blamed on the override that set it, in one
+        // error across both variants.
+        let msg = quick_err(
+            r#", "quick": {"workload.k": 2500},
+               "variants": [
+                   {"name": "a", "set": {"workload.k":
+                       {"ramp": {"from": 4, "to": 8, "t_start": 5000, "t_end": 1000}}}},
+                   {"name": "b", "set": {"system.cpus": 0}}
+               ]"#,
+        );
+        assert!(msg.starts_with("3 dead override path(s)"), "{msg}");
+        for named in [
+            "variant `a` `set`: `workload.k`: `workload.k`: ramp t_end (1000) must exceed",
+            "variant `b` `set`: `system.cpus`: system.cpus must be ≥ 1",
+            "`quick`: `workload.k`: workload.k reaches 2500 distinct items",
+        ] {
+            assert!(msg.contains(named), "{named}: {msg}");
+        }
     }
 }

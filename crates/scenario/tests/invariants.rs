@@ -125,10 +125,10 @@ fn adaptive_cc_scenario_switches_on_the_hotspot_ramp() {
     assert_eq!(switches[1].to, CcKind::Certification);
     // Determinism of the trace itself.
     assert_eq!(switches, &b[0].trajectories.as_ref().unwrap().switches);
-    // The dwell guard: no two decisions closer than min_dwell_s.
+    // The dwell guard: no two decisions closer than min_dwell_ms.
     for w in switches.windows(2) {
         assert!(
-            w[1].decided_at_ms - w[0].decided_at_ms >= ad.min_dwell_s * 1000.0 - 1e-9,
+            w[1].decided_at_ms - w[0].decided_at_ms >= ad.guard.min_dwell_ms - 1e-9,
             "decisions at {} and {} violate min_dwell",
             w[0].decided_at_ms,
             w[1].decided_at_ms

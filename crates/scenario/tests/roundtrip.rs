@@ -8,10 +8,13 @@
 //! is the identity (floats included — the writer emits shortest
 //! round-trip representations), and the text parses to the same typed
 //! spec as the tree it was printed from. Where a property needs a count,
-//! it reads the typed view back with `ScenarioSpec::from_value`.
+//! it reads the typed view back with `ScenarioSpec::from_value`. Every
+//! generated tree is one the reader accepts.
+
+use std::path::Path;
 
 use alc_scenario::compile::compile_value;
-use alc_scenario::profile::Profile;
+use alc_scenario::profile::schedule_from_value;
 use alc_scenario::spec::{cc_spec_name, ClientColumn, FaultRecovery, ScenarioSpec, StatColumn};
 use alc_tpsim::config::CcKind;
 use proptest::prelude::*;
@@ -33,8 +36,10 @@ fn arb_time() -> std::ops::Range<f64> {
     0.0..2_000_000.0
 }
 
+/// A level inside every generated field's domain: `k` ≥ 1 and an
+/// arrival-rate factor > 0.
 fn arb_level() -> std::ops::Range<f64> {
-    0.0..64.0
+    1.0..64.0
 }
 
 /// A `[[t, x], …]` list in ascending time order.
@@ -65,9 +70,15 @@ fn arb_profile_leaf() -> Union<Value> {
                 ])
             )
         ),
-        (arb_level(), 0.0..16.0, 1.0..1_000_000.0).prop_map(|(mean, amplitude, period)| tag(
+        // The trough `mean - amplitude` stays at a level, the peak within
+        // the smallest generated database.
+        (arb_level(), 0.0..1.0f64, 1.0..1_000_000.0).prop_map(|(mean, swing, period)| tag(
             "sinusoid",
-            nums([("mean", mean), ("amplitude", amplitude), ("period", period)])
+            nums([
+                ("mean", mean),
+                ("amplitude", ((mean - 1.0) * swing).min(16.0)),
+                ("period", period)
+            ])
         )),
         (arb_level(), arb_level(), arb_time(), 1.0..500_000.0).prop_map(
             |(base, peak, at, duration)| tag(
@@ -82,7 +93,6 @@ fn arb_profile_leaf() -> Union<Value> {
         ),
         collection::vec((arb_time(), arb_level().prop_map(Value::Num)), 1..6)
             .prop_map(|pts| tag("piecewise", timed(pts))),
-        arb_name().prop_map(|n| tag("trace", s(&format!("traces/{n}.jsonl")))),
     ]
 }
 
@@ -532,10 +542,10 @@ fn survives_its_text(tree: &Value) -> ScenarioSpec {
     let json = serde_json::to_string_pretty(tree).expect("serialize");
     let back: Value = serde_json::from_str(&json).expect("reparse");
     assert_eq!(&back, tree, "the text changed the tree:\n{json}");
-    let spec = ScenarioSpec::from_value(tree)
+    let spec = ScenarioSpec::from_value(tree, Path::new("."))
         .unwrap_or_else(|e| panic!("generated spec is invalid: {e}\n{json}"));
-    let from_text: ScenarioSpec =
-        serde_json::from_str(&json).unwrap_or_else(|e| panic!("reparse failed: {e}\n{json}"));
+    let from_text = ScenarioSpec::from_value(&back, Path::new("."))
+        .unwrap_or_else(|e| panic!("reparse failed: {e}\n{json}"));
     assert_eq!(from_text, spec, "the text changed the spec:\n{json}");
     spec
 }
@@ -548,35 +558,34 @@ proptest! {
     fn spec_round_trips_through_json(tree in arb_spec()) {
         let spec = survives_its_text(&tree);
         // The typed view holds the drawn numbers exactly.
-        prop_assert_eq!(Some(spec.seed), tree.get("seed").and_then(Value::as_u64));
+        prop_assert_eq!(Some(spec.system.seed), tree.get("seed").and_then(Value::as_u64));
         prop_assert_eq!(Some(spec.horizon_ms), tree.get("horizon_ms").and_then(Value::as_f64));
     }
 
-    /// Profile tree → JSON string → tree and typed profile is the
-    /// identity (deeper nesting than the spec-level test exercises).
+    /// Profile tree → JSON string → tree and schedule is the identity
+    /// (deeper nesting than the spec-level test exercises).
     #[test]
     fn profile_round_trips_through_json(tree in arb_profile(3)) {
         let json = serde_json::to_string(&tree).expect("serialize");
         let back: Value = serde_json::from_str(&json).expect("reparse");
         prop_assert_eq!(&back, &tree, "the text changed the tree:\n{}", json);
-        let p = <Profile as serde::Deserialize>::from_value(&tree)
-            .unwrap_or_else(|e| panic!("generated profile is invalid: {e}\n{json}"));
-        let from_text: Profile = serde_json::from_str(&json)
-            .unwrap_or_else(|e| panic!("reparse failed: {e}\n{json}"));
-        prop_assert_eq!(from_text, p, "the text changed the profile:\n{}", json);
+        let read = |tree: &Value| {
+            schedule_from_value(tree, Path::new("."))
+                .unwrap_or_else(|e| panic!("generated profile is invalid: {e}\n{json}"))
+        };
+        prop_assert_eq!(read(&back), read(&tree), "the text changed the schedule:\n{}", json);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Compiling the same spec twice yields the identical plan
-    /// (trace-free specs: generated traces have no backing files).
+    /// Compiling the same spec twice yields the identical plan.
     /// Generated specs include CC-switch phases, fault windows and
     /// derived columns.
     #[test]
     fn compilation_is_deterministic(tree in arb_spec()) {
-        let spec = ScenarioSpec::from_value(&tree).expect("generated spec parses");
+        let spec = ScenarioSpec::from_value(&tree, Path::new(".")).expect("generated spec parses");
         let dir = std::path::PathBuf::from(".");
         let a = compile_value(&tree, &dir, false);
         let b = compile_value(&tree, &dir, false);
@@ -617,7 +626,7 @@ proptest! {
     /// and never produces two cells with the same label.
     #[test]
     fn sweep_expansion_covers_the_exact_cross_product(tree in arb_sweep_spec()) {
-        let spec = ScenarioSpec::from_value(&tree).expect("generated sweep parses");
+        let spec = ScenarioSpec::from_value(&tree, Path::new(".")).expect("generated sweep parses");
         let dir = std::path::PathBuf::from(".");
         let a = compile_value(&tree, &dir, false).expect("sweep must compile");
         let b = compile_value(&tree, &dir, false).expect("sweep must compile");

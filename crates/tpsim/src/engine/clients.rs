@@ -160,7 +160,7 @@ impl Simulator {
         client.phase = ClientPhase::Thinking;
         client.attempt = 0;
         let think = self.sys.think.sample(&mut self.rng.think)
-            * self.workload.think_time_factor_at(self.cal.now().millis());
+            * self.workload.think_time_factor.value(self.cal.now().millis());
         self.cal.schedule_in(
             think,
             Event::ClientIssue {

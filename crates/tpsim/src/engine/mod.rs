@@ -405,7 +405,7 @@ impl Simulator {
         // The workload's arrival-rate factor modulates the offered load:
         // dividing the delay by a(t) multiplies the instantaneous rate.
         let delay = interarrival.sample(&mut self.rng.arrival)
-            / self.workload.arrival_rate_factor_at(self.now().millis());
+            / self.workload.arrival_rate_factor.value(self.now().millis());
         self.cal.schedule_in(delay, Event::Arrival);
     }
 
@@ -685,7 +685,7 @@ impl Simulator {
             match self.sys.arrival {
                 ArrivalProcess::Closed => {
                     let think = self.sys.think.sample(&mut self.rng.think)
-                        * self.workload.think_time_factor_at(now.millis());
+                        * self.workload.think_time_factor.value(now.millis());
                     self.cal.schedule_in(think, Event::Submit(i));
                 }
                 ArrivalProcess::Open { .. } => {

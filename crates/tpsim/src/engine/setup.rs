@@ -24,8 +24,8 @@ use crate::workload::WorkloadConfig;
 impl Simulator {
     /// Builds a simulator. `controller = None` runs with the static
     /// `control.initial_bound` (use `u32::MAX` for "no control"). Panics
-    /// exactly when [`SystemConfig::check`] or [`ControlConfig::check`]
-    /// errs.
+    /// exactly when [`SystemConfig::check`], [`WorkloadConfig::check`] or
+    /// [`ControlConfig::check`] errs.
     pub fn new(
         sys: SystemConfig,
         workload: WorkloadConfig,
@@ -34,6 +34,7 @@ impl Simulator {
         controller: Option<Box<dyn LoadController>>,
     ) -> Self {
         sys.check().expect("invalid system configuration");
+        workload.check().expect("invalid workload");
         control.check().expect("invalid control configuration");
         let seeds = SeedFactory::new(sys.seed);
         let t0 = SimTime::ZERO;
@@ -112,7 +113,7 @@ impl Simulator {
             ArrivalProcess::Closed => {
                 // Terminals start thinking; their first submissions
                 // stagger naturally through the think-time distribution.
-                let factor = sim.workload.think_time_factor_at(t0.millis());
+                let factor = sim.workload.think_time_factor.value(t0.millis());
                 for i in 0..sim.sys.terminals as usize {
                     let delay = sim.sys.think.sample(&mut sim.rng.think) * factor;
                     sim.cal.schedule(t0 + delay, Event::Submit(i));
@@ -121,7 +122,7 @@ impl Simulator {
             ArrivalProcess::Open { interarrival } => {
                 sim.free_slots = (0..sim.sys.terminals as usize).rev().collect(); // alc-lint: allow(hot-alloc, reason="one-time init of the free-slot stack at simulation start")
                 let delay = interarrival.sample(&mut sim.rng.arrival)
-                    / sim.workload.arrival_rate_factor_at(t0.millis());
+                    / sim.workload.arrival_rate_factor.value(t0.millis());
                 sim.cal.schedule(t0 + delay, Event::Arrival);
             }
         }
@@ -167,7 +168,7 @@ impl Simulator {
         // client mode (see `on_submit`); each client draws its own first
         // think delay instead.
         let t0 = self.now();
-        let factor = self.workload.think_time_factor_at(t0.millis());
+        let factor = self.workload.think_time_factor.value(t0.millis());
         for c in 0..cfg.population as usize {
             let delay = self.sys.think.sample(&mut self.rng.think) * factor;
             self.cal.schedule(

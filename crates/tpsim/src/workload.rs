@@ -19,8 +19,8 @@ use crate::config::SystemConfig;
 /// The logical-model workload over time.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct WorkloadConfig {
-    /// Data items accessed per transaction, `k(t)`. Evaluated at instance
-    /// creation; rounded to an integer ≥ 1.
+    /// Data items accessed per transaction, `k(t) ≥ 1`. Evaluated at
+    /// instance creation; rounded to an integer.
     pub k: Schedule,
     /// Fraction of read-only queries, `q(t) ∈ [0, 1]`.
     pub query_frac: Schedule,
@@ -37,7 +37,7 @@ pub struct WorkloadConfig {
     /// process exactly.
     pub arrival_rate_factor: Schedule,
     /// Load-intensity extension: multiplier on the *closed-mode* think
-    /// time, `h(t) > 0`. Think delays are multiplied by it, so `0.5`
+    /// time, `h(t) ≥ 0`. Think delays are multiplied by it, so `0.5`
     /// makes every terminal twice as eager — the closed-model analogue of
     /// an arrival surge. `1.0` (the default) is the paper's stationary
     /// terminal behaviour.
@@ -71,13 +71,41 @@ pub struct WorkloadAt {
 }
 
 impl WorkloadConfig {
+    /// The first field whose schedule leaves the domain the engine runs
+    /// it in, as `<field> must …`: at every level, `k` ≥ 1, the
+    /// fractions in [0, 1], the skew and the think factor ≥ 0 and the
+    /// arrival factor positive, all finite; and no list empty (an empty
+    /// `Piecewise` reads 0 forever). Outside it a value would run as
+    /// another one.
+    pub fn check(&self) -> Result<(), String> {
+        let within = |field: &str, s: &Schedule, ok: fn(f64) -> bool, want: &str| {
+            let Some(levels) = s.levels() else {
+                return Err(format!("{field} must not hold an empty list"));
+            };
+            match levels.into_iter().find(|&v| !(ok(v) && v.is_finite())) {
+                Some(v) => Err(format!(
+                    "{field} must be finite and {want} at every level (reaches {v})"
+                )),
+                None => Ok(()),
+            }
+        };
+        let (fraction, at_least_0) = (|v| (0.0..=1.0).contains(&v), |v| v >= 0.0);
+        let (arrival, think) = (&self.arrival_rate_factor, &self.think_time_factor);
+        within("k", &self.k, |v| v >= 1.0, "≥ 1")?;
+        within("query_frac", &self.query_frac, fraction, "in [0, 1]")?;
+        within("write_frac", &self.write_frac, fraction, "in [0, 1]")?;
+        within("access_skew", &self.access_skew, at_least_0, "≥ 0")?;
+        within("arrival_rate_factor", arrival, |v| v > 0.0, "> 0")?;
+        within("think_time_factor", think, at_least_0, "≥ 0")
+    }
+
     /// Samples the schedules at time `t_ms`.
     pub fn at(&self, t_ms: f64) -> WorkloadAt {
         WorkloadAt {
-            k: self.k.value(t_ms).round().max(1.0) as u32,
-            query_frac: self.query_frac.value(t_ms).clamp(0.0, 1.0),
-            write_frac: self.write_frac.value(t_ms).clamp(0.0, 1.0),
-            access_skew: self.access_skew.value(t_ms).max(0.0),
+            k: self.k.value(t_ms).round() as u32,
+            query_frac: self.query_frac.value(t_ms),
+            write_frac: self.write_frac.value(t_ms),
+            access_skew: self.access_skew.value(t_ms),
         }
     }
 
@@ -98,19 +126,6 @@ impl WorkloadConfig {
             sys.disk_per_run_ms(w.k),
             sys.cpus,
         )
-    }
-
-    /// The arrival-rate multiplier in force at `t_ms`, floored at a tiny
-    /// positive value so a zero/negative schedule cannot stall the
-    /// arrival stream into a division by zero.
-    pub fn arrival_rate_factor_at(&self, t_ms: f64) -> f64 {
-        self.arrival_rate_factor.value(t_ms).max(1e-9)
-    }
-
-    /// The think-time multiplier in force at `t_ms`, floored at zero
-    /// (a zero factor means terminals resubmit immediately).
-    pub fn think_time_factor_at(&self, t_ms: f64) -> f64 {
-        self.think_time_factor.value(t_ms).max(0.0)
     }
 
     /// The analytic optimal MPL at time `t_ms`, scanned up to `n_max`.
@@ -165,41 +180,83 @@ mod tests {
 
     #[test]
     fn k_is_at_least_one() {
-        let w = WorkloadConfig {
-            k: Schedule::Constant(-3.0),
+        for k in [-3.0, 0.0, 0.49, f64::NAN] {
+            let w = WorkloadConfig {
+                k: Schedule::Constant(k),
+                ..WorkloadConfig::default()
+            };
+            assert!(w.check().unwrap_err().starts_with("k must"), "k = {k}");
+        }
+        let dips = WorkloadConfig {
+            k: Schedule::Sinusoid {
+                mean: 4.0,
+                amplitude: 3.5,
+                period: 100.0,
+            },
             ..WorkloadConfig::default()
         };
-        assert_eq!(w.at(0.0).k, 1);
+        assert!(dips.check().is_err(), "a sinusoid dipping below 1");
+        assert_eq!(WorkloadConfig::default().check(), Ok(()));
     }
 
     #[test]
-    fn fractions_are_clamped() {
+    fn fractions_outside_the_unit_interval_are_refused() {
         let w = WorkloadConfig {
             query_frac: Schedule::Constant(1.7),
-            write_frac: Schedule::Constant(-0.5),
             ..WorkloadConfig::default()
         };
-        let a = w.at(0.0);
-        assert_eq!(a.query_frac, 1.0);
-        assert_eq!(a.write_frac, 0.0);
+        assert!(w.check().unwrap_err().starts_with("query_frac must"));
+        let w = WorkloadConfig {
+            write_frac: Schedule::Ramp {
+                from: 0.5,
+                to: -0.5,
+                t_start: 0.0,
+                t_end: 10.0,
+            },
+            ..WorkloadConfig::default()
+        };
+        assert!(w.check().unwrap_err().starts_with("write_frac must"));
     }
 
     #[test]
     fn load_factors_default_to_identity() {
         let w = WorkloadConfig::default();
-        assert_eq!(w.arrival_rate_factor_at(0.0), 1.0);
-        assert_eq!(w.think_time_factor_at(1e9), 1.0);
+        assert_eq!(w.arrival_rate_factor.value(0.0), 1.0);
+        assert_eq!(w.think_time_factor.value(1e9), 1.0);
     }
 
     #[test]
-    fn load_factors_are_floored() {
-        let w = WorkloadConfig {
-            arrival_rate_factor: Schedule::Constant(-2.0),
-            think_time_factor: Schedule::Constant(-2.0),
+    fn load_factors_below_their_floor_are_refused() {
+        for (w, field) in [
+            (
+                WorkloadConfig {
+                    arrival_rate_factor: Schedule::Constant(0.0),
+                    ..WorkloadConfig::default()
+                },
+                "arrival_rate_factor must",
+            ),
+            (
+                WorkloadConfig {
+                    think_time_factor: Schedule::Constant(-1.0),
+                    ..WorkloadConfig::default()
+                },
+                "think_time_factor must",
+            ),
+            (
+                WorkloadConfig {
+                    think_time_factor: Schedule::Piecewise(Vec::new()),
+                    ..WorkloadConfig::default()
+                },
+                "think_time_factor must not hold an empty list",
+            ),
+        ] {
+            assert!(w.check().unwrap_err().starts_with(field), "{field}");
+        }
+        let zero_think = WorkloadConfig {
+            think_time_factor: Schedule::Constant(0.0),
             ..WorkloadConfig::default()
         };
-        assert!(w.arrival_rate_factor_at(0.0) > 0.0);
-        assert_eq!(w.think_time_factor_at(0.0), 0.0);
+        assert_eq!(zero_think.check(), Ok(()), "terminals may resubmit at once");
     }
 
     #[test]
@@ -213,9 +270,9 @@ mod tests {
             ]),
             ..WorkloadConfig::default()
         };
-        assert_eq!(w.arrival_rate_factor_at(50_000.0), 1.0);
-        assert_eq!(w.arrival_rate_factor_at(110_000.0), 3.0);
-        assert_eq!(w.arrival_rate_factor_at(130_000.0), 1.0);
+        assert_eq!(w.arrival_rate_factor.value(50_000.0), 1.0);
+        assert_eq!(w.arrival_rate_factor.value(110_000.0), 3.0);
+        assert_eq!(w.arrival_rate_factor.value(130_000.0), 1.0);
     }
 
     #[test]

@@ -590,5 +590,44 @@ mod engine_props {
                 prop_assert_eq!(pool.check(&sys).is_ok(), joined, "{:?} on {:?}", pool, sys);
             }
         }
+
+        /// `WorkloadConfig::check` says `Ok` exactly when `Simulator::new`
+        /// takes the workload: each field drawn as a constant, a
+        /// sinusoid or a (possibly empty) piecewise list whose levels
+        /// straddle the field's domain edges.
+        #[test]
+        fn workload_check_agrees_with_the_engine(
+            field in 0usize..6,
+            shape in 0usize..3,
+            level in prop_oneof![
+                Just(-1.0), Just(0.0), Just(0.5), Just(1.0), Just(1.5), Just(f64::NAN),
+                -2.0f64..20.0
+            ],
+            swing in 0.0f64..2.0,
+        ) {
+            use std::panic::{catch_unwind, AssertUnwindSafe};
+            use alc_analytic::surface::Schedule;
+            let schedule = match shape {
+                0 => Schedule::Constant(level),
+                1 => Schedule::Sinusoid { mean: level, amplitude: swing, period: 1_000.0 },
+                _ if swing < 0.2 => Schedule::Piecewise(Vec::new()),
+                _ => Schedule::Piecewise(vec![(0.0, 1.0), (500.0, level)]),
+            };
+            let mut workload = WorkloadConfig::default();
+            *[
+                &mut workload.k,
+                &mut workload.query_frac,
+                &mut workload.write_frac,
+                &mut workload.access_skew,
+                &mut workload.arrival_rate_factor,
+                &mut workload.think_time_factor,
+            ][field] = schedule;
+            let new = || {
+                let (sys, control) = (SystemConfig::default(), ControlConfig::default());
+                Simulator::new(sys, workload.clone(), CcKind::Certification, control, None)
+            };
+            let built = catch_unwind(AssertUnwindSafe(new)).is_ok();
+            prop_assert_eq!(workload.check().is_ok(), built, "{:?}", workload);
+        }
     }
 }
