@@ -33,8 +33,10 @@
 //!
 //! The checked-in specs under `scenarios/` include ports of every
 //! hand-written figure and ablation runner that ran the engine; the
-//! golden tests pin those ports byte-identical to the pre-port outputs,
-//! proving the DSL subsumes the hand-written experiments.
+//! output-identity test (`tests/golden.rs`) pins those ports
+//! byte-identical to the pre-port outputs, proving the DSL subsumes the
+//! hand-written experiments, and pins every other file the quick catalog
+//! writes by its digest in `tests/golden/OUTPUTS`.
 
 pub mod compile;
 pub mod conformance;

@@ -7,8 +7,8 @@
 //! by its recorded seed). Trajectory CSVs use the same column set and
 //! naming convention as the bespoke figure generators
 //! (`<name>[_<variant>]_trajectory.csv`, columns `bound, observed_mpl,
-//! throughput, optimum, k`), which is what lets the golden port tests
-//! pin the ported scenarios byte-for-byte against the pre-port outputs.
+//! throughput, optimum, k`), which is what lets the golden test pin the
+//! ported scenarios byte-for-byte against the pre-port outputs.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};

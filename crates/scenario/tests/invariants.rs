@@ -91,6 +91,15 @@ fn fault_scenario_is_deterministic_across_reruns_and_thread_counts() {
     assert!(a[0].stats.commits > 50, "outage run starved");
 }
 
+/// Sampled repair times come from each replication's own `fault_repair`
+/// RNG substream: the two replications of `fault-repair` see different
+/// outage lengths (reruns see the same ones; `golden.rs` pins the table).
+#[test]
+fn fault_repair_replications_draw_different_outages() {
+    let per_rep = &quick_plan("fault-repair").variants[0].faults;
+    assert_ne!(per_rep[0], per_rep[1], "replications shared repair draws");
+}
+
 /// The acceptance pin for closed-loop CC selection: the checked-in
 /// `adaptive-cc` spec must *demonstrably switch protocol* in response to
 /// its hotspot ramp — escalating certification → 2PL as the ramp drives

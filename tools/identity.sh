@@ -5,7 +5,6 @@
 # root and with relative output directories, and compares what they
 # write:
 #
-#   run      run --quick --gate-log over every spec: the CSVs and gate logs
 #   figure   figure all at paper scale: the tables, notes and trajectories
 #   trace    trace --quick over every spec: the Chrome traces
 #   validate validate over every spec: its stdout
@@ -15,13 +14,15 @@
 # compared: it names output paths, and `trace` prints its identity
 # labels. One verdict line per check; exits 1 on the first file that
 # differs, naming it. benchmark/run.sh is not called (it rewrites
-# benchmark/Cargo.lock); CI's ledger step pins the engine digest.
+# benchmark/Cargo.lock); CI's ledger step pins the engine digest. Nor is
+# `run --quick --gate-log`: `git diff <rev> -- crates/scenario/tests/golden/`
+# compares its outputs exactly (the goldens and OUTPUTS pin every file).
 #
 #   tools/identity.sh HEAD~1     # the working tree against its parent
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 if [ "$#" -ne 1 ]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,21p' "$0" >&2
     exit 2
 fi
 rev=$1
@@ -77,8 +78,6 @@ same() {
     fi
 }
 
-check run '"$S" run --quick --gate-log "$O/gatelog" --out "$O/csv" scenarios/*.json'
-same run
 check figure '"$S" figure --out "$O" all'
 same figure
 check trace '"$S" trace --quick --out "$O" scenarios/*.json'
