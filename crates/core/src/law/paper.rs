@@ -1,16 +1,16 @@
 //! Adapter running the paper's controllers unchanged as a [`ControlLaw`].
 
-use alc_core::controller::{LoadController, RetryBudget};
+use crate::controller::{LoadController, RetryBudget};
 
 use super::{ControlLaw, WindowSnapshot};
 
-/// Wraps any `alc_core` [`LoadController`] as a [`ControlLaw`].
+/// Wraps any [`LoadController`] as a [`ControlLaw`].
 ///
-/// The adapter forwards only the snapshot's measurement, exactly as the
-/// simulator feeds the controller — so a controller object driven
-/// through the runtime reproduces its simulated decision sequence
-/// bit-for-bit on the same event stream (the conformance property the
-/// replay harness pins).
+/// The adapter forwards only the snapshot's measurement, so the
+/// decisions depend on the event stream alone: the simulator drives its
+/// controller through this adapter, and a replay of the simulator's gate
+/// log through another reproduces them bit-for-bit (the conformance
+/// property the replay harness pins).
 pub struct PaperLaw {
     inner: Box<dyn LoadController>,
 }
@@ -19,11 +19,6 @@ impl PaperLaw {
     /// Adopts a controller.
     pub fn new(inner: Box<dyn LoadController>) -> Self {
         PaperLaw { inner }
-    }
-
-    /// Read access to the wrapped controller.
-    pub fn controller(&self) -> &dyn LoadController {
-        self.inner.as_ref()
     }
 }
 
@@ -38,7 +33,7 @@ impl ControlLaw for PaperLaw {
 }
 
 /// The retry budget needs no box: it reads only the measurement, so
-/// the simulator's controller is the runtime's law as it stands.
+/// the controller is a law as it stands.
 impl ControlLaw for RetryBudget {
     fn decide(&mut self, window: &WindowSnapshot) -> u32 {
         self.update(&window.measurement)
@@ -52,8 +47,8 @@ impl ControlLaw for RetryBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alc_core::controller::{IncrementalSteps, IsParams};
-    use alc_core::measure::Measurement;
+    use crate::controller::{IncrementalSteps, IsParams};
+    use crate::measure::Measurement;
 
     #[test]
     fn forwards_measurements() {

@@ -35,9 +35,12 @@
 //!   observes ([`gatelog::GateEvent`], [`gatelog::GateLogSink`]): the
 //!   shared vocabulary that lets `alc-runtime` replay simulator logs and
 //!   prove decision-sequence conformance.
-//!
-//! The embeddable control loop that wires gate, sampler and controller
-//! together for a real (threaded) server is `alc_runtime::ControlLoop`.
+//! * [`control`] — [`control::LoopCore`], the one control loop: gate
+//!   events feed its [`telemetry::TelemetryWindow`] (the sampler plus P²
+//!   latency quantiles), each interval's window goes to a
+//!   [`law::ControlLaw`] ([`law::PaperLaw`] runs any controller), and the
+//!   gate log records both. The simulator's sample tick, the wall-clock
+//!   `alc_runtime::ControlLoop` and `alc_runtime`'s replay all run it.
 //!
 //! # Quick start
 //!
@@ -64,13 +67,16 @@
 
 #![warn(missing_docs)]
 
+pub mod control;
 pub mod controller;
 pub mod estimator;
 pub mod gate;
 pub mod gatelog;
+pub mod law;
 pub mod measure;
 pub mod meta;
 pub mod sampler;
+pub mod telemetry;
 
 pub use controller::{
     FixedBound, IncrementalSteps, IsParams, IyerRule, LoadController, PaParams,

@@ -55,9 +55,9 @@ impl IntervalSampler {
         }
     }
 
-    /// Absorbs one gate event. The simulator engine, `alc-runtime`'s
-    /// telemetry window and log replay all feed through here, so a
-    /// recorded stream is by construction the stream the sampler
+    /// Absorbs one gate event. The control loop's telemetry window feeds
+    /// through here in the simulator, the runtime and log replay alike,
+    /// so a recorded stream is by construction the stream the sampler
     /// consumed. A commit counts its conflicts first, then the departure;
     /// a `Decision` is the driver's cue to harvest and carries nothing.
     #[inline]

@@ -73,10 +73,11 @@ pub(crate) const RNG_DISCIPLINE: Scope = Scope {
     exclude: &["crates/des/src/rng.rs", "crates/lint"],
 };
 
-/// Zero-alloc steady-state modules: the event calendar and the whole
-/// transaction engine + CC protocol layer. The counting-allocator tests
-/// prove executed paths allocation-free; this scope makes the claim
-/// static. Construction/reset-time allocation is fine — allow() it.
+/// Zero-alloc steady-state modules: the event calendar, the whole
+/// transaction engine + CC protocol layer, and its control loop. The
+/// counting-allocator tests prove executed paths allocation-free; this
+/// scope makes the claim static. Construction/reset-time allocation is
+/// fine — allow() it.
 pub(crate) const HOT: Scope = Scope {
     name: "hot",
     include: &[
@@ -85,11 +86,13 @@ pub(crate) const HOT: Scope = Scope {
         "crates/tpsim/src/cc",
         "crates/tpsim/src/client.rs",
         "crates/trace/src",
+        "crates/core/src/control.rs",
+        "crates/core/src/telemetry.rs",
     ],
     exclude: &[],
 };
 
-/// Pure policy code, the runtime's control laws included: decisions
+/// Pure policy code, both crates' control laws included: decisions
 /// must be functions of their observations alone. The purity rules and
 /// the wall-clock and sleep rules bind it. No suppressions are tolerated
 /// here (`workspace_clean.rs` greps for them).
@@ -99,15 +102,16 @@ pub const PURITY: Scope = Scope {
         "crates/core/src/controller",
         "crates/core/src/estimator",
         "crates/core/src/meta",
+        "crates/core/src/law",
         "crates/runtime/src/law",
     ],
     exclude: &[],
 };
 
-/// The runtime's real-time shell: the embeddable control loop around the
-/// pure law directory. It legitimately reads the wall clock (that is its
-/// job), but each such site must carry a reasoned allow — the
-/// deterministic core (`LoopCore`, telemetry, replay) must never need one.
+/// The runtime's real-time shell: the embeddable `ControlLoop` around
+/// `alc-core`'s `LoopCore`. It legitimately reads the wall clock (that
+/// is its job), but each such site must carry a reasoned allow — replay,
+/// the log and the metrics must never need one.
 pub(crate) const RUNTIME_SHELL: Scope = Scope {
     name: "runtime-shell",
     include: &["crates/runtime/src"],

@@ -3,12 +3,13 @@
 //!
 //! The split is the crate's load-bearing design decision:
 //!
-//! * [`LoopCore`] is the whole control stack — telemetry window, control
-//!   law, optional gate-log recorder — driven exclusively by explicit
-//!   `now_ms` arguments. It never reads a clock, spawns a thread, or
-//!   touches I/O, so a recorded event stream replayed through it (see
+//! * [`LoopCore`] (from `alc_core::control`, re-exported here) is the
+//!   whole control stack — telemetry window, control law, optional
+//!   gate-log recorder — driven exclusively by explicit `now_ms`
+//!   arguments. It never reads a clock, spawns a thread, or touches I/O,
+//!   so a recorded event stream replayed through it (see
 //!   [`crate::replay()`]) reproduces the original decision sequence
-//!   bit-for-bit.
+//!   bit-for-bit. The simulator's sample tick runs the same type.
 //! * [`ControlLoop`] is the embeddable shell: it owns an
 //!   [`AdaptiveGate`], stamps events with wall-clock time since
 //!   construction, and gets them to the core. Server threads call
@@ -55,15 +56,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+pub use alc_core::control::{Decision, LoopCore};
 use alc_core::gate::{AdaptiveGate, Permit};
 use alc_core::gatelog::{GateEvent, GateLogSink};
+use alc_core::law::ControlLaw;
 use alc_core::measure::PerfIndicator;
 use alc_trace::{cat as tcat, name as tname, Args as TraceArgs, TraceEvent, TraceSink};
 use parking_lot::Mutex;
 
-use crate::law::{ControlLaw, WindowSnapshot};
 use crate::metrics::MetricsSnapshot;
-use crate::telemetry::{Outcome, TelemetryWindow};
+use crate::telemetry::Outcome;
 
 /// What happens to an arrival that finds the gate full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,144 +76,6 @@ pub enum AdmissionPolicy {
     QueueTimeout(Duration),
     /// Admit only if a slot is free right now; otherwise shed.
     Shed,
-}
-
-/// One harvested decision: the bound now in force and the window that
-/// produced it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Decision {
-    /// Harvest time, ms from the loop's epoch.
-    pub at_ms: f64,
-    /// The MPL bound the law chose.
-    pub bound: u32,
-    /// The telemetry window the law saw.
-    pub window: WindowSnapshot,
-}
-
-/// The deterministic event-time control core (no clock, no threads, no
-/// I/O). Drive it with monotonically non-decreasing `now_ms` values.
-///
-/// Time starts at `0.0` with an empty system — the same epoch the
-/// simulator's sampler uses, which is what lets simulator-recorded logs
-/// replay through this type unchanged.
-pub struct LoopCore {
-    telemetry: TelemetryWindow,
-    law: Box<dyn ControlLaw>,
-    log: Option<Box<dyn GateLogSink>>,
-    commits: u64,
-    aborts: u64,
-    sheds: u64,
-    decisions: u64,
-    last: Option<Decision>,
-}
-
-impl LoopCore {
-    /// Wires a law to a fresh telemetry window (epoch `0.0`, empty
-    /// system).
-    pub fn new(law: Box<dyn ControlLaw>, indicator: PerfIndicator) -> Self {
-        LoopCore {
-            telemetry: TelemetryWindow::new(indicator, 0.0, 0),
-            law,
-            log: None,
-            commits: 0,
-            aborts: 0,
-            sheds: 0,
-            decisions: 0,
-            last: None,
-        }
-    }
-
-    /// Installs a gate-log recorder mirroring every event fed in.
-    pub fn set_gate_log(&mut self, sink: Box<dyn GateLogSink>) {
-        self.log = Some(sink);
-    }
-
-    /// Removes and returns the recorder.
-    pub fn take_gate_log(&mut self) -> Option<Box<dyn GateLogSink>> {
-        self.log.take()
-    }
-
-    /// Records that the in-system population changed to `in_system`.
-    pub fn on_mpl(&mut self, now_ms: f64, in_system: u32) {
-        self.feed(&GateEvent::Mpl {
-            at_ms: now_ms,
-            in_system,
-        });
-    }
-
-    /// Records a commit.
-    pub fn on_commit(&mut self, now_ms: f64, response_ms: f64, conflicts: u64) {
-        self.feed(&GateEvent::Commit {
-            at_ms: now_ms,
-            response_ms,
-            conflicts,
-        });
-    }
-
-    /// Records an abort.
-    pub fn on_abort(&mut self, now_ms: f64, conflicts: u64) {
-        self.feed(&GateEvent::Abort {
-            at_ms: now_ms,
-            conflicts,
-        });
-    }
-
-    /// Feeds one gate-log event: a population change, commit or abort
-    /// goes to the telemetry window and, as given, to the recorder; a
-    /// recorded decision closes the window at its timestamp (its bound
-    /// is ignored — the law re-derives it) and returns what the law
-    /// chose. The one entry point behind the `on_*` calls,
-    /// [`crate::replay()`] and the live shell's batches.
-    pub fn feed(&mut self, event: &GateEvent) -> Option<Decision> {
-        match *event {
-            GateEvent::Decision { at_ms, .. } => return Some(self.harvest(at_ms, 0)),
-            GateEvent::Commit { .. } => self.commits += 1,
-            GateEvent::Abort { .. } => self.aborts += 1,
-            GateEvent::Mpl { .. } => {}
-        }
-        self.telemetry.feed(event);
-        if let Some(log) = self.log.as_mut() {
-            log.record(event);
-        }
-        None
-    }
-
-    /// Records a shed arrival (rejected without queueing).
-    pub fn on_shed(&mut self) {
-        self.sheds += 1;
-        self.telemetry.on_shed();
-    }
-
-    /// Closes the window at `now_ms` and runs the law.
-    pub fn harvest(&mut self, now_ms: f64, queue_depth: u32) -> Decision {
-        let window = self.telemetry.harvest(now_ms, queue_depth);
-        let bound = self.law.decide(&window);
-        if let Some(log) = self.log.as_mut() {
-            log.record(&GateEvent::Decision {
-                at_ms: now_ms,
-                bound,
-            });
-        }
-        self.decisions += 1;
-        let decision = Decision {
-            at_ms: now_ms,
-            bound,
-            window,
-        };
-        self.last = Some(decision.clone());
-        decision
-    }
-
-    /// Cumulative `(commits, aborts, sheds, decisions)` since
-    /// construction.
-    pub fn totals(&self) -> (u64, u64, u64, u64) {
-        (self.commits, self.aborts, self.sheds, self.decisions)
-    }
-
-    /// The last harvested decision, if any window has closed yet.
-    fn last_decision(&self) -> Option<&Decision> {
-        self.last.as_ref()
-    }
 }
 
 /// The embeddable admission-control runtime: a thread-safe gate whose
@@ -728,14 +592,12 @@ mod tests {
     fn gate_starts_at_the_laws_bound() {
         let rt = aimd_loop(AdmissionPolicy::Queue, 4);
         assert_eq!(rt.gate().limit(), 4);
-        let shell = rt.shell.lock();
-        assert_eq!(shell.core.law.current_bound(), 4);
     }
 
     #[test]
     fn bound_explores_and_stays_in_range() {
-        use crate::law::PaperLaw;
         use alc_core::controller::{IncrementalSteps, IsParams};
+        use alc_core::law::PaperLaw;
 
         let rt = ControlLoop::new(
             Box::new(PaperLaw::new(Box::new(IncrementalSteps::new(IsParams {

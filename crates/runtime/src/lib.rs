@@ -10,14 +10,14 @@
 //!
 //! * [`control`] — [`ControlLoop`], the thread-safe wall-clock shell,
 //!   wrapped around [`LoopCore`], the deterministic event-time core that
-//!   owns telemetry + law + logging and never reads a clock.
+//!   owns telemetry + law + logging and never reads a clock: the loop
+//!   the simulator's sample tick runs, from `alc_core::control`.
 //! * [`law`] — the pure decision logic: [`ControlLaw`] over
 //!   [`WindowSnapshot`]s, with [`PaperLaw`] running any `alc_core`
-//!   controller unchanged, plus [`AimdLaw`] and [`RetryBudgetLaw`] as
-//!   self-*-style alternatives.
-//! * [`telemetry`] — [`TelemetryWindow`]: the simulator's own
-//!   `IntervalSampler` plus allocation-free P² latency quantiles and
-//!   shed counting.
+//!   controller unchanged (all three from `alc_core::law`), plus
+//!   [`AimdLaw`] and [`RetryBudgetLaw`] as self-*-style alternatives.
+//! * [`telemetry`] — [`Outcome`], and `alc_core`'s [`TelemetryWindow`]:
+//!   the interval sampler plus allocation-free P² latency quantiles.
 //! * [`log`] — the JSONL gate-log format ([`JsonlSink`] writer,
 //!   [`read_gate_log`] reader) over `alc_core::gatelog::GateEvent`, and
 //!   [`read_jsonl`], the line reader every JSONL input goes through.
@@ -33,8 +33,8 @@
 //! A controller's decisions are a pure function of its sampler's input
 //! stream and harvest instants. The simulator records exactly that
 //! stream (`Simulator::set_gate_log`), the JSONL format round-trips
-//! every `f64` exactly, and [`LoopCore`] drives the *same* sampler and
-//! controller code — so replaying a simulated scenario through this
+//! every `f64` exactly, and the simulation and this crate run the same
+//! loop, [`LoopCore`] — so replaying a simulated scenario through this
 //! crate must reproduce the simulation's decision sequence bit-for-bit.
 //! The checked-in traces under `scenarios/traces/` pin that property in
 //! CI: the simulator's validated behavior *is* the runtime's acceptance

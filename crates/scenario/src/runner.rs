@@ -11,7 +11,7 @@
 //! ported scenarios byte-for-byte against the pre-port outputs.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use alc_core::gatelog::{GateEvent, GateLogSink};
 use alc_des::series::write_aligned_csv;
@@ -95,7 +95,7 @@ fn run_one(
             seed,
             quick: req.quick,
         };
-        let events = events.lock().map_or_else(|e| e.into_inner().clone(), |g| g.clone());
+        let events = std::mem::take(&mut *events.lock().unwrap_or_else(PoisonError::into_inner));
         let path = req.dir.join(cell_file_name(plan, v, rep as u32, "gatelog.jsonl"));
         let f = std::fs::File::create(path)?;
         write_gate_log(std::io::BufWriter::new(f), &header, &events)?;

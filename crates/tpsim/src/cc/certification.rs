@@ -111,7 +111,7 @@ impl ConcurrencyControl for Certification {
         }
     }
 
-    fn commit(&mut self, txn: TxnId) -> Vec<TxnId> {
+    fn commit_into(&mut self, txn: TxnId, unblocked: &mut Vec<TxnId>) {
         self.commit_seq += 1;
         let Certification {
             commit_seq,
@@ -126,14 +126,13 @@ impl ConcurrencyControl for Certification {
             }
         }
         // The run is over: the rest is an abort's bookkeeping.
-        self.abort(txn)
+        self.abort_into(txn, unblocked);
     }
 
-    fn abort(&mut self, txn: TxnId) -> Vec<TxnId> {
+    fn abort_into(&mut self, txn: TxnId, _unblocked: &mut Vec<TxnId>) {
         let st = &mut self.txns[txn];
         st.start_seq = IDLE;
         st.accesses.clear();
-        Vec::new() // alc-lint: allow(hot-alloc, reason="empty Vec::new is allocation-free; certification never wakes blocked txns")
     }
 
     fn deadlock_victim(&mut self, _requester: TxnId) -> Option<TxnId> {
@@ -376,7 +375,7 @@ mod tests {
                 }
             }
 
-            fn commit(&mut self, txn: TxnId) -> Vec<TxnId> {
+            fn commit_into(&mut self, txn: TxnId, _: &mut Vec<TxnId>) {
                 self.commit_seq += 1;
                 let seq = self.commit_seq;
                 let mut accesses = std::mem::take(&mut self.txns[txn].accesses);
@@ -391,12 +390,10 @@ mod tests {
                 }
                 accesses.clear();
                 self.txns[txn].accesses = accesses;
-                Vec::new()
             }
 
-            fn abort(&mut self, txn: TxnId) -> Vec<TxnId> {
+            fn abort_into(&mut self, txn: TxnId, _: &mut Vec<TxnId>) {
                 self.txns[txn].accesses.clear();
-                Vec::new()
             }
 
             fn deadlock_victim(&mut self, _requester: TxnId) -> Option<TxnId> {

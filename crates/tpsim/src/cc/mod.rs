@@ -72,28 +72,30 @@ pub trait ConcurrencyControl {
     /// Commit-time validation (certification point).
     fn validate(&mut self, txn: TxnId) -> ValidateOutcome;
 
-    /// Finalizes a validated commit: installs writes / releases locks.
-    /// Returns transactions whose pending lock requests are now granted.
-    fn commit(&mut self, txn: TxnId) -> Vec<TxnId>;
+    /// Finalizes a validated commit: installs writes / releases locks,
+    /// and appends the transactions whose pending lock requests are now
+    /// granted to `unblocked`. The engine calls this with a pooled
+    /// buffer.
+    fn commit_into(&mut self, txn: TxnId, unblocked: &mut Vec<TxnId>);
 
-    /// Aborts `txn`, releasing whatever it held. Returns unblocked
-    /// transactions.
-    fn abort(&mut self, txn: TxnId) -> Vec<TxnId>;
+    /// Aborts `txn`, releasing whatever it held, and appends the
+    /// unblocked transactions to `unblocked`.
+    fn abort_into(&mut self, txn: TxnId, unblocked: &mut Vec<TxnId>);
 
-    /// Allocation-free variant of [`ConcurrencyControl::commit`]: appends
-    /// the unblocked transactions to `unblocked` instead of returning a
-    /// fresh `Vec`. The engine's hot path calls this with a pooled
-    /// buffer; lock-based protocols override it to bypass the allocating
-    /// path entirely. The default forwards to `commit` (whose empty-`Vec`
-    /// returns never allocate for the non-blocking protocols).
-    fn commit_into(&mut self, txn: TxnId, unblocked: &mut Vec<TxnId>) {
-        unblocked.extend(self.commit(txn));
+    /// [`ConcurrencyControl::commit_into`] into a fresh `Vec`, for
+    /// callers off the engine's hot path.
+    fn commit(&mut self, txn: TxnId) -> Vec<TxnId> {
+        let mut unblocked = Vec::new(); // alc-lint: allow(hot-alloc, reason="convenience wrapper; the engine hot path calls commit_into with a pooled buffer")
+        self.commit_into(txn, &mut unblocked);
+        unblocked
     }
 
-    /// Allocation-free variant of [`ConcurrencyControl::abort`]; see
-    /// [`ConcurrencyControl::commit_into`].
-    fn abort_into(&mut self, txn: TxnId, unblocked: &mut Vec<TxnId>) {
-        unblocked.extend(self.abort(txn));
+    /// [`ConcurrencyControl::abort_into`] into a fresh `Vec`, for
+    /// callers off the engine's hot path.
+    fn abort(&mut self, txn: TxnId) -> Vec<TxnId> {
+        let mut unblocked = Vec::new(); // alc-lint: allow(hot-alloc, reason="convenience wrapper; the engine hot path calls abort_into with a pooled buffer")
+        self.abort_into(txn, &mut unblocked);
+        unblocked
     }
 
     /// After `requester` blocked: names a transaction that must be

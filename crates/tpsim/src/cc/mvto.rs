@@ -392,7 +392,7 @@ impl ConcurrencyControl for Mvto {
         }
     }
 
-    fn commit(&mut self, txn: TxnId) -> Vec<TxnId> {
+    fn commit_into(&mut self, txn: TxnId, unblocked: &mut Vec<TxnId>) {
         let ts = self.slots[txn].ts;
         // Move the write list out to satisfy the borrow checker, then
         // restore the (cleared) buffer to keep its allocation.
@@ -409,15 +409,14 @@ impl ConcurrencyControl for Mvto {
         writes.clear();
         self.slots[txn].writes = writes;
         // The run is over: the rest is an abort's bookkeeping.
-        self.abort(txn)
+        self.abort_into(txn, unblocked);
     }
 
-    fn abort(&mut self, txn: TxnId) -> Vec<TxnId> {
+    fn abort_into(&mut self, txn: TxnId, _unblocked: &mut Vec<TxnId>) {
         let slot = &mut self.slots[txn];
         slot.ts = IDLE;
         slot.reads.clear();
         slot.writes.clear();
-        Vec::new() // alc-lint: allow(hot-alloc, reason="empty Vec::new is allocation-free; MVTO never wakes blocked txns")
     }
 
     fn deadlock_victim(&mut self, _requester: TxnId) -> Option<TxnId> {
@@ -903,7 +902,7 @@ mod tests {
                 }
             }
 
-            fn commit(&mut self, txn: TxnId) -> Vec<TxnId> {
+            fn commit_into(&mut self, txn: TxnId, _: &mut Vec<TxnId>) {
                 let ts = self.slots[txn].ts;
                 let mut writes = std::mem::take(&mut self.slots[txn].writes);
                 for &item in &writes {
@@ -918,14 +917,12 @@ mod tests {
                 writes.clear();
                 self.slots[txn].writes = writes;
                 self.slots[txn].reads.clear();
-                Vec::new()
             }
 
-            fn abort(&mut self, txn: TxnId) -> Vec<TxnId> {
+            fn abort_into(&mut self, txn: TxnId, _: &mut Vec<TxnId>) {
                 let slot = &mut self.slots[txn];
                 slot.reads.clear();
                 slot.writes.clear();
-                Vec::new()
             }
 
             fn deadlock_victim(&mut self, _requester: TxnId) -> Option<TxnId> {

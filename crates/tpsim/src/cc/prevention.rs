@@ -96,18 +96,6 @@ impl ConcurrencyControl for Prevention {
         }
     }
 
-    fn commit(&mut self, txn: TxnId) -> Vec<TxnId> {
-        let mut unblocked = Vec::new(); // alc-lint: allow(hot-alloc, reason="convenience wrapper; the engine hot path uses commit_into with a reusable buffer")
-        self.commit_into(txn, &mut unblocked);
-        unblocked
-    }
-
-    fn abort(&mut self, txn: TxnId) -> Vec<TxnId> {
-        let mut unblocked = Vec::new(); // alc-lint: allow(hot-alloc, reason="convenience wrapper; the engine hot path uses abort_into with a reusable buffer")
-        self.abort_into(txn, &mut unblocked);
-        unblocked
-    }
-
     fn commit_into(&mut self, txn: TxnId, unblocked: &mut Vec<TxnId>) {
         self.slots[txn].restart_pending = false;
         self.table.release_all_into(txn, unblocked);

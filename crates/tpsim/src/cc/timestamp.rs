@@ -106,14 +106,13 @@ impl ConcurrencyControl for TimestampOrdering {
         }
     }
 
-    fn commit(&mut self, txn: TxnId) -> Vec<TxnId> {
+    fn commit_into(&mut self, txn: TxnId, unblocked: &mut Vec<TxnId>) {
         // Writes installed at access time; ending the run is all that is left.
-        self.abort(txn)
+        self.abort_into(txn, unblocked);
     }
 
-    fn abort(&mut self, txn: TxnId) -> Vec<TxnId> {
+    fn abort_into(&mut self, txn: TxnId, _unblocked: &mut Vec<TxnId>) {
         self.txns[txn].ts = IDLE;
-        Vec::new() // alc-lint: allow(hot-alloc, reason="empty Vec::new is allocation-free; T/O never wakes blocked txns")
     }
 
     fn deadlock_victim(&mut self, _requester: TxnId) -> Option<TxnId> {
@@ -278,13 +277,9 @@ mod tests {
                 }
             }
 
-            fn commit(&mut self, _txn: TxnId) -> Vec<TxnId> {
-                Vec::new()
-            }
+            fn commit_into(&mut self, _: TxnId, _: &mut Vec<TxnId>) {}
 
-            fn abort(&mut self, _txn: TxnId) -> Vec<TxnId> {
-                Vec::new()
-            }
+            fn abort_into(&mut self, _: TxnId, _: &mut Vec<TxnId>) {}
 
             fn deadlock_victim(&mut self, _requester: TxnId) -> Option<TxnId> {
                 None

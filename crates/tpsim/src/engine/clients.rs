@@ -86,8 +86,9 @@ impl Simulator {
         // sampler-visible wasted work; a cancellation straight out of the
         // gate queue is an admission refusal, exactly like a shed retry.
         if self.cancel_attempt(c) {
-            self.feed(GateEvent::Abort {
-                at_ms: self.now().millis(),
+            let at_ms = self.now().millis();
+            self.control_loop.feed(&GateEvent::Abort {
+                at_ms,
                 conflicts: 0,
             });
         }

@@ -1,8 +1,8 @@
-//! Measurement and control: the `Sample` tick (harvest → decide → move
-//! the gate → displace), the statistics window, and the result types the
-//! run reports.
+//! Measurement and control: the `Sample` tick (the control loop closes
+//! its window and decides → move the gate → displace), the statistics
+//! window, and the result types the run reports.
 
-use alc_core::gatelog::GateEvent;
+use alc_core::control::Decision;
 use alc_des::series::TimeSeries;
 use alc_des::stats::Welford;
 use alc_des::SimTime;
@@ -177,16 +177,14 @@ impl Simulator {
         }
     }
 
-    /// The measurement / control tick.
+    /// The measurement / control tick: the control loop closes its
+    /// window and, if it has a law, the gate moves to the law's bound.
     pub(super) fn on_sample(&mut self) {
         let now = self.now();
-        let m = self.sampler.harvest(now.millis());
-        if let Some(ctrl) = self.controller.as_mut() {
-            let bound = ctrl.update(&m);
-            self.feed(GateEvent::Decision {
-                at_ms: now.millis(),
-                bound,
-            });
+        let queued = self.gate.queue_len() as u32;
+        let (window, decision) = self.control_loop.close_window(now.millis(), queued);
+        let m = window.measurement;
+        if let Some(Decision { bound, .. }) = decision {
             self.bound_avg.set(now, f64::from(bound).min(1e9));
             self.tr_instant(tname::GATE_DECISION, tcat::GATE, TraceArgs::Bound(bound));
             self.tr_counter(tname::BOUND, f64::from(bound));

@@ -12,9 +12,10 @@
 //!                     │ fail: abort → restart delay → rerun
 //! ```
 //!
-//! Every `sample_interval_ms` a `Sample` event harvests the interval
-//! measurement, lets the controller adjust the gate bound, and records the
-//! trajectory points the paper's figures plot.
+//! Every `sample_interval_ms` a `Sample` event has the control loop
+//! (`alc_core::control::LoopCore`, which `alc-runtime` embeds too) close
+//! the interval's window and its law, if any, pick the gate bound, and
+//! records the trajectory points the paper's figures plot.
 //!
 //! # The slot lifecycle
 //!
@@ -44,8 +45,10 @@
 //! # Module map
 //!
 //! * this file: the struct, the run loop, the two chokepoints (the
-//!   lifecycle writer `set_state` and the control-plane `feed`) and the
-//!   per-event transaction flow, kept together because it is the hot path;
+//!   lifecycle writer `set_state` and the control plane's
+//!   `LoopCore::feed`, which every `GateEvent` goes through and which
+//!   alone writes the gate log) and the per-event transaction flow, kept
+//!   together because it is the hot path;
 //! * `setup`: the constructor, the `set_*` calls and the read accessors;
 //! * `switch`: drain-and-swap CC switching, the meta policy, faults;
 //! * `clients`: the closed-loop client state machine;
@@ -63,9 +66,8 @@ mod trace;
 pub use control::{RunStats, Trajectories};
 pub use switch::SwitchEvent;
 
-use alc_core::controller::LoadController;
-use alc_core::gatelog::{GateEvent, GateLogSink};
-use alc_core::sampler::IntervalSampler;
+use alc_core::control::LoopCore;
+use alc_core::gatelog::GateEvent;
 use alc_des::dist::{Dist, Sample as _};
 use alc_des::rng::RngStream;
 use alc_des::stats::TimeWeighted;
@@ -195,8 +197,9 @@ pub struct Simulator {
     cpu: CpuStation,
     gate: SimGate,
     rng: Streams,
-    controller: Option<Box<dyn LoadController>>,
-    sampler: IntervalSampler,
+    /// Every [`GateEvent`] goes to its `feed`, which alone writes the
+    /// gate log; the `Sample` tick closes its window.
+    control_loop: LoopCore,
     ts_counter: u64,
     /// Open mode: transaction slots currently unused (LIFO for cache
     /// friendliness; slot identity carries no semantics in open mode).
@@ -248,11 +251,6 @@ pub struct Simulator {
     /// Cached Zipf sampler for the hot-spot extension, keyed by the skew
     /// in force when it was built.
     zipf_cache: Option<(f64, alc_des::dist::Zipf)>,
-    /// Optional gate-log recorder: [`Simulator::feed`] hands it every
-    /// event the sampler consumes plus the decisions, so runs become
-    /// replayable through `alc-runtime` (see `alc_core::gatelog`).
-    /// `None` costs nothing.
-    gate_log: Option<Box<dyn GateLogSink>>,
     /// Optional span/event trace sink (see `alc_trace`): per-transaction
     /// lifecycle spans, service bursts, control decisions, CC switches,
     /// faults and client events, stamped with simulated time. `None`
@@ -325,7 +323,7 @@ impl Simulator {
     }
 
     // ------------------------------------------------------------------
-    // The two chokepoints
+    // The lifecycle chokepoint (the control plane's is `LoopCore::feed`)
     // ------------------------------------------------------------------
 
     /// The lifecycle writer of the module doc: the only place a slot
@@ -349,26 +347,13 @@ impl Simulator {
         }
     }
 
-    /// The control-plane feed: every [`GateEvent`] the control stack
-    /// observes goes to the sampler (through the `IntervalSampler::feed`
-    /// that `alc-runtime` replays through) and, as given, to the gate
-    /// log: the only feeder of either, so a recorded log is the stream
-    /// the sampler consumed by construction.
-    #[inline]
-    fn feed(&mut self, event: GateEvent) {
-        self.sampler.feed(&event);
-        if let Some(log) = self.gate_log.as_mut() {
-            log.record(&event);
-        }
-    }
-
     /// The in-system population changed: tell the window average, the
     /// control plane and the trace.
     fn note_mpl(&mut self) {
         let now = self.now();
         let n = self.gate.in_system();
         self.mpl_avg.set(now, f64::from(n));
-        self.feed(GateEvent::Mpl {
+        self.control_loop.feed(&GateEvent::Mpl {
             at_ms: now.millis(),
             in_system: n,
         });
@@ -658,7 +643,7 @@ impl Simulator {
         let v = self.cc.validate(i);
         self.window.conflicts += v.conflicts;
         if !v.ok {
-            self.feed(GateEvent::Abort {
+            self.control_loop.feed(&GateEvent::Abort {
                 at_ms: now.millis(),
                 conflicts: v.conflicts,
             });
@@ -668,7 +653,7 @@ impl Simulator {
         let mut unblocked = self.take_scratch();
         self.cc.commit_into(i, &mut unblocked);
         let response = now - self.txns[i].submitted_at;
-        self.feed(GateEvent::Commit {
+        self.control_loop.feed(&GateEvent::Commit {
             at_ms: now.millis(),
             response_ms: response,
             conflicts: v.conflicts,

@@ -1,10 +1,11 @@
 //! Building and configuring a [`Simulator`]: the constructor, the
 //! `set_*` calls made before a run, and the read accessors.
 
+use alc_core::control::LoopCore;
 use alc_core::controller::LoadController;
 use alc_core::gatelog::GateLogSink;
+use alc_core::law::PaperLaw;
 use alc_core::meta::MetaPolicy;
-use alc_core::sampler::IntervalSampler;
 use alc_des::dist::{Dist, Sample as _};
 use alc_des::rng::SeedFactory;
 use alc_des::stats::TimeWeighted;
@@ -41,6 +42,11 @@ impl Simulator {
         let initial_bound = controller
             .as_ref()
             .map_or(control.initial_bound, |c| c.current_bound());
+        let control_loop = match controller {
+            // alc-lint: allow(hot-alloc, reason="construction-time; one law per run")
+            Some(c) => LoopCore::new(Box::new(PaperLaw::new(c)), control.indicator),
+            None => LoopCore::without_law(control.indicator),
+        };
         let slots = sys.terminals as usize;
         // Room to file one event per slot beside a Sample and an Arrival.
         // A slot has at most one live event in flight and the lanes take
@@ -86,8 +92,7 @@ impl Simulator {
                 client_timeout: seeds.stream("client_timeout"),
                 retry_jitter: seeds.stream("retry_jitter"),
             },
-            controller,
-            sampler: IntervalSampler::new(control.indicator, 0.0, 0),
+            control_loop,
             ts_counter: 0,
             free_slots: Vec::with_capacity(slots),
             events: 0,
@@ -101,7 +106,6 @@ impl Simulator {
             optimum_cache: std::collections::BTreeMap::new(),
             record_optimum: true,
             zipf_cache: None,
-            gate_log: None,
             trace: None,
             clients: None,
             last_client: ClientStats::default(),
@@ -137,28 +141,28 @@ impl Simulator {
         self.record_optimum = on;
     }
 
-    /// Installs a gate-log sink. From then on every sampler input (MPL
-    /// change, commit, abort) and every controller decision reaches the
-    /// sink as a [`GateEvent`](alc_core::gatelog::GateEvent), making the
-    /// run replayable: the recorded stream fed through an identically
-    /// built sampler + controller reproduces the decision sequence
-    /// bit-for-bit. Call before running; recording does not perturb the
-    /// simulation.
+    /// Hands a gate-log sink to the control loop. From then on every
+    /// event it is fed (MPL change, commit, abort) and every decision of
+    /// its law reaches the sink as a
+    /// [`GateEvent`](alc_core::gatelog::GateEvent), making the run
+    /// replayable: the recorded stream fed through an identically built
+    /// loop reproduces the decision sequence bit-for-bit. Call before
+    /// running; recording does not perturb the simulation.
     pub fn set_gate_log(&mut self, sink: Box<dyn GateLogSink>) {
-        self.gate_log = Some(sink);
+        self.control_loop.set_gate_log(sink);
     }
 
     /// Removes and returns the installed gate-log sink (typically after
     /// the run, to extract the recorded events).
     pub fn take_gate_log(&mut self) -> Option<Box<dyn GateLogSink>> {
-        self.gate_log.take()
+        self.control_loop.take_gate_log()
     }
 
     /// Installs a closed-loop client pool: impatient clients replace the
     /// paper's patient terminals. Each client owns one transaction slot,
     /// cycles through think → issue → wait, and on timeout cancels its
     /// in-flight attempt and consults its retry policy. Timeouts and shed retries
-    /// feed the sampler (and the gate log) as aborts, so retry-aware
+    /// feed the control loop (and the gate log) as aborts, so retry-aware
     /// control laws observe the storm they must clamp. Call once, before
     /// the run; panics when [`ClientConfig::check`] errs.
     pub fn set_clients(&mut self, cfg: ClientConfig) {

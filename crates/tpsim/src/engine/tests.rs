@@ -4,7 +4,7 @@
 //! as the hot path; still `engine::tests`, so every test keeps its id.
 
 use super::*;
-use alc_core::controller::{FixedBound, IncrementalSteps, IsParams};
+use alc_core::controller::{FixedBound, IncrementalSteps, IsParams, LoadController};
 use alc_des::dist::Dist;
 
 fn small_sys(terminals: u32, seed: u64) -> SystemConfig {

@@ -26,7 +26,8 @@
 //! via [`workload::WorkloadConfig`] schedules (jumps and sinusoids).
 //!
 //! The simulator binds any [`alc_core::controller::LoadController`] to its
-//! admission gate and reports the trajectories the paper plots:
+//! admission gate through [`alc_core::control::LoopCore`], the control
+//! loop `alc-runtime` embeds, and reports the trajectories the paper plots:
 //! `n*(t)`, observed MPL, throughput, and abort rates.
 
 #![warn(missing_docs)]
