@@ -46,17 +46,19 @@ impl LoopCore {
     /// system).
     pub fn new(law: Box<dyn ControlLaw>, indicator: PerfIndicator) -> Self {
         LoopCore {
-            law: Some(law),
-            ..Self::without_law(indicator)
+            telemetry: TelemetryWindow::new(indicator, 0.0, 0),
+            ..Self::measuring(Some(law), indicator)
         }
     }
 
-    /// A loop without a law: it closes windows but makes, counts and
-    /// logs no decision.
-    pub fn without_law(indicator: PerfIndicator) -> Self {
+    /// A loop whose window keeps no response-time quantiles (each
+    /// snapshot reads `0.0` there): the simulator's, whose laws read the
+    /// measurement alone. Without a law (a simulation under a static
+    /// bound) it closes windows but makes, counts and logs no decision.
+    pub fn measuring(law: Option<Box<dyn ControlLaw>>, indicator: PerfIndicator) -> Self {
         LoopCore {
-            telemetry: TelemetryWindow::new(indicator, 0.0, 0),
-            law: None,
+            telemetry: TelemetryWindow::without_quantiles(indicator, 0.0, 0),
+            law,
             log: None,
             commits: 0,
             aborts: 0,
@@ -153,7 +155,8 @@ impl LoopCore {
     }
 
     /// Closes the window at `now_ms` and runs the law. Panics on a loop
-    /// [`LoopCore::without_law`], which has [`LoopCore::close_window`].
+    /// [`LoopCore::measuring`] without a law, which has
+    /// [`LoopCore::close_window`].
     pub fn harvest(&mut self, now_ms: f64, queue_depth: u32) -> Decision {
         self.close_window(now_ms, queue_depth).1.expect("harvest needs a law")
     }
@@ -214,7 +217,7 @@ mod tests {
     #[test]
     fn a_loop_without_a_law_measures_like_a_bare_sampler_and_decides_nothing() {
         let indicator = PerfIndicator::Throughput;
-        let mut core = LoopCore::without_law(indicator);
+        let mut core = LoopCore::measuring(None, indicator);
         let log = Arc::new(Mutex::new(Vec::new()));
         core.set_gate_log(Box::new(SharedSink(Arc::clone(&log))));
         let mut bare = IntervalSampler::new(indicator, 0.0, 0);
@@ -238,5 +241,30 @@ mod tests {
         assert_eq!((commits, aborts, decisions), (72, 18, 0));
         assert!(core.last_decision().is_none());
         assert_eq!(*log.lock(), events);
+    }
+
+    #[test]
+    fn a_loop_without_quantiles_decides_like_the_full_one() {
+        use crate::controller::{IncrementalSteps, IsParams};
+        use crate::law::PaperLaw;
+        let law = || -> Box<dyn ControlLaw> {
+            Box::new(PaperLaw::new(Box::new(IncrementalSteps::new(IsParams::default()))))
+        };
+        let indicator = PerfIndicator::Throughput;
+        let mut full = LoopCore::new(law(), indicator);
+        let mut lean = LoopCore::measuring(Some(law()), indicator);
+        for (n, chunk) in stream().chunks(60).enumerate() {
+            for event in chunk {
+                full.feed(event);
+                lean.feed(event);
+            }
+            let at_ms = (n + 1) as f64 * 330.0;
+            let (a, b) = (full.harvest(at_ms, 0), lean.harvest(at_ms, 0));
+            assert_eq!(a.bound, b.bound, "window {n}");
+            let m = |d: &Decision| format!("{:?}", d.window.measurement);
+            assert_eq!(m(&a), m(&b), "window {n}");
+            assert!(a.window.p50_ms > 0.0);
+            assert_eq!([b.window.p50_ms, b.window.p95_ms, b.window.p99_ms], [0.0; 3]);
+        }
     }
 }

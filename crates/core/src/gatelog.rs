@@ -88,30 +88,6 @@ pub trait GateLogSink: Send {
     fn record(&mut self, event: &GateEvent);
 }
 
-/// A sink buffering events in memory, for tests and post-run extraction.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    events: Vec<GateEvent>,
-}
-
-impl MemorySink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-
-    /// The events recorded so far.
-    pub fn events(&self) -> &[GateEvent] {
-        &self.events
-    }
-}
-
-impl GateLogSink for MemorySink {
-    fn record(&mut self, event: &GateEvent) {
-        self.events.push(*event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,22 +118,6 @@ mod tests {
             let back = GateEvent::from_value(&v).expect("round trip");
             assert_eq!(*e, back);
         }
-    }
-
-    #[test]
-    fn memory_sink_preserves_order() {
-        let mut sink = MemorySink::new();
-        let a = GateEvent::Mpl {
-            at_ms: 1.0,
-            in_system: 1,
-        };
-        let b = GateEvent::Decision {
-            at_ms: 2.0,
-            bound: 4,
-        };
-        sink.record(&a);
-        sink.record(&b);
-        assert_eq!(sink.events(), &[a, b]);
     }
 
     #[test]

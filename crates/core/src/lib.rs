@@ -83,5 +83,5 @@ pub use controller::{
     ParabolaApproximation, TayRule, Unlimited,
 };
 pub use gate::{AdaptiveGate, GateStats, Permit};
-pub use gatelog::{GateEvent, GateLogSink, MemorySink};
+pub use gatelog::{GateEvent, GateLogSink};
 pub use measure::{Measurement, PerfIndicator};

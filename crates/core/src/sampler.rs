@@ -7,16 +7,11 @@
 //! comprise rather hundreds of departures than some tens."
 //!
 //! [`IntervalSampler`] accumulates departures/aborts/response times and is
-//! harvested once per interval. Two policies resize the interval between
-//! harvests, each with `observe` (absorb the latest harvest, return the
-//! next interval) and `current_ms`:
-//!
-//! * [`AdaptiveInterval`] — the pragmatic rule: aim for a target number of
-//!   departures per interval.
-//! * [`CiInterval`] — the exact §5 calculation: size the interval so the
-//!   throughput estimate meets a target accuracy and confidence, from the
-//!   measured second moments of the departure process
-//!   ([`alc_des::interval`]).
+//! harvested once per interval. [`CiInterval`] resizes the interval
+//! between harvests (`observe` absorbs the latest harvest and returns the
+//! next interval) by the exact §5 calculation: the throughput estimate
+//! meets a target accuracy and confidence, from the measured second
+//! moments of the departure process ([`alc_des::interval`]).
 
 use alc_des::interval::DispersionEstimator;
 use alc_des::stats::ConfidenceLevel;
@@ -137,55 +132,6 @@ impl IntervalSampler {
         self.response_sum_ms = 0.0;
         self.mpl_area = 0.0;
         m
-    }
-}
-
-/// Adapts the measurement interval so each one contains about
-/// `target_departures` commits (§5's "hundreds of departures rather than
-/// some tens"), within `[min_ms, max_ms]`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct AdaptiveInterval {
-    /// Desired departures per interval.
-    pub target_departures: u64,
-    /// Shortest allowed interval (responsiveness cap), ms.
-    pub min_ms: f64,
-    /// Longest allowed interval (staleness cap), ms.
-    pub max_ms: f64,
-    current_ms: f64,
-}
-
-impl AdaptiveInterval {
-    /// Creates the policy starting from `initial_ms`.
-    pub fn new(target_departures: u64, min_ms: f64, max_ms: f64, initial_ms: f64) -> Self {
-        assert!(target_departures > 0);
-        assert!(min_ms > 0.0 && max_ms >= min_ms);
-        assert!((min_ms..=max_ms).contains(&initial_ms));
-        AdaptiveInterval {
-            target_departures,
-            min_ms,
-            max_ms,
-            current_ms: initial_ms,
-        }
-    }
-
-    /// The interval to use next.
-    pub fn current_ms(&self) -> f64 {
-        self.current_ms
-    }
-
-    /// Updates the interval from the last harvest's departure count.
-    /// Geometric smoothing (x½/x2 max per step) keeps the interval from
-    /// oscillating on bursty traffic.
-    pub fn observe(&mut self, m: &Measurement) -> f64 {
-        let rate = m.departures as f64 / m.interval_ms.max(f64::EPSILON);
-        let ideal = if rate > 0.0 {
-            self.target_departures as f64 / rate
-        } else {
-            self.current_ms * 2.0
-        };
-        let step_limited = ideal.clamp(self.current_ms * 0.5, self.current_ms * 2.0);
-        self.current_ms = step_limited.clamp(self.min_ms, self.max_ms);
-        self.current_ms
     }
 }
 
@@ -320,49 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_interval_grows_when_starved() {
-        let mut ai = AdaptiveInterval::new(200, 100.0, 60_000.0, 1000.0);
-        // 10 departures in 1000ms -> rate 0.01/ms -> ideal 20s, step-limited x2.
-        let m = Measurement {
-            departures: 10,
-            ..Measurement::basic(1000.0, 1000.0, 0.0, 0.0)
-        };
-        assert!((ai.observe(&m) - 2000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn adaptive_interval_shrinks_when_flooded() {
-        let mut ai = AdaptiveInterval::new(200, 100.0, 60_000.0, 10_000.0);
-        // 4000 departures in 10s -> ideal 500ms, step-limited to x0.5.
-        let m = Measurement {
-            departures: 4000,
-            ..Measurement::basic(0.0, 10_000.0, 0.0, 0.0)
-        };
-        assert!((ai.observe(&m) - 5000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn adaptive_interval_respects_caps() {
-        let mut ai = AdaptiveInterval::new(200, 500.0, 4000.0, 1000.0);
-        let dead = Measurement {
-            departures: 0,
-            ..Measurement::basic(0.0, 1000.0, 0.0, 0.0)
-        };
-        for _ in 0..10 {
-            ai.observe(&dead);
-        }
-        assert_eq!(ai.current_ms(), 4000.0);
-        let flood = Measurement {
-            departures: 100_000,
-            ..Measurement::basic(0.0, 1000.0, 0.0, 0.0)
-        };
-        for _ in 0..10 {
-            ai.observe(&flood);
-        }
-        assert_eq!(ai.current_ms(), 500.0);
-    }
-
-    #[test]
     fn ci_interval_converges_to_the_renewal_formula() {
         // Poisson-like counts (c² ≈ 1) at 0.2/ms: the §5 formula says
         // T = (1.96/0.1)²·1 / 0.2 ≈ 1921 ms.
@@ -440,20 +343,5 @@ mod tests {
             interval = ci.observe(&m);
         }
         assert_eq!(interval, 200.0);
-    }
-
-    #[test]
-    fn adaptive_interval_converges_to_target() {
-        // Constant rate of 0.2 departures/ms -> ideal interval 1000ms.
-        let mut ai = AdaptiveInterval::new(200, 100.0, 60_000.0, 8000.0);
-        let mut interval = ai.current_ms();
-        for _ in 0..10 {
-            let m = Measurement {
-                departures: (0.2 * interval) as u64,
-                ..Measurement::basic(0.0, interval, 0.0, 0.0)
-            };
-            interval = ai.observe(&m);
-        }
-        assert!((interval - 1000.0).abs() < 50.0, "converged to {interval}");
     }
 }

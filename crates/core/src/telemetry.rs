@@ -5,7 +5,9 @@
 //! identical event streams produce identical measurements. On top of it
 //! the window keeps response-time quantiles (P² streaming estimates,
 //! allocation-free) and a shed counter, which are reported in the
-//! [`WindowSnapshot`] but never perturb the measurement.
+//! [`WindowSnapshot`] but never perturb the measurement. A window built
+//! without quantiles (the simulator's: its laws read the measurement
+//! alone) skips their per-commit update and reports them as `0.0`.
 
 use crate::gatelog::GateEvent;
 use crate::law::WindowSnapshot;
@@ -125,9 +127,8 @@ impl P2Quantile {
 #[derive(Debug, Clone)]
 pub struct TelemetryWindow {
     sampler: IntervalSampler,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
+    /// p50, p95 and p99; `None` in a window that keeps no quantiles.
+    quantiles: Option<[P2Quantile; 3]>,
     shed: u64,
 }
 
@@ -135,10 +136,17 @@ impl TelemetryWindow {
     /// Creates a window starting at `now_ms` with `mpl` units in flight.
     pub fn new(indicator: PerfIndicator, now_ms: f64, mpl: u32) -> Self {
         TelemetryWindow {
+            quantiles: Some([0.50, 0.95, 0.99].map(P2Quantile::new)),
+            ..Self::without_quantiles(indicator, now_ms, mpl)
+        }
+    }
+
+    /// A window whose snapshots report every quantile as `0.0`, for an
+    /// owner whose law reads none of them.
+    pub(crate) fn without_quantiles(indicator: PerfIndicator, now_ms: f64, mpl: u32) -> Self {
+        TelemetryWindow {
             sampler: IntervalSampler::new(indicator, now_ms, mpl),
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
+            quantiles: None,
             shed: 0,
         }
     }
@@ -148,10 +156,12 @@ impl TelemetryWindow {
     #[inline]
     pub fn feed(&mut self, event: &GateEvent) {
         self.sampler.feed(event);
-        if let GateEvent::Commit { response_ms, .. } = *event {
-            self.p50.observe(response_ms);
-            self.p95.observe(response_ms);
-            self.p99.observe(response_ms);
+        if let (Some(quantiles), GateEvent::Commit { response_ms, .. }) =
+            (self.quantiles.as_mut(), *event)
+        {
+            for q in quantiles {
+                q.observe(response_ms);
+            }
         }
     }
 
@@ -172,17 +182,21 @@ impl TelemetryWindow {
     /// Closes the window at `now_ms`, returning its snapshot and
     /// starting the next window.
     pub fn harvest(&mut self, now_ms: f64, queue_depth: u32) -> WindowSnapshot {
+        let [p50_ms, p95_ms, p99_ms] = self
+            .quantiles
+            .as_ref()
+            .map_or([0.0; 3], |qs| qs.each_ref().map(P2Quantile::estimate));
         let snapshot = WindowSnapshot {
             measurement: self.sampler.harvest(now_ms),
-            p50_ms: self.p50.estimate(),
-            p95_ms: self.p95.estimate(),
-            p99_ms: self.p99.estimate(),
+            p50_ms,
+            p95_ms,
+            p99_ms,
             shed: self.shed,
             queue_depth,
         };
-        self.p50.reset();
-        self.p95.reset();
-        self.p99.reset();
+        for q in self.quantiles.iter_mut().flatten() {
+            q.reset();
+        }
         self.shed = 0;
         snapshot
     }

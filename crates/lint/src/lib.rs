@@ -17,6 +17,32 @@
 //! * [`config`] — the walk and the scopes rules bind;
 //! * [`rules`] — the rule registry and token matchers;
 //! * [`report`] — rustc-style text and JSON rendering.
+//!
+//! [`rules::listing`] (`alc-lint --rules`) prints every rule with its
+//! scopes and every scope with its paths.
+//!
+//! # `dead-pub`, and resolving a finding
+//!
+//! `dead-pub` (family `minimal`) is the one rule that reads more than one
+//! file. Its callers ([`rules::Callers`]) are the non-test code of every
+//! *other* file the walk reaches and all of every integration-test file;
+//! `use` lines, comments, strings and the declaring file's own
+//! `#[cfg(test)]` code name nothing. Types, `pub(crate)` items and trait
+//! methods are outside it, and a name that collides with another item's
+//! is a missed finding, never a false one; by hand, a trait method stays
+//! only while product code calls it. A finding goes by deleting the item
+//! (when only its unit tests call it) or dropping `pub` (when its own
+//! file does). There is no per-rule exclusion list: a file leaves a
+//! rule's reach through the rule's scope or a reasoned inline allow, and
+//! the `purity` scope admits no allow at all.
+//!
+//! # Adding a rule
+//!
+//! Give it a [`rules::RULES`] row naming its scopes, a matcher in
+//! `scan_rule`, and a fixture pair `tests/fixtures/<rule>/{fire,
+//! suppressed}.rs` with blessed `.expected` snapshots
+//! (`UPDATE_LINT_FIXTURES=1 cargo test -p alc-lint --test fixtures`); a
+//! test fails until every rule has its pair.
 
 #![warn(missing_docs)]
 

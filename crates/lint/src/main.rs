@@ -11,7 +11,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use alc_lint::config::Scope;
 use alc_lint::{report, rules, run_files, run_workspace};
 
 fn usage() {
@@ -30,28 +29,6 @@ fn usage() {
     println!("  suppress with: // alc-lint: allow(rule, reason=\"why\")  (reason required)");
 }
 
-fn list_rules() {
-    let mut scopes: Vec<Scope> = Vec::new();
-    for r in rules::RULES {
-        let names: Vec<&str> = r.scopes.iter().map(|s| s.name).collect();
-        let names = names.join(", ");
-        println!("{:<20} {:<12} {names:<27} {}", r.name, r.family, r.summary);
-        for s in r.scopes {
-            if !scopes.contains(s) {
-                scopes.push(*s);
-            }
-        }
-    }
-    println!();
-    for s in scopes {
-        print!("{:<15} {}", s.name, s.include.join(" "));
-        if !s.exclude.is_empty() {
-            print!(" except {}", s.exclude.join(" "));
-        }
-        println!();
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut workspace = false;
@@ -68,7 +45,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--rules" => {
-                list_rules();
+                print!("{}", rules::listing());
                 return ExitCode::SUCCESS;
             }
             "--workspace" => workspace = true,

@@ -35,7 +35,8 @@ pub struct Rule {
     pub name: &'static str,
     /// Rule family (diagnostic prefix, report grouping).
     pub family: &'static str,
-    /// One-line description (README table, `--rules`).
+    /// One-line description, listed by [`listing`] (`--rules`, and
+    /// README's block that `tests/workspace_clean.rs` checks).
     pub summary: &'static str,
     /// Remediation hint appended to diagnostics.
     pub help: &'static str,
@@ -43,6 +44,32 @@ pub struct Rule {
     /// of them contains it. Token rules skip `#[cfg(test)]` / `#[test]`
     /// regions; `suppression-hygiene` reads every allow, tests included.
     pub scopes: &'static [Scope],
+}
+
+/// What `alc-lint --rules` prints, and the block README holds: every
+/// rule with its family, scopes and summary, then each scope's paths.
+pub fn listing() -> String {
+    let mut out = String::new();
+    let mut scopes: Vec<Scope> = Vec::new();
+    for r in RULES {
+        let names: Vec<&str> = r.scopes.iter().map(|s| s.name).collect();
+        let names = names.join(", ");
+        out += &format!("{:<20} {:<12} {names:<27} {}\n", r.name, r.family, r.summary);
+        for s in r.scopes {
+            if !scopes.contains(s) {
+                scopes.push(*s);
+            }
+        }
+    }
+    out.push('\n');
+    for s in scopes {
+        out += &format!("{:<15} {}", s.name, s.include.join(" "));
+        if !s.exclude.is_empty() {
+            out += &format!(" except {}", s.exclude.join(" "));
+        }
+        out.push('\n');
+    }
+    out
 }
 
 /// Every rule the binary knows, in reporting order.

@@ -3,10 +3,13 @@
 //! static invariants part of the tier-1 gate rather than a separate
 //! opt-in tool.
 
+#[path = "../../../tests/common/readme.rs"]
+mod readme;
+
 use std::path::{Path, PathBuf};
 
 use alc_lint::config::{PURITY, WALK};
-use alc_lint::rules::RULES;
+use alc_lint::rules::{listing, RULES};
 use alc_lint::run_workspace;
 
 fn repo_root() -> PathBuf {
@@ -89,4 +92,9 @@ fn scan_for_allows(root: &Path, path: &Path, out: &mut Vec<String>) {
             }
         }
     }
+}
+
+#[test]
+fn readme_rule_table_is_the_rules_listing() {
+    readme::check_readme_block("lint-rules", &format!("```text\n{}```\n", listing()));
 }

@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 
 use alc_scenario::compile::RunPlan;
 use alc_scenario::figures::{self, CATALOG};
-use alc_scenario::{parse_set_arg, spec::StatColumn, LoadedSpec, SpecError};
+use alc_scenario::{parse_set_arg, spec, LoadedSpec, SpecError};
 use serde::Value;
 
 fn usage() {
@@ -68,28 +68,9 @@ fn usage() {
     println!("  --set     override any spec field by dotted path (numeric");
     println!("            segments index lists), e.g.");
     println!("            --set system.terminals=200 --set cc=2pl");
-    print!("  stat columns:");
-    for c in StatColumn::ALL {
-        print!(" {}", c.name());
-    }
     println!();
-    println!("  client columns: issued attempts retries abandoned timeouts");
-    println!("            shed_retries goodput_per_s retry_amplification");
-    println!("            (need a `clients` section in the spec)");
-    println!("  derived columns: post_jump_tracking_err conflict_ratio_at_peak");
-    println!("            switch_count post_switch_settling_time_s");
-    println!("            {{\"settling_time_s\": {{...}}}} {{\"time_in_protocol\": {{...}}}}");
-    println!("            {{\"time_to_recover_s\": {{...}}}}");
-    println!("            (see README \"Scenarios\")");
-    println!("  spec extras: sweep grids (axes/pivot; system.offered_load_per_s");
-    println!("            sweeps in tx/s), cc phases (drain-and-swap protocol");
-    println!("            switching), cc adaptive (closed-loop protocol selection");
-    println!("            with conflict_threshold/restart_rate/shadow_score");
-    println!("            policies), faults (CPU kill/restart windows, fixed");
-    println!("            duration or sampled repair distribution), clients");
-    println!("            (closed client pools: timeouts, retry backoff,");
-    println!("            abandonment, retry shedding; pairs with the");
-    println!("            retry_budget controller)");
+    println!("DSL vocabulary:");
+    print!("{}", spec::vocabulary());
 }
 
 fn fail(e: &SpecError) -> ! {

@@ -51,7 +51,8 @@ pub type Figure = (&'static str, &'static str, Source);
 
 /// Every figure and ablation `scenario figure` regenerates, in paper
 /// order. Shared by the CLI and the golden test, so the two cannot drift
-/// apart. (The ablations `abl-dither/alpha/displacement/rules/cc/victim/
+/// apart. Its claims have no README copy: README points at `scenario
+/// figure --quick all`, which prints each with its band and verdict. (The ablations `abl-dither/alpha/displacement/rules/cc/victim/
 /// hybrid` need no presentation of their own: `scenario run
 /// scenarios/abl-*.json` prints their tables.)
 #[rustfmt::skip]

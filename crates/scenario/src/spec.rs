@@ -62,14 +62,15 @@ use alc_tpsim::workload::WorkloadConfig;
 use serde::Value;
 
 pub use self::columns::{ClientColumn, ColumnSpec, DerivedColumn, StatColumn};
-use self::columns::{column_from_value, default_columns};
+use self::columns::{column_from_value, default_columns, COLUMN, DERIVED};
 use self::sections::{
     cc_field_from_value, clients_from_value, control_from_value, controller_from_value,
     fault_from_value, filename_safe, inputs_from_value, sweep_from_value, system_from_value,
-    variant_from_value, workload_from_value,
+    variant_from_value, workload_from_value, CONTROLLER, CONTROLLER_NAMES, POLICY, RETRY,
 };
+use crate::profile::PROFILE;
 use crate::value_util::{
-    boolean, list, nonempty, pairs, positive, positive_u32, string, u64_from, Obj,
+    boolean, list, nonempty, pairs, positive, positive_u32, string, u64_from, Keys, Obj, DIST,
 };
 use crate::SpecError;
 
@@ -180,6 +181,47 @@ pub fn cc_spec_name(cc: CcKind) -> &'static str {
         CcKind::WaitDie => "wait-die",
         CcKind::Multiversion => "mvto",
     }
+}
+
+/// The DSL's vocabulary, read off the reader's own tables: what
+/// `scenario --help` lists, and the block README holds. A quoted name
+/// is a string value, `{"tag": …}` a single-key object.
+pub fn vocabulary() -> String {
+    let quoted = |names: &[&str]| names.iter().map(|n| format!("\"{n}\"")).collect::<Vec<_>>();
+    let objects = |tags: Keys| tags.iter().map(|t| format!("{{\"{t}\": …}}")).collect::<Vec<_>>();
+    let number = || vec!["<number>".to_string()];
+    let rows = [
+        (
+            "controller",
+            [quoted(&CONTROLLER_NAMES.map(|(n, _)| n)), objects(CONTROLLER)].concat(),
+        ),
+        ("cc", quoted(&CcKind::ALL.map(cc_spec_name))),
+        ("cc.adaptive.policy", objects(POLICY)),
+        ("clients.retry", objects(RETRY)),
+        ("profile", [number(), objects(PROFILE)].concat()),
+        ("distribution", [number(), objects(DIST)].concat()),
+        ("stat columns", quoted(&StatColumn::ALL.map(|c| c.name()))),
+        ("client columns", quoted(&ClientColumn::ALL.map(|c| c.name()))),
+        ("other columns", [quoted(&DERIVED.map(|(n, _)| n)), objects(COLUMN)].concat()),
+    ];
+    const INDENT: usize = 22;
+    let mut out = String::new();
+    for (label, names) in rows {
+        let mut line = format!("  {label:<width$}", width = INDENT - 2);
+        for name in names {
+            let width = line.chars().count();
+            if width > INDENT && width + 1 + name.chars().count() > 78 {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(INDENT);
+            }
+            line.push(' ');
+            line.push_str(&name);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out
 }
 
 /// The `cc: {"adaptive": …}` section: candidate protocols, the policy

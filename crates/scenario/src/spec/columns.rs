@@ -42,7 +42,7 @@ pub enum StatColumn {
 }
 
 impl StatColumn {
-    /// Every column, for `scenario --help` listings.
+    /// Every column, in the order [`crate::spec::vocabulary`] lists them.
     pub const ALL: [StatColumn; 11] = [
         StatColumn::ThroughputPerS,
         StatColumn::AbortRatio,
@@ -124,7 +124,7 @@ pub enum ClientColumn {
 }
 
 impl ClientColumn {
-    /// Every column, for `scenario --help` listings.
+    /// Every column, in the order [`crate::spec::vocabulary`] lists them.
     pub const ALL: [ClientColumn; 8] = [
         ClientColumn::Issued,
         ClientColumn::Attempts,
@@ -260,21 +260,16 @@ impl ColumnSpec {
     pub fn header(&self) -> String {
         match self {
             ColumnSpec::Stat(c) => c.name().to_string(),
-            ColumnSpec::Derived(DerivedColumn::PostJumpTrackingErr) => {
-                "post_jump_tracking_err".to_string()
-            }
             ColumnSpec::Derived(DerivedColumn::SettlingTime { header, .. }) => header.clone(),
-            ColumnSpec::Derived(DerivedColumn::ConflictRatioAtPeak) => {
-                "conflict_ratio_at_peak".to_string()
-            }
-            ColumnSpec::Derived(DerivedColumn::SwitchCount) => "switch_count".to_string(),
             ColumnSpec::Derived(DerivedColumn::TimeInProtocol { cc, header }) => header
                 .clone()
                 .unwrap_or_else(|| format!("time_in_protocol:{}", cc_spec_name(*cc))),
-            ColumnSpec::Derived(DerivedColumn::PostSwitchSettling) => {
-                "post_switch_settling_time_s".to_string()
-            }
             ColumnSpec::Derived(DerivedColumn::TimeToRecover { header, .. }) => header.clone(),
+            ColumnSpec::Derived(bare) => DERIVED
+                .iter()
+                .find(|(_, c)| c == bare)
+                .map(|(name, _)| name.to_string())
+                .expect("every parameterless derived column is named in DERIVED"),
             ColumnSpec::Client(c) => c.name().to_string(),
             ColumnSpec::Input(name) => name.clone(),
             ColumnSpec::Literal { header, .. } => header.clone(),
@@ -425,6 +420,14 @@ impl DerivedColumn {
     }
 }
 
+/// The derived columns written as a bare name.
+pub(super) const DERIVED: [(&str, DerivedColumn); 4] = [
+    ("post_jump_tracking_err", DerivedColumn::PostJumpTrackingErr),
+    ("conflict_ratio_at_peak", DerivedColumn::ConflictRatioAtPeak),
+    ("switch_count", DerivedColumn::SwitchCount),
+    ("post_switch_settling_time_s", DerivedColumn::PostSwitchSettling),
+];
+
 /// The column kinds written as single-key objects.
 pub(super) const COLUMN: Keys = &[
     "settling_time_s",
@@ -435,26 +438,16 @@ pub(super) const COLUMN: Keys = &[
 ];
 
 pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
-    if let Value::Str(s) = v {
-        return Ok(match s.as_str() {
-            "post_jump_tracking_err" => {
-                ColumnSpec::Derived(DerivedColumn::PostJumpTrackingErr)
-            }
-            "conflict_ratio_at_peak" => ColumnSpec::Derived(DerivedColumn::ConflictRatioAtPeak),
-            "switch_count" => ColumnSpec::Derived(DerivedColumn::SwitchCount),
-            "post_switch_settling_time_s" => {
-                ColumnSpec::Derived(DerivedColumn::PostSwitchSettling)
-            }
-            name => {
-                if let Ok(c) = StatColumn::parse(name) {
-                    ColumnSpec::Stat(c)
-                } else if let Ok(c) = ClientColumn::parse(name) {
-                    ColumnSpec::Client(c)
-                } else {
-                    return Err(SpecError::new(format!("unknown column `{name}`")));
-                }
-            }
-        });
+    if let Value::Str(name) = v {
+        return if let Some((_, c)) = DERIVED.iter().find(|(n, _)| n == name) {
+            Ok(ColumnSpec::Derived(c.clone()))
+        } else if let Ok(c) = StatColumn::parse(name) {
+            Ok(ColumnSpec::Stat(c))
+        } else if let Ok(c) = ClientColumn::parse(name) {
+            Ok(ColumnSpec::Client(c))
+        } else {
+            Err(SpecError::new(format!("unknown column `{name}`")))
+        };
     }
     let (tag, payload) = single_key(v, "columns[]", COLUMN)
         .map_err(|e| e.context("a column is a stat/derived/client name, or"))?;

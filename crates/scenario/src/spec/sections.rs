@@ -59,6 +59,12 @@ fn dist(v: &Value, at: At<'_>) -> Result<alc_des::dist::Dist, SpecError> {
     Ok(d)
 }
 
+/// The controllers written as a bare name.
+pub(super) const CONTROLLER_NAMES: [(&str, ControllerSpec); 2] = [
+    ("none", ControllerSpec::None),
+    ("unlimited", ControllerSpec::Unlimited),
+];
+
 /// The controller kinds written as single-key objects.
 pub(super) const CONTROLLER: Keys = &[
     "fixed",
@@ -87,11 +93,10 @@ fn checked<T>(
 
 pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecError> {
     if let Value::Str(s) = v {
-        return match s.as_str() {
-            "none" => Ok(ControllerSpec::None),
-            "unlimited" => Ok(ControllerSpec::Unlimited),
-            other => Err(SpecError::new(format!(
-                "unknown controller `{other}` (want none/unlimited or an object)"
+        return match CONTROLLER_NAMES.iter().find(|(name, _)| name == s) {
+            Some((_, c)) => Ok(c.clone()),
+            None => Err(SpecError::new(format!(
+                "unknown controller `{s}` (want none/unlimited or an object)"
             ))),
         };
     }

@@ -598,3 +598,49 @@ fn every_tag_and_parameter_key_is_set_by_a_checked_in_spec() {
         unused.join(", ")
     );
 }
+
+/// `scenario --help` lists the vocabulary and types no name of it: each
+/// bare name it lists reads through the reader, and each tag is in the
+/// reader's table for that position.
+#[test]
+fn every_name_the_vocabulary_lists_is_one_the_reader_reads() {
+    use super::columns::{column_from_value, COLUMN};
+    use super::sections::{cc_from_value, controller_from_value, CONTROLLER, POLICY, RETRY};
+    use crate::profile::PROFILE;
+    use crate::value_util::DIST;
+    let mut rows: Vec<(String, String)> = Vec::new();
+    for line in vocabulary().lines() {
+        let (label, names) = line.split_at(22);
+        match rows.last_mut() {
+            Some(row) if label.trim().is_empty() => row.1 += names,
+            _ => rows.push((label.trim().to_string(), names.to_string())),
+        }
+    }
+    let mut listed = 0;
+    for (label, names) in &rows {
+        let mut rest = names.as_str();
+        while let Some(open) = rest.find('"') {
+            let close = open + 1 + rest[open + 1..].find('"').expect("closing quote");
+            let name = &rest[open + 1..close];
+            let tagged = rest[..open].ends_with('{');
+            rest = &rest[close + 1..];
+            listed += 1;
+            let bare = Value::Str(name.to_string());
+            let ok = match (label.as_str(), tagged) {
+                ("controller", false) => controller_from_value(&bare).is_ok(),
+                ("controller", true) => CONTROLLER.contains(&name),
+                ("cc", false) => cc_from_value(&bare).is_ok(),
+                ("cc.adaptive.policy", true) => POLICY.contains(&name),
+                ("clients.retry", true) => RETRY.contains(&name),
+                ("profile", true) => PROFILE.contains(&name),
+                ("distribution", true) => DIST.contains(&name),
+                (_, false) if label.ends_with("columns") => column_from_value(&bare).is_ok(),
+                ("other columns", true) => COLUMN.contains(&name),
+                _ => false,
+            };
+            assert!(ok, "`{label}` lists `{name}`, which its reader does not read");
+        }
+    }
+    assert_eq!(rows.len(), 9, "{rows:?}");
+    assert!(listed > 50, "only {listed} names listed");
+}

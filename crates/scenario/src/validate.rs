@@ -293,18 +293,19 @@ mod tests {
         // default) — each blamed on the override that set it, in one
         // error across both variants.
         let msg = quick_err(
-            r#", "quick": {"workload.k": 2500},
+            r#", "quick": {"workload.k": 2500, "system.cpus": 0},
                "variants": [
                    {"name": "a", "set": {"workload.k":
                        {"ramp": {"from": 4, "to": 8, "t_start": 5000, "t_end": 1000}}}},
                    {"name": "b", "set": {"system.cpus": 0}}
                ]"#,
         );
-        assert!(msg.starts_with("3 dead override path(s)"), "{msg}");
+        assert!(msg.starts_with("4 dead override path(s)"), "{msg}");
         for named in [
             "variant `a` `set`: `workload.k`: `workload.k`: ramp t_end (1000) must exceed",
             "variant `b` `set`: `system.cpus`: system.cpus must be ≥ 1",
             "`quick`: `workload.k`: workload.k reaches 2500 distinct items",
+            "`quick`: `system.cpus`: system.cpus must be ≥ 1",
         ] {
             assert!(msg.contains(named), "{named}: {msg}");
         }

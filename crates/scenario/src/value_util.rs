@@ -12,7 +12,23 @@
 //! section of the DSL, knowing its keys from the ones its parser asks
 //! for, and the field parsers beside it ([`positive`], [`nonempty`],
 //! [`list`], …) type and range-check one value each, naming
-//! `<section>.<key>` when it fails.
+//! `<section>.<key>` when it fails. What the reader refuses, each an
+//! error that names its place rather than a value read some other way:
+//!
+//! * a section payload that is not an object (`{"hybrid": 7}`);
+//! * a key given twice in one object, the open maps (`system`, `quick`,
+//!   variant `set`s, controller parameters) and derive-parsed objects
+//!   included;
+//! * an unknown key, with the keys the section does know:
+//!   ``unknown `clients` key `patience` (known: population, …)``;
+//! * a mistyped, missing or out-of-range value, and an integer that is
+//!   inexact or does not fit its field (`"terminals": 20.7`), never a
+//!   truncated or wrapped one. Gate logs, metrics JSONL and `trace`
+//!   profiles are read by the same rule, line-numbered, through
+//!   `alc_runtime::read_jsonl`;
+//! * a configuration the engine cannot run (each type's `check()`,
+//!   asserted by its constructor too), and an `inputs` cell that nothing
+//!   reads.
 
 use std::fmt;
 

@@ -1,7 +1,11 @@
-//! Smoke tests of the `scenario` binary's cheap paths: the `figure`
-//! subcommand (help, catalog, an unknown id, a closed-form figure end to
-//! end, the quick catalog's claim verdicts), the CSV a `run` writes
-//! when a header needs quoting, and a run whose access skew crosses 1.
+//! Smoke tests of the `scenario` binary's cheap paths: the help and
+//! README's DSL vocabulary, the `figure` subcommand (help, catalog, an
+//! unknown id, a closed-form figure end to end, the quick catalog's claim
+//! verdicts), the CSV a `run` writes when a header needs quoting, and a
+//! run whose access skew crosses 1.
+
+#[path = "../../../tests/common/readme.rs"]
+mod readme;
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -20,6 +24,21 @@ fn fresh_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The help's DSL names are the reader's, listed by one function, and so
+/// is README's vocabulary block.
+#[test]
+fn help_and_readme_list_the_readers_vocabulary() {
+    let out = scenario(&["--help"]);
+    assert!(out.status.success(), "--help failed: {out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let vocabulary = alc_scenario::spec::vocabulary();
+    assert!(
+        text.ends_with(&format!("DSL vocabulary:\n{vocabulary}")),
+        "--help does not end with the vocabulary: {text}"
+    );
+    readme::check_readme_block("dsl-vocabulary", &format!("```text\n{vocabulary}```\n"));
 }
 
 #[test]

@@ -4,7 +4,7 @@
 use alc_core::control::LoopCore;
 use alc_core::controller::LoadController;
 use alc_core::gatelog::GateLogSink;
-use alc_core::law::PaperLaw;
+use alc_core::law::{ControlLaw, PaperLaw};
 use alc_core::meta::MetaPolicy;
 use alc_des::dist::{Dist, Sample as _};
 use alc_des::rng::SeedFactory;
@@ -42,11 +42,9 @@ impl Simulator {
         let initial_bound = controller
             .as_ref()
             .map_or(control.initial_bound, |c| c.current_bound());
-        let control_loop = match controller {
-            // alc-lint: allow(hot-alloc, reason="construction-time; one law per run")
-            Some(c) => LoopCore::new(Box::new(PaperLaw::new(c)), control.indicator),
-            None => LoopCore::without_law(control.indicator),
-        };
+        // alc-lint: allow(hot-alloc, reason="construction-time; one law per run")
+        let law = controller.map(|c| -> Box<dyn ControlLaw> { Box::new(PaperLaw::new(c)) });
+        let control_loop = LoopCore::measuring(law, control.indicator);
         let slots = sys.terminals as usize;
         // Room to file one event per slot beside a Sample and an Arrival.
         // A slot has at most one live event in flight and the lanes take

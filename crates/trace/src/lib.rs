@@ -44,9 +44,9 @@ pub const PID_CLIENTS: u32 = 2;
 /// faults, counters) within [`PID_NODE`].
 pub const TID_CONTROL: u32 = 0;
 
-/// The shared event vocabulary. Emitters use these constants so the
-/// reconciliation tooling (and the README table) can rely on exact
-/// names.
+/// The shared event vocabulary, and its one list: README points here.
+/// Emitters use these constants so the reconciliation tooling can rely
+/// on exact names.
 pub mod name {
     /// Span: queued at the gate, waiting for admission.
     pub const WAIT: &str = "wait";

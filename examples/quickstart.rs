@@ -6,8 +6,9 @@
 //! gate limit is steered by the Incremental Steps controller — the same
 //! feedback loop the paper applies to transaction processing, applied to
 //! any server that degrades under excessive concurrency. The measurement
-//! cadence adapts too: an [`AdaptiveInterval`] sizes each sleep so a
-//! window holds about 200 completions (§5).
+//! cadence adapts too: a [`CiInterval`] sizes each sleep so a window's
+//! throughput estimate is within ±10 % at 95 % confidence (§5), about
+//! 384 completions for Poisson traffic.
 //!
 //! The simulated "work" here degrades when too many jobs run at once
 //! (think lock contention or cache thrash): each job takes
@@ -23,8 +24,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adaptive_load_control::core::controller::{IncrementalSteps, IsParams};
-use adaptive_load_control::core::sampler::AdaptiveInterval;
+use adaptive_load_control::core::sampler::CiInterval;
 use adaptive_load_control::core::PerfIndicator;
+use adaptive_load_control::des::stats::ConfidenceLevel;
 use adaptive_load_control::runtime::{AdmissionPolicy, ControlLoop, Outcome, PaperLaw};
 
 fn main() {
@@ -42,7 +44,7 @@ fn main() {
         PerfIndicator::Throughput,
         AdmissionPolicy::Queue,
     ));
-    let mut interval = AdaptiveInterval::new(200, 100.0, 1000.0, 250.0);
+    let mut interval = CiInterval::new(0.1, ConfidenceLevel::P95, 100.0, 1000.0, 250.0);
     let running = Arc::new(AtomicBool::new(true));
     let in_flight = Arc::new(AtomicU32::new(0));
 

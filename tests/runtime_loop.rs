@@ -8,7 +8,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adaptive_load_control::core::controller::{IncrementalSteps, IsParams};
-use adaptive_load_control::core::sampler::AdaptiveInterval;
 use adaptive_load_control::core::PerfIndicator;
 use adaptive_load_control::runtime::{AdmissionPolicy, ControlLoop, Outcome, PaperLaw};
 
@@ -101,37 +100,8 @@ fn control_loop_limits_a_degrading_workload() {
     assert_eq!(stats.waiting, 0);
 }
 
-#[test]
-fn adaptive_interval_reacts_to_real_rates() {
-    let cl = is_loop(IsParams {
-        initial_bound: 8,
-        max_bound: 16,
-        ..IsParams::default()
-    });
-    // The loop leaves the cadence to its caller: the interval policy
-    // watches each harvested measurement and sizes the next sleep.
-    let mut interval = AdaptiveInterval::new(50, 10.0, 2_000.0, 100.0);
-    // Feed a burst of completions, then tick: the interval should shrink
-    // toward target/rate (never below min).
-    for _ in 0..500 {
-        let p = cl.admit().expect("Queue policy never sheds");
-        cl.complete(
-            p,
-            Outcome::Commit {
-                response_ms: 0.1,
-                conflicts: 0,
-            },
-        );
-    }
-    std::thread::sleep(Duration::from_millis(20));
-    let decision = cl.tick();
-    assert_eq!(decision.window.measurement.departures, 500);
-    let next = interval.observe(&decision.window.measurement);
-    assert!((10.0..=2_000.0).contains(&next));
-}
-
-/// The exact §5 interval policy plugs into the same seam: it sizes the
-/// caller's next sleep from the measurement each tick returns.
+/// The loop leaves the cadence to its caller: the §5 interval policy
+/// sizes the caller's next sleep from the measurement each tick returns.
 #[test]
 fn ci_interval_policy_plugs_in() {
     use adaptive_load_control::core::sampler::CiInterval;
