@@ -5,29 +5,28 @@
 //! [`RunPlan`], and the plan fully determines every simulator run (all
 //! randomness derives from the per-replication seeds recorded in it).
 //!
-//! Variants compile by cloning the spec's JSON tree, applying the
-//! variant's `set` overrides (then the quick overrides under `--quick`)
-//! and re-parsing — so a variant can change *anything* a spec can say,
-//! from one control flag to the whole controller object. The re-parse
-//! is the only check a cell gets, its override paths and its rules
-//! alike: the reader returns the engine's own configs, checked, and
+//! Every run group is a cell: a variant, or one point of a sweep grid.
+//! A cell compiles by landing its override layers on the spec's JSON
+//! tree — a variant's `set` (then the spec's and the variant's `quick`
+//! under `--quick`), or one value per sweep axis — and reading the
+//! result, so a cell can change *anything* a spec can say, from one
+//! control flag to the whole controller object. That read is the only
+//! check a cell gets, its override paths and its rules alike: the reader
+//! returns the engine's own configs, checked, as a [`CellSpec`], and
 //! when a cell does not read, `validate::land` names every override to
-//! blame. What compiling adds to a read cell is its replication seeds,
-//! each seed's fault timeline (the one rule left here: the faults must
-//! not kill more CPUs than are installed, which a sampled outage decides
-//! per seed) and its labels.
+//! blame. The plan keeps that [`CellSpec`] as read; compiling adds only
+//! its replication seeds, each seed's fault timeline (the one rule left
+//! here: the faults must not kill more CPUs than are installed, which a
+//! sampled outage decides per seed) and its labels.
 
 use std::path::Path;
 
-use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
+use alc_tpsim::config::SystemConfig;
 use alc_tpsim::engine::Simulator;
-use alc_tpsim::workload::WorkloadConfig;
 use serde::Value;
 
-use crate::spec::{
-    AdaptiveCcSpec, ColumnSpec, ControllerSpec, FaultSpec, ScenarioSpec, StatColumn, VariantSpec,
-};
-use crate::validate::{dead_paths, land};
+use crate::spec::{CellSpec, ColumnSpec, FaultSpec, ScenarioSpec, SweepSpec, VariantSpec};
+use crate::validate::{dead_paths, land, Layer};
 use crate::SpecError;
 
 /// A fully lowered scenario: everything the runner needs, nothing left
@@ -42,38 +41,16 @@ pub struct RunPlan {
     pub label_header: String,
     /// Columns of the report.
     pub columns: Vec<ColumnSpec>,
-    /// Grid structure when the plan came from a `sweep` spec: the
-    /// variants are the cross-product cells in row-major order (last
-    /// axis fastest).
-    pub sweep: Option<SweepPlan>,
+    /// The grid, as read after the spec's `quick` overrides, when the
+    /// plan came from a `sweep` spec: the variants are its cells in
+    /// row-major order ([`SweepSpec::coords`]).
+    pub sweep: Option<SweepSpec>,
     /// One compiled variant per run group.
     pub variants: Vec<VariantPlan>,
 }
 
-/// The compiled shape of a sweep grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPlan {
-    /// `(header, cell labels)` per axis, in axis order.
-    pub axes: Vec<(String, Vec<String>)>,
-    /// Pivot the last axis into columns showing `(stat, prefix)`.
-    pub pivot: Option<(StatColumn, String)>,
-}
-
-impl SweepPlan {
-    /// Grid coordinates of cell `idx` (row-major, last axis fastest).
-    pub fn coords(&self, mut idx: usize) -> Vec<usize> {
-        let mut coords = vec![0; self.axes.len()];
-        for i in (0..self.axes.len()).rev() {
-            let len = self.axes[i].1.len();
-            coords[i] = idx % len;
-            idx /= len;
-        }
-        coords
-    }
-}
-
-/// One compiled variant: a concrete engine configuration plus its
-/// replication seeds.
+/// One compiled run group: the cell as read, plus its replication seeds,
+/// fault timelines and labels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariantPlan {
     /// Variant label ("" for the implicit single variant) — names
@@ -84,37 +61,16 @@ pub struct VariantPlan {
     /// may not).
     pub display_label: String,
     /// Literal input cells of this variant, for `{"input": …}` columns.
-    pub cells: Vec<(String, String)>,
-    /// Physical system (seed field is per-replication; see `seeds`).
-    pub sys: SystemConfig,
-    /// Time-varying workload.
-    pub workload: WorkloadConfig,
-    /// CC protocol at t = 0 (for adaptive plans: `candidates[0]`).
-    pub cc: CcKind,
-    /// Scheduled drain-and-swap CC switches `(t_ms, target)`.
-    pub cc_switches: Vec<(f64, CcKind)>,
-    /// Closed-loop protocol selection (builds one policy per run).
-    pub adaptive_cc: Option<AdaptiveCcSpec>,
-    /// Each replication's scheduled CPU-capacity deltas `(t_ms, delta)`
-    /// lowered from the fault windows, ascending; indexed like `seeds`.
-    /// A sampled `repair` distribution differs per seed; fixed windows
-    /// lower identically in every replication.
-    pub faults: Vec<Vec<(f64, i32)>>,
-    /// Closed-loop client pool replacing the patient terminals (timeouts,
-    /// retries, abandonment); `None` runs the paper's patient model.
-    pub clients: Option<alc_tpsim::client::ClientConfig>,
-    /// Measurement/control wiring.
-    pub control: ControlConfig,
-    /// Controller to instantiate per replication.
-    pub controller: ControllerSpec,
-    /// Simulated horizon, ms.
-    pub horizon_ms: f64,
+    pub inputs: Vec<(String, String)>,
+    /// The cell, its overrides landed, exactly as the reader returned it.
+    pub cell: CellSpec,
     /// Master seed per replication (replication 0 uses the spec seed).
     pub seeds: Vec<u64>,
-    /// Record the analytic-optimum trajectory.
-    pub record_optimum: bool,
-    /// Write trajectory CSVs.
-    pub trajectories: bool,
+    /// Each replication's scheduled CPU-capacity deltas `(t_ms, delta)`
+    /// lowered from the cell's fault windows, ascending; indexed like
+    /// `seeds`. A sampled `repair` distribution differs per seed; fixed
+    /// windows lower identically in every replication.
+    pub fault_timelines: Vec<Vec<(f64, i32)>>,
     /// Retain trajectories in the run records (set when the plan's
     /// columns derive from them, even without trajectory CSV output).
     pub keep_trajectories: bool,
@@ -126,31 +82,32 @@ impl VariantPlan {
     /// and tests cannot disagree on a setter. Callers add only their
     /// observers (gate log, trace sink).
     pub fn simulator(&self, rep: usize) -> Simulator {
+        let cell = &self.cell;
         let sys = SystemConfig {
             seed: self.seeds[rep],
-            ..self.sys
+            ..cell.system
         };
-        let controller = self.controller.build(&sys, &self.workload);
+        let controller = cell.controller.build(&sys, &cell.workload);
         let mut sim = Simulator::new(
             sys,
-            self.workload.clone(),
-            self.cc,
-            self.control,
+            cell.workload.clone(),
+            cell.cc,
+            cell.control,
             controller,
         );
-        sim.set_record_optimum(self.record_optimum);
-        if !self.cc_switches.is_empty() {
-            sim.set_cc_switches(&self.cc_switches);
+        sim.set_record_optimum(cell.record_optimum);
+        if !cell.cc_phases.is_empty() {
+            sim.set_cc_switches(&cell.cc_phases);
         }
-        if let Some(adaptive) = &self.adaptive_cc {
+        if let Some(adaptive) = &cell.cc_adaptive {
             let (candidates, policy) = adaptive.build();
             sim.set_adaptive_cc(candidates, policy);
         }
-        let faults = &self.faults[rep];
+        let faults = &self.fault_timelines[rep];
         if !faults.is_empty() {
             sim.set_faults(faults);
         }
-        if let Some(clients) = &self.clients {
+        if let Some(clients) = &cell.clients {
             sim.set_clients(clients.clone());
         }
         sim
@@ -167,101 +124,70 @@ fn replication_seed(seed: u64, r: u32) -> u64 {
 /// Compiles a spec tree. `base_dir` resolves trace paths; `quick`
 /// applies the spec's CI-scale overrides.
 pub fn compile_value(base: &Value, base_dir: &Path, quick: bool) -> Result<RunPlan, SpecError> {
-    let spec = ScenarioSpec::from_value(base, base_dir)?;
+    let mut spec = ScenarioSpec::from_value(base, base_dir)?;
+    // A sweep lands the spec's `quick` on the base first, so it may
+    // rescale the grid itself; its cells then read as plain specs, the
+    // `sweep` section stripped.
+    let mut swept = None;
     if spec.sweep.is_some() {
-        return compile_sweep(base, spec, base_dir, quick);
-    }
-    let implicit;
-    let variant_specs: &[VariantSpec] = if spec.variants.is_empty() {
-        implicit = [VariantSpec {
-            name: String::new(),
-            set: Vec::new(),
-            quick: Vec::new(),
-        }];
-        &implicit
-    } else {
-        &spec.variants
-    };
-
-    let mut variants = Vec::with_capacity(variant_specs.len());
-    let mut dead = Vec::new();
-    for vs in variant_specs {
-        let mut layers = vec![(format!("variant `{}` `set`", vs.name), vs.set.clone())];
-        if quick {
-            layers.push(("`quick`".to_string(), spec.quick.clone()));
-            layers.push((format!("variant `{}` `quick`", vs.name), vs.quick.clone()));
-        }
-        match land(base, base_dir, &layers) {
-            Ok((_, vspec)) => variants.push(build_variant(vspec, &vs.name)?),
-            Err(lines) => dead.extend(lines),
-        }
-    }
-    if !dead.is_empty() {
-        return Err(dead_paths(dead));
-    }
-
-    finish_plan(spec, None, variants)
-}
-
-/// Compiles a sweep spec: spec-level quick overrides apply first (they
-/// may rescale the grid itself), then the cross-product expands into one
-/// cell per combination, each cell a plain single-run spec with the axis
-/// values applied. Expansion is deterministic: row-major order, last
-/// axis fastest.
-fn compile_sweep(
-    base: &Value,
-    spec: ScenarioSpec,
-    base_dir: &Path,
-    quick: bool,
-) -> Result<RunPlan, SpecError> {
-    let (tree, spec) = if quick {
-        let quick = [("`quick`".to_string(), spec.quick.clone())];
-        land(base, base_dir, &quick).map_err(dead_paths)?
-    } else {
-        (base.clone(), spec)
-    };
-    let sweep = spec.sweep.clone().expect("compile_sweep needs a sweep section");
-
-    // Each cell re-parses as a plain spec: strip the sweep section.
-    let cell_base = {
-        let Value::Map(entries) = &tree else {
-            // alc-lint: allow(panic-in-lib, reason="from_value on this tree just succeeded, so it is a map")
-            unreachable!("parsed specs are maps");
+        let mut tree = if quick {
+            let (tree, landed) =
+                land(base, base_dir, &[layer("`quick`".to_string(), &spec.quick)])
+                    .map_err(dead_paths)?;
+            spec = landed;
+            tree
+        } else {
+            base.clone()
         };
-        let mut kept: Vec<(String, Value)> = entries.clone();
-        kept.retain(|(k, _)| k != "sweep");
-        Value::Map(kept)
-    };
+        if let Value::Map(entries) = &mut tree {
+            entries.retain(|(k, _)| k != "sweep");
+        }
+        swept = Some(tree);
+    }
+    let tree = swept.as_ref().unwrap_or(base);
 
-    let lens: Vec<usize> = sweep.axes.iter().map(|a| a.values.len()).collect();
-    let total: usize = lens.iter().product();
-    let sweep_plan = SweepPlan {
-        axes: sweep
-            .axes
-            .iter()
-            .map(|a| {
-                (
-                    a.header.clone(),
-                    (0..a.values.len()).map(|i| a.label(i)).collect(),
-                )
+    // Each cell's label and override layers: one value per axis for a
+    // grid point (row-major, last axis fastest), a variant's `set` and
+    // `quick` layers otherwise.
+    let implicit = [VariantSpec::default()];
+    let cells: Vec<(String, Vec<Layer<'_>>)> = match &spec.sweep {
+        Some(sweep) => (0..sweep.axes.iter().map(|a| a.values.len()).product())
+            .map(|idx| {
+                let points: Vec<_> = sweep.axes.iter().zip(sweep.coords(idx)).collect();
+                let label: Vec<String> = points.iter().map(|(axis, c)| axis.label(*c)).collect();
+                let layers = points
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (axis, c))| {
+                        let origin = format!("sweep axis {i} (`{}`)", axis.header);
+                        (origin, vec![(axis.path.as_str(), &axis.values[*c])])
+                    })
+                    .collect();
+                (label.join("_"), layers)
             })
             .collect(),
-        pivot: sweep.pivot.as_ref().map(|p| (p.stat, p.prefix.clone())),
+        None => {
+            let variants = if spec.variants.is_empty() { &implicit[..] } else { &spec.variants };
+            variants
+                .iter()
+                .map(|vs| {
+                    let mut layers = vec![layer(format!("variant `{}` `set`", vs.name), &vs.set)];
+                    if quick {
+                        layers.push(layer("`quick`".to_string(), &spec.quick));
+                        layers.push(layer(format!("variant `{}` `quick`", vs.name), &vs.quick));
+                    }
+                    (vs.name.clone(), layers)
+                })
+                .collect()
+        }
     };
 
-    let mut variants = Vec::with_capacity(total);
+    let derived = spec.columns.iter().any(ColumnSpec::needs_trajectories);
+    let mut variants = Vec::with_capacity(cells.len());
     let mut dead = Vec::new();
-    for idx in 0..total {
-        let coords = sweep_plan.coords(idx);
-        let mut layers = Vec::with_capacity(coords.len());
-        let mut label = Vec::with_capacity(coords.len());
-        for (i, (axis, &c)) in sweep.axes.iter().zip(&coords).enumerate() {
-            let set = vec![(axis.path.clone(), axis.values[c].clone())];
-            layers.push((format!("sweep axis {i} (`{}`)", axis.header), set));
-            label.push(axis.label(c));
-        }
-        match land(&cell_base, base_dir, &layers) {
-            Ok((_, vspec)) => variants.push(build_variant(vspec, &label.join("_"))?),
+    for (label, layers) in cells {
+        match land(tree, base_dir, &layers) {
+            Ok((_, landed)) => variants.push(build_variant(landed, label, derived)?),
             Err(lines) => dead.extend(lines),
         }
     }
@@ -269,32 +195,22 @@ fn compile_sweep(
         return Err(dead_paths(dead));
     }
 
-    finish_plan(spec, Some(sweep_plan), variants)
-}
-
-/// Assembles the plan and back-fills the trajectory-retention flag from
-/// the (plan-level) column set.
-fn finish_plan(
-    spec: ScenarioSpec,
-    sweep: Option<SweepPlan>,
-    mut variants: Vec<VariantPlan>,
-) -> Result<RunPlan, SpecError> {
-    let derived = spec.columns.iter().any(ColumnSpec::needs_trajectories);
-    for v in &mut variants {
-        v.keep_trajectories = v.trajectories || derived;
-    }
-    let label_header = match &sweep {
-        Some(s) => s.axes[0].0.clone(),
-        None => spec.label_header,
-    };
     Ok(RunPlan {
+        label_header: match &spec.sweep {
+            Some(sweep) => sweep.axes[0].header.clone(),
+            None => spec.label_header,
+        },
         name: spec.name,
         description: spec.description,
-        label_header,
         columns: spec.columns,
-        sweep,
+        sweep: spec.sweep,
         variants,
     })
+}
+
+/// One override layer named by its origin, borrowing its pairs.
+fn layer(origin: String, overrides: &[(String, Value)]) -> Layer<'_> {
+    (origin, overrides.iter().map(|(path, v)| (path.as_str(), v)).collect())
 }
 
 /// Lowers fault windows (kill time, outage length, servers) into an
@@ -353,55 +269,49 @@ fn lower_faults_for_seed(
     lower_fault_windows(&windows, sys)
 }
 
-/// The plan of one read cell: its seeds, each seed's fault timeline and
-/// its labels.
-fn build_variant(spec: ScenarioSpec, label: &str) -> Result<VariantPlan, SpecError> {
-    let seeds: Vec<u64> = (0..spec.replications)
-        .map(|r| replication_seed(spec.system.seed, r))
+/// The plan of one landed cell: the cell as read, its seeds, each seed's
+/// fault timeline and its labels. `derived` says the plan's columns read
+/// trajectories.
+fn build_variant(
+    landed: ScenarioSpec,
+    label: String,
+    derived: bool,
+) -> Result<VariantPlan, SpecError> {
+    let cell = landed.cell;
+    let seeds: Vec<u64> = (0..cell.replications)
+        .map(|r| replication_seed(cell.system.seed, r))
         .collect();
-    let faults = seeds
+    let fault_timelines = seeds
         .iter()
-        .map(|&s| lower_faults_for_seed(&spec.faults, &spec.system, s))
+        .map(|&s| lower_faults_for_seed(&cell.faults, &cell.system, s))
         .collect::<Result<Vec<_>, _>>()?;
-    let cells = spec
+    let inputs = landed
         .inputs
         .into_iter()
-        .find(|(name, _)| name == label)
+        .find(|(name, _)| *name == label)
         .map(|(_, cells)| cells)
         .unwrap_or_default();
-    let display_label = match &spec.label_from {
-        Some(lf) => cells
-            .iter()
-            .find(|(col, _)| col == lf)
-            .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| label.to_string()),
-        None => label.to_string(),
-    };
+    let display_label = landed
+        .label_from
+        .and_then(|lf| inputs.iter().find(|(col, _)| *col == lf).map(|(_, v)| v.clone()))
+        .unwrap_or_else(|| label.clone());
     Ok(VariantPlan {
-        label: label.to_string(),
+        keep_trajectories: cell.trajectories || derived,
+        label,
         display_label,
-        cells,
-        sys: spec.system,
-        workload: spec.workload,
-        cc: spec.cc,
-        cc_switches: spec.cc_phases,
-        adaptive_cc: spec.cc_adaptive,
-        faults,
-        clients: spec.clients,
-        control: spec.control,
-        controller: spec.controller,
-        horizon_ms: spec.horizon_ms,
+        inputs,
+        cell,
         seeds,
-        record_optimum: spec.record_optimum,
-        trajectories: spec.trajectories,
-        keep_trajectories: spec.trajectories,
+        fault_timelines,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ControllerSpec;
     use crate::value_util::set_path;
+    use alc_tpsim::config::CcKind;
     use std::path::PathBuf;
 
     fn parse(json: &str) -> Value {
@@ -421,15 +331,15 @@ mod tests {
         );
         let plan = compile_value(&v, &PathBuf::from("."), false).unwrap();
         assert_eq!(plan.variants.len(), 1);
-        let vp = &plan.variants[0];
-        assert_eq!(vp.sys.terminals, 30);
-        assert_eq!(vp.sys.seed, 7);
-        assert_eq!(vp.sys.think, alc_des::dist::Dist::exponential(250.0));
+        let vp = &plan.variants[0].cell;
+        assert_eq!(vp.system.terminals, 30);
+        assert_eq!(vp.system.seed, 7);
+        assert_eq!(vp.system.think, alc_des::dist::Dist::exponential(250.0));
         assert!(vp.control.displacement);
         assert_eq!(vp.workload.at(0.0).k, 4);
         assert_eq!(vp.workload.at(3000.0).k, 8);
         // Untouched fields keep SystemConfig defaults.
-        assert_eq!(vp.sys.cpus, SystemConfig::default().cpus);
+        assert_eq!(vp.system.cpus, SystemConfig::default().cpus);
     }
 
     #[test]
@@ -546,9 +456,9 @@ mod tests {
         let p2 = compile_value(&v, &PathBuf::from("."), false).unwrap();
         assert_eq!(p1, p2, "same spec must compile to the same plan");
         assert_eq!(p1.variants.len(), 2);
-        assert_eq!(p1.variants[0].cc, CcKind::TwoPhaseLocking);
+        assert_eq!(p1.variants[0].cell.cc, CcKind::TwoPhaseLocking);
         assert!(matches!(
-            p1.variants[1].controller,
+            p1.variants[1].cell.controller,
             ControllerSpec::Pa(_)
         ));
         // Replication 0 uses the spec seed; later ones differ.
@@ -569,11 +479,11 @@ mod tests {
         }"#,
         );
         let full = compile_value(&v, &PathBuf::from("."), false).unwrap();
-        assert_eq!(full.variants[0].horizon_ms, 100_000.0);
-        assert_eq!(full.variants[0].sys.terminals, 500);
+        assert_eq!(full.variants[0].cell.horizon_ms, 100_000.0);
+        assert_eq!(full.variants[0].cell.system.terminals, 500);
         let quick = compile_value(&v, &PathBuf::from("."), true).unwrap();
-        assert_eq!(quick.variants[0].horizon_ms, 1_000.0);
-        assert_eq!(quick.variants[0].sys.terminals, 40);
+        assert_eq!(quick.variants[0].cell.horizon_ms, 1_000.0);
+        assert_eq!(quick.variants[0].cell.system.terminals, 40);
     }
 
     #[test]
@@ -607,7 +517,7 @@ mod tests {
         let plan = compile_value(&v, &PathBuf::from("."), false).unwrap();
         assert_eq!(plan.variants.len(), 3);
         for (vp, rate) in plan.variants.iter().zip([50.0, 100.0, 250.0]) {
-            let alc_tpsim::config::ArrivalProcess::Open { interarrival } = vp.sys.arrival
+            let alc_tpsim::config::ArrivalProcess::Open { interarrival } = vp.cell.system.arrival
             else {
                 panic!("cell must be open-mode");
             };
@@ -632,7 +542,7 @@ mod tests {
         let a = compile_value(&v, &PathBuf::from("."), false).unwrap();
         let b = compile_value(&v, &PathBuf::from("."), false).unwrap();
         assert_eq!(a, b, "sampled repair times must be seed-deterministic");
-        let per_rep = &a.variants[0].faults;
+        let per_rep = &a.variants[0].fault_timelines;
         assert_eq!(per_rep.len(), 3);
         for timeline in per_rep {
             assert_eq!(timeline.len(), 4);
@@ -661,8 +571,8 @@ mod tests {
         }"#,
         );
         let plan = compile_value(&v, &PathBuf::from("."), false).unwrap();
-        let vp = &plan.variants[0];
-        let ctrl = vp.controller.build(&vp.sys, &vp.workload).unwrap();
+        let vp = &plan.variants[0].cell;
+        let ctrl = vp.controller.build(&vp.system, &vp.workload).unwrap();
         let bound = ctrl.current_bound();
         assert!((2..=60).contains(&bound), "implausible optimum {bound}");
     }

@@ -76,16 +76,16 @@ pub fn replay_log(spec: &LoadedSpec, log_path: &Path) -> Result<ReplayOutcome, S
     }
     let sys = SystemConfig {
         seed: header.seed,
-        ..v.sys
+        ..v.cell.system
     };
-    let controller = v.controller.build(&sys, &v.workload).ok_or_else(|| {
+    let controller = v.cell.controller.build(&sys, &v.cell.workload).ok_or_else(|| {
         SpecError::new(format!(
             "variant `{}` runs without a controller; there are no decisions to replay",
             header.variant
         ))
     })?;
     let law = Box::new(PaperLaw::new(controller));
-    let conformance = check_conformance(&events, law, v.control.indicator);
+    let conformance = check_conformance(&events, law, v.cell.control.indicator);
     Ok(ReplayOutcome {
         scenario: header.scenario,
         variant: header.variant,

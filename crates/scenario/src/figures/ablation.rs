@@ -108,17 +108,17 @@ pub fn abl_hotspot(plan: &RunPlan, records: &[RunRecord]) -> Report {
     // Per skew: (θ, T at the analytic optimum, T with PA).
     let mut outcomes = Vec::with_capacity(records.len() / 2);
     for (cells, recs) in plan.variants.chunks_exact(2).zip(records.chunks_exact(2)) {
-        let fixed = &cells[0];
+        let fixed = &cells[0].cell;
         let theta = fixed.workload.at(0.0).access_skew;
         let opt = fixed
             .controller
-            .build(&fixed.sys, &fixed.workload)
+            .build(&fixed.system, &fixed.workload)
             .expect("the first controller of each skew is the fixed analytic optimum")
             .current_bound();
         let (at_opt, with_pa) = (recs[0].stats.throughput_per_sec, recs[1].stats.throughput_per_sec);
         r.push_row(vec![
             num(theta),
-            num(alc_analytic::occ::effective_db_size(fixed.sys.db_size, theta)),
+            num(alc_analytic::occ::effective_db_size(fixed.system.db_size, theta)),
             opt.to_string(),
             num(at_opt),
             num(with_pa),
@@ -160,7 +160,8 @@ pub fn abl_open(plan: &RunPlan, records: &[RunRecord]) -> Report {
         ],
     );
     let pairs: Vec<_> = records.chunks_exact(2).map(|c| (&c[0].stats, &c[1].stats)).collect();
-    for (rate, &(uncontrolled, with_pa)) in axis_labels(plan, 0).iter().zip(&pairs) {
+    let rates = axis_labels(plan, 0);
+    for (rate, &(uncontrolled, with_pa)) in rates.iter().zip(&pairs) {
         r.push_row(vec![
             rate.clone(),
             num(uncontrolled.throughput_per_sec),
@@ -171,7 +172,7 @@ pub fn abl_open(plan: &RunPlan, records: &[RunRecord]) -> Report {
             with_pa.lost.to_string(),
         ]);
     }
-    let ((unc, pa), lowest) = (pairs[0], &axis_labels(plan, 0)[0]);
+    let ((unc, pa), lowest) = (pairs[0], &rates[0]);
     let gap = pct((pa.throughput_per_sec - unc.throughput_per_sec).abs(), unc.throughput_per_sec);
     r.claim(gap < 5.0, format!("below capacity the gate is invisible: at {lowest}/s PA's goodput is {}% from the uncontrolled one (band: < 5 %)", num(gap)));
     r.note(format!("expected below capacity: the same response with and without the gate; measured at {lowest}/s: {} ms without control, {} ms with PA", num(unc.mean_response_ms), num(pa.mean_response_ms)));

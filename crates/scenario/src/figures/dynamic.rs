@@ -276,7 +276,7 @@ pub fn fig08(quick: bool, out_dir: Option<&Path>) -> Report {
 /// the pre- and post-jump mean bound and the new optimum.
 fn jump_report(plan: &RunPlan, records: &[RunRecord], title: &str, paper: &str) -> (Report, [f64; 3]) {
     let (stats, traj) = (&records[0].stats, trajectories(&records[0]));
-    let horizon = plan.variants[0].horizon_ms;
+    let horizon = plan.variants[0].cell.horizon_ms;
     let pts = traj.bound.points();
     let jump_idx = pts
         .iter()

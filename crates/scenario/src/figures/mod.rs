@@ -107,7 +107,7 @@ fn bound_sweep<'a>(plan: &RunPlan, records: &'a [RunRecord]) -> Vec<(u32, &'a Ru
     plan.variants
         .iter()
         .zip(records)
-        .map(|(v, rec)| (v.control.initial_bound, &rec.stats))
+        .map(|(v, rec)| (v.cell.control.initial_bound, &rec.stats))
         .collect()
 }
 
@@ -124,9 +124,10 @@ fn pct(part: f64, whole: f64) -> f64 {
 }
 
 /// Display labels of sweep axis `axis` of a figure's plan.
-fn axis_labels(plan: &RunPlan, axis: usize) -> &[String] {
+fn axis_labels(plan: &RunPlan, axis: usize) -> Vec<String> {
     let sweep = plan.sweep.as_ref().expect("the figure's spec is a sweep");
-    &sweep.axes[axis].1
+    let axis = &sweep.axes[axis];
+    (0..axis.values.len()).map(|i| axis.label(i)).collect()
 }
 
 /// The paper-scale PA tuning (that of `scenarios/fig14.json`), for the

@@ -111,7 +111,7 @@ fn cell_markers(v: &VariantPlan, rec: &RunRecord) -> Vec<Marker> {
             });
         }
     }
-    for &(at_ms, delta) in &v.faults[rec.replication as usize] {
+    for &(at_ms, delta) in &v.fault_timelines[rec.replication as usize] {
         markers.push(Marker {
             at_ms,
             class: "fault",

@@ -8,12 +8,14 @@
 //! * [`profile`] — the time-varying value DSL (steps, ramps, sinusoids,
 //!   bursts, trace replay, phase lists), read straight into the engine's
 //!   [`alc_analytic::surface::Schedule`];
-//! * [`spec::ScenarioSpec`] — one experiment: the engine's system,
-//!   control and workload configs, a controller, ablation variants and
-//!   quick (CI-scale) overrides. Parsing is strict: unknown keys are
-//!   errors, and so is a value the engine would not run as written;
-//! * [`compile`] — deterministic lowering into a [`compile::RunPlan`]
-//!   of concrete engine configurations with per-replication seeds;
+//! * [`spec::ScenarioSpec`] — one experiment: a [`spec::CellSpec`]
+//!   (the engine's system, control and workload configs, a controller),
+//!   ablation variants or a sweep grid, and quick (CI-scale) overrides.
+//!   Parsing is strict: unknown keys are errors, and so is a value the
+//!   engine would not run as written;
+//! * [`compile`] — deterministic lowering into a [`compile::RunPlan`]:
+//!   each variant's or grid point's cell as read, with per-replication
+//!   seeds;
 //! * [`runner`] — rayon-parallel execution emitting [`report::Report`]
 //!   tables / CSVs plus trajectory CSVs;
 //! * [`figures`] — the paper's figure catalog: each engine figure's runs

@@ -19,9 +19,9 @@ use alc_runtime::{write_gate_log, GateLogHeader};
 use alc_tpsim::engine::{RunStats, Trajectories};
 use rayon::prelude::*;
 
-use crate::compile::{RunPlan, SweepPlan, VariantPlan};
+use crate::compile::{RunPlan, VariantPlan};
 use crate::report::Report;
-use crate::spec::ColumnSpec;
+use crate::spec::{ColumnSpec, SweepSpec};
 
 /// The outcome of one `(variant, replication)` cell.
 #[derive(Debug, Clone)]
@@ -86,7 +86,7 @@ fn run_one(
         sim.set_gate_log(Box::new(CaptureSink(Arc::clone(&events))));
         (req, events)
     });
-    let stats = sim.run(v.horizon_ms);
+    let stats = sim.run(v.cell.horizon_ms);
     if let Some((req, events)) = captured {
         let header = GateLogHeader {
             scenario: plan.name.clone(),
@@ -155,7 +155,7 @@ pub fn write_trajectories(
         // Records may retain trajectories solely for derived columns;
         // only variants that asked for trajectory output get files.
         let variant = plan.variants.iter().find(|v| v.label == rec.label);
-        let Some(v) = variant.filter(|v| v.trajectories) else {
+        let Some(v) = variant.filter(|v| v.cell.trajectories) else {
             continue;
         };
         let name = cell_file_name(plan, v, rec.replication, "trajectory.csv");
@@ -217,10 +217,10 @@ fn format_cell(col: &ColumnSpec, v: &VariantPlan, rec: &RunRecord) -> String {
                 .trajectories
                 .as_ref()
                 .expect("derived columns force trajectory retention at compile time");
-            d.format(traj, v.horizon_ms, v.cc)
+            d.format(traj, v.cell.horizon_ms, v.cell.cc)
         }
         ColumnSpec::Input(name) => v
-            .cells
+            .inputs
             .iter()
             .find(|(col, _)| col == name)
             .map(|(_, val)| val.clone())
@@ -265,12 +265,12 @@ pub fn build_report(plan: &RunPlan, records: &[RunRecord]) -> Report {
 /// are the axis labels (the long-format load–throughput curve CSV). With
 /// a pivot: rows iterate the non-pivot axes, the last axis becomes one
 /// column per value showing the pivot stat.
-fn build_sweep_report(plan: &RunPlan, sweep: &SweepPlan, records: &[RunRecord]) -> Report {
+fn build_sweep_report(plan: &RunPlan, sweep: &SweepSpec, records: &[RunRecord]) -> Report {
     let mut headers: Vec<String> = Vec::new();
     let n_axes = sweep.axes.len();
     match &sweep.pivot {
         None => {
-            headers.extend(sweep.axes.iter().map(|(h, _)| h.clone()));
+            headers.extend(sweep.axes.iter().map(|a| a.header.clone()));
             headers.extend(plan.columns.iter().map(|c| c.header()));
             let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
             let mut report = Report::new(&plan.name, &plan.description, &header_refs);
@@ -282,11 +282,8 @@ fn build_sweep_report(plan: &RunPlan, sweep: &SweepPlan, records: &[RunRecord]) 
                 let coords = sweep.coords(cell);
                 for _ in 0..variant.seeds.len() {
                     let rec = rec_iter.next().expect("one record per (cell, rep)");
-                    let mut row: Vec<String> = coords
-                        .iter()
-                        .enumerate()
-                        .map(|(a, &c)| sweep.axes[a].1[c].clone())
-                        .collect();
+                    let mut row: Vec<String> =
+                        sweep.axes.iter().zip(&coords).map(|(a, &c)| a.label(c)).collect();
                     if multi_rep {
                         row[0].push_str(&format!("#{}", rec.replication));
                     }
@@ -296,25 +293,25 @@ fn build_sweep_report(plan: &RunPlan, sweep: &SweepPlan, records: &[RunRecord]) 
             }
             report
         }
-        Some((stat, prefix)) => {
+        Some(pivot) => {
             // Pivoted: replications are forced to 1 at parse time, so
             // records index exactly as cells.
-            headers.extend(sweep.axes[..n_axes - 1].iter().map(|(h, _)| h.clone()));
-            let pivot_labels = &sweep.axes[n_axes - 1].1;
-            headers.extend(pivot_labels.iter().map(|l| format!("{prefix}{l}")));
+            headers.extend(sweep.axes[..n_axes - 1].iter().map(|a| a.header.clone()));
+            let pivoted = &sweep.axes[n_axes - 1];
+            let n_cols = pivoted.values.len();
+            headers.extend((0..n_cols).map(|c| format!("{}{}", pivot.prefix, pivoted.label(c))));
             let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
             let mut report = Report::new(&plan.name, &plan.description, &header_refs);
-            let n_cols = pivot_labels.len();
             let n_rows = plan.variants.len() / n_cols.max(1);
             for r in 0..n_rows {
                 let coords = sweep.coords(r * n_cols);
-                let mut row: Vec<String> = coords[..n_axes - 1]
+                let mut row: Vec<String> = sweep.axes[..n_axes - 1]
                     .iter()
-                    .enumerate()
-                    .map(|(a, &c)| sweep.axes[a].1[c].clone())
+                    .zip(&coords)
+                    .map(|(a, &c)| a.label(c))
                     .collect();
                 for c in 0..n_cols {
-                    row.push(stat.format(&records[r * n_cols + c].stats));
+                    row.push(pivot.stat.format(&records[r * n_cols + c].stats));
                 }
                 report.push_row(row);
             }

@@ -17,12 +17,16 @@
 //! with the reader — tests that need a spec generate the tree a user
 //! would write.
 //!
-//! The reader returns the engine's own types: `system`, `control` and
-//! `workload` read straight into [`SystemConfig`], [`ControlConfig`]
-//! and [`WorkloadConfig`], and every rule on a cell is checked here, as
-//! the cell is read — each config's own `check`, the clients' fit to the
-//! system, Tay's arguments and `k` ≤ `db_size` — so `validate::land`
-//! blames a broken cell on the override that broke it.
+//! A [`ScenarioSpec`] is the plan's own fields (name, report columns,
+//! variants or sweep, inputs, `quick`) around one [`CellSpec`]: what a
+//! run group runs. The reader returns the engine's own types: `system`,
+//! `control` and `workload` read straight into [`SystemConfig`],
+//! [`ControlConfig`] and [`WorkloadConfig`], and every rule on a cell is
+//! checked here, as the cell is read — each config's own `check`, the
+//! clients' fit to the system, Tay's arguments and `k` ≤ `db_size` — so
+//! `validate::land` blames a broken cell on the override that broke it.
+//! The compiled plan keeps each cell as read; compiling adds only its
+//! replication seeds, each seed's fault timeline and its labels.
 //!
 //! This file holds the typed model and the top-level
 //! [`ScenarioSpec::from_value`]; `spec/columns.rs` is the report-column
@@ -74,13 +78,49 @@ use crate::value_util::{
 };
 use crate::SpecError;
 
-/// One scenario: the declarative form the `scenario` binary runs.
+/// One scenario: the declarative form the `scenario` binary runs — the
+/// plan's own fields, and the base [`CellSpec`] every variant and sweep
+/// cell starts from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario id — also the stem of every emitted CSV.
     pub name: String,
     /// One-line description (report title).
     pub description: String,
+    /// The cell the spec's own tree reads as: what runs when there are no
+    /// variants, and what every variant's and sweep cell's overrides land
+    /// on.
+    pub cell: CellSpec,
+    /// Header of the label column in the report table.
+    pub label_header: String,
+    /// Columns of the report table (raw stats, derived tracking-error
+    /// columns, per-variant input cells, literals).
+    pub columns: Vec<ColumnSpec>,
+    /// Named override sets producing one run group each (mutually
+    /// exclusive with `sweep`).
+    pub variants: Vec<VariantSpec>,
+    /// Grid axes expanding into one run per cross-product cell —
+    /// load–throughput curves and protocol grids (mutually exclusive
+    /// with `variants`).
+    pub sweep: Option<SweepSpec>,
+    /// Literal per-variant table cells, keyed by variant name: the swept
+    /// *inputs* of an ablation (e.g. the α of each variant), rendered by
+    /// `{"input": …}` columns and `label_from`.
+    pub inputs: VariantInputs,
+    /// When set, the report's label column shows this input cell instead
+    /// of the variant name (names must stay unique; labels need not).
+    pub label_from: Option<String>,
+    /// Path → value overrides applied under `--quick` (CI scale).
+    pub quick: Vec<(String, Value)>,
+}
+
+/// One run group as read: the engine's configs, the controller, the
+/// protocol with its schedule, the faults and the client pool, and how
+/// long and how often to run it. The reader checks the rules that tie
+/// its sections together too; compiling adds only seeds, each seed's
+/// fault timeline and labels ([`crate::compile::VariantPlan`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellSpec {
     /// Independent replications per variant (different derived seeds).
     pub replications: u32,
     /// Simulated horizon, ms.
@@ -117,27 +157,6 @@ pub struct ScenarioSpec {
     pub record_optimum: bool,
     /// Write per-run trajectory CSVs.
     pub trajectories: bool,
-    /// Header of the label column in the report table.
-    pub label_header: String,
-    /// Columns of the report table (raw stats, derived tracking-error
-    /// columns, per-variant input cells, literals).
-    pub columns: Vec<ColumnSpec>,
-    /// Named override sets producing one run group each (mutually
-    /// exclusive with `sweep`).
-    pub variants: Vec<VariantSpec>,
-    /// Grid axes expanding into one run per cross-product cell —
-    /// load–throughput curves and protocol grids (mutually exclusive
-    /// with `variants`).
-    pub sweep: Option<SweepSpec>,
-    /// Literal per-variant table cells, keyed by variant name: the swept
-    /// *inputs* of an ablation (e.g. the α of each variant), rendered by
-    /// `{"input": …}` columns and `label_from`.
-    pub inputs: VariantInputs,
-    /// When set, the report's label column shows this input cell instead
-    /// of the variant name (names must stay unique; labels need not).
-    pub label_from: Option<String>,
-    /// Path → value overrides applied under `--quick` (CI scale).
-    pub quick: Vec<(String, Value)>,
 }
 
 /// Literal per-variant input cells: `(variant name, [(cell, text)])`.
@@ -169,7 +188,7 @@ pub enum FaultRecovery {
     Repair(alc_des::dist::Dist),
 }
 
-/// The spec/CSV name of a protocol — the short aliases the `cc` field
+/// The spec/CSV name of a protocol — the one spelling the `cc` field
 /// accepts, also used by `time_in_protocol` column headers and the
 /// switch-event CSV.
 pub fn cc_spec_name(cc: CcKind) -> &'static str {
@@ -336,6 +355,18 @@ pub struct PivotSpec {
     pub prefix: String,
 }
 
+impl SweepSpec {
+    /// Grid coordinates of cell `idx` (row-major, last axis fastest).
+    pub fn coords(&self, mut idx: usize) -> Vec<usize> {
+        let mut coords = vec![0; self.axes.len()];
+        for (coord, axis) in coords.iter_mut().zip(&self.axes).rev() {
+            *coord = idx % axis.values.len();
+            idx /= axis.values.len();
+        }
+        coords
+    }
+}
+
 impl SweepAxis {
     /// Display label of value `i` (explicit label, else rendered).
     pub fn label(&self, i: usize) -> String {
@@ -358,8 +389,9 @@ fn render_axis_value(v: &Value) -> String {
     }
 }
 
-/// One variant: a named set of overrides on the base spec.
-#[derive(Debug, Clone, PartialEq)]
+/// One variant: a named set of overrides on the base spec (the default
+/// is the implicit, unnamed variant of a spec without `variants`).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VariantSpec {
     /// Variant label (row label, trajectory-file suffix).
     pub name: String,
@@ -473,35 +505,10 @@ impl ScenarioSpec {
     /// would not run as written.
     pub fn from_value(v: &Value, base_dir: &Path) -> Result<Self, SpecError> {
         let mut o = Obj::open(v, "spec")?;
-        let (cc, cc_phases, cc_adaptive) = o
-            .opt("cc", |v, _| cc_field_from_value(v))?
-            .unwrap_or((CcKind::Certification, Vec::new(), None));
-        let seed = o
-            .opt("seed", u64_from)?
-            .unwrap_or(SystemConfig::default().seed);
         let spec = ScenarioSpec {
             name: o.req("name", string)?,
             description: o.opt("description", string)?.unwrap_or_default(),
-            replications: o.opt("replications", positive_u32)?.unwrap_or(1),
-            horizon_ms: o.req("horizon_ms", positive)?,
-            cc,
-            cc_phases,
-            cc_adaptive,
-            faults: o.opt("faults", list(fault_from_value))?.unwrap_or_default(),
-            clients: o.opt("clients", |v, _| clients_from_value(v))?,
-            system: SystemConfig {
-                seed,
-                ..o.opt("system", system_from_value)?.unwrap_or_default()
-            },
-            control: o.opt("control", control_from_value)?.unwrap_or_default(),
-            workload: o
-                .opt("workload", |v, _| workload_from_value(v, base_dir))?
-                .unwrap_or_default(),
-            controller: o
-                .opt("controller", |v, _| controller_from_value(v))?
-                .unwrap_or(ControllerSpec::None),
-            record_optimum: o.opt("record_optimum", boolean)?.unwrap_or(false),
-            trajectories: o.opt("trajectories", boolean)?.unwrap_or(false),
+            cell: CellSpec::read(&mut o, base_dir)?,
             label_header: o
                 .opt("label_header", string)?
                 .unwrap_or_else(|| "variant".to_string()),
@@ -555,7 +562,7 @@ impl ScenarioSpec {
                      (axis values already label the rows)",
                 ));
             }
-            if sweep.pivot.is_some() && spec.replications > 1 {
+            if sweep.pivot.is_some() && spec.cell.replications > 1 {
                 return Err(SpecError::new(
                     "a pivoted sweep needs `replications: 1` (one cell, one value)",
                 ));
@@ -616,13 +623,13 @@ impl ScenarioSpec {
                 }
             }
         }
-        if spec.columns.iter().any(ColumnSpec::needs_optimum) && !spec.record_optimum {
+        if spec.columns.iter().any(ColumnSpec::needs_optimum) && !spec.cell.record_optimum {
             return Err(SpecError::new(
                 "tracking-error columns need `record_optimum: true` (they compare the \
                  bound against the analytic optimum trajectory)",
             ));
         }
-        if spec.clients.is_none()
+        if spec.cell.clients.is_none()
             && spec
                 .columns
                 .iter()
@@ -633,15 +640,50 @@ impl ScenarioSpec {
                  `clients` section",
             ));
         }
-        spec.check_cells()?;
+        spec.cell.check()?;
         Ok(spec)
+    }
+}
+
+impl CellSpec {
+    /// Reads the cell's keys of the spec object `o`, each section checked
+    /// by its own rules as it is read.
+    fn read(o: &mut Obj<'_>, base_dir: &Path) -> Result<Self, SpecError> {
+        let (cc, cc_phases, cc_adaptive) = o
+            .opt("cc", |v, _| cc_field_from_value(v))?
+            .unwrap_or((CcKind::Certification, Vec::new(), None));
+        let seed = o
+            .opt("seed", u64_from)?
+            .unwrap_or(SystemConfig::default().seed);
+        Ok(CellSpec {
+            replications: o.opt("replications", positive_u32)?.unwrap_or(1),
+            horizon_ms: o.req("horizon_ms", positive)?,
+            cc,
+            cc_phases,
+            cc_adaptive,
+            faults: o.opt("faults", list(fault_from_value))?.unwrap_or_default(),
+            clients: o.opt("clients", |v, _| clients_from_value(v))?,
+            system: SystemConfig {
+                seed,
+                ..o.opt("system", system_from_value)?.unwrap_or_default()
+            },
+            control: o.opt("control", control_from_value)?.unwrap_or_default(),
+            workload: o
+                .opt("workload", |v, _| workload_from_value(v, base_dir))?
+                .unwrap_or_default(),
+            controller: o
+                .opt("controller", |v, _| controller_from_value(v))?
+                .unwrap_or(ControllerSpec::None),
+            record_optimum: o.opt("record_optimum", boolean)?.unwrap_or(false),
+            trajectories: o.opt("trajectories", boolean)?.unwrap_or(false),
+        })
     }
 
     /// The rules that tie one section's values to another's: the client
     /// pool must fit the system, Tay's rule reads `db_size`, and no
     /// transaction may access more distinct items than the database
     /// holds. Each section's own rules are checked as it is read.
-    fn check_cells(&self) -> Result<(), SpecError> {
+    fn check(&self) -> Result<(), SpecError> {
         let named = |at: &'static str| move |e: String| SpecError::new(format!("{at}.{e}"));
         let db_size = self.system.db_size;
         if let Some(clients) = &self.clients {

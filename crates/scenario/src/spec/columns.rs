@@ -1,6 +1,8 @@
 //! The report-column vocabulary: raw-statistics, client-population and
 //! trajectory-derived columns, how each is named, parsed and formatted.
 
+use std::fmt;
+
 use alc_tpsim::client::ClientStats;
 use alc_tpsim::config::CcKind;
 use alc_tpsim::engine::{RunStats, Trajectories};
@@ -8,173 +10,127 @@ use serde::Value;
 
 use super::cc_spec_name;
 use super::sections::cc_from_value;
+use crate::table::num;
 use crate::value_util::{
     below_one, nonempty, positive, single_key, string, unknown_key, At, Keys, Obj,
 };
 use crate::SpecError;
 
-/// A raw-statistics column of the report table. Integer counters format
-/// via `to_string`, continuous values via the shared `num` table format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StatColumn {
-    /// Commits per second.
-    ThroughputPerS,
-    /// Aborted / finished runs.
-    AbortRatio,
-    /// Mean response time, ms.
-    MeanResponseMs,
-    /// Time-averaged observed MPL.
-    MeanMpl,
-    /// Time-averaged gate bound.
-    MeanBound,
-    /// Committed transactions.
-    Commits,
-    /// Aborted runs.
-    Aborts,
-    /// Displacement victims.
-    Displaced,
-    /// Open-mode lost arrivals.
-    Lost,
-    /// Data conflicts per commit.
-    ConflictsPerCommit,
-    /// Mean CPU utilization.
-    CpuUtilization,
+/// A raw-statistics column of the report table: one row of
+/// [`StatColumn::ALL`], its spec/CSV name and how it renders.
+#[derive(Clone, Copy)]
+pub struct StatColumn {
+    name: &'static str,
+    render: fn(&RunStats) -> String,
 }
 
 impl StatColumn {
     /// Every column, in the order [`crate::spec::vocabulary`] lists them.
+    /// Integer counters format via `to_string`, continuous values via the
+    /// shared `num` table format.
+    #[rustfmt::skip]
     pub const ALL: [StatColumn; 11] = [
-        StatColumn::ThroughputPerS,
-        StatColumn::AbortRatio,
-        StatColumn::MeanResponseMs,
-        StatColumn::MeanMpl,
-        StatColumn::MeanBound,
-        StatColumn::Commits,
-        StatColumn::Aborts,
-        StatColumn::Displaced,
-        StatColumn::Lost,
-        StatColumn::ConflictsPerCommit,
-        StatColumn::CpuUtilization,
+        StatColumn { name: "throughput_per_s", render: |s| num(s.throughput_per_sec) },
+        StatColumn { name: "abort_ratio", render: |s| num(s.abort_ratio) },
+        StatColumn { name: "mean_response_ms", render: |s| num(s.mean_response_ms) },
+        StatColumn { name: "mean_mpl", render: |s| num(s.mean_mpl) },
+        StatColumn { name: "mean_bound", render: |s| num(s.mean_bound) },
+        StatColumn { name: "commits", render: |s| s.commits.to_string() },
+        StatColumn { name: "aborts", render: |s| s.aborts.to_string() },
+        StatColumn { name: "displaced", render: |s| s.displaced.to_string() },
+        StatColumn { name: "lost", render: |s| s.lost.to_string() },
+        StatColumn { name: "conflicts_per_commit", render: |s| num(s.conflicts_per_commit) },
+        StatColumn { name: "cpu_utilization", render: |s| num(s.cpu_utilization) },
     ];
 
     /// The column's spec/CSV name.
     pub fn name(&self) -> &'static str {
-        match self {
-            StatColumn::ThroughputPerS => "throughput_per_s",
-            StatColumn::AbortRatio => "abort_ratio",
-            StatColumn::MeanResponseMs => "mean_response_ms",
-            StatColumn::MeanMpl => "mean_mpl",
-            StatColumn::MeanBound => "mean_bound",
-            StatColumn::Commits => "commits",
-            StatColumn::Aborts => "aborts",
-            StatColumn::Displaced => "displaced",
-            StatColumn::Lost => "lost",
-            StatColumn::ConflictsPerCommit => "conflicts_per_commit",
-            StatColumn::CpuUtilization => "cpu_utilization",
-        }
+        self.name
     }
 
     /// Parses a spec/CSV name.
     pub fn parse(s: &str) -> Result<Self, SpecError> {
         StatColumn::ALL
             .into_iter()
-            .find(|c| c.name() == s)
+            .find(|c| c.name == s)
             .ok_or_else(|| SpecError::new(format!("unknown stat column `{s}`")))
     }
 
     /// Formats the column's value from run statistics.
     pub fn format(&self, stats: &RunStats) -> String {
-        use crate::table::num;
-        match self {
-            StatColumn::ThroughputPerS => num(stats.throughput_per_sec),
-            StatColumn::AbortRatio => num(stats.abort_ratio),
-            StatColumn::MeanResponseMs => num(stats.mean_response_ms),
-            StatColumn::MeanMpl => num(stats.mean_mpl),
-            StatColumn::MeanBound => num(stats.mean_bound),
-            StatColumn::Commits => stats.commits.to_string(),
-            StatColumn::Aborts => stats.aborts.to_string(),
-            StatColumn::Displaced => stats.displaced.to_string(),
-            StatColumn::Lost => stats.lost.to_string(),
-            StatColumn::ConflictsPerCommit => num(stats.conflicts_per_commit),
-            StatColumn::CpuUtilization => num(stats.cpu_utilization),
-        }
+        (self.render)(stats)
     }
 }
 
-/// A client-population column of the report table, rendered from the
-/// run's [`ClientStats`] (`-` for runs without a `clients` section).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClientColumn {
-    /// Requests issued by the pool.
-    Issued,
-    /// Total attempts (first attempts + retries).
-    Attempts,
-    /// Retry attempts.
-    Retries,
-    /// Requests abandoned after exhausting patience or budget.
-    Abandoned,
-    /// Attempt timeouts observed.
-    Timeouts,
-    /// Retry attempts bounced at the gate by retry shedding.
-    ShedRetries,
-    /// Committed requests per second — throughput net of wasted retries.
-    GoodputPerS,
-    /// Attempts per issued request (`1.0` = no retry traffic at all).
-    RetryAmplification,
+/// A client-population column of the report table: one row of
+/// [`ClientColumn::ALL`], rendered from the run's [`ClientStats`] (`-`
+/// for runs without a `clients` section).
+#[derive(Clone, Copy)]
+pub struct ClientColumn {
+    name: &'static str,
+    render: fn(&ClientStats, f64) -> String,
 }
 
 impl ClientColumn {
-    /// Every column, in the order [`crate::spec::vocabulary`] lists them.
+    /// Every column, in the order [`crate::spec::vocabulary`] lists them:
+    /// the pool's counters (`shed_retries` counts the retries bounced at
+    /// the gate), committed requests per second, and attempts per issued
+    /// request (`1.0` = no retry traffic at all).
+    #[rustfmt::skip]
     pub const ALL: [ClientColumn; 8] = [
-        ClientColumn::Issued,
-        ClientColumn::Attempts,
-        ClientColumn::Retries,
-        ClientColumn::Abandoned,
-        ClientColumn::Timeouts,
-        ClientColumn::ShedRetries,
-        ClientColumn::GoodputPerS,
-        ClientColumn::RetryAmplification,
+        ClientColumn { name: "issued", render: |s, _| s.issued.to_string() },
+        ClientColumn { name: "attempts", render: |s, _| s.attempts.to_string() },
+        ClientColumn { name: "retries", render: |s, _| s.retries.to_string() },
+        ClientColumn { name: "abandoned", render: |s, _| s.abandoned.to_string() },
+        ClientColumn { name: "timeouts", render: |s, _| s.timeouts.to_string() },
+        ClientColumn { name: "shed_retries", render: |s, _| s.shed.to_string() },
+        ClientColumn { name: "goodput_per_s", render: |s, ms| num(s.goodput_per_sec(ms)) },
+        ClientColumn { name: "retry_amplification", render: |s, _| num(s.retry_amplification()) },
     ];
 
     /// The column's spec/CSV name.
     pub fn name(&self) -> &'static str {
-        match self {
-            ClientColumn::Issued => "issued",
-            ClientColumn::Attempts => "attempts",
-            ClientColumn::Retries => "retries",
-            ClientColumn::Abandoned => "abandoned",
-            ClientColumn::Timeouts => "timeouts",
-            ClientColumn::ShedRetries => "shed_retries",
-            ClientColumn::GoodputPerS => "goodput_per_s",
-            ClientColumn::RetryAmplification => "retry_amplification",
-        }
+        self.name
     }
 
     /// Parses a spec/CSV name.
     pub fn parse(s: &str) -> Result<Self, SpecError> {
         ClientColumn::ALL
             .into_iter()
-            .find(|c| c.name() == s)
+            .find(|c| c.name == s)
             .ok_or_else(|| SpecError::new(format!("unknown client column `{s}`")))
     }
 
-    /// Formats the column from the run's client stats (`-` when the run
-    /// had no client pool).
+    /// Formats the column from the run's client stats over a run of
+    /// `duration_ms` (`-` when the run had no client pool).
     pub fn format(&self, clients: Option<&ClientStats>, duration_ms: f64) -> String {
-        use crate::table::num;
-        let Some(s) = clients else {
-            return "-".to_string();
-        };
-        match self {
-            ClientColumn::Issued => s.issued.to_string(),
-            ClientColumn::Attempts => s.attempts.to_string(),
-            ClientColumn::Retries => s.retries.to_string(),
-            ClientColumn::Abandoned => s.abandoned.to_string(),
-            ClientColumn::Timeouts => s.timeouts.to_string(),
-            ClientColumn::ShedRetries => s.shed.to_string(),
-            ClientColumn::GoodputPerS => num(s.goodput_per_sec(duration_ms)),
-            ClientColumn::RetryAmplification => num(s.retry_amplification()),
-        }
+        clients.map_or_else(|| "-".to_string(), |s| (self.render)(s, duration_ms))
+    }
+}
+
+// A column is its name: two rows are the same column when their names
+// are, and a column prints as its name.
+impl PartialEq for StatColumn {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+    }
+}
+
+impl fmt::Debug for StatColumn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)
+    }
+}
+
+impl PartialEq for ClientColumn {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+    }
+}
+
+impl fmt::Debug for ClientColumn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)
     }
 }
 
@@ -298,7 +254,6 @@ impl DerivedColumn {
     /// `initial_cc` is the protocol in force at t = 0, which the switch
     /// trace alone cannot tell).
     pub fn format(&self, traj: &Trajectories, horizon_ms: f64, initial_cc: CcKind) -> String {
-        use crate::table::num;
         match self {
             DerivedColumn::PostJumpTrackingErr => {
                 // Same definition as the bespoke ablation harness: mean
@@ -491,16 +446,8 @@ pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
     })
 }
 
-/// Default report columns.
+/// Default report columns: the first five stat columns,
+/// `throughput_per_s` through `mean_bound`.
 pub(super) fn default_columns() -> Vec<ColumnSpec> {
-    [
-        StatColumn::ThroughputPerS,
-        StatColumn::AbortRatio,
-        StatColumn::MeanResponseMs,
-        StatColumn::MeanMpl,
-        StatColumn::MeanBound,
-    ]
-    .into_iter()
-    .map(ColumnSpec::Stat)
-    .collect()
+    StatColumn::ALL[..5].iter().copied().map(ColumnSpec::Stat).collect()
 }

@@ -24,24 +24,19 @@ use crate::value_util::{
 };
 use crate::SpecError;
 
-/// Parses a CC protocol: canonical variant names plus the CLI aliases.
+/// Parses a CC protocol by its one spec name ([`cc_spec_name`]).
 pub(super) fn cc_from_value(v: &Value) -> Result<CcKind, SpecError> {
-    if let Value::Str(s) = v {
-        let alias = match s.as_str() {
-            "certification" | "cert" | "occ" => Some(CcKind::Certification),
-            "2pl" | "two-phase-locking" => Some(CcKind::TwoPhaseLocking),
-            "timestamp-ordering" | "to" => Some(CcKind::TimestampOrdering),
-            "wound-wait" => Some(CcKind::WoundWait),
-            "wait-die" => Some(CcKind::WaitDie),
-            "mvto" | "multiversion" => Some(CcKind::Multiversion),
-            _ => None,
-        };
-        if let Some(cc) = alias {
-            return Ok(cc);
-        }
-    }
-    <CcKind as serde::Deserialize>::from_value(v)
-        .map_err(|e| SpecError::new(format!("invalid `cc`: {e}")))
+    let known = CcKind::ALL.map(cc_spec_name);
+    let Value::Str(name) = v else {
+        return Err(SpecError::new(format!(
+            "a `cc` protocol is a name ({})",
+            known.join(", ")
+        )));
+    };
+    CcKind::ALL
+        .into_iter()
+        .find(|&cc| cc_spec_name(cc) == name)
+        .ok_or_else(|| unknown_key("cc", name, known))
 }
 
 /// Parses a distribution (shorthands allowed) whose mean must be

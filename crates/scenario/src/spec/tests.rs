@@ -20,11 +20,11 @@ fn read(json: &str) -> Result<ScenarioSpec, SpecError> {
 fn minimal_spec_parses_with_defaults() {
     let spec = read(r#"{"name": "mini", "horizon_ms": 1000.0}"#).unwrap();
     assert_eq!(spec.name, "mini");
-    assert_eq!(spec.replications, 1);
-    assert_eq!(spec.cc, CcKind::Certification);
-    assert_eq!(spec.controller, ControllerSpec::None);
-    assert_eq!(spec.workload, WorkloadConfig::default());
-    assert!(!spec.record_optimum);
+    assert_eq!(spec.cell.replications, 1);
+    assert_eq!(spec.cell.cc, CcKind::Certification);
+    assert_eq!(spec.cell.controller, ControllerSpec::None);
+    assert_eq!(spec.cell.workload, WorkloadConfig::default());
+    assert!(!spec.cell.record_optimum);
 }
 
 #[test]
@@ -141,7 +141,7 @@ fn controller_specs_parse_with_partial_params() {
             "controller": {"is": {"initial_bound": 5, "max_bound": 60}}}"#,
     )
     .unwrap();
-    let ControllerSpec::Is(p) = spec.controller else {
+    let ControllerSpec::Is(p) = spec.cell.controller else {
         panic!("wrong controller");
     };
     assert_eq!(p.initial_bound, 5);
@@ -152,16 +152,18 @@ fn controller_specs_parse_with_partial_params() {
 
 #[test]
 fn cc_aliases_parse() {
-    for (alias, want) in [
-        ("certification", CcKind::Certification),
-        ("2pl", CcKind::TwoPhaseLocking),
-        ("wound-wait", CcKind::WoundWait),
-        ("mvto", CcKind::Multiversion),
-        ("Certification", CcKind::Certification),
-    ] {
-        let json = format!(r#"{{"name": "c", "horizon_ms": 1.0, "cc": "{alias}"}}"#);
-        let spec = read(&json).unwrap();
-        assert_eq!(spec.cc, want, "{alias}");
+    // Each protocol has one spelling, its `cc_spec_name`.
+    for cc in CcKind::ALL {
+        let json = format!(r#"{{"name": "c", "horizon_ms": 1.0, "cc": "{}"}}"#, cc_spec_name(cc));
+        assert_eq!(read(&json).unwrap().cell.cc, cc, "{}", cc_spec_name(cc));
+    }
+    // Any other spelling is unknown, the engine's variant names too.
+    for alias in ["Certification", "cert", "occ", "two-phase-locking", "to", "multiversion"] {
+        let msg = parse_err(&format!(r#""cc": "{alias}""#));
+        assert!(
+            msg.contains(&format!("unknown `cc` key `{alias}` (known: certification, 2pl,")),
+            "{alias}: {msg}"
+        );
     }
 }
 
@@ -219,7 +221,7 @@ fn offered_load_lowers_to_interarrival_mean() {
             "system": {"terminals": 80, "offered_load_per_s": 250}}"#,
     )
     .unwrap();
-    let alc_tpsim::config::ArrivalProcess::Open { interarrival } = spec.system.arrival else {
+    let alc_tpsim::config::ArrivalProcess::Open { interarrival } = spec.cell.system.arrival else {
         panic!("offered load must lower to an open arrival stream");
     };
     assert_eq!(interarrival, alc_des::dist::Dist::exponential(4.0));
@@ -302,8 +304,8 @@ fn cc_phases_parse_and_split() {
             "cc": {"phases": [[0.0, "certification"], [500.0, "2pl"]]}}"#,
     )
     .unwrap();
-    assert_eq!(spec.cc, CcKind::Certification);
-    assert_eq!(spec.cc_phases, vec![(500.0, CcKind::TwoPhaseLocking)]);
+    assert_eq!(spec.cell.cc, CcKind::Certification);
+    assert_eq!(spec.cell.cc_phases, vec![(500.0, CcKind::TwoPhaseLocking)]);
 }
 
 #[test]
@@ -318,9 +320,9 @@ fn adaptive_cc_parses_and_pins_initial_protocol() {
                 "hysteresis": 0.2}}}"#,
     )
     .unwrap();
-    assert_eq!(spec.cc, CcKind::Certification);
-    assert!(spec.cc_phases.is_empty());
-    let ad = spec.cc_adaptive.expect("adaptive section");
+    assert_eq!(spec.cell.cc, CcKind::Certification);
+    assert!(spec.cell.cc_phases.is_empty());
+    let ad = spec.cell.cc_adaptive.expect("adaptive section");
     assert_eq!(
         ad.candidates,
         vec![CcKind::Certification, CcKind::TwoPhaseLocking]
@@ -424,7 +426,7 @@ fn adaptive_cc_is_set_addressable() {
     )
     .unwrap();
     let spec = ScenarioSpec::from_value(&tree, Path::new(".")).unwrap();
-    let ad = spec.cc_adaptive.unwrap();
+    let ad = spec.cell.cc_adaptive.unwrap();
     assert_eq!(ad.guard.min_dwell_ms, 5_000.0);
     assert_eq!(
         ad.policy,
@@ -503,9 +505,10 @@ fn stat_columns_cover_run_stats() {
         conflicts_per_commit: 0.2,
         lost: 0,
     };
-    assert_eq!(StatColumn::Commits.format(&stats), "10");
-    assert_eq!(StatColumn::Displaced.format(&stats), "1");
-    assert_eq!(StatColumn::ThroughputPerS.format(&stats), "10.0");
+    let column = |name| StatColumn::parse(name).unwrap();
+    assert_eq!(column("commits").format(&stats), "10");
+    assert_eq!(column("displaced").format(&stats), "1");
+    assert_eq!(column("throughput_per_s").format(&stats), "10.0");
     for c in StatColumn::ALL {
         assert_eq!(StatColumn::parse(c.name()).unwrap(), c);
     }

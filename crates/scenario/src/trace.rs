@@ -116,7 +116,7 @@ pub fn trace_cell(
     let chrome = Arc::new(Mutex::new(writer));
     // Mirror `Simulator::run`: the window resets only when warmup is
     // positive, and warmup is clamped to the horizon.
-    let warmup = v.control.warmup_ms.min(v.horizon_ms);
+    let warmup = v.cell.control.warmup_ms.min(v.cell.horizon_ms);
     let counting = if warmup > 0.0 {
         CountingSink::with_floor(warmup)
     } else {
@@ -128,7 +128,7 @@ pub fn trace_cell(
         SharedSink(Arc::clone(&counts)),
     )));
 
-    let stats = sim.run(v.horizon_ms);
+    let stats = sim.run(v.cell.horizon_ms);
     let clients = sim.client_stats();
     // Closes still-open spans at the horizon and drops the boxed tee,
     // releasing the shared handles for recovery below.
@@ -188,9 +188,9 @@ pub fn trace_cell(
             c.count(Phase::FlowEnd, tname::RETRY).after_floor,
         );
     }
-    let scheduled_faults = v.faults[rep]
+    let scheduled_faults = v.fault_timelines[rep]
         .iter()
-        .filter(|(at, _)| *at <= v.horizon_ms)
+        .filter(|(at, _)| *at <= v.cell.horizon_ms)
         .count() as u64;
     if scheduled_faults > 0 {
         check(
@@ -269,7 +269,7 @@ mod tests {
         let traced = trace_cell(&plan, v, 0, &dir).expect("cell runs");
         // An untraced run of the same cell must see identical stats:
         // tracing draws no randomness and schedules no events.
-        let stats = v.simulator(0).run(v.horizon_ms);
+        let stats = v.simulator(0).run(v.cell.horizon_ms);
         assert_eq!(traced.stats, stats);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -32,7 +32,7 @@ use crate::SpecError;
 
 /// One layer of a cell's overrides: where they come from (for errors),
 /// and the `(path, value)` pairs, applied in order.
-type Layer = (String, Vec<(String, Value)>);
+pub(crate) type Layer<'a> = (String, Vec<(&'a str, &'a Value)>);
 
 /// Applies `layers` to a copy of `base` and reads the result (`trace`
 /// files relative to `base_dir`): the cell's tree and its spec, or one
@@ -40,13 +40,13 @@ type Layer = (String, Vec<(String, Value)>);
 pub(crate) fn land(
     base: &Value,
     base_dir: &Path,
-    layers: &[Layer],
+    layers: &[Layer<'_>],
 ) -> Result<(Value, ScenarioSpec), Vec<String>> {
     let mut tree = base.clone();
     let landed = layers
         .iter()
         .flat_map(|(_, overrides)| overrides)
-        .try_for_each(|(path, val)| set_path(&mut tree, path, val.clone()));
+        .try_for_each(|&(path, val)| set_path(&mut tree, path, val.clone()));
     match landed.and_then(|()| ScenarioSpec::from_value(&tree, base_dir)) {
         Ok(spec) => Ok((tree, spec)),
         Err(whole) => {
@@ -64,11 +64,11 @@ pub(crate) fn land(
 /// before it left, and names those after which the tree no longer
 /// reads. Each of those is left out, so one dead path does not condemn
 /// the ones after it.
-fn blame(base: &Value, base_dir: &Path, layers: &[Layer]) -> Vec<String> {
+fn blame(base: &Value, base_dir: &Path, layers: &[Layer<'_>]) -> Vec<String> {
     let mut tree = base.clone();
     let mut dead = Vec::new();
     for (origin, overrides) in layers {
-        for (path, val) in overrides {
+        for &(path, val) in overrides {
             let mut next = tree.clone();
             let read = set_path(&mut next, path, val.clone())
                 .and_then(|()| ScenarioSpec::from_value(&next, base_dir).map(drop));

@@ -55,7 +55,7 @@ fn assert_same_records(a: &[RunRecord], b: &[RunRecord], what: &str) {
 fn cc_switch_scenario_is_deterministic_and_conserves_work() {
     let plan = quick_plan("cc-switch");
     assert_eq!(
-        plan.variants[0].cc_switches.len(),
+        plan.variants[0].cell.cc_phases.len(),
         2,
         "the spec schedules two switches after t=0"
     );
@@ -79,7 +79,7 @@ fn cc_switch_scenario_is_deterministic_and_conserves_work() {
 fn fault_scenario_is_deterministic_across_reruns_and_thread_counts() {
     let plan = quick_plan("fault-outage");
     assert_eq!(
-        plan.variants[0].faults,
+        plan.variants[0].fault_timelines,
         vec![vec![(6_000.0, -2), (11_000.0, 2)]],
         "the fault window lowers to a kill/restart delta pair"
     );
@@ -96,7 +96,7 @@ fn fault_scenario_is_deterministic_across_reruns_and_thread_counts() {
 /// outage lengths (reruns see the same ones; `golden.rs` pins the table).
 #[test]
 fn fault_repair_replications_draw_different_outages() {
-    let per_rep = &quick_plan("fault-repair").variants[0].faults;
+    let per_rep = &quick_plan("fault-repair").variants[0].fault_timelines;
     assert_ne!(per_rep[0], per_rep[1], "replications shared repair draws");
 }
 
@@ -111,7 +111,8 @@ fn fault_repair_replications_draw_different_outages() {
 fn adaptive_cc_scenario_switches_on_the_hotspot_ramp() {
     let plan = quick_plan("adaptive-cc");
     let ad = plan.variants[0]
-        .adaptive_cc
+        .cell
+        .cc_adaptive
         .as_ref()
         .expect("adaptive section");
     assert_eq!(ad.candidates.len(), 2);

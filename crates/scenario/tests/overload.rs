@@ -69,7 +69,7 @@ fn transient_fault_is_metastable_without_shedding_and_recovers_with_it() {
     // before the horizon, so degradation past the repair is hysteresis,
     // not the fault itself.
     let fault_end = 18_000.0;
-    let horizon = plan.variants[0].horizon_ms;
+    let horizon = plan.variants[0].cell.horizon_ms;
     assert!(
         horizon >= fault_end + 20_000.0,
         "quick horizon must leave a long post-repair window"

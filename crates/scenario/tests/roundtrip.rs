@@ -558,8 +558,8 @@ proptest! {
     fn spec_round_trips_through_json(tree in arb_spec()) {
         let spec = survives_its_text(&tree);
         // The typed view holds the drawn numbers exactly.
-        prop_assert_eq!(Some(spec.system.seed), tree.get("seed").and_then(Value::as_u64));
-        prop_assert_eq!(Some(spec.horizon_ms), tree.get("horizon_ms").and_then(Value::as_f64));
+        prop_assert_eq!(Some(spec.cell.system.seed), tree.get("seed").and_then(Value::as_u64));
+        prop_assert_eq!(Some(spec.cell.horizon_ms), tree.get("horizon_ms").and_then(Value::as_f64));
     }
 
     /// Profile tree → JSON string → tree and schedule is the identity
@@ -599,17 +599,17 @@ proptest! {
             // The lowered switch and fault schedules survive compilation
             // on every variant.
             for v in &plan.variants {
-                prop_assert_eq!(v.cc_switches.len(), spec.cc_phases.len());
+                prop_assert_eq!(v.cell.cc_phases.len(), spec.cell.cc_phases.len());
                 // One fault timeline per replication, each ascending with
                 // both edges of every window.
-                prop_assert_eq!(v.faults.len(), v.seeds.len());
-                for timeline in &v.faults {
-                    prop_assert_eq!(timeline.len(), 2 * spec.faults.len());
+                prop_assert_eq!(v.fault_timelines.len(), v.seeds.len());
+                for timeline in &v.fault_timelines {
+                    prop_assert_eq!(timeline.len(), 2 * spec.cell.faults.len());
                     prop_assert!(timeline.windows(2).all(|w| w[0].0 <= w[1].0));
                 }
                 // Fixed windows draw nothing: every replication shares them.
-                if spec.faults.iter().all(|f| matches!(f.recovery, FaultRecovery::Fixed(_))) {
-                    prop_assert!(v.faults.windows(2).all(|w| w[0] == w[1]));
+                if spec.cell.faults.iter().all(|f| matches!(f.recovery, FaultRecovery::Fixed(_))) {
+                    prop_assert!(v.fault_timelines.windows(2).all(|w| w[0] == w[1]));
                 }
             }
         }

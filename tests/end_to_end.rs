@@ -86,7 +86,8 @@ fn simulator_matches_analytic_model() {
             .iter()
             .find(|v| v.label == label)
             .expect("variant");
-        let curve = v.workload.occ_model_at(0.0, &v.sys).curve(v.sys.terminals);
+        let cell = &v.cell;
+        let curve = cell.workload.occ_model_at(0.0, &cell.system).curve(cell.system.terminals);
         let sim = stats(records, &label).throughput_per_sec;
         let model = curve.throughput(f64::from(b)) * 1000.0;
         let rel = (sim - model).abs() / model;
@@ -117,11 +118,11 @@ fn configs_are_serde_capable() {
 fn gate_bound_never_exceeded_without_displacement() {
     let plan = quick_plan("fig01");
     for v in &plan.variants {
-        assert!(!v.control.displacement);
-        let bound = v.control.initial_bound;
+        assert!(!v.cell.control.displacement);
+        let bound = v.cell.control.initial_bound;
         let mut sim = v.simulator(0);
         for step in 1..=40 {
-            sim.run_until(f64::from(step) * v.horizon_ms / 40.0);
+            sim.run_until(f64::from(step) * v.cell.horizon_ms / 40.0);
             assert!(
                 sim.gate().in_system() <= bound,
                 "in-system {} exceeds bound {bound} at step {step}",

@@ -92,33 +92,33 @@ fn self_tuning_pa_shortens_memory_on_workload_jump() {
         .iter()
         .find(|v| v.label == "self-tuning-PA")
         .expect("self-tuning-PA variant");
-    let ControllerSpec::SelfTuningPa(pa) = v.controller else {
-        panic!("self-tuning-PA runs {:?}", v.controller);
+    let ControllerSpec::SelfTuningPa(pa) = v.cell.controller else {
+        panic!("self-tuning-PA runs {:?}", v.cell.controller);
     };
     let log = Arc::new(Mutex::new(Vec::new()));
     let probe = AlphaProbe {
         inner: SelfTuningPa::new(pa, PaOuterParams::default()),
         log: Arc::clone(&log),
     };
-    // Replication 0: `v.sys` carries the spec seed.
+    // Replication 0: `v.cell.system` carries the spec seed.
     let mut sim = Simulator::new(
-        v.sys,
-        v.workload.clone(),
-        v.cc,
-        v.control,
+        v.cell.system,
+        v.cell.workload.clone(),
+        v.cell.cc,
+        v.cell.control,
         Some(Box::new(probe)),
     );
-    sim.run(v.horizon_ms);
+    sim.run(v.cell.horizon_ms);
 
     let alphas = log.lock().expect("probe lock").clone();
-    let Schedule::Jump { at: jump_at, .. } = v.workload.k else {
-        panic!("the spec's k is a step, got {:?}", v.workload.k);
+    let Schedule::Jump { at: jump_at, .. } = v.cell.workload.k else {
+        panic!("the spec's k is a step, got {:?}", v.cell.workload.k);
     };
     assert_eq!(
         alphas.len(),
-        (v.horizon_ms / v.control.sample_interval_ms) as usize
+        (v.cell.horizon_ms / v.cell.control.sample_interval_ms) as usize
     );
-    let jump_idx = (jump_at / v.control.sample_interval_ms) as usize;
+    let jump_idx = (jump_at / v.cell.control.sample_interval_ms) as usize;
     let alpha_at_jump = alphas[jump_idx - 1];
     let min_after = alphas[jump_idx..jump_idx + 40]
         .iter()
@@ -136,7 +136,7 @@ fn self_tuning_pa_shortens_memory_on_workload_jump() {
 fn new_features_are_deterministic() {
     let mut plan = quick_plan("abl-victim");
     for v in &mut plan.variants {
-        v.cc = CcKind::WoundWait;
+        v.cell.cc = CcKind::WoundWait;
     }
     let stats = |records: Vec<RunRecord>| records.into_iter().map(|r| r.stats).collect::<Vec<_>>();
     assert_eq!(
@@ -151,10 +151,10 @@ fn new_features_are_deterministic() {
 #[test]
 fn degenerate_controller_configs_stay_sane() {
     let mut plan = quick_plan("fig14");
-    let ControllerSpec::Pa(pa) = plan.variants[0].controller else {
+    let ControllerSpec::Pa(pa) = plan.variants[0].cell.controller else {
         panic!("fig14 runs PA");
     };
-    plan.variants[0].controller = ControllerSpec::Pa(PaParams {
+    plan.variants[0].cell.controller = ControllerSpec::Pa(PaParams {
         initial_bound: 3,
         min_bound: 3,
         max_bound: 3,

@@ -60,9 +60,9 @@ fn best_bound(records: &[RunRecord], cc: &str) -> u32 {
 #[test]
 fn tay_rule_is_protocol_blind() {
     let (plan, records) = run_quick("protocol-thrashing");
-    let v = &plan.variants[0];
+    let v = &plan.variants[0].cell;
     let k = v.workload.at(0.0).k;
-    let rule_bound = TayRule::new(k, v.sys.db_size, 1, BOUNDS[BOUNDS.len() - 1]).current_bound();
+    let rule_bound = TayRule::new(k, v.system.db_size, 1, BOUNDS[BOUNDS.len() - 1]).current_bound();
     let (best_cert, best_2pl) = (
         best_bound(records, "certification"),
         best_bound(records, "2pl"),
