@@ -14,7 +14,7 @@
 
 /// A closed single-class network: one multiserver queueing station (the
 /// CPU) plus an aggregate pure delay (disk + terminal think time).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClosedNetwork {
     /// Total CPU service demand per run, milliseconds.
     pub cpu_demand: f64,

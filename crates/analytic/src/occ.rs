@@ -34,7 +34,7 @@ use crate::lambert::lambert_w0;
 use crate::mva::{ClosedNetwork, MvaSolution};
 
 /// Parameters of the optimistic-CC throughput model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OccModel {
     /// Data items accessed per transaction (`k`).
     pub k: u32,

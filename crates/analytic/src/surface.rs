@@ -160,7 +160,7 @@ pub trait Surface {
 /// The standard thrashing curve: `P(n) = h·(x·e^{1−x})^s` with
 /// `x = n/n_opt`. Rises to `h` at `n = n_opt` and decays beyond it;
 /// `steepness` sharpens both flanks (larger = more cliff-like thrashing).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RidgeSurface {
     /// Position of the optimum over time, `n_opt(t)`.
     pub position: Schedule,
@@ -200,7 +200,7 @@ impl Surface for RidgeSurface {
 /// Figure 7's pathology: a broad, flat hump. `P(n) = h / (1 + ((n−c)/w)⁴)`
 /// is nearly constant across `c ± w`, so a parabola fitted to samples from
 /// the plateau can easily come out convex.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatHumpSurface {
     /// Center of the hump over time.
     pub center: Schedule,

@@ -41,7 +41,7 @@ const REVERT_AFTER: u32 = 4;
 const REVERT_WINDOW: u32 = 8;
 
 /// Tuning parameters of the [`Hybrid`] controller.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HybridParams {
     /// Inner IS parameters (bootstrap phase).
     pub is: IsParams,

@@ -117,7 +117,7 @@ impl PaParams {
 }
 
 /// Diagnostic counters exposed for experiments and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PaDiagnostics {
     /// Intervals whose fit opened upward (Fig. 7/8 pathology hits).
     pub convex_fits: u64,

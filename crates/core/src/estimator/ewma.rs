@@ -6,7 +6,7 @@
 //! observation, `1 − w` on history.
 
 /// An exponentially weighted moving average of a scalar signal.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     weight: f64,
     value: Option<f64>,

@@ -7,7 +7,7 @@
 //! must run instead.
 
 /// A quadratic model `y = a0 + a1·x + a2·x²`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quadratic {
     /// Constant coefficient.
     pub a0: f64,
@@ -19,7 +19,7 @@ pub struct Quadratic {
 
 /// Classification of a fitted parabola, deciding the §4.2 control law
 /// branch.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FitShape {
     /// Opens downward with a clear curvature: the vertex is trustworthy.
     Concave {

@@ -66,7 +66,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Snapshot of the gate's counters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateStats {
     /// Current admission limit `n*`.
     pub limit: u32,

@@ -362,9 +362,16 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Schedules `payload` to fire `delay` milliseconds from now.
+    /// Schedules `payload` to fire `delay` milliseconds from now. An event
+    /// `+∞` away never fires: when `now + delay` is `+∞`, nothing is
+    /// scheduled and the token returned is already stale. A NaN or
+    /// negative delay panics, as a past time does in [`Calendar::schedule`].
     pub fn schedule_in(&mut self, delay: f64, payload: E) -> EventToken {
-        self.schedule(self.now + delay, payload)
+        let at = self.now.millis() + delay;
+        if at == f64::INFINITY {
+            return EventToken { slot: NIL, gen: 0 };
+        }
+        self.schedule(SimTime::new(at), payload)
     }
 
     /// Opens a FIFO lane for events that fire a constant `delay_ms` after
@@ -778,6 +785,31 @@ mod tests {
         cal.cancel(tok);
         cal.schedule(t(2.0), ());
         assert!(cal.pop().is_some());
+    }
+
+    #[test]
+    fn an_event_infinitely_far_away_is_never_scheduled() {
+        let mut cal = Calendar::new();
+        cal.schedule(t(1e308), "far");
+        let never = cal.schedule_in(f64::INFINITY, "never");
+        assert_eq!(cal.len(), 1, "an infinite delay filed an event");
+        assert_eq!(cal.pop(), Some((t(1e308), "far")));
+        // A finite delay that overflows the clock is as far away.
+        cal.schedule_in(1e308, "overflow");
+        assert!(cal.is_empty());
+        // Its token is stale from the start: cancelling it touches no
+        // live event, also one that reuses the slab.
+        let live = cal.schedule_in(1.0, "live");
+        cal.cancel(never);
+        assert_eq!(cal.pop().map(|(_, e)| e), Some("live"));
+        cal.cancel(live);
+        assert!(cal.pop().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime must be finite and non-negative")]
+    fn a_nan_delay_panics() {
+        Calendar::new().schedule_in(f64::NAN, ());
     }
 
     #[test]

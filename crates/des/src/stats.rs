@@ -33,7 +33,7 @@ impl Welford {
 }
 
 /// Supported confidence levels for interval estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfidenceLevel {
     /// 90% two-sided.
     P90,

@@ -10,7 +10,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time, in milliseconds since the start of the run.
-#[derive(Clone, Copy, PartialEq, PartialOrd, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -25,7 +25,9 @@ use alc_tpsim::config::SystemConfig;
 use alc_tpsim::engine::Simulator;
 use serde::Value;
 
-use crate::spec::{CellSpec, ColumnSpec, FaultSpec, ScenarioSpec, SweepSpec, VariantSpec};
+use crate::spec::{
+    CcSpec, CellSpec, ColumnSpec, FaultRecovery, FaultSpec, ScenarioSpec, SweepSpec, VariantSpec,
+};
 use crate::validate::{dead_paths, land, Layer};
 use crate::SpecError;
 
@@ -91,17 +93,18 @@ impl VariantPlan {
         let mut sim = Simulator::new(
             sys,
             cell.workload.clone(),
-            cell.cc,
+            cell.cc.initial(),
             cell.control,
             controller,
         );
         sim.set_record_optimum(cell.record_optimum);
-        if !cell.cc_phases.is_empty() {
-            sim.set_cc_switches(&cell.cc_phases);
-        }
-        if let Some(adaptive) = &cell.cc_adaptive {
-            let (candidates, policy) = adaptive.build();
-            sim.set_adaptive_cc(candidates, policy);
+        match &cell.cc {
+            CcSpec::Fixed(_) => {}
+            CcSpec::Phases(phases) => sim.set_cc_switches(&phases[1..]),
+            CcSpec::Adaptive(adaptive) => {
+                let (candidates, policy) = adaptive.build();
+                sim.set_adaptive_cc(candidates, policy);
+            }
         }
         let faults = &self.fault_timelines[rep];
         if !faults.is_empty() {
@@ -213,20 +216,37 @@ fn layer(origin: String, overrides: &[(String, Value)]) -> Layer<'_> {
     (origin, overrides.iter().map(|(path, v)| (path.as_str(), v)).collect())
 }
 
-/// Lowers fault windows (kill time, outage length, servers) into an
-/// ascending CPU-capacity delta timeline, rejecting schedules that would
-/// kill more CPUs than are installed. The sort is stable, so a
-/// zero-length outage restores immediately after its kill.
-fn lower_fault_windows(
-    windows: &[(f64, f64, u32)],
+/// Lowers the fault specs for one replication into an ascending
+/// CPU-capacity delta timeline, rejecting schedules that would kill more
+/// CPUs than are installed. Fixed windows pass through; repair-time
+/// distributions are sampled per fault from the replication seed's
+/// dedicated `fault_repair` RNG substream (spec order), so the schedule
+/// is fully determined by the recorded seed and no other stream shifts.
+/// The sort is stable, so a zero-length outage restores immediately
+/// after its kill.
+fn lower_faults_for_seed(
+    faults: &[FaultSpec],
     sys: &SystemConfig,
+    seed: u64,
 ) -> Result<Vec<(f64, i32)>, SpecError> {
-    let mut deltas: Vec<(f64, i32)> = Vec::with_capacity(windows.len() * 2);
-    for &(at_ms, duration_ms, cpus_down) in windows {
-        let down = i32::try_from(cpus_down)
+    use alc_des::dist::Sample as _;
+    let mut rng = alc_des::rng::SeedFactory::new(seed).stream("fault_repair");
+    let mut deltas: Vec<(f64, i32)> = Vec::with_capacity(faults.len() * 2);
+    for f in faults {
+        let duration_ms = match &f.recovery {
+            FaultRecovery::Fixed(d) => *d,
+            // A pathological draw below zero clamps to an instant repair
+            // (kill and restore at the same time, kill first).
+            FaultRecovery::Repair(dist) => dist.sample(&mut rng).max(0.0),
+        };
+        let down = i32::try_from(f.cpus_down)
             .map_err(|_| SpecError::new("fault `cpus_down` too large"))?;
-        deltas.push((at_ms, -down));
-        deltas.push((at_ms + duration_ms, down));
+        deltas.push((f.at_ms, -down));
+        // A restore at +∞ never happens: those CPUs never come back.
+        let restore_ms = f.at_ms + duration_ms;
+        if restore_ms.is_finite() {
+            deltas.push((restore_ms, down));
+        }
     }
     deltas.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut level = i64::from(sys.cpus);
@@ -240,33 +260,6 @@ fn lower_fault_windows(
         }
     }
     Ok(deltas)
-}
-
-/// Lowers the fault specs for one replication: fixed windows pass
-/// through, repair-time distributions are sampled per fault from the
-/// replication seed's dedicated `fault_repair` RNG substream (spec
-/// order), so the schedule is fully determined by the recorded seed and
-/// no other stream shifts.
-fn lower_faults_for_seed(
-    faults: &[FaultSpec],
-    sys: &SystemConfig,
-    seed: u64,
-) -> Result<Vec<(f64, i32)>, SpecError> {
-    use alc_des::dist::Sample as _;
-    let mut rng = alc_des::rng::SeedFactory::new(seed).stream("fault_repair");
-    let windows: Vec<(f64, f64, u32)> = faults
-        .iter()
-        .map(|f| {
-            let duration = match &f.recovery {
-                crate::spec::FaultRecovery::Fixed(d) => *d,
-                // A pathological draw below zero clamps to an instant
-                // repair (kill and restore at the same time, kill first).
-                crate::spec::FaultRecovery::Repair(dist) => dist.sample(&mut rng).max(0.0),
-            };
-            (f.at_ms, duration, f.cpus_down)
-        })
-        .collect();
-    lower_fault_windows(&windows, sys)
 }
 
 /// The plan of one landed cell: the cell as read, its seeds, each seed's
@@ -402,7 +395,7 @@ mod tests {
                 r#"{"fixed_analytic_optimum": {"n_max": 0}}"#,
                 "controller.fixed_analytic_optimum.n_max",
             ),
-            ("control.sample_interval_ms", "1e400", "control.sample_interval_ms"),
+            ("control.sample_interval_ms", "0", "control.sample_interval_ms"),
             ("clients", r#"{"population": 401, "timeout": 100}"#, "clients.population"),
             ("workload.k", "-3", "workload.k"),
             ("workload.k", "0", "workload.k"),
@@ -456,7 +449,7 @@ mod tests {
         let p2 = compile_value(&v, &PathBuf::from("."), false).unwrap();
         assert_eq!(p1, p2, "same spec must compile to the same plan");
         assert_eq!(p1.variants.len(), 2);
-        assert_eq!(p1.variants[0].cell.cc, CcKind::TwoPhaseLocking);
+        assert_eq!(p1.variants[0].cell.cc, CcSpec::Fixed(CcKind::TwoPhaseLocking));
         assert!(matches!(
             p1.variants[1].cell.controller,
             ControllerSpec::Pa(_)

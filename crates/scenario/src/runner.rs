@@ -217,7 +217,7 @@ fn format_cell(col: &ColumnSpec, v: &VariantPlan, rec: &RunRecord) -> String {
                 .trajectories
                 .as_ref()
                 .expect("derived columns force trajectory retention at compile time");
-            d.format(traj, v.cell.horizon_ms, v.cell.cc)
+            d.format(traj, v.cell.horizon_ms, v.cell.cc.initial())
         }
         ColumnSpec::Input(name) => v
             .inputs

@@ -70,7 +70,8 @@ use self::columns::{column_from_value, default_columns, COLUMN, DERIVED};
 use self::sections::{
     cc_field_from_value, clients_from_value, control_from_value, controller_from_value,
     fault_from_value, filename_safe, inputs_from_value, sweep_from_value, system_from_value,
-    variant_from_value, workload_from_value, CONTROLLER, CONTROLLER_NAMES, POLICY, RETRY,
+    variant_from_value, workload_from_value, CC_FORMS, CONTROLLER, CONTROLLER_NAMES, POLICY,
+    RETRY,
 };
 use crate::profile::PROFILE;
 use crate::value_util::{
@@ -125,17 +126,9 @@ pub struct CellSpec {
     pub replications: u32,
     /// Simulated horizon, ms.
     pub horizon_ms: f64,
-    /// Concurrency-control protocol in force at t = 0.
-    pub cc: CcKind,
-    /// Per-phase CC switches `(t_ms, protocol)` after t = 0 — at each
-    /// boundary the engine drains in-flight transactions and swaps the
-    /// protocol (the spec's `cc: {"phases": [[0, …], [t, …]]}` form).
-    pub cc_phases: Vec<(f64, CcKind)>,
-    /// Closed-loop protocol selection (the spec's `cc: {"adaptive": …}`
-    /// form): a meta-policy picks the protocol online from the measured
-    /// conflict state. Mutually exclusive with `cc_phases` by
-    /// construction; `cc` holds `candidates[0]`.
-    pub cc_adaptive: Option<AdaptiveCcSpec>,
+    /// The concurrency-control protocol plan: one protocol, a schedule
+    /// of them, or a policy choosing among candidates.
+    pub cc: CcSpec,
     /// Scheduled station faults (CPU kill/restart windows).
     pub faults: Vec<FaultSpec>,
     /// Closed-loop client population replacing the patient terminals:
@@ -157,6 +150,30 @@ pub struct CellSpec {
     pub record_optimum: bool,
     /// Write per-run trajectory CSVs.
     pub trajectories: bool,
+}
+
+/// A cell's protocol plan, the spec's `cc` field.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CcSpec {
+    /// One protocol for the whole run (a bare name).
+    Fixed(CcKind),
+    /// `{"phases": …}`: switches `(t_ms, protocol)` as written, the first
+    /// at 0, strictly ascending; at each later one the engine drains
+    /// in-flight transactions and swaps the protocol.
+    Phases(Vec<(f64, CcKind)>),
+    /// `{"adaptive": …}`: a meta-policy picks the protocol online.
+    Adaptive(AdaptiveCcSpec),
+}
+
+impl CcSpec {
+    /// The protocol in force at t = 0.
+    pub fn initial(&self) -> CcKind {
+        match self {
+            CcSpec::Fixed(cc) => *cc,
+            CcSpec::Phases(phases) => phases[0].1,
+            CcSpec::Adaptive(adaptive) => adaptive.candidates[0],
+        }
+    }
 }
 
 /// Literal per-variant input cells: `(variant name, [(cell, text)])`.
@@ -214,7 +231,7 @@ pub fn vocabulary() -> String {
             "controller",
             [quoted(&CONTROLLER_NAMES.map(|(n, _)| n)), objects(CONTROLLER)].concat(),
         ),
-        ("cc", quoted(&CcKind::ALL.map(cc_spec_name))),
+        ("cc", [quoted(&CcKind::ALL.map(cc_spec_name)), objects(CC_FORMS)].concat()),
         ("cc.adaptive.policy", objects(POLICY)),
         ("clients.retry", objects(RETRY)),
         ("profile", [number(), objects(PROFILE)].concat()),
@@ -243,7 +260,7 @@ pub fn vocabulary() -> String {
     out
 }
 
-/// The `cc: {"adaptive": …}` section: candidate protocols, the policy
+/// The [`CcSpec::Adaptive`] section: candidate protocols, the policy
 /// choosing among them, and the anti-oscillation guards. The run starts
 /// under `candidates[0]`; at every measurement interval the policy sees
 /// the interval's conflict state and may drain-and-swap to another
@@ -307,15 +324,11 @@ impl AdaptiveCcSpec {
     /// Instantiates the candidate list and the boxed policy for one run.
     pub fn build(&self) -> (Vec<CcKind>, Box<dyn MetaPolicy>) {
         let (n, guard) = (self.candidates.len(), self.guard);
-        let policy: Box<dyn MetaPolicy> = match &self.policy {
-            MetaPolicySpec::Ladder {
-                signal,
-                threshold,
-                ewma_weight,
-            } => Box::new(Ladder::new(*signal, n, *threshold, *ewma_weight, guard)),
-            MetaPolicySpec::ShadowScore { ewma_weight } => {
-                Box::new(ShadowScore::new(n, *ewma_weight, guard))
+        let policy: Box<dyn MetaPolicy> = match self.policy {
+            MetaPolicySpec::Ladder { signal, threshold: t, ewma_weight: w } => {
+                Box::new(Ladder::new(signal, n, t, w, guard))
             }
+            MetaPolicySpec::ShadowScore { ewma_weight: w } => Box::new(ShadowScore::new(n, w, guard)),
         };
         (self.candidates.clone(), policy)
     }
@@ -649,9 +662,9 @@ impl CellSpec {
     /// Reads the cell's keys of the spec object `o`, each section checked
     /// by its own rules as it is read.
     fn read(o: &mut Obj<'_>, base_dir: &Path) -> Result<Self, SpecError> {
-        let (cc, cc_phases, cc_adaptive) = o
+        let cc = o
             .opt("cc", |v, _| cc_field_from_value(v))?
-            .unwrap_or((CcKind::Certification, Vec::new(), None));
+            .unwrap_or(CcSpec::Fixed(CcKind::Certification));
         let seed = o
             .opt("seed", u64_from)?
             .unwrap_or(SystemConfig::default().seed);
@@ -659,8 +672,6 @@ impl CellSpec {
             replications: o.opt("replications", positive_u32)?.unwrap_or(1),
             horizon_ms: o.req("horizon_ms", positive)?,
             cc,
-            cc_phases,
-            cc_adaptive,
             faults: o.opt("faults", list(fault_from_value))?.unwrap_or_default(),
             clients: o.opt("clients", |v, _| clients_from_value(v))?,
             system: SystemConfig {

@@ -13,7 +13,7 @@ use alc_tpsim::workload::WorkloadConfig;
 use serde::Value;
 
 use super::{
-    cc_spec_name, AdaptiveCcSpec, ControllerSpec, FaultRecovery, FaultSpec, MetaPolicySpec,
+    cc_spec_name, AdaptiveCcSpec, CcSpec, ControllerSpec, FaultRecovery, FaultSpec, MetaPolicySpec,
     PivotSpec, StatColumn, SweepAxis, SweepSpec, VariantInputs, VariantSpec,
 };
 use crate::profile::schedule_from_value;
@@ -221,39 +221,33 @@ fn adaptive_from_value(v: &Value) -> Result<AdaptiveCcSpec, SpecError> {
     Ok(adaptive)
 }
 
-/// The parsed `cc` field: initial protocol, scheduled phase switches,
-/// and the adaptive section (at most one of the latter two is
-/// populated).
-type CcField = (CcKind, Vec<(f64, CcKind)>, Option<AdaptiveCcSpec>);
+/// The `cc` forms written as single-key objects (a bare name is one
+/// protocol for the whole run).
+pub(super) const CC_FORMS: Keys = &["phases", "adaptive"];
 
-/// Parses the `cc` field: a plain protocol,
-/// `{"phases": [[t_ms, cc], …]}` (ascending, first phase at 0) for
-/// scheduled per-phase switching, or `{"adaptive": …}` for closed-loop
+/// Parses the `cc` field: a protocol name,
+/// `{"phases": [[t_ms, cc], …]}` (strictly ascending, the first at 0)
+/// for scheduled switches, or `{"adaptive": …}` for closed-loop
 /// protocol selection.
-pub(super) fn cc_field_from_value(v: &Value) -> Result<CcField, SpecError> {
-    if let Some([(tag, payload)]) = v.as_map() {
-        if tag == "adaptive" {
-            let adaptive = adaptive_from_value(payload)?;
-            return Ok((adaptive.candidates[0], Vec::new(), Some(adaptive)));
-        }
-        if tag == "phases" {
-            let mut phases = timed(payload, "cc.phases", cc_from_value)?;
-            if phases.is_empty() {
-                return Err(SpecError::new("`cc.phases` must not be empty"));
-            }
-            if phases[0].0 != 0.0 {
-                return Err(SpecError::new("the first `cc.phases` entry must start at 0"));
-            }
-            for w in phases.windows(2) {
-                if w[1].0 <= w[0].0 {
-                    return Err(SpecError::new("`cc.phases` times must be strictly ascending"));
-                }
-            }
-            let initial = phases[0].1;
-            return Ok((initial, phases.split_off(1), None));
-        }
+pub(super) fn cc_field_from_value(v: &Value) -> Result<CcSpec, SpecError> {
+    if let Value::Str(_) = v {
+        return cc_from_value(v).map(CcSpec::Fixed);
     }
-    Ok((cc_from_value(v)?, Vec::new(), None))
+    let (tag, payload) = single_key(v, "cc", CC_FORMS)?;
+    match tag {
+        "phases" => {
+            let phases = timed(payload, "cc.phases", cc_from_value)?;
+            if phases.first().map(|&(t, _)| t) != Some(0.0) {
+                return Err(SpecError::new("`cc.phases` must start with an entry at 0"));
+            }
+            if phases.windows(2).any(|w| w[1].0 <= w[0].0) {
+                return Err(SpecError::new("`cc.phases` times must be strictly ascending"));
+            }
+            Ok(CcSpec::Phases(phases))
+        }
+        "adaptive" => adaptive_from_value(payload).map(CcSpec::Adaptive),
+        other => Err(unknown_key("cc", other, CC_FORMS)),
+    }
 }
 
 pub(super) fn fault_from_value(v: &Value) -> Result<FaultSpec, SpecError> {

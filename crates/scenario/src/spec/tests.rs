@@ -21,7 +21,7 @@ fn minimal_spec_parses_with_defaults() {
     let spec = read(r#"{"name": "mini", "horizon_ms": 1000.0}"#).unwrap();
     assert_eq!(spec.name, "mini");
     assert_eq!(spec.cell.replications, 1);
-    assert_eq!(spec.cell.cc, CcKind::Certification);
+    assert_eq!(spec.cell.cc, CcSpec::Fixed(CcKind::Certification));
     assert_eq!(spec.cell.controller, ControllerSpec::None);
     assert_eq!(spec.cell.workload, WorkloadConfig::default());
     assert!(!spec.cell.record_optimum);
@@ -122,6 +122,8 @@ fn unknown_key_errors_list_the_known_keys() {
         (r#""controller": {"self_tuning_pa": {"outer": {}}}"#, "key `outer` (known: pa)"),
         (r#""workload": {"k": {"constant": 8}}"#, "`profile` key `constant` (known: step,"),
         (r#""columns": [{"post_switch_settling_time_s": {}}]"#, "key `post_switch_settling_time_s`"),
+        (r#""cc": {"phase": []}"#, "unknown `cc` key `phase` (known: phases, adaptive)"),
+        (r#""cc": {"adaptiv": {}}"#, "unknown `cc` key `adaptiv` (known: phases, adaptive)"),
     ] {
         let msg = parse_err(bad);
         assert!(msg.contains(known), "{bad}: {msg}");
@@ -155,7 +157,7 @@ fn cc_aliases_parse() {
     // Each protocol has one spelling, its `cc_spec_name`.
     for cc in CcKind::ALL {
         let json = format!(r#"{{"name": "c", "horizon_ms": 1.0, "cc": "{}"}}"#, cc_spec_name(cc));
-        assert_eq!(read(&json).unwrap().cell.cc, cc, "{}", cc_spec_name(cc));
+        assert_eq!(read(&json).unwrap().cell.cc, CcSpec::Fixed(cc), "{}", cc_spec_name(cc));
     }
     // Any other spelling is unknown, the engine's variant names too.
     for alias in ["Certification", "cert", "occ", "two-phase-locking", "to", "multiversion"] {
@@ -304,8 +306,11 @@ fn cc_phases_parse_and_split() {
             "cc": {"phases": [[0.0, "certification"], [500.0, "2pl"]]}}"#,
     )
     .unwrap();
-    assert_eq!(spec.cell.cc, CcKind::Certification);
-    assert_eq!(spec.cell.cc_phases, vec![(500.0, CcKind::TwoPhaseLocking)]);
+    assert_eq!(spec.cell.cc.initial(), CcKind::Certification);
+    assert_eq!(
+        spec.cell.cc,
+        CcSpec::Phases(vec![(0.0, CcKind::Certification), (500.0, CcKind::TwoPhaseLocking)])
+    );
 }
 
 #[test]
@@ -320,9 +325,10 @@ fn adaptive_cc_parses_and_pins_initial_protocol() {
                 "hysteresis": 0.2}}}"#,
     )
     .unwrap();
-    assert_eq!(spec.cell.cc, CcKind::Certification);
-    assert!(spec.cell.cc_phases.is_empty());
-    let ad = spec.cell.cc_adaptive.expect("adaptive section");
+    assert_eq!(spec.cell.cc.initial(), CcKind::Certification);
+    let CcSpec::Adaptive(ad) = spec.cell.cc else {
+        panic!("adaptive section read as {:?}", spec.cell.cc);
+    };
     assert_eq!(
         ad.candidates,
         vec![CcKind::Certification, CcKind::TwoPhaseLocking]
@@ -426,7 +432,9 @@ fn adaptive_cc_is_set_addressable() {
     )
     .unwrap();
     let spec = ScenarioSpec::from_value(&tree, Path::new(".")).unwrap();
-    let ad = spec.cell.cc_adaptive.unwrap();
+    let CcSpec::Adaptive(ad) = spec.cell.cc else {
+        panic!("adaptive section read as {:?}", spec.cell.cc);
+    };
     assert_eq!(ad.guard.min_dwell_ms, 5_000.0);
     assert_eq!(
         ad.policy,
@@ -554,6 +562,7 @@ fn every_tag_and_parameter_key_is_set_by_a_checked_in_spec() {
     });
     assert!(specs > 0, "no spec read from {}", dir.display());
     let mut unused: Vec<String> = [
+        ("CC_FORMS", sections::CC_FORMS),
         ("CONTROLLER", sections::CONTROLLER),
         ("POLICY", sections::POLICY),
         ("RETRY", sections::RETRY),
@@ -608,7 +617,9 @@ fn every_tag_and_parameter_key_is_set_by_a_checked_in_spec() {
 #[test]
 fn every_name_the_vocabulary_lists_is_one_the_reader_reads() {
     use super::columns::{column_from_value, COLUMN};
-    use super::sections::{cc_from_value, controller_from_value, CONTROLLER, POLICY, RETRY};
+    use super::sections::{
+        cc_from_value, controller_from_value, CC_FORMS, CONTROLLER, POLICY, RETRY,
+    };
     use crate::profile::PROFILE;
     use crate::value_util::DIST;
     let mut rows: Vec<(String, String)> = Vec::new();
@@ -633,6 +644,7 @@ fn every_name_the_vocabulary_lists_is_one_the_reader_reads() {
                 ("controller", false) => controller_from_value(&bare).is_ok(),
                 ("controller", true) => CONTROLLER.contains(&name),
                 ("cc", false) => cc_from_value(&bare).is_ok(),
+                ("cc", true) => CC_FORMS.contains(&name),
                 ("cc.adaptive.policy", true) => POLICY.contains(&name),
                 ("clients.retry", true) => RETRY.contains(&name),
                 ("profile", true) => PROFILE.contains(&name),

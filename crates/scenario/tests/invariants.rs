@@ -14,6 +14,7 @@ use std::path::PathBuf;
 
 use alc_scenario::compile::RunPlan;
 use alc_scenario::runner::{run_plan, RunRecord};
+use alc_scenario::spec::CcSpec;
 use alc_scenario::trace::trace_cell;
 use alc_scenario::LoadedSpec;
 
@@ -54,11 +55,10 @@ fn assert_same_records(a: &[RunRecord], b: &[RunRecord], what: &str) {
 #[test]
 fn cc_switch_scenario_is_deterministic_and_conserves_work() {
     let plan = quick_plan("cc-switch");
-    assert_eq!(
-        plan.variants[0].cell.cc_phases.len(),
-        2,
-        "the spec schedules two switches after t=0"
-    );
+    let CcSpec::Phases(phases) = &plan.variants[0].cell.cc else {
+        panic!("cc-switch reads as {:?}", plan.variants[0].cell.cc);
+    };
+    assert_eq!(phases.len(), 3, "the spec schedules two switches after t=0");
     let a = run_plan(&plan);
     let b = run_plan(&plan);
     assert_same_records(&a, &b, "rerun");
@@ -110,11 +110,9 @@ fn fault_repair_replications_draw_different_outages() {
 #[test]
 fn adaptive_cc_scenario_switches_on_the_hotspot_ramp() {
     let plan = quick_plan("adaptive-cc");
-    let ad = plan.variants[0]
-        .cell
-        .cc_adaptive
-        .as_ref()
-        .expect("adaptive section");
+    let CcSpec::Adaptive(ad) = &plan.variants[0].cell.cc else {
+        panic!("adaptive-cc reads as {:?}", plan.variants[0].cell.cc);
+    };
     assert_eq!(ad.candidates.len(), 2);
     let a = run_plan(&plan);
     let b = run_plan(&plan);

@@ -599,7 +599,7 @@ proptest! {
             // The lowered switch and fault schedules survive compilation
             // on every variant.
             for v in &plan.variants {
-                prop_assert_eq!(v.cell.cc_phases.len(), spec.cell.cc_phases.len());
+                prop_assert_eq!(&v.cell.cc, &spec.cell.cc);
                 // One fault timeline per replication, each ascending with
                 // both edges of every window.
                 prop_assert_eq!(v.fault_timelines.len(), v.seeds.len());

@@ -1,8 +1,9 @@
 //! Smoke tests of the `scenario` binary's cheap paths: the help and
 //! README's DSL vocabulary, the `figure` subcommand (help, catalog, an
 //! unknown id, a closed-form figure end to end, the quick catalog's claim
-//! verdicts), the CSV a `run` writes when a header needs quoting, and a
-//! run whose access skew crosses 1.
+//! verdicts), the CSV a `run` writes when a header needs quoting, a run
+//! whose access skew crosses 1, number literals `validate` refuses and
+//! runs whose draws overflow.
 
 #[path = "../../../tests/common/readme.rs"]
 mod readme;
@@ -166,4 +167,71 @@ fn run_completes_with_access_skew_crossing_one() {
     ]);
     assert!(out.status.success(), "run failed: {out:?}");
     assert!(dir.join("hotspot-drift.csv").exists());
+}
+
+/// Writes `spec` into a fresh directory named `tag` and returns its path.
+fn spec_file(tag: &str, spec: &str) -> PathBuf {
+    let dir = fresh_dir(tag);
+    std::fs::create_dir_all(&dir).expect("create spec dir");
+    let path = dir.join(format!("{tag}.json"));
+    std::fs::write(&path, spec).expect("write spec");
+    path
+}
+
+/// JSON has no infinities: a number literal past `f64`'s range used to
+/// read as `+∞`, pass `validate`, and panic the run's clock.
+#[test]
+fn validate_refuses_a_number_literal_out_of_range() {
+    for (tag, body) in [
+        ("inf-cc-phase", r#""cc": {"phases": [[0, "certification"], [1e999, "2pl"]]}"#),
+        ("inf-timeout", r#""clients": {"population": 10, "timeout": {"exponential": 1e999}}"#),
+        (
+            "inf-repair",
+            r#""faults": [{"at": 100, "repair": {"exponential": 1e999}, "cpus_down": 1}]"#,
+        ),
+    ] {
+        let path = spec_file(tag, &format!(r#"{{"name": "{tag}", "horizon_ms": 2000, {body}}}"#));
+        let out = scenario(&["validate", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("number out of range `1e999`"), "{tag}: {stdout}");
+    }
+}
+
+/// A legal spec whose draw overflows to a delay of `+∞` runs: an event
+/// an infinite delay away never fires, and a repair that never comes
+/// leaves its CPUs down. Each of these passed `validate` and then
+/// panicked the run's clock.
+#[test]
+fn run_completes_when_a_draw_overflows_to_infinity() {
+    for (tag, body, seed) in [
+        ("huge-think", r#""system": {"think": {"exponential": 1e308}}"#, "0"),
+        ("huge-burst", r#""system": {"cpu_phase": {"exponential": 1e308}}"#, "0"),
+        (
+            "huge-think-factor",
+            r#""system": {"think": {"exponential": 1e308}},
+               "workload": {"think_time_factor": 1e308}"#,
+            "0",
+        ),
+        (
+            "tiny-arrival-factor",
+            r#""system": {"offered_load_per_s": 10}, "workload": {"arrival_rate_factor": 1e-320}"#,
+            "0",
+        ),
+        // Seed 2 draws this repair time as +∞.
+        (
+            "huge-repair",
+            r#""faults": [{"at": 100, "repair": {"exponential": 1e308}, "cpus_down": 1}]"#,
+            "2",
+        ),
+    ] {
+        let path =
+            spec_file(tag, &format!(r#"{{"name": "{tag}", "horizon_ms": 20000, {body}}}"#));
+        let dir = path.parent().unwrap().join("out");
+        let seed = format!("seed={seed}");
+        let args = ["run", "--quick", "--set", &seed, "--out", dir.to_str().unwrap()];
+        let out = scenario(&[&args[..], &[path.to_str().unwrap()]].concat());
+        assert!(out.status.success(), "{tag}: {out:?}");
+        assert!(dir.join(format!("{tag}.csv")).exists(), "{tag}: no table written");
+    }
 }

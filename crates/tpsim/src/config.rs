@@ -147,7 +147,7 @@ fn is_delay(d: &Dist) -> bool {
 }
 
 /// Which concurrency-control protocol the run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcKind {
     /// Timestamp certification (optimistic backward validation) — the
     /// paper's protocol.

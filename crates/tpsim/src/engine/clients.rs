@@ -160,15 +160,10 @@ impl Simulator {
         let generation = client.generation;
         client.phase = ClientPhase::Thinking;
         client.attempt = 0;
-        let think = self.sys.think.sample(&mut self.rng.think)
-            * self.workload.think_time_factor.value(self.cal.now().millis());
-        self.cal.schedule_in(
-            think,
-            Event::ClientIssue {
-                client: c,
-                generation,
-            },
-        );
+        self.schedule_think(Event::ClientIssue {
+            client: c,
+            generation,
+        });
     }
 
     /// Tears down an in-flight attempt on slot `i` after a client

@@ -127,10 +127,11 @@ enum Event {
     RestartBegin { txn: usize, generation: u64 },
     /// Measurement / control tick.
     Sample,
-    /// Scheduled CC-protocol switch: start draining, swap when empty.
-    CcSwitch { idx: usize },
-    /// Scheduled station fault: apply the `idx`-th CPU-capacity delta.
-    Fault { idx: usize },
+    /// Scheduled CC-protocol switch to `to`: start draining, swap when
+    /// empty.
+    CcSwitch { to: CcKind },
+    /// Scheduled station fault: change the installed CPU count by `delta`.
+    Fault { delta: i32 },
     /// Client mode: client `client` issues an attempt (first attempt when
     /// Thinking, retry when in Backoff). `generation` is the *client's*
     /// tombstone counter, not the transaction slot's.
@@ -212,8 +213,9 @@ pub struct Simulator {
     /// The protocol currently in force (start value, then whatever the
     /// last completed [`Simulator::set_cc_switches`] entry installed).
     cc_kind: CcKind,
-    /// Scheduled protocol switches `(t_ms, target)`, ascending.
-    cc_switches: Vec<(f64, CcKind)>,
+    /// [`Simulator::set_cc_switches`] scheduled a switch, so adaptive
+    /// selection may not be installed beside it.
+    switches_scheduled: bool,
     /// A switch is draining: admissions are held at the gate and restarts
     /// parked until the last in-CC transaction commits or aborts, then the
     /// protocol swaps to this target.
@@ -232,8 +234,6 @@ pub struct Simulator {
     parked_restarts: Vec<usize>,
     /// Completed protocol switches (for tests/diagnostics).
     switches_completed: u64,
-    /// Scheduled station faults `(t_ms, cpu-count delta)`, ascending.
-    fault_deltas: Vec<(f64, i32)>,
     /// Reusable buffer for jobs dispatched by a capacity restore.
     fault_scratch: Vec<CpuJob>,
     /// Pool of reusable id buffers for unblocked/admitted lists. Taken by
@@ -313,8 +313,8 @@ impl Simulator {
             Event::DiskDone { txn, generation } => self.on_disk_done(txn, generation),
             Event::RestartBegin { txn, generation } => self.on_restart(txn, generation),
             Event::Sample => self.on_sample(),
-            Event::CcSwitch { idx } => self.begin_cc_switch(self.cc_switches[idx].1),
-            Event::Fault { idx } => self.on_fault(idx),
+            Event::CcSwitch { to } => self.begin_cc_switch(to),
+            Event::Fault { delta } => self.on_fault(delta),
             Event::ClientIssue { client, generation } => self.on_client_issue(client, generation),
             Event::ClientTimeout { client, generation } => {
                 self.on_client_timeout(client, generation)
@@ -387,11 +387,25 @@ impl Simulator {
             Some(i) => self.on_submit(i),
             None => self.window.lost += 1,
         }
-        // The workload's arrival-rate factor modulates the offered load:
-        // dividing the delay by a(t) multiplies the instantaneous rate.
+        self.schedule_arrival(&interarrival);
+    }
+
+    /// Open mode: schedules the next arrival one draw of `interarrival`
+    /// from now. The workload's arrival-rate factor modulates the offered
+    /// load: dividing the delay by a(t) multiplies the instantaneous rate.
+    fn schedule_arrival(&mut self, interarrival: &Dist) {
         let delay = interarrival.sample(&mut self.rng.arrival)
             / self.workload.arrival_rate_factor.value(self.now().millis());
         self.cal.schedule_in(delay, Event::Arrival);
+    }
+
+    /// Schedules `ev` one think time from now: a draw of the think time,
+    /// stretched by the workload's think-time factor at this instant.
+    #[inline]
+    fn schedule_think(&mut self, ev: Event) {
+        let think = self.sys.think.sample(&mut self.rng.think)
+            * self.workload.think_time_factor.value(self.now().millis());
+        self.cal.schedule_in(think, ev);
     }
 
     fn on_submit(&mut self, i: usize) {
@@ -668,11 +682,7 @@ impl Simulator {
             self.on_client_commit(i);
         } else {
             match self.sys.arrival {
-                ArrivalProcess::Closed => {
-                    let think = self.sys.think.sample(&mut self.rng.think)
-                        * self.workload.think_time_factor.value(now.millis());
-                    self.cal.schedule_in(think, Event::Submit(i));
-                }
+                ArrivalProcess::Closed => self.schedule_think(Event::Submit(i)),
                 ArrivalProcess::Open { .. } => {
                     self.free_slots.push(i);
                 }

@@ -6,7 +6,7 @@ use alc_core::controller::LoadController;
 use alc_core::gatelog::GateLogSink;
 use alc_core::law::{ControlLaw, PaperLaw};
 use alc_core::meta::MetaPolicy;
-use alc_des::dist::{Dist, Sample as _};
+use alc_des::dist::Dist;
 use alc_des::rng::SeedFactory;
 use alc_des::stats::TimeWeighted;
 use alc_des::{Calendar, SimTime};
@@ -68,14 +68,13 @@ impl Simulator {
             txns: (0..sys.terminals).map(|_| Txn::new()).collect(), // alc-lint: allow(hot-alloc, reason="construction-time slot allocation")
             cc: make_cc(cc_kind, slots, sys.db_size as usize),
             cc_kind,
-            cc_switches: Vec::new(), // alc-lint: allow(hot-alloc, reason="construction-time; filled once by set_cc_switches before the run")
+            switches_scheduled: false,
             drain_target: None,
             drain_decided_ms: 0.0,
             meta: None,
             cc_active: 0,
             parked_restarts: Vec::new(), // alc-lint: allow(hot-alloc, reason="construction-time scratch; retains capacity across drains")
             switches_completed: 0,
-            fault_deltas: Vec::new(), // alc-lint: allow(hot-alloc, reason="construction-time; filled once by set_faults before the run")
             fault_scratch: Vec::new(), // alc-lint: allow(hot-alloc, reason="construction-time scratch; retains capacity across faults")
             cpu: CpuStation::with_queue_capacity(sys.cpus, t0, slots),
             gate: SimGate::with_queue_capacity(initial_bound, slots),
@@ -115,17 +114,13 @@ impl Simulator {
             ArrivalProcess::Closed => {
                 // Terminals start thinking; their first submissions
                 // stagger naturally through the think-time distribution.
-                let factor = sim.workload.think_time_factor.value(t0.millis());
                 for i in 0..sim.sys.terminals as usize {
-                    let delay = sim.sys.think.sample(&mut sim.rng.think) * factor;
-                    sim.cal.schedule(t0 + delay, Event::Submit(i));
+                    sim.schedule_think(Event::Submit(i));
                 }
             }
             ArrivalProcess::Open { interarrival } => {
                 sim.free_slots = (0..sim.sys.terminals as usize).rev().collect(); // alc-lint: allow(hot-alloc, reason="one-time init of the free-slot stack at simulation start")
-                let delay = interarrival.sample(&mut sim.rng.arrival)
-                    / sim.workload.arrival_rate_factor.value(t0.millis());
-                sim.cal.schedule(t0 + delay, Event::Arrival);
+                sim.schedule_arrival(&interarrival);
             }
         }
         sim.cal
@@ -169,17 +164,11 @@ impl Simulator {
         // The constructor's per-terminal Submit events are inert in
         // client mode (see `on_submit`); each client draws its own first
         // think delay instead.
-        let t0 = self.now();
-        let factor = self.workload.think_time_factor.value(t0.millis());
         for c in 0..cfg.population as usize {
-            let delay = self.sys.think.sample(&mut self.rng.think) * factor;
-            self.cal.schedule(
-                t0 + delay,
-                Event::ClientIssue {
-                    client: c,
-                    generation: 0,
-                },
-            );
+            self.schedule_think(Event::ClientIssue {
+                client: c,
+                generation: 0,
+            });
         }
         self.clients = Some(ClientPool::new(cfg));
     }
@@ -202,14 +191,12 @@ impl Simulator {
             "adaptive CC and scheduled cc switches are mutually exclusive"
         );
         let mut last = self.now().millis();
-        for &(at, _) in switches {
+        for &(at, to) in switches {
             assert!(at >= last, "cc switch times must be ascending");
             last = at;
+            self.cal.schedule(SimTime::new(at), Event::CcSwitch { to });
         }
-        self.cc_switches = switches.to_vec(); // alc-lint: allow(hot-alloc, reason="setup API, called once before the run starts")
-        for (idx, &(at, _)) in self.cc_switches.iter().enumerate() {
-            self.cal.schedule(SimTime::new(at), Event::CcSwitch { idx });
-        }
+        self.switches_scheduled |= !switches.is_empty();
     }
 
     /// Schedules station fault events: at each `t_ms` the installed CPU
@@ -218,13 +205,10 @@ impl Simulator {
     /// servers immediately pick up queued work. Times must be ascending.
     pub fn set_faults(&mut self, deltas: &[(f64, i32)]) {
         let mut last = self.now().millis();
-        for &(at, _) in deltas {
+        for &(at, delta) in deltas {
             assert!(at >= last, "fault times must be ascending");
             last = at;
-        }
-        self.fault_deltas = deltas.to_vec(); // alc-lint: allow(hot-alloc, reason="setup API, called once before the run starts")
-        for (idx, &(at, _)) in self.fault_deltas.iter().enumerate() {
-            self.cal.schedule(SimTime::new(at), Event::Fault { idx });
+            self.cal.schedule(SimTime::new(at), Event::Fault { delta });
         }
     }
 
@@ -239,7 +223,7 @@ impl Simulator {
     /// before running.
     pub fn set_adaptive_cc(&mut self, candidates: Vec<CcKind>, policy: Box<dyn MetaPolicy>) {
         assert!(
-            self.cc_switches.is_empty(),
+            !self.switches_scheduled,
             "adaptive CC and scheduled cc switches are mutually exclusive"
         );
         assert!(

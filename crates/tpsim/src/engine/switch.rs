@@ -16,7 +16,7 @@ use crate::txn::TxnState;
 /// (the scheduled time, or the sample at which the meta-policy decided);
 /// `completed_at_ms` is when the drain reached in-flight-zero and the
 /// protocol actually swapped.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchEvent {
     /// Decision time, ms.
     pub decided_at_ms: f64,
@@ -126,8 +126,7 @@ impl Simulator {
 
     /// A scheduled station fault fires: apply the CPU-capacity delta and
     /// schedule completions for any queued jobs a restore dispatched.
-    pub(super) fn on_fault(&mut self, idx: usize) {
-        let delta = self.fault_deltas[idx].1;
+    pub(super) fn on_fault(&mut self, delta: i32) {
         self.tr_instant(tname::FAULT, tcat::FAULT, TraceArgs::Delta(delta));
         let target = (i64::from(self.cpu.servers()) + i64::from(delta)).max(0) as u32;
         let now = self.now();

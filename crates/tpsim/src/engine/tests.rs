@@ -1069,32 +1069,41 @@ fn adaptive_cc_with_quiet_policy_is_transparent() {
     assert_eq!(plain, adaptive);
 }
 
-#[test]
-#[should_panic(expected = "mutually exclusive")]
-fn adaptive_cc_rejects_scheduled_switch_mix() {
+/// A simulator under certification and a ladder that may switch it to
+/// wait-die, for the checks that adaptive and scheduled switching
+/// exclude each other in either order.
+fn certification_or_wait_die() -> (Simulator, Box<dyn alc_core::meta::MetaPolicy>) {
     use alc_core::meta::{GuardParams, Ladder, LadderSignal};
-    let mut sim = Simulator::new(
+    let sim = Simulator::new(
         small_sys(10, 93),
         WorkloadConfig::default(),
         CcKind::Certification,
         no_control(5),
         None,
     );
+    let guard = GuardParams {
+        min_dwell_ms: 0.0,
+        cooldown_ms: 0.0,
+        hysteresis: 0.0,
+    };
+    let ladder = Ladder::new(LadderSignal::ConflictsPerTxn, 2, 1.0, 0.5, guard);
+    (sim, Box::new(ladder))
+}
+
+#[test]
+#[should_panic(expected = "mutually exclusive")]
+fn adaptive_cc_rejects_scheduled_switch_mix() {
+    let (mut sim, policy) = certification_or_wait_die();
     sim.set_cc_switches(&[(1_000.0, CcKind::WaitDie)]);
-    sim.set_adaptive_cc(
-        vec![CcKind::Certification, CcKind::WaitDie],
-        Box::new(Ladder::new(
-            LadderSignal::ConflictsPerTxn,
-            2,
-            1.0,
-            0.5,
-            GuardParams {
-                min_dwell_ms: 0.0,
-                cooldown_ms: 0.0,
-                hysteresis: 0.0,
-            },
-        )),
-    );
+    sim.set_adaptive_cc(vec![CcKind::Certification, CcKind::WaitDie], policy);
+}
+
+#[test]
+#[should_panic(expected = "mutually exclusive")]
+fn scheduled_switches_reject_an_adaptive_simulator() {
+    let (mut sim, policy) = certification_or_wait_die();
+    sim.set_adaptive_cc(vec![CcKind::Certification, CcKind::WaitDie], policy);
+    sim.set_cc_switches(&[(1_000.0, CcKind::WaitDie)]);
 }
 
 /// Scheduled phase switches also land in the switch-event trace, so

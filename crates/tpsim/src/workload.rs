@@ -58,7 +58,7 @@ impl Default for WorkloadConfig {
 }
 
 /// The workload parameter values in force at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadAt {
     /// Items accessed per transaction.
     pub k: u32,

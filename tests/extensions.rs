@@ -12,7 +12,7 @@ use adaptive_load_control::core::controller::{
 };
 use adaptive_load_control::core::measure::Measurement;
 use adaptive_load_control::scenario::runner::{self, RunRecord};
-use adaptive_load_control::scenario::spec::ControllerSpec;
+use adaptive_load_control::scenario::spec::{CcSpec, ControllerSpec};
 use adaptive_load_control::tpsim::config::CcKind;
 use adaptive_load_control::tpsim::Simulator;
 
@@ -104,7 +104,7 @@ fn self_tuning_pa_shortens_memory_on_workload_jump() {
     let mut sim = Simulator::new(
         v.cell.system,
         v.cell.workload.clone(),
-        v.cell.cc,
+        v.cell.cc.initial(),
         v.cell.control,
         Some(Box::new(probe)),
     );
@@ -136,7 +136,7 @@ fn self_tuning_pa_shortens_memory_on_workload_jump() {
 fn new_features_are_deterministic() {
     let mut plan = quick_plan("abl-victim");
     for v in &mut plan.variants {
-        v.cell.cc = CcKind::WoundWait;
+        v.cell.cc = CcSpec::Fixed(CcKind::WoundWait);
     }
     let stats = |records: Vec<RunRecord>| records.into_iter().map(|r| r.stats).collect::<Vec<_>>();
     assert_eq!(
