@@ -10,7 +10,7 @@
 //! deliberately.
 
 /// A time-varying scalar parameter.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Schedule {
     /// Always the same value.
     Constant(f64),

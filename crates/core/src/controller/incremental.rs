@@ -27,7 +27,7 @@ use crate::estimator::Ewma;
 use crate::measure::Measurement;
 
 /// Tuning parameters of the Incremental Steps controller.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IsParams {
     /// Bound in force before the first measurement arrives.
     pub initial_bound: u32,

@@ -34,7 +34,7 @@ const BETA_ADJUST: f64 = 1.5;
 const BETA_RANGE: (f64, f64) = (1e-4, 1e4);
 
 /// Parameters of the outer tuning loop.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OuterParams {
     /// Inner-loop updates per outer-loop adjustment.
     pub window: u32,

@@ -32,7 +32,7 @@ use crate::estimator::Rls;
 use crate::measure::Measurement;
 
 /// Recovery countermeasure when the fitted parabola opens upward (§5.2).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FallbackPolicy {
     /// Keep the last bound and wait for the estimate to become concave.
     HoldLast,
@@ -58,7 +58,7 @@ const INITIAL_COVARIANCE: f64 = 1e4;
 const MIN_CURVATURE: f64 = 1e-3;
 
 /// Tuning parameters of the Parabola Approximation controller.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaParams {
     /// Bound in force before the first measurement.
     pub initial_bound: u32,

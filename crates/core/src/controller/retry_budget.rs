@@ -19,7 +19,7 @@ const DECREASE: f64 = 0.5;
 const HEADROOM: f64 = 0.5;
 
 /// Parameters of [`RetryBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryBudgetParams {
     /// Bound before the first decision.
     pub initial_bound: u32,

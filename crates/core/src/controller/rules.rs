@@ -66,7 +66,7 @@ const IYER_INCREASE: f64 = 4.0;
 const IYER_MIN_BOUND: u32 = 1;
 
 /// Parameters of the Iyer-rule feedback controller.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IyerRuleParams {
     /// Target mean conflicts per transaction (Iyer: 0.75).
     pub target: f64,

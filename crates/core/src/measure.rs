@@ -10,7 +10,7 @@
 /// One interval's worth of observations, the controller's only input —
 /// the approach is deliberately model-independent (§3: "we are not
 /// concerned about any internal details of the system").
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
     /// End of the measurement interval, milliseconds of system time.
     pub at_ms: f64,
@@ -71,7 +71,7 @@ impl Measurement {
 
 /// The candidate overload indicators compared in §6 of the paper. All are
 /// "larger is better" so every controller can maximize uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PerfIndicator {
     /// Committed transactions per second — the paper's choice: "the
     /// throughput T turned out to be the most significant indicator".

@@ -22,7 +22,7 @@ pub trait Sample {
 
 /// A fixed value (the paper's disk subsystem: "constant service times and no
 /// contention").
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constant(pub f64);
 
 impl Sample for Constant {
@@ -36,7 +36,7 @@ impl Sample for Constant {
 }
 
 /// Uniform on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Uniform {
     /// Inclusive lower bound.
     pub lo: f64,
@@ -55,7 +55,7 @@ impl Sample for Uniform {
 }
 
 /// Exponential with the given mean (CPU bursts, think times).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     /// Mean of the distribution (1/rate).
     pub mean: f64,
@@ -82,7 +82,7 @@ impl Sample for Exponential {
 
 /// Erlang-k: sum of `k` independent exponentials; coefficient of variation
 /// `1/sqrt(k)` — a low-variance service time.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Erlang {
     /// Number of exponential stages (k ≥ 1).
     pub stages: u32,
@@ -109,7 +109,7 @@ impl Sample for Erlang {
 
 /// Two-branch hyperexponential: with probability `p` the mean is `mean_a`,
 /// otherwise `mean_b`. Coefficient of variation > 1 — a bursty service time.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperExp {
     /// Probability of drawing from branch A.
     pub p: f64,
@@ -148,11 +148,12 @@ impl Sample for HyperExp {
 /// stream.
 ///
 /// The draw *sequence* differs from [`Exponential`] for the same RNG
-/// stream, so swapping a config to `ExpZig` changes the realization
-/// (never the distribution). The default experiment configs keep the
-/// inverse-CDF sampler so the golden pins stay byte-identical; scenario
-/// specs opt in per distribution.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+/// stream, so choosing one over the other changes the realization
+/// (never the distribution). [`Dist::exponential`] draws through the
+/// ziggurat — every default config and the DSL's `{"exponential": mean}`
+/// use it — and [`Dist::exponential_inverse`] keeps the inverse-CDF
+/// sampler.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpZig {
     /// Mean of the distribution (1/rate).
     pub mean: f64,
@@ -239,8 +240,8 @@ impl Sample for ExpZig {
     }
 }
 
-/// A distribution choice, serializable for experiment configs.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+/// A distribution choice: what a config's delays draw from.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Dist {
     /// Fixed value.
     Constant(Constant),

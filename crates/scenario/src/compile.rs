@@ -26,7 +26,7 @@ use alc_tpsim::engine::Simulator;
 use serde::Value;
 
 use crate::spec::{
-    CcSpec, CellSpec, ColumnSpec, FaultRecovery, FaultSpec, ScenarioSpec, SweepSpec, VariantSpec,
+    CcSpec, CellSpec, ColumnSpec, FaultSpec, ScenarioSpec, SweepSpec, VariantSpec,
 };
 use crate::validate::{dead_paths, land, Layer};
 use crate::SpecError;
@@ -218,10 +218,10 @@ fn layer(origin: String, overrides: &[(String, Value)]) -> Layer<'_> {
 
 /// Lowers the fault specs for one replication into an ascending
 /// CPU-capacity delta timeline, rejecting schedules that would kill more
-/// CPUs than are installed. Fixed windows pass through; repair-time
-/// distributions are sampled per fault from the replication seed's
-/// dedicated `fault_repair` RNG substream (spec order), so the schedule
-/// is fully determined by the recorded seed and no other stream shifts.
+/// CPUs than are installed. Each outage is sampled per fault from the
+/// replication seed's dedicated `fault_repair` RNG substream (spec
+/// order; a constant draws nothing), so the schedule is fully determined
+/// by the recorded seed and no other stream shifts.
 /// The sort is stable, so a zero-length outage restores immediately
 /// after its kill.
 fn lower_faults_for_seed(
@@ -233,12 +233,9 @@ fn lower_faults_for_seed(
     let mut rng = alc_des::rng::SeedFactory::new(seed).stream("fault_repair");
     let mut deltas: Vec<(f64, i32)> = Vec::with_capacity(faults.len() * 2);
     for f in faults {
-        let duration_ms = match &f.recovery {
-            FaultRecovery::Fixed(d) => *d,
-            // A pathological draw below zero clamps to an instant repair
-            // (kill and restore at the same time, kill first).
-            FaultRecovery::Repair(dist) => dist.sample(&mut rng).max(0.0),
-        };
+        // A pathological draw below zero clamps to an instant repair
+        // (kill and restore at the same time, kill first).
+        let duration_ms = f.outage.sample(&mut rng).max(0.0);
         let down = i32::try_from(f.cpus_down)
             .map_err(|_| SpecError::new("fault `cpus_down` too large"))?;
         deltas.push((f.at_ms, -down));
@@ -341,8 +338,8 @@ mod tests {
         // `scenario run` (a station, the RNG, the clock, a sampler, the
         // calendar; then a controller constructor, the
         // estimator inside one, the analytic optimum scan, the sample
-        // tick, the client pool), or ran as another value (a workload
-        // field outside its domain).
+        // tick, the client pool, an Erlang of no stages), or ran as
+        // another value (a workload field outside its domain).
         for (path, value, names) in [
             ("system.cpus", "0", "system.cpus"),
             ("system.db_size", "0", "system.db_size"),
@@ -397,6 +394,16 @@ mod tests {
             ),
             ("control.sample_interval_ms", "0", "control.sample_interval_ms"),
             ("clients", r#"{"population": 401, "timeout": 100}"#, "clients.population"),
+            (
+                "clients",
+                r#"{"population": 10, "timeout": {"erlang": {"stages": 0, "mean": 50}}}"#,
+                "clients.timeout.erlang.stages",
+            ),
+            (
+                "faults",
+                r#"[{"at": 100, "repair": {"erlang": {"stages": 0, "mean": 5}}, "cpus_down": 1}]"#,
+                "faults[].repair.erlang.stages",
+            ),
             ("workload.k", "-3", "workload.k"),
             ("workload.k", "0", "workload.k"),
             ("workload.k", r#"{"piecewise": []}"#, "workload.k"),

@@ -88,12 +88,6 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-impl From<serde::Error> for SpecError {
-    fn from(e: serde::Error) -> Self {
-        SpecError::new(e.to_string())
-    }
-}
-
 /// A spec file loaded into its JSON tree, remembering the directory that
 /// trace paths resolve against.
 #[derive(Debug, Clone)]
@@ -142,8 +136,10 @@ impl LoadedSpec {
     }
 }
 
-/// Parses one `path=value` CLI override; the value parses as JSON with a
-/// bare-string fallback (`cc=2pl` works without quoting).
+/// Parses one `path=value` CLI override. The value parses as JSON; one
+/// that does not start like JSON's object, list or string falls back to
+/// a bare string (`cc=2pl` works without quoting), and one that does must
+/// parse, or its JSON error is the override's.
 pub fn parse_set_arg(arg: &str) -> Result<(String, Value), SpecError> {
     let Some((path, raw)) = arg.split_once('=') else {
         return Err(SpecError::new(format!(
@@ -153,8 +149,13 @@ pub fn parse_set_arg(arg: &str) -> Result<(String, Value), SpecError> {
     if path.is_empty() {
         return Err(SpecError::new("--set path must not be empty"));
     }
-    let value = serde_json::from_str::<Value>(raw)
-        .unwrap_or_else(|_| Value::Str(raw.to_string()));
+    let value = match serde_json::from_str::<Value>(raw) {
+        Ok(value) => value,
+        Err(e) if raw.starts_with(['{', '[', '"']) => {
+            return Err(SpecError::new(format!("--set `{path}`: {e}")));
+        }
+        Err(_) => Value::Str(raw.to_string()),
+    };
     Ok((path.to_string(), value))
 }
 
@@ -173,5 +174,21 @@ mod tests {
             .unwrap();
         assert!(v.get("step").is_some());
         assert!(parse_set_arg("no-equals").is_err());
+        // A value that starts like JSON must parse as JSON: its error is
+        // the override's, not a bare string's misreading further on.
+        for (arg, error) in [
+            (r#"system.think={"exponential": 1e999}"#, "number out of range `1e999`"),
+            (r#"system.think={"exponential": }"#, "--set `system.think`:"),
+            ("sweep.axes.0.values=[5, 10", "--set `sweep.axes.0.values`:"),
+            (r#"cc="2pl"#, "--set `cc`:"),
+        ] {
+            let msg = parse_set_arg(arg).unwrap_err().to_string();
+            assert!(msg.contains(error), "{arg}: {msg}");
+        }
+        // Anything else still falls back to a bare string.
+        let (_, v) = parse_set_arg("cc=wound-wait").unwrap();
+        assert_eq!(v, Value::Str("wound-wait".into()));
+        let (_, v) = parse_set_arg("label=1e999x").unwrap();
+        assert_eq!(v, Value::Str("1e999x".into()));
     }
 }

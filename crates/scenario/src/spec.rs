@@ -60,6 +60,7 @@ use alc_core::controller::{
     SelfTuningPa as SelfTuningPaCtrl, TayRule, Unlimited,
 };
 use alc_core::meta::{GuardParams, Ladder, LadderSignal, MetaPolicy, ShadowScore};
+use alc_des::dist::Dist;
 use alc_tpsim::client::ClientConfig;
 use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
 use alc_tpsim::workload::WorkloadConfig;
@@ -70,12 +71,13 @@ use self::columns::{column_from_value, default_columns, COLUMN, DERIVED};
 use self::sections::{
     cc_field_from_value, clients_from_value, control_from_value, controller_from_value,
     fault_from_value, filename_safe, inputs_from_value, sweep_from_value, system_from_value,
-    variant_from_value, workload_from_value, CC_FORMS, CONTROLLER, CONTROLLER_NAMES, POLICY,
-    RETRY,
+    variant_from_value, workload_from_value, CC_FORMS, CONTROLLER, CONTROLLER_NAMES, INDICATOR,
+    POLICY, RETRY, VICTIM_POLICY,
 };
 use crate::profile::PROFILE;
 use crate::value_util::{
-    boolean, list, nonempty, pairs, positive, positive_u32, string, u64_from, Keys, Obj, DIST,
+    boolean, list, nonempty, pairs, positive, positive_u32, string, u64_from, Keys, Obj,
+    ARRIVAL, ARRIVAL_NAMES, DIST,
 };
 use crate::SpecError;
 
@@ -180,29 +182,19 @@ impl CcSpec {
 pub type VariantInputs = Vec<(String, Vec<(String, String)>)>;
 
 /// One scheduled station fault: `cpus_down` CPUs die at `at_ms` and come
-/// back after the recovery window.
+/// back when the outage ends.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Kill time, ms.
     pub at_ms: f64,
-    /// How long the outage lasts.
-    pub recovery: FaultRecovery,
-    /// Servers killed (restored when the recovery window closes).
+    /// How long the outage lasts, ms: the spec's `duration` as a
+    /// constant, or its `repair` distribution. Sampled once per fault
+    /// per replication from the run's own `fault_repair` RNG substream
+    /// (a constant draws nothing), so drawing it never perturbs another
+    /// stream; a draw below zero clamps to an instant repair.
+    pub outage: Dist,
+    /// Servers killed (restored when the outage ends).
     pub cpus_down: u32,
-}
-
-/// How a fault's outage length is determined: a fixed window (the
-/// spec's `duration` field) or a mean-time-to-repair distribution (the
-/// `repair` field), sampled once per fault from the run's own
-/// `fault_repair` RNG substream — per-replication deterministic, and
-/// drawing it never perturbs any other stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultRecovery {
-    /// Fixed outage length, ms.
-    Fixed(f64),
-    /// Repair-time distribution, ms (sampled per fault per replication;
-    /// negative samples clamp to an instant repair).
-    Repair(alc_des::dist::Dist),
 }
 
 /// The spec/CSV name of a protocol — the one spelling the `cc` field
@@ -219,6 +211,9 @@ pub fn cc_spec_name(cc: CcKind) -> &'static str {
     }
 }
 
+/// The column where [`vocabulary`] starts each row's names.
+const VOCABULARY_INDENT: usize = 24;
+
 /// The DSL's vocabulary, read off the reader's own tables: what
 /// `scenario --help` lists, and the block README holds. A quoted name
 /// is a string value, `{"tag": …}` a single-key object.
@@ -234,22 +229,24 @@ pub fn vocabulary() -> String {
         ("cc", [quoted(&CcKind::ALL.map(cc_spec_name)), objects(CC_FORMS)].concat()),
         ("cc.adaptive.policy", objects(POLICY)),
         ("clients.retry", objects(RETRY)),
+        ("arrival", [quoted(&ARRIVAL_NAMES.map(|(n, _)| n)), objects(ARRIVAL)].concat()),
+        ("control.indicator", quoted(&INDICATOR.map(|(n, _)| n))),
+        ("control.victim_policy", quoted(&VICTIM_POLICY.map(|(n, _)| n))),
         ("profile", [number(), objects(PROFILE)].concat()),
         ("distribution", [number(), objects(DIST)].concat()),
         ("stat columns", quoted(&StatColumn::ALL.map(|c| c.name()))),
         ("client columns", quoted(&ClientColumn::ALL.map(|c| c.name()))),
         ("other columns", [quoted(&DERIVED.map(|(n, _)| n)), objects(COLUMN)].concat()),
     ];
-    const INDENT: usize = 22;
     let mut out = String::new();
     for (label, names) in rows {
-        let mut line = format!("  {label:<width$}", width = INDENT - 2);
+        let mut line = format!("  {label:<width$}", width = VOCABULARY_INDENT - 2);
         for name in names {
             let width = line.chars().count();
-            if width > INDENT && width + 1 + name.chars().count() > 78 {
+            if width > VOCABULARY_INDENT && width + 1 + name.chars().count() > 78 {
                 out.push_str(&line);
                 out.push('\n');
-                line = " ".repeat(INDENT);
+                line = " ".repeat(VOCABULARY_INDENT);
             }
             line.push(' ');
             line.push_str(&name);
@@ -662,31 +659,20 @@ impl CellSpec {
     /// Reads the cell's keys of the spec object `o`, each section checked
     /// by its own rules as it is read.
     fn read(o: &mut Obj<'_>, base_dir: &Path) -> Result<Self, SpecError> {
-        let cc = o
-            .opt("cc", |v, _| cc_field_from_value(v))?
-            .unwrap_or(CcSpec::Fixed(CcKind::Certification));
-        let seed = o
-            .opt("seed", u64_from)?
-            .unwrap_or(SystemConfig::default().seed);
+        let cc = o.or("cc", |v, _| cc_field_from_value(v), CcSpec::Fixed(CcKind::Certification))?;
+        let seed = o.or("seed", u64_from, SystemConfig::default().seed)?;
         Ok(CellSpec {
-            replications: o.opt("replications", positive_u32)?.unwrap_or(1),
+            replications: o.or("replications", positive_u32, 1)?,
             horizon_ms: o.req("horizon_ms", positive)?,
             cc,
             faults: o.opt("faults", list(fault_from_value))?.unwrap_or_default(),
             clients: o.opt("clients", |v, _| clients_from_value(v))?,
-            system: SystemConfig {
-                seed,
-                ..o.opt("system", system_from_value)?.unwrap_or_default()
-            },
-            control: o.opt("control", control_from_value)?.unwrap_or_default(),
-            workload: o
-                .opt("workload", |v, _| workload_from_value(v, base_dir))?
-                .unwrap_or_default(),
-            controller: o
-                .opt("controller", |v, _| controller_from_value(v))?
-                .unwrap_or(ControllerSpec::None),
-            record_optimum: o.opt("record_optimum", boolean)?.unwrap_or(false),
-            trajectories: o.opt("trajectories", boolean)?.unwrap_or(false),
+            system: o.or_defaults("system", |v, _| system_from_value(v, seed))?,
+            control: o.or_defaults("control", |v, _| control_from_value(v))?,
+            workload: o.or_defaults("workload", |v, _| workload_from_value(v, base_dir))?,
+            controller: o.or("controller", |v, _| controller_from_value(v), ControllerSpec::None)?,
+            record_optimum: o.or("record_optimum", boolean, false)?,
+            trajectories: o.or("trajectories", boolean, false)?,
         })
     }
 

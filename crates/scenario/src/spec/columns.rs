@@ -412,7 +412,7 @@ pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
             let col = DerivedColumn::SettlingTime {
                 header: o.opt("header", string)?.unwrap_or_else(|| tag.to_string()),
                 after_frac: o.req("after_frac", below_one)?,
-                band: o.opt("band", positive)?.unwrap_or(0.25),
+                band: o.or("band", positive, 0.25)?,
             };
             ColumnSpec::Derived(o.finish(col)?)
         }
@@ -429,7 +429,7 @@ pub(super) fn column_from_value(v: &Value) -> Result<ColumnSpec, SpecError> {
             let col = DerivedColumn::TimeToRecover {
                 header: o.opt("header", nonempty)?.unwrap_or_else(|| tag.to_string()),
                 after_ms: o.req("after_ms", positive)?,
-                band: o.opt("band", positive)?.unwrap_or(0.7),
+                band: o.or("band", positive, 0.7)?,
             };
             ColumnSpec::Derived(o.finish(col)?)
         }

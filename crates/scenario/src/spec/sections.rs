@@ -6,21 +6,23 @@ use std::path::Path;
 use alc_core::controller::{
     HybridParams, IsParams, IyerRuleParams, OuterParams, PaParams, RetryBudgetParams,
 };
+use alc_core::measure::PerfIndicator;
 use alc_core::meta::{GuardParams, LadderSignal};
+use alc_des::dist::{Dist, Sample as _};
 use alc_tpsim::client::{ClientConfig, RetryPolicy};
-use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
+use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig, VictimPolicy};
 use alc_tpsim::workload::WorkloadConfig;
 use serde::Value;
 
 use super::{
-    cc_spec_name, AdaptiveCcSpec, CcSpec, ControllerSpec, FaultRecovery, FaultSpec, MetaPolicySpec,
-    PivotSpec, StatColumn, SweepAxis, SweepSpec, VariantInputs, VariantSpec,
+    cc_spec_name, AdaptiveCcSpec, CcSpec, ControllerSpec, FaultSpec, MetaPolicySpec, PivotSpec,
+    StatColumn, SweepAxis, SweepSpec, VariantInputs, VariantSpec,
 };
 use crate::profile::schedule_from_value;
 use crate::value_util::{
-    at_least_one, boolean, fraction, from_overrides, list, non_negative, nonempty,
-    normalize_arrival, normalize_dist, number, pairs, params, positive, positive_u32, single_key,
-    strict, string, timed, u32_from, unknown_key, At, Keys, Obj,
+    arrival_process, at_least_one, boolean, distribution, fraction, list, named, non_negative,
+    nonempty, number, open_rate, pairs, positive, positive_u32, single_key, string, timed,
+    u32_from, u64_from, unknown_key, At, Keys, Obj,
 };
 use crate::SpecError;
 
@@ -39,13 +41,10 @@ pub(super) fn cc_from_value(v: &Value) -> Result<CcKind, SpecError> {
         .ok_or_else(|| unknown_key("cc", name, known))
 }
 
-/// Parses a distribution (shorthands allowed) whose mean must be
-/// positive: an outage length, a client's patience.
-fn dist(v: &Value, at: At<'_>) -> Result<alc_des::dist::Dist, SpecError> {
-    use alc_des::dist::Sample as _;
-    let d: alc_des::dist::Dist = normalize_dist(v)
-        .and_then(|norm| strict(&norm, "distribution"))
-        .map_err(|e| e.context(at))?;
+/// Parses a distribution whose mean must be positive: an outage
+/// length, a client's patience.
+fn dist(v: &Value, at: At<'_>) -> Result<Dist, SpecError> {
+    let d = distribution(v, at)?;
     if d.mean().is_nan() || d.mean() <= 0.0 {
         return Err(SpecError::new(format!(
             "`{at}` needs a distribution with positive mean"
@@ -107,56 +106,126 @@ pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecErr
         "fixed_analytic_optimum" => {
             let mut o = Obj::open(payload, &section)?;
             let c = ControllerSpec::FixedAnalyticOptimum {
-                at_ms: o.opt("at_ms", number)?.unwrap_or(0.0),
+                at_ms: o.or("at_ms", number, 0.0)?,
                 n_max: o.req("n_max", positive_u32)?,
             };
             o.finish(c)?
         }
-        "is" => ControllerSpec::Is(checked(params(payload, at)?, at, IsParams::check)?),
-        "pa" => ControllerSpec::Pa(checked(params(payload, at)?, at, PaParams::check)?),
+        "is" => ControllerSpec::Is(is_params(payload, at)?),
+        "pa" => ControllerSpec::Pa(pa_params(payload, at)?),
         "self_tuning_is" => {
             let mut o = Obj::open(payload, &section)?;
-            let is = o.params("is")?;
-            let outer = o.params("outer")?;
-            o.finish(())?;
-            ControllerSpec::SelfTuningIs {
-                is: checked(is, At(&section, "is"), IsParams::check)?,
-                outer: checked(outer, At(&section, "outer"), OuterParams::check)?,
-            }
+            let c = ControllerSpec::SelfTuningIs {
+                is: o.or_defaults("is", is_params)?,
+                outer: o.or_defaults("outer", outer_params)?,
+            };
+            o.finish(c)?
         }
         "self_tuning_pa" => {
             let mut o = Obj::open(payload, &section)?;
-            let pa = o.params("pa")?;
-            o.finish(())?;
-            ControllerSpec::SelfTuningPa(checked(pa, At(&section, "pa"), PaParams::check)?)
+            let pa = o.or_defaults("pa", pa_params)?;
+            o.finish(ControllerSpec::SelfTuningPa(pa))?
         }
         "hybrid" => {
             let mut o = Obj::open(payload, &section)?;
             let p = HybridParams {
-                is: o.params("is")?,
-                pa: o.params("pa")?,
+                is: o.or_defaults("is", is_params)?,
+                pa: o.or_defaults("pa", pa_params)?,
             };
-            o.finish(())?;
-            ControllerSpec::Hybrid(checked(p, at, HybridParams::check)?)
+            ControllerSpec::Hybrid(checked(o.finish(p)?, at, HybridParams::check)?)
         }
-        "iyer" => ControllerSpec::Iyer(checked(params(payload, at)?, at, IyerRuleParams::check)?),
-        "retry_budget" => {
-            let p = params(payload, at)?;
-            ControllerSpec::RetryBudget(checked(p, at, RetryBudgetParams::check)?)
-        }
+        "iyer" => ControllerSpec::Iyer(iyer_params(payload, at)?),
+        "retry_budget" => ControllerSpec::RetryBudget(retry_budget_params(payload, at)?),
         // Tay's rule also reads `system.db_size`: the spec asks
         // `TayRule::check` once every section is read.
         "tay" => {
             let mut o = Obj::open(payload, &section)?;
             let c = ControllerSpec::Tay {
                 k: o.req("k", positive_u32)?,
-                min_bound: o.opt("min_bound", u32_from)?.unwrap_or(1),
+                min_bound: o.or("min_bound", u32_from, 1)?,
                 max_bound: o.req("max_bound", u32_from)?,
             };
             o.finish(c)?
         }
         other => return Err(unknown_key("controller", other, CONTROLLER)),
     })
+}
+
+/// Reads the IS parameters at `at`: overrides on [`IsParams::default`],
+/// range-checked.
+fn is_params(v: &Value, at: At<'_>) -> Result<IsParams, SpecError> {
+    let mut o = Obj::open(v, at)?;
+    let d = IsParams::default();
+    let p = IsParams {
+        initial_bound: o.or("initial_bound", u32_from, d.initial_bound)?,
+        min_bound: o.or("min_bound", u32_from, d.min_bound)?,
+        max_bound: o.or("max_bound", u32_from, d.max_bound)?,
+        beta: o.or("beta", number, d.beta)?,
+        gamma: o.or("gamma", number, d.gamma)?,
+        delta: o.or("delta", number, d.delta)?,
+        min_step: o.or("min_step", number, d.min_step)?,
+        max_step: o.or("max_step", number, d.max_step)?,
+        smoothing: o.or("smoothing", number, d.smoothing)?,
+    };
+    checked(o.finish(p)?, at, IsParams::check)
+}
+
+/// Reads the PA parameters at `at`: overrides on [`PaParams::default`],
+/// range-checked. The §5.2 countermeasure keeps its default: only
+/// figure code sets it.
+fn pa_params(v: &Value, at: At<'_>) -> Result<PaParams, SpecError> {
+    let mut o = Obj::open(v, at)?;
+    let d = PaParams::default();
+    let p = PaParams {
+        initial_bound: o.or("initial_bound", u32_from, d.initial_bound)?,
+        min_bound: o.or("min_bound", u32_from, d.min_bound)?,
+        max_bound: o.or("max_bound", u32_from, d.max_bound)?,
+        alpha: o.or("alpha", number, d.alpha)?,
+        warmup_samples: o.or("warmup_samples", u64_from, d.warmup_samples)?,
+        warmup_step: o.or("warmup_step", number, d.warmup_step)?,
+        dither_amplitude: o.or("dither_amplitude", number, d.dither_amplitude)?,
+        max_step: o.or("max_step", number, d.max_step)?,
+        fallback: d.fallback,
+        reset_after_convex: d.reset_after_convex,
+    };
+    checked(o.finish(p)?, at, PaParams::check)
+}
+
+/// Reads the outer-loop parameters at `at`: overrides on
+/// [`OuterParams::default`].
+fn outer_params(v: &Value, at: At<'_>) -> Result<OuterParams, SpecError> {
+    let mut o = Obj::open(v, at)?;
+    let p = OuterParams {
+        window: o.or("window", u32_from, OuterParams::default().window)?,
+    };
+    checked(o.finish(p)?, at, OuterParams::check)
+}
+
+/// Reads `controller.iyer`: overrides on [`IyerRuleParams::default`].
+fn iyer_params(v: &Value, at: At<'_>) -> Result<IyerRuleParams, SpecError> {
+    let mut o = Obj::open(v, at)?;
+    let d = IyerRuleParams::default();
+    let p = IyerRuleParams {
+        target: o.or("target", number, d.target)?,
+        initial_bound: o.or("initial_bound", u32_from, d.initial_bound)?,
+        max_bound: o.or("max_bound", u32_from, d.max_bound)?,
+    };
+    checked(o.finish(p)?, at, IyerRuleParams::check)
+}
+
+/// Reads `controller.retry_budget`: overrides on
+/// [`RetryBudgetParams::default`].
+fn retry_budget_params(v: &Value, at: At<'_>) -> Result<RetryBudgetParams, SpecError> {
+    let mut o = Obj::open(v, at)?;
+    let d = RetryBudgetParams::default();
+    let p = RetryBudgetParams {
+        initial_bound: o.or("initial_bound", u32_from, d.initial_bound)?,
+        min_bound: o.or("min_bound", u32_from, d.min_bound)?,
+        max_bound: o.or("max_bound", u32_from, d.max_bound)?,
+        budget: o.or("budget", number, d.budget)?,
+        burst: o.or("burst", number, d.burst)?,
+    };
+    checked(o.finish(p)?, at, RetryBudgetParams::check)
 }
 
 /// The adaptive-`cc` policies, each a single-key object.
@@ -166,7 +235,7 @@ pub(super) const POLICY: Keys = &["conflict_threshold", "restart_rate", "shadow_
 /// the policy's own `check`, asked once the whole section is read).
 fn meta_policy_from_value(v: &Value) -> Result<MetaPolicySpec, SpecError> {
     let (tag, payload) = single_key(v, "cc.adaptive.policy", POLICY)?;
-    let ewma = |o: &mut Obj<'_>| o.opt("ewma_weight", number).map(|w| w.unwrap_or(0.3));
+    let ewma = |o: &mut Obj<'_>| o.or("ewma_weight", number, 0.3);
     match tag {
         "shadow_score" => {
             let mut o = Obj::open(payload, tag)?;
@@ -202,8 +271,8 @@ fn adaptive_from_value(v: &Value) -> Result<AdaptiveCcSpec, SpecError> {
         policy: o.req("policy", |v, _| meta_policy_from_value(v))?,
         guard: GuardParams {
             min_dwell_ms: o.req("min_dwell_s", non_negative)? * 1000.0,
-            cooldown_ms: o.opt("cooldown_s", non_negative)?.unwrap_or(0.0) * 1000.0,
-            hysteresis: o.opt("hysteresis", number)?.unwrap_or(0.25),
+            cooldown_ms: o.or("cooldown_s", non_negative, 0.0)? * 1000.0,
+            hysteresis: o.or("hysteresis", number, 0.25)?,
         },
     };
     o.finish(())?;
@@ -257,9 +326,9 @@ pub(super) fn fault_from_value(v: &Value) -> Result<FaultSpec, SpecError> {
     let repair = o.opt("repair", dist)?;
     let cpus_down = o.req("cpus_down", positive_u32)?;
     o.finish(())?;
-    let recovery = match (duration, repair) {
-        (Some(d), None) => FaultRecovery::Fixed(d),
-        (None, Some(dist)) => FaultRecovery::Repair(dist),
+    let outage = match (duration, repair) {
+        (Some(d), None) => Dist::constant(d),
+        (None, Some(dist)) => dist,
         (Some(_), Some(_)) => {
             return Err(SpecError::new(
                 "`faults[]` takes `duration` or `repair`, not both",
@@ -271,7 +340,7 @@ pub(super) fn fault_from_value(v: &Value) -> Result<FaultSpec, SpecError> {
     };
     Ok(FaultSpec {
         at_ms,
-        recovery,
+        outage,
         cpus_down,
     })
 }
@@ -288,10 +357,10 @@ pub(super) fn retry_policy_from_value(v: &Value) -> Result<RetryPolicy, SpecErro
             let mut o = Obj::open(payload, "clients.retry.backoff")?;
             let d = RetryPolicy::default();
             let policy = RetryPolicy {
-                base_ms: o.opt("base_ms", positive)?.unwrap_or(d.base_ms),
-                factor: o.opt("factor", at_least_one)?.unwrap_or(d.factor),
-                max_ms: o.opt("max_ms", positive)?.unwrap_or(d.max_ms),
-                jitter: o.opt("jitter", fraction)?.unwrap_or(d.jitter),
+                base_ms: o.or("base_ms", positive, d.base_ms)?,
+                factor: o.or("factor", at_least_one, d.factor)?,
+                max_ms: o.or("max_ms", positive, d.max_ms)?,
+                jitter: o.or("jitter", fraction, d.jitter)?,
             };
             o.finish(policy)
         }
@@ -305,11 +374,11 @@ pub(super) fn clients_from_value(v: &Value) -> Result<ClientConfig, SpecError> {
     let clients = ClientConfig {
         population: o.req("population", positive_u32)?,
         timeout: o.req("timeout", dist)?,
-        max_retries: o.opt("max_retries", u32_from)?.unwrap_or(3),
+        max_retries: o.or("max_retries", u32_from, 3)?,
         retry: o
             .opt("retry", |v, _| retry_policy_from_value(v))?
             .unwrap_or_default(),
-        shed_retries: o.opt("shed_retries", boolean)?.unwrap_or(false),
+        shed_retries: o.or("shed_retries", boolean, false)?,
     };
     o.finish(clients)
 }
@@ -438,24 +507,47 @@ pub(super) fn workload_from_value(
     let mut o = Obj::open(v, "workload")?;
     let d = WorkloadConfig::default();
     let workload = WorkloadConfig {
-        k: o.opt("k", profile)?.unwrap_or(d.k),
-        query_frac: o.opt("query_frac", profile)?.unwrap_or(d.query_frac),
-        write_frac: o.opt("write_frac", profile)?.unwrap_or(d.write_frac),
-        access_skew: o.opt("access_skew", profile)?.unwrap_or(d.access_skew),
-        arrival_rate_factor: o
-            .opt("arrival_rate_factor", profile)?
-            .unwrap_or(d.arrival_rate_factor),
-        think_time_factor: o
-            .opt("think_time_factor", profile)?
-            .unwrap_or(d.think_time_factor),
+        k: o.or("k", profile, d.k)?,
+        query_frac: o.or("query_frac", profile, d.query_frac)?,
+        write_frac: o.or("write_frac", profile, d.write_frac)?,
+        access_skew: o.or("access_skew", profile, d.access_skew)?,
+        arrival_rate_factor: o.or("arrival_rate_factor", profile, d.arrival_rate_factor)?,
+        think_time_factor: o.or("think_time_factor", profile, d.think_time_factor)?,
     };
     checked(o.finish(workload)?, "workload", WorkloadConfig::check)
 }
 
+/// The §6 performance indicators, by the name `control.indicator`
+/// reads.
+pub(super) const INDICATOR: [(&str, PerfIndicator); 4] = [
+    ("Throughput", PerfIndicator::Throughput),
+    ("InverseResponseTime", PerfIndicator::InverseResponseTime),
+    ("EffectiveThroughput", PerfIndicator::EffectiveThroughput),
+    ("NegatedConflictRate", PerfIndicator::NegatedConflictRate),
+];
+
+/// The displacement victim policies, by the name
+/// `control.victim_policy` reads.
+pub(super) const VICTIM_POLICY: [(&str, VictimPolicy); 4] = [
+    ("Youngest", VictimPolicy::Youngest),
+    ("Oldest", VictimPolicy::Oldest),
+    ("LeastProgress", VictimPolicy::LeastProgress),
+    ("MostProgress", VictimPolicy::MostProgress),
+];
+
 /// Reads the `control` section: overrides on [`ControlConfig::default`].
-pub(super) fn control_from_value(v: &Value, at: At<'_>) -> Result<ControlConfig, SpecError> {
-    let control = from_overrides(&pairs(v, at)?, "control")?;
-    checked(control, "control", ControlConfig::check)
+pub(super) fn control_from_value(v: &Value) -> Result<ControlConfig, SpecError> {
+    let mut o = Obj::open(v, "control")?;
+    let d = ControlConfig::default();
+    let control = ControlConfig {
+        sample_interval_ms: o.or("sample_interval_ms", number, d.sample_interval_ms)?,
+        indicator: o.or("indicator", named(&INDICATOR), d.indicator)?,
+        displacement: o.or("displacement", boolean, d.displacement)?,
+        victim_policy: o.or("victim_policy", named(&VICTIM_POLICY), d.victim_policy)?,
+        initial_bound: o.or("initial_bound", u32_from, d.initial_bound)?,
+        warmup_ms: o.or("warmup_ms", number, d.warmup_ms)?,
+    };
+    checked(o.finish(control)?, "control", ControlConfig::check)
 }
 
 pub(super) fn variant_from_value(v: &Value) -> Result<VariantSpec, SpecError> {
@@ -468,59 +560,43 @@ pub(super) fn variant_from_value(v: &Value) -> Result<VariantSpec, SpecError> {
     o.finish(variant)
 }
 
-/// Reads the `system` section: overrides on [`SystemConfig::default`].
-/// Dist-valued fields accept the shorthands, `arrival` accepts its
-/// shorthands, and `seed` is rejected (the top-level `seed` field owns
-/// it). `offered_load_per_s` is a *derived* quantity: a value `λ` reads
-/// as an open Poisson arrival stream with interarrival mean `1000/λ`
-/// ms, so load grids (sweep axes, `--set`, quick overrides) read in the
-/// paper's tx/s units instead of interarrival means. Any other key must
-/// be a field of [`SystemConfig`].
-pub(super) fn system_from_value(v: &Value, at: At<'_>) -> Result<SystemConfig, SpecError> {
-    const DIST_FIELDS: [&str; 5] = [
-        "cpu_phase",
-        "disk_access",
-        "disk_init_commit",
-        "think",
-        "restart_delay",
-    ];
-    let Value::Map(fields) = serde::Serialize::to_value(&SystemConfig::default()) else {
-        // alc-lint: allow(panic-in-lib, reason="SystemConfig is a struct, which serializes to a map")
-        unreachable!("SystemConfig serializes to a map");
-    };
-    let mut out: Vec<(String, Value)> = Vec::new();
-    let mut arrival_sources = 0u32;
-    for (k, val) in pairs(v, at)? {
-        if k != "offered_load_per_s" && !fields.iter().any(|(f, _)| *f == k) {
-            let known = fields.iter().map(|(f, _)| f.as_str()).filter(|f| *f != "seed");
-            return Err(unknown_key("system", &k, known.chain(["offered_load_per_s"])));
-        }
-        let (key, norm) = if DIST_FIELDS.contains(&k.as_str()) {
-            let norm = normalize_dist(&val)
-                .map_err(|e| SpecError::new(format!("system `{k}`: {e}")))?;
-            (k, norm)
-        } else if k == "arrival" {
-            arrival_sources += 1;
-            (k, normalize_arrival(&val)?)
-        } else if k == "offered_load_per_s" {
-            arrival_sources += 1;
-            let rate = positive(&val, At("system", &k))?;
-            let open = Value::Map(vec![("open_rate_per_s".into(), Value::Num(rate))]);
-            ("arrival".to_string(), normalize_arrival(&open)?)
-        } else if k == "seed" {
-            return Err(SpecError::new(
-                "set the top-level `seed` field, not `system.seed`",
-            ));
-        } else {
-            (k, val)
-        };
-        out.push((key, norm));
-    }
-    if arrival_sources > 1 {
+/// Reads the `system` section: overrides on [`SystemConfig::default`],
+/// each delay a distribution, under the spec's top-level `seed` (a
+/// `system.seed` is refused). `offered_load_per_s` is a *derived*
+/// quantity: a value `λ` reads as an open Poisson arrival stream with
+/// interarrival mean `1000/λ` ms, so load grids (sweep axes, `--set`,
+/// quick overrides) read in the paper's tx/s units instead of
+/// interarrival means; it excludes `arrival`.
+pub(super) fn system_from_value(v: &Value, seed: u64) -> Result<SystemConfig, SpecError> {
+    let mut o = Obj::open(v, "system")?;
+    if v.get("seed").is_some() {
         return Err(SpecError::new(
-            "set `system.arrival` or `system.offered_load_per_s`, not both",
+            "set the top-level `seed` field, not `system.seed`",
         ));
     }
-    let system = from_overrides(&out, "system")?;
-    checked(system, "system", SystemConfig::check)
+    let d = SystemConfig::default();
+    let system = SystemConfig {
+        terminals: o.or("terminals", u32_from, d.terminals)?,
+        arrival: match (
+            o.opt("arrival", arrival_process)?,
+            o.opt("offered_load_per_s", |v, at| positive(v, at).map(open_rate))?,
+        ) {
+            (Some(_), Some(_)) => {
+                return Err(SpecError::new(
+                    "set `system.arrival` or `system.offered_load_per_s`, not both",
+                ));
+            }
+            (given, offered) => given.or(offered).unwrap_or(d.arrival),
+        },
+        cpus: o.or("cpus", u32_from, d.cpus)?,
+        cpu_phase: o.or("cpu_phase", distribution, d.cpu_phase)?,
+        disk_access: o.or("disk_access", distribution, d.disk_access)?,
+        disk_init_commit: o.or("disk_init_commit", distribution, d.disk_init_commit)?,
+        think: o.or("think", distribution, d.think)?,
+        restart_delay: o.or("restart_delay", distribution, d.restart_delay)?,
+        db_size: o.or("db_size", u64_from, d.db_size)?,
+        resample_on_restart: o.or("resample_on_restart", boolean, d.resample_on_restart)?,
+        seed,
+    };
+    checked(o.finish(system)?, "system", SystemConfig::check)
 }

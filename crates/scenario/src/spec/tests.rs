@@ -33,6 +33,7 @@ fn unknown_keys_are_rejected_everywhere() {
         r#"{"name": "x", "horizon_ms": 1.0, "horizn": 2.0}"#,
         r#"{"name": "x", "horizon_ms": 1.0, "workload": {"kk": 8}}"#,
         r#"{"name": "x", "horizon_ms": 1.0, "system": {"terminal": 4}}"#,
+        r#"{"name": "x", "horizon_ms": 1.0, "control": {"displacment": true}}"#,
         r#"{"name": "x", "horizon_ms": 1.0, "controller": {"is": {"beta2": 1}}}"#,
         r#"{"name": "x", "horizon_ms": 1.0, "columns": ["throughputt"]}"#,
     ] {
@@ -79,8 +80,7 @@ fn repeated_keys_are_rejected() {
         (
             r#""faults": [{"at": 1.0, "cpus_down": 1, "repair":
                            {"erlang": {"stages": 2, "mean": 5.0, "mean": 9.0}}}]"#,
-            // The derive shim names the type and the key.
-            "`Erlang` gives `mean`",
+            "`faults[].repair.erlang` gives `mean`",
         ),
     ] {
         let msg = parse_err(bad);
@@ -93,16 +93,14 @@ fn unknown_key_errors_list_the_known_keys() {
     let msg = parse_err(r#""clients": {"population": 4, "timeout": 100, "patience": 3}"#);
     assert!(msg.contains("unknown `clients` key `patience`"), "{msg}");
     assert!(msg.contains("known: population, timeout, max_retries"), "{msg}");
-    // A profile field, and a canonical distribution field that only the
-    // derive shim reads.
+    // A profile field, and a distribution's.
     let msg = parse_err(
         r#""workload": {"k": {"step": {"at": 1, "before": 4, "after": 8, "aftr": 9}}}"#,
     );
     assert!(msg.contains("unknown `step` key `aftr`"), "{msg}");
-    let msg = parse_err(r#""system": {"think": {"ExpZig": {"mean": 300, "men": 3}}}"#);
-    // The derive shim's own wording, under the section's name.
+    let msg = parse_err(r#""system": {"think": {"erlang": {"stages": 2, "mean": 3, "men": 3}}}"#);
     assert!(
-        msg.contains("invalid `system`: `ExpZig` has no key `men` (known: mean)"),
+        msg.contains("unknown `system.think.erlang` key `men` (known: stages, mean)"),
         "{msg}"
     );
     // Keys and tags that no checked-in spec used, and that went.
@@ -124,6 +122,48 @@ fn unknown_key_errors_list_the_known_keys() {
         (r#""columns": [{"post_switch_settling_time_s": {}}]"#, "key `post_switch_settling_time_s`"),
         (r#""cc": {"phase": []}"#, "unknown `cc` key `phase` (known: phases, adaptive)"),
         (r#""cc": {"adaptiv": {}}"#, "unknown `cc` key `adaptiv` (known: phases, adaptive)"),
+        // The engine types' own spellings, which a serialize-and-read-back
+        // round trip used to accept beside the DSL's.
+        (
+            r#""system": {"think": {"ExpZig": {"mean": 300}}}"#,
+            "unknown `system.think` key `ExpZig` (known: constant, exponential, erlang)",
+        ),
+        (
+            r#""system": {"cpu_phase": {"Exponential": {"mean": 4}}}"#,
+            "unknown `system.cpu_phase` key `Exponential` (known: constant, exponential, erlang)",
+        ),
+        (
+            r#""system": {"disk_access": {"Uniform": {"lo": 1, "hi": 2}}}"#,
+            "unknown `system.disk_access` key `Uniform` (known: constant, exponential, erlang)",
+        ),
+        (
+            r#""system": {"think": {"HyperExp": {"p": 0.5, "mean_a": 1, "mean_b": 9}}}"#,
+            "unknown `system.think` key `HyperExp` (known: constant, exponential, erlang)",
+        ),
+        (
+            r#""system": {"arrival": "Closed"}"#,
+            "unknown `system.arrival` key `Closed` (known: closed, open, open_rate_per_s)",
+        ),
+        (
+            r#""system": {"arrival": {"Open": {"interarrival": 5}}}"#,
+            "unknown `system.arrival` key `Open` (known: closed, open, open_rate_per_s)",
+        ),
+        (
+            r#""controller": {"pa": {"fallback": "HoldLast"}}"#,
+            "unknown `controller.pa` key `fallback` (known: initial_bound, min_bound,",
+        ),
+        (
+            r#""controller": {"pa": {"reset_after_convex": 2}}"#,
+            "unknown `controller.pa` key `reset_after_convex` (known: initial_bound,",
+        ),
+        (
+            r#""control": {"indicator": "throughput"}"#,
+            "unknown `control.indicator` key `throughput` (known: Throughput, Inverse",
+        ),
+        (
+            r#""control": {"victim_policy": "youngest"}"#,
+            "unknown `control.victim_policy` key `youngest` (known: Youngest, Oldest,",
+        ),
     ] {
         let msg = parse_err(bad);
         assert!(msg.contains(known), "{bad}: {msg}");
@@ -240,6 +280,25 @@ fn offered_load_lowers_to_interarrival_mean() {
             "system": {"offered_load_per_s": "fast"}}"#,
     );
     assert!(r.is_err());
+}
+
+#[test]
+fn think_reads_its_mean_as_written_and_the_config_check_rules() {
+    // A zero mean has always been a legal think time: it reads, and runs.
+    let with_think = |think: &str| {
+        format!(
+            r#"{{"name": "x", "horizon_ms": 2000.0, "control": {{"warmup_ms": 0}},
+                "system": {{"terminals": 4, "think": {think}}}}}"#
+        )
+    };
+    let tree: Value = serde_json::from_str(&with_think(r#"{"exponential": 0}"#)).unwrap();
+    let plan = crate::compile::compile_value(&tree, Path::new("."), false)
+        .expect("a zero-mean think time compiles");
+    let stats = plan.variants[0].simulator(0).run_until(2000.0);
+    assert!(stats.commits > 0, "no commit in 2 s");
+    // A negative mean is the config's `check()` to refuse, by field.
+    let msg = read(&with_think(r#"{"exponential": -1}"#)).unwrap_err().to_string();
+    assert!(msg.contains("system.think must draw finite delays"), "{msg}");
 }
 
 #[test]
@@ -530,20 +589,12 @@ fn stat_columns_cover_run_stats() {
 ///   own position (`constant` as a distribution does not keep it as a
 ///   profile);
 /// - a key of a `controller` tag's parameters or of a `clients.retry`
-///   policy that no spec gives. A type's keys pool wherever it is read,
-///   so `beta` counts alike under `is`, `hybrid.is` and
-///   `self_tuning_is.is`.
-///
-/// A key that a closed-form figure sets in Rust counts as set when its
-/// figure still writes it (`SET_BY_FIGURES`).
+///   policy that no spec gives. A parameter object's keys pool under its
+///   own key wherever it is read, so `beta` counts alike under `is`,
+///   `hybrid.is` and `self_tuning_is.is`.
 #[test]
 fn every_tag_and_parameter_key_is_set_by_a_checked_in_spec() {
     use std::collections::{BTreeMap, BTreeSet};
-    const DYNAMIC: &str = include_str!("../figures/dynamic.rs");
-    const SET_BY_FIGURES: [(&str, &str, &str); 2] = [
-        ("PaParams", "fallback", DYNAMIC),
-        ("PaParams", "reset_after_convex", DYNAMIC),
-    ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
     let mut specs = 0;
     let reads = crate::value_util::reads::recording(|| {
@@ -580,29 +631,19 @@ fn every_tag_and_parameter_key_is_set_by_a_checked_in_spec() {
     let mut groups: BTreeMap<&str, Group<'_>> = BTreeMap::new();
     let in_scope = |s: &str| s.starts_with("controller.") || s.starts_with("clients.retry.");
     for read in reads.keys.iter().filter(|r| in_scope(&r.section)) {
-        let g = groups.entry(&read.group).or_default();
+        let group = read.section.rsplit('.').next().unwrap_or_default();
+        let g = groups.entry(group).or_default();
         g.0.insert(&read.section);
         g.1.extend(read.known.iter().map(String::as_str));
         g.2.extend(read.given.iter().map(String::as_str));
     }
     assert!(groups.len() > 1, "no controller or retry section read");
-    for (group, (sections, known, given)) in &groups {
+    for (sections, known, given) in groups.values() {
         let at = sections
             .iter()
             .min_by_key(|s| (s.len(), **s))
             .expect("read somewhere");
-        for key in known.difference(given) {
-            let figure = SET_BY_FIGURES
-                .iter()
-                .find(|(ty, k, _)| group.ends_with(&format!("::{ty}")) && k == key);
-            match figure {
-                Some((_, _, source)) => assert!(
-                    source.contains(&format!("{key}:")),
-                    "no figure sets `{at}.{key}` any more: drop it from SET_BY_FIGURES"
-                ),
-                None => unused.push(format!("KEY `{at}.{key}`")),
-            }
-        }
+        unused.extend(known.difference(given).map(|key| format!("KEY `{at}.{key}`")));
     }
     assert!(
         unused.is_empty(),
@@ -618,13 +659,17 @@ fn every_tag_and_parameter_key_is_set_by_a_checked_in_spec() {
 fn every_name_the_vocabulary_lists_is_one_the_reader_reads() {
     use super::columns::{column_from_value, COLUMN};
     use super::sections::{
-        cc_from_value, controller_from_value, CC_FORMS, CONTROLLER, POLICY, RETRY,
+        cc_from_value, control_from_value, controller_from_value, CC_FORMS, CONTROLLER, POLICY,
+        RETRY,
     };
     use crate::profile::PROFILE;
-    use crate::value_util::DIST;
+    use crate::value_util::{arrival_process, At, ARRIVAL, DIST};
+    let control = |key: &str, bare: &Value| {
+        control_from_value(&Value::Map(vec![(key.to_string(), bare.clone())])).is_ok()
+    };
     let mut rows: Vec<(String, String)> = Vec::new();
     for line in vocabulary().lines() {
-        let (label, names) = line.split_at(22);
+        let (label, names) = line.split_at(VOCABULARY_INDENT);
         match rows.last_mut() {
             Some(row) if label.trim().is_empty() => row.1 += names,
             _ => rows.push((label.trim().to_string(), names.to_string())),
@@ -647,6 +692,10 @@ fn every_name_the_vocabulary_lists_is_one_the_reader_reads() {
                 ("cc", true) => CC_FORMS.contains(&name),
                 ("cc.adaptive.policy", true) => POLICY.contains(&name),
                 ("clients.retry", true) => RETRY.contains(&name),
+                ("arrival", false) => arrival_process(&bare, At("system", "arrival")).is_ok(),
+                ("arrival", true) => ARRIVAL.contains(&name),
+                ("control.indicator", false) => control("indicator", &bare),
+                ("control.victim_policy", false) => control("victim_policy", &bare),
                 ("profile", true) => PROFILE.contains(&name),
                 ("distribution", true) => DIST.contains(&name),
                 (_, false) if label.ends_with("columns") => column_from_value(&bare).is_ok(),
@@ -656,6 +705,6 @@ fn every_name_the_vocabulary_lists_is_one_the_reader_reads() {
             assert!(ok, "`{label}` lists `{name}`, which its reader does not read");
         }
     }
-    assert_eq!(rows.len(), 9, "{rows:?}");
+    assert_eq!(rows.len(), 12, "{rows:?}");
     assert!(listed > 50, "only {listed} names listed");
 }

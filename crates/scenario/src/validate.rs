@@ -217,32 +217,31 @@ mod tests {
 
     #[test]
     fn schema_field_lists_track_the_configs() {
-        // The reader is the schema: every field of the configs the
-        // `system` and `control` sections override is a live path,
-        // bar the seed the top-level field owns.
-        use alc_tpsim::config::{ControlConfig, SystemConfig};
-        let fields = |section: &str, config: Value| match config {
-            Value::Map(entries) => entries
-                .into_iter()
-                .filter(|(k, _)| k != "seed")
-                .map(|(k, v)| (format!("{section}.{k}"), v))
-                .collect::<Vec<_>>(),
-            other => panic!("configs serialize to maps, not {other:?}"),
-        };
-        let mut overrides = fields(
-            "system",
-            serde::Serialize::to_value(&SystemConfig::default()),
-        );
-        overrides.extend(fields(
-            "control",
-            serde::Serialize::to_value(&ControlConfig::default()),
-        ));
-        assert!(overrides.len() > 15, "the configs lost their fields");
-        let mut tree: Value = serde_json::from_str(&base("")).unwrap();
-        for (path, v) in &overrides {
-            set_path(&mut tree, path, v.clone()).unwrap();
+        // The reader is the schema: every key the `system` and `control`
+        // readers ask for (they build their configs field by field) is a
+        // live path, on which some DSL value lands.
+        let tree: Value = serde_json::from_str(&base("")).unwrap();
+        let reads = crate::value_util::reads::recording(|| {
+            compile_value(&tree, Path::new("."), false).expect("the base compiles");
+        });
+        let paths: std::collections::BTreeSet<String> = reads
+            .keys
+            .iter()
+            .filter(|r| ["system", "control"].contains(&r.section.as_str()))
+            .flat_map(|r| r.known.iter().map(move |k| format!("{}.{k}", r.section)))
+            .collect();
+        assert!(paths.len() > 15, "the configs lost their fields: {paths:?}");
+        assert!(!paths.contains("system.seed"), "the top-level `seed` owns it");
+        let values = [r#"20"#, "true", r#""closed""#, r#""Throughput""#, r#""Oldest""#]
+            .map(|v| serde_json::from_str::<Value>(v).unwrap());
+        for path in &paths {
+            let lands = values.iter().any(|v| {
+                let mut tree = tree.clone();
+                set_path(&mut tree, path, v.clone()).unwrap();
+                compile_value(&tree, Path::new("."), false).is_ok()
+            });
+            assert!(lands, "no value lands on `{path}`, which the reader reads");
         }
-        compile_value(&tree, Path::new("."), false).expect("every config field is a live path");
     }
 
     #[test]

@@ -11,16 +11,21 @@
 //! The strictness lives here too, once: [`Obj`] reads every object
 //! section of the DSL, knowing its keys from the ones its parser asks
 //! for, and the field parsers beside it ([`positive`], [`nonempty`],
-//! [`list`], …) type and range-check one value each, naming
-//! `<section>.<key>` when it fails. What the reader refuses, each an
+//! [`list`], [`distribution`], [`named`], …) type and range-check one
+//! value each, naming `<section>.<key>` when it fails. Every section —
+//! the engine's configs and the controllers' parameters included —
+//! builds its engine type field by field, each key it is not given
+//! taking the type's default; no value of the DSL passes through the
+//! serde derive, which reads only the on-disk formats (gate logs,
+//! metrics JSONL, `trace` profiles). What the reader refuses, each an
 //! error that names its place rather than a value read some other way:
 //!
 //! * a section payload that is not an object (`{"hybrid": 7}`);
-//! * a key given twice in one object, the open maps (`system`, `quick`,
-//!   variant `set`s, controller parameters) and derive-parsed objects
-//!   included;
+//! * a key given twice in one object, the open maps (`quick`, variant
+//!   `set`s, `inputs`) included;
 //! * an unknown key, with the keys the section does know:
-//!   ``unknown `clients` key `patience` (known: population, …)``;
+//!   ``unknown `clients` key `patience` (known: population, …)``, and an
+//!   unknown tag or name, with the ones its table lists;
 //! * a mistyped, missing or out-of-range value, and an integer that is
 //!   inexact or does not fit its field (`"terminals": 20.7`), never a
 //!   truncated or wrapped one. Gate logs, metrics JSONL and `trace`
@@ -32,6 +37,8 @@
 
 use std::fmt;
 
+use alc_des::dist::{Constant, Dist, Erlang, ExpZig};
+use alc_tpsim::config::ArrivalProcess;
 use serde::Value;
 
 use crate::SpecError;
@@ -142,7 +149,7 @@ impl fmt::Display for At<'_> {
 /// section's keys — an unknown key's error lists them — so no table
 /// beside the parser repeats them.
 pub struct Obj<'a> {
-    section: &'a str,
+    section: String,
     entries: &'a [(String, Value)],
     taken: Vec<bool>,
     asked: Vec<&'static str>,
@@ -150,8 +157,9 @@ pub struct Obj<'a> {
 
 impl<'a> Obj<'a> {
     /// Opens `v` as the section named `section`.
-    pub fn open(v: &'a Value, section: &'a str) -> Result<Self, SpecError> {
-        let entries = entries(v, section)?;
+    pub fn open(v: &'a Value, section: impl fmt::Display) -> Result<Self, SpecError> {
+        let section = section.to_string();
+        let entries = entries(v, &section)?;
         Ok(Obj {
             section,
             entries,
@@ -160,18 +168,32 @@ impl<'a> Obj<'a> {
         })
     }
 
+    /// Takes `key`: its value, `None` when the key is absent.
+    fn take(&mut self, key: &'static str) -> Option<&'a Value> {
+        self.asked.push(key);
+        let i = self.entries.iter().position(|(k, _)| k == key)?;
+        self.taken[i] = true;
+        Some(&self.entries[i].1)
+    }
+
     /// Takes `key` and parses its value, `None` when the key is absent.
     pub fn opt<T>(
         &mut self,
         key: &'static str,
         parse: impl FnOnce(&Value, At<'_>) -> Result<T, SpecError>,
     ) -> Result<Option<T>, SpecError> {
-        self.asked.push(key);
-        let Some(i) = self.entries.iter().position(|(k, _)| k == key) else {
-            return Ok(None);
-        };
-        self.taken[i] = true;
-        parse(&self.entries[i].1, At(self.section, key)).map(Some)
+        let v = self.take(key);
+        v.map(|v| parse(v, At(&self.section, key))).transpose()
+    }
+
+    /// Takes `key`, whose absence reads as `default`.
+    pub fn or<T>(
+        &mut self,
+        key: &'static str,
+        parse: impl FnOnce(&Value, At<'_>) -> Result<T, SpecError>,
+        default: T,
+    ) -> Result<T, SpecError> {
+        Ok(self.opt(key, parse)?.unwrap_or(default))
     }
 
     /// Takes `key`, which the section cannot do without.
@@ -184,17 +206,17 @@ impl<'a> Obj<'a> {
             .ok_or_else(|| SpecError::new(format!("`{}` needs `{key}`", self.section)))
     }
 
-    /// Takes `key`, an object of overrides on `T::default()` read by
-    /// [`params`]. An absent key reads as `{}`: the defaults, by the
-    /// same path.
-    pub fn params<T>(&mut self, key: &'static str) -> Result<T, SpecError>
-    where
-        T: Default + serde::Serialize + serde::de::DeserializeOwned,
-    {
-        match self.opt(key, params)? {
-            Some(p) => Ok(p),
-            None => params(&Value::Map(Vec::new()), At(self.section, key)),
-        }
+    /// Takes `key`, an object whose parser keeps a default for each key
+    /// it is not given. An absent key reads as `{}`: the defaults, by
+    /// the same path.
+    pub fn or_defaults<T>(
+        &mut self,
+        key: &'static str,
+        parse: impl FnOnce(&Value, At<'_>) -> Result<T, SpecError>,
+    ) -> Result<T, SpecError> {
+        let empty = Value::Map(Vec::new());
+        let v = self.take(key).unwrap_or(&empty);
+        parse(v, At(&self.section, key))
     }
 
     /// Closes the section around what it parsed to: a key nobody took
@@ -203,15 +225,10 @@ impl<'a> Obj<'a> {
         match self.taken.iter().position(|taken| !taken) {
             None => {
                 let given = self.entries.iter().map(|(k, _)| k.as_str());
-                reads::keys(
-                    self.section,
-                    self.section,
-                    self.asked.iter().copied(),
-                    given,
-                );
+                reads::keys(&self.section, self.asked.iter().copied(), given);
                 Ok(parsed)
             }
-            Some(i) => Err(unknown_key(self.section, &self.entries[i].0, &self.asked)),
+            Some(i) => Err(unknown_key(&self.section, &self.entries[i].0, &self.asked)),
         }
     }
 }
@@ -348,130 +365,110 @@ pub fn timed<T>(
     v.as_seq().ok_or_else(bad)?.iter().map(pair).collect()
 }
 
-/// Parses an open object field (path → value, or config field → value)
-/// into its ordered pairs.
+/// Parses an open object field (path → value, or name → cells) into its
+/// ordered pairs.
 pub fn pairs(v: &Value, at: At<'_>) -> Result<Vec<(String, Value)>, SpecError> {
     entries(v, &at.to_string()).map(<[_]>::to_vec)
-}
-
-/// Parses an object of overrides on `T::default()`.
-pub fn params<T>(v: &Value, at: At<'_>) -> Result<T, SpecError>
-where
-    T: Default + serde::Serialize + serde::de::DeserializeOwned,
-{
-    let what = at.to_string();
-    from_overrides(entries(v, &what)?, &what)
-}
-
-/// Deserializes through the derive shim, which is strict itself: a key
-/// the type does not have, or has twice, is its error, named here as
-/// part of `what`.
-pub fn strict<T: serde::de::DeserializeOwned>(v: &Value, what: &str) -> Result<T, SpecError> {
-    T::from_value(v).map_err(|e| SpecError::new(format!("invalid `{what}`: {e}")))
-}
-
-/// Builds a `T` by overlaying `overrides` (key → value, shallow) on top
-/// of `T::default()`'s serialized form. Unknown keys are rejected with
-/// the `what` context, so config typos surface as errors instead of
-/// silently keeping the default.
-pub fn from_overrides<T>(overrides: &[(String, Value)], what: &str) -> Result<T, SpecError>
-where
-    T: Default + serde::Serialize + serde::de::DeserializeOwned,
-{
-    let Value::Map(mut entries) = T::default().to_value() else {
-        // alc-lint: allow(panic-in-lib, reason="override targets are structs, which serialize to maps")
-        unreachable!("override targets serialize to maps");
-    };
-    for (k, v) in overrides {
-        match entries.iter_mut().find(|(ek, _)| ek == k) {
-            Some(e) => e.1 = v.clone(),
-            None => {
-                return Err(unknown_key(what, k, entries.iter().map(|(ek, _)| ek)));
-            }
-        }
-    }
-    reads::keys(
-        what,
-        std::any::type_name::<T>(),
-        entries.iter().map(|(k, _)| k.as_str()),
-        overrides.iter().map(|(k, _)| k.as_str()),
-    );
-    strict(&Value::Map(entries), what)
 }
 
 /// The distribution shorthands written as single-key objects.
 pub(crate) const DIST: Keys = &["constant", "exponential", "erlang"];
 
-/// Normalizes the DSL's distribution shorthands into the canonical
-/// (externally tagged) `alc_des::dist::Dist` representation:
-///
-/// * a bare number → `{"Constant": [x]}`
-/// * `{"constant": x}`, `{"exponential": mean}` (ziggurat-sampled),
-///   `{"erlang": {"stages", "mean"}}`
-/// * already-canonical tags pass through unchanged.
-pub fn normalize_dist(v: &Value) -> Result<Value, SpecError> {
+/// Parses a distribution, in ms: a number or `{"constant": x}` is a
+/// constant, `{"exponential": mean}` the ziggurat-sampled exponential
+/// and `{"erlang": {"stages", "mean"}}` an Erlang-k of at least one
+/// stage. The values are built as written, not through the asserting
+/// constructors: what a field may draw is its config's `check()` (or
+/// its reader's) to say.
+pub fn distribution(v: &Value, at: At<'_>) -> Result<Dist, SpecError> {
     if let Some(x) = v.as_f64() {
-        return Ok(tagged("Constant", Value::Seq(vec![Value::Num(x)])));
+        return Ok(Dist::Constant(Constant(x)));
     }
-    let Some([(tag, payload)]) = v.as_map() else {
-        return Err(SpecError::new(
-            "distribution must be a number or a single-key object",
-        ));
-    };
-    reads::tag(DIST, tag);
-    let at = At("distribution", tag);
-    let mean = |m: f64| Value::Map(vec![("mean".into(), Value::Num(m))]);
-    Ok(match tag.as_str() {
-        "constant" => tagged("Constant", Value::Seq(vec![Value::Num(number(payload, at)?)])),
-        // The exponential shorthand lowers to the ziggurat sampler — the
-        // default since its promotion; spell the canonical
-        // `{"Exponential": …}` tag to request inversion sampling.
-        "exponential" => tagged("ExpZig", mean(number(payload, at)?)),
-        "erlang" => tagged("Erlang", payload.clone()),
-        // Canonical tags pass through.
-        "Constant" | "Uniform" | "Exponential" | "ExpZig" | "Erlang" | "HyperExp" => v.clone(),
-        other => return Err(unknown_key("distribution", other, DIST)),
+    let section = at.to_string();
+    let (tag, payload) = single_key(v, &section, DIST).map_err(|_| {
+        SpecError::new(format!(
+            "`{at}` must be a number or a single-key object ({})",
+            DIST.join("/")
+        ))
+    })?;
+    let at = At(&section, tag);
+    Ok(match tag {
+        "constant" => Dist::Constant(Constant(number(payload, at)?)),
+        "exponential" => Dist::ExpZig(ExpZig {
+            mean: number(payload, at)?,
+        }),
+        "erlang" => {
+            let mut o = Obj::open(payload, at)?;
+            let erlang = Erlang {
+                stages: o.req("stages", positive_u32)?,
+                mean: o.req("mean", number)?,
+            };
+            Dist::Erlang(o.finish(erlang)?)
+        }
+        other => return Err(unknown_key(&section, other, DIST)),
     })
 }
 
-/// Normalizes the DSL's arrival-process shorthands into the canonical
-/// `ArrivalProcess` representation:
-///
-/// * `"closed"` → `"Closed"`
-/// * `{"open": {"interarrival": <dist>}}` → `{"Open": …}`
-/// * `{"open_rate_per_s": λ}` → an `Open` exponential stream with mean
-///   `1000/λ` ms
-/// * canonical forms pass through (with the inner dist normalized).
-pub fn normalize_arrival(v: &Value) -> Result<Value, SpecError> {
-    match v {
-        Value::Str(s) if s == "closed" || s == "Closed" => Ok(Value::Str("Closed".into())),
-        Value::Map(entries) if entries.len() == 1 => {
-            let (tag, payload) = &entries[0];
-            match tag.as_str() {
-                "open" | "Open" => {
-                    let mut o = Obj::open(payload, "open")?;
-                    let dist = o.req("interarrival", |v, _| normalize_dist(v))?;
-                    o.finish(tagged("Open", Value::Map(vec![("interarrival".into(), dist)])))
-                }
-                "open_rate_per_s" => {
-                    let rate = positive(payload, At("arrival", tag))?;
-                    let mean = Value::Map(vec![("mean".into(), Value::Num(1000.0 / rate))]);
-                    let dist = tagged("ExpZig", mean);
-                    Ok(tagged("Open", Value::Map(vec![("interarrival".into(), dist)])))
-                }
-                other => Err(SpecError::new(format!(
-                    "unknown arrival process `{other}` (want `closed`, `open`, or `open_rate_per_s`)"
-                ))),
-            }
+/// The arrival processes written as a bare name.
+pub(crate) const ARRIVAL_NAMES: [(&str, ArrivalProcess); 1] = [("closed", ArrivalProcess::Closed)];
+
+/// The arrival processes written as single-key objects.
+pub(crate) const ARRIVAL: Keys = &["open", "open_rate_per_s"];
+
+/// Parses an arrival process: `"closed"`, `{"open": {"interarrival":
+/// <distribution>}}`, or `{"open_rate_per_s": λ}`, an open Poisson
+/// stream of λ arrivals per second.
+pub fn arrival_process(v: &Value, at: At<'_>) -> Result<ArrivalProcess, SpecError> {
+    let known = || ARRIVAL_NAMES.map(|(name, _)| name).into_iter().chain(ARRIVAL.iter().copied());
+    let section = at.to_string();
+    if let Value::Str(name) = v {
+        return match ARRIVAL_NAMES.iter().find(|(n, _)| n == name) {
+            Some(&(_, arrival)) => Ok(arrival),
+            None => Err(unknown_key(&section, name, known())),
+        };
+    }
+    let (tag, payload) = single_key(v, &section, ARRIVAL).map_err(|_| {
+        SpecError::new(format!(
+            "`{at}` must be \"closed\" or a single-key object ({})",
+            ARRIVAL.join("/")
+        ))
+    })?;
+    let at = At(&section, tag);
+    match tag {
+        "open" => {
+            let mut o = Obj::open(payload, at)?;
+            let interarrival = o.req("interarrival", distribution)?;
+            o.finish(ArrivalProcess::Open { interarrival })
         }
-        _ => Err(SpecError::new(
-            "arrival must be `\"closed\"` or a single-key object",
-        )),
+        "open_rate_per_s" => positive(payload, at).map(open_rate),
+        other => Err(unknown_key(&section, other, known())),
     }
 }
 
-fn tagged(tag: &str, payload: Value) -> Value {
-    Value::Map(vec![(tag.to_string(), payload)])
+/// An open Poisson stream of `rate` arrivals per second: exponential
+/// interarrival times of mean `1000/rate` ms.
+pub(crate) fn open_rate(rate: f64) -> ArrivalProcess {
+    let interarrival = Dist::ExpZig(ExpZig {
+        mean: 1000.0 / rate,
+    });
+    ArrivalProcess::Open { interarrival }
+}
+
+/// Parses a field written as one of `table`'s names.
+pub fn named<T: Copy>(
+    table: &'static [(&'static str, T)],
+) -> impl Fn(&Value, At<'_>) -> Result<T, SpecError> {
+    move |v, at| {
+        let names = table.iter().map(|(name, _)| *name);
+        let Value::Str(given) = v else {
+            let names: Vec<&str> = names.collect();
+            return Err(SpecError::new(format!("`{at}` must be a name ({})", names.join(", "))));
+        };
+        match table.iter().find(|(name, _)| name == given) {
+            Some(&(_, x)) => Ok(x),
+            None => Err(unknown_key(&at.to_string(), given, names)),
+        }
+    }
 }
 
 /// What reading a spec took from it, recorded on the reading thread for
@@ -485,7 +482,6 @@ mod reads {
 
     pub(super) fn keys<'k>(
         _: &str,
-        _: &str,
         _: impl Iterator<Item = &'k str>,
         _: impl Iterator<Item = &'k str>,
     ) {
@@ -498,12 +494,10 @@ pub(crate) mod reads {
 
     use super::Keys;
 
-    /// One object as read: where it sat, the group its keys pool in (its
-    /// type when the derive reads it, else its section), the keys its
-    /// reader knows and the ones the spec gave.
+    /// One object as read: where it sat, the keys its reader knows and
+    /// the ones the spec gave.
     pub(crate) struct KeysRead {
         pub section: String,
-        pub group: String,
         pub known: Vec<String>,
         pub given: Vec<String>,
     }
@@ -536,17 +530,15 @@ pub(crate) mod reads {
         with(|r| r.tags.push((table, tag.to_string())));
     }
 
-    /// Notes an object read at `section`, pooling its keys in `group`.
+    /// Notes an object read at `section`.
     pub(super) fn keys<'k>(
         section: &str,
-        group: &str,
         known: impl Iterator<Item = &'k str>,
         given: impl Iterator<Item = &'k str>,
     ) {
         with(|r| {
             r.keys.push(KeysRead {
                 section: section.to_string(),
-                group: group.to_string(),
                 known: known.map(str::to_string).collect(),
                 given: given.map(str::to_string).collect(),
             })
@@ -600,54 +592,60 @@ mod tests {
         assert!(set_path(&mut v, "axes.first", Value::U64(1)).is_err());
     }
 
+    fn json(text: &str) -> Value {
+        serde_json::from_str(text).unwrap()
+    }
+
     #[test]
     fn dist_shorthands_normalize() {
-        let exp = normalize_dist(&Value::Map(vec![("exponential".into(), Value::U64(300))]))
-            .unwrap();
-        let d: alc_des::dist::Dist = serde::Deserialize::from_value(&exp).unwrap();
-        assert_eq!(d, alc_des::dist::Dist::exponential(300.0));
-
-        let c = normalize_dist(&Value::U64(40)).unwrap();
-        let d: alc_des::dist::Dist = serde::Deserialize::from_value(&c).unwrap();
-        assert_eq!(d, alc_des::dist::Dist::constant(40.0));
-
-        assert!(normalize_dist(&Value::Str("nope".into())).is_err());
+        // Each shorthand reads to exactly the value its constructor builds.
+        let at = At("system", "think");
+        for (text, want) in [
+            ("40", Dist::constant(40.0)),
+            ("40.5", Dist::constant(40.5)),
+            (r#"{"constant": 40}"#, Dist::constant(40.0)),
+            (r#"{"exponential": 300}"#, Dist::exponential(300.0)),
+            (
+                r#"{"erlang": {"stages": 3, "mean": 12.0}}"#,
+                Dist::Erlang(Erlang { stages: 3, mean: 12.0 }),
+            ),
+        ] {
+            assert_eq!(distribution(&json(text), at).unwrap(), want, "{text}");
+        }
+        // Ranges are the config's `check()`: a zero mean reads as written.
+        let zero = distribution(&json(r#"{"exponential": 0}"#), at).unwrap();
+        assert_eq!(zero, Dist::ExpZig(ExpZig { mean: 0.0 }));
+        for bad in [r#""nope""#, r#"{"erlang": {"stages": 2}}"#, r#"{"constant": "x"}"#] {
+            let msg = distribution(&json(bad), at).unwrap_err().to_string();
+            assert!(msg.contains("system.think"), "{bad}: {msg}");
+        }
     }
 
     #[test]
     fn arrival_shorthands_normalize() {
-        use alc_tpsim::config::ArrivalProcess;
-        let closed = normalize_arrival(&Value::Str("closed".into())).unwrap();
-        let a: ArrivalProcess = serde::Deserialize::from_value(&closed).unwrap();
-        assert_eq!(a, ArrivalProcess::Closed);
-
-        let open = normalize_arrival(&Value::Map(vec![(
-            "open_rate_per_s".into(),
-            Value::Num(200.0),
-        )]))
-        .unwrap();
-        let a: ArrivalProcess = serde::Deserialize::from_value(&open).unwrap();
-        assert_eq!(
-            a,
-            ArrivalProcess::Open {
-                interarrival: alc_des::dist::Dist::exponential(5.0)
-            }
-        );
-    }
-
-    #[test]
-    fn from_overrides_rejects_unknown_keys() {
-        use alc_tpsim::config::ControlConfig;
-        let good: ControlConfig = from_overrides(
-            &[("displacement".to_string(), Value::Bool(true))],
-            "control",
-        )
-        .unwrap();
-        assert!(good.displacement);
-        let bad: Result<ControlConfig, _> = from_overrides(
-            &[("displacment".to_string(), Value::Bool(true))],
-            "control",
-        );
-        assert!(bad.is_err());
+        let at = At("system", "arrival");
+        for (text, want) in [
+            (r#""closed""#, ArrivalProcess::Closed),
+            (
+                r#"{"open": {"interarrival": {"exponential": 5}}}"#,
+                ArrivalProcess::Open { interarrival: Dist::exponential(5.0) },
+            ),
+            (
+                r#"{"open": {"interarrival": 5}}"#,
+                ArrivalProcess::Open { interarrival: Dist::constant(5.0) },
+            ),
+            (
+                r#"{"open_rate_per_s": 200}"#,
+                ArrivalProcess::Open { interarrival: Dist::exponential(5.0) },
+            ),
+        ] {
+            assert_eq!(arrival_process(&json(text), at).unwrap(), want, "{text}");
+        }
+        let open = ArrivalProcess::Open { interarrival: Dist::exponential(4.0) };
+        assert_eq!(open_rate(250.0), open);
+        for bad in [r#""open""#, r#"{"open_rate_per_s": 0}"#, "7"] {
+            let msg = arrival_process(&json(bad), at).unwrap_err().to_string();
+            assert!(msg.contains("system.arrival"), "{bad}: {msg}");
+        }
     }
 }

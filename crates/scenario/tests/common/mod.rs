@@ -33,12 +33,14 @@ pub fn s(text: &str) -> Value {
 }
 
 /// An exponential distribution as a user may write it: the
-/// `{"exponential": mean}` shorthand or the canonical derive form.
-pub fn exponential(mean: f64, shorthand: bool) -> Value {
-    if shorthand {
+/// `{"exponential": mean}` shorthand (drawn by the ziggurat) or a
+/// one-stage `{"erlang": …}` (the same distribution, drawn by inversion).
+pub fn exponential(mean: f64, ziggurat: bool) -> Value {
+    if ziggurat {
         tag("exponential", Value::Num(mean))
     } else {
-        tag("Exponential", obj([("mean", Value::Num(mean))]))
+        let stages = ("stages", Value::U64(1));
+        tag("erlang", obj([stages, ("mean", Value::Num(mean))]))
     }
 }
 

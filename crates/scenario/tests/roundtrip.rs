@@ -15,7 +15,7 @@ use std::path::Path;
 
 use alc_scenario::compile::compile_value;
 use alc_scenario::profile::schedule_from_value;
-use alc_scenario::spec::{cc_spec_name, ClientColumn, FaultRecovery, ScenarioSpec, StatColumn};
+use alc_scenario::spec::{cc_spec_name, ClientColumn, ScenarioSpec, StatColumn};
 use alc_tpsim::config::CcKind;
 use proptest::prelude::*;
 use proptest::{boxed, collection, Union};
@@ -608,7 +608,7 @@ proptest! {
                     prop_assert!(timeline.windows(2).all(|w| w[0].0 <= w[1].0));
                 }
                 // Fixed windows draw nothing: every replication shares them.
-                if spec.cell.faults.iter().all(|f| matches!(f.recovery, FaultRecovery::Fixed(_))) {
+                if spec.cell.faults.iter().all(|f| f.outage.as_constant().is_some()) {
                     prop_assert!(v.fault_timelines.windows(2).all(|w| w[0] == w[1]));
                 }
             }

@@ -18,7 +18,7 @@ use alc_core::measure::PerfIndicator;
 /// an external arrival stream instead: arrivals beyond the slot pool are
 /// rejected (counted as lost), everything admitted competes for the MPL
 /// exactly as in the closed model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// The paper's closed loop: commit → think time → resubmit.
     Closed,
@@ -32,7 +32,7 @@ pub enum ArrivalProcess {
 }
 
 /// Physical-model parameters: stations, service times, population.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Number of terminals `N` (the closed population / offered load) —
     /// or, in [`ArrivalProcess::Open`] mode, the transaction slot pool.
@@ -193,7 +193,7 @@ impl CcKind {
 /// How displacement (§4.3) picks which running transaction to abort when
 /// the bound drops below the current load. "Victim selection may be based
 /// on the same criteria as for deadlock breaking."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VictimPolicy {
     /// The youngest run (largest timestamp) — least sunk work by age, the
     /// classic deadlock-breaking default.
@@ -221,7 +221,7 @@ impl VictimPolicy {
 }
 
 /// Load-control wiring for a run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlConfig {
     /// Measurement interval Δt between controller invocations, ms.
     pub sample_interval_ms: f64,

@@ -17,7 +17,7 @@ use alc_analytic::surface::Schedule;
 use crate::config::SystemConfig;
 
 /// The logical-model workload over time.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// Data items accessed per transaction, `k(t) ≥ 1`. Evaluated at
     /// instance creation; rounded to an integer.

@@ -8,8 +8,6 @@
 mod common;
 
 use adaptive_load_control::scenario::runner;
-use adaptive_load_control::tpsim::config::{ControlConfig, SystemConfig};
-use adaptive_load_control::tpsim::WorkloadConfig;
 
 use common::{quick_plan, run_quick, stats};
 
@@ -98,18 +96,18 @@ fn simulator_matches_analytic_model() {
     }
 }
 
-/// Every public config type is serde-serializable and deserializable
-/// (compile-time check), so experiment configs can be stored and replayed.
+/// What is written to disk encodes and decodes through the derive
+/// (compile-time check): gate logs and their header, metrics snapshots
+/// and run stats; trajectories are written only.
 #[test]
 fn configs_are_serde_capable() {
     fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-    assert_serde::<SystemConfig>();
-    assert_serde::<ControlConfig>();
-    assert_serde::<WorkloadConfig>();
-    assert_serde::<alc_tpsim::engine::RunStats>();
-    assert_serde::<alc_core::controller::IsParams>();
-    assert_serde::<alc_core::controller::PaParams>();
-    assert_serde::<alc_core::measure::Measurement>();
+    assert_serde::<adaptive_load_control::core::gatelog::GateEvent>();
+    assert_serde::<adaptive_load_control::runtime::GateLogHeader>();
+    assert_serde::<adaptive_load_control::runtime::MetricsSnapshot>();
+    assert_serde::<adaptive_load_control::tpsim::engine::RunStats>();
+    fn assert_serialize<T: serde::Serialize>() {}
+    assert_serialize::<adaptive_load_control::des::series::TimeSeries>();
 }
 
 /// The gate bound is respected at every instant of every static-bound
