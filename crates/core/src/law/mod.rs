@@ -30,11 +30,16 @@ pub struct WindowSnapshot {
     /// The interval measurement (throughput, conflict ratio, restart
     /// rate, observed MPL, mean response time).
     pub measurement: Measurement,
-    /// Median response time over the window, ms (0 when idle).
+    /// Median response time over the window, ms (0 when idle). Like p95
+    /// and p99, an estimate: never below the ⌈p·n⌉-th smallest response
+    /// time of the window, at most 1/16 above it, and exact when the
+    /// window's response times are all equal.
     pub p50_ms: f64,
-    /// 95th-percentile response time over the window, ms (0 when idle).
+    /// 95th-percentile response time over the window, ms (0 when idle;
+    /// an estimate within the bound of `p50_ms`).
     pub p95_ms: f64,
-    /// 99th-percentile response time over the window, ms (0 when idle).
+    /// 99th-percentile response time over the window, ms (0 when idle;
+    /// an estimate within the bound of `p50_ms`).
     pub p99_ms: f64,
     /// Admissions shed (rejected without queueing) during the window.
     pub shed: u64,

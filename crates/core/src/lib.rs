@@ -36,11 +36,12 @@
 //!   shared vocabulary that lets `alc-runtime` replay simulator logs and
 //!   prove decision-sequence conformance.
 //! * [`control`] — [`control::LoopCore`], the one control loop: gate
-//!   events feed its [`telemetry::TelemetryWindow`] (the sampler plus P²
-//!   latency quantiles), each interval's window goes to a
-//!   [`law::ControlLaw`] ([`law::PaperLaw`] runs any controller), and the
-//!   gate log records both. The simulator's sample tick, the wall-clock
-//!   `alc_runtime::ControlLoop` and `alc_runtime`'s replay all run it.
+//!   events feed its [`telemetry::TelemetryWindow`] (the sampler plus
+//!   latency quantiles from a histogram, within 1/16), each interval's
+//!   window goes to a [`law::ControlLaw`] ([`law::PaperLaw`] runs any
+//!   controller), and the gate log records both. The simulator's sample
+//!   tick, the wall-clock `alc_runtime::ControlLoop` and `alc_runtime`'s
+//!   replay all run it.
 //!
 //! # Quick start
 //!

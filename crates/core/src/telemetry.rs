@@ -3,122 +3,98 @@
 //! [`TelemetryWindow`] wraps the [`IntervalSampler`] that turns gate
 //! events into measurements in simulation, runtime and replay alike, so
 //! identical event streams produce identical measurements. On top of it
-//! the window keeps response-time quantiles (P² streaming estimates,
-//! allocation-free) and a shed counter, which are reported in the
-//! [`WindowSnapshot`] but never perturb the measurement. A window built
-//! without quantiles (the simulator's: its laws read the measurement
-//! alone) skips their per-commit update and reports them as `0.0`.
+//! the window keeps response-time quantiles (from a fixed log-linear
+//! histogram: never below the window's rank quantile, never above it by
+//! more than 1/16, allocation-free after construction) and a shed
+//! counter, which are reported in the [`WindowSnapshot`] but never
+//! perturb the measurement. A window built without quantiles (the
+//! simulator's: its laws read the measurement alone) skips their
+//! per-commit update and reports them as `0.0`.
 
 use crate::gatelog::GateEvent;
 use crate::law::WindowSnapshot;
 use crate::measure::PerfIndicator;
 use crate::sampler::IntervalSampler;
 
-/// Streaming quantile estimate via the P² algorithm (Jain & Chlamtac,
-/// CACM 1985): five markers track the target quantile without storing
-/// observations — deterministic, allocation-free, O(1) per observation.
-#[derive(Debug, Clone)]
-struct P2Quantile {
-    p: f64,
-    count: usize,
-    /// Marker heights (first `count` entries sorted while `count < 5`).
-    q: [f64; 5],
-    /// Actual marker positions, 1-based.
-    n: [f64; 5],
-    /// Desired marker positions.
-    np: [f64; 5],
-    /// Desired-position increments per observation.
-    dn: [f64; 5],
+/// Key of the first regular bucket, `[2⁻¹⁰, 2⁻¹⁰·17/16)` ms; everything
+/// below lands in the underflow bucket 0.
+const FIRST_KEY: i64 = (1023 - 10) << 4;
+/// Key of `2⁴⁰` ms: it and everything above land in the overflow bucket.
+const END_KEY: i64 = (1023 + 40) << 4;
+const BUCKETS: usize = (END_KEY - FIRST_KEY) as usize + 2;
+
+/// The bucket of a response time, keyed by its sign, exponent and top
+/// four mantissa bits: each power of two of a millisecond splits into 16
+/// sub-buckets, so a bucket's upper edge is at most 17/16 of any value
+/// in it. Negative values (and `-0.0`) key below every bucket.
+#[inline]
+fn bucket(x: f64) -> usize {
+    (((x.to_bits() as i64) >> 48).clamp(FIRST_KEY - 1, END_KEY) - (FIRST_KEY - 1)) as usize
 }
 
-impl P2Quantile {
-    fn new(p: f64) -> Self {
-        debug_assert!((0.0..=1.0).contains(&p));
-        P2Quantile {
-            p,
-            count: 0,
-            q: [0.0; 5],
-            n: [1.0, 2.0, 3.0, 4.0, 5.0],
-            np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
+/// The least value above every value in bucket `i`.
+fn upper_edge(i: usize) -> f64 {
+    if i == BUCKETS - 1 {
+        f64::INFINITY
+    } else {
+        f64::from_bits(((i as i64 + FIRST_KEY) as u64) << 48)
+    }
+}
+
+/// Response times of one window in a fixed log-linear histogram of
+/// [`BUCKETS`] counts; the window's p50, p95 and p99 are read off it.
+#[derive(Debug, Clone)]
+struct Histogram {
+    counts: Box<[u64; BUCKETS]>,
+    /// Lowest and highest occupied bucket (`lo > hi` when empty).
+    lo: usize,
+    hi: usize,
+    min: f64,
+    max: f64,
+}
+
+impl Histogram {
+    fn new() -> Self {
+        Histogram {
+            counts: Box::new([0; BUCKETS]), // alc-lint: allow(hot-alloc, reason="construction-time; harvest zeroes the counts in place")
+            lo: BUCKETS,
+            hi: 0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
         }
     }
 
-    fn reset(&mut self) {
-        *self = P2Quantile::new(self.p);
-    }
-
+    #[inline]
     fn observe(&mut self, x: f64) {
-        if self.count < 5 {
-            // Insertion sort into the warm-up buffer.
-            let mut i = self.count;
-            while i > 0 && self.q[i - 1] > x {
-                self.q[i] = self.q[i - 1];
-                i -= 1;
-            }
-            self.q[i] = x;
-            self.count += 1;
-            return;
-        }
-        // Locate the cell and stretch the extremes.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            while k < 3 && x >= self.q[k + 1] {
-                k += 1;
-            }
-            k
-        };
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.np[i] += self.dn[i];
-        }
-        self.count += 1;
-        // Adjust the three interior markers toward their desired
-        // positions (parabolic when it keeps the heights monotone,
-        // linear otherwise).
-        for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            if (d >= 1.0 && self.n[i + 1] - self.n[i] > 1.0)
-                || (d <= -1.0 && self.n[i - 1] - self.n[i] < -1.0)
-            {
-                let d = d.signum();
-                let parabolic = self.q[i]
-                    + d / (self.n[i + 1] - self.n[i - 1])
-                        * ((self.n[i] - self.n[i - 1] + d) * (self.q[i + 1] - self.q[i])
-                            / (self.n[i + 1] - self.n[i])
-                            + (self.n[i + 1] - self.n[i] - d) * (self.q[i] - self.q[i - 1])
-                                / (self.n[i] - self.n[i - 1]));
-                self.q[i] = if self.q[i - 1] < parabolic && parabolic < self.q[i + 1] {
-                    parabolic
-                } else {
-                    let j = (i as f64 + d) as usize;
-                    self.q[i] + d * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
-                };
-                self.n[i] += d;
-            }
-        }
+        let i = bucket(x);
+        self.counts[i] += 1;
+        self.lo = self.lo.min(i);
+        self.hi = self.hi.max(i);
+        self.min = self.min.min(x);
+        self.max = self.max.max(x);
     }
 
-    /// The current estimate (exact for fewer than five observations,
-    /// `0.0` when empty).
-    fn estimate(&self) -> f64 {
-        match self.count {
-            0 => 0.0,
-            c if c < 5 => {
-                // Exact small-sample quantile by rank.
-                let rank = ((self.p * c as f64).ceil() as usize).clamp(1, c);
-                self.q[rank - 1]
+    /// p50, p95 and p99 of the `n` values observed since the last call
+    /// (`0.0` each when there were none), and a reset. Each is the upper
+    /// edge of the bucket holding the ⌈p·n/100⌉-th smallest value, clamped to
+    /// the observed `[min, max]`, so a window of equal values reads
+    /// exactly. One pass over the occupied buckets, zeroing each.
+    fn harvest(&mut self, n: u64) -> [f64; 3] {
+        let mut out = [0.0; 3];
+        if self.lo <= self.hi {
+            let ranks = [50, 95, 99].map(|percent| (percent * n).div_ceil(100));
+            let (mut q, mut seen) = (0, 0);
+            for i in self.lo..=self.hi {
+                seen += std::mem::take(&mut self.counts[i]);
+                while q < 3 && seen >= ranks[q] {
+                    out[q] = upper_edge(i).max(self.min).min(self.max);
+                    q += 1;
+                }
             }
-            _ => self.q[2],
         }
+        (self.lo, self.hi) = (BUCKETS, 0);
+        (self.min, self.max) = (f64::INFINITY, f64::NEG_INFINITY);
+        out
     }
 }
 
@@ -127,8 +103,8 @@ impl P2Quantile {
 #[derive(Debug, Clone)]
 pub struct TelemetryWindow {
     sampler: IntervalSampler,
-    /// p50, p95 and p99; `None` in a window that keeps no quantiles.
-    quantiles: Option<[P2Quantile; 3]>,
+    /// Response times; `None` in a window that keeps no quantiles.
+    quantiles: Option<Histogram>,
     shed: u64,
 }
 
@@ -136,7 +112,7 @@ impl TelemetryWindow {
     /// Creates a window starting at `now_ms` with `mpl` units in flight.
     pub fn new(indicator: PerfIndicator, now_ms: f64, mpl: u32) -> Self {
         TelemetryWindow {
-            quantiles: Some([0.50, 0.95, 0.99].map(P2Quantile::new)),
+            quantiles: Some(Histogram::new()),
             ..Self::without_quantiles(indicator, now_ms, mpl)
         }
     }
@@ -159,9 +135,7 @@ impl TelemetryWindow {
         if let (Some(quantiles), GateEvent::Commit { response_ms, .. }) =
             (self.quantiles.as_mut(), *event)
         {
-            for q in quantiles {
-                q.observe(response_ms);
-            }
+            quantiles.observe(response_ms);
         }
     }
 
@@ -182,21 +156,19 @@ impl TelemetryWindow {
     /// Closes the window at `now_ms`, returning its snapshot and
     /// starting the next window.
     pub fn harvest(&mut self, now_ms: f64, queue_depth: u32) -> WindowSnapshot {
+        let measurement = self.sampler.harvest(now_ms);
         let [p50_ms, p95_ms, p99_ms] = self
             .quantiles
-            .as_ref()
-            .map_or([0.0; 3], |qs| qs.each_ref().map(P2Quantile::estimate));
+            .as_mut()
+            .map_or([0.0; 3], |h| h.harvest(measurement.departures));
         let snapshot = WindowSnapshot {
-            measurement: self.sampler.harvest(now_ms),
+            measurement,
             p50_ms,
             p95_ms,
             p99_ms,
             shed: self.shed,
             queue_depth,
         };
-        for q in self.quantiles.iter_mut().flatten() {
-            q.reset();
-        }
         self.shed = 0;
         snapshot
     }
@@ -206,30 +178,63 @@ impl TelemetryWindow {
 mod tests {
     use super::*;
 
-    #[test]
-    fn p2_is_exact_for_small_samples() {
-        let mut q = P2Quantile::new(0.5);
-        assert_eq!(q.estimate(), 0.0);
-        q.observe(30.0);
-        q.observe(10.0);
-        q.observe(20.0);
-        assert_eq!(q.estimate(), 20.0);
+    /// p50, p95 and p99 of one window holding `values`.
+    fn quantiles(values: &[f64]) -> [f64; 3] {
+        let mut w = TelemetryWindow::new(PerfIndicator::Throughput, 0.0, 0);
+        for &v in values {
+            w.on_commit(v, 0);
+        }
+        let s = w.harvest(1000.0, 0);
+        [s.p50_ms, s.p95_ms, s.p99_ms]
     }
 
     #[test]
-    fn p2_tracks_quantiles_of_a_uniform_ramp() {
-        let mut p50 = P2Quantile::new(0.5);
-        let mut p95 = P2Quantile::new(0.95);
+    fn histogram_is_exact_for_small_samples_at_the_extremes() {
+        assert_eq!(quantiles(&[]), [0.0; 3]);
+        let [p50, p95, p99] = quantiles(&[30.0, 10.0, 20.0]);
+        assert!((20.0..=20.0 * (1.0 + 1.0 / 16.0)).contains(&p50), "{p50}");
+        assert_eq!([p95, p99], [30.0; 2]);
+    }
+
+    #[test]
+    fn histogram_tracks_quantiles_of_a_uniform_ramp() {
         // Deterministic shuffled-ish ramp: 1..=999 visited in stride-7
         // order (7 and 999 are coprime, so every value appears once).
         let mut v = 1u32;
-        for _ in 0..999 {
-            p50.observe(f64::from(v));
-            p95.observe(f64::from(v));
-            v = (v + 7 - 1) % 999 + 1;
+        let ramp: Vec<f64> = (0..999)
+            .map(|_| {
+                let x = f64::from(v);
+                v = (v + 7 - 1) % 999 + 1;
+                x
+            })
+            .collect();
+        let [p50, p95, _] = quantiles(&ramp);
+        assert!((p50 - 500.0).abs() < 25.0, "{p50}");
+        assert!((p95 - 950.0).abs() < 35.0, "{p95}");
+    }
+
+    #[test]
+    fn one_value_or_equal_values_read_exactly() {
+        for x in [0.0, 5e-324, 1e-7, 2.5, 1e15, f64::MAX] {
+            assert_eq!(quantiles(&[x]), [x; 3], "one {x}");
+            assert_eq!(quantiles(&[x; 40]), [x; 3], "forty {x}");
         }
-        assert!((p50.estimate() - 500.0).abs() < 25.0, "{}", p50.estimate());
-        assert!((p95.estimate() - 950.0).abs() < 35.0, "{}", p95.estimate());
+    }
+
+    #[test]
+    fn zero_subnormal_and_max_read_finite_inside_the_window() {
+        for values in [
+            &[0.0, 1.0, 2.0][..],
+            &[5e-324, 0.0, 3.0, 5e-324],
+            &[1.0, f64::MAX, f64::MAX],
+            &[0.0, 5e-324, 1e-300, 7.0, f64::MAX],
+        ] {
+            let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = values.iter().copied().fold(0.0, f64::max);
+            for q in quantiles(values) {
+                assert!(q.is_finite() && (min..=max).contains(&q), "{values:?}: {q}");
+            }
+        }
     }
 
     #[test]

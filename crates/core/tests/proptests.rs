@@ -12,7 +12,8 @@ use alc_core::controller::{
 };
 use alc_core::estimator::Rls;
 use alc_core::gate::AdaptiveGate;
-use alc_core::measure::Measurement;
+use alc_core::measure::{Measurement, PerfIndicator};
+use alc_core::telemetry::TelemetryWindow;
 
 /// Weighted batch least squares on `[1, x, x²]` with weights `α^(N−1−i)`.
 fn batch_weighted_quadratic(data: &[(f64, f64)], alpha: f64) -> [f64; 3] {
@@ -197,6 +198,39 @@ proptest! {
         drop(permits);
         prop_assert_eq!(gate.in_use(), 0, "permits leaked");
         prop_assert!(admitted >= 1 || gate.stats().total_admitted == 0);
+    }
+
+    /// A window's p50, p95 and p99 are never below the rank quantile of
+    /// its response times (the ⌈p·n/100⌉-th smallest) nor above it by more
+    /// than 1/16, are ordered, and start from 0.0 in the next window: the
+    /// same values fed again read the same.
+    #[test]
+    fn window_quantiles_bound_the_rank_quantiles(
+        exponents in prop::collection::vec(-3.0f64..6.0, 1..5001),
+    ) {
+        let mut w = TelemetryWindow::new(PerfIndicator::Throughput, 0.0, 0);
+        let mut sorted: Vec<f64> = exponents.iter().map(|e| 10f64.powf(*e)).collect();
+        for &x in &sorted {
+            w.on_commit(x, 0);
+        }
+        sorted.sort_by(f64::total_cmp);
+        let s = w.harvest(1000.0, 0);
+        let n = sorted.len();
+        for (p, estimate) in [(50, s.p50_ms), (95, s.p95_ms), (99, s.p99_ms)] {
+            let exact = sorted[(p * n).div_ceil(100) - 1];
+            prop_assert!(
+                exact <= estimate && estimate <= exact * (1.0 + 1.0 / 16.0),
+                "p{p} of {n}: {estimate} against {exact}"
+            );
+        }
+        prop_assert!(s.p50_ms <= s.p95_ms && s.p95_ms <= s.p99_ms);
+        let next = w.harvest(2000.0, 0);
+        prop_assert_eq!([next.p50_ms, next.p95_ms, next.p99_ms], [0.0; 3]);
+        for &x in &sorted {
+            w.on_commit(x, 0);
+        }
+        let again = w.harvest(3000.0, 0);
+        prop_assert_eq!([again.p50_ms, again.p95_ms, again.p99_ms], [s.p50_ms, s.p95_ms, s.p99_ms]);
     }
 
     /// IS converges onto the optimum of an arbitrary clean unimodal curve

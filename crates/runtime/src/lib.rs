@@ -17,12 +17,13 @@
 //!   controller unchanged (all three from `alc_core::law`), plus
 //!   [`AimdLaw`] and [`RetryBudgetLaw`] as self-*-style alternatives.
 //! * [`telemetry`] — [`Outcome`], and `alc_core`'s [`TelemetryWindow`]:
-//!   the interval sampler plus allocation-free P² latency quantiles.
+//!   the interval sampler plus allocation-free latency quantiles from a
+//!   log-linear histogram (never low, at most 1/16 high).
 //! * [`log`] — the JSONL gate-log format ([`JsonlSink`] writer,
 //!   [`read_gate_log`] reader) over `alc_core::gatelog::GateEvent`, and
 //!   [`read_jsonl`], the line reader every JSONL input goes through.
 //! * [`metrics`] — [`MetricsSnapshot`]: the loop's live state (gate
-//!   occupancy, cumulative counters, last window with P² quantiles)
+//!   occupancy, cumulative counters, last window with its quantiles)
 //!   flattened for export, with a byte-round-tripping JSONL form.
 //! * [`replay`](mod@replay) — [`check_conformance`]: feed a recorded log back
 //!   through a fresh [`LoopCore`] and require the decision sequence to

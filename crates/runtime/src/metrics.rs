@@ -2,7 +2,7 @@
 //!
 //! [`ControlLoop::metrics`](crate::ControlLoop::metrics) flattens the
 //! loop's live state — gate occupancy, cumulative outcome counters, and
-//! the last harvested window (P² latency quantiles included) — into one
+//! the last harvested window (latency quantiles included) — into one
 //! [`MetricsSnapshot`]. The JSONL form mirrors the gate-log format
 //! (`log.rs`): one externally-tagged object per line, every `f64`
 //! round-tripping exactly through the workspace shim's
@@ -50,11 +50,13 @@ pub struct MetricsSnapshot {
     pub observed_mpl: f64,
     /// Mean response time of the last window's commits, ms.
     pub mean_response_ms: f64,
-    /// P² median response time of the last window, ms.
+    /// Median response time of the last window, ms: a histogram
+    /// estimate, never below the true rank quantile and at most 1/16
+    /// above it, as are p95 and p99.
     pub p50_ms: f64,
-    /// P² 95th-percentile response time of the last window, ms.
+    /// 95th-percentile response time of the last window, ms.
     pub p95_ms: f64,
-    /// P² 99th-percentile response time of the last window, ms.
+    /// 99th-percentile response time of the last window, ms.
     pub p99_ms: f64,
     /// Gate queue depth at the last harvest.
     pub queue_depth: u32,

@@ -8,9 +8,9 @@
 //! filling its stripe many times over between ticks. After warm-up,
 //! *no* operation may touch the allocator: the gate admits by counter
 //! arithmetic, events are recorded into fixed arrays and merged in a
-//! buffer sized at construction, telemetry accumulates into fixed-size
-//! P² marker arrays, and the AIMD law is pure arithmetic. (The JSONL
-//! gate-log sink is the documented exception — logging buys bytes with
+//! buffer sized at construction, telemetry counts response times into a
+//! histogram allocated with the loop, and the AIMD law is pure
+//! arithmetic. (The JSONL gate-log sink is the documented exception — logging buys bytes with
 //! allocations — so the measured loop runs without one.)
 //!
 //! Kept as its own integration-test binary so the global allocator

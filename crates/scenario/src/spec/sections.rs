@@ -87,12 +87,16 @@ fn checked<T>(
 
 pub(super) fn controller_from_value(v: &Value) -> Result<ControllerSpec, SpecError> {
     if let Value::Str(s) = v {
-        return match CONTROLLER_NAMES.iter().find(|(name, _)| name == s) {
-            Some((_, c)) => Ok(c.clone()),
-            None => Err(SpecError::new(format!(
-                "unknown controller `{s}` (want none/unlimited or an object)"
-            ))),
-        };
+        if CONTROLLER.contains(&s.as_str()) {
+            return Err(SpecError::new(format!(
+                "`controller` `{s}` is an object: write it {{\"{s}\": {{}}}}"
+            )));
+        }
+        return CONTROLLER_NAMES
+            .iter()
+            .find(|(name, _)| name == s)
+            .map(|(_, c)| c.clone())
+            .ok_or_else(|| unknown_key("controller", s, CONTROLLER_NAMES.map(|(n, _)| n)));
     }
     let (tag, payload) = single_key(v, "controller", CONTROLLER)?;
     let at = At("controller", tag);

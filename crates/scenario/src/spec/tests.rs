@@ -122,6 +122,8 @@ fn unknown_key_errors_list_the_known_keys() {
         (r#""columns": [{"post_switch_settling_time_s": {}}]"#, "key `post_switch_settling_time_s`"),
         (r#""cc": {"phase": []}"#, "unknown `cc` key `phase` (known: phases, adaptive)"),
         (r#""cc": {"adaptiv": {}}"#, "unknown `cc` key `adaptiv` (known: phases, adaptive)"),
+        (r#""controller": "lms""#, "unknown `controller` key `lms` (known: none, unlimited)"),
+        (r#""controller": "is""#, r#"`controller` `is` is an object: write it {"is": {}}"#),
         // The engine types' own spellings, which a serialize-and-read-back
         // round trip used to accept beside the DSL's.
         (
