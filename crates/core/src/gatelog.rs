@@ -12,24 +12,26 @@
 //! bit-for-bit. That replay identity is what lets the simulator act as a
 //! conformance harness for production control code.
 //!
-//! Events serialize through the workspace serde shim; the JSONL framing
-//! (one externally-tagged event per line) lives in `alc-runtime`, which
-//! also provides the replay driver. This module only defines the
-//! vocabulary and the [`GateLogSink`] trait the recorders call, keeping
+//! An event is written as a [`Value`] by [`GateEvent::to_value`] and
+//! read back by [`GateEvent::from_value`], through the vendored serde's
+//! strict object reader; the JSONL framing (one externally-tagged event
+//! per line) lives in `alc-runtime`, which also provides the replay
+//! driver. This module only defines the vocabulary, its one `Value`
+//! form and the [`GateLogSink`] trait the recorders call, keeping
 //! `alc-core` free of I/O.
 
-use serde::{Deserialize, Serialize};
+use serde::{Error, Obj, Value};
 
 /// One observable event at the admission gate.
 ///
 /// Field order and naming are part of the on-disk format: the JSONL
-/// writer emits fields in declaration order, and the conformance pin
-/// compares serialized decision lines byte-for-byte. Timestamps are
-/// event-time milliseconds from the driver's epoch (simulation time for
-/// the simulator, time since `Runtime` construction for the runtime) and
-/// round-trip exactly through the shim's shortest-representation f64
-/// formatting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// writer emits fields in [`GateEvent::to_value`]'s order, and the
+/// conformance pin compares serialized decision lines byte-for-byte.
+/// Timestamps are event-time milliseconds from the driver's epoch
+/// (simulation time for the simulator, time since `Runtime`
+/// construction for the runtime) and round-trip exactly through the
+/// shim's shortest-representation f64 formatting.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GateEvent {
     /// The in-system transaction population changed (admission,
     /// departure, displacement, or a bound change admitting waiters).
@@ -75,6 +77,76 @@ impl GateEvent {
             | GateEvent::Abort { at_ms, .. }
             | GateEvent::Decision { at_ms, .. } => at_ms,
         }
+    }
+
+    /// The event as written to disk: `{"<Variant>": {<field>: …}}`, its
+    /// fields in declaration order.
+    pub fn to_value(&self) -> Value {
+        let num = |k: &str, x: f64| (k.to_string(), Value::Num(x));
+        let int = |k: &str, x: u64| (k.to_string(), Value::U64(x));
+        let (tag, fields) = match *self {
+            GateEvent::Mpl { at_ms, in_system } => (
+                "Mpl",
+                vec![num("at_ms", at_ms), int("in_system", in_system.into())],
+            ),
+            GateEvent::Commit {
+                at_ms,
+                response_ms,
+                conflicts,
+            } => (
+                "Commit",
+                vec![
+                    num("at_ms", at_ms),
+                    num("response_ms", response_ms),
+                    int("conflicts", conflicts),
+                ],
+            ),
+            GateEvent::Abort { at_ms, conflicts } => (
+                "Abort",
+                vec![num("at_ms", at_ms), int("conflicts", conflicts)],
+            ),
+            GateEvent::Decision { at_ms, bound } => (
+                "Decision",
+                vec![num("at_ms", at_ms), int("bound", bound.into())],
+            ),
+        };
+        Value::Map(vec![(tag.to_string(), Value::Map(fields))])
+    }
+
+    /// Reads what [`GateEvent::to_value`] writes: a single-key object
+    /// naming the variant, whose payload has exactly the variant's
+    /// fields, each once and exact.
+    pub fn from_value(v: &Value) -> Result<Self, Error> {
+        const TAGS: [&str; 4] = ["Mpl", "Commit", "Abort", "Decision"];
+        let Some([(tag, payload)]) = v.as_map() else {
+            return Err(Error::custom(format!(
+                "a gate event must be a single-key object ({})",
+                TAGS.join("/")
+            )));
+        };
+        let mut o = Obj::open(payload, format!("GateEvent::{tag}"))?;
+        let event = match tag.as_str() {
+            "Mpl" => GateEvent::Mpl {
+                at_ms: o.f64("at_ms")?,
+                in_system: o.u32("in_system")?,
+            },
+            "Commit" => GateEvent::Commit {
+                at_ms: o.f64("at_ms")?,
+                response_ms: o.f64("response_ms")?,
+                conflicts: o.u64("conflicts")?,
+            },
+            "Abort" => GateEvent::Abort {
+                at_ms: o.f64("at_ms")?,
+                conflicts: o.u64("conflicts")?,
+            },
+            "Decision" => GateEvent::Decision {
+                at_ms: o.f64("at_ms")?,
+                bound: o.u32("bound")?,
+            },
+            other => return Err(serde::unknown_key("GateEvent", other, TAGS)),
+        };
+        o.finish()?;
+        Ok(event)
     }
 }
 

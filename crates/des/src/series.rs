@@ -8,7 +8,7 @@
 use crate::time::SimTime;
 
 /// A named sequence of `(time, value)` samples.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     name: String,
     points: Vec<(f64, f64)>,

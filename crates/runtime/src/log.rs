@@ -12,10 +12,10 @@
 use std::io::{self, BufRead, Write};
 
 use alc_core::gatelog::{GateEvent, GateLogSink};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Obj, Value};
 
 /// Provenance of a captured log, written as the file's first line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GateLogHeader {
     /// Scenario name the log was captured from ("" for ad-hoc logs).
     pub scenario: String,
@@ -27,6 +27,36 @@ pub struct GateLogHeader {
     pub seed: u64,
     /// Whether the scenario's quick (CI-scale) overrides were applied.
     pub quick: bool,
+}
+
+impl GateLogHeader {
+    /// The header as written to disk, its fields in declaration order.
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("scenario".to_string(), Value::Str(self.scenario.clone())),
+            ("variant".to_string(), Value::Str(self.variant.clone())),
+            (
+                "replication".to_string(),
+                Value::U64(self.replication.into()),
+            ),
+            ("seed".to_string(), Value::U64(self.seed)),
+            ("quick".to_string(), Value::Bool(self.quick)),
+        ])
+    }
+
+    /// Reads what [`GateLogHeader::to_value`] writes, strictly.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let mut o = Obj::open(v, "GateLogHeader")?;
+        let header = GateLogHeader {
+            scenario: o.string("scenario")?,
+            variant: o.string("variant")?,
+            replication: o.u32("replication")?,
+            seed: o.u64("seed")?,
+            quick: o.bool("quick")?,
+        };
+        o.finish()?;
+        Ok(header)
+    }
 }
 
 /// A problem reading a JSONL stream: a gate log, a metrics series, a
@@ -74,7 +104,7 @@ pub fn read_jsonl<R: BufRead>(
 /// Renders one event as its JSONL line (without the newline). This is
 /// the canonical serialization the conformance pin compares.
 pub fn event_line(event: &GateEvent) -> String {
-    serde_json::to_string(event).unwrap_or_else(|_| String::from("null"))
+    serde_json::to_string(&event.to_value()).unwrap_or_else(|_| String::from("null"))
 }
 
 fn header_line(header: &GateLogHeader) -> String {
@@ -103,8 +133,10 @@ pub fn read_gate_log<R: BufRead>(
     let mut header = None;
     let mut events = Vec::new();
     read_jsonl(r, |line, value| {
-        match value.get("Header") {
-            Some(h) if line == 1 => header = Some(GateLogHeader::from_value(h)?),
+        match value.as_map() {
+            Some([(tag, h)]) if tag == "Header" && line == 1 => {
+                header = Some(GateLogHeader::from_value(h)?)
+            }
             _ => events.push(GateEvent::from_value(value)?),
         }
         Ok(())
@@ -230,6 +262,18 @@ mod tests {
         let (h, back) = read_gate_log(io::BufReader::new(&buf[..])).expect("read");
         assert_eq!(h, None);
         assert_eq!(back, events);
+    }
+
+    #[test]
+    fn a_header_line_holds_the_header_alone() {
+        let mut buf = Vec::new();
+        write_gate_log(&mut buf, &sample_header(), &[]).expect("write");
+        let text = String::from_utf8(buf).expect("UTF-8");
+        let text = text.replacen("}}", "},\"Mpl\":{\"at_ms\":1,\"in_system\":2}}", 1);
+        match read_gate_log(io::BufReader::new(text.as_bytes())) {
+            Err(JsonlError::Parse(1, msg)) => assert!(msg.contains("single-key"), "{msg}"),
+            other => panic!("a header with an event beside it: {other:?}"),
+        }
     }
 
     #[test]

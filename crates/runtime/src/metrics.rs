@@ -11,7 +11,7 @@
 
 use std::io::{self, BufRead, Write};
 
-use serde::{Deserialize, Serialize};
+use serde::{Obj, Value};
 
 use crate::log::{read_jsonl, JsonlError};
 
@@ -22,7 +22,7 @@ use crate::log::{read_jsonl, JsonlError};
 /// the last harvested window and are zero before the first tick.
 ///
 /// [`ControlLoop`]: crate::ControlLoop
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Snapshot time, ms since the loop's epoch.
     pub at_ms: f64,
@@ -62,9 +62,62 @@ pub struct MetricsSnapshot {
     pub queue_depth: u32,
 }
 
+impl MetricsSnapshot {
+    /// The snapshot as written to disk, its fields in declaration order.
+    fn to_value(&self) -> Value {
+        let num = |k: &str, x: f64| (k.to_string(), Value::Num(x));
+        let int = |k: &str, x: u64| (k.to_string(), Value::U64(x));
+        Value::Map(vec![
+            num("at_ms", self.at_ms),
+            int("bound", self.bound.into()),
+            int("in_use", self.in_use.into()),
+            int("waiting", self.waiting.into()),
+            int("commits", self.commits),
+            int("aborts", self.aborts),
+            int("sheds", self.sheds),
+            int("decisions", self.decisions),
+            int("window_departures", self.window_departures),
+            int("window_aborts", self.window_aborts),
+            int("window_shed", self.window_shed),
+            num("observed_mpl", self.observed_mpl),
+            num("mean_response_ms", self.mean_response_ms),
+            num("p50_ms", self.p50_ms),
+            num("p95_ms", self.p95_ms),
+            num("p99_ms", self.p99_ms),
+            int("queue_depth", self.queue_depth.into()),
+        ])
+    }
+
+    /// Reads what [`MetricsSnapshot::to_value`] writes, strictly.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let mut o = Obj::open(v, "MetricsSnapshot")?;
+        let snapshot = MetricsSnapshot {
+            at_ms: o.f64("at_ms")?,
+            bound: o.u32("bound")?,
+            in_use: o.u32("in_use")?,
+            waiting: o.u32("waiting")?,
+            commits: o.u64("commits")?,
+            aborts: o.u64("aborts")?,
+            sheds: o.u64("sheds")?,
+            decisions: o.u64("decisions")?,
+            window_departures: o.u64("window_departures")?,
+            window_aborts: o.u64("window_aborts")?,
+            window_shed: o.u64("window_shed")?,
+            observed_mpl: o.f64("observed_mpl")?,
+            mean_response_ms: o.f64("mean_response_ms")?,
+            p50_ms: o.f64("p50_ms")?,
+            p95_ms: o.f64("p95_ms")?,
+            p99_ms: o.f64("p99_ms")?,
+            queue_depth: o.u32("queue_depth")?,
+        };
+        o.finish()?;
+        Ok(snapshot)
+    }
+}
+
 /// Renders one snapshot as its JSONL line (without the newline).
 fn metrics_line(snapshot: &MetricsSnapshot) -> String {
-    serde_json::to_string(snapshot).unwrap_or_else(|_| String::from("null"))
+    serde_json::to_string(&snapshot.to_value()).unwrap_or_else(|_| String::from("null"))
 }
 
 /// Writes a snapshot series to `w`, one JSONL line each.

@@ -1,6 +1,7 @@
 //! Deterministic mutation sweep over the two JSONL formats the runtime
 //! reads back: gate logs (`read_gate_log`) and metrics streams
-//! (`read_metrics_jsonl`).
+//! (`read_metrics_jsonl`), and under both, the JSON parser
+//! (`serde_json::from_str`) on its own.
 //!
 //! Two mutators, both driven by a fixed xorshift stream. The byte-level
 //! one flips, deletes, inserts and truncates bytes; the structure-aware
@@ -9,7 +10,10 @@
 //! error that names a line of the input, never panic; every gate log a
 //! reader accepts is then replayed through each control law, which must
 //! not panic either (this runs in the debug profile, so overflow checks
-//! are on) and must keep every bound at or above its `min_bound`.
+//! are on) and must keep every bound at or above its `min_bound`. The
+//! parser, fed pathological input (deep nesting, huge exponents, lone
+//! surrogates, truncated escapes) and mutated gate-log bytes, must
+//! answer `Ok` or an error naming a byte offset of its input.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -322,5 +326,66 @@ fn a_repeated_metrics_key_is_a_line_numbered_error_naming_it() {
             );
         }
         other => panic!("repeated `bound`: {other:?}"),
+    }
+}
+
+/// `serde_json::from_str` on `text`: `Ok`, or an error that names a byte
+/// offset inside `text` (or just past it); never a panic.
+fn check_parse(text: &str, what: &str) {
+    let Err(e) = no_panic(what, || serde_json::from_str::<serde::Value>(text)) else {
+        return;
+    };
+    let msg = e.to_string();
+    let offset = msg
+        .rsplit_once(" at byte ")
+        .and_then(|(_, at)| at.parse::<usize>().ok())
+        .unwrap_or_else(|| panic!("{what}: error names no byte offset: {msg}"));
+    assert!(
+        offset <= text.len(),
+        "{what}: offset {offset} past {} bytes: {msg}",
+        text.len()
+    );
+}
+
+#[test]
+fn json_parser_answers_every_input_with_a_value_or_an_offset() {
+    let deep = |open: &str| open.repeat(100_000);
+    let mut cases: Vec<String> = vec![deep("["), deep("{\"a\":"), deep("[{\"k\":")];
+    for text in [
+        "1e999999999999999999",
+        "-1e-999999999999999999",
+        "[1E400]",
+        "0.1e+",
+        "-",
+        "18446744073709551616",
+        r#""\ud800""#,
+        r#""\udfff""#,
+        r#""\ud800\ud800""#,
+        r#""\ud800\u0041""#,
+        r#""\"#,
+        r#""\u"#,
+        r#""\u12"#,
+        r#""\u12g4""#,
+        r#""\u+041""#,
+        r#""\ud83d\u"#,
+        r#""\ud83d\"#,
+        r#"{"a":1,"#,
+        "",
+    ] {
+        cases.push(text.to_string());
+    }
+    for (i, text) in cases.iter().enumerate() {
+        check_parse(text, &format!("pathological case {i}"));
+    }
+    let log = gate_log();
+    let mut rng = XorShift(0x6a09_e667_f3bc_c908);
+    for case in 0..300 {
+        let bytes = mutate_bytes(&log, &mut rng);
+        let text = String::from_utf8_lossy(&bytes);
+        let what = format!("gate log, JSON case {case}");
+        check_parse(&text, &what);
+        for (n, line) in text.lines().enumerate() {
+            check_parse(line, &format!("{what}, line {}", n + 1));
+        }
     }
 }

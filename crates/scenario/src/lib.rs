@@ -88,6 +88,12 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+impl From<serde::Error> for SpecError {
+    fn from(e: serde::Error) -> Self {
+        SpecError::new(e.to_string())
+    }
+}
+
 /// A spec file loaded into its JSON tree, remembering the directory that
 /// trace paths resolve against.
 #[derive(Debug, Clone)]

@@ -36,7 +36,7 @@ use std::path::Path;
 
 use alc_analytic::surface::Schedule;
 use alc_runtime::{read_jsonl, JsonlError};
-use serde::{Deserialize as _, Value};
+use serde::Value;
 
 use crate::value_util::{number, single_key, string, timed, unknown_key, At, Keys, Obj};
 use crate::SpecError;
@@ -127,10 +127,23 @@ pub fn schedule_from_value(value: &Value, base_dir: &Path) -> Result<Schedule, S
     })
 }
 
-#[derive(serde::Deserialize)]
+/// One line of a `trace` profile.
 struct TracePoint {
     t_ms: f64,
     value: f64,
+}
+
+impl TracePoint {
+    /// Reads `{"t_ms": …, "value": …}`, strictly.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let mut o = serde::Obj::open(v, "TracePoint")?;
+        let point = TracePoint {
+            t_ms: o.f64("t_ms")?,
+            value: o.f64("value")?,
+        };
+        o.finish()?;
+        Ok(point)
+    }
 }
 
 /// Reads a JSONL trace (one `{"t_ms": …, "value": …}` per line,

@@ -8,17 +8,16 @@
 //! bogus key, so path application itself can be insert-friendly: the
 //! reader is the only schema a path is checked against.
 //!
-//! The strictness lives here too, once: [`Obj`] reads every object
-//! section of the DSL, knowing its keys from the ones its parser asks
-//! for, and the field parsers beside it ([`positive`], [`nonempty`],
-//! [`list`], [`distribution`], [`named`], …) type and range-check one
-//! value each, naming `<section>.<key>` when it fails. Every section —
+//! The strictness is `serde::Obj`'s, the one rule every object is read
+//! by: [`Obj`] wraps it to read every object section of the DSL,
+//! knowing its keys from the ones its parser asks for, and the field
+//! parsers beside it ([`positive`], [`nonempty`], [`list`],
+//! [`distribution`], [`named`], …) type and range-check one value each,
+//! naming `<section>.<key>` when it fails. Every section —
 //! the engine's configs and the controllers' parameters included —
 //! builds its engine type field by field, each key it is not given
-//! taking the type's default; no value of the DSL passes through the
-//! serde derive, which reads only the on-disk formats (gate logs,
-//! metrics JSONL, `trace` profiles). What the reader refuses, each an
-//! error that names its place rather than a value read some other way:
+//! taking the type's default. What the reader refuses, each an error
+//! that names its place rather than a value read some other way:
 //!
 //! * a section payload that is not an object (`{"hybrid": 7}`);
 //! * a key given twice in one object, the open maps (`quick`, variant
@@ -111,24 +110,7 @@ pub fn unknown_key(
     key: &str,
     known: impl IntoIterator<Item = impl AsRef<str>>,
 ) -> SpecError {
-    let known: Vec<String> = known.into_iter().map(|k| k.as_ref().to_string()).collect();
-    SpecError::new(format!(
-        "unknown `{section}` key `{key}` (known: {})",
-        known.join(", ")
-    ))
-}
-
-/// The entries of an object, none of whose keys is given twice.
-fn entries<'a>(v: &'a Value, section: &str) -> Result<&'a [(String, Value)], SpecError> {
-    let entries = v
-        .as_map()
-        .ok_or_else(|| SpecError::new(format!("`{section}` must be an object")))?;
-    for (i, (k, _)) in entries.iter().enumerate() {
-        if entries[..i].iter().any(|(seen, _)| seen == k) {
-            return Err(SpecError::new(format!("`{section}` gives `{k}` twice")));
-        }
-    }
-    Ok(entries)
+    serde::unknown_key(section, key, known).into()
 }
 
 /// Where a field sits, for error messages: `<section>.<key>`.
@@ -141,39 +123,19 @@ impl fmt::Display for At<'_> {
     }
 }
 
-/// The strict reader of one object section. It opens only on an object
-/// with no repeated key; [`Obj::opt`] and [`Obj::req`] hand each key's
-/// value to a parser that is told where the value sits; and
-/// [`Obj::finish`] rejects any key nobody took, so a section cannot
-/// accept a key it does not read. The keys its parser asks for are the
-/// section's keys — an unknown key's error lists them — so no table
-/// beside the parser repeats them.
-pub struct Obj<'a> {
-    section: String,
-    entries: &'a [(String, Value)],
-    taken: Vec<bool>,
-    asked: Vec<&'static str>,
-}
+/// The strict reader of one object section: `serde::Obj`'s rule (an
+/// object, no repeated key, and [`Obj::finish`] rejects any key nobody
+/// took, naming the ones the section knows) with the DSL's field
+/// parsers. [`Obj::opt`] and [`Obj::req`] hand each key's value to a
+/// parser that is told where the value sits. The keys its parser asks
+/// for are the section's keys, so no table beside the parser repeats
+/// them.
+pub struct Obj<'a>(serde::Obj<'a>);
 
 impl<'a> Obj<'a> {
     /// Opens `v` as the section named `section`.
     pub fn open(v: &'a Value, section: impl fmt::Display) -> Result<Self, SpecError> {
-        let section = section.to_string();
-        let entries = entries(v, &section)?;
-        Ok(Obj {
-            section,
-            entries,
-            taken: vec![false; entries.len()],
-            asked: Vec::new(),
-        })
-    }
-
-    /// Takes `key`: its value, `None` when the key is absent.
-    fn take(&mut self, key: &'static str) -> Option<&'a Value> {
-        self.asked.push(key);
-        let i = self.entries.iter().position(|(k, _)| k == key)?;
-        self.taken[i] = true;
-        Some(&self.entries[i].1)
+        Ok(Obj(serde::Obj::open(v, section)?))
     }
 
     /// Takes `key` and parses its value, `None` when the key is absent.
@@ -182,8 +144,8 @@ impl<'a> Obj<'a> {
         key: &'static str,
         parse: impl FnOnce(&Value, At<'_>) -> Result<T, SpecError>,
     ) -> Result<Option<T>, SpecError> {
-        let v = self.take(key);
-        v.map(|v| parse(v, At(&self.section, key))).transpose()
+        let v = self.0.take(key);
+        v.map(|v| parse(v, At(self.0.name(), key))).transpose()
     }
 
     /// Takes `key`, whose absence reads as `default`.
@@ -202,8 +164,8 @@ impl<'a> Obj<'a> {
         key: &'static str,
         parse: impl FnOnce(&Value, At<'_>) -> Result<T, SpecError>,
     ) -> Result<T, SpecError> {
-        self.opt(key, parse)?
-            .ok_or_else(|| SpecError::new(format!("`{}` needs `{key}`", self.section)))
+        let v = self.0.need(key)?;
+        parse(v, At(self.0.name(), key))
     }
 
     /// Takes `key`, an object whose parser keeps a default for each key
@@ -215,21 +177,17 @@ impl<'a> Obj<'a> {
         parse: impl FnOnce(&Value, At<'_>) -> Result<T, SpecError>,
     ) -> Result<T, SpecError> {
         let empty = Value::Map(Vec::new());
-        let v = self.take(key).unwrap_or(&empty);
-        parse(v, At(&self.section, key))
+        let v = self.0.take(key).unwrap_or(&empty);
+        parse(v, At(self.0.name(), key))
     }
 
     /// Closes the section around what it parsed to: a key nobody took
     /// is unknown to it.
     pub fn finish<T>(self, parsed: T) -> Result<T, SpecError> {
-        match self.taken.iter().position(|taken| !taken) {
-            None => {
-                let given = self.entries.iter().map(|(k, _)| k.as_str());
-                reads::keys(&self.section, self.asked.iter().copied(), given);
-                Ok(parsed)
-            }
-            Some(i) => Err(unknown_key(&self.section, &self.entries[i].0, &self.asked)),
-        }
+        self.0.finish()?;
+        let given = self.0.entries().iter().map(|(k, _)| k.as_str());
+        reads::keys(self.0.name(), self.0.asked().iter().copied(), given);
+        Ok(parsed)
     }
 }
 
@@ -368,7 +326,7 @@ pub fn timed<T>(
 /// Parses an open object field (path → value, or name → cells) into its
 /// ordered pairs.
 pub fn pairs(v: &Value, at: At<'_>) -> Result<Vec<(String, Value)>, SpecError> {
-    entries(v, &at.to_string()).map(<[_]>::to_vec)
+    Ok(serde::entries(v, &at.to_string())?.to_vec())
 }
 
 /// The distribution shorthands written as single-key objects.

@@ -23,12 +23,14 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use alc_des::series::TimeSeries;
 use alc_scenario::figures::{self, CATALOG};
 use alc_scenario::runner::{self, GateLogRequest};
 use alc_scenario::LoadedSpec;
 use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
-use alc_tpsim::engine::Simulator;
+use alc_tpsim::engine::{RunStats, Simulator};
 use alc_tpsim::workload::WorkloadConfig;
+use serde::Value;
 
 const DIRECT_SIM: &str = "direct_sim.jsonl";
 const OUTPUTS: &str = "OUTPUTS";
@@ -245,10 +247,10 @@ fn direct_sim_runs_are_byte_identical() {
         blob.push_str(&format!(
             "{{\"cc\":{:?},\"stats\":{},\"bound\":{},\"throughput\":{},\"mpl\":{}}}\n",
             cc,
-            serde_json::to_string(&stats).expect("stats serialize"),
-            serde_json::to_string(&traj.bound).expect("bound serialize"),
-            serde_json::to_string(&traj.throughput).expect("throughput serialize"),
-            serde_json::to_string(&traj.observed_mpl).expect("mpl serialize"),
+            json(stats_value(&stats)),
+            json(series_value(&traj.bound)),
+            json(series_value(&traj.throughput)),
+            json(series_value(&traj.observed_mpl)),
         ));
     }
     let path = golden_dir().join(DIRECT_SIM);
@@ -261,6 +263,55 @@ fn direct_sim_runs_are_byte_identical() {
         "{DIRECT_SIM} diverged from the golden output — the change altered \
          simulation results (rerun with UPDATE_GOLDEN=1 only if this was intentional)"
     );
+}
+
+fn json(v: Value) -> String {
+    serde_json::to_string(&v).expect("rendering a Value cannot fail")
+}
+
+/// The pin's form of a run's stats: an object of its fields in
+/// declaration order.
+fn stats_value(stats: &RunStats) -> Value {
+    let RunStats {
+        duration_ms,
+        commits,
+        aborts,
+        throughput_per_sec,
+        mean_response_ms,
+        mean_mpl,
+        mean_bound,
+        abort_ratio,
+        cpu_utilization,
+        displaced,
+        conflicts_per_commit,
+        lost,
+    } = *stats;
+    let num = |k: &str, x: f64| (k.to_string(), Value::Num(x));
+    let int = |k: &str, x: u64| (k.to_string(), Value::U64(x));
+    Value::Map(vec![
+        num("duration_ms", duration_ms),
+        int("commits", commits),
+        int("aborts", aborts),
+        num("throughput_per_sec", throughput_per_sec),
+        num("mean_response_ms", mean_response_ms),
+        num("mean_mpl", mean_mpl),
+        num("mean_bound", mean_bound),
+        num("abort_ratio", abort_ratio),
+        num("cpu_utilization", cpu_utilization),
+        int("displaced", displaced),
+        num("conflicts_per_commit", conflicts_per_commit),
+        int("lost", lost),
+    ])
+}
+
+/// The pin's form of a trajectory: its name and `[t, value]` points.
+fn series_value(series: &TimeSeries) -> Value {
+    let points = series.points().iter();
+    let points = points.map(|&(t, x)| Value::Seq(vec![Value::Num(t), Value::Num(x)]));
+    Value::Map(vec![
+        ("name".to_string(), Value::Str(series.name().to_string())),
+        ("points".to_string(), Value::Seq(points.collect())),
+    ])
 }
 
 /// The comparator on synthetic inputs: each way a run can leave its

@@ -13,7 +13,7 @@ use super::{Event, RestartMode, Simulator};
 use crate::client::ClientStats;
 
 /// Aggregate statistics of a (post-warm-up) run window.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunStats {
     /// Measured window length, ms.
     pub duration_ms: f64,

@@ -96,18 +96,51 @@ fn simulator_matches_analytic_model() {
     }
 }
 
-/// What is written to disk encodes and decodes through the derive
-/// (compile-time check): gate logs and their header, metrics snapshots
-/// and run stats; trajectories are written only.
+/// Each on-disk record reads checked-in lines and writes them back byte
+/// for byte: a gate log's header and its four event variants, a metrics
+/// snapshot, and (read only) the points of a `trace` profile.
 #[test]
-fn configs_are_serde_capable() {
-    fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-    assert_serde::<adaptive_load_control::core::gatelog::GateEvent>();
-    assert_serde::<adaptive_load_control::runtime::GateLogHeader>();
-    assert_serde::<adaptive_load_control::runtime::MetricsSnapshot>();
-    assert_serde::<adaptive_load_control::tpsim::engine::RunStats>();
-    fn assert_serialize<T: serde::Serialize>() {}
-    assert_serialize::<adaptive_load_control::des::series::TimeSeries>();
+fn on_disk_records_round_trip_byte_for_byte() {
+    use std::collections::HashSet;
+
+    use adaptive_load_control::analytic::surface::Schedule;
+    use adaptive_load_control::runtime::{
+        read_gate_log, read_metrics_jsonl, write_gate_log, write_metrics_jsonl,
+    };
+    use adaptive_load_control::scenario::profile::schedule_from_value;
+
+    let log = include_str!("../scenarios/traces/retry-storm_gatelog.jsonl");
+    let head: String = log.lines().take(23).map(|l| format!("{l}\n")).collect();
+    let (header, events) = read_gate_log(head.as_bytes()).expect("the checked-in log reads");
+    let variants: HashSet<_> = events.iter().map(std::mem::discriminant).collect();
+    assert_eq!(variants.len(), 4, "Mpl, Commit, Abort and Decision all appear");
+    let mut out = Vec::new();
+    write_gate_log(&mut out, &header.expect("a header line"), &events).expect("write");
+    assert_eq!(String::from_utf8(out).expect("UTF-8"), head);
+
+    let metrics = "{\"at_ms\":2000.125,\"bound\":7,\"in_use\":5,\"waiting\":2,\
+                   \"commits\":341,\"aborts\":12,\"sheds\":3,\"decisions\":1,\
+                   \"window_departures\":341,\"window_aborts\":12,\"window_shed\":3,\
+                   \"observed_mpl\":4.833333333333333,\"mean_response_ms\":18.700000000000003,\
+                   \"p50_ms\":14.5,\"p95_ms\":61.25,\"p99_ms\":90.0,\"queue_depth\":2}\n";
+    let snapshots = read_metrics_jsonl(metrics.as_bytes()).expect("the line reads");
+    let mut out = Vec::new();
+    write_metrics_jsonl(&mut out, &snapshots).expect("write");
+    assert_eq!(String::from_utf8(out).expect("UTF-8"), metrics);
+
+    let scenarios = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let trace = serde::Value::Str("traces/daily-load.jsonl".into());
+    let profile = serde::Value::Map(vec![("trace".into(), trace)]);
+    let Schedule::Piecewise(points) = schedule_from_value(&profile, &scenarios).expect("reads")
+    else {
+        panic!("a trace reads as a piecewise schedule");
+    };
+    let written: String = points
+        .iter()
+        .map(|(t, x)| format!("{{\"t_ms\": {t:?}, \"value\": {x:?}}}\n"))
+        .collect();
+    let trace = include_str!("../scenarios/traces/daily-load.jsonl");
+    assert_eq!(written, trace);
 }
 
 /// The gate bound is respected at every instant of every static-bound

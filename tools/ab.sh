@@ -3,30 +3,50 @@
 # the working tree:
 #
 #   tools/ab.sh <base-rev> --workload W [--pairs N] [--seed S] [--seconds SEC]
+#   tools/ab.sh --aa [<rev>] --workload W [...]   # <rev> (default HEAD) against itself
 #
-# Builds the ledger for <base-rev> in a git worktree under target/ab/
-# (with its own target directory; the worktree is removed on exit), as
-# tools/identity.sh does, and for the working tree as benchmark/run.sh
-# does. Then runs N pairs (default 10), one process per run, untraced,
-# at seed S (default 1; pick one the change was not tuned on) for SEC
-# seconds (default 15, BENCHMARK.json's run_seconds); the side that runs
-# first alternates from pair to pair. For each end-to-end metric of
-# BENCHMARK.json it prints each side's median and inclusive quartiles,
-# the pairs the working tree won and the median per-pair ratio (working
-# tree / base), then the digests each side printed. Every run's verdict
-# and digest land in target/ab/<W>-seed<S>.json. No interval yet:
-# compare the gain with the base's quartiles. Exits 1 when any run is
-# not `"correct": true`. The build rewrites benchmark/Cargo.lock; it is
-# put back as found.
+# Builds the ledger for <base-rev> from a `git archive` export under
+# target/ab/ (with its own target directory; the export is removed on
+# exit), as tools/identity.sh does, and for the working tree as
+# benchmark/run.sh does. With --aa both sides are exports of <rev>,
+# each built in its own target directory, so the verdicts show what the
+# host and the build alone make of one program. Then runs N pairs
+# (default 10), one process per run, untraced, at seed S (default 1;
+# pick one the change was not tuned on) for SEC seconds (default 15,
+# BENCHMARK.json's run_seconds); the side that runs first alternates
+# from pair to pair. For each end-to-end metric of BENCHMARK.json it
+# prints each side's median and inclusive quartiles, the pairs the
+# change won, the median per-pair ratio (change / base) and a verdict:
+#
+#   regression  the change's median is worse than the base's by more
+#               than the metric's BENCHMARK.json bound
+#   unresolved  the base's own quartile spread, relative to its median,
+#               is wider than that bound: these runs cannot tell
+#   gain        the change won at least 9 of every 10 pairs and its
+#               median is better than the base's by more than the
+#               base's quartile spread
+#   neutral     none of these
+#
+# then the digests each side printed. Every run's verdict and digest
+# land in target/ab/<W>-seed<S>.json. No interval yet. Exits 1 when any
+# run is not `"correct": true` or any metric reads `regression`. The
+# build rewrites benchmark/Cargo.lock; it is put back as found.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 usage() {
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,33p' "$0" >&2
     exit 2
 }
 [ "$#" -ge 1 ] || usage
-rev=$1
-shift
+aa=0 rev=HEAD
+if [ "$1" = --aa ]; then
+    aa=1
+    shift
+    [ "$#" -eq 0 ] || [ "${1#--}" != "$1" ] || { rev=$1; shift; }
+else
+    rev=$1
+    shift
+fi
 workload='' pairs=10 seed=1 seconds=15
 while [ "$#" -gt 0 ]; do
     case "$1" in
@@ -41,24 +61,43 @@ done
 
 new=$PWD
 base=$new/target/ab
-old=$base/tree
 lock=$new/benchmark/Cargo.lock
 mkdir -p "$base"
 cp "$lock" "$base/Cargo.lock.saved"
-git worktree remove --force "$old" 2>/dev/null || true
-git worktree prune
-git worktree add --detach --quiet "$old" "$rev"
-trap 'cp "$base/Cargo.lock.saved" "$lock"; git worktree remove --force "$old"' EXIT
+trap 'cp "$base/Cargo.lock.saved" "$lock"; rm -rf "$base/tree" "$base/tree-aa"' EXIT
 unset RAYON_NUM_THREADS
 
+# export_rev TREE: a fresh copy of $rev's committed files at $base/TREE.
+export_rev() {
+    rm -rf "${base:?}/$1"
+    mkdir -p "$base/$1"
+    git archive "$rev" | tar -x -C "$base/$1"
+}
+
+# build_ledger TREE TARGET: the ledger of TREE, built into TARGET.
+build_ledger() {
+    cargo build --release --offline --quiet --manifest-path "$1/benchmark/Cargo.toml" \
+        --target-dir "$2"
+}
+
 echo "building the ledger at $rev" >&2
-cargo build --release --offline --quiet --manifest-path "$old/benchmark/Cargo.toml" \
-    --target-dir "$base/target"
-echo "building the ledger in the working tree" >&2
-export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$new/benchmark/target}"
-cargo build --release --offline --quiet --manifest-path "$new/benchmark/Cargo.toml"
-declare -A bin=([base]=$base/target/release/ledger [change]=$CARGO_TARGET_DIR/release/ledger)
-declare -A dir=([base]=$old [change]=$new)
+export_rev tree
+build_ledger "$base/tree" "$base/target"
+declare -A bin=([base]=$base/target/release/ledger)
+declare -A dir=([base]=$base/tree)
+if [ "$aa" -eq 1 ]; then
+    echo "building the ledger at $rev again, in its own target directory" >&2
+    export_rev tree-aa
+    build_ledger "$base/tree-aa" "$base/target-aa"
+    bin[change]=$base/target-aa/release/ledger
+    dir[change]=$base/tree-aa
+else
+    echo "building the ledger in the working tree" >&2
+    target=${CARGO_TARGET_DIR:-$new/benchmark/target}
+    build_ledger "$new" "$target"
+    bin[change]=$target/release/ledger
+    dir[change]=$new
+fi
 rustc=$(rustc --version)
 
 runs=$base/$workload-seed$seed.runs
@@ -76,8 +115,10 @@ for ((i = 0; i < pairs; i++)); do
     done
 done
 
-python3 - "$runs" "$base/$workload-seed$seed.json" "$rev" "$workload" "$seed" "$seconds" <<'EOF'
-import json, statistics, sys
+label=$rev
+[ "$aa" -eq 0 ] || label="$rev (A/A)"
+python3 - "$runs" "$base/$workload-seed$seed.json" "$label" "$workload" "$seed" "$seconds" <<'EOF'
+import json, math, statistics, sys
 
 runs_path, out_path, rev, workload, seed, seconds = sys.argv[1:]
 runs = [json.loads(line) for line in open(runs_path)]
@@ -91,20 +132,37 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return [q[0], q[2]]
 
+def verdict(row, bound, higher):
+    base, change = row["base"]["median"], row["change"]["median"]
+    q1, q3 = row["base"]["q1_q3"]
+    better = (change - base) if higher else (base - change)
+    if base and -better / abs(base) > bound:
+        return "regression"
+    if base and (q3 - q1) / abs(base) > bound:
+        return "unresolved"
+    if row["change_wins"] >= math.ceil(0.9 * len(pairs)) and better > q3 - q1:
+        return "gain"
+    return "neutral"
+
 record = {"base": rev, "workload": workload, "seed": int(seed), "seconds": float(seconds),
           "pairs": len(pairs), "metrics": {}, "runs": runs}
-print(f"{workload}, seed {seed}, {seconds} s, {len(pairs)} pairs: {rev} (base) against the working tree")
-print(f"{'metric':<12} {'base median [q1, q3]':>38} {'change median [q1, q3]':>38} {'wins':>6} {'ratio':>7}")
+print(f"{workload}, seed {seed}, {seconds} s, {len(pairs)} pairs: {rev} (base) against the change")
+print(f"{'metric':<12} {'base median [q1, q3]':>38} {'change median [q1, q3]':>38} {'wins':>6} {'ratio':>7}  verdict")
+verdicts = []
 for m in metrics:
     name, higher = m["name"], m["better"] == "higher"
     values = {s: [side[p, s]["metrics"][name]["value"] for p in pairs] for s in ("base", "change")}
     ratios = [c / b if b else float("nan") for b, c in zip(values["base"], values["change"])]
     wins = sum((c > b) if higher else (c < b) for b, c in zip(values["base"], values["change"]))
     row = {s: {"median": statistics.median(v), "q1_q3": quartiles(v), "runs": v} for s, v in values.items()}
-    row.update(change_wins=wins, median_ratio=statistics.median(ratios), better=m["better"])
+    row.update(change_wins=wins, median_ratio=statistics.median(ratios), better=m["better"],
+               bound=m["bound"])
+    row["verdict"] = verdict(row, m["bound"], higher)
+    verdicts.append(row["verdict"])
     record["metrics"][name] = row
     cell = lambda s: "%.6g [%.6g, %.6g]" % (row[s]["median"], *row[s]["q1_q3"])
-    print(f"{name:<12} {cell('base'):>38} {cell('change'):>38} {wins:>3}/{len(pairs):<2} {row['median_ratio']:>7.4f}")
+    print(f"{name:<12} {cell('base'):>38} {cell('change'):>38} {wins:>3}/{len(pairs):<2} "
+          f"{row['median_ratio']:>7.4f}  {row['verdict']}")
 digests = {s: sorted({r["digest"] for r in runs if r["side"] == s}) for s in ("base", "change")}
 record["digests"] = digests
 print(f"digests: base {', '.join(digests['base']) or 'none'}; change {', '.join(digests['change']) or 'none'}")
@@ -113,5 +171,5 @@ record["correct"] = correct
 print(f"correct: base {correct['base']}/{len(pairs)}, change {correct['change']}/{len(pairs)}")
 json.dump(record, open(out_path, "w"), indent=1)
 print(f"every run: {out_path}")
-sys.exit(0 if min(correct.values()) == len(pairs) else 1)
+sys.exit(0 if min(correct.values()) == len(pairs) and "regression" not in verdicts else 1)
 EOF

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Output identity against another revision. Builds <rev> in a git
-# worktree under target/identity/ (with its own target directory), then
+# Output identity against another revision. Builds <rev> from a `git
+# archive` export under target/identity/ (with its own target directory), then
 # runs the same `scenario` commands in both trees, each from its tree's
 # root and with relative output directories, and compares what they
 # write:
@@ -31,11 +31,10 @@ base=$new/target/identity
 old=$base/tree
 out=target/identity-out
 
-git worktree remove --force "$old" 2>/dev/null || true
-git worktree prune
-mkdir -p "$base"
-git worktree add --detach --quiet "$old" "$rev"
-trap 'git worktree remove --force "$old"' EXIT
+rm -rf "$old"
+mkdir -p "$old"
+git archive "$rev" | tar -x -C "$old"
+trap 'rm -rf "$old"' EXIT
 echo "building $rev in $old"
 cargo build --release -q -p alc-scenario --manifest-path "$old/Cargo.toml" --target-dir "$base/target"
 echo "building the working tree"
