@@ -104,12 +104,12 @@ pub fn read_jsonl<R: BufRead>(
 /// Renders one event as its JSONL line (without the newline). This is
 /// the canonical serialization the conformance pin compares.
 pub fn event_line(event: &GateEvent) -> String {
-    serde_json::to_string(&event.to_value()).unwrap_or_else(|_| String::from("null"))
+    serde_json::to_string(&event.to_value())
 }
 
 fn header_line(header: &GateLogHeader) -> String {
     let map = vec![("Header".to_string(), header.to_value())];
-    serde_json::to_string(&Value::Map(map)).unwrap_or_else(|_| String::from("null"))
+    serde_json::to_string(&Value::Map(map))
 }
 
 /// Writes a complete log (header + events) to `w`.

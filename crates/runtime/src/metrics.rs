@@ -117,7 +117,7 @@ impl MetricsSnapshot {
 
 /// Renders one snapshot as its JSONL line (without the newline).
 fn metrics_line(snapshot: &MetricsSnapshot) -> String {
-    serde_json::to_string(&snapshot.to_value()).unwrap_or_else(|_| String::from("null"))
+    serde_json::to_string(&snapshot.to_value())
 }
 
 /// Writes a snapshot series to `w`, one JSONL line each.

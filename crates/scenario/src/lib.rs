@@ -16,7 +16,7 @@
 //! * [`compile`] — deterministic lowering into a [`compile::RunPlan`]:
 //!   each variant's or grid point's cell as read, with per-replication
 //!   seeds;
-//! * [`runner`] — rayon-parallel execution emitting [`report::Report`]
+//! * [`runner`] — parallel execution emitting [`report::Report`]
 //!   tables / CSVs plus trajectory CSVs;
 //! * [`figures`] — the paper's figure catalog: each engine figure's runs
 //!   are a spec, and a small presentation function lays the paper's

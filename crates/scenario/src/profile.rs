@@ -243,7 +243,7 @@ mod tests {
         ] {
             assert_eq!(read(json).unwrap(), want, "{json}");
             let tree: Value = serde_json::from_str(json).unwrap();
-            let text = serde_json::to_string(&tree).unwrap();
+            let text = serde_json::to_string(&tree);
             let back: Value = serde_json::from_str(&text).unwrap();
             assert_eq!(back, tree, "round trip changed {json}");
         }

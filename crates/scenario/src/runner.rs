@@ -2,22 +2,25 @@
 //! existing report/CSV artifacts.
 //!
 //! All `(variant, replication)` cells are independent simulator runs, so
-//! they fan out with `rayon` and are collected in input order — parallel
-//! execution is byte-identical to serial (each run is fully determined
-//! by its recorded seed). Trajectory CSVs use the same column set and
+//! they fan out over a private scoped pool ([`fan_out`]) of
+//! `rayon::current_num_threads()` workers, the calling thread being one,
+//! and are collected in input order — parallel execution is
+//! byte-identical to serial (each run is fully determined by its
+//! recorded seed). Trajectory CSVs use the same column set and
 //! naming convention as the bespoke figure generators
 //! (`<name>[_<variant>]_trajectory.csv`, columns `bound, observed_mpl,
 //! throughput, optimum, k`), which is what lets the golden test pin the
 //! ported scenarios byte-for-byte against the pre-port outputs.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread;
 
 use alc_core::gatelog::{GateEvent, GateLogSink};
 use alc_des::series::write_aligned_csv;
 use alc_runtime::{write_gate_log, GateLogHeader};
 use alc_tpsim::engine::{RunStats, Trajectories};
-use rayon::prelude::*;
 
 use crate::compile::{RunPlan, VariantPlan};
 use crate::report::Report;
@@ -134,9 +137,55 @@ pub fn run_plan_logged(
         .enumerate()
         .flat_map(|(vi, v)| (0..v.seeds.len()).map(move |r| (vi, r)))
         .collect();
-    jobs.par_iter()
-        .map(|&(vi, r)| run_one(plan, &plan.variants[vi], r, gate_log))
-        .collect()
+    fan_out(rayon::current_num_threads(), &jobs, |&(vi, r)| {
+        run_one(plan, &plan.variants[vi], r, gate_log)
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Runs `f` over `jobs` on `threads` workers in total and returns the
+/// results in job order.
+///
+/// The calling thread is one of the workers, so `threads − 1` scoped
+/// threads are spawned (none at one thread or one job): a thread that
+/// would only wait in `join` costs a stack and a malloc arena and does
+/// no work. Workers claim jobs one at a time from a shared counter, so a
+/// slow job occupies one worker while the others drain the list, and
+/// each result is filed under its job's index, so the output is the
+/// sequential one whichever worker produced it. A panic in `f` reaches
+/// the caller with the job's own message, on whichever worker it ran.
+fn fan_out<T: Sync, R: Send>(threads: usize, jobs: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = threads.min(jobs.len());
+    if threads <= 1 {
+        return jobs.iter().map(f).collect();
+    }
+    // Relaxed: the counter only hands out indices; the jobs were written
+    // before the workers started and each result travels back by `join`.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else {
+                return done;
+            };
+            done.push((i, f(job)));
+        }
+    };
+    let mut done = thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+        let mut done = worker();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Writes the trajectory CSVs of `records` into `dir` (same format as
@@ -369,6 +418,93 @@ mod tests {
         assert_ne!(a[0].seed, a[1].seed);
         assert_ne!(a[0].stats, a[1].stats);
         assert!(a.iter().all(|r| r.stats.commits > 0));
+    }
+
+    #[test]
+    fn fan_out_preserves_order() {
+        let xs: Vec<u64> = (0..1000u64).collect();
+        let serial: Vec<u64> = xs.iter().map(|&x| x * x).collect();
+        assert_eq!(fan_out(4, &xs, |&x| x * x), serial);
+    }
+
+    #[test]
+    fn empty_and_single_inputs() {
+        assert!(fan_out(4, &[] as &[u32], |&x| x).is_empty());
+        assert_eq!(fan_out(4, &[7u32], |&x| x + 1), vec![8]);
+    }
+
+    /// Each job waits until the other has started, so this completes
+    /// only if two workers run at once, and the caller must be one of
+    /// them.
+    #[test]
+    fn two_workers_run_at_once_and_the_caller_is_one() {
+        let caller = std::thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        let ids = fan_out(2, &[0u32, 1], |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&caller), "the calling thread ran no job");
+    }
+
+    /// At one thread every job runs inline on the caller.
+    #[test]
+    fn one_thread_runs_inline() {
+        let caller = std::thread::current().id();
+        let ids = fan_out(1, &[0u32; 8], |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+    }
+
+    /// Jobs are claimed one at a time: job 0 does not return until jobs
+    /// 1..8 have all run, which needs the other worker to take every one
+    /// of them (a worker that owned 0..4 as a chunk would wait for its
+    /// own jobs here, and time out).
+    #[test]
+    fn slow_item_does_not_hold_back_its_neighbours() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        let out = fan_out(2, &(0..8u32).collect::<Vec<_>>(), |&i| {
+            if i == 0 {
+                let rx = rx.lock().unwrap();
+                for _ in 1..8 {
+                    rx.recv_timeout(Duration::from_secs(30))
+                        .expect("jobs behind the slow one never ran");
+                }
+            } else {
+                tx.send(i).unwrap();
+            }
+            i * 2
+        });
+        assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    /// The caller sees the failing job's own panic message, not a
+    /// generic "a scoped thread panicked".
+    #[test]
+    #[should_panic(expected = "cell 7 exploded")]
+    fn worker_panic_keeps_its_message() {
+        fan_out(2, &(0..16u32).collect::<Vec<_>>(), |&i| {
+            assert!(i != 7, "cell {i} exploded");
+            i
+        });
+    }
+
+    /// The same holds when the failing job ran on the calling thread.
+    #[test]
+    #[should_panic(expected = "the caller's job exploded")]
+    fn caller_panic_keeps_its_message() {
+        let caller = std::thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        fan_out(2, &[0u32, 1], |_| {
+            barrier.wait();
+            assert!(
+                std::thread::current().id() != caller,
+                "the caller's job exploded"
+            );
+        });
     }
 
     #[test]

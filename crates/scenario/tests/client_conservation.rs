@@ -3,7 +3,7 @@
 //! abandonment limits, retry shedding, and admission
 //! controllers — the client-side conservation
 //! identities hold at end of run, and the whole run is deterministic
-//! across reruns and across thread counts (rayon fan-out vs one cell
+//! across reruns and across thread counts (the runner's fan-out vs one cell
 //! per call).
 //!
 //! The identities are the client analogue of the engine's transaction
@@ -126,7 +126,7 @@ fn arb_spec() -> impl Strategy<Value = Value> {
         )
 }
 
-/// One cell per `run_plan` call: with a single job the rayon shim stays
+/// One cell per `run_plan` call: with a single job the runner's pool stays
 /// on the calling thread, so this is the serial reference execution.
 fn run_serial(plan: &RunPlan) -> Vec<RunRecord> {
     let mut records = Vec::new();

@@ -1,6 +1,6 @@
 //! Invariant tests for the new experiment classes: per-phase CC
 //! switching and station fault events must be deterministic across
-//! reruns *and* across thread counts (the rayon pool fans run cells
+//! reruns *and* across thread counts (the runner's pool fans run cells
 //! out; a cell-per-call serial execution must produce byte-identical
 //! statistics), and the checked-in specs exercising them must do real
 //! work on both sides of their boundaries.
@@ -29,7 +29,7 @@ fn quick_plan(name: &str) -> RunPlan {
 }
 
 /// Runs every cell through its own single-job `run_plan` call: with one
-/// job the rayon shim stays on the calling thread, so this is the
+/// job the runner's pool stays on the calling thread, so this is the
 /// serial, thread-count-independent reference execution.
 fn run_serial(plan: &RunPlan) -> Vec<RunRecord> {
     let mut records = Vec::new();
@@ -201,7 +201,7 @@ fn ablation_guards_suppress_protocol_flapping() {
 
 #[test]
 fn sweep_grid_is_deterministic_across_thread_counts() {
-    // 12 cells: enough to span multiple rayon chunks on any machine.
+    // 12 cells: enough to keep every worker busy on any machine.
     let plan = quick_plan("sweep-load");
     assert_eq!(plan.variants.len(), 12);
     let parallel = run_plan(&plan);

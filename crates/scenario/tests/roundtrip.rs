@@ -539,7 +539,7 @@ fn arb_sweep_spec() -> impl Strategy<Value = Value> {
 /// Tree → pretty JSON → tree is the identity, and the text parses to the
 /// typed spec the tree parses to; returns that spec.
 fn survives_its_text(tree: &Value) -> ScenarioSpec {
-    let json = serde_json::to_string_pretty(tree).expect("serialize");
+    let json = serde_json::to_string_pretty(tree);
     let back: Value = serde_json::from_str(&json).expect("reparse");
     assert_eq!(&back, tree, "the text changed the tree:\n{json}");
     let spec = ScenarioSpec::from_value(tree, Path::new("."))
@@ -566,7 +566,7 @@ proptest! {
     /// (deeper nesting than the spec-level test exercises).
     #[test]
     fn profile_round_trips_through_json(tree in arb_profile(3)) {
-        let json = serde_json::to_string(&tree).expect("serialize");
+        let json = serde_json::to_string(&tree);
         let back: Value = serde_json::from_str(&json).expect("reparse");
         prop_assert_eq!(&back, &tree, "the text changed the tree:\n{}", json);
         let read = |tree: &Value| {
