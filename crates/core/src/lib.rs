@@ -24,9 +24,8 @@
 //!   scoring, all wrapped in dwell/cooldown/hysteresis guards.
 //! * [`measure`] — the [`measure::Measurement`] fed to controllers once
 //!   per interval, and the performance indicators of §6.
-//! * [`sampler`] — building measurements from raw departure events,
-//!   including the adaptive interval sizing of §5 ("rather hundreds of
-//!   departures than some tens").
+//! * [`sampler`] — building measurements from raw departure events, one
+//!   harvest per measurement interval.
 //! * [`gate`] — a production-grade, thread-safe admission gate
 //!   ([`gate::AdaptiveGate`]): FIFO admission under a live-updatable
 //!   limit, RAII permits, wait statistics. This is the enforcement

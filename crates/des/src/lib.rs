@@ -13,11 +13,8 @@
 //!   component never perturbs the random sequence of another.
 //! * [`dist`] — the service/think-time distributions used by the paper's
 //!   model (constant, uniform, exponential, Erlang, hyperexponential, Zipf).
-//! * [`stats`] — online statistics: a Welford running mean, time-weighted
-//!   averages, and the confidence levels [`interval`] is stated at.
-//! * [`interval`] — the §5 measurement-interval theory: how long an
-//!   interval must be to estimate throughput to a given accuracy and
-//!   confidence, from the departure process's rate and second moments.
+//! * [`stats`] — online statistics: a Welford running mean and
+//!   time-weighted averages.
 //! * [`series`] — time-series recording for trajectory output (the paper's
 //!   figures are trajectories and curves).
 //!
@@ -29,7 +26,6 @@
 
 pub mod calendar;
 pub mod dist;
-pub mod interval;
 pub mod rng;
 pub mod series;
 pub mod stats;

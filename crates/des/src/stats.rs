@@ -32,17 +32,6 @@ impl Welford {
     }
 }
 
-/// Supported confidence levels for interval estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfidenceLevel {
-    /// 90% two-sided.
-    P90,
-    /// 95% two-sided.
-    P95,
-    /// 99% two-sided.
-    P99,
-}
-
 /// Time-weighted average of a piecewise-constant signal, e.g. the number of
 /// transactions in the system. Push a new value whenever the signal changes.
 #[derive(Debug, Clone)]

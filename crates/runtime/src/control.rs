@@ -472,9 +472,7 @@ impl ControlLoop {
     }
 
     /// Closes the measurement window, runs the law, and pushes the new
-    /// bound into the gate. Call from a timer at the measurement cadence
-    /// (`alc_core::sampler` has interval-sizing policies if the cadence
-    /// itself should adapt).
+    /// bound into the gate. Call from a timer at the measurement cadence.
     pub fn tick(&self) -> Decision {
         let queue_depth = self.gate.stats().waiting;
         let decision = {

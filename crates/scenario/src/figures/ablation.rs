@@ -6,13 +6,13 @@
 //! holds the ones whose table joins several cells or adds closed-form
 //! columns, and the two studies that never were engine runs: the
 //! synthetic-surface IS failure and the Monte-Carlo interval-sizing
-//! check.
+//! check, with the §5 interval rule that check runs.
 
+use std::collections::VecDeque;
 use std::path::Path;
 
 use alc_analytic::surface::{RidgeSurface, Schedule};
 use alc_core::controller::{IncrementalSteps, IsParams};
-use alc_core::measure::Measurement;
 
 use alc_tpsim::engine::RunStats;
 
@@ -190,14 +190,10 @@ pub fn abl_open(plan: &RunPlan, records: &[RunRecord]) -> Report {
 /// interval from the measured departure process, then check the CI
 /// actually covers the true throughput at the promised rate.
 pub fn abl_interval(quick: bool, _out: Option<&Path>) -> Report {
-    use alc_core::sampler::CiInterval;
     use alc_des::dist::{Dist, Erlang, HyperExp, Sample as _};
-    use alc_des::interval::required_departures;
     use alc_des::rng::RngStream;
-    use alc_des::stats::ConfidenceLevel;
 
     let events: usize = if quick { 40_000 } else { 400_000 };
-    let accuracy = 0.1;
     // (name, interdeparture distribution with mean 5 ms, analytic c²)
     let processes: [(&str, Dist, f64); 3] = [
         (
@@ -236,10 +232,10 @@ pub fn abl_interval(quick: bool, _out: Option<&Path>) -> Report {
     for (name, dist, scv_true) in processes {
         // alc-lint: allow(seed-literal, reason="fixed figure-fixture seed, xored per process for distinct streams")
         let mut rng = RngStream::from_seed(0xAB9 ^ scv_true.to_bits());
-        let mut ci = CiInterval::new(accuracy, ConfidenceLevel::P95, 50.0, 1e7, 1000.0);
+        let mut rule = IntervalRule::new();
         let true_rate = 0.2; // mean 5 ms
         let mut t = 0.0f64;
-        let mut interval_end = ci.current_ms();
+        let mut interval_end = rule.current_ms;
         let mut interval_start = 0.0f64;
         let mut count = 0u64;
         let mut estimates: Vec<f64> = Vec::new();
@@ -247,12 +243,8 @@ pub fn abl_interval(quick: bool, _out: Option<&Path>) -> Report {
             t += dist.sample(&mut rng);
             while t >= interval_end {
                 let len = interval_end - interval_start;
-                let m = Measurement {
-                    departures: count,
-                    ..Measurement::basic(interval_end, len, 0.0, 0.0)
-                };
                 estimates.push(count as f64 / len);
-                let next = ci.observe(&m);
+                let next = rule.observe(count, len);
                 interval_start = interval_end;
                 interval_end += next;
                 count = 0;
@@ -263,25 +255,316 @@ pub fn abl_interval(quick: bool, _out: Option<&Path>) -> Report {
         let tail = &estimates[estimates.len() / 2..];
         let covered = tail
             .iter()
-            .filter(|&&x| (x - true_rate).abs() <= accuracy * true_rate)
+            .filter(|&&x| (x - true_rate).abs() <= ACCURACY * true_rate)
             .count();
         let coverage = 100.0 * covered as f64 / tail.len().max(1) as f64;
-        let departures = required_departures(scv_true, accuracy, ConfidenceLevel::P95);
+        let departures = required_departures(scv_true, ACCURACY);
         r.push_row(vec![
             name.to_string(),
             num(scv_true),
-            num(ci.estimator().scv()),
+            num(rule.scv()),
             num(departures),
-            num(ci.current_ms()),
+            num(rule.current_ms),
             num(coverage),
         ]);
         required.push(departures);
         coverages.push(coverage);
-        bursty_scv = ci.estimator().scv();
+        bursty_scv = rule.scv();
     }
     let span = required[2] / required[0];
     r.claim((span / 30.0 - 1.0).abs() <= 0.1, format!("the required interval spans a {}× range in departures across processes with the *same* mean rate (band: ~30×, within 10 %) — the second moments, not the rate, set the §5 interval length ('this interval length clearly depends on the parameters of the departure process, especially its second moments')", num(span)));
     r.claim(coverages[..2].iter().all(|c| (c - 95.0).abs() <= 3.0), format!("achieved coverage lands within a few points of the promised 95%: {}% smooth, {}% Poisson (band: 95 ± 3) — the formula is the right first-order guide", num(coverages[0]), num(coverages[1])));
     r.note(format!("expected: the bursty process under-covers (the renewal CLT is only asymptotic and the sizing is estimated online); measured: {}% — it over-covers, its c² estimated at {} against the true 7.48 lengthens its interval", num(coverages[2]), num(bursty_scv)));
     r
+}
+
+// The §5 interval rule, private to `abl_interval`: no engine run or
+// runtime tick sizes its interval this way; both sample on a fixed period.
+
+/// Two-sided standard-normal quantile at 95 % confidence.
+const Z95: f64 = 1.960;
+/// Target relative half-width of the throughput estimate (±10 %).
+const ACCURACY: f64 = 0.1;
+/// Closed intervals the departure-process estimate remembers.
+const HISTORY: usize = 256;
+/// The interval rule's floor (responsiveness), ms.
+const MIN_MS: f64 = 50.0;
+/// The interval rule's cap (staleness), ms.
+const MAX_MS: f64 = 1e7;
+/// The interval rule's starting interval, ms.
+const INITIAL_MS: f64 = 1000.0;
+
+/// Departures one interval must contain so the throughput estimate has
+/// relative half-width ≤ `accuracy` at 95 % confidence, for a departure
+/// process with squared coefficient of variation `scv`.
+///
+/// "Taking the departures as a stochastic process and assuming
+/// stationarity, it is possible to calculate the necessary duration of
+/// measurements to estimate the throughput with a given accuracy and for
+/// a given confidence level [Heiss, 1988]. This interval length clearly
+/// depends on the parameters of the departure process, especially its
+/// second moments." (§5)
+///
+/// For a stationary departure process with rate `λ` and squared
+/// coefficient of variation `c²` of the interdeparture times, the count
+/// over a window `T` is asymptotically normal with `Var N(T) ≈ c²·λ·T`
+/// (renewal central limit theorem). The throughput estimate `X̂ = N(T)/T`
+/// then has relative confidence half-width `z·√(c²/(λT))`, so holding it
+/// below `ε` requires
+///
+/// ```text
+/// λT ≥ z²·c²/ε²      (departures per interval)
+/// T  ≥ z²·c²/(ε²·λ)  (interval length)
+/// ```
+///
+/// For a Poisson-like departure stream (`c² = 1`) at 95% confidence and
+/// ±10% accuracy this gives `λT ≥ (1.96/0.1)² ≈ 384` — the paper's
+/// "rather hundreds of departures than some tens" made precise.
+fn required_departures(scv: f64, accuracy: f64) -> f64 {
+    (Z95 / accuracy).powi(2) * scv
+}
+
+/// Interval length (ms) implied by [`required_departures`] at ±10 % and
+/// departure rate `rate_per_ms`; infinite at rate zero for any `scv > 0`.
+fn required_duration_ms(rate_per_ms: f64, scv: f64) -> f64 {
+    required_departures(scv, ACCURACY) / rate_per_ms
+}
+
+/// Sizes each next interval from the departure process measured over the
+/// last [`HISTORY`] closed intervals: the length at which the throughput
+/// estimate's relative half-width drops to ±10 %, rate-limited (×½/×2 per
+/// step) and clamped into `[MIN_MS, MAX_MS]`.
+///
+/// The process is estimated from per-interval `(count, length)` pairs
+/// alone, the data a harvesting sampler has. For a stationary process,
+/// `E N(T) = λT` and `Var N(T) ≈ c²λT`, so the per-interval standardized
+/// residuals `(N − λ̂T)² / (λ̂T)` average to `c²` (a χ²-style
+/// index-of-dispersion estimate). Intervals of unequal length are handled
+/// by that normalization.
+#[derive(Debug)]
+struct IntervalRule {
+    /// The interval to use next.
+    current_ms: f64,
+    total_count: f64,
+    total_ms: f64,
+    /// The retained intervals, `(count, length)`.
+    history: VecDeque<(f64, f64)>,
+}
+
+impl IntervalRule {
+    fn new() -> Self {
+        IntervalRule {
+            current_ms: INITIAL_MS,
+            total_count: 0.0,
+            total_ms: 0.0,
+            history: VecDeque::with_capacity(HISTORY),
+        }
+    }
+
+    /// Absorbs one closed interval and returns the interval to use next.
+    fn observe(&mut self, departures: u64, interval_ms: f64) -> f64 {
+        if interval_ms > 0.0 {
+            if self.history.len() == HISTORY {
+                if let Some((c, t)) = self.history.pop_front() {
+                    self.total_count -= c;
+                    self.total_ms -= t;
+                }
+            }
+            let c = departures as f64;
+            self.history.push_back((c, interval_ms));
+            self.total_count += c;
+            self.total_ms += interval_ms;
+        }
+        let required = required_duration_ms(self.rate_per_ms(), self.scv());
+        let ideal = if required.is_finite() {
+            // Deterministic streams (c² = 0) imply "any interval works";
+            // keep the floor instead of collapsing to zero.
+            required.max(MIN_MS)
+        } else {
+            self.current_ms * 2.0 // starved: no departures yet
+        };
+        let step_limited = ideal.clamp(self.current_ms * 0.5, self.current_ms * 2.0);
+        self.current_ms = step_limited.clamp(MIN_MS, MAX_MS);
+        self.current_ms
+    }
+
+    /// Departure rate (per ms) over the retained intervals.
+    fn rate_per_ms(&self) -> f64 {
+        if self.total_ms <= 0.0 {
+            0.0
+        } else {
+            self.total_count / self.total_ms
+        }
+    }
+
+    /// Index-of-dispersion estimate of `c²`; 1 until enough data arrived.
+    fn scv(&self) -> f64 {
+        let rate = self.rate_per_ms();
+        if self.history.len() < 2 || rate <= 0.0 {
+            return 1.0;
+        }
+        let mut acc = 0.0;
+        let mut used = 0usize;
+        for &(c, t) in &self.history {
+            let expected = rate * t;
+            if expected > 0.0 {
+                acc += (c - expected) * (c - expected) / expected;
+                used += 1;
+            }
+        }
+        if used < 2 {
+            1.0
+        } else {
+            acc / (used - 1) as f64
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alc_des::rng::RngStream;
+
+    #[test]
+    fn poisson_needs_hundreds_of_departures() {
+        // c² = 1, ±10%, 95% → (1.96/0.1)² ≈ 384: "rather hundreds of
+        // departures than some tens".
+        let m = required_departures(1.0, ACCURACY);
+        assert!((m - 384.16).abs() < 0.1, "{m}");
+    }
+
+    #[test]
+    fn required_departures_scales_with_scv_and_accuracy() {
+        let base = required_departures(1.0, 0.1);
+        assert!((required_departures(2.0, 0.1) - 2.0 * base).abs() < 1e-9);
+        assert!((required_departures(1.0, 0.05) - 4.0 * base).abs() < 1e-6);
+    }
+
+    #[test]
+    fn required_duration_inverts_rate() {
+        let d = required_duration_ms(0.5, 1.0);
+        let m = required_departures(1.0, ACCURACY);
+        assert!((d - m / 0.5).abs() < 1e-9);
+        assert_eq!(required_duration_ms(0.0, 1.0), f64::INFINITY);
+    }
+
+    #[test]
+    fn dispersion_estimator_on_poisson_counts() {
+        // Poisson counts over equal intervals: dispersion index ≈ 1.
+        let mut rng = RngStream::from_seed(7);
+        let mut d = IntervalRule::new();
+        for _ in 0..200 {
+            // Sample Poisson(100) via exponential gaps in a unit window.
+            let mut count = 0u64;
+            let mut t = -(1.0 - rng.uniform01()).ln();
+            while t < 100.0 {
+                count += 1;
+                t += -(1.0 - rng.uniform01()).ln();
+            }
+            d.observe(count, 1000.0); // rate 0.1/ms
+        }
+        assert!((d.rate_per_ms() - 0.1).abs() < 0.005, "{}", d.rate_per_ms());
+        assert!((d.scv() - 1.0).abs() < 0.3, "{}", d.scv());
+    }
+
+    #[test]
+    fn dispersion_estimator_detects_overdispersion() {
+        // Alternating feast/famine counts are overdispersed: c² >> 1.
+        let mut d = IntervalRule::new();
+        for i in 0..64 {
+            let count = if i % 2 == 0 { 200 } else { 0 };
+            d.observe(count, 1000.0);
+        }
+        assert!(d.scv() > 50.0, "{}", d.scv());
+        // And the required interval stretches accordingly.
+        let poisson = required_duration_ms(0.1, 1.0);
+        assert!(required_duration_ms(d.rate_per_ms(), d.scv()) > 20.0 * poisson);
+    }
+
+    #[test]
+    fn dispersion_estimator_bounds_history() {
+        let mut d = IntervalRule::new();
+        for _ in 0..1000 {
+            d.observe(10, 100.0);
+        }
+        assert_eq!(d.history.len(), HISTORY);
+        assert!((d.rate_per_ms() - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dispersion_estimator_handles_unequal_intervals() {
+        // Perfectly proportional counts over unequal windows: c² ≈ 0.
+        let mut d = IntervalRule::new();
+        for i in 1..=32 {
+            let t = 500.0 + f64::from(i % 4) * 250.0;
+            d.observe((0.2 * t) as u64, t);
+        }
+        assert!(d.scv() < 0.05, "{}", d.scv());
+    }
+
+    #[test]
+    fn ci_interval_converges_to_the_renewal_formula() {
+        // Poisson-like counts (c² ≈ 1) at 0.2/ms: the §5 formula says
+        // T = (1.96/0.1)²·1 / 0.2 ≈ 1921 ms.
+        let mut rule = IntervalRule::new();
+        let mut interval = rule.current_ms;
+        let mut state = 9u64;
+        let mut noise = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+        };
+        for _ in 0..200 {
+            let lambda_t = 0.2 * interval;
+            // Counts with Poisson-like variance via a uniform kick of
+            // matching second moment (±√(3λT)).
+            let count = (lambda_t + noise() * (12.0f64 * lambda_t).sqrt()).max(0.0) as u64;
+            interval = rule.observe(count, interval);
+        }
+        assert!(
+            (1200.0..=3000.0).contains(&interval),
+            "converged to {interval}, expected ≈ 1921"
+        );
+    }
+
+    #[test]
+    fn ci_interval_stretches_for_bursty_processes() {
+        // Feast/famine counts are overdispersed: the required interval
+        // must grow far beyond the Poisson value.
+        let mut rule = IntervalRule::new();
+        let mut interval = rule.current_ms;
+        for i in 0..60 {
+            let count = if i % 2 == 0 {
+                (0.4 * interval) as u64
+            } else {
+                0
+            };
+            interval = rule.observe(count, interval);
+        }
+        assert!(interval > 10_000.0, "bursty stream got only {interval}");
+    }
+
+    #[test]
+    fn ci_interval_grows_when_starved_and_respects_caps() {
+        // No departures: the interval doubles each step, 1 s → 2¹⁴ s, and
+        // stops at the cap.
+        let mut rule = IntervalRule::new();
+        for _ in 0..20 {
+            rule.observe(0, 1000.0);
+        }
+        assert_eq!(rule.current_ms, MAX_MS);
+    }
+
+    #[test]
+    fn ci_interval_floors_deterministic_streams() {
+        // Identical counts every interval → c² ≈ 0 → required length 0;
+        // the rule must hold the floor, not collapse.
+        let mut rule = IntervalRule::new();
+        let mut interval = rule.current_ms;
+        for _ in 0..30 {
+            interval = rule.observe((0.2 * interval) as u64, interval);
+        }
+        assert_eq!(interval, MIN_MS);
+    }
 }

@@ -2,7 +2,7 @@
 //! existing report/CSV artifacts.
 //!
 //! All `(variant, replication)` cells are independent simulator runs, so
-//! they fan out over a private scoped pool ([`fan_out`]) of
+//! they fan out over a private scoped pool (`fan_out`) of
 //! `rayon::current_num_threads()` workers, the calling thread being one,
 //! and are collected in input order — parallel execution is
 //! byte-identical to serial (each run is fully determined by its

@@ -6,13 +6,13 @@
 //! gate limit is steered by the Incremental Steps controller — the same
 //! feedback loop the paper applies to transaction processing, applied to
 //! any server that degrades under excessive concurrency. The loop ticks
-//! every 250 ms, a fixed cadence. The §5 interval policy
-//! (`CiInterval`, sizing each window for a ±10 % throughput estimate at
-//! 95 % confidence) does not fit here: Incremental Steps moves the bound
-//! every window, so the departure rate moves with it, and the policy's
-//! dispersion estimate reads that controller-made variation as noise —
-//! it grows every interval to its 1 s cap, although ~2,500 commits/s
-//! would need about 150 ms.
+//! every 250 ms, a fixed cadence. Sizing each window from the spread of
+//! the window counts, for a ±10 % throughput estimate at 95 % confidence
+//! (the paper's §5 rule), does not fit here: Incremental Steps moves the
+//! bound every window, so the departure rate moves with it, and that
+//! controller-made variation reads as noise — the rule grows every
+//! interval to its 1 s cap, although ~2,500 commits/s would need about
+//! 150 ms.
 //!
 //! The simulated "work" here degrades when too many jobs run at once
 //! (think lock contention or cache thrash): each job takes

@@ -11,8 +11,7 @@
 //!   (closed terminals or open arrivals) with six CC protocols: OCC
 //!   certification, 2PL with deadlock detection, wound-wait, wait-die,
 //!   basic and multiversion timestamp ordering.
-//! * [`des`] (`alc-des`) — the discrete-event simulation kernel and the
-//!   §5 measurement-interval theory.
+//! * [`des`] (`alc-des`) — the discrete-event simulation kernel.
 //! * [`analytic`] (`alc-analytic`) — companion analytic models (MVA, Tay
 //!   locking model, OCC conflict model, synthetic performance surfaces).
 //! * [`scenario`] (`alc-scenario`) — the declarative scenario DSL:

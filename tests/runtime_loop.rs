@@ -99,33 +99,3 @@ fn control_loop_limits_a_degrading_workload() {
     assert_eq!(stats.in_use, 0);
     assert_eq!(stats.waiting, 0);
 }
-
-/// The loop leaves the cadence to its caller: the §5 interval policy
-/// sizes the caller's next sleep from the measurement each tick returns.
-#[test]
-fn ci_interval_policy_plugs_in() {
-    use adaptive_load_control::core::sampler::CiInterval;
-    use adaptive_load_control::des::stats::ConfidenceLevel;
-
-    let cl = is_loop(IsParams {
-        initial_bound: 4,
-        max_bound: 64,
-        ..IsParams::default()
-    });
-    let mut interval = CiInterval::new(0.1, ConfidenceLevel::P95, 10.0, 10_000.0, 100.0);
-    for _ in 0..20 {
-        let p = cl.admit().expect("Queue policy never sheds");
-        cl.complete(
-            p,
-            Outcome::Commit {
-                response_ms: 1.0,
-                conflicts: 0,
-            },
-        );
-    }
-    let decision = cl.tick();
-    assert_eq!(decision.window.measurement.departures, 20);
-    assert!(decision.bound >= 1);
-    let next = interval.observe(&decision.window.measurement);
-    assert!((10.0..=10_000.0).contains(&next));
-}
