@@ -177,15 +177,14 @@ impl LoopCore {
 mod tests {
     use super::*;
     use crate::sampler::IntervalSampler;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     /// A sink sharing its buffer with the test body.
     struct SharedSink(Arc<Mutex<Vec<GateEvent>>>);
 
     impl GateLogSink for SharedSink {
         fn record(&mut self, event: &GateEvent) {
-            self.0.lock().push(*event);
+            self.0.lock().unwrap().push(*event);
         }
     }
 
@@ -240,7 +239,7 @@ mod tests {
         let (commits, aborts, _, decisions) = core.totals();
         assert_eq!((commits, aborts, decisions), (72, 18, 0));
         assert!(core.last_decision().is_none());
-        assert_eq!(*log.lock(), events);
+        assert_eq!(*log.lock().unwrap(), events);
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //! announces itself in `waiting`, then — holding the queue mutex, and
 //! only when its ticket is being served — retries the very same CAS, and
 //! sleeps if that fails. A departure or a limit change wakes the queue
-//! only if `waiting > 0`.
+//! only if `waiting > 0`. No caller code runs under the queue mutex; if
+//! a panic poisons it anyway, the next caller takes the queue as it is.
 //!
 //! **Why FCFS holds.** Tickets order the slow path among itself exactly
 //! as before. The fast path is open only while `waiting == 0`, i.e. while
@@ -61,9 +62,8 @@ use std::sync::atomic::{
     AtomicU32, AtomicU64,
     Ordering::{Relaxed, SeqCst},
 };
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Snapshot of the gate's counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -178,7 +178,7 @@ impl AdaptiveGate {
         } else {
             // Somebody is in the slow path: decide under its mutex
             // whether a ticket is actually outstanding.
-            let mut q = self.queue.lock();
+            let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
             q.advance_past_abandoned();
             if q.serving == q.next_ticket {
                 self.try_enter()
@@ -237,7 +237,7 @@ impl AdaptiveGate {
         let start = Instant::now();
         // A patience too long to represent is no deadline at all.
         let deadline = timeout.and_then(|t| start.checked_add(t));
-        let mut q = self.queue.lock();
+        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         let ticket = q.next_ticket;
         q.next_ticket += 1;
         // Announce first, test second (the module docs' no-lost-wake-up
@@ -266,10 +266,17 @@ impl AdaptiveGate {
                 return None;
             }
             parked = true;
-            match deadline {
-                None => self.cond.wait(&mut q),
-                Some(d) => timed_out = self.cond.wait_until(&mut q, d).timed_out(),
-            }
+            q = match deadline {
+                None => self.cond.wait(q).unwrap_or_else(PoisonError::into_inner),
+                Some(d) => {
+                    let (q, wait) = self
+                        .cond
+                        .wait_timeout(q, d.saturating_duration_since(Instant::now()))
+                        .unwrap_or_else(PoisonError::into_inner);
+                    timed_out = wait.timed_out();
+                    q
+                }
+            };
         }
     }
 
@@ -290,7 +297,7 @@ impl AdaptiveGate {
     /// (see the module docs).
     fn wake_queue(&self) {
         if self.waiting.load(SeqCst) > 0 {
-            drop(self.queue.lock());
+            drop(self.queue.lock().unwrap_or_else(PoisonError::into_inner));
             self.cond.notify_all();
         }
     }
@@ -331,7 +338,7 @@ impl AdaptiveGate {
     /// A snapshot of all counters: `limit` and `in_use` are one atomic
     /// read, the queue's counters are read under its mutex.
     pub fn stats(&self) -> GateStats {
-        let q = self.queue.lock();
+        let q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         let (limit, in_use) = unpack(self.hot.word.load(SeqCst));
         let total_admitted = self.hot.admitted.load(Relaxed);
         GateStats {
@@ -486,7 +493,7 @@ mod tests {
                     let order = Arc::clone(&order);
                     move || {
                         let _p = gate.acquire();
-                        order.lock().push(i);
+                        order.lock().unwrap().push(i);
                     }
                 });
                 // Give the inner thread time to enqueue before releasing
@@ -515,7 +522,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*order.lock(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

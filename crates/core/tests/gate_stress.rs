@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use alc_core::gate::AdaptiveGate;
@@ -143,7 +143,7 @@ fn throughput_under_contention_is_live() {
 #[test]
 fn raising_limit_mid_queue_admits_in_order() {
     let gate = Arc::new(AdaptiveGate::new(0));
-    let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let order = Arc::new(Mutex::new(Vec::new()));
     let release = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
     for i in 0..6u32 {
@@ -156,7 +156,7 @@ fn raising_limit_mid_queue_admits_in_order() {
         let release = Arc::clone(&release);
         handles.push(std::thread::spawn(move || {
             let _p = gate.acquire();
-            order.lock().push(i);
+            order.lock().unwrap().push(i);
             // Hold the permit until the test is done raising, so each
             // raise admits exactly one waiter (a dropped permit would
             // admit the next one out from under the raise sequence).
@@ -172,7 +172,7 @@ fn raising_limit_mid_queue_admits_in_order() {
     // head, observed via its push before the next raise.
     for k in 1..=6u32 {
         gate.set_limit(k);
-        while order.lock().len() < k as usize {
+        while order.lock().unwrap().len() < k as usize {
             std::thread::yield_now();
         }
     }
@@ -180,7 +180,7 @@ fn raising_limit_mid_queue_admits_in_order() {
     for h in handles {
         h.join().unwrap();
     }
-    let order = order.lock();
+    let order = order.lock().unwrap();
     assert_eq!(
         *order,
         vec![0, 1, 2, 3, 4, 5],

@@ -48,12 +48,17 @@
 //! its stripe before it drains, and the gate's queue mutex and the trace
 //! mutex are never held together with anything. The trace sink sits
 //! behind a flag read before its mutex, so an absent sink costs one
-//! load. Nothing allocates after construction — the counting-allocator
-//! test in `tests/alloc_gate.rs` pins that, drains included.
+//! load. The law and the gate-log sink run under the core mutex, the
+//! trace sink under the trace mutex, so every lock is taken as
+//! `lock().unwrap_or_else(PoisonError::into_inner)`: a law or sink that
+//! panics loses the batch or decision at hand but never wedges `admit()`
+//! or the next `tick()` (`tests/panic_under_lock.rs`). Nothing allocates
+//! after construction — the counting-allocator test in
+//! `tests/alloc_gate.rs` pins that, drains included.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 pub use alc_core::control::{Decision, LoopCore};
@@ -62,7 +67,6 @@ use alc_core::gatelog::{GateEvent, GateLogSink};
 use alc_core::law::ControlLaw;
 use alc_core::measure::PerfIndicator;
 use alc_trace::{cat as tcat, name as tname, Args as TraceArgs, TraceEvent, TraceSink};
-use parking_lot::Mutex;
 
 use crate::metrics::MetricsSnapshot;
 use crate::telemetry::Outcome;
@@ -173,12 +177,36 @@ fn stripe_index() -> usize {
 /// A held admission slot, returned by [`ControlLoop::admit`]. Wraps the
 /// gate's permit with the admission timestamp and a sequence number, so
 /// [`ControlLoop::complete`] can emit the attempt's lifecycle span
-/// without any per-attempt bookkeeping in the loop. Dropping it releases
-/// the slot (without reporting an outcome), exactly like the raw permit.
+/// without any per-attempt bookkeeping in the loop. Dropping it without
+/// `complete` (a worker unwinding, say) releases the slot and reports the
+/// population left as an `Mpl` event and an `mpl` counter, but no
+/// outcome: no departure, no attempt span.
 pub struct AdmittedPermit<'a> {
-    inner: Permit<'a>,
+    rt: &'a ControlLoop,
+    /// `None` once [`ControlLoop::complete`] has taken it.
+    inner: Option<Permit<'a>>,
     admitted_at_ms: f64,
     seq: u64,
+}
+
+impl Drop for AdmittedPermit<'_> {
+    fn drop(&mut self) {
+        if let Some(inner) = self.inner.take() {
+            let now = self.rt.now_ms();
+            let in_system = inner.release();
+            // Recording runs the sinks; a panic there while this thread
+            // unwinds would abort, so it ends here (the hook reported it).
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.rt.record(1, |stripe, _| {
+                    stripe.push(GateEvent::Mpl {
+                        at_ms: now,
+                        in_system,
+                    });
+                });
+                self.rt.trace_mpl(now, in_system);
+            }));
+        }
+    }
 }
 
 /// How many worker lanes attempt spans are spread over in traces: the
@@ -223,14 +251,15 @@ impl ControlLoop {
     /// gets the stripe's index.
     fn record<R>(&self, events: usize, write: impl FnOnce(&mut StripeBuf, usize) -> R) -> R {
         let index = stripe_index();
+        let stripe = &self.stripes[index].0;
         loop {
             {
-                let mut buf = self.stripes[index].0.lock();
+                let mut buf = stripe.lock().unwrap_or_else(PoisonError::into_inner);
                 if buf.len + events <= STRIPE_EVENTS {
                     return write(&mut buf, index);
                 }
             }
-            self.drain(&mut self.shell.lock());
+            self.drain(&mut self.shell.lock().unwrap_or_else(PoisonError::into_inner));
         }
     }
 
@@ -243,7 +272,7 @@ impl ControlLoop {
         let mut runs = [(0, 0); STRIPES];
         let mut active = 0;
         for (i, stripe) in self.stripes.iter().enumerate() {
-            let mut buf = stripe.0.lock();
+            let mut buf = stripe.0.lock().unwrap_or_else(PoisonError::into_inner);
             let (start, len) = (i * STRIPE_EVENTS, buf.len);
             scratch[start..start + len].copy_from_slice(&buf.events[..len]);
             buf.len = 0;
@@ -281,17 +310,30 @@ impl ControlLoop {
         // Acquire pairs with the Release in `set_trace_sink`; the sink
         // itself is handed over by the mutex.
         if self.tracing.load(Ordering::Acquire) {
-            if let Some(t) = self.trace.lock().as_mut() {
+            let mut trace = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(t) = trace.as_mut() {
                 emit(t.as_mut());
             }
         }
+    }
+
+    /// Emits the `mpl` counter for a population change, if tracing.
+    fn trace_mpl(&self, now: f64, in_system: u32) {
+        self.trace(|t| {
+            t.emit(&TraceEvent::counter(
+                tname::MPL,
+                now,
+                alc_trace::PID_NODE,
+                f64::from(in_system),
+            ));
+        });
     }
 
     /// Installs a gate-log recorder (e.g. [`crate::log::JsonlSink`]).
     /// Events recorded before the call are fed to the core first, so
     /// the log starts at a definite point of the stream.
     pub fn set_gate_log(&self, sink: Box<dyn GateLogSink>) {
-        let mut shell = self.shell.lock();
+        let mut shell = self.shell.lock().unwrap_or_else(PoisonError::into_inner);
         self.drain(&mut shell);
         shell.core.set_gate_log(sink);
     }
@@ -299,7 +341,7 @@ impl ControlLoop {
     /// Removes and returns the recorder (to flush/inspect after a run),
     /// complete up to the call.
     pub fn take_gate_log(&self) -> Option<Box<dyn GateLogSink>> {
-        let mut shell = self.shell.lock();
+        let mut shell = self.shell.lock().unwrap_or_else(PoisonError::into_inner);
         self.drain(&mut shell);
         shell.core.take_gate_log()
     }
@@ -331,14 +373,17 @@ impl ControlLoop {
                 Some(lane),
             ));
         }
-        *self.trace.lock() = Some(sink);
+        *self.trace.lock().unwrap_or_else(PoisonError::into_inner) = Some(sink);
         self.tracing.store(true, Ordering::Release);
     }
 
     /// Removes and returns the trace sink (to finish/flush it).
     pub fn take_trace_sink(&self) -> Option<Box<dyn TraceSink>> {
         self.tracing.store(false, Ordering::Release);
-        self.trace.lock().take()
+        self.trace
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
     }
 
     /// Milliseconds since construction — the loop's time base.
@@ -387,28 +432,22 @@ impl ControlLoop {
             // Distinct across stripes without a shared counter.
             (stripe.admissions - 1) * STRIPES as u64 + index as u64
         });
-        self.trace(|t| {
-            t.emit(&TraceEvent::counter(
-                tname::MPL,
-                now,
-                alc_trace::PID_NODE,
-                f64::from(in_system),
-            ));
-        });
-        Some(AdmittedPermit {
-            inner,
+        // Built before tracing: a sink that panics here unwinds through
+        // the permit's drop, which gives the slot back.
+        let permit = AdmittedPermit {
+            rt: self,
+            inner: Some(inner),
             admitted_at_ms: now,
             seq,
-        })
+        };
+        self.trace_mpl(now, in_system);
+        Some(permit)
     }
 
     /// Reports how an admitted unit of work ended, releasing its slot.
-    pub fn complete(&self, permit: AdmittedPermit<'_>, outcome: Outcome) {
-        let AdmittedPermit {
-            inner,
-            admitted_at_ms,
-            seq,
-        } = permit;
+    pub fn complete(&self, mut permit: AdmittedPermit<'_>, outcome: Outcome) {
+        let inner = permit.inner.take().expect("complete runs once");
+        let (admitted_at_ms, seq) = (permit.admitted_at_ms, permit.seq);
         let now = self.now_ms();
         // Clock first, release second: 5 % faster on the two-thread
         // ledger than the other order — the less a caller does between
@@ -476,7 +515,7 @@ impl ControlLoop {
     pub fn tick(&self) -> Decision {
         let queue_depth = self.gate.stats().waiting;
         let decision = {
-            let mut shell = self.shell.lock();
+            let mut shell = self.shell.lock().unwrap_or_else(PoisonError::into_inner);
             self.drain(&mut shell);
             // Stamped after the drain: nothing in the window is later.
             shell.core.harvest(self.now_ms(), queue_depth)
@@ -511,7 +550,7 @@ impl ControlLoop {
     pub fn metrics(&self) -> MetricsSnapshot {
         let now = self.now_ms();
         let stats = self.gate.stats();
-        let mut shell = self.shell.lock();
+        let mut shell = self.shell.lock().unwrap_or_else(PoisonError::into_inner);
         self.drain(&mut shell);
         let (commits, aborts, sheds, decisions) = shell.core.totals();
         let last = shell.core.last_decision();
@@ -545,7 +584,7 @@ impl Drop for ControlLoop {
     /// Feeds what is still buffered, so a gate log left installed ends
     /// complete.
     fn drop(&mut self) {
-        self.drain(&mut self.shell.lock());
+        self.drain(&mut self.shell.lock().unwrap_or_else(PoisonError::into_inner));
     }
 }
 
@@ -650,7 +689,7 @@ mod tests {
 
     impl GateLogSink for SharedSink {
         fn record(&mut self, event: &GateEvent) {
-            self.0.lock().push(*event);
+            self.0.lock().unwrap().push(*event);
         }
     }
 
@@ -668,7 +707,7 @@ mod tests {
             },
         );
         let d = rt.tick();
-        let events = buffer.lock().clone();
+        let events = buffer.lock().unwrap().clone();
         let kinds: Vec<&str> = events
             .iter()
             .map(|e| match e {
@@ -690,7 +729,7 @@ mod tests {
 
     impl TraceSink for SharedTrace {
         fn emit(&mut self, ev: &TraceEvent) {
-            self.0.lock().push(*ev);
+            self.0.lock().unwrap().push(*ev);
         }
     }
 
@@ -710,7 +749,7 @@ mod tests {
             },
         );
         let d = rt.tick();
-        let events = buffer.lock().clone();
+        let events = buffer.lock().unwrap().clone();
         let attempt = events
             .iter()
             .find(|e| e.ph == alc_trace::Phase::Complete && e.name == tname::ATTEMPT)

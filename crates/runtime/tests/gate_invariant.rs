@@ -5,14 +5,29 @@
 //! admitted iff the actual load is below the current bound, and a
 //! lowered bound never displaces holders — the population drains to the
 //! new limit by normal departures. Proptest drives a [`ControlLoop`]
-//! through arbitrary admit / complete / re-bound / tick sequences and
-//! checks, after every step, that admitted − completed (the permits
+//! through arbitrary admit / complete / drop / re-bound / tick sequences
+//! and checks, after every step, that admitted − released (the permits
 //! actually held) matches the gate's accounting and never passes the
-//! bound that was in force at admission time.
+//! bound that was in force at admission time, and that the population
+//! the core was last fed is the gate's.
 
+use std::sync::{Arc, Mutex};
+
+use alc_core::gatelog::{GateEvent, GateLogSink};
 use alc_core::measure::PerfIndicator;
 use alc_runtime::{AdmissionPolicy, AimdLaw, AimdParams, ControlLoop, Outcome, PaperLaw};
 use proptest::prelude::*;
+
+/// The population in the last `Mpl` event the core was fed.
+struct LastMpl(Arc<Mutex<Option<u32>>>);
+
+impl GateLogSink for LastMpl {
+    fn record(&mut self, event: &GateEvent) {
+        if let GateEvent::Mpl { in_system, .. } = *event {
+            *self.0.lock().unwrap() = Some(in_system);
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -20,6 +35,8 @@ enum Op {
     Admit,
     /// Finish a held unit of work (slot taken modulo the held count).
     Complete { slot: usize, abort: bool },
+    /// Drop a held permit without reporting an outcome.
+    Drop { slot: usize },
     /// Controller-style live bound change.
     SetBound(u32),
     /// Close the measurement window and let the law move the bound.
@@ -31,6 +48,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         4 => Just(Op::Admit),
         3 => (any::<usize>(), any::<bool>())
             .prop_map(|(slot, abort)| Op::Complete { slot, abort }),
+        1 => any::<usize>().prop_map(|slot| Op::Drop { slot }),
         1 => (0u32..6).prop_map(Op::SetBound),
         1 => Just(Op::Tick),
     ]
@@ -52,6 +70,8 @@ proptest! {
             PerfIndicator::Throughput,
             AdmissionPolicy::Shed,
         );
+        let last_mpl = Arc::new(Mutex::new(None));
+        rt.set_gate_log(Box::new(LastMpl(Arc::clone(&last_mpl))));
         let mut held = Vec::new();
         for op in ops {
             match op {
@@ -80,15 +100,24 @@ proptest! {
                         rt.complete(permit, outcome);
                     }
                 }
+                Op::Drop { slot } => {
+                    if !held.is_empty() {
+                        drop(held.swap_remove(slot % held.len()));
+                    }
+                }
                 Op::SetBound(bound) => rt.gate().set_limit(bound),
                 Op::Tick => {
                     let decision = rt.tick();
                     prop_assert_eq!(rt.gate().limit(), decision.bound);
                 }
             }
-            // admitted − completed is exactly the permits we hold, and the
+            // admitted − released is exactly the permits we hold, and the
             // gate's own accounting agrees after every interleaving step.
             prop_assert_eq!(rt.gate().in_use() as usize, held.len());
+            // `metrics` drains the stripes: the core's MPL is the gate's.
+            rt.metrics();
+            let fed = last_mpl.lock().unwrap().unwrap_or(0);
+            prop_assert_eq!(fed, rt.gate().in_use());
         }
     }
 }

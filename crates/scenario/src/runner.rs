@@ -69,9 +69,7 @@ struct CaptureSink(Arc<Mutex<Vec<GateEvent>>>);
 
 impl GateLogSink for CaptureSink {
     fn record(&mut self, event: &GateEvent) {
-        if let Ok(mut events) = self.0.lock() {
-            events.push(*event);
-        }
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).push(*event);
     }
 }
 

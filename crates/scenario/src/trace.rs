@@ -32,9 +32,7 @@ struct SharedSink<T: TraceSink>(Arc<Mutex<T>>);
 
 impl<T: TraceSink> TraceSink for SharedSink<T> {
     fn emit(&mut self, ev: &TraceEvent) {
-        if let Ok(mut sink) = self.0.lock() {
-            sink.emit(ev);
-        }
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).emit(ev);
     }
 }
 
