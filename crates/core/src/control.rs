@@ -78,6 +78,11 @@ impl LoopCore {
         self.log.take()
     }
 
+    /// Whether a gate-log recorder is installed.
+    pub fn has_gate_log(&self) -> bool {
+        self.log.is_some()
+    }
+
     /// Records that the in-system population changed to `in_system`.
     pub fn on_mpl(&mut self, now_ms: f64, in_system: u32) {
         self.feed(&GateEvent::Mpl {
@@ -108,7 +113,9 @@ impl LoopCore {
     /// recorded decision closes the window at its timestamp (its bound
     /// is ignored — the law re-derives it) and returns what the law
     /// chose. The one entry point behind the `on_*` calls, the
-    /// simulator's event sites, replay and the live shell's batches.
+    /// simulator's event sites, replay and the live shell's batches. The
+    /// event is counted and in the window before the recorder sees it,
+    /// so a recorder that panics loses its line, not the event.
     #[inline]
     pub fn feed(&mut self, event: &GateEvent) -> Option<Decision> {
         match *event {

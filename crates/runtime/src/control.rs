@@ -51,12 +51,14 @@
 //! load. The law and the gate-log sink run under the core mutex, the
 //! trace sink under the trace mutex, so every lock is taken as
 //! `lock().unwrap_or_else(PoisonError::into_inner)`: a law or sink that
-//! panics loses the batch or decision at hand but never wedges `admit()`
-//! or the next `tick()` (`tests/panic_under_lock.rs`). Nothing allocates
-//! after construction — the counting-allocator test in
+//! panics loses the decision or log line at hand but never wedges
+//! `admit()` or the next `tick()`, and a drain feeds its whole batch
+//! before it passes a sink's panic on (`tests/panic_under_lock.rs`).
+//! Nothing allocates after construction — the counting-allocator test in
 //! `tests/alloc_gate.rs` pins that, drains included.
 
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -196,7 +198,7 @@ impl Drop for AdmittedPermit<'_> {
             let in_system = inner.release();
             // Recording runs the sinks; a panic there while this thread
             // unwinds would abort, so it ends here (the hook reported it).
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = catch_unwind(AssertUnwindSafe(|| {
                 self.rt.record(1, |stripe, _| {
                     stripe.push(GateEvent::Mpl {
                         at_ms: now,
@@ -265,7 +267,10 @@ impl ControlLoop {
 
     /// Empties every stripe into the core: sheds as counts, events merged
     /// by timestamp and fed one by one. The caller holds the core mutex;
-    /// each stripe is locked only while it is copied out.
+    /// each stripe is locked only while it is copied out. A gate-log sink
+    /// that panics costs the log its line, not the window the rest of the
+    /// batch: the merge goes on, and the first panic is raised once every
+    /// event is in.
     fn drain(&self, shell: &mut Shell) {
         let Shell { core, scratch } = shell;
         // The non-empty runs still to feed, as ranges of `scratch`.
@@ -288,6 +293,8 @@ impl ControlLoop {
         }
         // Earliest head first; ties go to the lower stripe, and within a
         // stripe order is kept because only heads are taken.
+        let logging = core.has_gate_log();
+        let mut fault = None;
         while active > 0 {
             let mut first = 0;
             for run in 1..active {
@@ -295,13 +302,23 @@ impl ControlLoop {
                     first = run;
                 }
             }
-            core.feed(&scratch[runs[first].0]);
+            let event = &scratch[runs[first].0];
+            if logging {
+                if let Err(panic) = catch_unwind(AssertUnwindSafe(|| core.feed(event))) {
+                    fault.get_or_insert(panic);
+                }
+            } else {
+                core.feed(event);
+            }
             runs[first].0 += 1;
             if runs[first].0 == runs[first].1 {
                 // Close the gap, keeping stripe order for the tie rule.
                 runs.copy_within(first + 1..active, first);
                 active -= 1;
             }
+        }
+        if let Some(panic) = fault {
+            resume_unwind(panic);
         }
     }
 

@@ -230,11 +230,17 @@ fn a_gate_log_sink_that_panics_in_a_drain_leaves_the_loop_working() {
     with_watchdog(60, || {
         let rig = Rig::new(0);
         let first = rig.admit();
-        let second = rig.admit();
-        rig.rt.complete(second, commit());
+        for _ in 0..10 {
+            let next = rig.admit();
+            rig.rt.complete(next, commit());
+        }
         rig.log_fuse.arm();
         assert!(catch_unwind(AssertUnwindSafe(|| rig.rt.metrics())).is_err());
-        // The rest of the panicking batch is lost; the next one is not.
+        // The log lost the line the sink failed on; the core lost nothing
+        // of the batch that line was in.
+        assert_eq!(rig.rt.metrics().commits, 10);
+        assert_eq!(rig.rt.tick().window.measurement.departures, 10);
+        assert_eq!(rig.last_fed_mpl(), Some(rig.rt.gate().in_use()));
         let third = rig.admit();
         rig.rt.complete(third, commit());
         goes_on(&rig, vec![first]);
