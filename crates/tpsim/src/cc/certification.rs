@@ -21,9 +21,16 @@
 //! drops it. Validation counts each conflicting item once, at its first
 //! access (the engine's access sets are distinct anyway), so it needs no
 //! per-item marks of its own.
+//!
+//! Each slot keeps its run's accesses as [`Access`] words, 8 B each: the
+//! item id in the low 63 bits, the write flag in bit 63 (`db_size` is at
+//! most 2⁶³, so ids fit). The engine holds the same set in `Txn::items`;
+//! this copy exists because the protocols are driven only through
+//! [`ConcurrencyControl`], whose `access` passes one item at a time.
 
 use super::item_table::ItemTable;
 use super::{AccessOutcome, ConcurrencyControl, TxnId, ValidateOutcome};
+use crate::txn::Access;
 
 /// `start_seq` of a slot with no live run: it bounds no horizon.
 const IDLE: u64 = u64::MAX;
@@ -32,9 +39,9 @@ const IDLE: u64 = u64::MAX;
 struct TxnState {
     /// The commit counter at `begin`; [`IDLE`] between runs.
     start_seq: u64,
-    /// (item, wrote) — insertion-ordered access list; duplicates are fine
-    /// (re-reading an item cannot add conflicts, dedup at validate).
-    accesses: Vec<(u64, bool)>,
+    /// Insertion-ordered access list; duplicates are fine (re-reading an
+    /// item cannot add conflicts, dedup at validate).
+    accesses: Vec<Access>,
 }
 
 /// The certification protocol.
@@ -80,9 +87,12 @@ impl Certification {
     fn conflicts_of(&self, txn: TxnId) -> u64 {
         let st = &self.txns[txn];
         let mut conflicts = 0;
-        for (i, &(item, _)) in st.accesses.iter().enumerate() {
+        for (i, access) in st.accesses.iter().enumerate() {
+            let item = access.item();
             if self.wts.get(item) > st.start_seq
-                && !st.accesses[..i].iter().any(|&(earlier, _)| earlier == item)
+                && !st.accesses[..i]
+                    .iter()
+                    .any(|earlier| earlier.item() == item)
             {
                 conflicts += 1;
             }
@@ -99,7 +109,7 @@ impl ConcurrencyControl for Certification {
     }
 
     fn access(&mut self, txn: TxnId, item: u64, write: bool) -> AccessOutcome {
-        self.txns[txn].accesses.push((item, write));
+        self.txns[txn].accesses.push(Access::new(item, write));
         AccessOutcome::Granted
     }
 
@@ -120,9 +130,9 @@ impl ConcurrencyControl for Certification {
         } = self;
         // Future runs start at the counter; live ones at their start.
         let horizon = || txns.iter().map(|t| t.start_seq).fold(*commit_seq, u64::min);
-        for &(item, wrote) in &txns[txn].accesses {
-            if wrote {
-                *wts.entry(item, horizon, |&w, h| w <= h) = *commit_seq;
+        for access in &txns[txn].accesses {
+            if access.is_write() {
+                *wts.entry(access.item(), horizon, |&w, h| w <= h) = *commit_seq;
             }
         }
         // The run is over: the rest is an abort's bookkeeping.

@@ -50,11 +50,16 @@
 //! When an insert would take the table past half load, the owning
 //! protocol names its *horizon* (for the timestamp protocols, the oldest
 //! live run) and which entries are dead under it; the table drops those
-//! and rebuilds itself in place through a retained scratch buffer. If it
-//! is still more than 1/16 full it doubles, so the capacity stays within
-//! a fixed multiple of the peak live entries (at most 32×, or the first
-//! allocation). A sweep rewrites the whole array, but the next one is at
-//! least a quarter of the capacity in inserts away, so the cost per
+//! in place, in one scan that starts just past a free slot. Every entry
+//! is judged once, and each survivor shifts back to the first free slot
+//! from its home, which the scan has always passed already: no probe run
+//! crosses the free slot the scan started from. If the table is still
+//! more than 1/16 full it doubles: the survivors wait in a buffer of
+//! exactly their number while the array is reallocated, and the buffer
+//! is freed. So the capacity stays within a fixed multiple of the peak
+//! live entries (at most 32×, or the first allocation), and no buffer
+//! outlives a sweep. A sweep scans the whole array, but the next one is
+//! at least a quarter of the capacity in inserts away, so the cost per
 //! insert is constant; once the capacity has settled nothing allocates.
 //! The lock table needs no horizon: it removes an item the moment it is
 //! unlocked (backward-shift deletion), so its sweeps find nothing dead
@@ -96,8 +101,6 @@ pub(super) struct ItemTable<V> {
     shift: u32,
     /// Occupied slots.
     len: usize,
-    /// The entries a sweep keeps, on their way back into `slots`.
-    live: Vec<(u64, V)>,
 }
 
 impl<V: Copy + Default> ItemTable<V> {
@@ -117,7 +120,6 @@ impl<V: Copy + Default> ItemTable<V> {
             mask: capacity - 1,
             shift: 64 - capacity.trailing_zeros(),
             len: 0,
-            live: Vec::new(), // alc-lint: allow(hot-alloc, reason="construction-time sweep buffer; grows with the live entries during warm-up only")
         }
     }
 
@@ -196,31 +198,55 @@ impl<V: Copy + Default> ItemTable<V> {
         self.slots[hole] = (EMPTY, V::default());
     }
 
-    /// Drops the dead entries and rebuilds the table in place, doubling
-    /// it if the survivors fill more than 1/16 of it.
+    /// Drops the dead entries in place, then doubles the table if the
+    /// survivors fill more than 1/16 of it. `dead` sees every entry
+    /// exactly once.
     #[cold]
     #[inline(never)]
     fn sweep(&mut self, mut dead: impl FnMut(&V) -> bool) {
-        self.live.clear();
-        for &(item, value) in &self.slots {
-            if item != EMPTY && !dead(&value) {
-                self.live.push((item, value));
+        let capacity = self.slots.len();
+        // Scan from just past a free slot (load ≤ ½, so there is one). No
+        // probe run crosses that slot, so an entry's home lies between it
+        // and the entry in scan order, and every slot from the home up to
+        // the entry has been scanned: the first free one among them is
+        // where a survivor shifts back to.
+        let free = (0..capacity)
+            .find(|&i| self.slots[i].0 == EMPTY)
+            .expect("a table at most half full has a free slot");
+        for step in 1..capacity {
+            let i = (free + step) & self.mask;
+            let (item, value) = self.slots[i];
+            if item == EMPTY {
+                continue;
+            }
+            self.slots[i] = (EMPTY, V::default());
+            if dead(&value) {
+                self.len -= 1;
+            } else {
+                let j = self.probe(item);
+                self.slots[j] = (item, value);
             }
         }
-        let mut capacity = self.slots.len();
-        if 16 * self.live.len() > capacity {
-            capacity *= 2;
+        if 16 * self.len > capacity {
+            self.grow();
         }
+    }
+
+    /// Doubles the array. The entries wait in a buffer of exactly their
+    /// number while the array is reallocated, and the buffer goes with
+    /// the call.
+    fn grow(&mut self) {
+        let mut entries = Vec::with_capacity(self.len);
+        entries.extend(self.slots.iter().filter(|&&(item, _)| item != EMPTY));
+        let capacity = 2 * self.slots.len();
         self.slots.clear();
         self.slots.resize(capacity, (EMPTY, V::default()));
         self.mask = capacity - 1;
         self.shift = 64 - capacity.trailing_zeros();
-        for k in 0..self.live.len() {
-            let (item, value) = self.live[k];
+        for (item, value) in entries {
             let i = self.probe(item);
             self.slots[i] = (item, value);
         }
-        self.len = self.live.len();
     }
 
     /// Slots allocated (free ones included).
@@ -414,6 +440,29 @@ mod tests {
         *t.entry(99, || 15, |&v, h| v < h) = 99;
         assert_eq!((t.len(), t.capacity()), (2, 32));
         assert_eq!((t.get(15), t.get(99), t.get(14)), (15, 99, 0));
+    }
+
+    /// A sweep in place keeps a probe run that wraps past the end
+    /// reachable: when the dead entry in the last slot goes, the survivor
+    /// in slot 0 whose home is that last slot moves back into it.
+    #[test]
+    fn a_sweep_in_place_keeps_a_wrapped_run_reachable() {
+        let mut t: ItemTable<u64> = ItemTable::with_capacity(16);
+        let [dead, survivor] = [0, 1].map(|n| with_home(15, n, 16));
+        *t.entry(dead, || 0, keep) = 1;
+        *t.entry(survivor, || 0, keep) = 20;
+        for slot in 3..9 {
+            *t.entry(with_home(slot, 0, 16), || 0, keep) = 2;
+        }
+        assert_eq!([t.slots[15].0, t.slots[0].0], [dead, survivor]);
+        // Half load: this insert sweeps. One survivor is at most 1/16 of
+        // the slots, so the table keeps its size and no rehash on growth
+        // could hide an entry the sweep made unreachable.
+        let fresh = with_home(10, 0, 16);
+        *t.entry(fresh, || 10, |&v, h| v < h) = 30;
+        assert_eq!((t.len(), t.capacity()), (2, 16));
+        assert_eq!(t.slots[15].0, survivor);
+        assert_eq!((t.get(survivor), t.get(fresh), t.get(dead)), (20, 30, 0));
     }
 
     /// Live entries slide through a 2⁴⁰-item key space: the capacity

@@ -113,6 +113,10 @@ impl SystemConfig {
                 return Err(format!("{field} must be ≥ 1"));
             }
         }
+        // An access packs its item id into 63 bits (`txn::Access`).
+        if self.db_size > 1 << 63 {
+            return Err("db_size must be ≤ 2⁶³".into());
+        }
         let open = match &self.arrival {
             ArrivalProcess::Open { interarrival } => Some(("arrival.interarrival", interarrival)),
             ArrivalProcess::Closed => None,
@@ -277,6 +281,20 @@ mod tests {
         // init/commit disk plus 8 access-phase reads.
         assert!((cfg.cpu_per_run_ms(8) - 40.0).abs() < 1e-9);
         assert!((cfg.disk_per_run_ms(8) - 332.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn db_size_must_fit_an_access_word() {
+        let at = |db_size| SystemConfig {
+            db_size,
+            ..SystemConfig::default()
+        };
+        assert_eq!(at(1 << 63).check(), Ok(()));
+        assert_eq!(
+            at((1 << 63) + 1).check(),
+            Err("db_size must be ≤ 2⁶³".into())
+        );
+        assert_eq!(at(u64::MAX).check(), Err("db_size must be ≤ 2⁶³".into()));
     }
 
     #[test]

@@ -99,17 +99,24 @@ impl Trajectories {
         }
     }
 
-    /// Pre-sizes every series for `additional` further samples.
-    pub(super) fn reserve(&mut self, additional: usize) {
+    /// Pre-sizes the series a run records for `additional` further
+    /// samples: the client series only for a run with a client pool, the
+    /// optimum only for a run that records it. A series the run leaves
+    /// empty gets no buffer.
+    pub(super) fn reserve(&mut self, additional: usize, clients: bool, optimum: bool) {
         self.bound.reserve(additional);
         self.observed_mpl.reserve(additional);
         self.throughput.reserve(additional);
-        self.optimum.reserve(additional);
         self.k.reserve(additional);
         self.conflict_ratio.reserve(additional);
-        self.attempts.reserve(additional);
-        self.retries.reserve(additional);
-        self.abandons.reserve(additional);
+        if optimum {
+            self.optimum.reserve(additional);
+        }
+        if clients {
+            self.attempts.reserve(additional);
+            self.retries.reserve(additional);
+            self.abandons.reserve(additional);
+        }
     }
 }
 

@@ -79,7 +79,7 @@ use crate::client::{ClientPool, ClientStats};
 use crate::config::{ArrivalProcess, CcKind, ControlConfig, SystemConfig};
 use crate::gate::SimGate;
 use crate::station::{CpuJob, CpuStation};
-use crate::txn::{Stage, Txn, TxnState};
+use crate::txn::{Access, Stage, Txn, TxnState};
 use crate::workload::WorkloadConfig;
 
 const THINKING: usize = 0;
@@ -279,7 +279,8 @@ impl Simulator {
         if self.control.sample_interval_ms > 0.0 {
             let horizon = (until_ms - self.now().millis()).max(0.0);
             let samples = (horizon / self.control.sample_interval_ms) as usize + 2;
-            self.trajectories.reserve(samples);
+            self.trajectories
+                .reserve(samples, self.clients.is_some(), self.record_optimum);
         }
         while let Some((_, ev)) = self.cal.pop_until(t_end) {
             self.events += 1;
@@ -468,11 +469,12 @@ impl Simulator {
         let w = self.workload.at(self.now().millis());
         let is_query = self.rng.mix.chance(w.query_frac);
         self.draw_access_set(w.k as usize, w.access_skew);
-        self.txns[i].items.clear();
-        for idx in 0..self.access_scratch.len() {
-            let item = self.access_scratch[idx];
+        let items = &mut self.txns[i].items;
+        items.clear();
+        items.reserve_exact(self.access_scratch.len());
+        for &item in &self.access_scratch {
             let write = !is_query && self.rng.mix.chance(w.write_frac);
-            self.txns[i].items.push((item, write));
+            items.push(Access::new(item, write));
         }
         self.txns[i].is_query = is_query;
     }
@@ -621,8 +623,8 @@ impl Simulator {
             stage: Stage::Cpu,
         };
         if phase >= 1 && phase <= k {
-            let (item, write) = self.txns[i].items[(phase - 1) as usize];
-            match self.cc.access(i, item, write) {
+            let access = self.txns[i].items[(phase - 1) as usize];
+            match self.cc.access(i, access.item(), access.is_write()) {
                 AccessOutcome::Granted => self.request_cpu(i),
                 AccessOutcome::Blocked => {
                     self.set_state(i, TxnState::Blocked { phase }, "block");

@@ -42,6 +42,37 @@ pub enum TxnState {
     RestartWait,
 }
 
+/// One access of a run in one word: the item id in the low 63 bits, the
+/// write flag in bit 63. Item ids are below `db_size`, which
+/// [`SystemConfig::check`](crate::config::SystemConfig::check) bounds by
+/// 2⁶³, so every id fits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access(u64);
+
+impl Access {
+    /// Bit 63: the access writes its item.
+    const WRITE: u64 = 1 << 63;
+
+    /// The access to `item` (below 2⁶³), a write iff `write`.
+    #[inline]
+    pub fn new(item: u64, write: bool) -> Self {
+        debug_assert!(item < Self::WRITE, "item id {item} does not fit in 63 bits");
+        Access(item | u64::from(write) << 63)
+    }
+
+    /// The accessed item's id.
+    #[inline]
+    pub fn item(self) -> u64 {
+        self.0 & !Self::WRITE
+    }
+
+    /// Whether the access writes its item.
+    #[inline]
+    pub fn is_write(self) -> bool {
+        self.0 & Self::WRITE != 0
+    }
+}
+
 /// One terminal's transaction slot.
 #[derive(Debug, Clone)]
 pub struct Txn {
@@ -49,9 +80,11 @@ pub struct Txn {
     pub state: TxnState,
     /// Run generation for lazy event cancellation.
     pub generation: u64,
-    /// Access set of the current instance: `(item, is_write)` per access
-    /// phase, in access order.
-    pub items: Vec<(u64, bool)>,
+    /// Access set of the current instance: one [`Access`] word (8 B) per
+    /// access phase, in access order. Refilled in place for each instance
+    /// and reserved to exactly its `k`, so the buffer holds the largest
+    /// `k` the slot has drawn and no more.
+    pub items: Vec<Access>,
     /// Whether the instance is a read-only query.
     pub is_query: bool,
     /// When the instance was submitted by the terminal (queue wait counts
@@ -138,8 +171,24 @@ mod tests {
     #[test]
     fn k_reflects_access_set() {
         let mut t = Txn::new();
-        t.items = vec![(1, false), (2, true), (3, false)];
+        t.items = vec![
+            Access::new(1, false),
+            Access::new(2, true),
+            Access::new(3, false),
+        ];
         assert_eq!(t.k(), 3);
+    }
+
+    #[test]
+    fn an_access_word_keeps_its_item_and_write_flag() {
+        for item in [0, 1, 1999, (1 << 62) + 5, (1 << 63) - 1] {
+            for write in [false, true] {
+                let a = Access::new(item, write);
+                assert_eq!((a.item(), a.is_write()), (item, write), "{a:?}");
+            }
+        }
+        assert_eq!(std::mem::size_of::<Access>(), 8);
+        assert_ne!(Access::new(7, true), Access::new(7, false));
     }
 
     #[test]

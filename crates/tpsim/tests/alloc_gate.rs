@@ -7,15 +7,20 @@
 //! * [`TwoPhaseLocking`] — repeated multi-transaction deadlock cycles:
 //!   every round builds a waits-for cycle, runs the detector
 //!   (`deadlock_victim`), aborts the victim and drains the survivors.
-//!   After warm-up (lock-table arena, queues, DFS buffers at working-set
-//!   capacity) *no* operation may touch the allocator.
+//!   After warm-up (lock-table arena, holder spills, DFS buffers at
+//!   working-set capacity) *no* operation may touch the allocator.
 //! * [`Certification`], [`TimestampOrdering`] and [`Mvto`] —
 //!   begin/access/validate/commit/abort churn over item windows that
 //!   slide through a key space far larger than their item tables, so the
 //!   tables sweep dead entries throughout the measured rounds. Once the
-//!   tables have found their capacity, sweeps rebuild them in place; MVTO's
-//!   swept and retention-capped chains hand their blocks on, and recycled
-//!   read/write buffers keep the commit path off the allocator.
+//!   tables have found their capacity, sweeps drop dead entries in place;
+//!   MVTO's swept and retention-capped chains hand their blocks on, and
+//!   recycled read/write buffers keep the commit path off the allocator.
+//!
+//! The allocator also counts live bytes and their high-water mark, and
+//! two whole cells, built with `Simulator::new` and run briefly, pin
+//! the heap a simulated terminal costs: `abl-cc`'s 800-terminal
+//! wound-wait cell and a 500-terminal certification cell at k = 18.
 //!
 //! Kept as its own integration-test binary so the global allocator
 //! cannot race with unrelated tests, and built with `harness = false`:
@@ -27,26 +32,43 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use alc_analytic::surface::Schedule;
 use alc_tpsim::cc::{
     AccessOutcome, Certification, ConcurrencyControl, Mvto, TimestampOrdering, TwoPhaseLocking,
 };
+use alc_tpsim::config::{CcKind, ControlConfig, SystemConfig};
+use alc_tpsim::engine::Simulator;
+use alc_tpsim::workload::WorkloadConfig;
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, and their high-water mark.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow_live(bytes: u64) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow_live(layout.size() as u64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // Counted as the new block in place of the old one.
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        grow_live(new_size as u64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -56,6 +78,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// The high-water of live heap bytes while `f` runs, above what was live
+/// when it started.
+fn peak_heap_of(f: impl FnOnce()) -> u64 {
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    f();
+    PEAK.load(Ordering::Relaxed) - base
 }
 
 const SLOTS: usize = 32;
@@ -292,10 +323,82 @@ fn steady_state_mvto_churn_is_allocation_free() {
     );
 }
 
+/// The high-water of live heap bytes of one cell built with
+/// `Simulator::new` and run for `horizon_ms` simulated ms, no controller
+/// at a static bound. Allocation is deterministic, so the figure is too.
+fn cell_peak_heap(
+    cc: CcKind,
+    terminals: u32,
+    workload: WorkloadConfig,
+    bound: u32,
+    horizon_ms: f64,
+) -> u64 {
+    peak_heap_of(|| {
+        let sys = SystemConfig {
+            terminals,
+            seed: 2743,
+            ..SystemConfig::default()
+        };
+        let control = ControlConfig {
+            sample_interval_ms: 2000.0,
+            warmup_ms: 0.0,
+            initial_bound: bound,
+            ..ControlConfig::default()
+        };
+        let mut sim = Simulator::new(sys, workload, cc, control, None);
+        sim.set_record_optimum(false);
+        let stats = sim.run(horizon_ms);
+        assert!(stats.commits > 0, "{cc:?}: the cell must commit");
+    })
+}
+
+/// `abl-cc`'s 800-terminal wound-wait cell (`write_frac` 0.4, no
+/// controller, bound 800), 16 simulated seconds: its lock table holds
+/// one entry per locked item and one wait list per contended item. The
+/// high-water read 772,896 B when each access took 16 B in `Txn::items`,
+/// a lock entry 96 B and every contended entry a `VecDeque` of its own,
+/// and reads 527,816 B with one-word accesses and wait lists threaded
+/// through the slots.
+fn wound_wait_800_terminal_cell_heap_is_pinned() {
+    const BOUND: u64 = 650_000;
+    let workload = WorkloadConfig {
+        write_frac: Schedule::Constant(0.4),
+        ..WorkloadConfig::default()
+    };
+    let peak = cell_peak_heap(CcKind::WoundWait, 800, workload, 800, 16_000.0);
+    assert!(
+        peak < BOUND,
+        "the 800-terminal wound-wait cell's heap peaked at {peak} B (bound {BOUND})"
+    );
+}
+
+/// A 500-terminal certification cell at k = 18, 16 simulated seconds:
+/// two copies of every access set (the engine's, certification's). The
+/// high-water read 688,520 B with 16-B accesses in both copies, each
+/// grown by doubling to room for 32, and reads 375,856 B with 8-B
+/// accesses and `Txn::items` reserved to exactly k.
+fn certification_k18_cell_heap_is_pinned() {
+    const BOUND: u64 = 530_000;
+    let workload = WorkloadConfig {
+        k: Schedule::Constant(18.0),
+        ..WorkloadConfig::default()
+    };
+    let peak = cell_peak_heap(CcKind::Certification, 500, workload, 500, 16_000.0);
+    assert!(
+        peak < BOUND,
+        "the k = 18 certification cell's heap peaked at {peak} B (bound {BOUND})"
+    );
+}
+
 fn main() {
     steady_state_2pl_deadlock_churn_is_allocation_free();
     steady_state_certification_churn_is_allocation_free();
     steady_state_timestamp_churn_is_allocation_free();
     steady_state_mvto_churn_is_allocation_free();
-    println!("alloc_gate ok: 2PL, certification, T/O and MVTO churn allocation-free");
+    wound_wait_800_terminal_cell_heap_is_pinned();
+    certification_k18_cell_heap_is_pinned();
+    println!(
+        "alloc_gate ok: 2PL, certification, T/O and MVTO churn allocation-free; \
+         two cells' heap peaks under their pins"
+    );
 }

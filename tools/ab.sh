@@ -16,7 +16,9 @@
 # BENCHMARK.json's run_seconds); the side that runs first alternates
 # from pair to pair. For each end-to-end metric of BENCHMARK.json it
 # prints each side's median and inclusive quartiles, the pairs the
-# change won, the median per-pair ratio (change / base) and a verdict:
+# change won, the median per-pair ratio (change / base), the
+# Hodges-Lehmann estimate of that ratio with its 95 % interval, and a
+# verdict:
 #
 #   regression  the change's median is worse than the base's by more
 #               than the metric's BENCHMARK.json bound
@@ -27,14 +29,20 @@
 #               base's quartile spread
 #   neutral     none of these
 #
-# then the digests each side printed. Every run's verdict and digest
-# land in target/ab/<W>-seed<S>.json. No interval yet. Exits 1 when any
+# then the digests each side printed. The Hodges-Lehmann estimate is
+# exp of the median of the Walsh averages (d_i + d_j) / 2, i <= j, of
+# the per-pair log ratios d; its interval runs between the Walsh
+# averages at the exact Wilcoxon signed-rank critical value (a DP over
+# the ranks), distribution-free, and needs at least 6 pairs. It only
+# informs: the verdict rule above does not read it. Every run's verdict
+# and digest, and each metric's estimate and interval, land in
+# target/ab/<W>-seed<S>.json. Exits 1 when any
 # run is not `"correct": true` or any metric reads `regression`. The
 # build rewrites benchmark/Cargo.lock; it is put back as found.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 usage() {
-    sed -n '2,33p' "$0" >&2
+    sed -n '2,42p' "$0" >&2
     exit 2
 }
 [ "$#" -ge 1 ] || usage
@@ -132,6 +140,35 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return [q[0], q[2]]
 
+def wilcoxon_lower(n, alpha=0.05):
+    """The largest c with P(T+ <= c) <= alpha / 2 under the null, T+ the
+    signed-rank sum of n pairs, and P(T+ <= c); None when no c has it."""
+    counts = [1] + [0] * (n * (n + 1) // 2)
+    for r in range(1, n + 1):
+        for t in range(len(counts) - 1, r - 1, -1):
+            counts[t] += counts[t - r]
+    c, below = None, 0
+    for t, k in enumerate(counts):
+        if (below + k) / 2 ** n > alpha / 2:
+            break
+        below += k
+        c = t
+    return c, below / 2 ** n
+
+def hodges_lehmann(base, change):
+    """The Hodges-Lehmann change/base ratio and its 95 % interval."""
+    if any(b <= 0 or c <= 0 for b, c in zip(base, change)):
+        return None
+    d = [math.log(c / b) for b, c in zip(base, change)]
+    walsh = sorted((d[i] + d[j]) / 2 for i in range(len(d)) for j in range(i, len(d)))
+    hl = {"estimate": math.exp(statistics.median(walsh)), "ci95": None, "coverage": None}
+    c, tail = wilcoxon_lower(len(d))
+    if c is not None:
+        # The (c+1)-th smallest and (c+1)-th largest Walsh averages.
+        hl["ci95"] = [math.exp(walsh[c]), math.exp(walsh[len(walsh) - 1 - c])]
+        hl["coverage"] = 1 - 2 * tail
+    return hl
+
 def verdict(row, bound, higher):
     base, change = row["base"]["median"], row["change"]["median"]
     q1, q3 = row["base"]["q1_q3"]
@@ -147,7 +184,8 @@ def verdict(row, bound, higher):
 record = {"base": rev, "workload": workload, "seed": int(seed), "seconds": float(seconds),
           "pairs": len(pairs), "metrics": {}, "runs": runs}
 print(f"{workload}, seed {seed}, {seconds} s, {len(pairs)} pairs: {rev} (base) against the change")
-print(f"{'metric':<12} {'base median [q1, q3]':>38} {'change median [q1, q3]':>38} {'wins':>6} {'ratio':>7}  verdict")
+print(f"{'metric':<12} {'base median [q1, q3]':>38} {'change median [q1, q3]':>38} {'wins':>6} {'ratio':>7} "
+      f"{'HL ratio [95 % interval]':>28}  verdict")
 verdicts = []
 for m in metrics:
     name, higher = m["name"], m["better"] == "higher"
@@ -156,13 +194,20 @@ for m in metrics:
     wins = sum((c > b) if higher else (c < b) for b, c in zip(values["base"], values["change"]))
     row = {s: {"median": statistics.median(v), "q1_q3": quartiles(v), "runs": v} for s, v in values.items()}
     row.update(change_wins=wins, median_ratio=statistics.median(ratios), better=m["better"],
-               bound=m["bound"])
+               bound=m["bound"], hodges_lehmann=hodges_lehmann(values["base"], values["change"]))
     row["verdict"] = verdict(row, m["bound"], higher)
     verdicts.append(row["verdict"])
     record["metrics"][name] = row
     cell = lambda s: "%.6g [%.6g, %.6g]" % (row[s]["median"], *row[s]["q1_q3"])
+    hl = row["hodges_lehmann"]
+    if hl is None:
+        hl_cell = "n/a"
+    elif hl["ci95"] is None:
+        hl_cell = "%.4f [< 6 pairs]" % hl["estimate"]
+    else:
+        hl_cell = "%.4f [%.4f, %.4f]" % (hl["estimate"], *hl["ci95"])
     print(f"{name:<12} {cell('base'):>38} {cell('change'):>38} {wins:>3}/{len(pairs):<2} "
-          f"{row['median_ratio']:>7.4f}  {row['verdict']}")
+          f"{row['median_ratio']:>7.4f} {hl_cell:>28}  {row['verdict']}")
 digests = {s: sorted({r["digest"] for r in runs if r["side"] == s}) for s in ("base", "change")}
 record["digests"] = digests
 print(f"digests: base {', '.join(digests['base']) or 'none'}; change {', '.join(digests['change']) or 'none'}")
