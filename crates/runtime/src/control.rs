@@ -20,19 +20,20 @@
 //!
 //! The shell is itself a recorder and a replayer. `admit`/`complete`
 //! never touch the core: the gate admits and releases by one atomic
-//! operation each (see `alc_core::gate`), and the [`GateEvent`]s the core
-//! should see (`Mpl`, `Commit`, `Abort`; sheds as a count) are appended
-//! to one of a few cache-line-aligned *stripes* — a small mutex around a
-//! fixed array, picked by a per-thread index, so callers on different
-//! stripes share no cache line but the gate's word. When a stripe has no
-//! room, and always in [`ControlLoop::tick`], [`ControlLoop::metrics`]
-//! and [`ControlLoop::set_gate_log`] / [`ControlLoop::take_gate_log`],
-//! the caller takes the core mutex, empties **all** stripes, merges them
-//! by timestamp (each stripe is already in order) and feeds the batch
+//! operation each (see `alc_core::gate`), and each fact the core should
+//! see (a population change, a commit, an abort, a shed) is appended,
+//! stamped, to one of a few cache-line-aligned *stripes* — a small mutex
+//! around a fixed array, picked by a per-thread index, so callers on
+//! different stripes share no cache line but the gate's word. When a
+//! stripe has no room, and always in [`ControlLoop::tick`],
+//! [`ControlLoop::metrics`] and the sinks' setters and takers, the caller
+//! takes the core mutex, empties **all** stripes, merges them by
+//! timestamp (each stripe is already in order) and feeds the batch
 //! through [`LoopCore::feed`] — the very function [`crate::replay()`]
 //! feeds a log file through. Live and replay are one code path, and the
 //! gate log, recorded inside the core, is exactly the stream the live
-//! core consumed.
+//! core consumed. The trace sink reads the same batch: a completion's
+//! record also carries its attempt's admission stamp and trace lane.
 //!
 //! What batching changes: the core lags the callers by at most one
 //! stripe's worth of events per thread until the next tick, and an event
@@ -44,31 +45,32 @@
 //! callers were stamped in the opposite order of their operations are
 //! fed in stamp order.
 //!
-//! Locks: core → stripe is the only nesting (a drain); a caller releases
-//! its stripe before it drains, and the gate's queue mutex and the trace
-//! mutex are never held together with anything. The trace sink sits
-//! behind a flag read before its mutex, so an absent sink costs one
-//! load. The law and the gate-log sink run under the core mutex, the
-//! trace sink under the trace mutex, so every lock is taken as
+//! Locks: core → stripe (a drain) and core → the gate's queue mutex
+//! (`tick` setting the limit) are the only nestings; a caller releases
+//! its stripe before it drains. The law and both sinks run only under
+//! the core mutex, the sinks only in a drain (and a decision's trace
+//! lines once its bound is in force), so every lock is taken as
 //! `lock().unwrap_or_else(PoisonError::into_inner)`: a law or sink that
-//! panics loses the decision or log line at hand but never wedges
-//! `admit()` or the next `tick()`, and a drain feeds its whole batch
-//! before it passes a sink's panic on (`tests/panic_under_lock.rs`).
-//! Nothing allocates after construction — the counting-allocator test in
-//! `tests/alloc_gate.rs` pins that, drains included.
+//! panics loses the decision or line at hand but never wedges `admit()`
+//! or the next `tick()`, and a drain feeds its whole batch, and its
+//! caller records its own fact, before a sink's panic is passed on
+//! (`tests/panic_under_lock.rs`). Nothing allocates after construction —
+//! `tests/alloc_gate.rs` pins that, drains and a trace sink included.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 pub use alc_core::control::{Decision, LoopCore};
 use alc_core::gate::{AdaptiveGate, Permit};
-use alc_core::gatelog::{GateEvent, GateLogSink};
+use alc_core::gatelog::GateLogSink;
 use alc_core::law::ControlLaw;
 use alc_core::measure::PerfIndicator;
-use alc_trace::{cat as tcat, name as tname, Args as TraceArgs, TraceEvent, TraceSink};
+use alc_trace::name::{ATTEMPT, BOUND, CLIENT_SHED, GATE_DECISION, MPL};
+use alc_trace::{cat as tcat, Args as TraceArgs, TraceEvent, TraceSink, PID_NODE, TID_CONTROL};
 
 use crate::metrics::MetricsSnapshot;
 use crate::telemetry::Outcome;
@@ -107,19 +109,17 @@ pub struct ControlLoop {
     policy: AdmissionPolicy,
     shell: Mutex<Shell>,
     stripes: Box<[Stripe]>,
-    /// Whether a trace sink is installed; read before `trace` is locked.
-    tracing: AtomicBool,
-    trace: Mutex<Option<Box<dyn TraceSink>>>,
     // alc-lint: allow(wall-clock, reason="the shell's one clock: stamps events with ms since construction; the deterministic core never reads it")
     epoch: std::time::Instant,
 }
 
-/// What the core mutex guards: the core, and the buffer a drain merges
-/// the stripes in.
+/// What the core mutex guards: the core, the trace sink, and the buffer
+/// a drain merges the stripes in.
 struct Shell {
     core: LoopCore,
+    trace: Option<Box<dyn TraceSink>>,
     /// `STRIPES` runs of `STRIPE_EVENTS` slots, run `i` for stripe `i`.
-    scratch: Box<[GateEvent]>,
+    scratch: Box<[Record]>,
 }
 
 /// Stripes the recording buffer is split into. Threads are dealt onto
@@ -127,37 +127,112 @@ struct Shell {
 /// record without meeting each other.
 const STRIPES: usize = 8;
 
-/// Events one stripe holds before its next writer drains. An `admit` +
-/// `complete` pair is three events, so this is a drain every ≈20 pairs
+/// Records one stripe holds before its next writer drains. An `admit` +
+/// `complete` pair is two records, so this is a drain every 25 pairs
 /// per thread — deliberately not a power of two, so that a caller
 /// sampling every 2^k-th call does not keep sampling the draining one.
-const STRIPE_EVENTS: usize = 62;
+const STRIPE_EVENTS: usize = 51;
 
 // Stripes plus merge buffer stay within 32 KB per loop.
-const _: () = assert!(2 * STRIPES * STRIPE_EVENTS * std::mem::size_of::<GateEvent>() <= 32 * 1024);
+const _: () = assert!(2 * STRIPES * STRIPE_EVENTS * std::mem::size_of::<Record>() <= 32 * 1024);
 
-const NO_EVENT: GateEvent = GateEvent::Mpl {
+/// What a caller recorded, stamped: a drain feeds each fact in it to
+/// the core, then hands that fact's trace line to the trace sink.
+#[derive(Clone, Copy)]
+struct Record {
+    at_ms: f64,
+    fact: Fact,
+}
+
+// 32 bytes: the tag lives in `Ended::commit`'s spare values.
+#[derive(Clone, Copy)]
+enum Fact {
+    /// A population an admission or a release left: `Mpl`, an `mpl` counter.
+    Mpl(u32),
+    /// An attempt's end (`Commit`/`Abort`, `attempt`), then its release.
+    Ended(Ended),
+    /// A refused arrival: a shed, a `client.shed` instant.
+    Shed,
+}
+
+/// How an attempt ended, with what its span needs besides (which
+/// [`alc_core::gatelog::GateEvent::Abort`] has no room for).
+#[derive(Clone, Copy)]
+struct Ended {
+    commit: bool,
+    /// The population the attempt's release left.
+    in_system: u32,
+    response_ms: f64,
+    conflicts: u64,
+    admitted_at_ms: f64,
+    /// The worker lane the span goes on, below [`TRACE_LANES`].
+    lane: u8,
+}
+
+const NO_RECORD: Record = Record {
     at_ms: 0.0,
-    in_system: 0,
+    fact: Fact::Shed,
 };
+
+impl Record {
+    fn feed(&self, core: &mut LoopCore) {
+        match self.fact {
+            Fact::Mpl(in_system) => core.on_mpl(self.at_ms, in_system),
+            Fact::Ended(e) if e.commit => core.on_commit(self.at_ms, e.response_ms, e.conflicts),
+            Fact::Ended(e) => core.on_abort(self.at_ms, e.conflicts),
+            Fact::Shed => core.on_shed(),
+        }
+    }
+
+    /// The record's trace line, in the simulator's vocabulary.
+    fn trace_line(&self) -> TraceEvent {
+        let at_ms = self.at_ms;
+        match self.fact {
+            Fact::Mpl(in_system) => TraceEvent::counter(MPL, at_ms, PID_NODE, f64::from(in_system)),
+            Fact::Ended(e) => {
+                let outcome = if e.commit { "commit" } else { "abort" };
+                let (since, lane) = (e.admitted_at_ms, 1 + u32::from(e.lane));
+                TraceEvent::complete(ATTEMPT, tcat::TXN, since, at_ms - since, PID_NODE, lane)
+                    .with(TraceArgs::Outcome(outcome))
+            }
+            Fact::Shed => {
+                TraceEvent::instant(CLIENT_SHED, tcat::CLIENT, at_ms, PID_NODE, TID_CONTROL)
+            }
+        }
+    }
+}
+
+/// A sink's panic, held until the batch is in.
+type Fault = Option<Box<dyn Any + Send>>;
+
+/// Runs `f`, keeping its panic in `fault` unless one is there already.
+fn contain(fault: &mut Fault, f: impl FnOnce()) {
+    if let Err(panic) = catch_unwind(AssertUnwindSafe(f)) {
+        fault.get_or_insert(panic);
+    }
+}
+
+fn raise(fault: Fault) {
+    if let Some(panic) = fault {
+        resume_unwind(panic);
+    }
+}
 
 /// One recording stripe, on cache lines of its own.
 #[repr(align(128))]
 struct Stripe(Mutex<StripeBuf>);
 
 struct StripeBuf {
-    /// Events recorded since the last drain, in timestamp order.
-    events: [GateEvent; STRIPE_EVENTS],
+    /// Records appended since the last drain, in timestamp order.
+    records: [Record; STRIPE_EVENTS],
     len: usize,
-    /// Arrivals shed since the last drain.
-    sheds: u64,
     /// Admissions recorded here since construction.
     admissions: u64,
 }
 
 impl StripeBuf {
-    fn push(&mut self, event: GateEvent) {
-        self.events[self.len] = event;
+    fn push(&mut self, at_ms: f64, fact: Fact) {
+        self.records[self.len] = Record { at_ms, fact };
         self.len += 1;
     }
 }
@@ -177,18 +252,20 @@ fn stripe_index() -> usize {
 }
 
 /// A held admission slot, returned by [`ControlLoop::admit`]. Wraps the
-/// gate's permit with the admission timestamp and a sequence number, so
-/// [`ControlLoop::complete`] can emit the attempt's lifecycle span
-/// without any per-attempt bookkeeping in the loop. Dropping it without
-/// `complete` (a worker unwinding, say) releases the slot and reports the
-/// population left as an `Mpl` event and an `mpl` counter, but no
-/// outcome: no departure, no attempt span.
+/// gate's permit with the admission timestamp and a trace lane, so
+/// [`ControlLoop::complete`] can record everything the attempt's span
+/// needs without any per-attempt bookkeeping in the loop. Dropping it
+/// without `complete` (a worker unwinding, say) releases the slot and
+/// records the population left — an `Mpl` event and an `mpl` counter —
+/// but no outcome: no departure, no attempt span. Like every record, it
+/// reaches the sinks at the next drain.
 pub struct AdmittedPermit<'a> {
     rt: &'a ControlLoop,
     /// `None` once [`ControlLoop::complete`] has taken it.
     inner: Option<Permit<'a>>,
     admitted_at_ms: f64,
-    seq: u64,
+    /// The attempt's trace lane.
+    lane: u8,
 }
 
 impl Drop for AdmittedPermit<'_> {
@@ -196,24 +273,20 @@ impl Drop for AdmittedPermit<'_> {
         if let Some(inner) = self.inner.take() {
             let now = self.rt.now_ms();
             let in_system = inner.release();
-            // Recording runs the sinks; a panic there while this thread
-            // unwinds would abort, so it ends here (the hook reported it).
+            // A drain here runs the sinks; a panic there while this
+            // thread unwinds would abort, so it ends here (the hook
+            // reported it). The record is in either way.
             let _ = catch_unwind(AssertUnwindSafe(|| {
-                self.rt.record(1, |stripe, _| {
-                    stripe.push(GateEvent::Mpl {
-                        at_ms: now,
-                        in_system,
-                    });
-                });
-                self.rt.trace_mpl(now, in_system);
+                self.rt
+                    .record(1, |stripe, _| stripe.push(now, Fact::Mpl(in_system)));
             }));
         }
     }
 }
 
 /// How many worker lanes attempt spans are spread over in traces: the
-/// sequence number is folded modulo this, keeping concurrent attempts on
-/// distinct Perfetto rows without unbounded lane growth.
+/// admission's sequence number is folded modulo this, keeping concurrent
+/// attempts on distinct Perfetto rows without unbounded lane growth.
 const TRACE_LANES: u64 = 32;
 
 impl ControlLoop {
@@ -223,92 +296,103 @@ impl ControlLoop {
         indicator: PerfIndicator,
         policy: AdmissionPolicy,
     ) -> Self {
-        let gate = Arc::new(AdaptiveGate::new(law.current_bound()));
         ControlLoop {
-            gate,
+            gate: Arc::new(AdaptiveGate::new(law.current_bound())),
             policy,
             shell: Mutex::new(Shell {
                 core: LoopCore::new(law, indicator),
-                scratch: vec![NO_EVENT; STRIPES * STRIPE_EVENTS].into_boxed_slice(),
+                trace: None,
+                scratch: vec![NO_RECORD; STRIPES * STRIPE_EVENTS].into_boxed_slice(),
             }),
             stripes: (0..STRIPES)
                 .map(|_| {
                     Stripe(Mutex::new(StripeBuf {
-                        events: [NO_EVENT; STRIPE_EVENTS],
+                        records: [NO_RECORD; STRIPE_EVENTS],
                         len: 0,
-                        sheds: 0,
                         admissions: 0,
                     }))
                 })
                 .collect(),
-            tracing: AtomicBool::new(false),
-            trace: Mutex::new(None),
             // alc-lint: allow(wall-clock, reason="epoch stamp at construction; all later times are durations from it")
             epoch: std::time::Instant::now(),
         }
     }
 
     /// Runs `write` on the calling thread's stripe once it has room for
-    /// `events` more events, draining first if it has not. `write` also
-    /// gets the stripe's index.
-    fn record<R>(&self, events: usize, write: impl FnOnce(&mut StripeBuf, usize) -> R) -> R {
+    /// `records` more records, draining first if it has not. `write` also
+    /// gets the stripe's index. A sink's panic in that drain is raised
+    /// only after `write` has run, so the caller's fact is never lost.
+    fn record<R>(&self, records: usize, write: impl FnOnce(&mut StripeBuf, usize) -> R) -> R {
         let index = stripe_index();
         let stripe = &self.stripes[index].0;
+        let mut fault = None;
         loop {
-            {
-                let mut buf = stripe.lock().unwrap_or_else(PoisonError::into_inner);
-                if buf.len + events <= STRIPE_EVENTS {
-                    return write(&mut buf, index);
-                }
+            let mut buf = stripe.lock().unwrap_or_else(PoisonError::into_inner);
+            if buf.len + records <= STRIPE_EVENTS {
+                let written = write(&mut buf, index);
+                drop(buf);
+                raise(fault);
+                return written;
             }
-            self.drain(&mut self.shell.lock().unwrap_or_else(PoisonError::into_inner));
+            drop(buf);
+            let panic = self.drain(&mut self.shell.lock().unwrap_or_else(PoisonError::into_inner));
+            fault = fault.or(panic);
         }
     }
 
-    /// Empties every stripe into the core: sheds as counts, events merged
-    /// by timestamp and fed one by one. The caller holds the core mutex;
-    /// each stripe is locked only while it is copied out. A gate-log sink
-    /// that panics costs the log its line, not the window the rest of the
-    /// batch: the merge goes on, and the first panic is raised once every
-    /// event is in.
-    fn drain(&self, shell: &mut Shell) {
-        let Shell { core, scratch } = shell;
+    /// Empties every stripe into the core and the trace sink: records
+    /// merged by timestamp, each fed to the core, then traced. The caller
+    /// holds the core mutex; each stripe is locked only while copied out.
+    /// A sink that panics costs its line, not the window the rest of the
+    /// batch: the first panic is returned once every record is in.
+    fn drain(&self, shell: &mut Shell) -> Fault {
+        let (core, trace, scratch) = (&mut shell.core, &mut shell.trace, &mut shell.scratch);
         // The non-empty runs still to feed, as ranges of `scratch`.
         let mut runs = [(0, 0); STRIPES];
         let mut active = 0;
         for (i, stripe) in self.stripes.iter().enumerate() {
             let mut buf = stripe.0.lock().unwrap_or_else(PoisonError::into_inner);
             let (start, len) = (i * STRIPE_EVENTS, buf.len);
-            scratch[start..start + len].copy_from_slice(&buf.events[..len]);
+            scratch[start..start + len].copy_from_slice(&buf.records[..len]);
             buf.len = 0;
-            let sheds = std::mem::take(&mut buf.sheds);
             drop(buf);
             if len > 0 {
                 runs[active] = (start, start + len);
                 active += 1;
             }
-            for _ in 0..sheds {
-                core.on_shed();
-            }
         }
         // Earliest head first; ties go to the lower stripe, and within a
         // stripe order is kept because only heads are taken.
-        let logging = core.has_gate_log();
+        let sinks = core.has_gate_log() || trace.is_some();
         let mut fault = None;
         while active > 0 {
             let mut first = 0;
             for run in 1..active {
-                if scratch[runs[run].0].at_ms() < scratch[runs[first].0].at_ms() {
+                if scratch[runs[run].0].at_ms < scratch[runs[first].0].at_ms {
                     first = run;
                 }
             }
-            let event = &scratch[runs[first].0];
-            if logging {
-                if let Err(panic) = catch_unwind(AssertUnwindSafe(|| core.feed(event))) {
-                    fault.get_or_insert(panic);
+            let record = scratch[runs[first].0];
+            // A completion's record also carries the population its
+            // release left: fed and traced as a record of its own.
+            let release = match record.fact {
+                Fact::Ended(e) => Some(Record {
+                    at_ms: record.at_ms,
+                    fact: Fact::Mpl(e.in_system),
+                }),
+                _ => None,
+            };
+            for part in std::iter::once(record).chain(release) {
+                if sinks {
+                    contain(&mut fault, || {
+                        part.feed(core);
+                        if let Some(trace) = trace {
+                            trace.emit(&part.trace_line());
+                        }
+                    });
+                } else {
+                    part.feed(core);
                 }
-            } else {
-                core.feed(event);
             }
             runs[first].0 += 1;
             if runs[first].0 == runs[first].1 {
@@ -317,50 +401,27 @@ impl ControlLoop {
                 active -= 1;
             }
         }
-        if let Some(panic) = fault {
-            resume_unwind(panic);
-        }
+        fault
     }
 
-    /// Runs `emit` on the trace sink, if one is installed.
-    fn trace(&self, emit: impl FnOnce(&mut dyn TraceSink)) {
-        // Acquire pairs with the Release in `set_trace_sink`; the sink
-        // itself is handed over by the mutex.
-        if self.tracing.load(Ordering::Acquire) {
-            let mut trace = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(t) = trace.as_mut() {
-                emit(t.as_mut());
-            }
-        }
-    }
-
-    /// Emits the `mpl` counter for a population change, if tracing.
-    fn trace_mpl(&self, now: f64, in_system: u32) {
-        self.trace(|t| {
-            t.emit(&TraceEvent::counter(
-                tname::MPL,
-                now,
-                alc_trace::PID_NODE,
-                f64::from(in_system),
-            ));
-        });
+    /// Drains under the core mutex, then raises a sink's panic, if any.
+    fn flush(&self) -> std::sync::MutexGuard<'_, Shell> {
+        let mut shell = self.shell.lock().unwrap_or_else(PoisonError::into_inner);
+        raise(self.drain(&mut shell));
+        shell
     }
 
     /// Installs a gate-log recorder (e.g. [`crate::log::JsonlSink`]).
     /// Events recorded before the call are fed to the core first, so
     /// the log starts at a definite point of the stream.
     pub fn set_gate_log(&self, sink: Box<dyn GateLogSink>) {
-        let mut shell = self.shell.lock().unwrap_or_else(PoisonError::into_inner);
-        self.drain(&mut shell);
-        shell.core.set_gate_log(sink);
+        self.flush().core.set_gate_log(sink);
     }
 
     /// Removes and returns the recorder (to flush/inspect after a run),
     /// complete up to the call.
     pub fn take_gate_log(&self) -> Option<Box<dyn GateLogSink>> {
-        let mut shell = self.shell.lock().unwrap_or_else(PoisonError::into_inner);
-        self.drain(&mut shell);
-        shell.core.take_gate_log()
+        self.flush().core.take_gate_log()
     }
 
     /// Installs a span/event trace sink (e.g. an
@@ -369,38 +430,25 @@ impl ControlLoop {
     /// unit of work (outcome-tagged at completion), `mpl`/`bound`
     /// counters, `gate.decision` instants on each tick, and
     /// `client.shed` instants for shed arrivals — all stamped with ms
-    /// since the loop's epoch.
+    /// since the loop's epoch. The sink names the process and its lanes
+    /// here; after that it runs only in drains, so lines arrive in
+    /// batches, in stamp order within each, and a decision's lines once
+    /// its bound is in force. Records made before the call are fed
+    /// first, so nothing recorded before installation is traced.
     pub fn set_trace_sink(&self, mut sink: Box<dyn TraceSink>) {
-        sink.emit(&TraceEvent::process_name(
-            alc_trace::PID_NODE,
-            "runtime",
-            None,
-        ));
-        sink.emit(&TraceEvent::thread_name(
-            alc_trace::PID_NODE,
-            alc_trace::TID_CONTROL,
-            "control",
-            None,
-        ));
+        let name = |tid, name, lane| TraceEvent::thread_name(PID_NODE, tid, name, lane);
+        sink.emit(&TraceEvent::process_name(PID_NODE, "runtime", None));
+        sink.emit(&name(TID_CONTROL, "control", None));
         for lane in 0..TRACE_LANES as u32 {
-            sink.emit(&TraceEvent::thread_name(
-                alc_trace::PID_NODE,
-                1 + lane,
-                "worker-",
-                Some(lane),
-            ));
+            sink.emit(&name(1 + lane, "worker-", Some(lane)));
         }
-        *self.trace.lock().unwrap_or_else(PoisonError::into_inner) = Some(sink);
-        self.tracing.store(true, Ordering::Release);
+        self.flush().trace = Some(sink);
     }
 
-    /// Removes and returns the trace sink (to finish/flush it).
+    /// Removes and returns the trace sink (to finish/flush it), complete
+    /// up to the call: what was recorded before it is traced first.
     pub fn take_trace_sink(&self) -> Option<Box<dyn TraceSink>> {
-        self.tracing.store(false, Ordering::Release);
-        self.trace
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
+        self.flush().trace.take()
     }
 
     /// Milliseconds since construction — the loop's time base.
@@ -426,136 +474,89 @@ impl ControlLoop {
             AdmissionPolicy::Shed => self.gate.try_acquire(),
         };
         let Some(inner) = permit else {
-            self.record(0, |stripe, _| stripe.sheds += 1);
-            self.trace(|t| {
-                t.emit(&TraceEvent::instant(
-                    tname::CLIENT_SHED,
-                    tcat::CLIENT,
-                    self.now_ms(),
-                    alc_trace::PID_NODE,
-                    alc_trace::TID_CONTROL,
-                ));
-            });
+            let now = self.now_ms();
+            self.record(1, |stripe, _| stripe.push(now, Fact::Shed));
             return None;
         };
         let now = self.now_ms();
         let in_system = inner.population();
-        let seq = self.record(1, |stripe, index| {
-            stripe.push(GateEvent::Mpl {
-                at_ms: now,
-                in_system,
-            });
-            stripe.admissions += 1;
-            // Distinct across stripes without a shared counter.
-            (stripe.admissions - 1) * STRIPES as u64 + index as u64
-        });
-        // Built before tracing: a sink that panics here unwinds through
-        // the permit's drop, which gives the slot back.
-        let permit = AdmittedPermit {
+        // Built before recording: a sink that panics in a drain here
+        // unwinds through the permit's drop, which gives the slot back.
+        let mut permit = AdmittedPermit {
             rt: self,
             inner: Some(inner),
             admitted_at_ms: now,
-            seq,
+            lane: 0,
         };
-        self.trace_mpl(now, in_system);
+        permit.lane = self.record(1, |stripe, index| {
+            stripe.push(now, Fact::Mpl(in_system));
+            stripe.admissions += 1;
+            // A sequence number distinct across stripes without a shared
+            // counter, folded onto the lanes.
+            let seq = (stripe.admissions - 1) * STRIPES as u64 + index as u64;
+            (seq % TRACE_LANES) as u8
+        });
         Some(permit)
     }
 
     /// Reports how an admitted unit of work ended, releasing its slot.
     pub fn complete(&self, mut permit: AdmittedPermit<'_>, outcome: Outcome) {
         let inner = permit.inner.take().expect("complete runs once");
-        let (admitted_at_ms, seq) = (permit.admitted_at_ms, permit.seq);
+        let (admitted_at_ms, lane) = (permit.admitted_at_ms, permit.lane);
         let now = self.now_ms();
         // Clock first, release second: 5 % faster on the two-thread
         // ledger than the other order — the less a caller does between
         // its release and its next `admit`, the likelier the gate's line
         // is still in its cache.
         let in_system = inner.release();
-        let (ended, outcome_name) = match outcome {
+        let (commit, response_ms, conflicts) = match outcome {
             Outcome::Commit {
                 response_ms,
                 conflicts,
-            } => (
-                GateEvent::Commit {
-                    at_ms: now,
-                    // NaN to 0, the rest into [0, f64::MAX]: one bad
-                    // reading cannot turn the window's mean and quantiles
-                    // into NaN or a negative time, nor write a gate log
-                    // that does not read back (JSON has no NaN or ∞).
-                    response_ms: if response_ms.is_nan() {
-                        0.0
-                    } else {
-                        response_ms.clamp(0.0, f64::MAX)
-                    },
-                    conflicts,
-                },
-                "commit",
-            ),
-            Outcome::Abort { conflicts } => (
-                GateEvent::Abort {
-                    at_ms: now,
-                    conflicts,
-                },
-                "abort",
-            ),
+            } => (true, response_ms, conflicts),
+            Outcome::Abort { conflicts } => (false, 0.0, conflicts),
         };
-        self.record(2, |stripe, _| {
-            stripe.push(ended);
-            stripe.push(GateEvent::Mpl {
-                at_ms: now,
-                in_system,
-            });
+        let ended = Fact::Ended(Ended {
+            commit,
+            in_system,
+            // NaN to 0, the rest into [0, f64::MAX]: one bad reading
+            // cannot turn the window's mean and quantiles into NaN or a
+            // negative time, nor write a gate log that does not read back
+            // (JSON has no NaN or ∞).
+            response_ms: if response_ms.is_nan() {
+                0.0
+            } else {
+                response_ms.clamp(0.0, f64::MAX)
+            },
+            conflicts,
+            admitted_at_ms,
+            lane,
         });
-        self.trace(|t| {
-            t.emit(
-                &TraceEvent::complete(
-                    tname::ATTEMPT,
-                    tcat::TXN,
-                    admitted_at_ms,
-                    now - admitted_at_ms,
-                    alc_trace::PID_NODE,
-                    1 + (seq % TRACE_LANES) as u32,
-                )
-                .with(TraceArgs::Outcome(outcome_name)),
-            );
-            t.emit(&TraceEvent::counter(
-                tname::MPL,
-                now,
-                alc_trace::PID_NODE,
-                f64::from(in_system),
-            ));
-        });
+        self.record(1, |stripe, _| stripe.push(now, ended));
     }
 
     /// Closes the measurement window, runs the law, and pushes the new
     /// bound into the gate. Call from a timer at the measurement cadence.
+    /// The bound is in force before the decision is traced, and a sink's
+    /// panic in the drain is raised only once it is.
     pub fn tick(&self) -> Decision {
         let queue_depth = self.gate.stats().waiting;
-        let decision = {
-            let mut shell = self.shell.lock().unwrap_or_else(PoisonError::into_inner);
-            self.drain(&mut shell);
-            // Stamped after the drain: nothing in the window is later.
-            shell.core.harvest(self.now_ms(), queue_depth)
-        };
+        let mut shell = self.shell.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut fault = self.drain(&mut shell);
+        // Stamped after the drain: nothing in the window is later.
+        let decision = shell.core.harvest(self.now_ms(), queue_depth);
         self.gate.set_limit(decision.bound);
-        self.trace(|t| {
-            t.emit(
-                &TraceEvent::instant(
-                    tname::GATE_DECISION,
-                    tcat::GATE,
-                    decision.at_ms,
-                    alc_trace::PID_NODE,
-                    alc_trace::TID_CONTROL,
-                )
-                .with(TraceArgs::Bound(decision.bound)),
-            );
-            t.emit(&TraceEvent::counter(
-                tname::BOUND,
-                decision.at_ms,
-                alc_trace::PID_NODE,
-                f64::from(decision.bound),
-            ));
-        });
+        if let Some(trace) = shell.trace.as_mut() {
+            let (at_ms, bound) = (decision.at_ms, decision.bound);
+            let instant =
+                TraceEvent::instant(GATE_DECISION, tcat::GATE, at_ms, PID_NODE, TID_CONTROL);
+            let counter = TraceEvent::counter(BOUND, at_ms, PID_NODE, f64::from(bound));
+            for line in [instant.with(TraceArgs::Bound(bound)), counter] {
+                contain(&mut fault, || trace.emit(&line));
+            }
+        }
+        drop(shell);
+        raise(fault);
         decision
     }
 
@@ -567,8 +568,7 @@ impl ControlLoop {
     pub fn metrics(&self) -> MetricsSnapshot {
         let now = self.now_ms();
         let stats = self.gate.stats();
-        let mut shell = self.shell.lock().unwrap_or_else(PoisonError::into_inner);
-        self.drain(&mut shell);
+        let shell = self.flush();
         let (commits, aborts, sheds, decisions) = shell.core.totals();
         let last = shell.core.last_decision();
         let (window, queue_depth) = match last {
@@ -598,10 +598,11 @@ impl ControlLoop {
 }
 
 impl Drop for ControlLoop {
-    /// Feeds what is still buffered, so a gate log left installed ends
-    /// complete.
+    /// Feeds what is still buffered, so a gate log or trace sink left
+    /// installed ends complete. A sink's panic ends here (the hook
+    /// reported it): raised while the thread unwinds, it would abort.
     fn drop(&mut self) {
-        self.drain(&mut self.shell.lock().unwrap_or_else(PoisonError::into_inner));
+        drop(self.drain(&mut self.shell.lock().unwrap_or_else(PoisonError::into_inner)));
     }
 }
 
@@ -609,6 +610,8 @@ impl Drop for ControlLoop {
 mod tests {
     use super::*;
     use crate::law::{AimdLaw, AimdParams};
+    use alc_core::gatelog::GateEvent;
+    use alc_trace::name as tname;
 
     fn aimd_loop(policy: AdmissionPolicy, initial_bound: u32) -> ControlLoop {
         ControlLoop::new(

@@ -64,14 +64,17 @@ impl AimdLaw {
             params.decrease > 0.0 && params.decrease < 1.0,
             "decrease must be in (0, 1)"
         );
-        let bound = params.initial_bound.clamp(params.min_bound, params.max_bound);
+        let bound = params
+            .initial_bound
+            .clamp(params.min_bound, params.max_bound);
         AimdLaw { params, bound }
     }
 
     fn overloaded(&self, window: &WindowSnapshot) -> bool {
         let m = &window.measurement;
         m.abort_ratio() > self.params.abort_ratio_high
-            || (self.params.latency_target_ms > 0.0 && window.p95_ms > self.params.latency_target_ms)
+            || (self.params.latency_target_ms > 0.0
+                && window.p95_ms > self.params.latency_target_ms)
     }
 }
 

@@ -121,10 +121,7 @@ fn metrics_line(snapshot: &MetricsSnapshot) -> String {
 }
 
 /// Writes a snapshot series to `w`, one JSONL line each.
-pub fn write_metrics_jsonl<W: Write>(
-    mut w: W,
-    snapshots: &[MetricsSnapshot],
-) -> io::Result<()> {
+pub fn write_metrics_jsonl<W: Write>(mut w: W, snapshots: &[MetricsSnapshot]) -> io::Result<()> {
     for s in snapshots {
         writeln!(w, "{}", metrics_line(s))?;
     }

@@ -86,9 +86,7 @@ pub fn check_conformance(
         .iter()
         .zip(&replayed)
         .position(|(a, b)| a != b)
-        .or_else(|| {
-            (recorded.len() != replayed.len()).then(|| recorded.len().min(replayed.len()))
-        });
+        .or_else(|| (recorded.len() != replayed.len()).then(|| recorded.len().min(replayed.len())));
     Conformance {
         recorded,
         replayed,
@@ -138,7 +136,10 @@ mod tests {
             if step % 7 == 3 {
                 t += 1.0;
                 sampler.on_abort(2);
-                events.push(GateEvent::Abort { at_ms: t, conflicts: 2 });
+                events.push(GateEvent::Abort {
+                    at_ms: t,
+                    conflicts: 2,
+                });
             }
             t = f64::from(step + 1) * 500.0;
             let m = sampler.harvest(t);

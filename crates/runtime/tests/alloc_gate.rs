@@ -11,7 +11,11 @@
 //! buffer sized at construction, telemetry counts response times into a
 //! histogram allocated with the loop, and the AIMD law is pure
 //! arithmetic. (The JSONL gate-log sink is the documented exception — logging buys bytes with
-//! allocations — so the measured loop runs without one.)
+//! allocations — so the measured loop runs without one.) A second window
+//! runs the same work with a [`CountingSink`] trace installed after the
+//! first: its lines are made from the stripes' records in the drains,
+//! and once its tallies have their keys, tracing allocates nothing
+//! either.
 //!
 //! Kept as its own integration-test binary so the global allocator
 //! cannot race with unrelated tests, and built with `harness = false`:
@@ -26,6 +30,7 @@ use std::sync::Barrier;
 
 use alc_core::measure::PerfIndicator;
 use alc_runtime::{AdmissionPolicy, AimdLaw, AimdParams, ControlLoop, Outcome};
+use alc_trace::CountingSink;
 
 struct CountingAlloc;
 
@@ -97,33 +102,47 @@ fn main() {
 
     // Main ticks every 97 ops; the second caller never does, so its
     // stripe drains only by filling up (its own drains) and by main's.
-    // Spawning allocates, so the second caller exists before the window
-    // opens and waits at a barrier on either side of it.
-    let (opened, closed) = (Barrier::new(2), Barrier::new(2));
-    let measured = std::thread::scope(|s| {
+    // Spawning allocates, so the second caller exists before the windows
+    // open and waits at a barrier on either side of each. Between the
+    // windows, main installs the trace sink, and both callers warm its
+    // tallies up.
+    let barrier = Barrier::new(2);
+    let window = |tick_every| {
+        barrier.wait();
+        let before = allocations();
+        churn(&rt, MEASURED_OPS, tick_every);
+        barrier.wait();
+        allocations() - before
+    };
+    let (plain, traced) = std::thread::scope(|s| {
         s.spawn(|| {
             churn(&rt, WARMUP_OPS, usize::MAX);
-            opened.wait();
-            churn(&rt, MEASURED_OPS, usize::MAX);
-            closed.wait();
+            window(usize::MAX);
+            barrier.wait();
+            churn(&rt, WARMUP_OPS, usize::MAX);
+            window(usize::MAX);
         });
         churn(&rt, WARMUP_OPS, 97);
-        opened.wait();
-        let before = allocations();
-        churn(&rt, MEASURED_OPS, 97);
-        closed.wait();
-        allocations() - before
+        let plain = window(97);
+        rt.set_trace_sink(Box::new(CountingSink::new()));
+        barrier.wait();
+        churn(&rt, WARMUP_OPS, 97);
+        (plain, window(97))
     });
 
     assert_eq!(
-        measured, 0,
-        "admit/complete/tick fast path allocated {measured} times over 2 x {MEASURED_OPS} steady-state ops"
+        plain, 0,
+        "admit/complete/tick fast path allocated {plain} times over 2 x {MEASURED_OPS} steady-state ops"
+    );
+    assert_eq!(
+        traced, 0,
+        "with a counting trace sink, admit/complete/tick allocated {traced} times over 2 x {MEASURED_OPS} steady-state ops"
     );
     let m = rt.metrics();
     assert_eq!(
         m.commits + m.aborts,
-        2 * (WARMUP_OPS + MEASURED_OPS) as u64,
+        4 * (WARMUP_OPS + MEASURED_OPS) as u64,
         "both callers' completions reached the core"
     );
-    println!("alloc_gate ok: admit/complete/tick fast path allocation-free");
+    println!("alloc_gate ok: admit/complete/tick fast path allocation-free, traced or not");
 }

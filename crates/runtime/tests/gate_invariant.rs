@@ -130,7 +130,9 @@ fn concurrent_workers_never_exceed_the_bound() {
     use std::sync::atomic::{AtomicI32, Ordering};
 
     let rt = ControlLoop::new(
-        Box::new(PaperLaw::new(Box::new(alc_core::controller::FixedBound::new(3)))),
+        Box::new(PaperLaw::new(Box::new(
+            alc_core::controller::FixedBound::new(3),
+        ))),
         PerfIndicator::Throughput,
         AdmissionPolicy::Queue,
     );
@@ -156,7 +158,10 @@ fn concurrent_workers_never_exceed_the_bound() {
             });
         }
     });
-    assert!(peak.load(Ordering::SeqCst) <= 3, "peak {peak:?} above bound 3");
+    assert!(
+        peak.load(Ordering::SeqCst) <= 3,
+        "peak {peak:?} above bound 3"
+    );
     assert_eq!(rt.gate().in_use(), 0);
     assert_eq!(rt.gate().stats().total_admitted, 16 * 50);
     let d = rt.tick();

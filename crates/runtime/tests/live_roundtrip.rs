@@ -7,7 +7,8 @@
 //! single caller's stream reaches the core exactly as issued, so that
 //! the shell decides precisely what a bare core would (the scripted
 //! test). A third test hands a baton between two callers to pin the
-//! order in which a drain merges their stripes.
+//! order in which a drain merges their stripes, and a fourth holds the
+//! trace to the same facts the metrics and the gate log count.
 
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -19,6 +20,8 @@ use alc_runtime::{
     ControlLaw, ControlLoop, GateLogHeader, LoopCore, Outcome, PaperLaw, RetryBudgetLaw,
     RetryBudgetParams,
 };
+use alc_trace::name::{ATTEMPT, BOUND, CLIENT_SHED, GATE_DECISION, MPL};
+use alc_trace::{Args, CountingSink, Phase, TraceEvent, TraceSink};
 
 /// A sink whose buffer outlives the boxed recorder the loop owns.
 struct SharedSink(Arc<Mutex<Vec<GateEvent>>>);
@@ -180,6 +183,100 @@ fn live_capture_is_complete_and_replays_identically() {
         );
         assert_eq!(c.recorded.len() as u64, ticks, "{name}");
     }
+}
+
+/// A counting trace whose tallies outlive the boxed sink the loop owns,
+/// plus the aborted `attempt` spans (`CountingSink` keys outcomes of
+/// span ends only).
+#[derive(Default)]
+struct TraceTally {
+    counts: CountingSink,
+    aborted: u64,
+}
+
+struct SharedTrace(Arc<Mutex<TraceTally>>);
+
+impl TraceSink for SharedTrace {
+    fn emit(&mut self, event: &TraceEvent) {
+        let mut tally = self.0.lock().expect("trace tally");
+        tally.counts.emit(event);
+        tally.aborted += u64::from(matches!(event.args, Args::Outcome("abort")));
+    }
+}
+
+/// `THREADS` callers under `Shed`, each arriving three times a round
+/// against a bound of at most two, so at least one arrival a round is
+/// refused, with thread 0 ticking: every fact the
+/// loop counts is traced exactly once. Attempt spans by outcome are the
+/// commits and aborts, `client.shed` instants the sheds, `gate.decision`
+/// instants and `bound` counters the decisions, and `mpl` counters the
+/// gate log's `Mpl` lines.
+#[test]
+fn the_trace_reconciles_with_the_metrics_and_the_gate_log() {
+    const ROUNDS: u64 = 2_000;
+    let rt = ControlLoop::new(
+        Box::new(AimdLaw::new(AimdParams {
+            initial_bound: 2,
+            min_bound: 1,
+            max_bound: 2,
+            ..AimdParams::default()
+        })),
+        PerfIndicator::Throughput,
+        AdmissionPolicy::Shed,
+    );
+    let log = capture(&rt);
+    let tally = Arc::new(Mutex::new(TraceTally::default()));
+    rt.set_trace_sink(Box::new(SharedTrace(Arc::clone(&tally))));
+    let start = Barrier::new(THREADS as usize);
+    std::thread::scope(|s| {
+        for tid in 0..THREADS {
+            let (rt, start) = (&rt, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..ROUNDS {
+                    let arrivals = [rt.admit(), rt.admit(), rt.admit()];
+                    for (k, permit) in arrivals.into_iter().flatten().enumerate() {
+                        let outcome = if (i + k as u64) % ABORT_EVERY == tid {
+                            Outcome::Abort { conflicts: 1 }
+                        } else {
+                            Outcome::Commit {
+                                response_ms: 1.0,
+                                conflicts: 0,
+                            }
+                        };
+                        rt.complete(permit, outcome);
+                    }
+                    if tid == 0 && i % 64 == 63 {
+                        rt.tick();
+                    }
+                }
+            });
+        }
+    });
+    let m = rt.metrics();
+    drop(rt.take_trace_sink());
+    drop(rt.take_gate_log());
+    assert!(m.commits > 0 && m.aborts > 0 && m.sheds > 0 && m.decisions > 0);
+    assert_eq!(m.commits + m.aborts + m.sheds, 3 * THREADS * ROUNDS);
+
+    let tally = tally.lock().expect("trace tally");
+    let count = |ph, name| tally.counts.count(ph, name).total;
+    let attempts = count(Phase::Complete, ATTEMPT);
+    assert_eq!(
+        (attempts - tally.aborted, tally.aborted),
+        (m.commits, m.aborts),
+        "attempt spans by outcome"
+    );
+    assert_eq!(count(Phase::Mark, CLIENT_SHED), m.sheds);
+    assert_eq!(count(Phase::Mark, GATE_DECISION), m.decisions);
+    assert_eq!(count(Phase::Counter, BOUND), m.decisions);
+    let events = log.lock().expect("sink buffer");
+    let mpl_lines = events
+        .iter()
+        .filter(|e| matches!(e, GateEvent::Mpl { .. }))
+        .count() as u64;
+    assert_eq!(mpl_lines, 2 * (m.commits + m.aborts));
+    assert_eq!(count(Phase::Counter, MPL), mpl_lines);
 }
 
 /// One caller, one scripted op sequence (admissions, sheds at a full

@@ -25,8 +25,7 @@ use alc_core::gatelog::GateEvent;
 use alc_core::measure::PerfIndicator;
 use alc_runtime::{
     read_gate_log, read_metrics_jsonl, replay, write_metrics_jsonl, AimdLaw, AimdParams,
-    ControlLaw, JsonlError, MetricsSnapshot, PaperLaw, RetryBudgetLaw,
-    RetryBudgetParams,
+    ControlLaw, JsonlError, MetricsSnapshot, PaperLaw, RetryBudgetLaw, RetryBudgetParams,
 };
 
 /// The head of a checked-in log: header, population changes, commits,
@@ -162,8 +161,12 @@ fn paper(controller: impl LoadController + 'static) -> Box<dyn ControlLaw> {
 fn laws() -> [(&'static str, u32, MakeLaw); 8] {
     let (is, pa) = (IsParams::default().min_bound, PaParams::default().min_bound);
     [
-        ("IS", is, || paper(IncrementalSteps::new(IsParams::default()))),
-        ("PA", pa, || paper(ParabolaApproximation::new(PaParams::default()))),
+        ("IS", is, || {
+            paper(IncrementalSteps::new(IsParams::default()))
+        }),
+        ("PA", pa, || {
+            paper(ParabolaApproximation::new(PaParams::default()))
+        }),
         ("Hybrid", HybridParams::default().is.min_bound, || {
             paper(Hybrid::new(HybridParams::default()))
         }),
@@ -171,14 +174,22 @@ fn laws() -> [(&'static str, u32, MakeLaw); 8] {
             paper(IyerRule::new(IyerRuleParams::default()))
         }),
         ("SelfTuningIs", is, || {
-            paper(SelfTuningIs::new(IsParams::default(), OuterParams::default()))
+            paper(SelfTuningIs::new(
+                IsParams::default(),
+                OuterParams::default(),
+            ))
         }),
         ("SelfTuningPa", pa, || {
-            paper(SelfTuningPa::new(PaParams::default(), PaOuterParams::default()))
+            paper(SelfTuningPa::new(
+                PaParams::default(),
+                PaOuterParams::default(),
+            ))
         }),
-        ("RetryBudget", RetryBudgetParams::default().min_bound, || {
-            Box::new(RetryBudgetLaw::new(RetryBudgetParams::default()))
-        }),
+        (
+            "RetryBudget",
+            RetryBudgetParams::default().min_bound,
+            || Box::new(RetryBudgetLaw::new(RetryBudgetParams::default())),
+        ),
         ("AIMD", AimdParams::default().min_bound, || {
             Box::new(AimdLaw::new(AimdParams::default()))
         }),
@@ -198,7 +209,10 @@ fn replay_through_every_law(events: &[GateEvent], what: &str) {
             let GateEvent::Decision { bound, .. } = decision else {
                 panic!("{what}: replay returned {decision:?}");
             };
-            assert!(bound >= floor, "{what}: bound {bound} under the floor {floor}");
+            assert!(
+                bound >= floor,
+                "{what}: bound {bound} under the floor {floor}"
+            );
         }
     }
 }
@@ -209,9 +223,15 @@ fn check_error(bytes: &[u8], what: &str, line: Option<usize>) {
     match line {
         Some(line) => {
             let lines = bytes.split(|&b| b == b'\n').count();
-            assert!((1..=lines).contains(&line), "{what}: error names line {line} of {lines}");
+            assert!(
+                (1..=lines).contains(&line),
+                "{what}: error names line {line} of {lines}"
+            );
         }
-        None => assert!(std::str::from_utf8(bytes).is_err(), "{what}: I/O error on UTF-8 input"),
+        None => assert!(
+            std::str::from_utf8(bytes).is_err(),
+            "{what}: I/O error on UTF-8 input"
+        ),
     }
 }
 
@@ -239,7 +259,12 @@ fn unmutated_inputs_read_and_replay() {
     assert!(header.is_some());
     assert_eq!(events.len(), 399);
     replay_through_every_law(&events, "unmutated");
-    assert_eq!(read_metrics_jsonl(metrics_log().as_bytes()).expect("own output reads").len(), 6);
+    assert_eq!(
+        read_metrics_jsonl(metrics_log().as_bytes())
+            .expect("own output reads")
+            .len(),
+        6
+    );
 }
 
 #[test]
@@ -247,8 +272,14 @@ fn byte_mutations_never_panic_a_reader_or_a_law() {
     let (log, metrics) = (gate_log(), metrics_log());
     let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
     for case in 0..400 {
-        check_gate_log(&mutate_bytes(&log, &mut rng), &format!("gate log, byte case {case}"));
-        check_metrics(&mutate_bytes(&metrics, &mut rng), &format!("metrics, byte case {case}"));
+        check_gate_log(
+            &mutate_bytes(&log, &mut rng),
+            &format!("gate log, byte case {case}"),
+        );
+        check_metrics(
+            &mutate_bytes(&metrics, &mut rng),
+            &format!("metrics, byte case {case}"),
+        );
     }
 }
 
@@ -258,9 +289,15 @@ fn boundary_numbers_and_reversed_time_never_panic_a_reader_or_a_law() {
     let mut rng = XorShift(0x2545_f491_4f6c_dd1d);
     for case in 0..600 {
         let mutant = mutate_structure(&log, &mut rng);
-        check_gate_log(mutant.as_bytes(), &format!("gate log, structure case {case}"));
+        check_gate_log(
+            mutant.as_bytes(),
+            &format!("gate log, structure case {case}"),
+        );
         let mutant = mutate_structure(&metrics, &mut rng);
-        check_metrics(mutant.as_bytes(), &format!("metrics, structure case {case}"));
+        check_metrics(
+            mutant.as_bytes(),
+            &format!("metrics, structure case {case}"),
+        );
     }
 }
 

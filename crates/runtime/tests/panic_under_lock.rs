@@ -1,7 +1,7 @@
 //! What a panic under one of the shell's locks may do to later callers:
-//! nothing. A law runs under the core mutex, a gate-log sink under it
-//! during a drain, a trace sink under the trace mutex, and a worker may
-//! unwind while it holds a permit. Each case below makes one of them
+//! nothing. A law runs under the core mutex, a gate-log sink and a trace
+//! sink under it during a drain, and a worker may unwind while it holds
+//! a permit. Each case below makes one of them
 //! panic, catches the panic, and then checks that the loop goes on:
 //! `admit`, `complete`, `tick` and `metrics` return; the gate holds
 //! exactly the permits still out and admits none past the bound in force;
@@ -20,7 +20,7 @@ use alc_core::gatelog::{GateEvent, GateLogSink};
 use alc_core::law::{ControlLaw, WindowSnapshot};
 use alc_core::measure::PerfIndicator;
 use alc_runtime::{AdmissionPolicy, AdmittedPermit, ControlLoop, Outcome};
-use alc_trace::{TraceEvent, TraceSink};
+use alc_trace::{Phase, TraceEvent, TraceSink};
 
 /// The bound the test law always picks.
 const BOUND: u32 = 2;
@@ -72,12 +72,16 @@ impl GateLogSink for CaptureLog {
     }
 }
 
-/// A trace sink that drops every event, behind a fuse.
-struct FusedTrace(Fuse);
+/// A trace sink that counts the lines it takes past the lane names,
+/// behind a fuse.
+struct FusedTrace(Fuse, Arc<AtomicU64>);
 
 impl TraceSink for FusedTrace {
-    fn emit(&mut self, _: &TraceEvent) {
+    fn emit(&mut self, event: &TraceEvent) {
         self.0.blow("trace sink");
+        if event.ph != Phase::Meta {
+            self.1.fetch_add(1, Ordering::SeqCst);
+        }
     }
 }
 
@@ -88,6 +92,8 @@ struct Rig {
     log: Arc<Mutex<Vec<GateEvent>>>,
     log_fuse: Fuse,
     trace_fuse: Fuse,
+    /// Lines the trace sink took.
+    traced: Arc<AtomicU64>,
     /// Admissions the gate must have counted.
     admitted: AtomicU64,
 }
@@ -102,17 +108,21 @@ impl Rig {
             PerfIndicator::Throughput,
             AdmissionPolicy::Shed,
         );
-        let (log, log_fuse, trace_fuse) = Default::default();
+        let (log, log_fuse, trace_fuse, traced) = Default::default();
         rt.set_gate_log(Box::new(CaptureLog(
             Arc::clone(&log),
             Fuse::clone(&log_fuse),
         )));
-        rt.set_trace_sink(Box::new(FusedTrace(Fuse::clone(&trace_fuse))));
+        rt.set_trace_sink(Box::new(FusedTrace(
+            Fuse::clone(&trace_fuse),
+            Arc::clone(&traced),
+        )));
         Rig {
             rt,
             log,
             log_fuse,
             trace_fuse,
+            traced,
             admitted: AtomicU64::new(0),
         }
     }
@@ -129,6 +139,15 @@ impl Rig {
         self.admitted.fetch_add(1, Ordering::SeqCst);
     }
 
+    /// Trace lines the loop owes the sink: one per gate-log line, one
+    /// more per decision (its `bound` counter), one per shed. A full
+    /// gate log makes this the lines lost to the sink's own panics.
+    fn untraced_lines(&self) -> u64 {
+        let m = self.rt.metrics();
+        let owed = self.log.lock().unwrap().len() as u64 + m.decisions + m.sheds;
+        owed - self.traced.load(Ordering::SeqCst)
+    }
+
     /// The population in the last `Mpl` event the core was fed.
     fn last_fed_mpl(&self) -> Option<u32> {
         self.log
@@ -140,6 +159,29 @@ impl Rig {
                 GateEvent::Mpl { in_system, .. } => Some(in_system),
                 _ => None,
             })
+    }
+}
+
+/// Sheds on the calling thread's stripe until `room` of its slots are
+/// left, with the gate full and `held` the permits that fill it. A drain
+/// shows as new gate-log lines, so the stripe's size is found first:
+/// behind two `Mpl` records, the shed that drains is the one that found
+/// the stripe full.
+fn fill_stripe<'a>(rig: &'a Rig, held: &mut Vec<AdmittedPermit<'a>>, room: usize) {
+    let rt = &rig.rt;
+    rt.metrics();
+    drop(held.pop());
+    held.push(rig.admit());
+    let logged = rig.log.lock().unwrap().len();
+    let mut sheds = 0;
+    while rig.log.lock().unwrap().len() == logged {
+        assert!(rt.admit().is_none(), "the gate is full");
+        sheds += 1;
+        assert!(sheds < 10_000, "no drain");
+    }
+    // The stripe now holds that one shed.
+    for _ in 1..sheds + 1 - room {
+        assert!(rt.admit().is_none(), "the gate is full");
     }
 }
 
@@ -252,19 +294,42 @@ fn a_trace_sink_that_panics_leaves_the_loop_working() {
     with_watchdog(60, || {
         let rig = Rig::new(0);
         let first = rig.admit();
-        // In `admit`: the new permit unwinds and gives its slot back.
+        for _ in 0..10 {
+            let next = rig.admit();
+            rig.rt.complete(next, commit());
+        }
+        // In `tick`: the window has the whole batch, and the decision is
+        // made and in force before the panic is passed on.
+        rig.trace_fuse.arm();
+        assert!(catch_unwind(AssertUnwindSafe(|| rig.rt.tick())).is_err());
+        let m = rig.rt.metrics();
+        assert_eq!((m.decisions, m.window_departures), (1, 10));
+        assert_eq!(rig.rt.gate().limit(), BOUND);
+        // In `metrics`.
+        for _ in 0..10 {
+            let next = rig.admit();
+            rig.rt.complete(next, commit());
+        }
+        rig.trace_fuse.arm();
+        assert!(catch_unwind(AssertUnwindSafe(|| rig.rt.metrics())).is_err());
+        assert_eq!(rig.rt.metrics().commits, 20);
+        // In an `admit` whose stripe is full: it records its admission,
+        // and the new permit, unwinding, gives its slot back.
+        let mut held = vec![first, rig.admit()];
+        fill_stripe(&rig, &mut held, 1);
+        drop(held.pop());
         rig.trace_fuse.arm();
         assert!(catch_unwind(AssertUnwindSafe(|| rig.rt.admit())).is_err());
         rig.count_admission();
-        // In `complete`: the slot is already released.
-        let second = rig.admit();
-        rig.trace_fuse.arm();
-        assert!(catch_unwind(AssertUnwindSafe(|| rig.rt.complete(second, commit()))).is_err());
-        // In `tick`: the decision is made and in force.
-        rig.trace_fuse.arm();
-        assert!(catch_unwind(AssertUnwindSafe(|| rig.rt.tick())).is_err());
-        assert_eq!(rig.rt.metrics().decisions, 1);
-        goes_on(&rig, vec![first]);
+        assert_eq!(rig.rt.metrics().commits, 20);
+        assert_eq!(rig.last_fed_mpl(), Some(rig.rt.gate().in_use()));
+        assert_eq!(
+            rig.untraced_lines(),
+            3,
+            "the trace lost more than its lines"
+        );
+        goes_on(&rig, held);
+        assert_eq!(rig.untraced_lines(), 3);
     });
 }
 
@@ -286,16 +351,20 @@ fn a_worker_that_panics_holding_a_permit_gives_its_slot_back() {
             Some(1),
             "the unwound permit's release was not fed"
         );
-        // Again, with the trace sink failing inside the permit's drop as
-        // the worker unwinds: a second panic there would abort.
+        // Again, with the worker's stripe full, so that the permit's drop
+        // as the worker unwinds is the call that drains, and the trace
+        // sink fails inside it: a second panic there would abort.
         std::thread::scope(|s| {
             let worker = s.spawn(|| {
-                let _permit = rig.admit();
+                let mut held = vec![rig.admit()];
+                fill_stripe(&rig, &mut held, 0);
                 rig.trace_fuse.arm();
                 panic!("worker fails holding its permit");
             });
             assert!(worker.join().is_err());
         });
+        assert_eq!(rig.untraced_lines(), 1);
+        assert_eq!(rig.last_fed_mpl(), Some(1));
         goes_on(&rig, vec![first]);
     });
 }

@@ -658,10 +658,15 @@ mod tests {
         /// interleavings of request/release (a transaction never issues
         /// a new request while queued — exactly the engine's discipline).
         /// Its item index starts at 8 slots, so removals shift probe runs
-        /// that wrap and collide, and the index grows while it runs.
+        /// that wrap and collide, and the index grows while it runs. Most
+        /// requests go to a hot set of three items, so readers holding one
+        /// upgrade behind writers queued on it.
         #[test]
         fn arena_matches_seed_oracle(
-            ops in prop::collection::vec((0u8..3, 0usize..6, 0u64..16, any::<bool>()), 1..400),
+            ops in prop::collection::vec(
+                (0u8..3, 0usize..6, prop_oneof![4 => 0u64..3, 1 => 3u64..16], any::<bool>()),
+                1..400,
+            ),
         ) {
             const N: usize = 6;
             let mut arena = LockTable::with_index_capacity(N, 8);
